@@ -389,6 +389,12 @@ def _load_functional(path):
 
 
 def _cmd_expand(args, out):
+    if args.order is None and args.grading is None:
+        raise ValidationError("expand needs --order or --grading")
+    if args.order is None and (args.x0 is None or args.y0 is None):
+        raise ValidationError("--grading needs --x0 and --y0")
+    if not args.coupling_path and None in (args.points_path, args.points2_path):
+        raise ValidationError("expand needs --coupling or --points and --points2")
     f = _load_functional(args.kernel_path)
     if args.coupling_path:
         c = load_coupling(args.coupling_path)
@@ -420,9 +426,17 @@ def _cmd_expand(args, out):
 
 
 def _cmd_converge(args, out):
+    if args.order is None and args.grading is None:
+        raise ValidationError("converge needs --order or --grading")
+    if args.order is None and (args.x0 is None or args.x0_direction is None):
+        raise ValidationError("--grading needs --x0 and --x0-direction")
     f = _load_functional(args.kernel_path)
     pts = load_points(args.points_path)
     dirs = load_points(args.directions_path)
+    if len(dirs) != len(pts):
+        raise ValidationError(
+            f"{len(dirs)} direction rows for {len(pts)} points; need one per point"
+        )
     hs = [parse_rational(h) for h in args.h_list.split(",")]
     if args.order is not None:
         spec = args.order

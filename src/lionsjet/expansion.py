@@ -1,11 +1,15 @@
 """Jet operators and graded Taylor expansions with exact remainder terms.
 
-The jet operator contracts a derivative against coupling gaps: an m-fold sum
-over atom pairs of the derivative at the left atoms times the tensor of
-displacements. Truncating the expansion at an order (or at a grading level)
-leaves remainder terms indexed by the boundary families; for polynomial
-functionals on empirical measures the interpolation integrals are polynomial
-in the path parameter and are integrated in closed form, so
+The jet operator contracts a derivative against coupling gaps, averaged over
+every coupling configuration: one atom pair per coupling variable of the
+derivative. Per kernel monomial that m-fold average factorizes into a product
+of mixed coupling moments (1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per
+pinned slot, so the operator costs time linear in the atom count N (see
+`functional.contract_derivative`). Truncating the expansion at an order (or
+at a grading level) leaves remainder terms indexed by the boundary families;
+on the interpolation path the atoms have coordinates polynomial in the path
+parameter, so the same moments are polynomials and the integrals are taken
+in closed form, and
 
     predicted + sum of remainder terms == value at the target
 
@@ -16,7 +20,6 @@ from box norms and coupling moments, with every factor reported.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -152,20 +155,22 @@ def eval_Da(f, a, x0, displacement, mu, c):
         raise ValidationError("spatial argument and displacement required")
     if not f.has_spatial and (x0 is not None or displacement is not None):
         raise ValidationError("functional has no spatial argument")
-    ts = lions_derivative(f, a)
-    m = a.m
-    d = f.kernel.d
-    atoms = [x for x, _ in c.pairs]
+    view = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=c.gaps())
+    dirvecs = [tuple(displacement) if v == 0 else v - 1 for v in a.values]
+    return contract_derivative(lions_derivative(f, a), x0, view, [], dirvecs)
+
+
+def _coupling_views(c):
+    """Views of the left marginal, of the straight path to the right
+    marginal (coordinates in `XiPoly`), and of the right marginal; the first
+    two carry the coupling gaps for the averaged coupling variables."""
     gaps = c.gaps()
-    view = MomentView(atoms, dim=c.dim)
-    out = Tensor((d,))
-    for idx in itertools.product(range(c.n_atoms), repeat=m):
-        free = [atoms[i] for i in idx]
-        dirvecs = [
-            tuple(displacement) if v == 0 else gaps[idx[v - 1]] for v in a.values
-        ]
-        out = out + contract_derivative(ts, x0, view, free, dirvecs)
-    return out.scale(Fraction(1, c.n_atoms**m))
+    base = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=gaps)
+    path = MomentView(
+        [_affine_point(x, y) for x, y in c.pairs], dim=c.dim, gaps=gaps
+    )
+    target = MomentView([y for _, y in c.pairs], dim=c.dim)
+    return base, path, target
 
 
 def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
@@ -180,19 +185,9 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
     """
     base = as_tagged(base)
     kernel = f.kernel
-    d, e = kernel.d, kernel.e
     m0 = base.m
     n0 = len(base)
-    n_atoms = c.n_atoms
-    atoms_x = [x for x, _ in c.pairs]
-    atoms_y = [y for _, y in c.pairs]
-    gaps = c.gaps()
-
-    base_view = MomentView(atoms_x, dim=c.dim)
-    path_view = MomentView(
-        [_affine_point(x, y) for x, y in c.pairs], dim=c.dim
-    )
-    target_view = MomentView(atoms_y, dim=c.dim)
+    base_view, path_view, target_view = _coupling_views(c)
 
     tagged_base = [tuple(x) for x, _ in tagged_pairs]
     tagged_target = [tuple(y) for _, y in tagged_pairs]
@@ -202,47 +197,27 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
     ]
 
     core, star, plus, cross = graded_families_ext(base, alpha, beta, eta)
-    shape = (d,) + (e,) * n0
     dts_cache = {}
 
-    def term_sum(values):
+    def evaluate(values, tagged_at_xi, measure_at_xi):
+        """Contract the derivative for base+values, averaged over the
+        coupling, with the tagged group and/or the measure group on the
+        interpolation path."""
         ts = dts_cache.get(values)
         if ts is None:
             ts = lions_derivative(f, TaggedSeq(base.values + values))
             dts_cache[values] = ts
-        return ts
-
-    def evaluate(values, idx, tagged_at_xi, measure_at_xi):
-        """Contract the derivative for base+values at one coupling
-        configuration, with the tagged group and/or the measure group on the
-        interpolation path."""
-        ts = term_sum(values)
-        x0 = tagged_path[0] if tagged_at_xi else tagged_base[0]
-        frees = [
-            (tagged_path if tagged_at_xi else tagged_base)[j]
-            for j in range(1, m0 + 1)
-        ]
-        coupling_pts = [
-            path_view.atoms[i] if measure_at_xi else atoms_x[i] for i in idx
-        ]
+        tagged = tagged_path if tagged_at_xi else tagged_base
         view = path_view if measure_at_xi else base_view
         dirvecs = [None] * n0 + [
-            tagged_disp[v] if v <= m0 else gaps[idx[v - m0 - 1]]
-            for v in values
+            tagged_disp[v] if v <= m0 else v - m0 - 1 for v in values
         ]
-        return contract_derivative(ts, x0, view, frees + coupling_pts, dirvecs)
-
-    def config_sum(values, fn):
-        m_new = max(0, max(values, default=0) - m0)
-        total = Tensor(shape)
-        for idx in itertools.product(range(n_atoms), repeat=m_new):
-            total = total + fn(idx)
-        return total.scale(Fraction(1, n_atoms**m_new))
+        return contract_derivative(ts, tagged[0], view, tagged[1:], dirvecs)
 
     jet_terms = []
     for ext in core:
         values = ext.values
-        raw = config_sum(values, lambda idx: evaluate(values, idx, False, False))
+        raw = evaluate(values, False, False)
         value = raw.scale(Fraction(1, math.factorial(len(values))))
         seq = ext if n0 else TaggedSeq(values)
         jet_terms.append(JetTerm(seq=seq, value=value, raw=raw))
@@ -266,17 +241,11 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
     ):
         if alpha == beta and family != "star":
             continue
-        (mt, mm), (ft, fm) = sides
+        moving, frozen = sides
         for ext in members:
             values = ext.values
             r = len(values) - 1
-
-            def diff(idx):
-                moving = evaluate(values, idx, mt, mm)
-                frozen = evaluate(values, idx, ft, fm)
-                return moving - frozen
-
-            acc = config_sum(values, diff)
+            acc = evaluate(values, *moving) - evaluate(values, *frozen)
             if r < 0:
                 term = acc.map(_at_one)
             else:
@@ -303,52 +272,33 @@ def taylor1(f, mu, c, n, box=None):
     if n < 1:
         raise ValidationError("order must be at least 1")
     _check_marginal(c, mu)
-    kernel = f.kernel
-    d, e = kernel.d, kernel.e
-    n_atoms = c.n_atoms
-    atoms_x = [x for x, _ in c.pairs]
-    gaps = c.gaps()
-    base_view = MomentView(atoms_x, dim=c.dim)
-    path_view = MomentView([_affine_point(x, y) for x, y in c.pairs], dim=c.dim)
-    target_view = MomentView([y for _, y in c.pairs], dim=c.dim)
-
+    base_view, path_view, target_view = _coupling_views(c)
     dts_cache = {}
 
-    def contract(a, idx, on_path):
+    def contract(a, view):
         ts = dts_cache.get(a.values)
         if ts is None:
             ts = lions_derivative(f, a)
             dts_cache[a.values] = ts
-        pts = [
-            (path_view.atoms[i] if on_path else atoms_x[i]) for i in idx
-        ]
-        view = path_view if on_path else base_view
-        dirvecs = [gaps[idx[v - 1]] for v in a.values]
-        return contract_derivative(ts, None, view, pts, dirvecs)
+        return contract_derivative(ts, None, view, [], [v - 1 for v in a.values])
 
     jet_terms = []
     for k in range(n + 1):
         for a in enum_A(k):
-            raw = Tensor((d,))
-            for idx in itertools.product(range(n_atoms), repeat=a.m):
-                raw = raw + contract(a, idx, False)
-            raw = raw.scale(Fraction(1, n_atoms**a.m))
+            raw = contract(a, base_view)
             value = raw.scale(Fraction(1, math.factorial(k)))
             jet_terms.append(JetTerm(seq=a, value=value, raw=raw))
 
     remainder_terms = {}
     for a in enum_A(n):
-        acc = Tensor((d,))
-        for idx in itertools.product(range(n_atoms), repeat=a.m):
-            acc = acc + (contract(a, idx, True) - contract(a, idx, False))
-        acc = acc.scale(Fraction(1, n_atoms**a.m))
+        acc = contract(a, path_view) - contract(a, base_view)
         term = acc.map(lambda v: _integrate_entry(v, n - 1)).scale(
             Fraction(1, math.factorial(n - 1))
         )
         remainder_terms[("star", a.values)] = term
 
-    actual = Tensor((d,), f.eval(None, target_view))
-    predicted = Tensor((d,))
+    actual = Tensor((f.kernel.d,), f.eval(None, target_view))
+    predicted = Tensor((f.kernel.d,))
     for term in jet_terms:
         predicted = predicted + term.value
     result = ExpansionResult(

@@ -29,33 +29,51 @@ class MomentView:
     """Duck-typed empirical measure over atoms with generic scalar
     coordinates (Fractions, floats, path or symbolic polynomials).
 
-    Provides the `moment` interface the evaluators integrate against.
+    Provides the `moment` interface the evaluators integrate against. When
+    `gaps` is given (one displacement vector per atom, e.g. the coupling gaps
+    y_i - x_i), `moment(exps, gap_exps)` is the mixed coupling moment
+
+        (1/N) * sum_i atom_i^exps * gap_i^gap_exps,
+
+    which is what an averaged coupling variable contributes per monomial.
+    One cache serves both: it is keyed by (exps, gap_exps), and `moment(exps)`
+    is the case gap_exps = 0.
     """
 
-    __slots__ = ("atoms", "dim", "_moments")
+    __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_moments")
 
-    def __init__(self, atoms, dim=None):
+    def __init__(self, atoms, dim=None, gaps=None):
         self.atoms = [tuple(a) for a in atoms]
         self.dim = dim if dim is not None else len(self.atoms[0])
+        self.gaps = None if gaps is None else [tuple(g) for g in gaps]
+        self._no_gaps = (0,) * self.dim
         self._moments = {}
 
     @property
     def n_atoms(self):
         return len(self.atoms)
 
-    def moment(self, exps):
-        exps = tuple(exps)
-        cached = self._moments.get(exps)
+    def moment(self, exps, gap_exps=None):
+        key = (tuple(exps), tuple(gap_exps or self._no_gaps))
+        cached = self._moments.get(key)
         if cached is None:
+            exps, gap_exps = key
+            weighted = any(gap_exps)
+            if weighted and self.gaps is None:
+                raise ValidationError("gap moments need a view with gaps")
             total = 0
-            for atom in self.atoms:
+            for i, atom in enumerate(self.atoms):
                 factor = Fraction(1)
                 for c, e in zip(atom, exps):
                     if e:
                         factor = factor * c**e
+                if weighted:
+                    for c, e in zip(self.gaps[i], gap_exps):
+                        if e:
+                            factor = factor * c**e
                 total = total + factor
             cached = total * Fraction(1, len(self.atoms))
-            self._moments[exps] = cached
+            self._moments[key] = cached
         return cached
 
 
@@ -211,12 +229,14 @@ class PolyFunctional:
         return f"PolyFunctional({self.kernel!r})"
 
 
-def _eval_poly_slots(kernel, poly, slot_values, measure):
+def _eval_poly_slots(kernel, poly, slot_values, measure, gaps=None):
     """Evaluate a kernel-variable polynomial; slots absent from
     `slot_values` are integrated against `measure`.
 
     Per monomial, the integration over independent slots factorizes into a
-    product of per-slot moments, so cost is linear in the atom count.
+    product of per-slot moments, so cost is linear in the atom count. A slot
+    listed in `gaps` is an averaged coupling variable: its moment carries the
+    gap exponents gaps[slot].
     """
     e = kernel.e
     total = 0
@@ -225,6 +245,10 @@ def _eval_poly_slots(kernel, poly, slot_values, measure):
         for slot in kernel.slots():
             off = kernel.slot_offset(slot)
             row = exps[off : off + e]
+            gap_row = gaps and gaps.get(slot)
+            if gap_row:
+                factor = factor * measure.moment(row, gap_row)
+                continue
             if not any(row):
                 continue
             vals = slot_values.get(slot)
@@ -348,8 +372,8 @@ def _slot_values_for(ts, term, x0, free):
     slot_values = {}
     if kernel.has_spatial:
         slot_values[0] = tuple(x0)
-    for j, slot in enumerate(term.pins):
-        slot_values[slot] = tuple(free[j])
+    for slot, point in zip(term.pins, free):
+        slot_values[slot] = tuple(point)
     return slot_values
 
 
@@ -418,34 +442,48 @@ def eval_derivative_brute(ts, x0, mu, free):
 def contract_derivative(ts, x0, mu, free, direction_vectors):
     """Evaluate and contract tensor directions against given vectors.
 
-    direction_vectors has one entry per direction: a length-e vector, or None
-    to leave that direction uncontracted. Returns a tensor of shape
-    (d, e, ..., e) with one axis per uncontracted direction.
+    direction_vectors has one entry per direction: a length-e vector, None to
+    leave that direction uncontracted, or an int j for the gap of averaged
+    coupling variable j. Free variables beyond len(free) are the averaged
+    coupling variables 0, 1, ...: each is drawn uniformly from the atoms of
+    `mu` (a `MomentView` with gaps) and the result is the average over all
+    such draws. Per monomial that average factorizes into the mixed moments
+    mu.moment(row, gap_exps) of the pinned slots, so the cost is linear in
+    the atom count rather than a sum over configurations. Returns a tensor of
+    shape (d, e, ..., e) with one axis per uncontracted direction.
     """
     kernel = ts.kernel
     e, d, n = kernel.e, kernel.d, ts.order
-    free_dirs = [p for p, v in enumerate(direction_vectors) if v is None]
+    n_fixed = len(free)
+    free_dirs, vec_dirs, gap_dirs = [], [], []
+    for p, v in enumerate(direction_vectors):
+        if v is None:
+            free_dirs.append(p)
+        elif isinstance(v, int):
+            gap_dirs.append((p, v))
+        else:
+            vec_dirs.append((p, v))
     out = Tensor((d,) + (e,) * len(free_dirs))
     for term in ts.terms:
         slot_values = _slot_values_for(ts, term, x0, free)
         for coords in itertools.product(range(e), repeat=n):
             weight = Fraction(1)
-            zero = False
-            for p, vec in enumerate(direction_vectors):
-                if vec is None:
-                    continue
-                w = vec[coords[p]]
-                if not w:
-                    zero = True
+            for p, vec in vec_dirs:
+                weight = weight * vec[coords[p]]
+                if not weight:
                     break
-                weight = weight * w
-            if zero:
+            if not weight:
                 continue
+            gap_rows = {}
+            for p, j in gap_dirs:
+                row = gap_rows.setdefault(term.pins[n_fixed + j], [0] * e)
+                row[coords[p]] += 1
+            gaps = {slot: tuple(row) for slot, row in gap_rows.items()}
             for comp in range(d):
                 poly = ts.deriv_poly(comp, term, coords)
                 if not poly:
                     continue
-                val = _eval_poly_slots(kernel, poly, slot_values, mu)
+                val = _eval_poly_slots(kernel, poly, slot_values, mu, gaps)
                 idx = (comp,) + tuple(coords[p] for p in free_dirs)
                 out[idx] = out[idx] + val * weight
     return out

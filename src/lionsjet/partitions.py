@@ -38,7 +38,10 @@ def enumeration_cap():
     return DEFAULT_ENUM_CAP
 
 
-def _check_cap(n):
+def check_length(n):
+    """Reject a negative enumeration length or one above the cap."""
+    if n < 0:
+        raise ValidationError(f"negative length {n}")
     cap = enumeration_cap()
     if n > cap:
         raise EnumerationLimitError(f"length {n} exceeds enumeration cap {cap}")
@@ -133,7 +136,7 @@ def enum_A(n):
 
     enum_A(0) is [PartitionSeq(())]; len(enum_A(n)) == Bell(n).
     """
-    _check_cap(n)
+    check_length(n)
     out = []
 
     def extend(prefix, running_max):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompositionError, EnumerationLimitError, ValidationError
-from .partitions import PartitionSeq, enum_A, enumeration_cap
+from .partitions import PartitionSeq, check_length, enum_A, enumeration_cap
 from .poly import format_rational, parse_rational
 
 
@@ -167,10 +167,7 @@ class RemainderFamilies:
 
 def enum_A0(n):
     """All tagged sequences of length n; len(enum_A0(n)) == Bell(n+1)."""
-    if n > enumeration_cap():
-        raise EnumerationLimitError(
-            f"length {n} exceeds enumeration cap {enumeration_cap()}"
-        )
+    check_length(n)
     out = []
 
     def extend(prefix, running_max):
@@ -191,10 +188,7 @@ def enum_Akn0(k, n):
     partition sequence: all (k, n)-shuffles of a zero block with A_n."""
     if k < 0 or n < 0:
         raise ValidationError("negative length")
-    if k + n > enumeration_cap():
-        raise EnumerationLimitError(
-            f"length {k + n} exceeds enumeration cap {enumeration_cap()}"
-        )
+    check_length(k + n)
     out = []
     for zero_positions in itertools.combinations(range(k + n), k):
         zeros = set(zero_positions)
@@ -345,10 +339,7 @@ class ExtendedSeq:
 def enum_A_a(a, n):
     """All extensions of length n over the base sequence `a`."""
     a = as_tagged(a)
-    if n > enumeration_cap():
-        raise EnumerationLimitError(
-            f"length {n} exceeds enumeration cap {enumeration_cap()}"
-        )
+    check_length(n)
     out = []
 
     def extend(prefix, running_max):

@@ -192,3 +192,45 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1,1", "1,2"]
+
+
+def assert_one_line_exit_two(args, capsys):
+    code, text = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_enum_negative_length_exits_two(capsys):
+    for args in (["enum", "-1"], ["enum", "-1", "--tagged"], ["enum", "-2", "--kn", "1"]):
+        assert_one_line_exit_two(args, capsys)
+
+
+def _expand_inputs(tmp_path):
+    kernel = PolyFunctional(PolyKernel(1, 1, 1, False, [MPoly(1, {(2,): F(1)})]))
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel.to_json()))
+    save_points(tmp_path / "x.csv", [(F(0),), (F(1, 2),)])
+    save_points(tmp_path / "y.csv", [(F(1, 3),), (F(1),)])
+    return str(kpath), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+
+
+def test_expand_missing_inputs_exit_two(tmp_path, capsys):
+    kpath, xpath, ypath = _expand_inputs(tmp_path)
+    points = ["--points", xpath, "--points2", ypath]
+    for args in (
+        ["--order", "2"],
+        ["--order", "2", "--points", xpath],
+        points,
+        points + ["--grading", "9/4", "1/2", "1", "--x0=0"],
+    ):
+        assert_one_line_exit_two(["expand", "--kernel", kpath] + args, capsys)
+
+
+def test_converge_rejects_mismatched_rows(tmp_path, capsys):
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    save_points(tmp_path / "dirs.csv", [(F(1),), (F(1),), (F(1),)])
+    args = ["converge", "--kernel", kpath, "--points", xpath,
+            "--directions", str(tmp_path / "dirs.csv")]
+    assert_one_line_exit_two(args + ["--order", "1"], capsys)
+    assert_one_line_exit_two(args, capsys)
