@@ -15,7 +15,6 @@ import concurrent.futures
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -226,82 +225,6 @@ def _trial(args):
 # ---------------------------------------------------------------------------
 # commands
 
-@dataclass
-class RunConfig:
-    """One resolved command invocation.
-
-    The seed fully determines every random instance a verify run touches;
-    rational mode keeps all arithmetic exact (float-only operations raise a
-    clear error instead of silently degrading).
-    """
-
-    command: str
-    kernel_path: str | None = None
-    points_path: str | None = None
-    points2_path: str | None = None
-    coupling_path: str | None = None
-    directions_path: str | None = None
-    n: int | None = None
-    kn: int | None = None
-    tagged: bool = False
-    graded: tuple | None = None
-    seq: str | None = None
-    families: bool = False
-    identity: str | None = None
-    seed: int = 0
-    trials: int = 100
-    jobs: int = 1
-    mode: str = "rational"
-    output: str = "text"
-    dump_dir: str | None = None
-    replay: str | None = None
-    order: int | None = None
-    grading: tuple | None = None
-    x0: str | None = None
-    y0: str | None = None
-    x0_direction: str | None = None
-    free_x: tuple = ()
-    free_y: tuple = ()
-    box: tuple | None = None
-    h_list: str = "1/2,1/4,1/8,1/16,1/32,1/64"
-
-    @classmethod
-    def from_args(cls, args):
-        fields = {
-            "command": args.command,
-            "kernel_path": getattr(args, "kernel", None),
-            "points_path": getattr(args, "points", None),
-            "points2_path": getattr(args, "points2", None),
-            "coupling_path": getattr(args, "coupling", None),
-            "directions_path": getattr(args, "directions", None),
-            "n": getattr(args, "n", None),
-            "kn": getattr(args, "kn", None),
-            "tagged": getattr(args, "tagged", False),
-            "graded": tuple(args.graded) if getattr(args, "graded", None) else None,
-            "seq": getattr(args, "seq", None),
-            "families": getattr(args, "families", False),
-            "identity": getattr(args, "identity", None),
-            "seed": getattr(args, "seed", 0),
-            "trials": getattr(args, "trials", 100),
-            "jobs": getattr(args, "jobs", 1),
-            "mode": getattr(args, "mode", "rational"),
-            "output": getattr(args, "output", "text"),
-            "dump_dir": getattr(args, "dump_dir", None),
-            "replay": getattr(args, "replay", None),
-            "order": getattr(args, "order", None),
-            "grading": tuple(args.grading) if getattr(args, "grading", None) else None,
-            "x0": getattr(args, "x0", None),
-            "y0": getattr(args, "y0", None),
-            "x0_direction": getattr(args, "x0_direction", None),
-            "free_x": tuple(getattr(args, "free_x", None) or ()),
-            "free_y": tuple(getattr(args, "free_y", None) or ()),
-            "box": tuple(args.box) if getattr(args, "box", None) else None,
-        }
-        if getattr(args, "h_list", None):
-            fields["h_list"] = args.h_list
-        return cls(**fields)
-
-
 def _grading_arg(values):
     gamma, alpha, beta = (parse_rational(v) for v in values)
     return Grading(alpha, beta, gamma)
@@ -353,8 +276,12 @@ def _cmd_grade(args, out):
 
 def _cmd_verify(args, out):
     if args.replay:
-        inst = json.load(open(args.replay))
-        rep = run_instance(inst)
+        with open(args.replay) as fh:
+            inst = json.load(fh)
+        try:
+            rep = run_instance(inst)
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed instance: {exc!r}") from exc
         print(json.dumps(rep.to_json()), file=out)
         return 0 if rep.passed else 1
     trials = [(args.identity, args.seed + k, args.mode) for k in range(args.trials)]
@@ -385,7 +312,8 @@ def _cmd_verify(args, out):
 
 
 def _load_functional(path):
-    return PolyFunctional.from_json(json.load(open(path)))
+    with open(path) as fh:
+        return PolyFunctional.from_json(json.load(fh))
 
 
 def _cmd_expand(args, out):
@@ -393,14 +321,16 @@ def _cmd_expand(args, out):
         raise ValidationError("expand needs --order or --grading")
     if args.order is None and (args.x0 is None or args.y0 is None):
         raise ValidationError("--grading needs --x0 and --y0")
-    if not args.coupling_path and None in (args.points_path, args.points2_path):
+    if not args.coupling and None in (args.points, args.points2):
         raise ValidationError("expand needs --coupling or --points and --points2")
-    f = _load_functional(args.kernel_path)
-    if args.coupling_path:
-        c = load_coupling(args.coupling_path)
+    if args.seq and args.box:
+        raise ValidationError("--box bounds are not available for --seq expansions")
+    f = _load_functional(args.kernel)
+    if args.coupling:
+        c = load_coupling(args.coupling)
     else:
-        x = load_points(args.points_path)
-        y = load_points(args.points2_path)
+        x = load_points(args.points)
+        y = load_points(args.points2)
         c = pair_coupling(x, y)
     if args.mode == "float":
         c = pair_coupling(
@@ -430,9 +360,9 @@ def _cmd_converge(args, out):
         raise ValidationError("converge needs --order or --grading")
     if args.order is None and (args.x0 is None or args.x0_direction is None):
         raise ValidationError("--grading needs --x0 and --x0-direction")
-    f = _load_functional(args.kernel_path)
-    pts = load_points(args.points_path)
-    dirs = load_points(args.directions_path)
+    f = _load_functional(args.kernel)
+    pts = load_points(args.points)
+    dirs = load_points(args.directions)
     if len(dirs) != len(pts):
         raise ValidationError(
             f"{len(dirs)} direction rows for {len(pts)} points; need one per point"
@@ -533,23 +463,23 @@ def main(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    return run(RunConfig.from_args(args), out=out)
+    return run(args, out=out)
 
 
-def run(config, out=None):
-    """Execute one command; returns the process exit status."""
+def run(args, out=None):
+    """Execute one parsed command line; returns the process exit status."""
     out = out or sys.stdout
     try:
-        if config.command == "enum":
-            return _cmd_enum(config, out)
-        if config.command == "grade":
-            return _cmd_grade(config, out)
-        if config.command == "verify":
-            return _cmd_verify(config, out)
-        if config.command == "expand":
-            return _cmd_expand(config, out)
-        if config.command == "converge":
-            return _cmd_converge(config, out)
+        if args.command == "enum":
+            return _cmd_enum(args, out)
+        if args.command == "grade":
+            return _cmd_grade(args, out)
+        if args.command == "verify":
+            return _cmd_verify(args, out)
+        if args.command == "expand":
+            return _cmd_expand(args, out)
+        if args.command == "converge":
+            return _cmd_converge(args, out)
     except (ValidationError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,12 @@ in closed form, and
 holds as exact rational arithmetic. That identity is asserted by the tests;
 the `remainder_bound*` functions produce certified upper bounds assembled
 from box norms and coupling moments, with every factor reported.
+
+One graded engine computes every expansion. `taylor2` and
+`taylor_derivative` run it over tagged sequences; `taylor1` is the same
+engine at alpha = beta = 1, gamma = n over partition sequences (there is no
+spatial letter), whose core is every sequence of length at most n and whose
+star family is the length-n sequences.
 """
 
 from __future__ import annotations
@@ -34,15 +40,16 @@ from .functional import (
     norms_on_box,
 )
 from .measures import coupling_moment
-from .partitions import enum_A
+from .partitions import PartitionSeq, enum_A
 from .poly import Tensor, XiPoly, format_rational
 from .tagged import (
+    ExtendedSeq,
     Grading,
     TaggedSeq,
+    _graded_value_families,
     as_tagged,
     enum_graded,
     grade,
-    graded_families_ext,
 )
 
 _EMPTY = TaggedSeq(())
@@ -173,15 +180,18 @@ def _coupling_views(c):
     return base, path, target
 
 
-def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
-    """Shared engine for the graded expansions.
+def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
+    """The one expansion engine: graded jet and exact remainder terms of the
+    derivative indexed by `base`, truncated at level eta.
 
     base: the sequence whose derivative is being expanded (empty for the
-          plain two-variable expansion).
+          plain expansions).
     tagged_pairs: (start, target) pairs for the tagged slots 0..m[base]
-          (slot 0 is the spatial point).
-    Returns (jet_terms, remainder_terms, actual) where tensors have one
-    e-axis per letter of `base` after the leading output axis.
+          (slot 0 is the spatial point). A measure-only functional has none:
+          its sequences start at letter 1, and its jet is listed
+          length-major, as `enum_A` lists sequences.
+    Returns the ExpansionResult; its tensors have one e-axis per letter of
+    `base` after the leading output axis.
     """
     base = as_tagged(base)
     kernel = f.kernel
@@ -196,7 +206,8 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
         tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs
     ]
 
-    core, star, plus, cross = graded_families_ext(base, alpha, beta, eta)
+    first, seq_type = (0, TaggedSeq) if f.has_spatial else (1, PartitionSeq)
+    core, star, plus, cross = _graded_value_families(alpha, beta, eta, m0, first)
     dts_cache = {}
 
     def evaluate(values, tagged_at_xi, measure_at_xi):
@@ -212,15 +223,17 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
         dirvecs = [None] * n0 + [
             tagged_disp[v] if v <= m0 else v - m0 - 1 for v in values
         ]
-        return contract_derivative(ts, tagged[0], view, tagged[1:], dirvecs)
+        x0 = tagged[0] if tagged else None
+        return contract_derivative(ts, x0, view, tagged[1:], dirvecs)
 
     jet_terms = []
-    for ext in core:
-        values = ext.values
+    for values in core:
         raw = evaluate(values, False, False)
         value = raw.scale(Fraction(1, math.factorial(len(values))))
-        seq = ext if n0 else TaggedSeq(values)
+        seq = ExtendedSeq(base, values) if n0 else seq_type(values)
         jet_terms.append(JetTerm(seq=seq, value=value, raw=raw))
+    if not f.has_spatial:
+        jet_terms.sort(key=lambda term: len(term.seq))
 
     # Which argument groups move in each family integrand. The full
     # difference splits into a measure-group step and a tagged-group step;
@@ -242,8 +255,7 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
         if alpha == beta and family != "star":
             continue
         moving, frozen = sides
-        for ext in members:
-            values = ext.values
+        for values in members:
             r = len(values) - 1
             acc = evaluate(values, *moving) - evaluate(values, *frozen)
             if r < 0:
@@ -260,54 +272,31 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta):
         target_view,
         tagged_target[1:],
     )
-    return jet_terms, remainder_terms, actual
-
-
-def taylor1(f, mu, c, n, box=None):
-    """Expansion of a measure-only functional about the left marginal of a
-    coupling, truncated at order n, with exact remainder terms over the
-    length-n sequences."""
-    if f.has_spatial:
-        raise ValidationError("taylor1 expects a functional without a spatial slot")
-    if n < 1:
-        raise ValidationError("order must be at least 1")
-    _check_marginal(c, mu)
-    base_view, path_view, target_view = _coupling_views(c)
-    dts_cache = {}
-
-    def contract(a, view):
-        ts = dts_cache.get(a.values)
-        if ts is None:
-            ts = lions_derivative(f, a)
-            dts_cache[a.values] = ts
-        return contract_derivative(ts, None, view, [], [v - 1 for v in a.values])
-
-    jet_terms = []
-    for k in range(n + 1):
-        for a in enum_A(k):
-            raw = contract(a, base_view)
-            value = raw.scale(Fraction(1, math.factorial(k)))
-            jet_terms.append(JetTerm(seq=a, value=value, raw=raw))
-
-    remainder_terms = {}
-    for a in enum_A(n):
-        acc = contract(a, path_view) - contract(a, base_view)
-        term = acc.map(lambda v: _integrate_entry(v, n - 1)).scale(
-            Fraction(1, math.factorial(n - 1))
-        )
-        remainder_terms[("star", a.values)] = term
-
-    actual = Tensor((f.kernel.d,), f.eval(None, target_view))
-    predicted = Tensor((f.kernel.d,))
+    predicted = Tensor(actual.shape)
     for term in jet_terms:
         predicted = predicted + term.value
-    result = ExpansionResult(
+    return ExpansionResult(
         jet=jet_terms,
         predicted=predicted,
         actual=actual,
         remainder_exact=actual - predicted,
         remainder_terms=remainder_terms,
-        meta={"kind": "order", "order": n},
+        meta=meta,
+    )
+
+
+def taylor1(f, mu, c, n, box=None):
+    """Expansion of a measure-only functional about the left marginal of a
+    coupling, truncated at order n, with exact remainder terms over the
+    length-n sequences: the graded expansion with alpha = beta = 1 and
+    gamma = n over partition sequences."""
+    if f.has_spatial:
+        raise ValidationError("taylor1 expects a functional without a spatial slot")
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+    _check_marginal(c, mu)
+    result = _graded_engine(
+        f, _EMPTY, [], c, 1, 1, n, {"kind": "order", "order": n}
     )
     if box is not None:
         result.remainder_bound, result.bound_terms = _bound1_terms(f, c, n, box)
@@ -321,19 +310,15 @@ def taylor2(f, x0, y0, c, g, box=None):
         raise ValidationError("taylor2 expects a functional with a spatial slot")
     if not isinstance(g, Grading):
         raise ValidationError("grading required")
-    jet_terms, remainder_terms, actual = _graded_engine(
-        f, _EMPTY, [(tuple(x0), tuple(y0))], c, g.alpha, g.beta, g.gamma
-    )
-    predicted = Tensor(actual.shape)
-    for term in jet_terms:
-        predicted = predicted + term.value
-    result = ExpansionResult(
-        jet=jet_terms,
-        predicted=predicted,
-        actual=actual,
-        remainder_exact=actual - predicted,
-        remainder_terms=remainder_terms,
-        meta={"kind": "graded", "grading": g.to_json()},
+    result = _graded_engine(
+        f,
+        _EMPTY,
+        [(tuple(x0), tuple(y0))],
+        c,
+        g.alpha,
+        g.beta,
+        g.gamma,
+        {"kind": "graded", "grading": g.to_json()},
     )
     if box is not None:
         result.remainder_bound, result.bound_terms = _bound2_terms(
@@ -364,25 +349,13 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
     pairs = [(tuple(x0), tuple(y0))] + [
         (tuple(u), tuple(v)) for u, v in zip(free_x, free_y)
     ]
-    jet_terms, remainder_terms, actual = _graded_engine(
-        f, a, pairs, c, g.alpha, g.beta, eta
-    )
-    predicted = Tensor(actual.shape)
-    for term in jet_terms:
-        predicted = predicted + term.value
-    return ExpansionResult(
-        jet=jet_terms,
-        predicted=predicted,
-        actual=actual,
-        remainder_exact=actual - predicted,
-        remainder_terms=remainder_terms,
-        meta={
-            "kind": "derivative",
-            "seq": list(a.values),
-            "grading": g.to_json(),
-            "eta": format_rational(eta),
-        },
-    )
+    meta = {
+        "kind": "derivative",
+        "seq": list(a.values),
+        "grading": g.to_json(),
+        "eta": format_rational(eta),
+    }
+    return _graded_engine(f, a, pairs, c, g.alpha, g.beta, eta, meta)
 
 
 def _check_box_membership(box, points):

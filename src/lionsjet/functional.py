@@ -21,60 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
+from .measures import MomentView  # re-exported
 from .poly import MPoly, Tensor, format_rational, parse_rational
 from .tagged import TaggedSeq, as_tagged
-
-
-class MomentView:
-    """Duck-typed empirical measure over atoms with generic scalar
-    coordinates (Fractions, floats, path or symbolic polynomials).
-
-    Provides the `moment` interface the evaluators integrate against. When
-    `gaps` is given (one displacement vector per atom, e.g. the coupling gaps
-    y_i - x_i), `moment(exps, gap_exps)` is the mixed coupling moment
-
-        (1/N) * sum_i atom_i^exps * gap_i^gap_exps,
-
-    which is what an averaged coupling variable contributes per monomial.
-    One cache serves both: it is keyed by (exps, gap_exps), and `moment(exps)`
-    is the case gap_exps = 0.
-    """
-
-    __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_moments")
-
-    def __init__(self, atoms, dim=None, gaps=None):
-        self.atoms = [tuple(a) for a in atoms]
-        self.dim = dim if dim is not None else len(self.atoms[0])
-        self.gaps = None if gaps is None else [tuple(g) for g in gaps]
-        self._no_gaps = (0,) * self.dim
-        self._moments = {}
-
-    @property
-    def n_atoms(self):
-        return len(self.atoms)
-
-    def moment(self, exps, gap_exps=None):
-        key = (tuple(exps), tuple(gap_exps or self._no_gaps))
-        cached = self._moments.get(key)
-        if cached is None:
-            exps, gap_exps = key
-            weighted = any(gap_exps)
-            if weighted and self.gaps is None:
-                raise ValidationError("gap moments need a view with gaps")
-            total = 0
-            for i, atom in enumerate(self.atoms):
-                factor = Fraction(1)
-                for c, e in zip(atom, exps):
-                    if e:
-                        factor = factor * c**e
-                if weighted:
-                    for c, e in zip(self.gaps[i], gap_exps):
-                        if e:
-                            factor = factor * c**e
-                total = total + factor
-            cached = total * Fraction(1, len(self.atoms))
-            self._moments[key] = cached
-        return cached
 
 
 class PolyKernel:

@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .expansion import remainder_bound1, remainder_bound2, taylor1, taylor2
 from .functional import MomentView, eval_derivative, lions_derivative
 from .measures import pair_coupling
-from .partitions import enum_A, equiv_class, compose, refines
+from .partitions import enum_A, equiv_class
 from .poly import MPoly, Tensor
 from .tagged import (
     Grading,
@@ -179,6 +179,49 @@ def _max_abs(tensor):
     return max(vals, default=0.0)
 
 
+def _particle_gradient_check(f, n_particles, i, idx, points, seed):
+    """The classical gradient of the lift along `idx` against the sum over
+    sequences finer than the class of `idx` of N^{-m} times the derivative at
+    the composed free variables. With a distinguished particle i the lift is
+    its per-particle component: entries of `idx` equal to i are tagged and
+    the sum runs over tagged sequences; with i None it runs over partition
+    sequences."""
+    n = len(idx)
+    if any(j < 1 or j > n_particles for j in idx):
+        raise ValidationError("multi-index entries outside 1..N")
+    lifted = lift(f, n_particles, i=i)
+    symbolic = points is None
+    atoms = _sym_atoms(lifted) if symbolic else [tuple(p) for p in points]
+    if symbolic:
+        lhs = classical_grad(lifted, idx)
+    else:
+        lhs = classical_grad_at(lifted, idx, atoms)
+    mu = MomentView(atoms, dim=lifted.dim)
+    x0 = None if i is None else atoms[i - 1]
+    cls = equiv_class_tagged(idx, tag=i) if n else None
+    e, d = lifted.dim, len(lifted.components)
+    rhs = Tensor((d,) + (e,) * n)
+    for a in enum_A(n) if i is None else enum_A0(n):
+        if n and not refines_tagged(a, cls):
+            continue
+        labels = compose_tagged(idx, a)
+        free = [atoms[lab - 1] for lab in labels]
+        value = eval_derivative(lions_derivative(f, a), x0, mu, free)
+        rhs = rhs + value.scale(Fraction(1, n_particles**a.m))
+    diff = _max_abs(lhs - rhs)
+    details = {"idx": list(idx)}
+    if i is not None:
+        details["i"] = i
+    details.update(N=n_particles, symbolic=symbolic)
+    return Report(
+        identity="empirical-derivative" if i is None else "fullsystem-derivative",
+        max_abs_difference=diff,
+        passed=diff == 0,
+        seed=seed,
+        details=details,
+    )
+
+
 def verify_empirical_deriv(f, n_particles, idx, points=None, seed=None):
     """Check the particle-gradient identity for a measure-only functional:
     the classical gradient of the lift along `idx` equals the sum over
@@ -190,35 +233,7 @@ def verify_empirical_deriv(f, n_particles, idx, points=None, seed=None):
     """
     if f.has_spatial:
         raise ValidationError("use verify_fullsystem for spatial functionals")
-    n = len(idx)
-    if any(i < 1 or i > n_particles for i in idx):
-        raise ValidationError("multi-index entries outside 1..N")
-    lifted = lift(f, n_particles)
-    symbolic = points is None
-    atoms = _sym_atoms(lifted) if symbolic else [tuple(p) for p in points]
-    if symbolic:
-        lhs = classical_grad(lifted, idx)
-    else:
-        lhs = classical_grad_at(lifted, idx, atoms)
-    mu = MomentView(atoms, dim=lifted.dim)
-    cls = equiv_class(idx) if n else None
-    e, d = lifted.dim, len(lifted.components)
-    rhs = Tensor((d,) + (e,) * n)
-    for a in enum_A(n):
-        if n and not refines(a, cls):
-            continue
-        labels = compose(idx, a)
-        free = [atoms[lab - 1] for lab in labels]
-        value = eval_derivative(lions_derivative(f, a), None, mu, free)
-        rhs = rhs + value.scale(Fraction(1, n_particles**a.m))
-    diff = _max_abs(lhs - rhs)
-    return Report(
-        identity="empirical-derivative",
-        max_abs_difference=diff,
-        passed=diff == 0,
-        seed=seed,
-        details={"idx": list(idx), "N": n_particles, "symbolic": symbolic},
-    )
+    return _particle_gradient_check(f, n_particles, None, idx, points, seed)
 
 
 def verify_fullsystem(f, n_particles, i, idx, points=None, seed=None):
@@ -228,36 +243,9 @@ def verify_fullsystem(f, n_particles, i, idx, points=None, seed=None):
     """
     if not f.has_spatial:
         raise ValidationError("use verify_empirical_deriv without a spatial slot")
-    n = len(idx)
     if i < 1 or i > n_particles:
         raise ValidationError("distinguished index outside 1..N")
-    lifted = lift(f, n_particles, i=i)
-    symbolic = points is None
-    atoms = _sym_atoms(lifted) if symbolic else [tuple(p) for p in points]
-    if symbolic:
-        lhs = classical_grad(lifted, idx)
-    else:
-        lhs = classical_grad_at(lifted, idx, atoms)
-    mu = MomentView(atoms, dim=lifted.dim)
-    x0 = atoms[i - 1]
-    cls = equiv_class_tagged(idx, tag=i) if n else None
-    e, d = lifted.dim, len(lifted.components)
-    rhs = Tensor((d,) + (e,) * n)
-    for a in enum_A0(n):
-        if n and not refines_tagged(a, cls):
-            continue
-        labels = compose_tagged(idx, a)
-        free = [atoms[lab - 1] for lab in labels]
-        value = eval_derivative(lions_derivative(f, a), x0, mu, free)
-        rhs = rhs + value.scale(Fraction(1, n_particles**a.m))
-    diff = _max_abs(lhs - rhs)
-    return Report(
-        identity="fullsystem-derivative",
-        max_abs_difference=diff,
-        passed=diff == 0,
-        seed=seed,
-        details={"idx": list(idx), "i": i, "N": n_particles, "symbolic": symbolic},
-    )
+    return _particle_gradient_check(f, n_particles, i, idx, points, seed)
 
 
 def _classical_jet_term(lifted, order, x, gaps, x0=None, x0_gap=None):
@@ -310,66 +298,44 @@ def verify_expansion_match(f, x, y, n, box=None, seed=None):
     def tensors_equal(u, v):
         return max(float(abs(a - b)) for a, b in zip(u, v)) if u else 0.0
 
-    if not f.has_spatial:
-        lifted = lift(f, n_particles)
-        result = taylor1(f, c.left(), c, n)
+    zero = [Fraction(0)] * f.kernel.d
+    if f.has_spatial:
+        g = Grading(1, 1, Fraction(2 * n + 1, 2))
+        particles = range(1, n_particles + 1)
+    else:
+        particles = [None]
+    for i in particles:
+        lifted = lift(f, n_particles, i=i)
+        if i is None:
+            result = taylor1(f, c.left(), c, n)
+        else:
+            result = taylor2(f, x[i - 1], y[i - 1], c, g)
         jet_by_order = {}
         for term in result.jet:
-            k = len(term.seq)
-            acc = jet_by_order.setdefault(k, [Fraction(0)] * f.kernel.d)
+            acc = jet_by_order.setdefault(len(term.seq), list(zero))
             for comp in range(f.kernel.d):
                 acc[comp] += term.value[(comp,)]
         for order in range(n + 1):
             classical = _classical_jet_term(lifted, order, x, gaps)
-            got = jet_by_order.get(order, [Fraction(0)] * f.kernel.d)
-            worst = max(worst, tensors_equal(classical, got))
+            worst = max(worst, tensors_equal(classical, jet_by_order.get(order, zero)))
         actual = lifted.eval(y)
         rem_classical = [
-            a - sum(jet_by_order.get(k, [Fraction(0)] * f.kernel.d)[comp] for k in range(n + 1))
+            a - sum(jet_by_order.get(k, zero)[comp] for k in range(n + 1))
             for comp, a in enumerate(actual)
         ]
         rem_lions = [result.remainder_exact[(comp,)] for comp in range(f.kernel.d)]
         worst = max(worst, tensors_equal(rem_classical, rem_lions))
         if box is not None:
-            bound = remainder_bound1(f, c, n, box)
+            if i is None:
+                bound = remainder_bound1(f, c, n, box)
+            else:
+                bound = remainder_bound2(f, x[i - 1], y[i - 1], c, g, box)
             rem_norm = math.sqrt(sum(float(v) ** 2 for v in rem_lions))
             ok = bound >= rem_norm * (1 - 1e-9) - 1e-12
-            checks.append(("bound", ok))
-            details["bound"] = bound
-            details["remainder_norm"] = rem_norm
-    else:
-        g = Grading(1, 1, Fraction(2 * n + 1, 2))
-        for i in range(1, n_particles + 1):
-            lifted = lift(f, n_particles, i=i)
-            result = taylor2(f, x[i - 1], y[i - 1], c, g)
-            jet_by_order = {}
-            for term in result.jet:
-                k = len(term.seq)
-                acc = jet_by_order.setdefault(k, [Fraction(0)] * f.kernel.d)
-                for comp in range(f.kernel.d):
-                    acc[comp] += term.value[(comp,)]
-            for order in range(n + 1):
-                classical = _classical_jet_term(lifted, order, x, gaps)
-                got = jet_by_order.get(order, [Fraction(0)] * f.kernel.d)
-                worst = max(worst, tensors_equal(classical, got))
-            actual = lifted.eval(y)
-            rem_classical = [
-                a
-                - sum(
-                    jet_by_order.get(k, [Fraction(0)] * f.kernel.d)[comp]
-                    for k in range(n + 1)
-                )
-                for comp, a in enumerate(actual)
-            ]
-            rem_lions = [
-                result.remainder_exact[(comp,)] for comp in range(f.kernel.d)
-            ]
-            worst = max(worst, tensors_equal(rem_classical, rem_lions))
-            if box is not None:
-                bound = remainder_bound2(f, x[i - 1], y[i - 1], c, g, box)
-                rem_norm = math.sqrt(sum(float(v) ** 2 for v in rem_lions))
-                ok = bound >= rem_norm * (1 - 1e-9) - 1e-12
-                checks.append((f"bound[{i}]", ok))
+            checks.append(("bound" if i is None else f"bound[{i}]", ok))
+            if i is None:
+                details["bound"] = bound
+                details["remainder_norm"] = rem_norm
     passed = worst == 0 and all(ok for _, ok in checks)
     return Report(
         identity="expansion-match",

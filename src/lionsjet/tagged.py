@@ -1,4 +1,5 @@
-"""Tagged partition sequences, gradings, and the remainder boundary families.
+"""Tagged and partition sequences, gradings, and the remainder boundary
+families.
 
 A tagged sequence of length n interleaves 0 entries (derivatives in the
 spatial variable) with a partition sequence (derivatives in the measure
@@ -8,7 +9,13 @@ variable): every entry satisfies
 
 Equivalently it is a shuffle of a block of zeros with a partition sequence.
 There are Bell(n+1) tagged sequences of length n (they encode partitions of
-{0, 1, ..., n} where 0 marks the spatial block, possibly empty).
+{0, 1, ..., n} where 0 marks the spatial block, possibly empty). A partition
+sequence (`partitions.PartitionSeq`) is the zero-free tagged sequence: its
+spatial block is empty and its letters start at 1.
+
+One depth-first search enumerates partition, tagged and extended sequences;
+they differ only in the first admissible letter and in the running maximum
+the search starts from.
 
 The grading G[a] = alpha * #zeros + beta * #positives truncates mixed Taylor
 jets at a level gamma; the three boundary families (star, plus, cross) list
@@ -23,12 +30,36 @@ the base is a bijection with the tagged sequences extending `a` as a prefix.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompositionError, EnumerationLimitError, ValidationError
-from .partitions import PartitionSeq, check_length, enum_A, enumeration_cap
 from .poly import format_rational, parse_rational
+
+DEFAULT_ENUM_CAP = 12
+
+
+def enumeration_cap():
+    """Maximum sequence length enumerations accept.
+
+    Overridable via the LIONS_JET_CAP environment variable; Bell numbers grow
+    fast enough that the default of 12 (Bell(12) is about 4.2 million) is a
+    memory guard, not a tuning knob.
+    """
+    env = os.environ.get("LIONS_JET_CAP")
+    if env:
+        return int(env)
+    return DEFAULT_ENUM_CAP
+
+
+def check_length(n):
+    """Reject a negative enumeration length or one above the cap."""
+    if n < 0:
+        raise ValidationError(f"negative length {n}")
+    cap = enumeration_cap()
+    if n > cap:
+        raise EnumerationLimitError(f"length {n} exceeds enumeration cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -36,14 +67,17 @@ class TaggedSeq:
     """A tagged sequence; `values` is a tuple of non-negative integers."""
 
     values: tuple
+    _first = 0  # smallest admissible letter; 1 when there is no spatial block
 
     def __post_init__(self):
         values = tuple(int(v) for v in self.values)
         object.__setattr__(self, "values", values)
+        first = self._first
         running = 0
         for v in values:
-            if v < 0 or v > running + 1:
-                raise ValidationError(f"not a tagged sequence: {values}")
+            if v < first or v > running + 1:
+                kind = "partition" if first else "tagged"
+                raise ValidationError(f"not a {kind} sequence: {values}")
             running = max(running, v)
 
     def __len__(self):
@@ -81,16 +115,34 @@ class TaggedSeq:
         return cls(tuple(data))
 
     def __repr__(self):
-        return f"TaggedSeq({self.values})"
+        return f"{type(self).__name__}({self.values})"
 
 
 def as_tagged(seq):
-    """Coerce a PartitionSeq (or raw tuple) to a TaggedSeq."""
-    if isinstance(seq, TaggedSeq):
+    """Coerce a PartitionSeq (or raw tuple) to a plain TaggedSeq."""
+    if type(seq) is TaggedSeq:
         return seq
-    if isinstance(seq, PartitionSeq):
-        return TaggedSeq(seq.values)
     return TaggedSeq(tuple(seq))
+
+
+def _sequences(n, first, running_max, make):
+    """Every sequence of length n whose letters run from `first` to one above
+    the running maximum (which starts at `running_max`), in lexicographic
+    order, each passed through `make`."""
+    check_length(n)
+    out = []
+
+    def extend(prefix, running_max):
+        if len(prefix) == n:
+            out.append(make(tuple(prefix)))
+            return
+        for v in range(first, running_max + 2):
+            prefix.append(v)
+            extend(prefix, max(running_max, v))
+            prefix.pop()
+
+    extend([], running_max)
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,20 +219,7 @@ class RemainderFamilies:
 
 def enum_A0(n):
     """All tagged sequences of length n; len(enum_A0(n)) == Bell(n+1)."""
-    check_length(n)
-    out = []
-
-    def extend(prefix, running_max):
-        if len(prefix) == n:
-            out.append(TaggedSeq(tuple(prefix)))
-            return
-        for v in range(0, running_max + 2):
-            prefix.append(v)
-            extend(prefix, max(running_max, v))
-            prefix.pop()
-
-    extend([], 0)
-    return out
+    return _sequences(n, 0, 0, TaggedSeq)
 
 
 def enum_Akn0(k, n):
@@ -189,15 +228,15 @@ def enum_Akn0(k, n):
     if k < 0 or n < 0:
         raise ValidationError("negative length")
     check_length(k + n)
+    partition_values = _sequences(n, 1, 0, tuple)
     out = []
     for zero_positions in itertools.combinations(range(k + n), k):
         zeros = set(zero_positions)
-        for a in enum_A(n):
-            it = iter(a.values)
-            values = tuple(
-                0 if i in zeros else next(it) for i in range(k + n)
+        for values in partition_values:
+            it = iter(values)
+            out.append(
+                TaggedSeq(tuple(0 if i in zeros else next(it) for i in range(k + n)))
             )
-            out.append(TaggedSeq(values))
     return out
 
 
@@ -205,7 +244,8 @@ def equiv_class_tagged(labels, tag):
     """Canonical tagged sequence for a label sequence with one tagged label.
 
     Entries equal to `tag` become 0 (the tagged block may be empty); the
-    remaining labels are relabelled 1, 2, ... by first occurrence.
+    remaining labels are relabelled 1, 2, ... by first occurrence. With a tag
+    no label equals this is the plain level-set class (`equiv_class`).
     """
     labels = tuple(labels)
     if not labels:
@@ -225,7 +265,8 @@ def equiv_class_tagged(labels, tag):
 def refines_tagged(a, a2):
     """Tagged refinement: the zero block of `a` sits inside the zero block of
     `a2`, and every positive block of `a` sits inside some block of `a2`
-    (the zero block included)."""
+    (the zero block included). For zero-free sequences this is plain
+    refinement (`refines`)."""
     if len(a) != len(a2):
         raise ValidationError("length mismatch")
     for pos in a.zero_block():
@@ -239,7 +280,10 @@ def refines_tagged(a, a2):
 
 
 def compose_tagged(labels, a):
-    """Common label on each positive block of `a` (zero block is dropped)."""
+    """Common label on each positive block of `a` (zero block is dropped).
+
+    Requires the labels to be constant on every positive block of `a`; for a
+    zero-free `a` this is plain composition (`compose`)."""
     labels = tuple(labels)
     if len(labels) != len(a):
         raise ValidationError("length mismatch")
@@ -258,20 +302,22 @@ def grade(a, g):
     return g.alpha * zeros + g.beta * (len(a) - zeros)
 
 
-def _graded_value_families(g, tagged_below=0):
+def _graded_value_families(alpha, beta, gamma, tagged_below, first):
     """DFS enumeration of the graded families over sequences whose letters
-    in {0..tagged_below} are tagged (grade alpha) and whose letters above
-    grow a 1-Lip partition pattern (grade beta).
+    start at `first`, whose letters in {first..tagged_below} are tagged
+    (grade alpha) and whose letters above grow a 1-Lip partition pattern
+    (grade beta). With first = 1 and tagged_below = 0 there are no tagged
+    letters: the sequences are partition sequences.
 
-    Returns four lists of value tuples: core, star, plus, cross.
+    Returns four lists of value tuples, each in prefix order: core, star,
+    plus, cross.
     """
+    lo, hi = min(alpha, beta), max(alpha, beta)
     cap = enumeration_cap()
-    if g.gamma / g.lo > cap:
-        raise EnumerationLimitError(
-            f"grading depth {g.gamma}/{g.lo} exceeds cap {cap}"
-        )
-    plus_lo, plus_hi = g.gamma - g.hi, g.gamma - g.lo
-    band_lo, band_hi = g.gamma - g.lo, g.gamma
+    if gamma / lo > cap:
+        raise EnumerationLimitError(f"grading depth {gamma}/{lo} exceeds cap {cap}")
+    plus_lo, plus_hi = gamma - hi, gamma - lo
+    band_lo, band_hi = gamma - lo, gamma
     core, star, plus, cross = [], [], [], []
 
     def visit(values, total, running_max, plus_prefix):
@@ -285,9 +331,9 @@ def _graded_value_families(g, tagged_below=0):
             elif not in_plus:
                 star.append(values)
         child_flag = plus_prefix or in_plus
-        for v in range(0, max(running_max, tagged_below) + 2):
-            inc = g.alpha if v <= tagged_below else g.beta
-            if total + inc <= g.gamma:
+        for v in range(first, max(running_max, tagged_below) + 2):
+            inc = alpha if v <= tagged_below else beta
+            if total + inc <= gamma:
                 visit(values + (v,), total + inc, max(running_max, v), child_flag)
 
     visit((), Fraction(0), 0, False)
@@ -296,7 +342,7 @@ def _graded_value_families(g, tagged_below=0):
 
 def enum_graded(g):
     """Graded core and remainder families over tagged sequences."""
-    core, star, plus, cross = _graded_value_families(g, tagged_below=0)
+    core, star, plus, cross = _graded_value_families(g.alpha, g.beta, g.gamma, 0, 0)
     wrap = lambda seqs: tuple(TaggedSeq(v) for v in seqs)
     return RemainderFamilies(g, wrap(core), wrap(star), wrap(plus), wrap(cross))
 
@@ -339,20 +385,7 @@ class ExtendedSeq:
 def enum_A_a(a, n):
     """All extensions of length n over the base sequence `a`."""
     a = as_tagged(a)
-    check_length(n)
-    out = []
-
-    def extend(prefix, running_max):
-        if len(prefix) == n:
-            out.append(ExtendedSeq(a, tuple(prefix)))
-            return
-        for v in range(0, running_max + 2):
-            prefix.append(v)
-            extend(prefix, max(running_max, v))
-            prefix.pop()
-
-    extend([], a.m)
-    return out
+    return _sequences(n, 0, a.m, lambda values: ExtendedSeq(a, values))
 
 
 def iso_J(a, abar):
@@ -393,22 +426,7 @@ def graded_families_ext(a, alpha, beta, eta):
     alpha, beta, eta = map(parse_rational, (alpha, beta, eta))
     if eta < min(alpha, beta):
         raise ValidationError("threshold below one derivative step")
-    g = _RawGrading(alpha, beta, eta)
-    core, star, plus, cross = _graded_value_families(g, tagged_below=a.m)
+    core, star, plus, cross = _graded_value_families(alpha, beta, eta, a.m, 0)
     wrap = lambda seqs: tuple(ExtendedSeq(a, v) for v in seqs)
     return wrap(core), wrap(star), wrap(plus), wrap(cross)
 
-
-class _RawGrading:
-    """Grading triple without the gamma > min(alpha, beta) requirement."""
-
-    def __init__(self, alpha, beta, gamma):
-        self.alpha, self.beta, self.gamma = alpha, beta, gamma
-
-    @property
-    def lo(self):
-        return min(self.alpha, self.beta)
-
-    @property
-    def hi(self):
-        return max(self.alpha, self.beta)

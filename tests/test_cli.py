@@ -234,3 +234,45 @@ def test_converge_rejects_mismatched_rows(tmp_path, capsys):
             "--directions", str(tmp_path / "dirs.csv")]
     assert_one_line_exit_two(args + ["--order", "1"], capsys)
     assert_one_line_exit_two(args, capsys)
+
+
+def test_expand_seq_with_box_exits_two(tmp_path, capsys):
+    _, xpath, ypath = _expand_inputs(tmp_path)
+    kernel = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(1, 1): F(1)})]))
+    kpath = tmp_path / "spatial.json"
+    kpath.write_text(json.dumps(kernel.to_json()))
+    args = ["expand", "--kernel", str(kpath), "--points", xpath, "--points2", ypath,
+            "--grading", "3", "1/2", "1", "--x0=0", "--y0=1", "--seq", "1",
+            "--free-x", "0", "--free-y", "1"]
+    assert run_cli(args)[0] == 0
+    assert_one_line_exit_two(args + ["--box", "-4", "4"], capsys)
+
+
+def test_replay_malformed_instance_exits_two(tmp_path, capsys):
+    inst = make_instance("empirical", 5)
+    del inst["kernel"]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    assert_one_line_exit_two(["verify", "empirical", "--replay", str(path)], capsys)
+
+
+def test_loaders_close_their_files(tmp_path):
+    import gc
+    import warnings
+
+    from lionsjet.cli import _load_functional
+    from lionsjet.measures import load_coupling, load_points, pair_coupling, save_coupling
+
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    cpath = tmp_path / "coupling.json"
+    ipath = tmp_path / "instance.json"
+    ipath.write_text(json.dumps(make_instance("empirical", 5)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        load_points(xpath)
+        save_coupling(cpath, pair_coupling([(F(0),)], [(F(1),)]))
+        load_coupling(cpath)
+        _load_functional(kpath)
+        assert run_cli(["verify", "empirical", "--replay", str(ipath)])[0] == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -18,7 +18,7 @@ from lionsjet.measures import (
     save_points,
     wasserstein,
 )
-from lionsjet.measures import _brute_distance
+from lionsjet.measures import _assignment_distance, _brute_distance
 
 
 def test_pair_coupling_examples():
@@ -95,6 +95,18 @@ def test_wasserstein_matches_bruteforce():
             for q in (1, 2):
                 assert wasserstein(mu, nu, q) == pytest.approx(
                     _brute_distance(mu, nu, q), rel=1e-9, abs=1e-12
+                )
+
+
+def test_wasserstein_1d_sort_matches_assignment():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 5, 8, 13):
+        for _ in range(5):
+            mu = EmpiricalMeasure([(rng.uniform(-3, 3),) for _ in range(n)])
+            nu = EmpiricalMeasure([(rng.uniform(-3, 3),) for _ in range(n)])
+            for q in (1, 2):
+                assert wasserstein(mu, nu, q) == pytest.approx(
+                    _assignment_distance(mu, nu, q), rel=1e-9, abs=1e-12
                 )
 
 
