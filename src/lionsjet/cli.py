@@ -323,6 +323,10 @@ def _cmd_expand(args, out):
         raise ValidationError("--grading needs --x0 and --y0")
     if not args.coupling and None in (args.points, args.points2):
         raise ValidationError("expand needs --coupling or --points and --points2")
+    if args.order is not None and args.seq is not None:
+        raise ValidationError("--seq needs --grading, not --order")
+    if args.seq is None and (args.free_x, args.free_y) != (None, None):
+        raise ValidationError("--free-x and --free-y need --seq")
     if args.seq and args.box:
         raise ValidationError("--box bounds are not available for --seq expansions")
     f = _load_functional(args.kernel)

@@ -13,19 +13,25 @@ in closed form, and
 
     predicted + sum of remainder terms == value at the target
 
-holds as exact rational arithmetic. That identity is asserted by the tests;
-the `remainder_bound*` functions produce certified upper bounds assembled
-from box norms and coupling moments, with every factor reported.
+holds as exact rational arithmetic. That identity is asserted by the tests.
 
 One graded engine computes every expansion. `taylor2` and
 `taylor_derivative` run it over tagged sequences; `taylor1` is the same
 engine at alpha = beta = 1, gamma = n over partition sequences (there is no
 spatial letter), whose core is every sequence of length at most n and whose
 star family is the length-n sequences.
+
+One bound engine, over the same families and the same table of which
+argument groups each family's integrand moves, turns the remainder into a
+certified upper bound: per family member, the box Lipschitz constants of
+the moving groups times displacement and coupling-moment factors, with
+every factor reported. `remainder_bound1` is it at alpha = beta = 1,
+gamma = n; `remainder_bound2` with the spatial pair (x0, y0).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,11 +42,11 @@ from .functional import (
     contract_derivative,
     eval_derivative,
     lions_derivative,
+    lipschitz_norm,
     normalize_box,
-    norms_on_box,
 )
 from .measures import coupling_moment
-from .partitions import PartitionSeq, enum_A
+from .partitions import PartitionSeq
 from .poly import Tensor, XiPoly, format_rational
 from .tagged import (
     ExtendedSeq,
@@ -48,7 +54,6 @@ from .tagged import (
     TaggedSeq,
     _graded_value_families,
     as_tagged,
-    enum_graded,
     grade,
 )
 
@@ -180,6 +185,21 @@ def _coupling_views(c):
     return base, path, target
 
 
+def _family_sides(alpha, beta):
+    """(family, moving, frozen) for star, plus and cross, in the order
+    `_graded_value_families` lists them. `moving` and `frozen` say whether
+    the tagged group and the measure group sit on the interpolation path in
+    the family's two integrands; a group moves iff the two flags differ. The
+    full difference splits into a measure-group step and a tagged-group step,
+    and which step lands in which family swaps with the order of alpha and
+    beta (for alpha == beta the plus and cross families are empty)."""
+    if beta > alpha:
+        plus, cross = ((True, True), (True, False)), ((True, False), (False, False))
+    else:
+        plus, cross = ((True, True), (False, True)), ((False, True), (False, False))
+    return (("star", (True, True), (False, False)), ("plus", *plus), ("cross", *cross))
+
+
 def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
     """The one expansion engine: graded jet and exact remainder terms of the
     derivative indexed by `base`, truncated at level eta.
@@ -207,7 +227,7 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
     ]
 
     first, seq_type = (0, TaggedSeq) if f.has_spatial else (1, PartitionSeq)
-    core, star, plus, cross = _graded_value_families(alpha, beta, eta, m0, first)
+    core, *families = _graded_value_families(alpha, beta, eta, m0, first)
     dts_cache = {}
 
     def evaluate(values, tagged_at_xi, measure_at_xi):
@@ -235,26 +255,8 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
     if not f.has_spatial:
         jet_terms.sort(key=lambda term: len(term.seq))
 
-    # Which argument groups move in each family integrand. The full
-    # difference splits into a measure-group step and a tagged-group step;
-    # which step lands in which family swaps with the order of alpha, beta.
-    star_sides = ((True, True), (False, False))
-    if beta > alpha:
-        plus_sides = ((True, True), (True, False))
-        cross_sides = ((True, False), (False, False))
-    else:
-        plus_sides = ((True, True), (False, True))
-        cross_sides = ((False, True), (False, False))
-
     remainder_terms = {}
-    for family, members, sides in (
-        ("star", star, star_sides),
-        ("plus", plus, plus_sides),
-        ("cross", cross, cross_sides),
-    ):
-        if alpha == beta and family != "star":
-            continue
-        moving, frozen = sides
+    for (family, moving, frozen), members in zip(_family_sides(alpha, beta), families):
         for values in members:
             r = len(values) - 1
             acc = evaluate(values, *moving) - evaluate(values, *frozen)
@@ -285,44 +287,49 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
     )
 
 
+def _check_order(f, n):
+    if f.has_spatial:
+        raise ValidationError("taylor1 expects a functional without a spatial slot")
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+
+
+def _check_graded(f, g):
+    if not f.has_spatial:
+        raise ValidationError("taylor2 expects a functional with a spatial slot")
+    if not isinstance(g, Grading):
+        raise ValidationError("grading required")
+
+
 def taylor1(f, mu, c, n, box=None):
     """Expansion of a measure-only functional about the left marginal of a
     coupling, truncated at order n, with exact remainder terms over the
     length-n sequences: the graded expansion with alpha = beta = 1 and
     gamma = n over partition sequences."""
-    if f.has_spatial:
-        raise ValidationError("taylor1 expects a functional without a spatial slot")
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    _check_order(f, n)
     _check_marginal(c, mu)
     result = _graded_engine(
         f, _EMPTY, [], c, 1, 1, n, {"kind": "order", "order": n}
     )
     if box is not None:
-        result.remainder_bound, result.bound_terms = _bound1_terms(f, c, n, box)
+        result.remainder_bound, result.bound_terms = _bound_terms(
+            f, [], c, 1, 1, n, box
+        )
     return result
 
 
 def taylor2(f, x0, y0, c, g, box=None):
     """Graded expansion of a spatial functional in both arguments, truncated
     at level gamma, with the three-family exact remainder decomposition."""
-    if not f.has_spatial:
-        raise ValidationError("taylor2 expects a functional with a spatial slot")
-    if not isinstance(g, Grading):
-        raise ValidationError("grading required")
+    _check_graded(f, g)
+    pairs = [(tuple(x0), tuple(y0))]
     result = _graded_engine(
-        f,
-        _EMPTY,
-        [(tuple(x0), tuple(y0))],
-        c,
-        g.alpha,
-        g.beta,
-        g.gamma,
+        f, _EMPTY, pairs, c, g.alpha, g.beta, g.gamma,
         {"kind": "graded", "grading": g.to_json()},
     )
     if box is not None:
-        result.remainder_bound, result.bound_terms = _bound2_terms(
-            f, x0, y0, c, g, box
+        result.remainder_bound, result.bound_terms = _bound_terms(
+            f, pairs, c, g.alpha, g.beta, g.gamma, box
         )
     return result
 
@@ -365,122 +372,74 @@ def _check_box_membership(box, points):
                 raise ValidationError(f"point {p} outside box")
 
 
-def _moments(c, orders):
-    return {p: coupling_moment(c, p) for p in sorted(orders)}
+def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box):
+    """Certified bound for the graded remainder (empty base), with one
+    record per member of each remainder family.
 
-
-def _bound1_terms(f, c, n, box):
-    """Certified bound for the order-n remainder: for each length-n sequence,
-    Lipschitz norms on the box times per-block coupling moments, divided by
-    n factorial. The measure-Lipschitz factor is paired with the first
-    coupling moment, which dominates the transport distance moved along the
-    interpolation path."""
+    A member with z spatial letters and positive block sizes k_1..k_m is
+    bounded by Lipschitz constants on the box of its derivative, one per
+    moving argument group, divided by its length factorial. The spatial
+    constant is paired with |y0 - x0|^(z+1) * prod M_k; the measure constant
+    with M_1 * |y0 - x0|^z * prod M_k (the first coupling moment M_1
+    dominates the transport distance moved along the path); the constant of
+    free variable q with |y0 - x0|^z times the block-moment product whose
+    q-th factor is raised by one. M_p is the p-th coupling moment.
+    """
     box = normalize_box(box, f.kernel.e)
     _check_box_membership(box, [x for x, _ in c.pairs])
     _check_box_membership(box, [y for _, y in c.pairs])
-    seqs = enum_A(n)
-    orders = {1}
-    for a in seqs:
-        ks = [len(b) for b in a.blocks()]
-        orders.update(ks)
-        orders.update(k + 1 for k in ks)
-    mom = _moments(c, orders)
+    _check_box_membership(box, [p for pair in tagged_pairs for p in pair])
+    disp_norm = math.sqrt(
+        sum((float(b) - float(a)) ** 2 for x, y in tagged_pairs for a, b in zip(x, y))
+    )
+    mom = functools.cache(lambda p: coupling_moment(c, p))
+
+    def lip(values, letter):
+        return lipschitz_norm(f, values, letter, box, samples=2).value
+
+    _, *families = _graded_value_families(
+        alpha, beta, gamma, 0, 0 if f.has_spatial else 1
+    )
     total = 0.0
     breakdown = []
-    scale = 1.0 / math.factorial(n)
-    for a in seqs:
-        norms = norms_on_box(lions_derivative(f, a), box, samples=2)
-        ks = [len(b) for b in a.blocks()]
-        prod = math.prod(mom[k] for k in ks)
-        term = norms.lip_measure.value * mom[1] * prod
-        for q in range(1, a.m + 1):
-            prod_q = math.prod(
-                mom[k + (1 if j == q else 0)] for j, k in enumerate(ks, start=1)
-            )
-            term += norms.lip_free[q - 1].value * prod_q
-        total += scale * term
-        breakdown.append(
-            {
-                "seq": list(a.values),
-                "lip_measure": norms.lip_measure.value,
-                "lip_free": [nv.value for nv in norms.lip_free],
-                "block_moments": [mom[k] for k in ks],
-                "term": scale * term,
-            }
-        )
+    for (_, moving, frozen), members in zip(_family_sides(alpha, beta), families):
+        spatial_moves = f.has_spatial and moving[0] != frozen[0]
+        measure_moves = moving[1] != frozen[1]
+        for values in members:
+            z = values.count(0)
+            ks = [values.count(j) for j in range(1, max(values, default=0) + 1)]
+            prod = math.prod(mom(k) for k in ks)
+            record = {"seq": list(values)}
+            term = 0.0
+            if spatial_moves:
+                record["lip_spatial"] = lip(values, 0)
+                term += record["lip_spatial"] * disp_norm ** (z + 1) * prod
+            if measure_moves:
+                dz = disp_norm**z
+                record["lip_measure"] = lip(values, len(ks) + 1)
+                record["lip_free"] = [lip(values, q) for q in range(1, len(ks) + 1)]
+                record["block_moments"] = [mom(k) for k in ks]
+                term += record["lip_measure"] * mom(1) * dz * prod
+                for q, lip_q in enumerate(record["lip_free"], start=1):
+                    prod_q = math.prod(
+                        mom(k + (1 if j == q else 0)) for j, k in enumerate(ks, start=1)
+                    )
+                    term += lip_q * dz * prod_q
+            term *= 1.0 / math.factorial(len(values))
+            record["term"] = term
+            total += term
+            breakdown.append(record)
     return total, breakdown
 
 
 def remainder_bound1(f, c, n, box):
     """Certified upper bound for the norm of the order-n remainder."""
-    value, _ = _bound1_terms(f, c, n, box)
-    return value
-
-
-def _family_bound_terms(f, seqs, kind, disp_norm, mom, box, alpha, beta):
-    """kind: which Lipschitz payload the family carries. "full" uses all
-    three; "measure" the measure and free-variable constants; "spatial" only
-    the spatial constant."""
-    out = 0.0
-    breakdown = []
-    for a in seqs:
-        norms = norms_on_box(lions_derivative(f, a), box, samples=2)
-        z = a.zero_count
-        ks = [len(b) for b in a.positive_blocks()]
-        prod = math.prod(mom[k] for k in ks)
-        dz = disp_norm**z
-        term = 0.0
-        if kind in ("full", "spatial"):
-            term += norms.lip_spatial.value * disp_norm ** (z + 1) * prod
-        if kind in ("full", "measure"):
-            term += norms.lip_measure.value * mom[1] * dz * prod
-            for q in range(1, a.m + 1):
-                prod_q = math.prod(
-                    mom[k + (1 if j == q else 0)]
-                    for j, k in enumerate(ks, start=1)
-                )
-                term += norms.lip_free[q - 1].value * dz * prod_q
-        term /= math.factorial(len(a))
-        out += term
-        breakdown.append({"seq": list(a.values), "kind": kind, "term": term})
-    return out, breakdown
-
-
-def _bound2_terms(f, x0, y0, c, g, box):
-    box = normalize_box(box, f.kernel.e)
-    _check_box_membership(box, [x for x, _ in c.pairs])
-    _check_box_membership(box, [y for _, y in c.pairs])
-    _check_box_membership(box, [x0, y0])
-    fam = enum_graded(g)
-    disp_norm = math.sqrt(sum((float(b) - float(a)) ** 2 for a, b in zip(x0, y0)))
-    orders = {1}
-    for a in fam.star + fam.plus + fam.cross:
-        ks = [len(b) for b in a.positive_blocks()]
-        orders.update(ks)
-        orders.update(k + 1 for k in ks)
-    mom = _moments(c, orders)
-    total = 0.0
-    breakdown = []
-    star_val, star_terms = _family_bound_terms(
-        f, fam.star, "full", disp_norm, mom, box, g.alpha, g.beta
-    )
-    total += star_val
-    breakdown += star_terms
-    if g.alpha != g.beta:
-        plus_kind = "measure" if g.beta > g.alpha else "spatial"
-        cross_kind = "spatial" if g.beta > g.alpha else "measure"
-        plus_val, plus_terms = _family_bound_terms(
-            f, fam.plus, plus_kind, disp_norm, mom, box, g.alpha, g.beta
-        )
-        cross_val, cross_terms = _family_bound_terms(
-            f, fam.cross, cross_kind, disp_norm, mom, box, g.alpha, g.beta
-        )
-        total += plus_val + cross_val
-        breakdown += plus_terms + cross_terms
-    return total, breakdown
+    _check_order(f, n)
+    return _bound_terms(f, [], c, 1, 1, n, box)[0]
 
 
 def remainder_bound2(f, x0, y0, c, g, box):
     """Certified upper bound for the norm of the graded remainder."""
-    value, _ = _bound2_terms(f, x0, y0, c, g, box)
-    return value
+    _check_graded(f, g)
+    pairs = [(tuple(x0), tuple(y0))]
+    return _bound_terms(f, pairs, c, g.alpha, g.beta, g.gamma, box)[0]

@@ -344,19 +344,7 @@ def eval_derivative(ts, x0, mu, free):
         )
     if mu is None or mu.n_atoms < 1:
         raise ValidationError("empirical measure required")
-    e, d, n = kernel.e, kernel.d, ts.order
-    out = Tensor((d,) + (e,) * n)
-    for term in ts.terms:
-        slot_values = _slot_values_for(ts, term, x0, free)
-        for comp in range(d):
-            for coords in itertools.product(range(e), repeat=n):
-                poly = ts.deriv_poly(comp, term, coords)
-                if not poly:
-                    continue
-                val = _eval_poly_slots(kernel, poly, slot_values, mu)
-                idx = (comp,) + coords
-                out[idx] = out[idx] + val
-    return out
+    return contract_derivative(ts, x0, mu, free, [None] * ts.order)
 
 
 def eval_derivative_brute(ts, x0, mu, free):
@@ -412,29 +400,31 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             gap_dirs.append((p, v))
         else:
             vec_dirs.append((p, v))
+    # Per direction coordinates: the contraction weight, the gap exponents
+    # of each averaged coupling variable, and the output coordinates.
+    cells = []
+    for coords in itertools.product(range(e), repeat=n):
+        weight = 1
+        for p, vec in vec_dirs:
+            weight = weight * vec[coords[p]]
+        if not weight:
+            continue
+        gap_rows = {}
+        for p, j in gap_dirs:
+            gap_rows.setdefault(j, [0] * e)[coords[p]] += 1
+        gap_rows = {j: tuple(row) for j, row in gap_rows.items()}
+        cells.append((coords, weight, gap_rows, tuple(coords[p] for p in free_dirs)))
     out = Tensor((d,) + (e,) * len(free_dirs))
     for term in ts.terms:
         slot_values = _slot_values_for(ts, term, x0, free)
-        for coords in itertools.product(range(e), repeat=n):
-            weight = Fraction(1)
-            for p, vec in vec_dirs:
-                weight = weight * vec[coords[p]]
-                if not weight:
-                    break
-            if not weight:
-                continue
-            gap_rows = {}
-            for p, j in gap_dirs:
-                row = gap_rows.setdefault(term.pins[n_fixed + j], [0] * e)
-                row[coords[p]] += 1
-            gaps = {slot: tuple(row) for slot, row in gap_rows.items()}
+        for coords, weight, gap_rows, kept in cells:
+            gaps = {term.pins[n_fixed + j]: row for j, row in gap_rows.items()}
             for comp in range(d):
                 poly = ts.deriv_poly(comp, term, coords)
                 if not poly:
                     continue
                 val = _eval_poly_slots(kernel, poly, slot_values, mu, gaps)
-                idx = (comp,) + tuple(coords[p] for p in free_dirs)
-                out[idx] = out[idx] + val * weight
+                out[(comp,) + kept] += val * weight if vec_dirs else val
     return out
 
 
@@ -579,22 +569,24 @@ def norms_on_box(ts, box, samples=5):
     theorem on the convex box). Values are certified upper bounds; the grid
     figure and its slack are reported alongside.
     """
-    kernel = ts.kernel
-    box = normalize_box(box, kernel.e)
-    f = ts.functional
-    sup = _bound_termsum(ts, box, samples)
+    box = normalize_box(box, ts.kernel.e)
+    f, values, m = ts.functional, ts.seq.values, ts.n_free
 
     def next_norm(letter):
-        seq = TaggedSeq(ts.seq.values + (letter,))
-        return _bound_termsum(lions_derivative(f, seq), box, samples)
+        return lipschitz_norm(f, values, letter, box, samples)
 
-    lip_spatial = next_norm(0) if kernel.has_spatial else None
-    m = ts.n_free
-    lip_measure = next_norm(m + 1)
-    lip_free = tuple(next_norm(j) for j in range(1, m + 1))
     return NormEstimates(
-        sup=sup,
-        lip_spatial=lip_spatial,
-        lip_measure=lip_measure,
-        lip_free=lip_free,
+        sup=_bound_termsum(ts, box, samples),
+        lip_spatial=next_norm(0) if f.has_spatial else None,
+        lip_measure=next_norm(m + 1),
+        lip_free=tuple(next_norm(j) for j in range(1, m + 1)),
     )
+
+
+def lipschitz_norm(f, values, letter, box, samples):
+    """Certified Lipschitz constant on the (normalized) box of the derivative
+    of `f` indexed by `values`, in the argument that `letter` differentiates
+    (0 the spatial one, j <= m a free variable, m + 1 the measure): the sup
+    of the derivative indexed by values + (letter,)."""
+    seq = TaggedSeq(tuple(values) + (letter,))
+    return _bound_termsum(lions_derivative(f, seq), box, samples)

@@ -9,7 +9,6 @@ evaluation).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -322,10 +321,6 @@ class Tensor:
                 raise ValueError("data does not match shape")
             self.data = data
 
-    @classmethod
-    def zeros(cls, shape):
-        return cls(shape)
-
     def _offset(self, idx):
         off = 0
         for n, i in zip(self.shape, idx):
@@ -341,9 +336,6 @@ class Tensor:
         if isinstance(idx, int):
             idx = (idx,)
         self.data[self._offset(idx)] = value
-
-    def indices(self):
-        return itertools.product(*(range(n) for n in self.shape))
 
     def __add__(self, other):
         if self.shape != other.shape:

@@ -170,10 +170,6 @@ class Grading:
     def lo(self):
         return min(self.alpha, self.beta)
 
-    @property
-    def hi(self):
-        return max(self.alpha, self.beta)
-
     def to_json(self):
         return {
             "alpha": format_rational(self.alpha),

@@ -2,10 +2,12 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import lionsjet
 from lionsjet.cli import main, make_instance, run_instance
 from lionsjet.functional import PolyFunctional, PolyKernel
 from lionsjet.measures import save_points
@@ -185,10 +187,14 @@ def test_cap_env_override(monkeypatch):
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(lionsjet.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lionsjet.cli", "enum", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1,1", "1,2"]
@@ -246,6 +252,26 @@ def test_expand_seq_with_box_exits_two(tmp_path, capsys):
             "--free-x", "0", "--free-y", "1"]
     assert run_cli(args)[0] == 0
     assert_one_line_exit_two(args + ["--box", "-4", "4"], capsys)
+
+
+def test_expand_order_rejects_derivative_options(tmp_path, capsys):
+    kpath, xpath, ypath = _expand_inputs(tmp_path)
+    args = ["expand", "--kernel", kpath, "--points", xpath, "--points2", ypath,
+            "--order", "1"]
+    assert run_cli(args)[0] == 0
+    for extra in (["--seq", "0,1"], ["--free-x", "1"], ["--free-y", "1"]):
+        assert_one_line_exit_two(args + extra, capsys)
+
+
+def test_expand_graded_rejects_free_points_without_seq(tmp_path, capsys):
+    _, xpath, ypath = _expand_inputs(tmp_path)
+    kernel = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(1, 1): F(1)})]))
+    kpath = tmp_path / "spatial.json"
+    kpath.write_text(json.dumps(kernel.to_json()))
+    args = ["expand", "--kernel", str(kpath), "--points", xpath, "--points2", ypath,
+            "--grading", "3", "1/2", "1", "--x0=0", "--y0=1"]
+    assert run_cli(args)[0] == 0
+    assert_one_line_exit_two(args + ["--free-x", "0", "--free-y", "1"], capsys)
 
 
 def test_replay_malformed_instance_exits_two(tmp_path, capsys):

@@ -43,6 +43,9 @@ INVOCATIONS = {
                    "--free-x", "1/3", "--free-y", "2/3"],
     "expand-box": ["expand", "--kernel", "{measure}", "--points", "{x}",
                    "--points2", "{y}", "--order", "2", "--box", "-4", "4"],
+    "expand-graded-box": ["expand", "--kernel", "{spatial}", "--points", "{x}",
+                          "--points2", "{y}", "--grading", "9/4", "1/2", "1",
+                          "--x0=1/4", "--y0=-1/2", "--box", "-4", "4"],
     "converge-csv": ["converge", "--kernel", "{measure}", "--points", "{x}",
                      "--directions", "{dirs}", "--order", "2",
                      "--h-list", "1/2,1/4,1/8", "--box", "-4", "4"],
@@ -64,6 +67,7 @@ GOLDEN = {
     "enum-tagged-json": (0, "d3f0dcce16c46263eac5044c7da59a3fd7d3a3c68892b24b256126913cdd8bdd"),
     "expand-box": (0, "e9016d49d97fa91ce73430cf549bdb36ec8042df1f713d2077391f4e2a6127a7"),
     "expand-graded": (0, "50e974f46d4ce15a2f06f3c10eef099a39de0415bb93cdc9cb5d7e74b1bde193"),
+    "expand-graded-box": (0, "9f4df174e24d8f818f13d962b9b8a8e43a3fb392069b40fd5caf427651cd7c15"),
     "expand-order": (0, "04726b0f71dbc016a0afacb39b328378788beb23f092fcb3cb198a492391d5de"),
     "expand-seq": (0, "df667393a3a9d4ba516cbd3cb7dc02ffa91921a282c6b87fc34688108f9c40ce"),
     "grade-families": (0, "2afe51baf4344e0ad49f49a57d6f377d67cc2d7e44a4840d0a2ecd1f08aa6ef0"),

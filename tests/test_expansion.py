@@ -384,12 +384,92 @@ def test_remainder_bound2_properties():
         assert res.remainder_bound >= res.remainder_norm() * (1 - 1e-9) - 1e-12
 
 
+# Certified bound values on seeded instances. A change to how the bound is
+# assembled must keep them up to rounding.
+BOUND_GRADINGS = {
+    "a<b": Grading(F(1, 2), 1, F(9, 4)),
+    "a=b": Grading(1, 1, F(5, 2)),
+    "a>b": Grading(1, F(1, 2), F(9, 4)),
+}
+BOUND1_TABLE = {
+    (0, 1): 25402.944069483703,
+    (0, 2): 21058.464295364953,
+    (0, 3): 8856.331476526124,
+    (1, 1): 228450.68853171897,
+    (1, 2): 314994.3902723479,
+    (1, 3): 230870.9308672648,
+    (2, 1): 45.91782037282937,
+    (2, 2): 9.930820537915661,
+    (2, 3): 0.7223010995479109,
+    (3, 1): 21341.66711833784,
+    (3, 2): 17777.77777777778,
+    (3, 3): 7407.407407407406,
+    (4, 1): 29359.871272591103,
+    (4, 2): 27794.419313701146,
+    (4, 3): 15139.968547939301,
+}
+BOUND2_TABLE = {
+    (0, "a<b"): 1001.0463585431555,
+    (0, "a=b"): 1569.7333027104485,
+    (0, "a>b"): 758.0379172306534,
+    (1, "a<b"): 670.5987169754086,
+    (1, "a=b"): 799.4528508094852,
+    (1, "a>b"): 201.33333849487732,
+    (2, "a<b"): 281.81666030719293,
+    (2, "a=b"): 281.81666030719293,
+    (2, "a>b"): 37.16009205706508,
+    (3, "a<b"): 17736.11111111111,
+    (3, "a=b"): 17736.11111111111,
+    (3, "a>b"): 4459.876543209877,
+    (4, "a<b"): 5202.926210094434,
+    (4, "a=b"): 5891.830637059515,
+    (4, "a>b"): 1172.1164669676746,
+}
+
+
+def _bound_instance(seed, spatial):
+    rng = random.Random(f"bound-table:{seed}")
+    e = rng.choice([1, 2])
+    f = random_functional(rng, e, 2, spatial, degree=6, d=rng.randint(1, 2))
+    n = rng.randint(1, 3)
+    c = random_coupling(rng, n, e)
+    return f, c, random_point(rng, e), random_point(rng, e)
+
+
+@pytest.mark.parametrize("seed, n", sorted(BOUND1_TABLE))
+def test_remainder_bound1_table(seed, n):
+    f, c, _, _ = _bound_instance(seed, False)
+    expected = BOUND1_TABLE[seed, n]
+    assert remainder_bound1(f, c, n, (-4, 4)) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, name", sorted(BOUND2_TABLE))
+def test_remainder_bound2_table(seed, name):
+    f, c, x0, y0 = _bound_instance(seed, True)
+    bound = remainder_bound2(f, x0, y0, c, BOUND_GRADINGS[name], (-4, 4))
+    assert bound == pytest.approx(BOUND2_TABLE[seed, name], rel=1e-12)
+
+
 def test_bound_rejects_data_outside_box():
     rng = random.Random(21)
     f = random_functional(rng, 1, 1, False)
     c = pair_coupling([(F(5),)], [(F(0),)])
     with pytest.raises(ValidationError):
         remainder_bound1(f, c, 1, (-1, 1))
+
+
+def test_bounds_reject_the_wrong_kind_of_functional():
+    rng = random.Random(25)
+    spatial = kernel_1d({(1, 1): F(1)}, arity=1, spatial=True)
+    measure_only = random_functional(rng, 1, 1, False)
+    c = random_coupling(rng, 1, 1)
+    x0, y0 = (F(0),), (F(1, 2),)
+    with pytest.raises(ValidationError, match="without a spatial slot"):
+        remainder_bound1(spatial, c, 2, (-4, 4))
+    with pytest.raises(ValidationError, match="with a spatial slot"):
+        remainder_bound2(measure_only, x0, y0, c, Grading(1, 1, 2), (-4, 4))
+    with pytest.raises(ValidationError, match="grading required"):
+        remainder_bound2(spatial, x0, y0, c, (1, 1, 2), (-4, 4))
 
 
 def test_pure_spatial_cross_term_reduces_to_classical_shape():
