@@ -73,6 +73,7 @@ from .tagged import (
     enum_Akn0,
     enum_graded,
     equiv_class_tagged,
+    families_of,
     grade,
     grade_ext,
     iso_J,

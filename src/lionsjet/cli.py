@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from .expansion import taylor1, taylor2, taylor_derivative
 from .functional import PolyFunctional, PolyKernel
 from .measures import load_coupling, load_points, pair_coupling
 from .oracle import (
+    Report,
     convergence_study,
     schwarz_check,
     verify_empirical_deriv,
@@ -30,7 +32,7 @@ from .oracle import (
 )
 from .partitions import enum_A
 from .poly import MPoly, format_rational, parse_rational
-from .tagged import Grading, TaggedSeq, enum_A0, enum_graded, grade
+from .tagged import Grading, TaggedSeq, enum_A0, enum_graded, families_of, grade
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +218,15 @@ def run_instance(inst):
 
 
 def _trial(args):
+    """One batch trial. A trial that raises is a failure like any other: its
+    report carries an infinite difference and the error, and the batch goes
+    on."""
     identity, seed, mode = args
     inst = make_instance(identity, seed, mode)
-    rep = run_instance(inst)
+    try:
+        rep = run_instance(inst)
+    except Exception as exc:
+        rep = Report(identity, math.inf, False, seed, {"error": repr(exc)})
     return inst, rep
 
 
@@ -232,14 +240,18 @@ def _grading_arg(values):
 
 def _cmd_enum(args, out):
     if args.graded:
+        if args.kn is not None or args.tagged:
+            raise ValidationError("--graded cannot be combined with --kn or --tagged")
         g = _grading_arg(args.graded)
         fam = enum_graded(g)
         if args.output == "json":
             print(json.dumps(fam.to_json(), indent=2), file=out)
         else:
-            for name in ("core", "star", "plus", "cross"):
-                for a in getattr(fam, name):
-                    print(f"{name}\t{','.join(map(str, a.values))}", file=out)
+            out.write("".join(
+                f"{name}\t{','.join(map(str, a.values))}\n"
+                for name in ("core", "star", "plus", "cross")
+                for a in getattr(fam, name)
+            ))
         return 0
     if args.kn is not None:
         from .tagged import enum_Akn0
@@ -252,8 +264,9 @@ def _cmd_enum(args, out):
     if args.output == "json":
         print(json.dumps([list(a.values) for a in seqs]), file=out)
     else:
-        for a in seqs:
-            print(",".join(map(str, a.values)) if a.values else "()", file=out)
+        out.write("".join(
+            (",".join(map(str, a.values)) if a.values else "()") + "\n" for a in seqs
+        ))
     return 0
 
 
@@ -262,12 +275,7 @@ def _cmd_grade(args, out):
     a = TaggedSeq(tuple(int(v) for v in args.seq.split(",")) if args.seq else ())
     value = grade(a, g)
     if args.families:
-        fam = enum_graded(g)
-        membership = [
-            name
-            for name in ("core", "star", "plus", "cross")
-            if any(b.values == a.values for b in getattr(fam, name))
-        ]
+        membership = families_of(a, g)
         print(json.dumps({"grade": format_rational(value), "families": membership}), file=out)
     else:
         print(format_rational(value), file=out)
@@ -400,8 +408,16 @@ def _cmd_converge(args, out):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, like any other bad
+    input, instead of the usage text and an error line."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lionsjet",
         description="partition-sequence combinatorics and exact jet expansions "
         "for polynomial measure functionals",
@@ -467,6 +483,9 @@ def main(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return run(args, out=out)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import ValidationError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -22,7 +24,10 @@ def parse_rational(text):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in {text}") from None
 
 
 def format_rational(value):

@@ -19,7 +19,10 @@ the search starts from.
 
 The grading G[a] = alpha * #zeros + beta * #positives truncates mixed Taylor
 jets at a level gamma; the three boundary families (star, plus, cross) list
-the sequences whose integral terms make the truncation exact.
+the sequences whose integral terms make the truncation exact. The family
+search scales alpha, beta and gamma by the lcm of their denominators once
+and compares grades as integers, which is exact; `families_of` classifies one
+sequence from its prefix grades without enumerating anything.
 
 Extended sequences generalize the tagging: over a base sequence `a`, entries
 in {0, ..., m[a]} act as tagged letters (they re-derive the base's arguments)
@@ -30,6 +33,7 @@ the base is a bijection with the tagged sequences extending `a` as a prefix.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,15 +74,11 @@ class TaggedSeq:
     _first = 0  # smallest admissible letter; 1 when there is no spatial block
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        values = tuple(map(int, self.values))
         object.__setattr__(self, "values", values)
-        first = self._first
-        running = 0
-        for v in values:
-            if v < first or v > running + 1:
-                kind = "partition" if first else "tagged"
-                raise ValidationError(f"not a {kind} sequence: {values}")
-            running = max(running, v)
+        if not _grows(values, self._first, 0):
+            kind = "partition" if self._first else "tagged"
+            raise ValidationError(f"not a {kind} sequence: {values}")
 
     def __len__(self):
         return len(self.values)
@@ -118,6 +118,18 @@ class TaggedSeq:
         return f"{type(self).__name__}({self.values})"
 
 
+def _grows(values, first, running):
+    """Whether every letter lies in {first, ..., 1 + the running maximum},
+    the maximum starting at `running`: the growth rule of every sequence
+    type here."""
+    for v in values:
+        if v < first or v > running + 1:
+            return False
+        if v > running:
+            running = v
+    return True
+
+
 def as_tagged(seq):
     """Coerce a PartitionSeq (or raw tuple) to a plain TaggedSeq."""
     if type(seq) is TaggedSeq:
@@ -128,21 +140,21 @@ def as_tagged(seq):
 def _sequences(n, first, running_max, make):
     """Every sequence of length n whose letters run from `first` to one above
     the running maximum (which starts at `running_max`), in lexicographic
-    order, each passed through `make`."""
+    order, each passed through `make`.
+
+    Builds the prefixes one length at a time, each with its running maximum;
+    the last letter goes straight into `make`."""
     check_length(n)
-    out = []
-
-    def extend(prefix, running_max):
-        if len(prefix) == n:
-            out.append(make(tuple(prefix)))
-            return
-        for v in range(first, running_max + 2):
-            prefix.append(v)
-            extend(prefix, max(running_max, v))
-            prefix.pop()
-
-    extend([], running_max)
-    return out
+    if n == 0:
+        return [make(())]
+    level = [((), running_max)]
+    for _ in range(n - 1):
+        level = [
+            (prefix + (v,), top if v <= top else v)
+            for prefix, top in level
+            for v in range(first, top + 2)
+        ]
+    return [make(prefix + (v,)) for prefix, top in level for v in range(first, top + 2)]
 
 
 @dataclass(frozen=True)
@@ -305,42 +317,79 @@ def _graded_value_families(alpha, beta, gamma, tagged_below, first):
     (grade beta). With first = 1 and tagged_below = 0 there are no tagged
     letters: the sequences are partition sequences.
 
+    alpha, beta and gamma are multiplied once by the lcm of their
+    denominators, so the search adds and compares grades as exact integers.
+
     Returns four lists of value tuples, each in prefix order: core, star,
     plus, cross.
     """
-    lo, hi = min(alpha, beta), max(alpha, beta)
+    alpha, beta, gamma = map(Fraction, (alpha, beta, gamma))
+    lo = min(alpha, beta)
     cap = enumeration_cap()
     if gamma / lo > cap:
         raise EnumerationLimitError(f"grading depth {gamma}/{lo} exceeds cap {cap}")
+    scale = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+    alpha, beta, gamma = (int(x * scale) for x in (alpha, beta, gamma))
+    lo, hi = min(alpha, beta), max(alpha, beta)
     plus_lo, plus_hi = gamma - hi, gamma - lo
-    band_lo, band_hi = gamma - lo, gamma
+    band_lo = gamma - lo
     core, star, plus, cross = [], [], [], []
+    fresh = max(first, tagged_below + 1)  # the first letter graded beta
 
     def visit(values, total, running_max, plus_prefix):
         core.append(values)
-        in_plus = plus_lo < total <= plus_hi and not plus_prefix
+        in_plus = not plus_prefix and plus_lo < total <= plus_hi
         if in_plus:
             plus.append(values)
-        if band_lo < total <= band_hi:
-            if plus_prefix:
-                cross.append(values)
-            elif not in_plus:
-                star.append(values)
+        elif total > band_lo:
+            (cross if plus_prefix else star).append(values)
         child_flag = plus_prefix or in_plus
-        for v in range(first, max(running_max, tagged_below) + 2):
-            inc = alpha if v <= tagged_below else beta
-            if total + inc <= gamma:
-                visit(values + (v,), total + inc, max(running_max, v), child_flag)
+        if total + alpha <= gamma:
+            for v in range(first, tagged_below + 1):
+                grown = v if v > running_max else running_max
+                visit(values + (v,), total + alpha, grown, child_flag)
+        if total + beta <= gamma:
+            for v in range(fresh, max(running_max, tagged_below) + 2):
+                grown = v if v > running_max else running_max
+                visit(values + (v,), total + beta, grown, child_flag)
 
-    visit((), Fraction(0), 0, False)
+    visit((), 0, 0, False)
     return core, star, plus, cross
+
+
+def families_of(a, g):
+    """The families of `enum_graded(g)` that list the tagged sequence `a`,
+    in the order core, star, plus, cross; [] when G[a] > gamma.
+
+    Walks the prefix grades of `a` once instead of enumerating the families,
+    so it is not bound by the enumeration cap. By the definitions in
+    `RemainderFamilies`, a strict prefix lies in plus exactly when it is the
+    shortest prefix whose grade falls in the inner band, so `a` has a strict
+    prefix in plus iff some strict prefix has its grade in that band.
+    """
+    a = as_tagged(a)
+    inner = lambda total: g.gamma - max(g.alpha, g.beta) < total <= g.gamma - g.lo
+    total = Fraction(0)
+    plus_prefix = False
+    for v in a:
+        plus_prefix = plus_prefix or inner(total)
+        total += g.alpha if v == 0 else g.beta
+    if total > g.gamma:
+        return []
+    if not plus_prefix and inner(total):
+        return ["core", "plus"]
+    if total > g.gamma - g.lo:
+        return ["core", "cross" if plus_prefix else "star"]
+    return ["core"]
 
 
 def enum_graded(g):
     """Graded core and remainder families over tagged sequences."""
     core, star, plus, cross = _graded_value_families(g.alpha, g.beta, g.gamma, 0, 0)
-    wrap = lambda seqs: tuple(TaggedSeq(v) for v in seqs)
-    return RemainderFamilies(g, wrap(core), wrap(star), wrap(plus), wrap(cross))
+    # every boundary sequence is in the core too; build each one once
+    seqs = {values: TaggedSeq(values) for values in core}
+    wrap = lambda family: tuple(map(seqs.__getitem__, family))
+    return RemainderFamilies(g, tuple(seqs.values()), wrap(star), wrap(plus), wrap(cross))
 
 
 @dataclass(frozen=True)
@@ -356,15 +405,12 @@ class ExtendedSeq:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        values = tuple(map(int, self.values))
         object.__setattr__(self, "values", values)
-        running = self.base.m
-        for v in values:
-            if v < 0 or v > running + 1:
-                raise ValidationError(
-                    f"not an extension of base {self.base.values}: {values}"
-                )
-            running = max(running, v)
+        if not _grows(values, 0, self.base.m):
+            raise ValidationError(
+                f"not an extension of base {self.base.values}: {values}"
+            )
 
     def __len__(self):
         return len(self.values)

@@ -1,13 +1,19 @@
 """Command-line interface: outputs, exit codes, determinism, replay."""
 
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 import lionsjet
+from lionsjet import cli
 from lionsjet.cli import main, make_instance, run_instance
 from lionsjet.functional import PolyFunctional, PolyKernel
 from lionsjet.measures import save_points
@@ -302,3 +308,112 @@ def test_loaders_close_their_files(tmp_path):
         assert run_cli(["verify", "empirical", "--replay", str(ipath)])[0] == 0
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_enum_graded_rejects_other_families(capsys):
+    for extra in (["--kn", "1"], ["--tagged"], ["--kn", "0", "--tagged"]):
+        assert_one_line_exit_two(["enum", "3", "--graded", "5/2", "1", "1"] + extra, capsys)
+    assert run_cli(["enum", "0", "--graded", "9/2", "1", "1/2"])[0] == 0
+    assert run_cli(["enum", "5", "--kn", "2"])[0] == 0
+
+
+def test_bad_command_line_is_one_error_line(capsys):
+    for args in (["enum", "abc"], ["enum", "3", "--bogus"], ["grade", "--seq", "-1,2",
+                 "--grading", "2", "1", "1"], [], ["grade", "--grading", "1/0", "1", "1"]):
+        assert_one_line_exit_two(args, capsys)
+
+
+def test_grade_families_does_not_enumerate(monkeypatch):
+    # the grading is deeper than the cap allows enum_graded to list
+    monkeypatch.setenv("LIONS_JET_CAP", "2")
+    args = ["grade", "--seq", "0,1,1", "--grading", "9/2", "1", "1/2", "--families"]
+    code, text = run_cli(args)
+    assert code == 0
+    assert json.loads(text) == {"grade": "2", "families": ["core"]}
+    assert run_cli(["enum", "0", "--graded", "9/2", "1", "1/2"])[0] == 2
+
+
+def test_crashing_verify_trial_is_a_dumped_failure(monkeypatch):
+    def run_or_raise(inst):
+        if inst["seed"] == 8:
+            raise ZeroDivisionError("trial blew up")
+        return run_instance(inst)
+
+    monkeypatch.setattr(cli, "run_instance", run_or_raise)
+    code, text = run_cli(["verify", "empirical", "--seed", "7", "--trials", "3", "--jobs", "1"])
+    lines = text.splitlines()
+    assert code == 1
+    assert lines[0].startswith("ok seed=7 ") and lines[3].startswith("ok seed=9 ")
+    assert lines[1] == "FAIL seed=8 identity=empirical max_abs_difference=inf"
+    assert json.loads(lines[2]) == make_instance("empirical", 8)
+    assert lines[-1] == "2/3 passed"
+    inst, rep = cli._trial(("empirical", 8, "rational"))
+    assert rep.max_abs_difference == math.inf and not rep.passed
+    assert rep.details == {"error": "ZeroDivisionError('trial blew up')"}
+
+
+def _depth(tokens):
+    """gamma / min(alpha, beta) of a (gamma, alpha, beta) token triple, or
+    None when the tokens are not a positive grading."""
+    try:
+        gamma, alpha, beta = (Fraction(t) for t in tokens)
+    except (ValueError, ZeroDivisionError):
+        return None
+    if alpha <= 0 or beta <= 0:
+        return None
+    return gamma / min(alpha, beta)
+
+
+_small_int = st.integers(-3, 7)
+_rational = st.one_of(
+    _small_int.map(str),
+    st.builds("{}/{}".format, _small_int, st.integers(0, 4)),
+    st.sampled_from(["x", "", "1.5", "-1/2"]),
+)
+_seq = st.lists(
+    st.one_of(st.integers(-2, 7).map(str), st.sampled_from(["", "x", "1/2"])), max_size=7
+).map(",".join)
+
+
+@st.composite
+def _enum_or_grade_argv(draw):
+    grading = draw(st.lists(_rational, min_size=3, max_size=3))
+    depth = _depth(grading)
+    assume(depth is None or depth <= 7)
+    if draw(st.booleans()):
+        n = draw(_small_int)
+        argv = ["enum", str(n)]
+        if draw(st.booleans()):
+            argv.append("--tagged")
+        if draw(st.booleans()):
+            k = draw(_small_int)
+            assume(n + max(k, 0) <= 7)
+            argv += ["--kn", str(k)]
+        if draw(st.booleans()):
+            argv += ["--graded", *grading]
+        if draw(st.booleans()):
+            argv += ["--output", draw(st.sampled_from(["text", "json", "csv"]))]
+    else:
+        argv = ["grade"]
+        if draw(st.booleans()):
+            seq = draw(_seq)
+            argv += draw(st.sampled_from([["--seq", seq], [f"--seq={seq}"]]))
+        argv += ["--grading", *grading]
+        if draw(st.booleans()):
+            argv.append("--families")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_enum_or_grade_argv())
+def test_enum_and_grade_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""

@@ -31,6 +31,11 @@ INVOCATIONS = {
     "enum-tagged-json": ["enum", "5", "--tagged", "--output", "json"],
     "enum-kn": ["enum", "3", "--kn", "2"],
     "enum-graded": ["enum", "0", "--graded", "9/2", "1", "1/2"],
+    "enum-graded-json": ["enum", "0", "--graded", "9/2", "1", "1/2", "--output", "json"],
+    "enum-graded-equal": ["enum", "0", "--graded", "5/2", "1", "1"],
+    "enum-json": ["enum", "7", "--output", "json"],
+    "enum-zero": ["enum", "0"],
+    "enum-zero-tagged": ["enum", "0", "--tagged"],
     "grade-families": ["grade", "--seq", "0,1,1", "--grading", "9/2", "1", "1/2", "--families"],
     "expand-order": ["expand", "--kernel", "{measure}", "--points", "{x}",
                      "--points2", "{y}", "--order", "3"],
@@ -63,8 +68,13 @@ GOLDEN = {
     "converge-json": (0, "c40351bc63d2d5ee7db3711ae6a8628eed42512bd539b7cc12b7ac16b460cd62"),
     "enum": (0, "08d4f6e3bd4a589f8c381987372bfc88e9739cb6cad6af0686efb5ad88c9be5f"),
     "enum-graded": (0, "b56cfadc59dc2e3d91674b0e55d663e057f16c8cdc39ca41bd55461daf5880c4"),
+    "enum-graded-equal": (0, "2777f6361ff42a2cc2f63f2b417258b5b43dee05e8c685a623a66d3dbb7335d9"),
+    "enum-graded-json": (0, "145b6ff6f78d26ee905f4567dd394b3cd4501e5722a95a8c5adf542073fbc8f3"),
+    "enum-json": (0, "432e892545c9e183ad9de6b4a5a4b2bc027f5a04ea3985e764c686789acdb1aa"),
     "enum-kn": (0, "9b45a4bae332df0ce31a2ffe81dcbb07e1ae369560e0e3da8bb50100d9e8db49"),
     "enum-tagged-json": (0, "d3f0dcce16c46263eac5044c7da59a3fd7d3a3c68892b24b256126913cdd8bdd"),
+    "enum-zero": (0, "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b"),
+    "enum-zero-tagged": (0, "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b"),
     "expand-box": (0, "e9016d49d97fa91ce73430cf549bdb36ec8042df1f713d2077391f4e2a6127a7"),
     "expand-graded": (0, "50e974f46d4ce15a2f06f3c10eef099a39de0415bb93cdc9cb5d7e74b1bde193"),
     "expand-graded-box": (0, "9f4df174e24d8f818f13d962b9b8a8e43a3fb392069b40fd5caf427651cd7c15"),

@@ -14,6 +14,7 @@ from lionsjet.tagged import (
     enum_Akn0,
     enum_graded,
     equiv_class_tagged,
+    families_of,
     grade,
     grade_ext,
     graded_families_ext,
@@ -150,18 +151,18 @@ def _naive_families(g, max_len=12):
     return {a.values for a in pool}, star, plus, cross
 
 
-@pytest.mark.parametrize(
-    "alpha,beta,gamma",
-    [
-        (1, 1, Fraction(5, 2)),
-        (1, 1, Fraction(3, 2)),
-        (Fraction(1, 2), 1, Fraction(9, 4)),
-        (1, Fraction(1, 2), Fraction(9, 4)),
-        (1, 3, Fraction(3, 2)),
-        (1, 2, 4),
-        (Fraction(1, 3), 1, Fraction(5, 3)),
-    ],
-)
+GRADINGS = [
+    (1, 1, Fraction(5, 2)),
+    (1, 1, Fraction(3, 2)),
+    (Fraction(1, 2), 1, Fraction(9, 4)),
+    (1, Fraction(1, 2), Fraction(9, 4)),
+    (1, 3, Fraction(3, 2)),
+    (1, 2, 4),
+    (Fraction(1, 3), 1, Fraction(5, 3)),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", GRADINGS)
 def test_graded_families_match_naive_predicates(alpha, beta, gamma):
     g = Grading(alpha, beta, gamma)
     fam = enum_graded(g)
@@ -170,6 +171,19 @@ def test_graded_families_match_naive_predicates(alpha, beta, gamma):
     assert {a.values for a in fam.star} == star
     assert {a.values for a in fam.plus} == plus
     assert {a.values for a in fam.cross} == cross
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", GRADINGS)
+def test_families_of_matches_naive_predicates(alpha, beta, gamma):
+    g = Grading(alpha, beta, gamma)
+    families = dict(zip(("core", "star", "plus", "cross"), _naive_families(g)))
+    above = 0
+    for n in range(7):
+        for a in enum_A0(n):
+            want = [name for name, fam in families.items() if a.values in fam]
+            assert families_of(a, g) == want
+            above += grade(a, g) > g.gamma
+    assert above > 0  # sequences above gamma were classified too, as []
 
 
 def test_families_alpha_equal_beta():
