@@ -242,6 +242,10 @@ def _cmd_enum(args, out):
     if args.graded:
         if args.kn is not None or args.tagged:
             raise ValidationError("--graded cannot be combined with --kn or --tagged")
+        if args.n != 0:
+            raise ValidationError(
+                f"enum --graded lists every length up to the grading; pass 0, not {args.n}"
+            )
         g = _grading_arg(args.graded)
         fam = enum_graded(g)
         if args.output == "json":
@@ -292,6 +296,8 @@ def _cmd_verify(args, out):
             raise ValidationError(f"malformed instance: {exc!r}") from exc
         print(json.dumps(rep.to_json()), file=out)
         return 0 if rep.passed else 1
+    if args.trials < 1 or args.jobs < 1:
+        raise ValidationError("--trials and --jobs must be at least 1")
     trials = [(args.identity, args.seed + k, args.mode) for k in range(args.trials)]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -324,6 +330,16 @@ def _load_functional(path):
         return PolyFunctional.from_json(json.load(fh))
 
 
+def _read(load, path, what):
+    """load(path), where a file that parses but does not hold a `what` (a
+    missing key, an index out of range, a value of the wrong type) is bad
+    input like any other."""
+    try:
+        return load(path)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValidationError(f"malformed {what} file {path}: {exc!r}") from None
+
+
 def _cmd_expand(args, out):
     if args.order is None and args.grading is None:
         raise ValidationError("expand needs --order or --grading")
@@ -337,12 +353,12 @@ def _cmd_expand(args, out):
         raise ValidationError("--free-x and --free-y need --seq")
     if args.seq and args.box:
         raise ValidationError("--box bounds are not available for --seq expansions")
-    f = _load_functional(args.kernel)
+    f = _read(_load_functional, args.kernel, "kernel")
     if args.coupling:
-        c = load_coupling(args.coupling)
+        c = _read(load_coupling, args.coupling, "coupling")
     else:
-        x = load_points(args.points)
-        y = load_points(args.points2)
+        x = _read(load_points, args.points, "point")
+        y = _read(load_points, args.points2, "point")
         c = pair_coupling(x, y)
     if args.mode == "float":
         c = pair_coupling(
@@ -372,9 +388,9 @@ def _cmd_converge(args, out):
         raise ValidationError("converge needs --order or --grading")
     if args.order is None and (args.x0 is None or args.x0_direction is None):
         raise ValidationError("--grading needs --x0 and --x0-direction")
-    f = _load_functional(args.kernel)
-    pts = load_points(args.points)
-    dirs = load_points(args.directions)
+    f = _read(_load_functional, args.kernel, "kernel")
+    pts = _read(load_points, args.points, "point")
+    dirs = _read(load_points, args.directions, "point")
     if len(dirs) != len(pts):
         raise ValidationError(
             f"{len(dirs)} direction rows for {len(pts)} points; need one per point"

@@ -26,7 +26,13 @@ argument groups each family's integrand moves, turns the remainder into a
 certified upper bound: per family member, the box Lipschitz constants of
 the moving groups times displacement and coupling-moment factors, with
 every factor reported. `remainder_bound1` is it at alpha = beta = 1,
-gamma = n; `remainder_bound2` with the spatial pair (x0, y0).
+gamma = n; `remainder_bound2` with the spatial pair (x0, y0). Each constant
+is `functional.certified_sup` of the next derivative: the coefficient-wise
+sup bound alone, with no sample grid (the grid and its slack are reported
+only by `norms_on_box`, whose `.value`s equal these constants bit for bit).
+A derivative indexed by a sequence longer than the kernel degree vanishes
+identically, so its constant is 0.0 and its jet and remainder contractions
+are zero tensors, all returned without work.
 """
 
 from __future__ import annotations
@@ -39,10 +45,10 @@ from fractions import Fraction
 from .errors import ValidationError
 from .functional import (
     MomentView,
+    certified_sup,
     contract_derivative,
     eval_derivative,
     lions_derivative,
-    lipschitz_norm,
     normalize_box,
 )
 from .measures import coupling_moment
@@ -395,7 +401,7 @@ def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box):
     mom = functools.cache(lambda p: coupling_moment(c, p))
 
     def lip(values, letter):
-        return lipschitz_norm(f, values, letter, box, samples=2).value
+        return certified_sup(f, TaggedSeq(values + (letter,)), box)
 
     _, *families = _graded_value_families(
         alpha, beta, gamma, 0, 0 if f.has_spatial else 1

@@ -31,10 +31,11 @@ class PolyKernel:
 
     Scalar variables are laid out slot-major: the spatial slot first when
     present, then the integrated slots 1..arity, each contributing e
-    coordinates.
+    coordinates. `degree` is the largest total degree of a component (0 for
+    a constant or zero kernel), computed once here.
     """
 
-    __slots__ = ("e", "d", "arity", "has_spatial", "components")
+    __slots__ = ("e", "d", "arity", "has_spatial", "components", "degree")
 
     def __init__(self, e, d, arity, has_spatial, components):
         self.e = e
@@ -49,6 +50,7 @@ class PolyKernel:
             if comp.nvars != nvars:
                 raise ValidationError("component variable count mismatch")
         self.components = components
+        self.degree = max((c.degree() for c in components), default=0)
 
     @property
     def nvars(self):
@@ -69,9 +71,6 @@ class PolyKernel:
     def slots(self):
         start = 0 if self.has_spatial else 1
         return range(start, self.arity + 1)
-
-    def degree(self):
-        return max(c.degree() for c in self.components)
 
     def add(self, other):
         if (self.e, self.d, self.arity, self.has_spatial) != (
@@ -276,6 +275,14 @@ class DerivTermSum:
         )
 
 
+def _past_degree(kernel, order):
+    """Whether every derivative indexed by a sequence of `order` letters is
+    identically zero: each of its terms differentiates a kernel component
+    once per letter, and every partial derivative of a polynomial of order
+    above its total degree is zero."""
+    return order > kernel.degree
+
+
 def lions_derivative(f, a):
     """Symbolic mixed derivative of `f` indexed by the tagged sequence `a`.
 
@@ -388,6 +395,12 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     mu.moment(row, gap_exps) of the pinned slots, so the cost is linear in
     the atom count rather than a sum over configurations. Returns a tensor of
     shape (d, e, ..., e) with one axis per uncontracted direction.
+
+    A sequence longer than the kernel degree returns that zero tensor at
+    once. This is exact, not an approximation: every entry of such a
+    derivative is a partial derivative of a kernel component past its total
+    degree, so the evaluation below would skip every cell and return the
+    same zeros after visiting all e^n of them.
     """
     kernel = ts.kernel
     e, d, n = kernel.e, kernel.d, ts.order
@@ -400,6 +413,8 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             gap_dirs.append((p, v))
         else:
             vec_dirs.append((p, v))
+    if _past_degree(kernel, n):
+        return Tensor((d,) + (e,) * len(free_dirs))
     # Per direction coordinates: the contraction weight, the gap exponents
     # of each averaged coupling variable, and the output coordinates.
     cells = []
@@ -445,9 +460,11 @@ def normalize_box(box, e):
 class NormValue:
     """A certified upper bound together with its grid estimate.
 
-    `value` = `grid` + `slack`; the slack covers whatever the grid missed
-    (computed from a coefficient-wise interval bound, so `value` is a true
-    supremum bound on the box).
+    `value` is the certified sup (`certified_sup`'s coefficient-wise bound,
+    a true supremum bound on the box, and the number the remainder bounds
+    use); `grid` is the largest value seen on a sample mesh, and `slack` =
+    `value` - `grid` is how much the certified bound could be loose by. Only
+    `norms_on_box` evaluates the grid.
     """
 
     value: float
@@ -524,6 +541,37 @@ def _crude_sup(poly, var_bounds):
     return total
 
 
+def _box_scalar(box, nvars_g, e):
+    """The (lo, hi) interval of each scalar variable of the combined
+    polynomials: the box repeated once per argument group."""
+    return (box * (nvars_g // e))[:nvars_g]
+
+
+def _frobenius_sup(polys, box_scalar):
+    """Certified Frobenius sup of the tensor whose entries are `polys`: the
+    root of the sum of the squared coefficient-wise entry bounds."""
+    var_bounds = [max(abs(lo), abs(hi)) for lo, hi in box_scalar]
+    certified_sq = 0.0
+    for poly in polys:
+        certified_sq += _crude_sup(poly, var_bounds) ** 2
+    return math.sqrt(certified_sq)
+
+
+def certified_sup(f, seq, box):
+    """Certified Frobenius sup of the derivative of `f` indexed by `seq`
+    over spatial and free arguments in the (normalized) box and measures
+    supported in it. No grid is evaluated.
+
+    A sequence longer than the kernel degree gives 0.0 without building the
+    derivative: every entry of its combined polynomials is zero, so the sum
+    of squared entry bounds is 0.0 and so is its root.
+    """
+    if _past_degree(f.kernel, len(seq)):
+        return 0.0
+    polys, nvars_g = _combined_polys(lions_derivative(f, seq))
+    return _frobenius_sup(polys.values(), _box_scalar(box, nvars_g, f.kernel.e))
+
+
 def _grid_points(box_scalar, nvars, samples, budget=2048):
     """Deterministic mesh over the scalar variables, capped in size."""
     samples = max(2, samples)
@@ -537,17 +585,12 @@ def _grid_points(box_scalar, nvars, samples, budget=2048):
     return itertools.product(*axes)
 
 
-def _bound_termsum(ts, box, samples):
-    """Certified Frobenius sup of a derivative over box-supported arguments
-    and measures, plus a grid estimate."""
+def _sup_report(ts, box, samples):
+    """The certified Frobenius sup of a derivative, as `certified_sup`
+    computes it, with the largest value on a sample mesh beside it."""
     polys, nvars_g = _combined_polys(ts)
-    e = ts.kernel.e
-    box_scalar = (box * (nvars_g // e))[:nvars_g]
-    var_bounds = [max(abs(lo), abs(hi)) for lo, hi in box_scalar]
-    certified_sq = 0.0
-    for poly in polys.values():
-        certified_sq += _crude_sup(poly, var_bounds) ** 2
-    certified = math.sqrt(certified_sq)
+    box_scalar = _box_scalar(box, nvars_g, ts.kernel.e)
+    certified = _frobenius_sup(polys.values(), box_scalar)
     grid = 0.0
     entries = [p for p in polys.values() if p]
     if entries:
@@ -561,32 +604,28 @@ def _bound_termsum(ts, box, samples):
 
 
 def norms_on_box(ts, box, samples=5):
-    """Box-restricted sup and Lipschitz estimates of a derivative.
+    """Box-restricted sup and Lipschitz estimates of a derivative, with
+    their slack.
 
     The sup norm is over spatial/free arguments in the box and measures
     supported in the box; each Lipschitz constant is the sup of the
     corresponding next derivative (exact for polynomials by the mean value
-    theorem on the convex box). Values are certified upper bounds; the grid
-    figure and its slack are reported alongside.
+    theorem on the convex box): in the spatial argument (letter 0), in each
+    free variable j (letter j) and in the measure (letter m + 1). Every
+    `value` is the certified sup that the remainder bounds read from
+    `certified_sup`, equal to it bit for bit; this report alone also
+    evaluates the grid and states the slack.
     """
     box = normalize_box(box, ts.kernel.e)
     f, values, m = ts.functional, ts.seq.values, ts.n_free
 
     def next_norm(letter):
-        return lipschitz_norm(f, values, letter, box, samples)
+        seq = TaggedSeq(values + (letter,))
+        return _sup_report(lions_derivative(f, seq), box, samples)
 
     return NormEstimates(
-        sup=_bound_termsum(ts, box, samples),
+        sup=_sup_report(ts, box, samples),
         lip_spatial=next_norm(0) if f.has_spatial else None,
         lip_measure=next_norm(m + 1),
         lip_free=tuple(next_norm(j) for j in range(1, m + 1)),
     )
-
-
-def lipschitz_norm(f, values, letter, box, samples):
-    """Certified Lipschitz constant on the (normalized) box of the derivative
-    of `f` indexed by `values`, in the argument that `letter` differentiates
-    (0 the spatial one, j <= m a free variable, m + 1 the measure): the sup
-    of the derivative indexed by values + (letter,)."""
-    seq = TaggedSeq(tuple(values) + (letter,))
-    return _bound_termsum(lions_derivative(f, seq), box, samples)

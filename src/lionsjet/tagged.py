@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,13 +69,18 @@ def check_length(n):
 
 @dataclass(frozen=True)
 class TaggedSeq:
-    """A tagged sequence; `values` is a tuple of non-negative integers."""
+    """A tagged sequence; `values` is a tuple of non-negative integers.
+
+    Letters must be integers (anything with `__index__`, `bool` included,
+    stored as plain ints); a float, string or `Fraction` letter is rejected,
+    never truncated.
+    """
 
     values: tuple
     _first = 0  # smallest admissible letter; 1 when there is no spatial block
 
     def __post_init__(self):
-        values = tuple(map(int, self.values))
+        values = _letters(self.values)
         object.__setattr__(self, "values", values)
         if not _grows(values, self._first, 0):
             kind = "partition" if self._first else "tagged"
@@ -116,6 +122,15 @@ class TaggedSeq:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.values})"
+
+
+def _letters(values):
+    """The letters as a tuple of ints; a non-integral letter is a
+    ValidationError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValidationError(f"sequence letters must be integers: {values!r}") from None
 
 
 def _grows(values, first, running):
@@ -399,13 +414,14 @@ class ExtendedSeq:
     Entries in {0, ..., m[base]} are always admissible (they address the
     base's spatial slot and free variables); entries above m[base] follow the
     1-Lip growth rule. Concatenating onto the base gives a tagged sequence.
+    Letters must be integers, as in `TaggedSeq`.
     """
 
     base: TaggedSeq
     values: tuple
 
     def __post_init__(self):
-        values = tuple(map(int, self.values))
+        values = _letters(self.values)
         object.__setattr__(self, "values", values)
         if not _grows(values, 0, self.base.m):
             raise ValidationError(

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ import lionsjet
 from lionsjet import cli
 from lionsjet.cli import main, make_instance, run_instance
 from lionsjet.functional import PolyFunctional, PolyKernel
-from lionsjet.measures import save_points
+from lionsjet.measures import pair_coupling, save_coupling, save_points
 from lionsjet.poly import MPoly
 
 F = Fraction
@@ -317,6 +318,13 @@ def test_enum_graded_rejects_other_families(capsys):
     assert run_cli(["enum", "5", "--kn", "2"])[0] == 0
 
 
+def test_enum_graded_rejects_a_length(capsys):
+    # the grading sets the lengths; N used to be ignored without a word
+    for n in ("3", "1", "-1"):
+        assert_one_line_exit_two(["enum", n, "--graded", "5/2", "1", "1"], capsys)
+    assert run_cli(["enum", "0", "--graded", "5/2", "1", "1"])[0] == 0
+
+
 def test_bad_command_line_is_one_error_line(capsys):
     for args in (["enum", "abc"], ["enum", "3", "--bogus"], ["grade", "--seq", "-1,2",
                  "--grading", "2", "1", "1"], [], ["grade", "--grading", "1/0", "1", "1"]):
@@ -411,6 +419,139 @@ def test_enum_and_grade_fuzz_exit_codes(argv):
     with contextlib.redirect_stderr(err):
         code = main(argv, out=out)
     assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+
+
+def test_malformed_input_files_exit_two(tmp_path, capsys):
+    # each parses as JSON but is not a kernel, point set or coupling: they
+    # used to end in a KeyError, IndexError or TypeError traceback
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    kernel = json.loads(open(kpath).read())
+    kernel["terms"][0]["out"] = 1
+    (tmp_path / "out.json").write_text(json.dumps(kernel))
+    (tmp_path / "numbers.json").write_text("[1, 2]")
+    (tmp_path / "object.json").write_text(json.dumps({"identity": "empirical"}))
+    out, numbers, obj = (str(tmp_path / n) for n in ("out.json", "numbers.json", "object.json"))
+    points = ["--points", xpath, "--points2", xpath, "--order", "1"]
+    for bad in (out, numbers, obj):
+        assert_one_line_exit_two(["expand", "--kernel", bad] + points, capsys)
+    for bad in (numbers, obj):
+        assert_one_line_exit_two(["expand", "--kernel", kpath, "--coupling", bad, "--order", "1"], capsys)
+    assert_one_line_exit_two(["expand", "--kernel", kpath, "--points", numbers,
+                              "--points2", xpath, "--order", "1"], capsys)
+    assert_one_line_exit_two(["converge", "--kernel", obj, "--points", xpath,
+                              "--directions", xpath, "--order", "1"], capsys)
+    assert_one_line_exit_two(["converge", "--kernel", kpath, "--points", xpath,
+                              "--directions", numbers, "--order", "1"], capsys)
+    assert run_cli(["expand", "--kernel", kpath] + points)[0] == 0
+
+
+def test_verify_rejects_empty_batches(capsys):
+    # --trials -1 used to print "0/0 passed" and exit 0
+    for extra in (["--trials", "0"], ["--trials", "-1"], ["--jobs", "0"], ["--jobs", "-2"]):
+        assert_one_line_exit_two(["verify", "empirical"] + extra, capsys)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Kernel, point, coupling and instance files for the command fuzz
+    tests, good and bad, by name."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    kpath, xpath, ypath = _expand_inputs(tmp)
+    spatial = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(1, 1): F(1)})]))
+    (tmp / "spatial.json").write_text(json.dumps(spatial.to_json()))
+    save_points(tmp / "y3.csv", [(F(1),), (F(0),), (F(-1),)])
+    save_points(tmp / "xy2d.csv", [(F(0), F(1)), (F(1, 2), F(-1))])
+    save_coupling(tmp / "coupling.json", pair_coupling([(F(0),)], [(F(1, 2),)]))
+    (tmp / "bad.json").write_text("{not json")
+    # files that parse as JSON but hold the wrong structure
+    (tmp / "numbers.json").write_text("[1, 2]")
+    data = spatial.to_json()
+    data["terms"][0]["out"] = 3
+    (tmp / "out-of-range.json").write_text(json.dumps(data))
+    (tmp / "instance.json").write_text(json.dumps(make_instance("empirical", 5)))
+    malformed = make_instance("schwarz", 5)
+    del malformed["sigma"]
+    (tmp / "malformed.json").write_text(json.dumps(malformed))
+    names = ("spatial.json", "y3.csv", "xy2d.csv", "coupling.json", "bad.json",
+             "numbers.json", "out-of-range.json", "instance.json", "malformed.json",
+             "missing.csv")
+    files = {name: str(tmp / name) for name in names}
+    files.update({"kernel.json": kpath, "x.csv": xpath, "y.csv": ypath})
+    return files
+
+
+_point_tok = st.sampled_from(["0", "1/2", "-1/2", "1,0", "1/3,-1", "x", "", "1/0", "0.5"])
+_h_list = st.lists(st.sampled_from(["1/2", "1/4", "1/8", "1", "0", "-1/2", "x", "1/0", ""]),
+                   min_size=1, max_size=3).map(",".join)
+_small_order = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["x", "1.5"]))
+
+
+def _shallow_grading(draw):
+    grading = draw(st.lists(_rational, min_size=3, max_size=3))
+    depth = _depth(grading)
+    assume(depth is None or depth <= 4)
+    return grading
+
+
+@st.composite
+def _expand_converge_verify_argv(draw, files):
+    def pick(*names):
+        return files[draw(st.sampled_from(names))]
+
+    def maybe(*tokens):
+        return list(tokens) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["expand", "converge", "verify"]))
+    if command == "verify":
+        argv = ["verify", draw(st.sampled_from(["empirical", "fullsystem", "expansion",
+                                                "schwarz", "bogus"]))]
+        argv += maybe("--seed", str(draw(st.integers(-3, 40))))
+        argv += maybe("--trials", str(draw(st.integers(-1, 2))))
+        argv += maybe("--jobs", draw(st.sampled_from(["-1", "0", "1"])))
+        argv += maybe("--mode", draw(st.sampled_from(["rational", "float", "exact"])))
+        argv += maybe("--replay", pick("instance.json", "malformed.json", "bad.json",
+                                       "numbers.json", "missing.csv", "x.csv"))
+        return argv
+    points = ("x.csv", "y.csv", "y3.csv", "xy2d.csv", "bad.json", "numbers.json",
+              "instance.json", "missing.csv")
+    argv = [command, "--kernel", pick("kernel.json", "spatial.json", "bad.json", "numbers.json",
+                                      "out-of-range.json", "instance.json", "missing.csv")]
+    argv += maybe("--points", pick(*points))
+    argv += maybe("--order", draw(_small_order))
+    argv += maybe("--grading", *_shallow_grading(draw))
+    argv += maybe("--box", draw(_rational), draw(_rational))
+    argv += maybe("--x0=" + draw(_point_tok))
+    if command == "expand":
+        argv += maybe("--points2", pick(*points))
+        argv += maybe("--coupling", pick("coupling.json", "bad.json", "numbers.json",
+                                         "instance.json", "missing.csv", "x.csv"))
+        argv += maybe("--y0=" + draw(_point_tok))
+        argv += maybe("--seq", draw(_seq))
+        argv += maybe("--free-x", *draw(st.lists(_point_tok, max_size=2)))
+        argv += maybe("--free-y", *draw(st.lists(_point_tok, max_size=2)))
+        argv += maybe("--mode", draw(st.sampled_from(["rational", "float"])))
+    else:
+        argv += maybe("--directions", pick(*points))
+        argv += maybe("--x0-direction=" + draw(_point_tok))
+        argv += maybe("--h-list", draw(_h_list))
+        argv += maybe("--output", draw(st.sampled_from(["csv", "json", "text"])))
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_expand_converge_verify_fuzz_exit_codes(fuzz_files, data):
+    argv = data.draw(_expand_converge_verify_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")

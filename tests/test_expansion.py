@@ -15,7 +15,7 @@ from lionsjet.expansion import (
     taylor2,
     taylor_derivative,
 )
-from lionsjet.functional import eval_derivative, lions_derivative
+from lionsjet.functional import eval_derivative, lions_derivative, norms_on_box
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
 from lionsjet.poly import XiPoly
 from lionsjet.tagged import Grading, TaggedSeq
@@ -448,6 +448,58 @@ def test_remainder_bound2_table(seed, name):
     f, c, x0, y0 = _bound_instance(seed, True)
     bound = remainder_bound2(f, x0, y0, c, BOUND_GRADINGS[name], (-4, 4))
     assert bound == pytest.approx(BOUND2_TABLE[seed, name], rel=1e-12)
+
+
+def _tied_instances():
+    """Pairs of (functional, coupling, x0, y0) instances, measure-only then
+    spatial, for the bound/report comparison: two seeded table instances,
+    then kernels of degree at most 2, whose constants of order 3 and 4
+    vanish."""
+    for seed in (0, 2):
+        yield _bound_instance(seed, False), _bound_instance(seed, True)
+    rng = random.Random("bound-report-low-degree")
+    e = 2
+    f1, f2 = (random_functional(rng, e, 2, s, degree=2) for s in (False, True))
+    c = random_coupling(rng, 2, e)
+    x0, y0 = random_point(rng, e), random_point(rng, e)
+    yield (f1, c, x0, y0), (f2, c, x0, y0)
+
+
+def _assert_bound_tied_to_report(f, bound_terms, box):
+    """Every constant of a bound record is the `.value` of the matching
+    `norms_on_box` report, with `==`; returns how many constants were of a
+    derivative past the kernel degree."""
+    past = 0
+    for record in bound_terms:
+        values = tuple(record["seq"])
+        norms = norms_on_box(lions_derivative(f, TaggedSeq(values)), box)
+        reports = [norms.sup, norms.lip_measure, *norms.lip_free]
+        if "lip_spatial" in record:
+            assert record["lip_spatial"] == norms.lip_spatial.value
+            reports.append(norms.lip_spatial)
+        if "lip_measure" in record:
+            assert record["lip_measure"] == norms.lip_measure.value
+            assert record["lip_free"] == [n.value for n in norms.lip_free]
+        for n in reports:
+            assert n.grid <= n.value
+            assert n.slack == n.value - n.grid
+        if len(values) + 1 > max(c.degree() for c in f.kernel.components):
+            past += 1
+    return past
+
+
+def test_bound_constants_equal_the_norms_report():
+    box = (-4, 4)
+    past = 0
+    for (f1, c, _, _), (f2, _, x0, y0) in _tied_instances():
+        for n in (1, 2, 3):
+            res = taylor1(f1, c.left(), c, n, box=box)
+            past += _assert_bound_tied_to_report(f1, res.bound_terms, box)
+        for g in BOUND_GRADINGS.values():
+            res = taylor2(f2, x0, y0, c, g, box=box)
+            assert {"lip_spatial", "lip_measure"} <= {k for r in res.bound_terms for k in r}
+            past += _assert_bound_tied_to_report(f2, res.bound_terms, box)
+    assert past > 0
 
 
 def test_bound_rejects_data_outside_box():

@@ -47,6 +47,14 @@ def random_point(rng, e):
     return tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(e))
 
 
+def test_kernel_degree_is_the_largest_component_degree():
+    two = MPoly(2, {(1, 1): F(1), (1, 0): F(2)})
+    three = MPoly(2, {(0, 3): F(-1)})
+    assert PolyKernel(1, 2, 1, True, [two, three]).degree == 3
+    assert PolyKernel(1, 1, 2, False, [MPoly(2)]).degree == 0
+    assert PolyKernel(1, 0, 2, False, []).degree == 0
+
+
 def test_kernel_json_round_trip():
     rng = random.Random(0)
     f = random_functional(rng, 2, 2, True, d=2)

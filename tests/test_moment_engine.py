@@ -1,6 +1,7 @@
 """The moment-compiled jet and remainder operators against the literal
 per-configuration sums of `config_loop_reference`."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,9 +9,14 @@ import pytest
 
 from lionsjet.cli import _tolerance
 from lionsjet.expansion import taylor1, taylor2, taylor_derivative
-from lionsjet.functional import MomentView, contract_derivative, lions_derivative
+from lionsjet.functional import (
+    MomentView,
+    contract_derivative,
+    eval_derivative_brute,
+    lions_derivative,
+)
 from lionsjet.measures import pair_coupling
-from lionsjet.poly import XiPoly
+from lionsjet.poly import Tensor, XiPoly
 from lionsjet.tagged import Grading, TaggedSeq, grade
 
 from config_loop_reference import graded_reference, taylor1_reference
@@ -63,7 +69,7 @@ def test_taylor2_matches_configuration_loops(g, n_atoms, e):
 
 
 @pytest.mark.parametrize("n_atoms,e", SIZES)
-@pytest.mark.parametrize("values", [(1,), (1, 2), (0, 1)])
+@pytest.mark.parametrize("values", [(1,), (1, 2), (0, 1), (0, 1, 1)])
 def test_taylor_derivative_matches_configuration_loops(values, n_atoms, e):
     rng = random.Random(1000 * len(values) + 10 * n_atoms + e)
     a = TaggedSeq(values)
@@ -123,3 +129,91 @@ def test_int_direction_on_path_view():
         (sum(2 * x * g for x, g in zip(xs, gs)) / 2, sum(2 * g * g for g in gs) / 2)
     )
     assert got == want
+
+
+def _brute_contraction(ts, x0, view, fixed, dirvecs):
+    """The contraction computed without the moment engine: the brute nested
+    loop evaluation at every configuration of the averaged coupling
+    variables, contracted entry by entry and averaged."""
+    e, d = ts.kernel.e, ts.kernel.d
+    kept = [p for p, v in enumerate(dirvecs) if v is None]
+    n_avg = ts.n_free - len(fixed)
+    out = Tensor((d,) + (e,) * len(kept))
+    for idx in itertools.product(range(view.n_atoms), repeat=n_avg):
+        free = list(fixed) + [view.atoms[i] for i in idx]
+        vecs = [view.gaps[idx[v]] if isinstance(v, int) else v for v in dirvecs]
+        full = eval_derivative_brute(ts, x0, view, free)
+        for comp in range(d):
+            for coords in itertools.product(range(e), repeat=ts.order):
+                weight = 1
+                for p, vec in enumerate(vecs):
+                    if vec is not None:
+                        weight = weight * vec[coords[p]]
+                key = (comp,) + tuple(coords[p] for p in kept)
+                out[key] = out[key] + full[(comp,) + coords] * weight
+    return out.scale(Fraction(1, view.n_atoms**n_avg))
+
+
+def _kernel_degree(f):
+    """The largest total degree of a component, computed here from the
+    polynomials."""
+    return max(c.degree() for c in f.kernel.components)
+
+
+def _kernel_of_degree(rng, e, spatial, degree):
+    for _ in range(100):
+        f = random_functional(rng, e, 2, spatial, degree=degree)
+        if _kernel_degree(f) == degree:
+            return f
+    raise AssertionError(f"no kernel of degree {degree} drawn")
+
+
+# letters in these orders form valid sequences at every length
+_PATTERNS = {True: (0, 1, 2, 1, 0, 2), False: (1, 2, 1, 2, 3, 1)}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("spatial", [True, False], ids=["spatial", "measure"])
+@pytest.mark.parametrize("directions", ["none", "vector", "gap"])
+@pytest.mark.parametrize("past", [0, 1, 2], ids=["order=degree", "degree+1", "degree+2"])
+def test_contraction_past_kernel_degree_matches_brute(past, directions, spatial, mode):
+    # past the kernel degree the engine returns zeros at once; at the
+    # degree itself it still evaluates every cell
+    rng = random.Random(f"past-degree:{past}:{directions}:{spatial}")
+    e = 2
+    degree = rng.choice([1, 2]) if past else rng.choice([2, 3])
+    f = _kernel_of_degree(rng, e, spatial, degree)
+    values = _PATTERNS[spatial][: degree + past]
+    ts = lions_derivative(f, TaggedSeq(values))
+    assert ts.order - _kernel_degree(f) == past and ts.terms
+    point = lambda: random_point(rng, e)
+    atoms = [point() for _ in range(2)]
+    gaps = [point() for _ in range(2)]
+    x0 = point() if spatial else None
+    vec = {letter: point() for letter in range(ts.n_free + 1)}
+    if mode == "float":
+        as_float = lambda p: tuple(map(float, p))
+        atoms, gaps = [as_float(p) for p in atoms], [as_float(p) for p in gaps]
+        vec = {k: as_float(v) for k, v in vec.items()}
+        x0 = x0 and as_float(x0)
+    view = MomentView(atoms, dim=e, gaps=gaps)
+    if directions == "gap":
+        # the first free variable fixed and left uncontracted, the others averaged
+        n_fixed = min(1, ts.n_free)
+        dirvecs = [
+            vec[0] if v == 0 else None if v <= n_fixed else v - n_fixed - 1 for v in values
+        ]
+    else:
+        n_fixed = ts.n_free
+        dirvecs = [vec[v] if directions == "vector" else None for v in values]
+    fixed = [view.atoms[i % view.n_atoms] for i in range(n_fixed)]
+    got = contract_derivative(ts, x0, view, fixed, dirvecs)
+    want = _brute_contraction(ts, x0, view, fixed, dirvecs)
+    assert got.shape == want.shape == (1,) + (e,) * dirvecs.count(None)
+    if past:
+        assert not any(got.data) and got == want
+    if mode == "rational":
+        assert got == want
+        assert all(isinstance(v, Fraction) for v in got.data)
+    else:
+        assert float((got - want).max_abs()) <= _tolerance("float") * (1 + float(want.max_abs()))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lionsjet.errors import EnumerationLimitError, ValidationError
+from lionsjet.partitions import PartitionSeq
 from lionsjet.tagged import (
     ExtendedSeq,
     Grading,
@@ -271,6 +272,26 @@ def test_extension_validation():
         ExtendedSeq(base, (4,))
     with pytest.raises(ValidationError):
         ExtendedSeq(base, (3, 5))
+
+
+@pytest.mark.parametrize(
+    "letter", [1.9, 1.0, "1", Fraction(1), Fraction(3, 2), None], ids=repr
+)
+def test_non_integral_letters_are_rejected(letter):
+    # int() used to truncate them: TaggedSeq((0, 1.9)) == TaggedSeq((0, 1))
+    with pytest.raises(ValidationError):
+        TaggedSeq((0, letter))
+    with pytest.raises(ValidationError):
+        PartitionSeq((1, letter))
+    with pytest.raises(ValidationError):
+        ExtendedSeq(TaggedSeq((1,)), (letter,))
+
+
+def test_bool_letters_are_integers():
+    a = TaggedSeq((False, True))
+    assert a == TaggedSeq((0, 1))
+    assert [type(v) for v in a.values] == [int, int]
+    assert ExtendedSeq(TaggedSeq(()), (True,)).values == (1,)
 
 
 def test_iso_concatenation():
