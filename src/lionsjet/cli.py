@@ -519,7 +519,7 @@ def run(args, out=None):
             return _cmd_expand(args, out)
         if args.command == "converge":
             return _cmd_converge(args, out)
-    except (ValidationError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -5,8 +5,14 @@ every coupling configuration: one atom pair per coupling variable of the
 derivative. Per kernel monomial that m-fold average factorizes into a product
 of mixed coupling moments (1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per
 pinned slot, so the operator costs time linear in the atom count N (see
-`functional.contract_derivative`). Truncating the expansion at an order (or
-at a grading level) leaves remainder terms indexed by the boundary families;
+`functional.contract_derivative`). With rational data each moment is a sum
+of plain integers over power tables scaled once per view, divided once at
+the end (`measures.MomentView`), and the base and path views of a coupling
+share their gap tables. Each partial derivative of a kernel component is
+differentiated once per expansion or bound call: the derivatives built by
+one call share one table (`functional._derivative`), dropped when the call
+returns. Truncating the expansion at an order (or at a grading level)
+leaves remainder terms indexed by the boundary families;
 on the interpolation path the atoms have coordinates polynomial in the path
 parameter, so the same moments are polynomials and the integrals are taken
 in closed form, and
@@ -45,7 +51,8 @@ from fractions import Fraction
 from .errors import ValidationError
 from .functional import (
     MomentView,
-    certified_sup,
+    _certified_sup,
+    _derivative,
     contract_derivative,
     eval_derivative,
     lions_derivative,
@@ -157,6 +164,13 @@ def _at_one(value):
     return value.eval(Fraction(1)) if isinstance(value, XiPoly) else value
 
 
+def _check_dimension(f, c, points):
+    """Every atom and every given point has the kernel's e coordinates."""
+    e = f.kernel.e
+    if c.dim != e or any(len(p) != e for p in points):
+        raise ValidationError(f"points must have e = {e} coordinates, as the kernel does")
+
+
 def _check_marginal(coupling, mu):
     if mu is not None and coupling.left() != mu:
         raise ValidationError("coupling left marginal differs from the measure")
@@ -169,6 +183,7 @@ def eval_Da(f, a, x0, displacement, mu, c):
     letter j). For the empty sequence this is f(x0, mu)."""
     a = as_tagged(a)
     _check_marginal(c, mu)
+    _check_dimension(f, c, [p for p in (x0, displacement) if p is not None])
     if f.has_spatial and (x0 is None or displacement is None):
         raise ValidationError("spatial argument and displacement required")
     if not f.has_spatial and (x0 is not None or displacement is not None):
@@ -182,11 +197,8 @@ def _coupling_views(c):
     """Views of the left marginal, of the straight path to the right
     marginal (coordinates in `XiPoly`), and of the right marginal; the first
     two carry the coupling gaps for the averaged coupling variables."""
-    gaps = c.gaps()
-    base = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=gaps)
-    path = MomentView(
-        [_affine_point(x, y) for x, y in c.pairs], dim=c.dim, gaps=gaps
-    )
+    base = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=c.gaps())
+    path = base.with_atoms([_affine_point(x, y) for x, y in c.pairs])
     target = MomentView([y for _, y in c.pairs], dim=c.dim)
     return base, path, target
 
@@ -220,6 +232,7 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
     `base` after the leading output axis.
     """
     base = as_tagged(base)
+    _check_dimension(f, c, [p for pair in tagged_pairs for p in pair])
     kernel = f.kernel
     m0 = base.m
     n0 = len(base)
@@ -235,6 +248,7 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
     first, seq_type = (0, TaggedSeq) if f.has_spatial else (1, PartitionSeq)
     core, *families = _graded_value_families(alpha, beta, eta, m0, first)
     dts_cache = {}
+    partials = {}
 
     def evaluate(values, tagged_at_xi, measure_at_xi):
         """Contract the derivative for base+values, averaged over the
@@ -242,7 +256,7 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
         interpolation path."""
         ts = dts_cache.get(values)
         if ts is None:
-            ts = lions_derivative(f, TaggedSeq(base.values + values))
+            ts = _derivative(f, TaggedSeq(base.values + values), partials)
             dts_cache[values] = ts
         tagged = tagged_path if tagged_at_xi else tagged_base
         view = path_view if measure_at_xi else base_view
@@ -275,7 +289,7 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
             remainder_terms[(family, values)] = term
 
     actual = eval_derivative(
-        lions_derivative(f, base),
+        _derivative(f, base, partials),
         tagged_target[0] if kernel.has_spatial else None,
         target_view,
         tagged_target[1:],
@@ -378,6 +392,18 @@ def _check_box_membership(box, points):
                 raise ValidationError(f"point {p} outside box")
 
 
+def _product(constant, *factors):
+    """constant * factors[0] * factors[1] * ..., multiplied left to right,
+    and 0.0 when a factor is exactly 0: a term whose moment or displacement
+    vanishes contributes nothing, even when its constant overflowed to inf
+    (inf * 0.0 would make the bound nan)."""
+    if not all(factors):
+        return 0.0
+    for factor in factors:
+        constant *= factor
+    return constant
+
+
 def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box):
     """Certified bound for the graded remainder (empty base), with one
     record per member of each remainder family.
@@ -392,6 +418,7 @@ def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box):
     q-th factor is raised by one. M_p is the p-th coupling moment.
     """
     box = normalize_box(box, f.kernel.e)
+    _check_dimension(f, c, [p for pair in tagged_pairs for p in pair])
     _check_box_membership(box, [x for x, _ in c.pairs])
     _check_box_membership(box, [y for _, y in c.pairs])
     _check_box_membership(box, [p for pair in tagged_pairs for p in pair])
@@ -399,9 +426,10 @@ def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box):
         sum((float(b) - float(a)) ** 2 for x, y in tagged_pairs for a, b in zip(x, y))
     )
     mom = functools.cache(lambda p: coupling_moment(c, p))
+    partials = {}
 
     def lip(values, letter):
-        return certified_sup(f, TaggedSeq(values + (letter,)), box)
+        return _certified_sup(f, TaggedSeq(values + (letter,)), box, partials)
 
     _, *families = _graded_value_families(
         alpha, beta, gamma, 0, 0 if f.has_spatial else 1
@@ -419,18 +447,18 @@ def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box):
             term = 0.0
             if spatial_moves:
                 record["lip_spatial"] = lip(values, 0)
-                term += record["lip_spatial"] * disp_norm ** (z + 1) * prod
+                term += _product(record["lip_spatial"], disp_norm ** (z + 1), prod)
             if measure_moves:
                 dz = disp_norm**z
                 record["lip_measure"] = lip(values, len(ks) + 1)
                 record["lip_free"] = [lip(values, q) for q in range(1, len(ks) + 1)]
                 record["block_moments"] = [mom(k) for k in ks]
-                term += record["lip_measure"] * mom(1) * dz * prod
+                term += _product(record["lip_measure"], mom(1), dz, prod)
                 for q, lip_q in enumerate(record["lip_free"], start=1):
                     prod_q = math.prod(
                         mom(k + (1 if j == q else 0)) for j, k in enumerate(ks, start=1)
                     )
-                    term += lip_q * dz * prod_q
+                    term += _product(lip_q, dz, prod_q)
             term *= 1.0 / math.factorial(len(values))
             record["term"] = term
             total += term

@@ -228,15 +228,23 @@ class DerivTerm:
 
 class DerivTermSum:
     """The derivative of a functional indexed by a tagged sequence, as a sum
-    of slot-assignment terms over the shared kernel."""
+    of slot-assignment terms over the shared kernel.
 
-    __slots__ = ("functional", "seq", "terms", "_dcache")
+    `partials` is the table of partial derivatives of the kernel components
+    that `deriv_poly` reads and fills, keyed by (output, sorted variables).
+    `lions_derivative` gives each derivative a fresh one; the derivatives
+    built within one expansion, bound or norm report share one (see
+    `_derivative`), so a partial derivative that several sequences reach is
+    computed once per call.
+    """
+
+    __slots__ = ("functional", "seq", "terms", "partials")
 
     def __init__(self, functional, seq, terms):
         self.functional = functional
         self.seq = seq
         self.terms = tuple(terms)
-        self._dcache = {}
+        self.partials = {}
 
     @property
     def kernel(self):
@@ -252,27 +260,37 @@ class DerivTermSum:
 
     def deriv_poly(self, out, term, coords):
         """The kernel component differentiated once per direction, direction
-        p acting on coordinate coords[p] of slot term.dirs[p]."""
+        p acting on coordinate coords[p] of slot term.dirs[p].
+
+        Partial derivatives commute, so the table keys them by the sorted
+        variables; each entry is one `diff` of the entry for its prefix, and
+        the zero polynomial once a prefix is zero."""
         kernel = self.kernel
-        pairs = tuple(
+        variables = tuple(
             sorted(
                 kernel.slot_offset(slot) + c for slot, c in zip(term.dirs, coords)
             )
         )
-        key = (out, pairs)
-        poly = self._dcache.get(key)
-        if poly is None:
-            poly = kernel.components[out]
-            for var in pairs:
-                poly = poly.diff(var)
-            self._dcache[key] = poly
-        return poly
+        return _partial(self.partials, kernel, out, variables)
 
     def __repr__(self):
         return (
             f"DerivTermSum(seq={self.seq.values}, {len(self.terms)} terms, "
             f"kernel={self.kernel!r})"
         )
+
+
+def _partial(table, kernel, out, variables):
+    key = (out, variables)
+    poly = table.get(key)
+    if poly is None:
+        if not variables:
+            poly = kernel.components[out]
+        else:
+            prefix = _partial(table, kernel, out, variables[:-1])
+            poly = prefix.diff(variables[-1]) if prefix else prefix
+        table[key] = poly
+    return poly
 
 
 def _past_degree(kernel, order):
@@ -321,6 +339,17 @@ def lions_derivative(f, a):
         if not terms:
             break
     return DerivTermSum(f, a, terms)
+
+
+def _derivative(f, a, partials):
+    """`lions_derivative(f, a)` reading and filling the partial-derivative
+    table `partials`, which the caller shares among the derivatives of `f`
+    it builds. The table is made by and dropped with that one call (an
+    expansion, a bound or a norm report); nothing keeps it on the kernel,
+    functional or coupling, so no call reuses another's work."""
+    ts = lions_derivative(f, a)
+    ts.partials = partials
+    return ts
 
 
 def _slot_values_for(ts, term, x0, free):
@@ -444,13 +473,16 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
 
 
 def normalize_box(box, e):
-    """Accept (lo, hi) or a per-coordinate list of (lo, hi) pairs."""
+    """Accept (lo, hi) or a per-coordinate list of (lo, hi) pairs of finite
+    endpoints."""
     if len(box) == 2 and not hasattr(box[0], "__len__"):
         box = [box] * e
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != e:
         raise ValidationError(f"box must have {e} coordinate intervals")
     for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError(f"box endpoints must be finite, got ({lo}, {hi})")
         if not lo < hi:
             raise ValidationError("degenerate box interval")
     return box
@@ -530,14 +562,18 @@ def _combined_polys(ts):
 
 
 def _crude_sup(poly, var_bounds):
-    """Certified sup of |poly| on the box: sum of |coeff| * prod bound^exp."""
+    """Certified sup of |poly| on the box: sum of |coeff| * prod bound^exp,
+    or inf when that exceeds the float range."""
     total = 0.0
-    for exps, coeff in poly.terms.items():
-        factor = abs(float(coeff))
-        for b, p in zip(var_bounds, exps):
-            if p:
-                factor *= b**p
-        total += factor
+    try:
+        for exps, coeff in poly.terms.items():
+            factor = abs(float(coeff))
+            for b, p in zip(var_bounds, exps):
+                if p:
+                    factor *= b**p
+            total += factor
+    except OverflowError:
+        return math.inf
     return total
 
 
@@ -553,7 +589,8 @@ def _frobenius_sup(polys, box_scalar):
     var_bounds = [max(abs(lo), abs(hi)) for lo, hi in box_scalar]
     certified_sq = 0.0
     for poly in polys:
-        certified_sq += _crude_sup(poly, var_bounds) ** 2
+        sup = _crude_sup(poly, var_bounds)
+        certified_sq += sup * sup
     return math.sqrt(certified_sq)
 
 
@@ -566,9 +603,13 @@ def certified_sup(f, seq, box):
     derivative: every entry of its combined polynomials is zero, so the sum
     of squared entry bounds is 0.0 and so is its root.
     """
+    return _certified_sup(f, seq, box, {})
+
+
+def _certified_sup(f, seq, box, partials):
     if _past_degree(f.kernel, len(seq)):
         return 0.0
-    polys, nvars_g = _combined_polys(lions_derivative(f, seq))
+    polys, nvars_g = _combined_polys(_derivative(f, seq, partials))
     return _frobenius_sup(polys.values(), _box_scalar(box, nvars_g, f.kernel.e))
 
 
@@ -618,10 +659,11 @@ def norms_on_box(ts, box, samples=5):
     """
     box = normalize_box(box, ts.kernel.e)
     f, values, m = ts.functional, ts.seq.values, ts.n_free
+    partials = {}
 
     def next_norm(letter):
         seq = TaggedSeq(values + (letter,))
-        return _sup_report(lions_derivative(f, seq), box, samples)
+        return _sup_report(_derivative(f, seq, partials), box, samples)
 
     return NormEstimates(
         sup=_sup_report(ts, box, samples),

@@ -15,16 +15,92 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+import operator
 from fractions import Fraction
 
 from .errors import UnsupportedError, ValidationError
-from .poly import parse_rational
+from .poly import XiPoly, parse_rational
 
 
 def _as_point(coords):
     return tuple(
         c if isinstance(c, (Fraction, float)) else parse_rational(c) for c in coords
     )
+
+
+class _PowerTables:
+    """Integer power tables of N vectors whose coordinates are all rationals
+    (`int` or `Fraction`), or all `XiPoly` with rational coefficients.
+
+    Every coordinate is scaled once by `scale`, the lcm of all denominators,
+    so that it is an integer (an integer coefficient list for an `XiPoly`).
+    `rows(exps)` is the table of the monomial with exponents `exps`: row k
+    lists, vector by vector, the coefficient of xi^k in
+    scale^|exps| * prod_c v_c^exps_c (a single row for rational
+    coordinates). Each table is one elementwise product of a smaller table
+    and a coordinate's table, built on first use and kept.
+    """
+
+    __slots__ = ("scale", "poly", "_rows")
+
+    def __init__(self, scale, poly, coeff_lists, n, dim):
+        self.scale = scale
+        self.poly = poly
+        self._rows = {(0,) * dim: [[1] * n]}
+        for c in range(dim):
+            unit = tuple(int(i == c) for i in range(dim))
+            length = max(1, max(len(v[c]) for v in coeff_lists))
+            self._rows[unit] = [
+                [_scaled(v[c], k, scale) for v in coeff_lists] for k in range(length)
+            ]
+
+    @classmethod
+    def of(cls, vectors, dim):
+        """The tables of `vectors`, or None when a coordinate is of another
+        kind (float, symbolic, or a mix of rationals and `XiPoly`) or a
+        vector is not of length `dim`."""
+        if any(len(v) != dim for v in vectors):
+            return None
+        kinds = {type(c) for v in vectors for c in v}
+        if kinds <= {int, Fraction}:
+            poly, coeff_lists = False, [[(c,) for c in v] for v in vectors]
+        elif kinds == {XiPoly}:
+            poly, coeff_lists = True, [[c.coeffs for c in v] for v in vectors]
+            if not {type(q) for v in coeff_lists for c in v for q in c} <= {int, Fraction}:
+                return None
+        else:
+            return None
+        scale = math.lcm(*(q.denominator for v in coeff_lists for c in v for q in c))
+        return cls(scale, poly, coeff_lists, len(vectors), dim)
+
+    def rows(self, exps):
+        table = self._rows.get(exps)
+        if table is None:
+            c = max(i for i, p in enumerate(exps) if p)
+            lower = exps[:c] + (exps[c] - 1,) + exps[c + 1 :]
+            unit = (0,) * c + (1,) + (0,) * (len(exps) - c - 1)
+            table = _times(self.rows(lower), self._rows[unit])
+            self._rows[exps] = table
+        return table
+
+
+def _scaled(coeffs, k, scale):
+    """scale times the coefficient of xi^k in `coeffs`, as an int."""
+    if k >= len(coeffs):
+        return 0
+    q = coeffs[k]
+    return q.numerator * (scale // q.denominator)
+
+
+def _times(a, b):
+    """Vector-by-vector product of two tables of xi-polynomials."""
+    out = [None] * (len(a) + len(b) - 1)
+    for j, b_row in enumerate(b):
+        for k, a_row in enumerate(a, j):
+            prod = list(map(operator.mul, a_row, b_row))
+            out[k] = prod if out[k] is None else list(map(operator.add, out[k], prod))
+    return out
 
 
 class MomentView:
@@ -40,9 +116,19 @@ class MomentView:
     which is what an averaged coupling variable contributes per monomial.
     One cache serves both: it is keyed by (exps, gap_exps), and `moment(exps)`
     is the case gap_exps = 0.
+
+    When every atom coordinate is an int or a Fraction, or every one is an
+    `XiPoly` with such coefficients (the path view), and every gap is an int
+    or a Fraction, the sum runs over integers: atoms and gaps are each
+    scaled once by the lcm of their denominators (`_PowerTables`), the
+    scaled powers are summed as plain ints, and the sum is divided once by
+    N * scale^degree. Scaling by a common integer commutes with sums and
+    products, so the result is the exact value the Fraction loop gives, of
+    the same type: a Fraction, or an `XiPoly` when a nonzero exponent falls
+    on a path coordinate. Float and symbolic atoms take the loop.
     """
 
-    __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_moments")
+    __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_moments", "_atom_tables", "_gap_tables")
 
     def __init__(self, atoms, dim=None, gaps=None):
         self.atoms = tuple(tuple(a) for a in atoms)
@@ -50,10 +136,20 @@ class MomentView:
         self.gaps = None if gaps is None else [tuple(g) for g in gaps]
         self._no_gaps = (0,) * self.dim
         self._moments = {}
+        self._atom_tables = self.atoms and _PowerTables.of(self.atoms, self.dim)
+        gap_tables = self.gaps and _PowerTables.of(self.gaps, self.dim)
+        self._gap_tables = None if gap_tables and gap_tables.poly else gap_tables
 
     @property
     def n_atoms(self):
         return len(self.atoms)
+
+    def with_atoms(self, atoms):
+        """The view of `atoms`, one per atom of this view, carrying this
+        view's gaps and sharing their power tables."""
+        view = MomentView(atoms, self.dim)
+        view.gaps, view._gap_tables = self.gaps, self._gap_tables
+        return view
 
     def moment(self, exps, gap_exps=None):
         key = (tuple(exps), tuple(gap_exps or self._no_gaps))
@@ -63,20 +159,42 @@ class MomentView:
             weighted = any(gap_exps)
             if weighted and self.gaps is None:
                 raise ValidationError("gap moments need a view with gaps")
-            total = 0
-            for i, atom in enumerate(self.atoms):
-                factor = Fraction(1)
-                for c, e in zip(atom, exps):
-                    if e:
-                        factor = factor * c**e
-                if weighted:
-                    for c, e in zip(self.gaps[i], gap_exps):
-                        if e:
-                            factor = factor * c**e
-                total = total + factor
-            cached = total * Fraction(1, len(self.atoms))
+            tables = self._atom_tables and (self._gap_tables or not weighted)
+            if tables and len(exps) == len(gap_exps) == self.dim:
+                cached = self._integer_moment(exps, gap_exps if weighted else None)
+            else:
+                cached = self._loop_moment(exps, gap_exps if weighted else None)
             self._moments[key] = cached
         return cached
+
+    def _integer_moment(self, exps, gap_exps):
+        atoms = self._atom_tables
+        rows = atoms.rows(exps)
+        denom = len(self.atoms) * atoms.scale ** sum(exps)
+        if gap_exps is None:
+            sums = [sum(row) for row in rows]
+        else:
+            gaps = self._gap_tables
+            (weights,) = gaps.rows(gap_exps)
+            denom *= gaps.scale ** sum(gap_exps)
+            sums = [sum(map(operator.mul, row, weights)) for row in rows]
+        if atoms.poly and any(exps):
+            return XiPoly([Fraction(s, denom) for s in sums])
+        return Fraction(sums[0], denom)
+
+    def _loop_moment(self, exps, gap_exps):
+        total = 0
+        for i, atom in enumerate(self.atoms):
+            factor = Fraction(1)
+            for c, e in zip(atom, exps):
+                if e:
+                    factor = factor * c**e
+            if gap_exps is not None:
+                for c, e in zip(self.gaps[i], gap_exps):
+                    if e:
+                        factor = factor * c**e
+            total = total + factor
+        return total * Fraction(1, len(self.atoms))
 
 
 class EmpiricalMeasure(MomentView):

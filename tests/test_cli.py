@@ -228,6 +228,69 @@ def _expand_inputs(tmp_path):
     return str(kpath), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
 
 
+def test_expand_bound_on_huge_box_is_never_nan(tmp_path, capsys):
+    # a coupling that moves no atom and a box whose constants overflow to
+    # inf: the bound used to print NaN
+    kernel = PolyFunctional(PolyKernel(1, 1, 2, False, [MPoly(2, {(2, 1): F(1)})]))
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel.to_json()))
+    save_points(tmp_path / "x.csv", [(F(1),), (F(-1),)])
+    args = ["expand", "--kernel", str(kpath), "--points", str(tmp_path / "x.csv"),
+            "--points2", str(tmp_path / "x.csv"), "--order", "1"]
+    code, text = run_cli(args + ["--box", " -1e308", "1e308"])
+    assert code == 0 and "NaN" not in text
+    assert json.loads(text)["remainder_bound"] == 0.0
+    for lo, hi in [(" -inf", "inf"), ("0", "inf"), ("nan", "1")]:
+        assert_one_line_exit_two(args + ["--box", lo, hi], capsys)
+    save_points(tmp_path / "d.csv", [(F(1),), (F(1),)])
+    converge = ["converge", "--kernel", str(kpath), "--points", str(tmp_path / "x.csv"),
+                "--directions", str(tmp_path / "d.csv"), "--order", "1"]
+    assert_one_line_exit_two(converge + ["--box", " -inf", "inf"], capsys)
+
+
+def test_expand_bound_out_of_float_range_exits_two(tmp_path, capsys):
+    # a coupling moment past the float range used to end in an
+    # OverflowError traceback
+    kpath, _, _ = _expand_inputs(tmp_path)
+    save_points(tmp_path / "far.csv", [(F(10**200),)])
+    save_points(tmp_path / "zero.csv", [(F(0),)])
+    assert_one_line_exit_two(["expand", "--kernel", kpath, "--points", str(tmp_path / "zero.csv"),
+                              "--points2", str(tmp_path / "far.csv"), "--order", "1",
+                              "--box", " -1e300", "1e300"], capsys)
+
+
+def test_point_cell_past_float_range_with_box_exits_two(tmp_path, capsys):
+    # "1e400" is an exact rational, but the box check converts it to float;
+    # that used to end in an OverflowError traceback
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    (tmp_path / "far.csv").write_text("1e400\n0\n")
+    far = str(tmp_path / "far.csv")
+    assert_one_line_exit_two(["expand", "--kernel", kpath, "--points", xpath, "--points2", far,
+                              "--order", "1", "--box", "-4", "4"], capsys)
+
+
+def test_kernel_and_point_dimensions_must_agree(tmp_path, capsys):
+    # a kernel with e = 2 on points in R^1 used to print an expansion of
+    # truncated monomials (measure-only) or end in an IndexError traceback
+    # (spatial); found by the kernel/point contents fuzz
+    kernel = PolyFunctional(PolyKernel(2, 1, 1, True, [MPoly(4, {(0, 0, 0, 1): F(1)})]))
+    kpath = tmp_path / "k2.json"
+    kpath.write_text(json.dumps(kernel.to_json()))
+    measure = PolyFunctional(PolyKernel(2, 1, 1, False, [MPoly(2, {(1, 1): F(1)})]))
+    mpath = tmp_path / "m2.json"
+    mpath.write_text(json.dumps(measure.to_json()))
+    save_points(tmp_path / "x1.csv", [(F(1, 2),), (F(1),)])
+    save_points(tmp_path / "x2.csv", [(F(1, 2), F(0)), (F(1), F(1))])
+    x1, x2 = str(tmp_path / "x1.csv"), str(tmp_path / "x2.csv")
+    graded = ["--grading", "5/2", "1", "1", "--x0=0,0", "--y0=1,0"]
+    on = lambda k, x: ["expand", "--kernel", str(k), "--points", x, "--points2", x]
+    assert_one_line_exit_two(on(kpath, x1) + graded, capsys)
+    assert_one_line_exit_two(on(mpath, x1) + ["--order", "1"], capsys)
+    short = ["--grading", "5/2", "1", "1", "--x0=0", "--y0=1"]
+    assert_one_line_exit_two(on(kpath, x2) + short, capsys)
+    assert run_cli(on(kpath, x2) + graded)[0] == 0
+
+
 def test_expand_missing_inputs_exit_two(tmp_path, capsys):
     kpath, xpath, ypath = _expand_inputs(tmp_path)
     points = ["--points", xpath, "--points2", ypath]
@@ -552,6 +615,108 @@ def test_expand_converge_verify_fuzz_exit_codes(fuzz_files, data):
     with contextlib.redirect_stderr(err):
         code = main(argv, out=out)
     assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+
+
+# -- fuzzing the contents of kernel and point files ---------------------------
+
+_BAD_VALUES = {
+    "e": [-1, 0, "1", 1.5, None],
+    "d": [0, 2, -1, "1", None],
+    "arity": [-1, 0, 3, "2", 1.5, None],
+    "spatial": ["yes", None, 2],
+    "out": [-1, 1, "0", 0.5, None],
+    "coeff": ["x", "", "1/0", "0.5", "nan", "inf", "1e400", 1.5, None, [1]],
+}
+_DEFECTS = [None] * 5 + ["ragged", "negative", "row", "missing"] + sorted(_BAD_VALUES)
+
+
+@st.composite
+def _kernel_document(draw):
+    """A kernel JSON document with at most one defect: a bad value of e, d,
+    arity, spatial, out or coeff; a ragged, negative or non-integral
+    exponent row; a row too many; or a missing key."""
+    defect = draw(st.sampled_from(_DEFECTS))
+    e, arity = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    spatial = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = [[draw(st.integers(0, 2)) for _ in range(e)] for _ in range(arity + spatial)]
+        coeff = draw(st.sampled_from(["1", "-1/2", "3/4", "2", 1]))
+        terms.append({"out": 0, "coeff": coeff, "exps": exps})
+    doc = {"e": e, "d": 1, "arity": arity, "spatial": spatial, "terms": terms}
+    term, row = terms[0], draw(st.integers(0, arity + spatial - 1))
+    if defect in ("e", "d", "arity", "spatial"):
+        doc[defect] = draw(st.sampled_from(_BAD_VALUES[defect]))
+    elif defect in ("out", "coeff"):
+        term[defect] = draw(st.sampled_from(_BAD_VALUES[defect]))
+    elif defect == "ragged":
+        term["exps"][row] = term["exps"][row][:-1] + [1, 1]
+    elif defect == "negative":
+        term["exps"][row][0] = draw(st.sampled_from([-1, 1.5, "1", None]))
+    elif defect == "row":
+        term["exps"].append([0] * e)
+    elif defect == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+_CELLS = ["0", "1", "-1", "1/2", "-2/3"]
+_BAD_CELLS = ["x", "", "1/0", "0.5", "nan", "inf", "1e400", " 1"]
+
+
+@st.composite
+def _point_file(draw, width):
+    """CSV point-file contents of rows of `width` cells with at most one
+    defect: an unparsable cell, a ragged row, or an empty or JSON file."""
+    defect = draw(st.sampled_from([None, None, None, "cell", "ragged", "file"]))
+    if defect == "file":
+        return draw(st.sampled_from(["", "\n", "[]", "[[1], [2, 3]]", '[["1/2"], [1]]']))
+    n_rows = draw(st.integers(1, 3))
+    rows = [[draw(st.sampled_from(_CELLS)) for _ in range(width)] for _ in range(n_rows)]
+    if defect == "cell":
+        rows[-1][0] = draw(st.sampled_from(_BAD_CELLS))
+    elif defect == "ragged":
+        rows[-1] = rows[-1] + ["1"] if draw(st.booleans()) else rows[-1][:-1]
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+@pytest.fixture(scope="module")
+def content_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contents")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_and_point_contents_fuzz_exit_codes(content_dir, data):
+    kernel, x, y = (content_dir / n for n in ("kernel.json", "x.csv", "y.csv"))
+    kernel.write_text(json.dumps(data.draw(_kernel_document())))
+    width = data.draw(st.sampled_from([1, 2]))
+    x.write_text(data.draw(_point_file(width)))
+    y.write_text(data.draw(_point_file(width)))
+    common = ["--kernel", str(kernel), "--points", str(x)]
+    if data.draw(st.booleans()):
+        argv = ["expand", *common, "--points2", str(y)]
+        if data.draw(st.booleans()):
+            argv += ["--order", data.draw(st.sampled_from(["1", "2"]))]
+        else:
+            argv += ["--grading", "5/2", "1", "1", "--x0=0", "--y0=1/2"]
+        argv += ["--box", "-4", "4"] if data.draw(st.booleans()) else []
+    else:
+        argv = ["converge", *common, "--directions", str(y), "--h-list", "1/2,1/4"]
+        if data.draw(st.booleans()):
+            argv += ["--order", "1"]
+        else:
+            argv += ["--grading", "5/2", "1", "1", "--x0=0", "--x0-direction=1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (0, 2)
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")

@@ -15,7 +15,12 @@ from lionsjet.expansion import (
     taylor2,
     taylor_derivative,
 )
-from lionsjet.functional import eval_derivative, lions_derivative, norms_on_box
+from lionsjet.functional import (
+    eval_derivative,
+    lions_derivative,
+    normalize_box,
+    norms_on_box,
+)
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
 from lionsjet.poly import XiPoly
 from lionsjet.tagged import Grading, TaggedSeq
@@ -508,6 +513,60 @@ def test_bound_rejects_data_outside_box():
     c = pair_coupling([(F(5),)], [(F(0),)])
     with pytest.raises(ValidationError):
         remainder_bound1(f, c, 1, (-1, 1))
+
+
+def test_bound_is_never_nan_when_a_constant_overflows():
+    # on a box of half-width 1e308 the Lipschitz constants overflow to inf;
+    # with a coupling that moves no atom (and x0 == y0) every moment and
+    # displacement factor is 0, and inf * 0.0 used to make the bound nan
+    f = kernel_1d({(2, 1): F(1)}, arity=2)
+    g = kernel_1d({(1, 1, 1): F(1)}, arity=2, spatial=True)
+    still = pair_coupling([(F(1),), (F(-1),)], [(F(1),), (F(-1),)])
+    box = (-1e308, 1e308)
+    assert remainder_bound1(f, still, 1, box) == 0.0
+    assert remainder_bound2(g, (F(0),), (F(0),), still, Grading(1, 1, F(3, 2)), box) == 0.0
+    res = taylor1(f, still.left(), still, 1, box=box)
+    assert res.remainder_bound == 0.0
+    assert all(record["term"] == 0.0 for record in res.bound_terms)
+    assert math.inf in res.bound_terms[0]["lip_free"]
+    # a moved atom leaves an infinite, still valid, upper bound
+    assert remainder_bound1(f, pair_coupling([(F(1),)], [(F(2),)]), 1, box) == math.inf
+    # a degree-4 constant overflows in a power, which used to raise
+    h = kernel_1d({(3, 1): F(1)}, arity=2)
+    assert remainder_bound1(h, pair_coupling([(F(1),)], [(F(2),)]), 1, box) == math.inf
+
+
+def test_bounds_reject_non_finite_boxes():
+    f = kernel_1d({(2, 1): F(1)}, arity=2)
+    c = pair_coupling([(F(1),)], [(F(2),)])
+    for box in [(-math.inf, math.inf), (0, math.inf), (math.nan, 1), [(-1, 1), (-math.inf, 1)]]:
+        with pytest.raises(ValidationError):
+            normalize_box(box, len(box) if isinstance(box, list) else 1)
+    with pytest.raises(ValidationError, match="finite"):
+        remainder_bound1(f, c, 1, (-math.inf, math.inf))
+    with pytest.raises(ValidationError, match="finite"):
+        taylor1(f, c.left(), c, 1, box=(-4, math.inf))
+
+
+def test_expansions_reject_points_of_another_dimension():
+    rng = random.Random(26)
+    f = random_functional(rng, 2, 1, False)
+    fs = random_functional(rng, 2, 1, True)
+    c1, c2 = random_coupling(rng, 2, 1), random_coupling(rng, 2, 2)
+    x0, y0, x1 = random_point(rng, 2), random_point(rng, 2), random_point(rng, 1)
+    g = Grading(1, 1, F(5, 2))
+    calls = [
+        lambda: taylor1(f, c1.left(), c1, 1),
+        lambda: remainder_bound1(f, c1, 1, (-4, 4)),
+        lambda: eval_Da(f, TaggedSeq((1,)), None, None, c1.left(), c1),
+        lambda: taylor2(fs, x0, y0, c1, g),
+        lambda: taylor2(fs, x1, y0, c2, g),
+        lambda: remainder_bound2(fs, x0, x1, c2, g, (-4, 4)),
+        lambda: taylor_derivative(fs, TaggedSeq((1,)), x0, y0, [x1], [x0], c2, g),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="coordinates"):
+            call()
 
 
 def test_bounds_reject_the_wrong_kind_of_functional():

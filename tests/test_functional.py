@@ -1,21 +1,25 @@
 """Symbolic derivatives of polynomial functionals, evaluation, box norms."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from lionsjet.errors import ValidationError
+from lionsjet.expansion import taylor1
 from lionsjet.functional import (
+    MomentView,
     PolyFunctional,
     PolyKernel,
+    _derivative,
     contract_derivative,
     eval_derivative,
     eval_derivative_brute,
     lions_derivative,
     norms_on_box,
 )
-from lionsjet.measures import EmpiricalMeasure
+from lionsjet.measures import EmpiricalMeasure, pair_coupling
 from lionsjet.poly import MPoly, XiPoly
 from lionsjet.tagged import TaggedSeq, enum_A0
 
@@ -314,3 +318,70 @@ def test_term_structure_invariants():
                     assert term.dirs[p] == 0
                 else:
                     assert term.dirs[p] == term.pins[letter - 1]
+
+
+# -- the per-call partial-derivative table ------------------------------------
+
+
+def _direct_partial(f, out, term, coords):
+    """The kernel component differentiated variable by variable, in the
+    order the directions list them, with no table."""
+    kernel = f.kernel
+    poly = kernel.components[out]
+    for slot, c in zip(term.dirs, coords):
+        poly = poly.diff(kernel.slot_offset(slot) + c)
+    return poly
+
+
+def test_shared_table_partials_equal_direct_differentiation():
+    rng = random.Random(11)
+    f = random_functional(rng, 2, 2, True, degree=4, d=2)
+    partials = {}
+    seqs = list(enum_A0(3))
+    rng.shuffle(seqs)  # fill the table in no particular order
+    for a in seqs:
+        ts = _derivative(f, a, partials)
+        assert ts.partials is partials
+        for term in ts.terms:
+            for out in range(f.kernel.d):
+                for coords in itertools.product(range(2), repeat=len(a)):
+                    assert ts.deriv_poly(out, term, coords) == _direct_partial(f, out, term, coords)
+    # each entry is keyed by (output, sorted variables), zeros included
+    assert all(list(variables) == sorted(variables) for _, variables in partials)
+
+
+def test_contraction_through_shared_table_equals_fresh_derivative():
+    rng = random.Random(12)
+    f = random_functional(rng, 2, 3, False, degree=4)
+    atoms = [random_point(rng, 2) for _ in range(3)]
+    view = MomentView(atoms, dim=2, gaps=[random_point(rng, 2) for _ in range(3)])
+    partials = {}
+    for values in [(1, 2), (1,), (1, 1, 2), (1, 2, 3), (1, 2, 1)]:
+        a = TaggedSeq(values)
+        dirvecs = [v - 1 for v in values]
+        shared = contract_derivative(_derivative(f, a, partials), None, view, [], dirvecs)
+        fresh = contract_derivative(lions_derivative(f, a), None, view, [], dirvecs)
+        assert shared == fresh
+
+
+def test_no_partial_table_outlives_a_call(monkeypatch):
+    # the second of two identical calls differentiates exactly as much as
+    # the first: nothing it computed is kept on the functional or kernel
+    rng = random.Random(13)
+    f = random_functional(rng, 2, 2, False, degree=4)
+    points = [random_point(rng, 2) for _ in range(4)]
+    c = pair_coupling(points[:2], points[2:])
+    calls = []
+    original = MPoly.diff
+
+    def counting_diff(self, index):
+        calls.append(index)
+        return original(self, index)
+
+    monkeypatch.setattr(MPoly, "diff", counting_diff)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        taylor1(f, c.left(), c, 2, box=(-4, 4))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

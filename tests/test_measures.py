@@ -1,5 +1,7 @@
 """Empirical measures, couplings, moments, Wasserstein distances."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from lionsjet.errors import UnsupportedError, ValidationError
 from lionsjet.measures import (
     Coupling,
     EmpiricalMeasure,
+    MomentView,
     coupling_moment,
     interpolate,
     load_coupling,
@@ -19,6 +22,7 @@ from lionsjet.measures import (
     wasserstein,
 )
 from lionsjet.measures import _assignment_distance, _brute_distance
+from lionsjet.poly import XiPoly
 
 
 def test_pair_coupling_examples():
@@ -145,3 +149,112 @@ def test_coupling_io(tmp_path):
     path = tmp_path / "coupling.json"
     save_coupling(path, c)
     assert load_coupling(path).pairs == c.pairs
+
+
+# -- integer moment tables ----------------------------------------------------
+
+_DENOMS = (3, 7, 5, 9)  # per-coordinate denominators, all non-unit
+
+
+def _rational_points(rng, n, e):
+    return [
+        tuple(Fraction(rng.randint(-9, 9) or 1, _DENOMS[c] * rng.choice((1, 2))) for c in range(e))
+        for _ in range(n)
+    ]
+
+
+def _literal(atoms, gaps, exps, gap_exps):
+    """(1/N) sum_i prod_c atom_ic^exps_c * gap_ic^gap_exps_c, term by term."""
+    total = Fraction(0)
+    for i, atom in enumerate(atoms):
+        term = Fraction(1)
+        for c, p in enumerate(exps):
+            term *= atom[c] ** p
+        for c, p in enumerate(gap_exps):
+            term *= gaps[i][c] ** p
+        total += term
+    return total / len(atoms)
+
+
+def _exponents(e, degree):
+    return [x for x in itertools.product(range(degree + 1), repeat=e) if sum(x) <= degree]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("with_gaps", [True, False], ids=["gaps", "no-gaps"])
+def test_integer_moments_equal_the_literal_sum(n, e, with_gaps):
+    # base, path and target views of one coupling, against the sum written
+    # out in Fractions; on the path the moment is an XiPoly of degree at most
+    # |exps|, so it is pinned down by its values at |exps| + 1 points
+    rng = random.Random(f"moments:{n}:{e}")
+    xs, ys = _rational_points(rng, n, e), _rational_points(rng, n, e)
+    gs = [tuple(b - a for a, b in zip(x, y)) for x, y in zip(xs, ys)]
+    base = MomentView(xs, dim=e, gaps=gs if with_gaps else None)
+    path = base.with_atoms(
+        [tuple(XiPoly.affine(a, g) for a, g in zip(x, gv)) for x, gv in zip(xs, gs)]
+    )
+    target = MomentView(ys, dim=e)
+    gap_choices = _exponents(e, 2) if with_gaps else [(0,) * e]
+    for exps in _exponents(e, 3):
+        assert target.moment(exps) == _literal(ys, gs, exps, (0,) * e)
+        assert type(target.moment(exps)) is Fraction
+        for gap_exps in gap_choices:
+            got = base.moment(exps, gap_exps)
+            assert type(got) is Fraction and got == _literal(xs, gs, exps, gap_exps)
+            on_path = path.moment(exps, gap_exps)
+            if not any(exps):
+                assert type(on_path) is Fraction and on_path == got
+                continue
+            assert type(on_path) is XiPoly and len(on_path.coeffs) <= sum(exps) + 1
+            for xi in (Fraction(k, 3) for k in range(sum(exps) + 1)):
+                moved = [tuple(a + xi * g for a, g in zip(x, gv)) for x, gv in zip(xs, gs)]
+                assert on_path.eval(xi) == _literal(moved, gs, exps, gap_exps)
+    assert path._gap_tables is base._gap_tables
+
+
+def test_integer_moments_match_the_loop_on_a_user_built_path_view():
+    # XiPoly atoms of degree 0, 1 and 2, a zero coordinate, int gaps
+    atoms = [
+        (XiPoly((Fraction(1, 3), Fraction(2, 7))), XiPoly(())),
+        (XiPoly((Fraction(-2, 9),)), XiPoly((1, Fraction(1, 2), Fraction(-3, 5)))),
+    ]
+    gaps = [(2, Fraction(-1, 4)), (Fraction(5, 6), 0)]
+    view = MomentView(atoms, gaps=gaps)
+    assert view._atom_tables is not None and view._gap_tables is not None
+    for exps in _exponents(2, 3):
+        for gap_exps in _exponents(2, 2):
+            got = view.moment(exps, gap_exps)
+            want = view._loop_moment(exps, gap_exps if any(gap_exps) else None)
+            assert type(got) is type(want) and got == want
+    # exponents of another length take the loop, which pairs them up by zip
+    assert view.moment((1, 0, 2)) == view._loop_moment((1, 0, 2), None)
+
+
+@pytest.mark.parametrize("kind", ["float", "mixed"])
+def test_float_and_mixed_atoms_take_the_fraction_loop(kind):
+    rng = random.Random(kind)
+    xs = _rational_points(rng, 3, 2)
+    gs = _rational_points(rng, 3, 2)
+    if kind == "float":
+        xs = [tuple(map(float, x)) for x in xs]
+        gs = [tuple(map(float, g)) for g in gs]
+    else:
+        xs = [(float(x[0]), x[1]) for x in xs]
+    view = MomentView(xs, gaps=gs)
+    assert view._atom_tables is None
+    for exps, gap_exps in [((1, 0), (0, 0)), ((2, 1), (0, 1)), ((0, 0), (2, 0))]:
+        got = view.moment(exps, gap_exps)
+        # a float factor makes the sum a float; mixed atoms with no weight
+        # on their float coordinate sum to a Fraction, as the loop does
+        assert type(got) is (float if kind == "float" or exps[0] else Fraction)
+        assert math.isclose(got, float(_literal(xs, gs, exps, gap_exps)), rel_tol=1e-12)
+
+
+def test_float_gaps_with_rational_atoms():
+    # the atom moments still run on integers; a gap moment takes the loop
+    xs = [(Fraction(1, 3),), (Fraction(-2, 7),)]
+    view = MomentView(xs, gaps=[(0.5,), (-1.25,)])
+    assert view._atom_tables is not None and view._gap_tables is None
+    assert view.moment((2,)) == _literal(xs, None, (2,), ()) and type(view.moment((2,))) is Fraction
+    assert isinstance(view.moment((1,), (1,)), float)
