@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .expansion import remainder_bound1, remainder_bound2, taylor1, taylor2
+from .expansion import _bound_terms, remainder_bound1, remainder_bound2, taylor1, taylor2
 from .functional import MomentView, eval_derivative, lions_derivative
 from .measures import pair_coupling
 from .partitions import enum_A, equiv_class
@@ -189,6 +189,13 @@ def _particle_gradient_check(f, n_particles, i, idx, points, seed):
     n = len(idx)
     if any(j < 1 or j > n_particles for j in idx):
         raise ValidationError("multi-index entries outside 1..N")
+    e = f.kernel.e
+    if points is not None and (
+        len(points) != n_particles or any(len(p) != e for p in points)
+    ):
+        raise ValidationError(
+            f"need {n_particles} points of e = {e} coordinates, as the kernel has"
+        )
     lifted = lift(f, n_particles, i=i)
     symbolic = points is None
     atoms = _sym_atoms(lifted) if symbolic else [tuple(p) for p in points]
@@ -449,28 +456,42 @@ def convergence_study(
 ):
     """Scale the target configuration toward the base along fixed directions
     and record the exact remainder (and, when a box is given, its certified
-    bound) at each scale.
+    bound) at each scale h. `h_list` needs at least two distinct scales, all
+    positive, for the slope to be a fit.
+
+    The box Lipschitz constants of the bounds depend on f, the box and the
+    orbit of a sequence, not on h, so one memo made by this call serves every
+    scale and is dropped when the call returns.
 
     Returns (rows, slope): rows are dicts with h, remainder norm, bound; the
     slope is the least-squares log-log fit, or None when the remainder is
     identically zero ("exact").
     """
+    hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
+    if not all(h > 0 for h in hs) or len(set(hs)) < 2:
+        raise ValidationError("h_list needs at least two distinct scales h, all positive")
     rows = []
     rems = []
-    for h in h_list:
-        h = Fraction(h) if not isinstance(h, float) else h
+    lips = {}
+    for h in hs:
         y = [
             tuple(p + h * d for p, d in zip(pt, dirvec))
             for pt, dirvec in zip(points, directions)
         ]
         c = pair_coupling(points, y)
         if isinstance(order_or_grading, Grading):
+            g = order_or_grading
             y0 = tuple(p + h * d for p, d in zip(x0, x0_direction))
-            result = taylor2(f, x0, y0, c, order_or_grading, box=box)
+            result = taylor2(f, x0, y0, c, g)
+            pairs, alpha, beta, gamma = [(tuple(x0), y0)], g.alpha, g.beta, g.gamma
         else:
-            result = taylor1(f, c.left(), c, order_or_grading, box=box)
+            result = taylor1(f, c.left(), c, order_or_grading)
+            pairs, alpha, beta, gamma = [], 1, 1, order_or_grading
+        bound = None
+        if box is not None:
+            bound = _bound_terms(f, pairs, c, alpha, beta, gamma, box, lips)[0]
         rem = result.remainder_norm()
-        rows.append({"h": float(h), "remainder": rem, "bound": result.remainder_bound})
+        rows.append({"h": float(h), "remainder": rem, "bound": bound})
         rems.append(rem)
     slope = ols_loglog_slope([r["h"] for r in rows], rems)
     return rows, slope

@@ -372,6 +372,28 @@ def _graded_value_families(alpha, beta, gamma, tagged_below, first):
     return core, star, plus, cross
 
 
+def _orbit_key(values, tagged_below):
+    """The canonical representative of the symmetry orbit of `values`: its
+    tagged letters (those at most `tagged_below`) sorted, then one contiguous
+    block per fresh letter, the blocks in decreasing order of size and
+    labelled tagged_below + 1, tagged_below + 2, ...
+
+    Two sequences share the representative iff one is the other with its
+    positions permuted and its fresh letters relabelled. Appended to a base
+    whose largest letter is `tagged_below`, it is a valid sequence.
+    """
+    rep, sizes = [], {}
+    for v in values:
+        if v <= tagged_below:
+            rep.append(v)
+        else:
+            sizes[v] = sizes.get(v, 0) + 1
+    rep.sort()
+    for letter, k in enumerate(sorted(sizes.values(), reverse=True), start=tagged_below + 1):
+        rep += [letter] * k
+    return tuple(rep)
+
+
 def families_of(a, g):
     """The families of `enum_graded(g)` that list the tagged sequence `a`,
     in the order core, star, plus, cross; [] when G[a] > gamma.

@@ -344,6 +344,28 @@ def test_expand_graded_rejects_free_points_without_seq(tmp_path, capsys):
     assert_one_line_exit_two(args + ["--free-x", "0", "--free-y", "1"], capsys)
 
 
+@pytest.mark.parametrize("identity", ["fullsystem", "empirical"])
+def test_replay_of_points_of_another_dimension_exits_two(tmp_path, capsys, identity):
+    seed = next(s for s in range(5, 100) if make_instance(identity, s)["kernel"]["e"] == 2)
+    inst = make_instance(identity, seed)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    assert run_cli(["verify", identity, "--replay", str(path)])[0] == 0
+    inst["points"] = [p[:1] for p in inst["points"]]
+    path.write_text(json.dumps(inst))
+    assert_one_line_exit_two(["verify", identity, "--replay", str(path)], capsys)
+
+
+def test_converge_needs_two_distinct_positive_scales(tmp_path, capsys):
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    args = ["converge", "--kernel", kpath, "--points", xpath, "--directions", xpath,
+            "--order", "1", "--box", "-4", "4"]
+    assert run_cli(args + ["--h-list", "1/2,1/4"])[0] == 0
+    for h_list in ("1/2", "1/2,1/2", "1/2,0", "-1/2,1/4"):
+        for output in ("csv", "json"):
+            assert_one_line_exit_two(args + [f"--h-list={h_list}", "--output", output], capsys)
+
+
 def test_replay_malformed_instance_exits_two(tmp_path, capsys):
     inst = make_instance("empirical", 5)
     del inst["kernel"]

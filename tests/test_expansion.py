@@ -6,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from lionsjet import expansion, functional
 from lionsjet.errors import ValidationError
 from lionsjet.expansion import (
+    _affine_point,
+    _at_one,
+    _coupling_views,
+    _family_sides,
+    _integrate_entry,
     eval_Da,
     remainder_bound1,
     remainder_bound2,
@@ -16,14 +22,17 @@ from lionsjet.expansion import (
     taylor_derivative,
 )
 from lionsjet.functional import (
+    certified_sup,
+    contract_derivative,
     eval_derivative,
     lions_derivative,
     normalize_box,
     norms_on_box,
 )
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
+from lionsjet.oracle import convergence_study
 from lionsjet.poly import XiPoly
-from lionsjet.tagged import Grading, TaggedSeq
+from lionsjet.tagged import Grading, TaggedSeq, _graded_value_families, _orbit_key, grade
 
 from test_functional import kernel_1d, random_functional, random_point
 
@@ -758,3 +767,216 @@ def test_taylor_derivative_minimal_headroom():
             f, TaggedSeq((1, 2)), (F(0),), (F(1, 4),),
             [(F(1),), (F(0),)], [(F(3, 2),), (F(1),)], c, g,
         )
+
+
+# -- one contraction and one constant per symmetry orbit ------------------------
+
+
+def _orbit_cases(as_float=False):
+    """(name, run, f, base, tagged pairs, coupling, alpha, beta, eta) for
+    `taylor1` at orders 1-3, `taylor2` in its three grading branches and
+    `taylor_derivative` on (0), (1) and (1, 2), on e = 2 kernels of arity 2.
+    The base (1, 2) expands with its free letters among the tagged letters.
+    `run()` computes the expansion."""
+    rng = random.Random("orbit-cases")
+    e = 2
+    f1 = random_functional(rng, e, 2, False, degree=5)
+    f2 = random_functional(rng, e, 2, True, degree=5)
+    c = random_coupling(rng, 2, e)
+    x0, y0 = random_point(rng, e), random_point(rng, e)
+    free = [(random_point(rng, e), random_point(rng, e)) for _ in range(2)]
+    if as_float:
+        point = lambda p: tuple(map(float, p))
+        c = pair_coupling([point(x) for x, _ in c.pairs], [point(y) for _, y in c.pairs])
+        x0, y0 = point(x0), point(y0)
+        free = [(point(x), point(y)) for x, y in free]
+    for n in (1, 2, 3):
+        run = lambda n=n: taylor1(f1, c.left(), c, n)
+        yield f"taylor1-{n}", run, f1, (), [], c, 1, 1, n
+    for g in (Grading(F(1, 2), 1, F(9, 4)), Grading(1, 1, F(5, 2)), Grading(1, F(1, 2), F(9, 4))):
+        run = lambda g=g: taylor2(f2, x0, y0, c, g)
+        yield f"taylor2-{g.alpha}-{g.beta}", run, f2, (), [(x0, y0)], c, g.alpha, g.beta, g.gamma
+    for values, g in (
+        ((0,), Grading(F(1, 2), 1, 3)),
+        ((1,), Grading(1, F(1, 2), F(5, 2))),
+        ((1, 2), Grading(F(1, 2), 1, 3)),
+    ):
+        a = TaggedSeq(values)
+        fx, fy = [x for x, _ in free[: a.m]], [y for _, y in free[: a.m]]
+        run = lambda a=a, g=g, fx=fx, fy=fy: taylor_derivative(f2, a, x0, y0, fx, fy, c, g)
+        pairs = [(x0, y0)] + free[: a.m]
+        eta = g.gamma - grade(a, g)
+        yield f"derivative-{values}", run, f2, values, pairs, c, g.alpha, g.beta, eta
+
+
+def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
+    """The jet raws and remainder terms of the graded expansion, each
+    sequence contracted on its own derivative: a fresh `lions_derivative` of
+    base + values, never of another member of its orbit."""
+    base = TaggedSeq(base)
+    m0, n0 = base.m, len(base)
+    base_view, path_view, _ = _coupling_views(c)
+    starts = [tuple(x) for x, _ in pairs]
+    paths = [_affine_point(x, y) for x, y in pairs]
+    disps = [tuple(b - a for a, b in zip(x, y)) for x, y in pairs]
+
+    def contract(values, tagged_at_xi, measure_at_xi):
+        tagged = paths if tagged_at_xi else starts
+        dirvecs = [None] * n0 + [disps[v] if v <= m0 else v - m0 - 1 for v in values]
+        return contract_derivative(
+            lions_derivative(f, TaggedSeq(base.values + values)),
+            tagged[0] if tagged else None,
+            path_view if measure_at_xi else base_view,
+            tagged[1:],
+            dirvecs,
+        )
+
+    core, *families = _graded_value_families(alpha, beta, eta, m0, 0 if f.has_spatial else 1)
+    raws = {values: contract(values, False, False) for values in core}
+    terms = {}
+    for (family, moving, frozen), members in zip(_family_sides(alpha, beta), families):
+        for values in members:
+            step = contract(values, *moving) - contract(values, *frozen)
+            r = len(values) - 1
+            if r < 0:
+                terms[(family, values)] = step.map(_at_one)
+            else:
+                integral = step.map(lambda v: _integrate_entry(v, r))
+                terms[(family, values)] = integral.scale(F(1, math.factorial(r)))
+    return raws, terms
+
+
+def test_every_term_equals_the_contraction_of_its_own_sequence():
+    moved = {}
+    for name, run, f, base, pairs, c, alpha, beta, eta in _orbit_cases():
+        res = run()
+        raws, terms = _per_sequence_terms(f, base, pairs, c, alpha, beta, eta)
+        assert {term.seq.values: term.raw for term in res.jet} == raws
+        assert res.remainder_terms == terms
+        assert res.identity_gap() == 0
+        m0 = TaggedSeq(base).m
+        members = list(raws.items()) + [(v, t) for (_, v), t in terms.items()]
+        moved[name] = sum(_orbit_key(v, m0) != v and t.max_abs() != 0 for v, t in members)
+    # every case with an orbit of two or more members checks a nonzero value
+    # of a member that is not its orbit's representative (orders 1 and 2 of
+    # taylor1 have no such orbit)
+    assert [name for name, count in moved.items() if not count] == ["taylor1-1", "taylor1-2"]
+
+
+def test_float_terms_stay_close_to_their_own_sequence_contraction():
+    for _, run, f, base, pairs, c, alpha, beta, eta in _orbit_cases(as_float=True):
+        res = run()
+        raws, terms = _per_sequence_terms(f, base, pairs, c, alpha, beta, eta)
+        got = [term.raw for term in res.jet] + list(res.remainder_terms.values())
+        want = [raws[term.seq.values] for term in res.jet] + [
+            terms[key] for key in res.remainder_terms
+        ]
+        assert res.remainder_terms.keys() == terms.keys()
+        for u, v in zip(got, want):
+            assert u.data == pytest.approx(v.data, rel=1e-9, abs=1e-9)
+
+
+def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
+    contracted = []
+
+    def counting(ts, *args):
+        contracted.append(ts.seq.values)
+        return contract_derivative(ts, *args)
+
+    monkeypatch.setattr(expansion, "contract_derivative", counting)
+    monkeypatch.setattr(functional, "contract_derivative", counting)
+    for _, run, f, base, pairs, c, alpha, beta, eta in _orbit_cases():
+        contracted.clear()
+        res = run()
+        m0, n0 = TaggedSeq(base).m, len(base)
+        core, *families = _graded_value_families(
+            alpha, beta, eta, m0, 0 if f.has_spatial else 1
+        )
+        requests = [(values, (False, False)) for values in core]
+        for (_, moving, frozen), members in zip(_family_sides(alpha, beta), families):
+            requests += [(values, sides) for values in members for sides in (moving, frozen)]
+        orbits = {(_orbit_key(values, m0), sides) for values, sides in requests}
+        # one contraction per distinct (orbit, sides), of the representative,
+        # then one for the value at the target
+        assert len(contracted) == len(orbits) + 1 < len(requests) + 1
+        assert all(_orbit_key(s[n0:], m0) == s[n0:] for s in contracted[:-1])
+        assert contracted[-1] == tuple(base)
+        tensors = [res.predicted, res.actual, res.remainder_exact]
+        tensors += [t for term in res.jet for t in (term.value, term.raw)]
+        tensors += list(res.remainder_terms.values())
+        assert len({id(t.data) for t in tensors}) == len(tensors)
+
+
+def _lip_sequences(record):
+    """(field, the sequences whose constants it holds) for each constant
+    field of a bound record."""
+    values = tuple(record["seq"])
+    k = max(values, default=0)
+    out = [("lip_spatial", [values + (0,)])] if "lip_spatial" in record else []
+    if "lip_measure" in record:
+        out.append(("lip_measure", [values + (k + 1,)]))
+        out.append(("lip_free", [values + (q,) for q in range(1, k + 1)]))
+    return out
+
+
+def test_bound_constants_equal_certified_sup_of_their_own_sequence():
+    box = (-4, 4)
+    moved = 0
+    for (f1, c, _, _), (f2, _, x0, y0) in _tied_instances():
+        results = [(f1, taylor1(f1, c.left(), c, n, box=box)) for n in (1, 2, 3)]
+        results += [(f2, taylor2(f2, x0, y0, c, g, box=box)) for g in BOUND_GRADINGS.values()]
+        for f, res in results:
+            nbox = normalize_box(box, f.kernel.e)
+            for record in res.bound_terms:
+                for name, seqs in _lip_sequences(record):
+                    sups = [certified_sup(f, TaggedSeq(s), nbox) for s in seqs]
+                    assert record[name] == (sups if name == "lip_free" else sups[0])
+                    moved += sum(_orbit_key(s, 0) != s and sup > 0 for s, sup in zip(seqs, sups))
+    assert moved > 0
+
+
+def _bound_orbits(records):
+    """The orbit representatives of every constant the records hold."""
+    return {
+        _orbit_key(s, 0) for record in records for _, seqs in _lip_sequences(record) for s in seqs
+    }
+
+
+def test_convergence_study_computes_each_orbit_constant_once(monkeypatch):
+    computed = []
+    real = expansion._certified_sup
+
+    def counting(f, seq, box, partials):
+        computed.append(seq.values)
+        return real(f, seq, box, partials)
+
+    rng = random.Random("convergence-memo")
+    e, box, hs = 2, (-4, 4), [F(1, 2), F(1, 4), F(1, 8)]
+    pts = [random_point(rng, e) for _ in range(2)]
+    dirs = [random_point(rng, e) for _ in range(2)]
+    x0, dx0 = random_point(rng, e), random_point(rng, e)
+    f1 = random_functional(rng, e, 2, False, degree=4)
+    f2 = random_functional(rng, e, 2, True, degree=4)
+    g = Grading(F(1, 2), 1, F(9, 4))
+    c = pair_coupling(pts, [tuple(p + hs[0] * d for p, d in zip(x, v)) for x, v in zip(pts, dirs)])
+    y0 = tuple(p + hs[0] * d for p, d in zip(x0, dx0))
+    studies = [
+        (lambda n=n: convergence_study(f1, pts, dirs, n, hs, box=box),
+         taylor1(f1, c.left(), c, n, box=box))
+        for n in (1, 2, 3)
+    ]
+    studies.append((
+        lambda: convergence_study(f2, pts, dirs, g, hs, x0=x0, x0_direction=dx0, box=box),
+        taylor2(f2, x0, y0, c, g, box=box),
+    ))
+    monkeypatch.setattr(expansion, "_certified_sup", counting)
+    for study, first_scale in studies:
+        computed.clear()
+        rows, _ = study()
+        once = list(computed)
+        assert rows[0]["bound"] == first_scale.remainder_bound
+        assert len(once) == len(set(once)) > 0
+        assert set(once) == _bound_orbits(first_scale.bound_terms)
+        computed.clear()
+        assert study()[0] == rows
+        assert len(computed) == len(once)

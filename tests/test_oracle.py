@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lionsjet.errors import ValidationError
 from lionsjet.functional import MomentView, eval_derivative, lions_derivative
 from lionsjet.measures import EmpiricalMeasure
 from lionsjet.oracle import (
@@ -170,7 +171,7 @@ def test_verify_fullsystem_batches():
         idx = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 3)))
         rep = verify_fullsystem(f, n, i, idx)
         assert rep.passed and rep.max_abs_difference == 0
-    pts = [random_point(rng, 1) for _ in range(3)]
+    pts = [random_point(rng, e) for _ in range(3)]
     rep = verify_fullsystem(f, 3, 2, (2, 1, 2), points=pts)
     assert rep.passed
 
@@ -331,3 +332,30 @@ def test_ols_slope_helper():
     vals = [h**3 for h in hs]
     assert ols_loglog_slope(hs, vals) == pytest.approx(3.0)
     assert ols_loglog_slope(hs, [0.0, 0.0, 0.0]) is None
+
+
+def test_convergence_study_needs_two_distinct_positive_scales():
+    f = kernel_1d({(3,): F(1), (2,): F(1)}, arity=1)
+    pts, dirs = [(F(1, 2),)], [(F(1),)]
+    for hs in ([F(1, 2)], [F(1, 2), F(1, 2)], [0.5, F(1, 2)], [F(1, 2), F(0)],
+               [F(-1, 2), F(1, 4)], []):
+        with pytest.raises(ValidationError, match="two distinct scales"):
+            convergence_study(f, pts, dirs, 1, hs, box=(-3, 3))
+    rows, slope = convergence_study(f, pts, dirs, 1, [F(1, 2), 0.25])
+    assert len(rows) == 2 and slope is not None
+
+
+def test_particle_checks_reject_points_of_another_dimension():
+    rng = random.Random(41)
+    f = random_functional(rng, 2, 2, False)
+    fs = random_functional(rng, 2, 2, True)
+    pts = [random_point(rng, 2) for _ in range(3)]
+    assert verify_empirical_deriv(f, 3, (1, 2), points=pts).passed
+    assert verify_fullsystem(fs, 3, 1, (1, 2), points=pts).passed
+    cut = [p[:1] for p in pts]
+    grown = [p + (F(1),) for p in pts]
+    for bad in (cut, grown, pts[:2], pts[:2] + [cut[2]]):
+        with pytest.raises(ValidationError, match="coordinates"):
+            verify_empirical_deriv(f, 3, (1, 2), points=bad)
+        with pytest.raises(ValidationError, match="coordinates"):
+            verify_fullsystem(fs, 3, 1, (1, 2), points=bad)

@@ -1,5 +1,6 @@
 """Tagged sequences, gradings, boundary families, extensions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from lionsjet.tagged import (
     ExtendedSeq,
     Grading,
     TaggedSeq,
+    _orbit_key,
     enum_A0,
     enum_A_a,
     enum_Akn0,
@@ -350,3 +352,40 @@ def test_families_json_shape():
     data = fam.to_json()
     assert set(data) == {"grading", "core", "star", "plus", "cross"}
     assert data["grading"]["alpha"] == "1"
+
+
+def _orbit(values, tagged_below):
+    """Every sequence obtained from `values` by permuting positions and
+    relabelling the fresh letters (those above `tagged_below`) by first
+    occurrence."""
+    out = set()
+    for perm in itertools.permutations(values):
+        fresh = {}
+        out.add(tuple(
+            v if v <= tagged_below else fresh.setdefault(v, tagged_below + 1 + len(fresh))
+            for v in perm
+        ))
+    return out
+
+
+@pytest.mark.parametrize("base", [(), (1,), (0, 1, 2)])
+def test_orbit_key_is_the_canonical_orbit_representative(base):
+    base = TaggedSeq(base)
+    m = base.m
+    for n in range(5):
+        seqs = [x.values for x in enum_A_a(base, n)]
+        keys = {values: _orbit_key(values, m) for values in seqs}
+        for values, key in keys.items():
+            assert _orbit_key(key, m) == key
+            ExtendedSeq(base, key)  # a valid extension of the base
+            TaggedSeq(base.values + key)
+            orbit = _orbit(values, m)
+            assert key in orbit
+            assert {other for other in seqs if keys[other] == key} == orbit
+
+
+def test_orbit_key_examples():
+    assert _orbit_key((), 0) == ()
+    assert _orbit_key((1, 2, 2), 0) == (1, 1, 2)
+    assert _orbit_key((1, 0, 2, 0, 1, 3, 1), 0) == (0, 0, 1, 1, 1, 2, 3)
+    assert _orbit_key((3, 1, 0, 3, 2, 1), 2) == (0, 1, 1, 2, 3, 3)
