@@ -38,23 +38,19 @@ from .tagged import Grading, TaggedSeq, enum_A0, enum_graded, families_of, grade
 # ---------------------------------------------------------------------------
 # seeded instance generation
 
-def gen_kernel(rng, e, d, arity, spatial, degree=3, nterms=4, positive=False):
-    """Random polynomial kernel with small rational coefficients."""
+def gen_kernel(rng, e, d, arity, spatial, degree=3):
+    """Random polynomial kernel with small rational coefficients: four
+    monomial draws per component (a repeated exponent keeps the last)."""
     nvars = (arity + spatial) * e
     comps = []
     for _ in range(d):
         terms = {}
-        for _ in range(nterms):
+        for _ in range(4):
             exps = [0] * nvars
             for _ in range(rng.randint(0, degree)):
                 exps[rng.randrange(nvars)] += 1
-            lo = 1 if positive else -3
-            num = rng.randint(lo, 3)
-            if num == 0:
-                num = 1
+            num = rng.randint(-3, 3) or 1
             terms[tuple(exps)] = Fraction(num, rng.randint(1, 2))
-        if not terms:
-            terms[(0,) * nvars] = Fraction(1)
         comps.append(MPoly(nvars, terms))
     return PolyFunctional(PolyKernel(e, d, arity, spatial, comps))
 

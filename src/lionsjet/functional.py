@@ -9,8 +9,10 @@ Differentiating with respect to the measure inserts a Dirac mass: it pins one
 still-integrated kernel slot to a fresh free variable and differentiates that
 slot, summed over all choices of slot. Differentiating in a free variable (or
 in x0) differentiates the slot already pinned to it. A derivative indexed by a
-tagged sequence is therefore a sum of terms, each term recording which kernel
-slot each free variable pins and which slot each tensor direction hit.
+tagged sequence a with m = max(a) free variables is therefore a sum with one
+term per injective map of the free variables 1..m into the integrated slots
+1..arity: arity!/(arity - m)! terms, none when m > arity. Each term records
+which slot each free variable pins and which slot each tensor direction hit.
 """
 
 from __future__ import annotations
@@ -216,10 +218,10 @@ def _eval_poly_slots(kernel, poly, slot_values, measure, gaps=None):
 class DerivTerm:
     """One term of an iterated derivative.
 
-    pins: kernel slot assigned to each free variable 1..m (in order); every
-          remaining non-spatial slot stays integrated.
-    dirs: the kernel slot each tensor direction differentiated (slot 0 is the
-          spatial argument).
+    pins: kernel slot assigned to each free variable 1..m (in order), all
+          distinct; every remaining non-spatial slot stays integrated.
+    dirs: the kernel slot each tensor direction differentiated: 0 (the
+          spatial argument) for letter 0, pins[j - 1] for letter j > 0.
     """
 
     pins: tuple
@@ -304,40 +306,22 @@ def _past_degree(kernel, order):
 def lions_derivative(f, a):
     """Symbolic mixed derivative of `f` indexed by the tagged sequence `a`.
 
-    Built letter by letter: 0 differentiates the spatial argument, a repeated
-    positive value differentiates the slot pinned to that free variable, and
-    a new value pins each still-integrated slot in turn (one term per choice)
-    and differentiates it.
+    One term per injective map `pins` of the free variables 1..m into the
+    slots 1..arity, in lexicographic order: arity!/(arity - m)! terms, none
+    when m > arity. Letter 0 differentiates the spatial argument and letter
+    j > 0 the slot pinned to free variable j.
     """
     a = as_tagged(a)
     kernel = f.kernel
-    if any(v == 0 for v in a.values) and not kernel.has_spatial:
+    if 0 in a.values and not kernel.has_spatial:
         raise ValidationError(
             "sequence contains spatial letters but the functional has no "
             "spatial argument"
         )
-    terms = [DerivTerm((), ())]
-    running_max = 0
-    for letter in a.values:
-        new_terms = []
-        if letter == 0:
-            for t in terms:
-                new_terms.append(DerivTerm(t.pins, t.dirs + (0,)))
-        elif letter <= running_max:
-            for t in terms:
-                new_terms.append(DerivTerm(t.pins, t.dirs + (t.pins[letter - 1],)))
-        else:
-            running_max = letter
-            for t in terms:
-                used = set(t.pins)
-                for slot in range(1, kernel.arity + 1):
-                    if slot not in used:
-                        new_terms.append(
-                            DerivTerm(t.pins + (slot,), t.dirs + (slot,))
-                        )
-        terms = new_terms
-        if not terms:
-            break
+    terms = [
+        DerivTerm(pins, tuple(pins[v - 1] if v else 0 for v in a.values))
+        for pins in itertools.permutations(range(1, kernel.arity + 1), a.m)
+    ]
     return DerivTermSum(f, a, terms)
 
 
@@ -528,35 +512,24 @@ def _combined_polys(ts):
     m = ts.n_free
     spatial = 1 if kernel.has_spatial else 0
     nvars_g = (spatial + m + kernel.arity) * e
-
-    def g_offset(kind, index):
-        # kind: "x0" | free j (1-based) | integrated slot s (1-based)
-        if kind == "x0":
-            return 0
-        if kind == "free":
-            return (spatial + index - 1) * e
-        return (spatial + m + index - 1) * e
+    # Each term's map of kernel variables into groups of e joint variables:
+    # x0, free variables 1..m, then slots 1..arity (a pinned slot goes to its
+    # free variable's group).
+    mappings = []
+    for term in ts.terms:
+        groups = list(range(spatial + m, spatial + m + kernel.arity))
+        for j, slot in enumerate(term.pins):
+            groups[slot - 1] = spatial + j
+        mappings.append([g * e + c for g in [0] * spatial + groups for c in range(e)])
 
     out = {}
     for comp in range(kernel.d):
         for coords in itertools.product(range(e), repeat=ts.order):
             total = MPoly.zero(nvars_g)
-            for term in ts.terms:
+            for term, mapping in zip(ts.terms, mappings):
                 poly = ts.deriv_poly(comp, term, coords)
-                if not poly:
-                    continue
-                mapping = [0] * kernel.nvars
-                for slot in kernel.slots():
-                    off = kernel.slot_offset(slot)
-                    if slot == 0:
-                        dst = g_offset("x0", 0)
-                    elif slot in term.pins:
-                        dst = g_offset("free", term.pins.index(slot) + 1)
-                    else:
-                        dst = g_offset("int", slot)
-                    for c in range(e):
-                        mapping[off + c] = dst + c
-                total = total + poly.map_vars(nvars_g, mapping)
+                if poly:
+                    total = total + poly.map_vars(nvars_g, mapping)
             out[(comp, coords)] = total
     return out, nvars_g
 
@@ -613,9 +586,11 @@ def _certified_sup(f, seq, box, partials):
     return _frobenius_sup(polys.values(), _box_scalar(box, nvars_g, f.kernel.e))
 
 
-def _grid_points(box_scalar, nvars, samples, budget=2048):
+GRID_SAMPLES = 5  # mesh points per variable of the `norms_on_box` grid, before its cap
+
+
+def _grid_points(box_scalar, nvars, samples, budget):
     """Deterministic mesh over the scalar variables, capped in size."""
-    samples = max(2, samples)
     while samples > 2 and samples**nvars > budget:
         samples -= 1
     if samples**nvars > budget:
@@ -626,7 +601,7 @@ def _grid_points(box_scalar, nvars, samples, budget=2048):
     return itertools.product(*axes)
 
 
-def _sup_report(ts, box, samples):
+def _sup_report(ts, box):
     """The certified Frobenius sup of a derivative, as `certified_sup`
     computes it, with the largest value on a sample mesh beside it."""
     polys, nvars_g = _combined_polys(ts)
@@ -636,7 +611,7 @@ def _sup_report(ts, box, samples):
     entries = [p for p in polys.values() if p]
     if entries:
         budget = max(1, 2048 // len(entries))
-        for point in _grid_points(box_scalar, nvars_g, samples, budget=budget):
+        for point in _grid_points(box_scalar, nvars_g, GRID_SAMPLES, budget):
             point = list(point)
             sq = sum(float(p.eval(point)) ** 2 for p in entries)
             grid = max(grid, math.sqrt(sq))
@@ -644,7 +619,7 @@ def _sup_report(ts, box, samples):
     return NormValue(value=certified, grid=grid, slack=certified - grid)
 
 
-def norms_on_box(ts, box, samples=5):
+def norms_on_box(ts, box):
     """Box-restricted sup and Lipschitz estimates of a derivative, with
     their slack.
 
@@ -663,10 +638,10 @@ def norms_on_box(ts, box, samples=5):
 
     def next_norm(letter):
         seq = TaggedSeq(values + (letter,))
-        return _sup_report(_derivative(f, seq, partials), box, samples)
+        return _sup_report(_derivative(f, seq, partials), box)
 
     return NormEstimates(
-        sup=_sup_report(ts, box, samples),
+        sup=_sup_report(ts, box),
         lip_spatial=next_norm(0) if f.has_spatial else None,
         lip_measure=next_norm(m + 1),
         lip_free=tuple(next_norm(j) for j in range(1, m + 1)),

@@ -82,18 +82,9 @@ def lift(f, n_particles, i=None):
     kernel = f.kernel
     e = kernel.e
     spatial_block = kernel.has_spatial and i is None
-    lifted = LiftedPoly(
-        n_particles,
-        e,
-        spatial_block,
-        [MPoly.zero((n_particles + spatial_block) * e) for _ in range(kernel.d)],
-    )
-
-    def g_var(particle, coord):
-        return lifted.var(particle, coord)
-
+    layout = LiftedPoly(n_particles, e, spatial_block, ())  # variable numbering only
     weight = Fraction(1, n_particles**kernel.arity)
-    comps = [MPoly.zero(lifted.nvars) for _ in range(kernel.d)]
+    comps = [MPoly.zero(layout.nvars) for _ in range(kernel.d)]
     for assignment in itertools.product(
         range(1, n_particles + 1), repeat=kernel.arity
     ):
@@ -102,13 +93,13 @@ def lift(f, n_particles, i=None):
             target = 0 if spatial_block else i
             off = kernel.slot_offset(0)
             for c in range(e):
-                mapping[off + c] = g_var(target, c)
+                mapping[off + c] = layout.var(target, c)
         for slot in range(1, kernel.arity + 1):
             off = kernel.slot_offset(slot)
             for c in range(e):
-                mapping[off + c] = g_var(assignment[slot - 1], c)
+                mapping[off + c] = layout.var(assignment[slot - 1], c)
         for out, comp in enumerate(kernel.components):
-            comps[out] = comps[out] + comp.map_vars(lifted.nvars, mapping) * weight
+            comps[out] = comps[out] + comp.map_vars(layout.nvars, mapping) * weight
     return LiftedPoly(n_particles, e, spatial_block, comps)
 
 
@@ -433,21 +424,28 @@ def fd_gradient(f, points, particle, coord, step=1e-4):
     return [(h - l) / (2 * step) for h, l in zip(hi, lo)]
 
 
-def ols_loglog_slope(h_values, values, floor=1e-14):
-    """Least-squares slope of log2(values) against log2(h), dropping rows
-    below the floor. Returns None when everything is exact (all dropped)."""
+SLOPE_FLOOR = 1e-14  # remainders at or below this are float rounding, left out of fits
+
+
+def ols_loglog_slope(h_values, values):
+    """Least-squares slope of log2(values) against log2(h) over the rows
+    above SLOPE_FLOOR. Returns None when every value is exactly zero; raises
+    ValidationError when some value is nonzero but fewer than two distinct
+    scales clear the floor, since that is neither exact nor a fit."""
     xs, ys = [], []
     for h, v in zip(h_values, values):
-        if v is not None and v > floor:
+        if v is not None and v > SLOPE_FLOOR:
             xs.append(math.log2(float(h)))
             ys.append(math.log2(v))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
+        if any(values):
+            raise ValidationError(
+                f"fewer than two scales h have a remainder above the fit floor {SLOPE_FLOOR:g}"
+            )
         return None
     mx = sum(xs) / len(xs)
     my = sum(ys) / len(ys)
     denom = sum((x - mx) ** 2 for x in xs)
-    if denom == 0:
-        return None
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
@@ -464,8 +462,9 @@ def convergence_study(
     scale and is dropped when the call returns.
 
     Returns (rows, slope): rows are dicts with h, remainder norm, bound; the
-    slope is the least-squares log-log fit, or None when the remainder is
-    identically zero ("exact").
+    slope is the least-squares log-log fit, or None when every remainder is
+    exactly zero ("exact"). Raises ValidationError when some remainder is
+    nonzero but fewer than two clear `SLOPE_FLOOR`.
     """
     hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
     if not all(h > 0 for h in hs) or len(set(hs)) < 2:

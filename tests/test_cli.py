@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -366,6 +367,25 @@ def test_converge_needs_two_distinct_positive_scales(tmp_path, capsys):
             assert_one_line_exit_two(args + [f"--h-list={h_list}", "--output", output], capsys)
 
 
+def test_converge_without_a_fit_exits_two(tmp_path, capsys):
+    # k(u) = u^4 + u^2: the remainder at h = 1e-8 is nonzero but under the
+    # fit floor, so one row is left to fit; that used to print "exact"
+    quartic = PolyFunctional(PolyKernel(1, 1, 1, False, [MPoly(1, {(4,): F(1), (2,): F(1)})]))
+    kpath = tmp_path / "quartic.json"
+    kpath.write_text(json.dumps(quartic.to_json()))
+    save_points(tmp_path / "x.csv", [(F(1, 2),), (F(3, 4),)])
+    save_points(tmp_path / "d.csv", [(F(1),), (F(-1),)])
+    args = ["converge", "--kernel", str(kpath), "--points", str(tmp_path / "x.csv"),
+            "--directions", str(tmp_path / "d.csv"), "--order", "1", "--h-list", "1/2,1e-8"]
+    for output in ("csv", "json"):
+        assert_one_line_exit_two(args + ["--output", output], capsys)
+    # a remainder that is exactly zero at every scale is still "exact"
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    code, text = run_cli(["converge", "--kernel", kpath, "--points", xpath, "--directions",
+                          xpath, "--order", "2", "--h-list", "1/2,1e-8"])
+    assert code == 0 and text.splitlines()[-1] == "# slope: exact"
+
+
 def test_replay_malformed_instance_exits_two(tmp_path, capsys):
     inst = make_instance("empirical", 5)
     del inst["kernel"]
@@ -516,7 +536,7 @@ def test_malformed_input_files_exit_two(tmp_path, capsys):
     # each parses as JSON but is not a kernel, point set or coupling: they
     # used to end in a KeyError, IndexError or TypeError traceback
     kpath, xpath, _ = _expand_inputs(tmp_path)
-    kernel = json.loads(open(kpath).read())
+    kernel = json.loads(Path(kpath).read_text())
     kernel["terms"][0]["out"] = 1
     (tmp_path / "out.json").write_text(json.dumps(kernel))
     (tmp_path / "numbers.json").write_text("[1, 2]")

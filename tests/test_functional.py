@@ -1,6 +1,7 @@
 """Symbolic derivatives of polynomial functionals, evaluation, box norms."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from lionsjet.errors import ValidationError
 from lionsjet.expansion import taylor1
 from lionsjet.functional import (
+    DerivTerm,
     MomentView,
     PolyFunctional,
     PolyKernel,
@@ -20,6 +22,7 @@ from lionsjet.functional import (
     norms_on_box,
 )
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
+from lionsjet.partitions import enum_A
 from lionsjet.poly import MPoly, XiPoly
 from lionsjet.tagged import TaggedSeq, enum_A0
 
@@ -190,23 +193,26 @@ def test_factorized_matches_brute_force():
 
 
 def test_letterwise_recursion_commutes():
-    # deriving by (a . j) equals deriving the result of a by the letter j
-    rng = random.Random(9)
-    f = random_functional(rng, 1, 2, True)
-    mu = EmpiricalMeasure([random_point(rng, 1) for _ in range(2)])
-    x0 = random_point(rng, 1)
-    for a in enum_A0(2):
-        for j in range(a.m + 2):
-            whole = lions_derivative(f, TaggedSeq(a.values + (j,)))
-            # recompute by extending the prefix derivation one letter
-            prefix = lions_derivative(f, a)
-            again = lions_derivative(f, TaggedSeq(a.values + (j,)))
-            m = whole.n_free
-            free = [random_point(rng, 1) for _ in range(m)]
-            assert eval_derivative(whole, x0, mu, free) == eval_derivative(
-                again, x0, mu, free
-            )
-            assert len(whole.seq) == len(prefix.seq) + 1
+    # deriving by (a . j) extends every term of the derivative by a by one
+    # letter: j = 0 or a repeated j adds one direction, and a new j = m + 1
+    # pins each still-integrated slot in turn, in increasing order
+    f = random_functional(random.Random(9), 1, 3, True)
+    for n in range(4):
+        for a in enum_A0(n):
+            prefix = lions_derivative(f, a).terms
+            for j in range(a.m + 2):
+                whole = lions_derivative(f, TaggedSeq(a.values + (j,))).terms
+                if j <= a.m:
+                    dirs = [t.pins[j - 1] if j else 0 for t in prefix]
+                    expected = [DerivTerm(t.pins, t.dirs + (s,)) for t, s in zip(prefix, dirs)]
+                else:
+                    expected = [
+                        DerivTerm(t.pins + (s,), t.dirs + (s,))
+                        for t in prefix
+                        for s in range(1, 4)
+                        if s not in t.pins
+                    ]
+                assert list(whole) == expected
 
 
 def test_linearity():
@@ -318,6 +324,46 @@ def test_term_structure_invariants():
                     assert term.dirs[p] == 0
                 else:
                     assert term.dirs[p] == term.pins[letter - 1]
+
+
+def test_terms_are_the_injective_pin_maps_in_lexicographic_order():
+    # Built independently of `lions_derivative`: every map of the free
+    # variables 1..m into the slots 1..arity, the injective ones kept in
+    # lexicographic order, each direction read off its letter. The order is
+    # part of the contract: it fixes the float summation order of
+    # `contract_derivative`.
+    for arity in range(4):
+        for spatial in (False, True):
+            f = kernel_1d({}, arity, spatial)
+            for n in range(6):
+                for a in list(enum_A(n)) + list(enum_A0(n)):
+                    if 0 in a.values and not spatial:
+                        with pytest.raises(ValidationError, match="spatial"):
+                            lions_derivative(f, a)
+                        continue
+                    expected = [
+                        DerivTerm(pins, tuple(pins[v - 1] if v else 0 for v in a.values))
+                        for pins in itertools.product(range(1, arity + 1), repeat=a.m)
+                        if len(set(pins)) == a.m
+                    ]
+                    assert list(lions_derivative(f, a).terms) == expected
+                    assert len(expected) == math.perm(arity, a.m)
+
+
+def test_pinned_slots_share_their_free_variable_in_the_sup():
+    # f(mu) = int int (u1^2 - u2^2) dmu dmu (times x0) is identically zero,
+    # and so is its first measure derivative. Its two terms cancel in the
+    # combined polynomial only when each term's pinned slot is mapped to the
+    # one free variable, so the certified sup is exactly 0.0.
+    for spatial in (False, True):
+        if spatial:
+            terms, seqs = {(1, 2, 0): F(1), (1, 0, 2): F(-1)}, [(1,), (0, 1)]
+        else:
+            terms, seqs = {(2, 0): F(1), (0, 2): F(-1)}, [(1,)]
+        f = kernel_1d(terms, arity=2, spatial=spatial)
+        for values in seqs:
+            sup = norms_on_box(lions_derivative(f, TaggedSeq(values)), (-1, 2)).sup
+            assert sup.value == 0.0 and sup.grid == 0.0
 
 
 # -- the per-call partial-derivative table ------------------------------------

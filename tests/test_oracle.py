@@ -334,6 +334,20 @@ def test_ols_slope_helper():
     assert ols_loglog_slope(hs, [0.0, 0.0, 0.0]) is None
 
 
+def test_convergence_study_without_a_fit_is_an_error_not_exact():
+    # k(u) = u^4 + u^2: the remainder at h = 1e-8 is nonzero but under the
+    # fit floor, so one row is left to fit; that used to return slope None,
+    # which reads as "exact"
+    f = kernel_1d({(4,): F(1), (2,): F(1)}, arity=1)
+    pts, dirs = [(F(1, 2),), (F(3, 4),)], [(F(1),), (F(-1),)]
+    with pytest.raises(ValidationError, match="fit floor"):
+        convergence_study(f, pts, dirs, 1, [F(1, 2), 1e-8])
+    with pytest.raises(ValidationError, match="fit floor"):
+        ols_loglog_slope([0.5, 0.25], [0.0, 1e-16])
+    rows, slope = convergence_study(f, pts, dirs, 1, [F(1, 2), F(1, 4)])
+    assert slope is not None and all(r["remainder"] > 0 for r in rows)
+
+
 def test_convergence_study_needs_two_distinct_positive_scales():
     f = kernel_1d({(3,): F(1), (2,): F(1)}, arity=1)
     pts, dirs = [(F(1, 2),)], [(F(1),)]
