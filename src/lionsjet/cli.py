@@ -343,8 +343,10 @@ def _cmd_expand(args, out):
         raise ValidationError("--grading needs --x0 and --y0")
     if not args.coupling and None in (args.points, args.points2):
         raise ValidationError("expand needs --coupling or --points and --points2")
-    if args.order is not None and args.seq is not None:
-        raise ValidationError("--seq needs --grading, not --order")
+    if args.coupling and (args.points, args.points2) != (None, None):
+        raise ValidationError("--coupling takes no --points or --points2")
+    if args.order is not None and (args.grading, args.x0, args.y0, args.seq) != (None,) * 4:
+        raise ValidationError("--order takes no --grading, --x0, --y0 or --seq")
     if args.seq is None and (args.free_x, args.free_y) != (None, None):
         raise ValidationError("--free-x and --free-y need --seq")
     if args.seq and args.box:
@@ -384,6 +386,8 @@ def _cmd_converge(args, out):
         raise ValidationError("converge needs --order or --grading")
     if args.order is None and (args.x0 is None or args.x0_direction is None):
         raise ValidationError("--grading needs --x0 and --x0-direction")
+    if args.order is not None and (args.grading, args.x0, args.x0_direction) != (None,) * 3:
+        raise ValidationError("--order takes no --grading, --x0 or --x0-direction")
     f = _read(_load_functional, args.kernel, "kernel")
     pts = _read(load_points, args.points, "point")
     dirs = _read(load_points, args.directions, "point")
@@ -487,38 +491,25 @@ def build_parser():
     return parser
 
 
-
 def main(argv=None, out=None):
+    """Execute one command line; returns the process exit status."""
     out = out or sys.stdout
-    parser = build_parser()
+    commands = {
+        "enum": _cmd_enum,
+        "grade": _cmd_grade,
+        "verify": _cmd_verify,
+        "expand": _cmd_expand,
+        "converge": _cmd_converge,
+    }
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return commands[args.command](args, out)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    except ValidationError as exc:
+    except (ValueError, OSError, OverflowError) as exc:
+        # ValidationError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(args, out=out)
-
-
-def run(args, out=None):
-    """Execute one parsed command line; returns the process exit status."""
-    out = out or sys.stdout
-    try:
-        if args.command == "enum":
-            return _cmd_enum(args, out)
-        if args.command == "grade":
-            return _cmd_grade(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "expand":
-            return _cmd_expand(args, out)
-        if args.command == "converge":
-            return _cmd_converge(args, out)
-    except (ValidationError, OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

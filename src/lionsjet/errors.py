@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class EnumerationLimitError(ValueError):
-    """An enumeration request exceeded the configured cap."""
+    """An enumeration request exceeded the enumeration cap."""
 
 
 class CompositionError(ValueError):

@@ -49,7 +49,7 @@ certified upper bound: per family member, the box Lipschitz constants of
 the moving groups times displacement and coupling-moment factors, with
 every factor reported. `remainder_bound1` is it at alpha = beta = 1,
 gamma = n; `remainder_bound2` with the spatial pair (x0, y0). Each constant
-is `functional.certified_sup` of the next derivative: the coefficient-wise
+is `functional._certified_sup` of the next derivative: the coefficient-wise
 sup bound alone, with no sample grid (the grid and its slack are reported
 only by `norms_on_box`, whose `.value`s equal these constants bit for bit).
 A derivative indexed by a sequence longer than the kernel degree vanishes

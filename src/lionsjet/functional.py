@@ -155,18 +155,9 @@ class PolyFunctional:
         return PolyFunctional(self.kernel.add(other.kernel))
 
     def eval(self, x0, mu):
-        """f(x0, mu) as a length-d vector of scalars."""
-        k = self.kernel
-        slot_values = {}
-        if k.has_spatial:
-            if x0 is None:
-                raise ValidationError("functional has a spatial argument")
-            slot_values[0] = tuple(x0)
-        elif x0 is not None:
-            raise ValidationError("functional has no spatial argument")
-        return [
-            _eval_poly_slots(k, comp, slot_values, mu) for comp in k.components
-        ]
+        """f(x0, mu) as a length-d vector of scalars: the derivative indexed
+        by the empty sequence."""
+        return eval_derivative(lions_derivative(self, ()), x0, mu, []).data
 
     def to_json(self):
         return self.kernel.to_json()
@@ -179,7 +170,7 @@ class PolyFunctional:
         return f"PolyFunctional({self.kernel!r})"
 
 
-def _eval_poly_slots(kernel, poly, slot_values, measure, gaps=None):
+def _eval_poly_slots(kernel, poly, slot_values, measure, gaps):
     """Evaluate a kernel-variable polynomial; slots absent from
     `slot_values` are integrated against `measure`.
 
@@ -195,7 +186,7 @@ def _eval_poly_slots(kernel, poly, slot_values, measure, gaps=None):
         for slot in kernel.slots():
             off = kernel.slot_offset(slot)
             row = exps[off : off + e]
-            gap_row = gaps and gaps.get(slot)
+            gap_row = gaps.get(slot)
             if gap_row:
                 factor = factor * measure.moment(row, gap_row)
                 continue
@@ -476,7 +467,7 @@ def normalize_box(box, e):
 class NormValue:
     """A certified upper bound together with its grid estimate.
 
-    `value` is the certified sup (`certified_sup`'s coefficient-wise bound,
+    `value` is the certified sup (`_certified_sup`'s coefficient-wise bound,
     a true supremum bound on the box, and the number the remainder bounds
     use); `grid` is the largest value seen on a sample mesh, and `slack` =
     `value` - `grid` is how much the certified bound could be loose by. Only
@@ -567,19 +558,17 @@ def _frobenius_sup(polys, box_scalar):
     return math.sqrt(certified_sq)
 
 
-def certified_sup(f, seq, box):
+def _certified_sup(f, seq, box, partials):
     """Certified Frobenius sup of the derivative of `f` indexed by `seq`
     over spatial and free arguments in the (normalized) box and measures
-    supported in it. No grid is evaluated.
+    supported in it. No grid is evaluated. `partials` is the
+    partial-derivative table the caller shares among its derivatives of `f`
+    (see `_derivative`).
 
     A sequence longer than the kernel degree gives 0.0 without building the
     derivative: every entry of its combined polynomials is zero, so the sum
     of squared entry bounds is 0.0 and so is its root.
     """
-    return _certified_sup(f, seq, box, {})
-
-
-def _certified_sup(f, seq, box, partials):
     if _past_degree(f.kernel, len(seq)):
         return 0.0
     polys, nvars_g = _combined_polys(_derivative(f, seq, partials))
@@ -602,7 +591,7 @@ def _grid_points(box_scalar, nvars, samples, budget):
 
 
 def _sup_report(ts, box):
-    """The certified Frobenius sup of a derivative, as `certified_sup`
+    """The certified Frobenius sup of a derivative, as `_certified_sup`
     computes it, with the largest value on a sample mesh beside it."""
     polys, nvars_g = _combined_polys(ts)
     box_scalar = _box_scalar(box, nvars_g, ts.kernel.e)
@@ -629,7 +618,7 @@ def norms_on_box(ts, box):
     theorem on the convex box): in the spatial argument (letter 0), in each
     free variable j (letter j) and in the measure (letter m + 1). Every
     `value` is the certified sup that the remainder bounds read from
-    `certified_sup`, equal to it bit for bit; this report alone also
+    `_certified_sup`, equal to it bit for bit; this report alone also
     evaluates the grid and states the slack.
     """
     box = normalize_box(box, ts.kernel.e)

@@ -130,9 +130,9 @@ class MomentView:
 
     __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_moments", "_atom_tables", "_gap_tables")
 
-    def __init__(self, atoms, dim=None, gaps=None):
+    def __init__(self, atoms, dim, gaps=None):
         self.atoms = tuple(tuple(a) for a in atoms)
-        self.dim = dim if dim is not None else len(self.atoms[0])
+        self.dim = dim
         self.gaps = None if gaps is None else [tuple(g) for g in gaps]
         self._no_gaps = (0,) * self.dim
         self._moments = {}

@@ -34,55 +34,44 @@ class LiftedPoly:
     """A functional evaluated on the empirical measure of N particles.
 
     Scalar variables are particle-major, one block of e coordinates per
-    particle (1-based); with `spatial_block=True` a separate spatial point
-    occupies a leading block addressed as particle 0.
+    particle (1-based).
     """
 
-    __slots__ = ("n_particles", "dim", "spatial_block", "components")
+    __slots__ = ("n_particles", "dim", "components")
 
-    def __init__(self, n_particles, dim, spatial_block, components):
+    def __init__(self, n_particles, dim, components):
         self.n_particles = n_particles
         self.dim = dim
-        self.spatial_block = bool(spatial_block)
         self.components = tuple(components)
 
     @property
     def nvars(self):
-        return (self.n_particles + self.spatial_block) * self.dim
+        return self.n_particles * self.dim
 
     def var(self, particle, coord):
         """Scalar variable index of a particle coordinate (particle numbers
-        are 1-based; 0 addresses the spatial block when present)."""
-        if particle == 0 and not self.spatial_block:
-            raise ValidationError("lift has no separate spatial block")
-        offset = particle if self.spatial_block else particle - 1
-        return offset * self.dim + coord
+        are 1-based)."""
+        if not 1 <= particle <= self.n_particles:
+            raise ValidationError(f"particle {particle} outside 1..{self.n_particles}")
+        return (particle - 1) * self.dim + coord
 
-    def flatten_args(self, points, x0=None):
-        flat = []
-        if self.spatial_block:
-            flat.extend(x0)
-        for p in points:
-            flat.extend(p)
-        return flat
-
-    def eval(self, points, x0=None):
-        flat = self.flatten_args(points, x0)
+    def eval(self, points):
+        flat = [c for p in points for c in p]
         return [comp.eval(flat) for comp in self.components]
 
 
 def lift(f, n_particles, i=None):
     """Exact polynomial expansion of f on N-point empirical measures.
 
-    With a distinguished index i (1-based), the spatial argument is
-    substituted by particle i, matching the per-particle component of the
-    lifted field. Without it, a spatial functional keeps its own argument
-    block.
+    A spatial functional needs a distinguished index i (1-based): its
+    spatial argument is substituted by particle i, matching the
+    per-particle component of the lifted field.
     """
     kernel = f.kernel
     e = kernel.e
-    spatial_block = kernel.has_spatial and i is None
-    layout = LiftedPoly(n_particles, e, spatial_block, ())  # variable numbering only
+    if kernel.has_spatial and i is None:
+        raise ValidationError("a spatial functional lifts at a distinguished particle i")
+    layout = LiftedPoly(n_particles, e, ())  # variable numbering only
     weight = Fraction(1, n_particles**kernel.arity)
     comps = [MPoly.zero(layout.nvars) for _ in range(kernel.d)]
     for assignment in itertools.product(
@@ -90,17 +79,16 @@ def lift(f, n_particles, i=None):
     ):
         mapping = [0] * kernel.nvars
         if kernel.has_spatial:
-            target = 0 if spatial_block else i
             off = kernel.slot_offset(0)
             for c in range(e):
-                mapping[off + c] = layout.var(target, c)
+                mapping[off + c] = layout.var(i, c)
         for slot in range(1, kernel.arity + 1):
             off = kernel.slot_offset(slot)
             for c in range(e):
                 mapping[off + c] = layout.var(assignment[slot - 1], c)
         for out, comp in enumerate(kernel.components):
             comps[out] = comps[out] + comp.map_vars(layout.nvars, mapping) * weight
-    return LiftedPoly(n_particles, e, spatial_block, comps)
+    return LiftedPoly(n_particles, e, comps)
 
 
 def classical_grad(lifted, idx):
@@ -121,9 +109,9 @@ def classical_grad(lifted, idx):
     return out
 
 
-def classical_grad_at(lifted, idx, points, x0=None):
+def classical_grad_at(lifted, idx, points):
     """`classical_grad` evaluated at a particle configuration."""
-    flat = lifted.flatten_args(points, x0)
+    flat = [c for p in points for c in p]
     return classical_grad(lifted, idx).map(lambda p: p.eval(flat))
 
 
@@ -246,22 +234,19 @@ def verify_fullsystem(f, n_particles, i, idx, points=None, seed=None):
     return _particle_gradient_check(f, n_particles, i, idx, points, seed)
 
 
-def _classical_jet_term(lifted, order, x, gaps, x0=None, x0_gap=None):
+def _classical_jet_term(lifted, order, x, gaps):
     """Classical Taylor term of the lift at order `order`: the sum over
     particle multi-indices of the gradient contracted with the gaps."""
     d = len(lifted.components)
     total = [Fraction(0)] * d
-    n_particles = lifted.n_particles
-    particles = list(range(1, n_particles + 1))
-    if lifted.spatial_block:
-        particles = [0] + particles
+    particles = range(1, lifted.n_particles + 1)
     e = lifted.dim
     for idx in itertools.product(particles, repeat=order):
-        grad = classical_grad_at(lifted, idx, x, x0=x0)
+        grad = classical_grad_at(lifted, idx, x)
         for coords in itertools.product(range(e), repeat=order):
             weight = Fraction(1)
             for particle, c in zip(idx, coords):
-                g = x0_gap[c] if particle == 0 else gaps[particle - 1][c]
+                g = gaps[particle - 1][c]
                 if not g:
                     weight = Fraction(0)
                     break
@@ -465,7 +450,15 @@ def convergence_study(
     slope is the least-squares log-log fit, or None when every remainder is
     exactly zero ("exact"). Raises ValidationError when some remainder is
     nonzero but fewer than two clear `SLOPE_FLOOR`.
+
+    `x0` and `x0_direction` are the spatial base point and its direction:
+    a grading needs both, an order takes neither.
     """
+    graded = isinstance(order_or_grading, Grading)
+    if graded and (x0 is None or x0_direction is None):
+        raise ValidationError("a grading needs x0 and x0_direction")
+    if not graded and (x0 is not None or x0_direction is not None):
+        raise ValidationError("x0 and x0_direction need a grading, not an order")
     hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
     if not all(h > 0 for h in hs) or len(set(hs)) < 2:
         raise ValidationError("h_list needs at least two distinct scales h, all positive")
@@ -478,7 +471,7 @@ def convergence_study(
             for pt, dirvec in zip(points, directions)
         ]
         c = pair_coupling(points, y)
-        if isinstance(order_or_grading, Grading):
+        if graded:
             g = order_or_grading
             y0 = tuple(p + h * d for p, d in zip(x0, x0_direction))
             result = taylor2(f, x0, y0, c, g)

@@ -35,36 +35,24 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompositionError, EnumerationLimitError, ValidationError
 from .poly import format_rational, parse_rational
 
-DEFAULT_ENUM_CAP = 12
-
-
-def enumeration_cap():
-    """Maximum sequence length enumerations accept.
-
-    Overridable via the LIONS_JET_CAP environment variable; Bell numbers grow
-    fast enough that the default of 12 (Bell(12) is about 4.2 million) is a
-    memory guard, not a tuning knob.
-    """
-    env = os.environ.get("LIONS_JET_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_ENUM_CAP
+# Maximum sequence length enumerations accept. Bell numbers grow fast enough
+# that this is a memory guard, not a tuning knob: Bell(12) is about 4.2
+# million sequences and Bell(13) already 27.6 million.
+ENUM_CAP = 12
 
 
 def check_length(n):
     """Reject a negative enumeration length or one above the cap."""
     if n < 0:
         raise ValidationError(f"negative length {n}")
-    cap = enumeration_cap()
-    if n > cap:
-        raise EnumerationLimitError(f"length {n} exceeds enumeration cap {cap}")
+    if n > ENUM_CAP:
+        raise EnumerationLimitError(f"length {n} exceeds enumeration cap {ENUM_CAP}")
 
 
 @dataclass(frozen=True)
@@ -340,9 +328,8 @@ def _graded_value_families(alpha, beta, gamma, tagged_below, first):
     """
     alpha, beta, gamma = map(Fraction, (alpha, beta, gamma))
     lo = min(alpha, beta)
-    cap = enumeration_cap()
-    if gamma / lo > cap:
-        raise EnumerationLimitError(f"grading depth {gamma}/{lo} exceeds cap {cap}")
+    if gamma / lo > ENUM_CAP:
+        raise EnumerationLimitError(f"grading depth {gamma}/{lo} exceeds cap {ENUM_CAP}")
     scale = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
     alpha, beta, gamma = (int(x * scale) for x in (alpha, beta, gamma))
     lo, hi = min(alpha, beta), max(alpha, beta)

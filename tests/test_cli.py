@@ -66,6 +66,14 @@ def test_verify_batch_passes_and_is_deterministic():
     assert text1.splitlines()[-1] == "5/5 passed"
 
 
+@pytest.mark.parametrize("identity", ["empirical", "fullsystem"])
+def test_verify_process_pool_merges_in_trial_order(identity):
+    args = ["verify", identity, "--seed", "7", "--trials", "6"]
+    serial = run_cli(args + ["--jobs", "1"])
+    assert serial[0] == 0 and serial[1].splitlines()[-1] == "6/6 passed"
+    assert run_cli(args + ["--jobs", "2"]) == serial
+
+
 def test_verify_all_identities_smoke():
     for identity in ("fullsystem", "expansion", "schwarz"):
         code, text = run_cli(["verify", identity, "--seed", "3", "--trials", "4"])
@@ -186,12 +194,6 @@ def test_converge_command(tmp_path):
     assert lines[-1].startswith("# slope:")
     slope = float(lines[-1].split(":")[1])
     assert abs(slope - 2.0) < 0.3
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("LIONS_JET_CAP", "3")
-    code, _ = run_cli(["enum", "4"])
-    assert code == 2
 
 
 def test_console_entry_point():
@@ -334,6 +336,43 @@ def test_expand_order_rejects_derivative_options(tmp_path, capsys):
         assert_one_line_exit_two(args + extra, capsys)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--grading", "9/4", "1/2", "1"], ["--x0=1/4", "--y0=1/2"]],
+    ids=["grading", "spatial-points"],
+)
+def test_expand_order_rejects_graded_options(tmp_path, capsys, extra):
+    # these used to be ignored: the plain order-2 expansion was printed
+    kpath, xpath, ypath = _expand_inputs(tmp_path)
+    args = ["expand", "--kernel", kpath, "--points", xpath, "--points2", ypath, "--order", "2"]
+    assert run_cli(args)[0] == 0
+    assert_one_line_exit_two(args + extra, capsys)
+
+
+def test_expand_coupling_rejects_points(tmp_path, capsys):
+    # the points used to be ignored, never read
+    kpath, xpath, ypath = _expand_inputs(tmp_path)
+    cpath = str(tmp_path / "c.json")
+    save_coupling(cpath, pair_coupling([(F(0),), (F(1, 2),)], [(F(1, 3),), (F(1),)]))
+    args = ["expand", "--kernel", kpath, "--coupling", cpath, "--order", "2"]
+    assert run_cli(args)[0] == 0
+    assert_one_line_exit_two(args + ["--points", ypath, "--points2", xpath], capsys)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--grading", "9/4", "1/2", "1"], ["--x0", "1/4", "--x0-direction", "1"]],
+    ids=["grading", "spatial-point"],
+)
+def test_converge_order_rejects_graded_options(tmp_path, capsys, extra):
+    # these used to be ignored: the order-2 study was printed
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    args = ["converge", "--kernel", kpath, "--points", xpath, "--directions", xpath,
+            "--order", "2", "--h-list", "1/2,1/4"]
+    assert run_cli(args)[0] == 0
+    assert_one_line_exit_two(args + extra, capsys)
+
+
 def test_expand_graded_rejects_free_points_without_seq(tmp_path, capsys):
     _, xpath, ypath = _expand_inputs(tmp_path)
     kernel = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(1, 1): F(1)})]))
@@ -436,14 +475,13 @@ def test_bad_command_line_is_one_error_line(capsys):
         assert_one_line_exit_two(args, capsys)
 
 
-def test_grade_families_does_not_enumerate(monkeypatch):
+def test_grade_families_does_not_enumerate():
     # the grading is deeper than the cap allows enum_graded to list
-    monkeypatch.setenv("LIONS_JET_CAP", "2")
-    args = ["grade", "--seq", "0,1,1", "--grading", "9/2", "1", "1/2", "--families"]
+    args = ["grade", "--seq", "0,1,1", "--grading", "13", "1", "1/2", "--families"]
     code, text = run_cli(args)
     assert code == 0
     assert json.loads(text) == {"grade": "2", "families": ["core"]}
-    assert run_cli(["enum", "0", "--graded", "9/2", "1", "1/2"])[0] == 2
+    assert run_cli(["enum", "0", "--graded", "13", "1", "1/2"])[0] == 2
 
 
 def test_crashing_verify_trial_is_a_dumped_failure(monkeypatch):

@@ -22,7 +22,7 @@ from lionsjet.expansion import (
     taylor_derivative,
 )
 from lionsjet.functional import (
-    certified_sup,
+    _certified_sup,
     contract_derivative,
     eval_derivative,
     lions_derivative,
@@ -929,7 +929,7 @@ def test_bound_constants_equal_certified_sup_of_their_own_sequence():
             nbox = normalize_box(box, f.kernel.e)
             for record in res.bound_terms:
                 for name, seqs in _lip_sequences(record):
-                    sups = [certified_sup(f, TaggedSeq(s), nbox) for s in seqs]
+                    sups = [_certified_sup(f, TaggedSeq(s), nbox, {}) for s in seqs]
                     assert record[name] == (sups if name == "lip_free" else sups[0])
                     moved += sum(_orbit_key(s, 0) != s and sup > 0 for s, sup in zip(seqs, sups))
     assert moved > 0

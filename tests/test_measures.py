@@ -220,7 +220,7 @@ def test_integer_moments_match_the_loop_on_a_user_built_path_view():
         (XiPoly((Fraction(-2, 9),)), XiPoly((1, Fraction(1, 2), Fraction(-3, 5)))),
     ]
     gaps = [(2, Fraction(-1, 4)), (Fraction(5, 6), 0)]
-    view = MomentView(atoms, gaps=gaps)
+    view = MomentView(atoms, dim=2, gaps=gaps)
     assert view._atom_tables is not None and view._gap_tables is not None
     for exps in _exponents(2, 3):
         for gap_exps in _exponents(2, 2):
@@ -241,7 +241,7 @@ def test_float_and_mixed_atoms_take_the_fraction_loop(kind):
         gs = [tuple(map(float, g)) for g in gs]
     else:
         xs = [(float(x[0]), x[1]) for x in xs]
-    view = MomentView(xs, gaps=gs)
+    view = MomentView(xs, dim=2, gaps=gs)
     assert view._atom_tables is None
     for exps, gap_exps in [((1, 0), (0, 0)), ((2, 1), (0, 1)), ((0, 0), (2, 0))]:
         got = view.moment(exps, gap_exps)
@@ -254,7 +254,7 @@ def test_float_and_mixed_atoms_take_the_fraction_loop(kind):
 def test_float_gaps_with_rational_atoms():
     # the atom moments still run on integers; a gap moment takes the loop
     xs = [(Fraction(1, 3),), (Fraction(-2, 7),)]
-    view = MomentView(xs, gaps=[(0.5,), (-1.25,)])
+    view = MomentView(xs, dim=1, gaps=[(0.5,), (-1.25,)])
     assert view._atom_tables is not None and view._gap_tables is None
     assert view.moment((2,)) == _literal(xs, None, (2,), ()) and type(view.moment((2,))) is Fraction
     assert isinstance(view.moment((1,), (1,)), float)

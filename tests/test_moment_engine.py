@@ -108,7 +108,7 @@ def test_float_mode_matches_configuration_loops():
 def test_gap_moments_share_one_cache():
     atoms = [(F(1), F(2)), (F(-1), F(1, 2))]
     gaps = [(F(1, 3), F(0)), (F(2), F(-1))]
-    view = MomentView(atoms, gaps=gaps)
+    view = MomentView(atoms, dim=2, gaps=gaps)
     assert view.moment((1, 0)) == view.moment((1, 0), (0, 0)) == F(0)
     want = (F(1) * F(1, 3) ** 2 + F(-1) * F(2) ** 2) / 2
     assert view.moment((1, 0), (2, 0)) == want
@@ -121,7 +121,7 @@ def test_int_direction_on_path_view():
     f = kernel_1d({(2,): F(1)}, arity=1)
     xs, gs = [F(1), F(-2)], [F(1, 2), F(3)]
     path = MomentView(
-        [(XiPoly.affine(x, g),) for x, g in zip(xs, gs)], gaps=[(g,) for g in gs]
+        [(XiPoly.affine(x, g),) for x, g in zip(xs, gs)], dim=1, gaps=[(g,) for g in gs]
     )
     ts = lions_derivative(f, TaggedSeq((1,)))
     got = contract_derivative(ts, None, path, [], [0])[(0,)]

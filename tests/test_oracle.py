@@ -23,7 +23,7 @@ from lionsjet.oracle import (
 )
 from lionsjet.partitions import enum_A
 from lionsjet.poly import MPoly
-from lionsjet.tagged import TaggedSeq, enum_A0
+from lionsjet.tagged import Grading, TaggedSeq, enum_A0
 
 from test_functional import kernel_1d, random_functional, random_point
 
@@ -47,13 +47,11 @@ def test_lift_examples():
     f3 = kernel_1d({(1, 1): F(1)}, arity=1, spatial=True)
     lifted3 = lift(f3, 2, i=1)
     assert lifted3.components[0].terms == {(2, 0): F(1, 2), (1, 1): F(1, 2)}
-    # with a separate spatial block the variable count grows by one block
-    lifted4 = lift(f3, 2)
-    assert lifted4.nvars == 3
-    assert lifted4.components[0].terms == {
-        (1, 1, 0): F(1, 2),
-        (1, 0, 1): F(1, 2),
-    }
+    # a spatial functional lifts only at a distinguished particle
+    with pytest.raises(ValidationError):
+        lift(f3, 2)
+    with pytest.raises(ValidationError):
+        fd_gradient(f3, [(F(1),), (F(2),)], particle=1, coord=0)
 
 
 def test_classical_grad_examples():
@@ -62,6 +60,9 @@ def test_classical_grad_examples():
     for i in (1, 2):
         g = classical_grad(lifted, (i,))
         assert g[(0, 0)].degree() == 1
+    for outside in ((0,), (3,), (1, 0)):
+        with pytest.raises(ValidationError, match="outside"):
+            classical_grad(lifted, outside)
     g11 = classical_grad(lifted, (1, 1))
     g12 = classical_grad(lifted, (1, 2))
     assert g11[(0, 0, 0)].terms == {(0, 0): F(1, 2)}
@@ -357,6 +358,23 @@ def test_convergence_study_needs_two_distinct_positive_scales():
             convergence_study(f, pts, dirs, 1, hs, box=(-3, 3))
     rows, slope = convergence_study(f, pts, dirs, 1, [F(1, 2), 0.25])
     assert len(rows) == 2 and slope is not None
+
+
+def test_convergence_study_checks_its_spatial_arguments():
+    # a grading without x0 or x0_direction used to end in a TypeError; an
+    # order silently ignored them
+    f = kernel_1d({(1, 1): F(1)}, arity=1, spatial=True)
+    pts, dirs, hs = [(F(1, 2),)], [(F(1),)], [F(1, 2), F(1, 4)]
+    g = Grading(1, 1, F(5, 2))
+    for x0, dx0 in ((None, None), ((F(0),), None), (None, (F(1),))):
+        with pytest.raises(ValidationError, match="grading needs"):
+            convergence_study(f, pts, dirs, g, hs, x0=x0, x0_direction=dx0)
+    m = kernel_1d({(2,): F(1)}, arity=1)
+    for x0, dx0 in (((F(0),), (F(1),)), ((F(0),), None), (None, (F(1),))):
+        with pytest.raises(ValidationError, match="need a grading"):
+            convergence_study(m, pts, dirs, 2, hs, x0=x0, x0_direction=dx0)
+    rows, _ = convergence_study(f, pts, dirs, g, hs, x0=(F(0),), x0_direction=(F(1),))
+    assert len(rows) == 2
 
 
 def test_particle_checks_reject_points_of_another_dimension():

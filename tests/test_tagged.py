@@ -244,10 +244,10 @@ def test_grade_monotone_under_extension():
             assert grade(ext, g) == grade(a, g) + step
 
 
-def test_enum_graded_cap(monkeypatch):
-    monkeypatch.setenv("LIONS_JET_CAP", "4")
+def test_enum_graded_cap():
+    # the depth gamma / min(alpha, beta) is checked before the search starts
     with pytest.raises(EnumerationLimitError):
-        enum_graded(Grading(1, 1, 5))
+        enum_graded(Grading(1, 1, 13))
 
 
 def test_extension_listing_base_121():
