@@ -40,7 +40,6 @@ from .measures import (
     coupling_moment,
     interpolate,
     pair_coupling,
-    wasserstein,
 )
 from .oracle import (
     classical_grad,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import random
@@ -30,9 +31,9 @@ from .oracle import (
     verify_expansion_match,
     verify_fullsystem,
 )
-from .partitions import enum_A
 from .poly import MPoly, format_rational, parse_rational
-from .tagged import Grading, TaggedSeq, enum_A0, enum_graded, families_of, grade
+from .tagged import Grading, TaggedSeq, enum_A0, enum_Akn0, enum_graded, families_of, grade
+from .tagged import _graded_value_families, _sequences
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +236,8 @@ def _grading_arg(values):
 
 
 def _cmd_enum(args, out):
+    """Writes the texts the searches build, prefix by prefix; `--kn` and
+    graded JSON format the library's objects instead."""
     if args.graded:
         if args.kn is not None or args.tagged:
             raise ValidationError("--graded cannot be combined with --kn or --tagged")
@@ -243,30 +246,26 @@ def _cmd_enum(args, out):
                 f"enum --graded lists every length up to the grading; pass 0, not {args.n}"
             )
         g = _grading_arg(args.graded)
-        fam = enum_graded(g)
         if args.output == "json":
-            print(json.dumps(fam.to_json(), indent=2), file=out)
-        else:
-            out.write("".join(
-                f"{name}\t{','.join(map(str, a.values))}\n"
-                for name in ("core", "star", "plus", "cross")
-                for a in getattr(fam, name)
-            ))
-        return 0
-    if args.kn is not None:
-        from .tagged import enum_Akn0
-
-        seqs = enum_Akn0(args.kn, args.n)
-    elif args.tagged:
-        seqs = enum_A0(args.n)
-    else:
-        seqs = enum_A(args.n)
-    if args.output == "json":
-        print(json.dumps([list(a.values) for a in seqs]), file=out)
-    else:
+            print(json.dumps(enum_graded(g).to_json(), indent=2), file=out)
+            return 0
+        families = _graded_value_families(g.alpha, g.beta, g.gamma, 0, 0, ",")
+        # each text ends in its separator; the replace drops it
         out.write("".join(
-            (",".join(map(str, a.values)) if a.values else "()") + "\n" for a in seqs
-        ))
+            f"{name}\t" + f"\n{name}\t".join(family) + "\n"
+            for name, family in zip(("core", "star", "plus", "cross"), families)
+            if family
+        ).replace(",\n", "\n"))
+        return 0
+    sep = ", " if args.output == "json" else ","
+    if args.kn is not None:
+        texts = [sep.join(map(str, a.values)) for a in enum_Akn0(args.kn, args.n)]
+    else:
+        texts = _sequences(args.n, 0 if args.tagged else 1, 0, sep)
+    if args.output == "json":
+        out.write("[[" + "], [".join(texts) + "]]\n")
+    else:
+        out.write(("\n".join(texts) or "()") + "\n")
     return 0
 
 
@@ -284,6 +283,13 @@ def _cmd_grade(args, out):
 
 def _cmd_verify(args, out):
     if args.replay:
+        batch = zip(
+            ("the identity", "--seed", "--trials", "--jobs", "--mode", "--dump-dir"),
+            (args.identity, args.seed, args.trials, args.jobs, args.mode, args.dump_dir),
+        )
+        given = [name for name, value in batch if value is not None]
+        if given:
+            raise ValidationError(f"--replay takes no {', '.join(given)}")
         with open(args.replay) as fh:
             inst = json.load(fh)
         try:
@@ -292,11 +298,17 @@ def _cmd_verify(args, out):
             raise ValidationError(f"malformed instance: {exc!r}") from exc
         print(json.dumps(rep.to_json()), file=out)
         return 0 if rep.passed else 1
-    if args.trials < 1 or args.jobs < 1:
+    if args.identity is None:
+        raise ValidationError("verify needs an identity or --replay")
+    seed = 0 if args.seed is None else args.seed
+    n_trials = 100 if args.trials is None else args.trials
+    jobs = 1 if args.jobs is None else args.jobs
+    mode = args.mode or "rational"
+    if n_trials < 1 or jobs < 1:
         raise ValidationError("--trials and --jobs must be at least 1")
-    trials = [(args.identity, args.seed + k, args.mode) for k in range(args.trials)]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    trials = [(args.identity, seed + k, mode) for k in range(n_trials)]
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_trial, trials))
     else:
         results = [_trial(t) for t in trials]
@@ -452,14 +464,17 @@ def build_parser():
     p.add_argument("--grading", nargs=3, metavar=("GAMMA", "ALPHA", "BETA"), required=True)
     p.add_argument("--families", action="store_true")
 
+    # None defaults, so that --replay can refuse them; _cmd_verify applies the real ones
     p = sub.add_parser("verify", help="run a seeded verification batch")
-    p.add_argument("identity", choices=("empirical", "fullsystem", "expansion", "schwarz"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--mode", choices=("rational", "float"), default="rational")
-    p.add_argument("--dump-dir", default=None)
-    p.add_argument("--replay", default=None, help="re-run a dumped instance file")
+    p.add_argument(
+        "identity", nargs="?", choices=("empirical", "fullsystem", "expansion", "schwarz")
+    )
+    p.add_argument("--seed", type=int, help="default 0")
+    p.add_argument("--trials", type=int, help="default 100")
+    p.add_argument("--jobs", type=int, help="default 1")
+    p.add_argument("--mode", choices=("rational", "float"), help="default rational")
+    p.add_argument("--dump-dir")
+    p.add_argument("--replay", help="re-run a dumped instance file, alone")
 
     p = sub.add_parser("expand", help="evaluate one expansion")
     p.add_argument("--kernel", required=True)
@@ -491,6 +506,9 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def main(argv=None, out=None):
     """Execute one command line; returns the process exit status."""
     out = out or sys.stdout
@@ -502,7 +520,7 @@ def main(argv=None, out=None):
         "converge": _cmd_converge,
     }
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return commands[args.command](args, out)
     except SystemExit as exc:
         return 2 if exc.code else 0

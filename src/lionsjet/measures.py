@@ -1,9 +1,8 @@
-"""Empirical measures, couplings, interpolation, moments, Wasserstein
-distances.
+"""Empirical measures, couplings, interpolation and moments.
 
 Only uniform empirical measures with equal atom counts are supported: every
-construction used here pairs N atoms with N atoms, for which the optimal
-transport problem is an assignment problem and all integrals are finite sums.
+construction used here pairs N atoms with N atoms, and all integrals are
+finite sums.
 
 `MomentView` is the one moment cache every evaluator integrates against; an
 `EmpiricalMeasure` is a view whose atoms are validated rational or float
@@ -13,7 +12,6 @@ points.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import operator
@@ -308,54 +306,6 @@ def coupling_moment(coupling, p, exact=False):
         )
     total = sum(float(_gap_sq(x, y)) ** (p / 2) for x, y in coupling.pairs)
     return total / n
-
-
-def _sorted_1d_distance(mu, nu, q):
-    xs = sorted(float(a[0]) for a in mu.atoms)
-    ys = sorted(float(b[0]) for b in nu.atoms)
-    total = sum(abs(a - b) ** q for a, b in zip(xs, ys))
-    return (total / len(xs)) ** (1.0 / q)
-
-
-def _assignment_distance(mu, nu, q):
-    from scipy.optimize import linear_sum_assignment
-
-    cost = [
-        [float(_gap_sq(a, b)) ** (q / 2) for b in nu.atoms] for a in mu.atoms
-    ]
-    rows, cols = linear_sum_assignment(cost)
-    total = sum(cost[r][c] for r, c in zip(rows, cols))
-    return (total / len(mu.atoms)) ** (1.0 / q)
-
-
-def _brute_distance(mu, nu, q):
-    n = mu.n_atoms
-    best = None
-    for perm in itertools.permutations(range(n)):
-        total = sum(
-            float(_gap_sq(mu.atoms[i], nu.atoms[perm[i]])) ** (q / 2)
-            for i in range(n)
-        )
-        best = total if best is None else min(best, total)
-    return (best / n) ** (1.0 / q)
-
-
-def wasserstein(mu, nu, q=1):
-    """Order-q Wasserstein distance between equal-size empirical measures.
-
-    For uniform measures on N atoms each, the optimum over couplings is
-    attained at a permutation, so this is an exact assignment problem. In
-    dimension 1 sorting both atom lists solves it (monotone matching).
-    """
-    if q not in (1, 2):
-        raise ValidationError("q must be 1 or 2")
-    if mu.n_atoms != nu.n_atoms:
-        raise UnsupportedError("unequal atom counts are out of scope")
-    if mu.dim != nu.dim:
-        raise ValidationError("dimension mismatch")
-    if mu.dim == 1:
-        return _sorted_1d_distance(mu, nu, q)
-    return _assignment_distance(mu, nu, q)
 
 
 def load_points(path):

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 from .tagged import (
     TaggedSeq,
+    _built,
     _sequences,
     compose_tagged,
     equiv_class_tagged,
@@ -88,7 +89,7 @@ def enum_A(n):
 
     enum_A(0) is [PartitionSeq(())]; len(enum_A(n)) == Bell(n).
     """
-    return _sequences(n, 1, 0, PartitionSeq)
+    return [_built(PartitionSeq, values) for values in _sequences(n, 1, 0)]
 
 
 def to_partition(a):

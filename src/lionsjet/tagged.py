@@ -13,9 +13,12 @@ There are Bell(n+1) tagged sequences of length n (they encode partitions of
 sequence (`partitions.PartitionSeq`) is the zero-free tagged sequence: its
 spatial block is empty and its letters start at 1.
 
-One depth-first search enumerates partition, tagged and extended sequences;
-they differ only in the first admissible letter and in the running maximum
-the search starts from.
+One level-by-level search enumerates partition, tagged and extended
+sequences; they differ only in the first admissible letter and in the running
+maximum the search starts from. It and the graded family search grow each
+prefix by one entry of a letter table, so a prefix is its value tuple or, for
+`enum` to write, its text. What a search built is valid by construction and
+is not checked again; the public constructors always check.
 
 The grading G[a] = alpha * #zeros + beta * #positives truncates mixed Taylor
 jets at a level gamma; the three boundary families (star, plus, cross) list
@@ -140,24 +143,43 @@ def as_tagged(seq):
     return TaggedSeq(tuple(seq))
 
 
-def _sequences(n, first, running_max, make):
+def _built(cls, values, base=None):
+    """A `cls` holding the int tuple `values` that a search built, valid by
+    construction and so not checked again; `base` is an ExtendedSeq's."""
+    seq = object.__new__(cls)
+    object.__setattr__(seq, "values", values)
+    if base is not None:
+        object.__setattr__(seq, "base", base)
+    return seq
+
+
+def _letter_table(top, sep):
+    """The letters 0..top as 1-tuples, or given `sep` as texts followed by it."""
+    return [(v,) if sep is None else f"{v}{sep}" for v in range(top + 1)]
+
+
+def _sequences(n, first, running_max, sep=None):
     """Every sequence of length n whose letters run from `first` to one above
     the running maximum (which starts at `running_max`), in lexicographic
-    order, each passed through `make`.
+    order: value tuples, or with a separator `sep` the sequences' texts, the
+    letters in decimal joined by `sep`.
 
     Builds the prefixes one length at a time, each with its running maximum;
-    the last letter goes straight into `make`."""
+    the last level keeps no maximum and appends its letter without `sep`."""
     check_length(n)
+    inner = _letter_table(running_max + n, sep)
+    last = inner if sep is None else _letter_table(running_max + n, "")
+    empty = () if sep is None else ""
     if n == 0:
-        return [make(())]
-    level = [((), running_max)]
+        return [empty]
+    level = [(empty, running_max)]
     for _ in range(n - 1):
         level = [
-            (prefix + (v,), top if v <= top else v)
+            (prefix + inner[v], top if v <= top else v)
             for prefix, top in level
             for v in range(first, top + 2)
         ]
-    return [make(prefix + (v,)) for prefix, top in level for v in range(first, top + 2)]
+    return [prefix + last[v] for prefix, top in level for v in range(first, top + 2)]
 
 
 @dataclass(frozen=True)
@@ -230,7 +252,7 @@ class RemainderFamilies:
 
 def enum_A0(n):
     """All tagged sequences of length n; len(enum_A0(n)) == Bell(n+1)."""
-    return _sequences(n, 0, 0, TaggedSeq)
+    return [_built(TaggedSeq, values) for values in _sequences(n, 0, 0)]
 
 
 def enum_Akn0(k, n):
@@ -239,14 +261,14 @@ def enum_Akn0(k, n):
     if k < 0 or n < 0:
         raise ValidationError("negative length")
     check_length(k + n)
-    partition_values = _sequences(n, 1, 0, tuple)
+    partition_values = _sequences(n, 1, 0)
     out = []
     for zero_positions in itertools.combinations(range(k + n), k):
         zeros = set(zero_positions)
         for values in partition_values:
             it = iter(values)
             out.append(
-                TaggedSeq(tuple(0 if i in zeros else next(it) for i in range(k + n)))
+                _built(TaggedSeq, tuple(0 if i in zeros else next(it) for i in range(k + n)))
             )
     return out
 
@@ -313,7 +335,7 @@ def grade(a, g):
     return g.alpha * zeros + g.beta * (len(a) - zeros)
 
 
-def _graded_value_families(alpha, beta, gamma, tagged_below, first):
+def _graded_value_families(alpha, beta, gamma, tagged_below, first, sep=None):
     """DFS enumeration of the graded families over sequences whose letters
     start at `first`, whose letters in {first..tagged_below} are tagged
     (grade alpha) and whose letters above grow a 1-Lip partition pattern
@@ -323,8 +345,8 @@ def _graded_value_families(alpha, beta, gamma, tagged_below, first):
     alpha, beta and gamma are multiplied once by the lcm of their
     denominators, so the search adds and compares grades as exact integers.
 
-    Returns four lists of value tuples, each in prefix order: core, star,
-    plus, cross.
+    Returns four lists in prefix order: core, star, plus, cross; of value
+    tuples, or given `sep` of texts, each letter followed by `sep`.
     """
     alpha, beta, gamma = map(Fraction, (alpha, beta, gamma))
     lo = min(alpha, beta)
@@ -337,6 +359,8 @@ def _graded_value_families(alpha, beta, gamma, tagged_below, first):
     band_lo = gamma - lo
     core, star, plus, cross = [], [], [], []
     fresh = max(first, tagged_below + 1)  # the first letter graded beta
+    # at most ENUM_CAP levels, each adding at most one fresh letter
+    letters = _letter_table(tagged_below + ENUM_CAP, sep)
 
     def visit(values, total, running_max, plus_prefix):
         core.append(values)
@@ -349,13 +373,13 @@ def _graded_value_families(alpha, beta, gamma, tagged_below, first):
         if total + alpha <= gamma:
             for v in range(first, tagged_below + 1):
                 grown = v if v > running_max else running_max
-                visit(values + (v,), total + alpha, grown, child_flag)
+                visit(values + letters[v], total + alpha, grown, child_flag)
         if total + beta <= gamma:
             for v in range(fresh, max(running_max, tagged_below) + 2):
                 grown = v if v > running_max else running_max
-                visit(values + (v,), total + beta, grown, child_flag)
+                visit(values + letters[v], total + beta, grown, child_flag)
 
-    visit((), 0, 0, False)
+    visit(() if sep is None else "", 0, 0, False)
     return core, star, plus, cross
 
 
@@ -411,7 +435,7 @@ def enum_graded(g):
     """Graded core and remainder families over tagged sequences."""
     core, star, plus, cross = _graded_value_families(g.alpha, g.beta, g.gamma, 0, 0)
     # every boundary sequence is in the core too; build each one once
-    seqs = {values: TaggedSeq(values) for values in core}
+    seqs = {values: _built(TaggedSeq, values) for values in core}
     wrap = lambda family: tuple(map(seqs.__getitem__, family))
     return RemainderFamilies(g, tuple(seqs.values()), wrap(star), wrap(plus), wrap(cross))
 
@@ -452,7 +476,7 @@ class ExtendedSeq:
 def enum_A_a(a, n):
     """All extensions of length n over the base sequence `a`."""
     a = as_tagged(a)
-    return _sequences(n, 0, a.m, lambda values: ExtendedSeq(a, values))
+    return [_built(ExtendedSeq, values, a) for values in _sequences(n, 0, a.m)]
 
 
 def iso_J(a, abar):
@@ -494,6 +518,6 @@ def graded_families_ext(a, alpha, beta, eta):
     if eta < min(alpha, beta):
         raise ValidationError("threshold below one derivative step")
     core, star, plus, cross = _graded_value_families(alpha, beta, eta, a.m, 0)
-    wrap = lambda seqs: tuple(ExtendedSeq(a, v) for v in seqs)
+    wrap = lambda seqs: tuple(_built(ExtendedSeq, v, a) for v in seqs)
     return wrap(core), wrap(star), wrap(plus), wrap(cross)
 

@@ -19,7 +19,9 @@ from lionsjet import cli
 from lionsjet.cli import main, make_instance, run_instance
 from lionsjet.functional import PolyFunctional, PolyKernel
 from lionsjet.measures import pair_coupling, save_coupling, save_points
+from lionsjet.partitions import enum_A
 from lionsjet.poly import MPoly
+from lionsjet.tagged import Grading, enum_A0, enum_graded
 
 F = Fraction
 
@@ -92,7 +94,7 @@ def test_replay_round_trip(tmp_path):
     inst = make_instance("fullsystem", 123)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(inst))
-    code, text = run_cli(["verify", "fullsystem", "--replay", str(path)])
+    code, text = run_cli(["verify", "--replay", str(path)])
     assert code == 0
     rep = json.loads(text)
     assert rep["pass"] is True
@@ -110,7 +112,7 @@ def test_instance_generation_is_deterministic():
 def test_bad_file_gives_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _ = run_cli(["verify", "empirical", "--replay", str(bad)])
+    code, _ = run_cli(["verify", "--replay", str(bad)])
     assert code == 2
 
 
@@ -390,10 +392,10 @@ def test_replay_of_points_of_another_dimension_exits_two(tmp_path, capsys, ident
     inst = make_instance(identity, seed)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(inst))
-    assert run_cli(["verify", identity, "--replay", str(path)])[0] == 0
+    assert run_cli(["verify", "--replay", str(path)])[0] == 0
     inst["points"] = [p[:1] for p in inst["points"]]
     path.write_text(json.dumps(inst))
-    assert_one_line_exit_two(["verify", identity, "--replay", str(path)], capsys)
+    assert_one_line_exit_two(["verify", "--replay", str(path)], capsys)
 
 
 def test_converge_needs_two_distinct_positive_scales(tmp_path, capsys):
@@ -430,7 +432,7 @@ def test_replay_malformed_instance_exits_two(tmp_path, capsys):
     del inst["kernel"]
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(inst))
-    assert_one_line_exit_two(["verify", "empirical", "--replay", str(path)], capsys)
+    assert_one_line_exit_two(["verify", "--replay", str(path)], capsys)
 
 
 def test_loaders_close_their_files(tmp_path):
@@ -450,7 +452,7 @@ def test_loaders_close_their_files(tmp_path):
         save_coupling(cpath, pair_coupling([(F(0),)], [(F(1),)]))
         load_coupling(cpath)
         _load_functional(kpath)
-        assert run_cli(["verify", "empirical", "--replay", str(ipath)])[0] == 0
+        assert run_cli(["verify", "--replay", str(ipath)])[0] == 0
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
@@ -652,8 +654,8 @@ def _expand_converge_verify_argv(draw, files):
 
     command = draw(st.sampled_from(["expand", "converge", "verify"]))
     if command == "verify":
-        argv = ["verify", draw(st.sampled_from(["empirical", "fullsystem", "expansion",
-                                                "schwarz", "bogus"]))]
+        argv = ["verify", *maybe(draw(st.sampled_from(["empirical", "fullsystem", "expansion",
+                                                       "schwarz", "bogus"])))]
         argv += maybe("--seed", str(draw(st.integers(-3, 40))))
         argv += maybe("--trials", str(draw(st.integers(-1, 2))))
         argv += maybe("--jobs", draw(st.sampled_from(["-1", "0", "1"])))
@@ -803,3 +805,95 @@ def test_kernel_and_point_contents_fuzz_exit_codes(content_dir, data):
         assert len(err.getvalue().splitlines()) == 1
     else:
         assert err.getvalue() == ""
+
+
+# -- enum writes from the searches' text ---------------------------------------
+
+def _text(values):
+    return ",".join(map(str, values))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enum_formats_the_library_sequences(n):
+    for extra, seqs in (([], enum_A(n)), (["--tagged"], enum_A0(n))):
+        values = [a.values for a in seqs]
+        text = "".join((_text(v) or "()") + "\n" for v in values)
+        assert run_cli(["enum", str(n), *extra]) == (0, text)
+        json_text = json.dumps([list(v) for v in values]) + "\n"
+        assert run_cli(["enum", str(n), *extra, "--output", "json"]) == (0, json_text)
+
+
+@pytest.mark.parametrize(
+    "grading",  # (gamma, alpha, beta)
+    [("5/2", "1/2", "1"), ("3", "1", "1"), ("5/2", "1", "1/2")],
+    ids=["alpha<beta", "alpha=beta", "alpha>beta"],
+)
+def test_enum_graded_text_formats_the_library_families(grading):
+    gamma, alpha, beta = grading
+    fam = enum_graded(Grading(alpha, beta, gamma))
+    text = "".join(
+        f"{name}\t{_text(a.values)}\n"
+        for name in ("core", "star", "plus", "cross")
+        for a in getattr(fam, name)
+    )
+    assert run_cli(["enum", "0", "--graded", *grading]) == (0, text)
+
+
+def test_enum_over_the_cap_writes_nothing(capsys):
+    for args in (
+        ["enum", "13"],
+        ["enum", "13", "--tagged"],
+        ["enum", "13", "--output", "json"],
+        ["enum", "0", "--graded", "13", "1", "1/2"],
+    ):
+        assert_one_line_exit_two(args, capsys)
+
+
+# -- verify --replay runs the file alone ----------------------------------------
+
+@pytest.mark.parametrize(
+    "extra,name",
+    [
+        (["empirical"], "the identity"),
+        (["--seed", "0"], "--seed"),
+        (["--trials", "5"], "--trials"),
+        (["--jobs", "2"], "--jobs"),
+        (["--mode", "float"], "--mode"),
+        (["--dump-dir", "."], "--dump-dir"),
+    ],
+    ids=["identity", "seed", "trials", "jobs", "mode", "dump-dir"],
+)
+def test_replay_refuses_batch_arguments(tmp_path, capsys, extra, name):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(make_instance("fullsystem", 3)))
+    assert run_cli(["verify", "--replay", str(path)])[0] == 0
+    code, text = run_cli(["verify", *extra, "--replay", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: --replay takes no {name}\n"
+
+
+def test_verify_needs_an_identity_without_replay(capsys):
+    for args in (["verify"], ["verify", "--seed", "1", "--trials", "1"]):
+        assert_one_line_exit_two(args, capsys)
+
+
+def test_commands_run_without_scipy():
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from lionsjet.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lionsjet.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for args in (
+        ["enum", "4"],
+        ["enum", "0", "--graded", "9/2", "1", "1/2"],
+        ["verify", "fullsystem", "--trials", "2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,4 @@
-"""Empirical measures, couplings, moments, Wasserstein distances."""
+"""Empirical measures, couplings, moments."""
 
 import itertools
 import math
@@ -19,9 +19,7 @@ from lionsjet.measures import (
     pair_coupling,
     save_coupling,
     save_points,
-    wasserstein,
 )
-from lionsjet.measures import _assignment_distance, _brute_distance
 from lionsjet.poly import XiPoly
 
 
@@ -75,63 +73,19 @@ def test_coupling_moment_examples():
     assert coupling_moment(c3, 3, exact=True) == Fraction(1, 216)
 
 
-def test_wasserstein_examples():
-    mu = EmpiricalMeasure([(0,), (1,)])
-    nu = EmpiricalMeasure([(1,), (3,)])
-    assert wasserstein(mu, mu, 1) == pytest.approx(0.0)
-    assert wasserstein(mu, nu, 1) == pytest.approx(1.5)
-    with pytest.raises(UnsupportedError):
-        wasserstein(mu, EmpiricalMeasure([(0,), (1,), (2,)]), 1)
-    with pytest.raises(ValidationError):
-        wasserstein(mu, nu, 3)
-
-
-def test_wasserstein_matches_bruteforce():
-    rng = random.Random(7)
-    for e in (1, 2):
-        for n in (1, 2, 3, 4, 5):
-            mu = EmpiricalMeasure(
-                [tuple(rng.uniform(-2, 2) for _ in range(e)) for _ in range(n)]
-            )
-            nu = EmpiricalMeasure(
-                [tuple(rng.uniform(-2, 2) for _ in range(e)) for _ in range(n)]
-            )
-            for q in (1, 2):
-                assert wasserstein(mu, nu, q) == pytest.approx(
-                    _brute_distance(mu, nu, q), rel=1e-9, abs=1e-12
-                )
-
-
-def test_wasserstein_1d_sort_matches_assignment():
-    rng = random.Random(11)
-    for n in (1, 2, 3, 5, 8, 13):
-        for _ in range(5):
-            mu = EmpiricalMeasure([(rng.uniform(-3, 3),) for _ in range(n)])
-            nu = EmpiricalMeasure([(rng.uniform(-3, 3),) for _ in range(n)])
-            for q in (1, 2):
-                assert wasserstein(mu, nu, q) == pytest.approx(
-                    _assignment_distance(mu, nu, q), rel=1e-9, abs=1e-12
-                )
-
-
-def test_wasserstein_metric_properties():
+def test_coupling_moment_bounds_the_best_permutation():
+    # the pairing of a coupling is one of the N! permutations, so its moment
+    # is at least their minimum; each permuted pairing's moment is its sum
     rng = random.Random(3)
     for _ in range(10):
-        ms = [
-            EmpiricalMeasure([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)])
-            for _ in range(3)
-        ]
-        for q in (1, 2):
-            d01 = wasserstein(ms[0], ms[1], q)
-            d10 = wasserstein(ms[1], ms[0], q)
-            d12 = wasserstein(ms[1], ms[2], q)
-            d02 = wasserstein(ms[0], ms[2], q)
-            assert d01 == pytest.approx(d10, rel=1e-9, abs=1e-12)
-            assert d02 <= d01 + d12 + 1e-9
-        # order monotonicity and the one-coupling upper bound
-        assert wasserstein(ms[0], ms[1], 1) <= wasserstein(ms[0], ms[1], 2) + 1e-9
-        c = pair_coupling(ms[0].atoms, ms[1].atoms)
-        assert wasserstein(ms[0], ms[1], 1) <= coupling_moment(c, 1) + 1e-9
+        x, y = ([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)] for _ in range(2))
+        costs = []
+        for perm in itertools.permutations(range(3)):
+            moment = coupling_moment(pair_coupling(x, [y[j] for j in perm]), 1)
+            direct = sum(math.dist(x[i], y[j]) for i, j in enumerate(perm)) / 3
+            assert moment == pytest.approx(direct, rel=1e-12)
+            costs.append(moment)
+        assert min(costs) <= coupling_moment(pair_coupling(x, y), 1)
 
 
 def test_point_io(tmp_path):

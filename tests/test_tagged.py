@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lionsjet.errors import EnumerationLimitError, ValidationError
-from lionsjet.partitions import PartitionSeq
+from lionsjet.partitions import PartitionSeq, enum_A
 from lionsjet.tagged import (
     ExtendedSeq,
     Grading,
@@ -389,3 +389,43 @@ def test_orbit_key_examples():
     assert _orbit_key((1, 2, 2), 0) == (1, 1, 2)
     assert _orbit_key((1, 0, 2, 0, 1, 3, 1), 0) == (0, 0, 1, 1, 1, 2, 3)
     assert _orbit_key((3, 1, 0, 3, 2, 1), 2) == (0, 1, 1, 2, 3, 3)
+
+
+def test_public_constructors_check_letters_and_growth():
+    # the enumerators skip these checks; the constructors must keep them
+    base = TaggedSeq((1, 2, 1))
+    bad = {
+        TaggedSeq: [(-1,), (2,), (0, 2), (1, 3), (0, 1.0)],
+        PartitionSeq: [(0,), (2,), (1, 0), (1, 3), (1, "2")],
+        lambda values: ExtendedSeq(base, values): [(-1,), (4,), (3, 5), (Fraction(1),)],
+    }
+    for make, cases in bad.items():
+        for values in cases:
+            with pytest.raises(ValidationError):
+                make(values)
+
+
+def _generated(n):
+    """Every sequence the enumerators build at length n (the graded
+    families up to a depth of n + 1 or n + 2), with the public constructor that
+    rebuilds each."""
+    base = TaggedSeq((1, 0, 2))  # m = 2
+    rebuild = lambda x: ExtendedSeq(x.base, x.values)
+    yield from ((a, PartitionSeq) for a in enum_A(n))
+    yield from ((a, TaggedSeq) for a in enum_A0(n))
+    yield from ((x, rebuild) for x in enum_A_a(base, n))
+    for k in range(n + 1):
+        yield from ((a, TaggedSeq) for a in enum_Akn0(k, n - k))
+    fam = enum_graded(Grading(Fraction(1, 2), 1, Fraction(n + 2, 2)))
+    yield from ((a, TaggedSeq) for name in ("core", "star", "plus", "cross")
+                for a in getattr(fam, name))
+    for family in graded_families_ext(base, 1, Fraction(1, 2), Fraction(n + 1, 2)):
+        yield from ((x, rebuild) for x in family)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_generated_sequences_pass_the_public_constructors(n):
+    for seq, rebuild in _generated(n):
+        assert rebuild(seq) == seq
+        assert type(seq.values) is tuple
+        assert all(type(v) is int for v in seq.values)
