@@ -257,6 +257,8 @@ def _cmd_enum(args, out):
             if family
         ).replace(",\n", "\n"))
         return 0
+    if args.kn is not None and args.tagged:
+        raise ValidationError("--kn lists tagged sequences and takes no --tagged")
     sep = ", " if args.output == "json" else ","
     if args.kn is not None:
         texts = [sep.join(map(str, a.values)) for a in enum_Akn0(args.kn, args.n)]

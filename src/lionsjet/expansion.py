@@ -2,17 +2,20 @@
 
 The jet operator contracts a derivative against coupling gaps, averaged over
 every coupling configuration: one atom pair per coupling variable of the
-derivative. Per kernel monomial that m-fold average factorizes into a product
-of mixed coupling moments (1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per
-pinned slot, so the operator costs time linear in the atom count N (see
+derivative. Per monomial of the derivative's joint polynomials that m-fold
+average factorizes into a product of mixed coupling moments
+(1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per coupling variable, so the
+operator costs time linear in the atom count N (see
 `functional.contract_derivative`). With rational data each moment is a sum
 of plain integers over power tables scaled once per view, divided once at
 the end (`measures.MomentView`), and the base and path views of a coupling
 share their gap tables. Each partial derivative of a kernel component is
 differentiated once per expansion or bound call: the derivatives built by
 one call share one table (`functional._derivative`), dropped when the call
-returns. Truncating the expansion at an order (or at a grading level)
-leaves remainder terms indexed by the boundary families;
+returns. Each derivative compiles its joint polynomials once, and its base
+and path contractions both read them. Truncating the expansion at an order
+(or at a grading level) leaves remainder terms indexed by the boundary
+families;
 on the interpolation path the atoms have coordinates polynomial in the path
 parameter, so the same moments are polynomials and the integrals are taken
 in closed form, and
@@ -53,8 +56,9 @@ is `functional._certified_sup` of the next derivative: the coefficient-wise
 sup bound alone, with no sample grid (the grid and its slack are reported
 only by `norms_on_box`, whose `.value`s equal these constants bit for bit).
 A derivative indexed by a sequence longer than the kernel degree vanishes
-identically, so its constant is 0.0 and its jet and remainder contractions
-are zero tensors, all returned without work.
+identically: its joint form has no cells, so its constant is 0.0 and its
+jet and remainder contractions are zero tensors, with nothing
+differentiated.
 """
 
 from __future__ import annotations

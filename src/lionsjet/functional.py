@@ -13,6 +13,12 @@ tagged sequence a with m = max(a) free variables is therefore a sum with one
 term per injective map of the free variables 1..m into the integrated slots
 1..arity: arity!/(arity - m)! terms, none when m > arity. Each term records
 which slot each free variable pins and which slot each tensor direction hit.
+
+Each derivative is compiled once into joint polynomials over x0, the free
+variables and the integrated slots (`DerivTermSum.joint`). The contraction,
+the certified sup and the grid report all read that form, and a derivative
+past the kernel degree has no cells in it; only the reference evaluator
+`eval_derivative_brute` walks the terms.
 """
 
 from __future__ import annotations
@@ -115,18 +121,28 @@ class PolyKernel:
 
     @classmethod
     def from_json(cls, data):
-        e, d, arity = data["e"], data["d"], data["arity"]
-        spatial = data["spatial"]
-        nvars = (arity + bool(spatial)) * e
+        e, d, arity, spatial = data["e"], data["d"], data["arity"], data["spatial"]
+        for name, value, least in (("e", e, 1), ("d", d, 1), ("arity", arity, 0)):
+            if type(value) is not int or value < least:
+                raise ValidationError(
+                    f"kernel {name} must be an integer >= {least}, got {value!r}"
+                )
+        if type(spatial) is not bool:
+            raise ValidationError(f"kernel spatial must be true or false, got {spatial!r}")
+        nvars = (arity + spatial) * e
         comps = [dict() for _ in range(d)]
         for term in data["terms"]:
             rows = term["exps"]
-            if len(rows) != arity + bool(spatial):
+            if len(rows) != arity + spatial:
                 raise ValidationError("exponent matrix has wrong row count")
             flat = tuple(int(x) for row in rows for x in row)
             if len(flat) != nvars or any(x < 0 for x in flat):
                 raise ValidationError("bad exponent matrix")
             out = term["out"]
+            if type(out) is not int or not 0 <= out < d:
+                raise ValidationError(
+                    f"term output must be an integer in 0..{d - 1}, got {out!r}"
+                )
             comps[out][flat] = comps[out].get(flat, Fraction(0)) + parse_rational(
                 term["coeff"]
             )
@@ -170,41 +186,6 @@ class PolyFunctional:
         return f"PolyFunctional({self.kernel!r})"
 
 
-def _eval_poly_slots(kernel, poly, slot_values, measure, gaps):
-    """Evaluate a kernel-variable polynomial; slots absent from
-    `slot_values` are integrated against `measure`.
-
-    Per monomial, the integration over independent slots factorizes into a
-    product of per-slot moments, so cost is linear in the atom count. A slot
-    listed in `gaps` is an averaged coupling variable: its moment carries the
-    gap exponents gaps[slot].
-    """
-    e = kernel.e
-    total = 0
-    for exps, coeff in poly.terms.items():
-        factor = coeff
-        for slot in kernel.slots():
-            off = kernel.slot_offset(slot)
-            row = exps[off : off + e]
-            gap_row = gaps.get(slot)
-            if gap_row:
-                factor = factor * measure.moment(row, gap_row)
-                continue
-            if not any(row):
-                continue
-            vals = slot_values.get(slot)
-            if vals is None:
-                if measure is None:
-                    raise ValidationError("integrated slot without a measure")
-                factor = factor * measure.moment(row)
-            else:
-                for c, p in zip(vals, row):
-                    if p:
-                        factor = factor * c**p
-        total = total + factor
-    return total
-
-
 @dataclass(frozen=True)
 class DerivTerm:
     """One term of an iterated derivative.
@@ -231,13 +212,14 @@ class DerivTermSum:
     computed once per call.
     """
 
-    __slots__ = ("functional", "seq", "terms", "partials")
+    __slots__ = ("functional", "seq", "terms", "partials", "_joint")
 
     def __init__(self, functional, seq, terms):
         self.functional = functional
         self.seq = seq
         self.terms = tuple(terms)
         self.partials = {}
+        self._joint = None
 
     @property
     def kernel(self):
@@ -250,6 +232,53 @@ class DerivTermSum:
     @property
     def n_free(self):
         return self.seq.m
+
+    @property
+    def n_groups(self):
+        """Argument groups of the joint polynomials, e variables each: x0
+        when the kernel is spatial, the free variables 1..m, then the
+        integrated slots 1..arity."""
+        return self.kernel.n_slots + self.n_free
+
+    def joint(self):
+        """The derivative compiled once: for each (output, direction
+        coordinates) cell that is not identically zero, the polynomial over
+        the argument groups whose expectation over independent integrated
+        slots is that entry.
+
+        Each term maps its kernel slots into the groups, a pinned slot to its
+        free variable's group, and the mapped partial derivatives are summed,
+        so distinct terms that land on one monomial merge and cancellations
+        between them are kept. A sequence longer than the kernel degree has
+        no cells: every partial derivative of a polynomial past its total
+        degree is zero, so the contraction returns zeros and the certified
+        sup 0.0 without differentiating anything."""
+        if self._joint is not None:
+            return self._joint
+        kernel, joint = self.kernel, {}
+        if self.order > kernel.degree:
+            self._joint = joint
+            return joint
+        e, spatial, m = kernel.e, int(kernel.has_spatial), self.n_free
+        nvars = self.n_groups * e
+        mappings = []
+        for term in self.terms:
+            groups = list(range(spatial + m, spatial + m + kernel.arity))
+            for j, slot in enumerate(term.pins):
+                groups[slot - 1] = spatial + j
+            mappings.append([g * e + c for g in [0] * spatial + groups for c in range(e)])
+        for comp in range(kernel.d):
+            for coords in itertools.product(range(e), repeat=self.order):
+                total = None
+                for term, mapping in zip(self.terms, mappings):
+                    poly = self.deriv_poly(comp, term, coords)
+                    if poly:
+                        poly = poly.map_vars(nvars, mapping)
+                        total = poly if total is None else total + poly
+                if total:
+                    joint[(comp, coords)] = total
+        self._joint = joint
+        return joint
 
     def deriv_poly(self, out, term, coords):
         """The kernel component differentiated once per direction, direction
@@ -286,14 +315,6 @@ def _partial(table, kernel, out, variables):
     return poly
 
 
-def _past_degree(kernel, order):
-    """Whether every derivative indexed by a sequence of `order` letters is
-    identically zero: each of its terms differentiates a kernel component
-    once per letter, and every partial derivative of a polynomial of order
-    above its total degree is zero."""
-    return order > kernel.degree
-
-
 def lions_derivative(f, a):
     """Symbolic mixed derivative of `f` indexed by the tagged sequence `a`.
 
@@ -327,16 +348,6 @@ def _derivative(f, a, partials):
     return ts
 
 
-def _slot_values_for(ts, term, x0, free):
-    kernel = ts.kernel
-    slot_values = {}
-    if kernel.has_spatial:
-        slot_values[0] = tuple(x0)
-    for slot, point in zip(term.pins, free):
-        slot_values[slot] = tuple(point)
-    return slot_values
-
-
 def eval_derivative(ts, x0, mu, free):
     """Evaluate a derivative at (x0, mu, free variables).
 
@@ -365,18 +376,16 @@ def eval_derivative_brute(ts, x0, mu, free):
     e, d, n = kernel.e, kernel.d, ts.order
     out = Tensor((d,) + (e,) * n)
     for term in ts.terms:
-        base_values = _slot_values_for(ts, term, x0, free)
+        given = dict(zip(term.pins, free))
+        if kernel.has_spatial:
+            given[0] = x0
         int_slots = [
             s for s in range(1, kernel.arity + 1) if s not in term.pins
         ]
         scale = Fraction(1, mu.n_atoms ** len(int_slots))
         for assign in itertools.product(mu.atoms, repeat=len(int_slots)):
-            slot_values = dict(base_values)
-            for slot, atom in zip(int_slots, assign):
-                slot_values[slot] = tuple(atom)
-            flat = []
-            for s in kernel.slots():
-                flat.extend(slot_values[s])
+            slot_values = {**given, **dict(zip(int_slots, assign))}
+            flat = [c for s in kernel.slots() for c in slot_values[s]]
             for comp in range(d):
                 for coords in itertools.product(range(e), repeat=n):
                     poly = ts.deriv_poly(comp, term, coords)
@@ -395,20 +404,18 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     coupling variable j. Free variables beyond len(free) are the averaged
     coupling variables 0, 1, ...: each is drawn uniformly from the atoms of
     `mu` (a `MomentView` with gaps) and the result is the average over all
-    such draws. Per monomial that average factorizes into the mixed moments
-    mu.moment(row, gap_exps) of the pinned slots, so the cost is linear in
-    the atom count rather than a sum over configurations. Returns a tensor of
-    shape (d, e, ..., e) with one axis per uncontracted direction.
+    such draws. Returns a tensor of shape (d, e, ..., e) with one axis per
+    uncontracted direction.
 
-    A sequence longer than the kernel degree returns that zero tensor at
-    once. This is exact, not an approximation: every entry of such a
-    derivative is a partial derivative of a kernel component past its total
-    degree, so the evaluation below would skip every cell and return the
-    same zeros after visiting all e^n of them.
+    Each cell of the joint form (`DerivTermSum.joint`) is evaluated group by
+    group: x0 and the given free points contribute their powers, averaged
+    coupling variable j the mixed moment mu.moment(row, gap_exps), and an
+    integrated slot mu.moment(row). Per monomial the average over the atoms
+    factorizes into those moments, so the cost is linear in the atom count
+    rather than a sum over configurations.
     """
     kernel = ts.kernel
-    e, d, n = kernel.e, kernel.d, ts.order
-    n_fixed = len(free)
+    e = kernel.e
     free_dirs, vec_dirs, gap_dirs = [], [], []
     for p, v in enumerate(direction_vectors):
         if v is None:
@@ -417,33 +424,38 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             gap_dirs.append((p, v))
         else:
             vec_dirs.append((p, v))
-    if _past_degree(kernel, n):
-        return Tensor((d,) + (e,) * len(free_dirs))
-    # Per direction coordinates: the contraction weight, the gap exponents
-    # of each averaged coupling variable, and the output coordinates.
-    cells = []
-    for coords in itertools.product(range(e), repeat=n):
+    given = ([x0] if kernel.has_spatial else []) + list(free)
+    values = [c for point in given for c in point]
+    # the groups integrated against `mu`: the averaged coupling variables
+    # first, then the integrated slots
+    spans = [(g * e, g * e + e) for g in range(len(given), ts.n_groups)]
+    out = Tensor((kernel.d,) + (e,) * len(free_dirs))
+    for (comp, coords), poly in ts.joint().items():
         weight = 1
         for p, vec in vec_dirs:
             weight = weight * vec[coords[p]]
         if not weight:
             continue
-        gap_rows = {}
+        gap_rows = [[0] * e for _ in spans]
         for p, j in gap_dirs:
-            gap_rows.setdefault(j, [0] * e)[coords[p]] += 1
-        gap_rows = {j: tuple(row) for j, row in gap_rows.items()}
-        cells.append((coords, weight, gap_rows, tuple(coords[p] for p in free_dirs)))
-    out = Tensor((d,) + (e,) * len(free_dirs))
-    for term in ts.terms:
-        slot_values = _slot_values_for(ts, term, x0, free)
-        for coords, weight, gap_rows, kept in cells:
-            gaps = {term.pins[n_fixed + j]: row for j, row in gap_rows.items()}
-            for comp in range(d):
-                poly = ts.deriv_poly(comp, term, coords)
-                if not poly:
-                    continue
-                val = _eval_poly_slots(kernel, poly, slot_values, mu, gaps)
-                out[(comp,) + kept] += val * weight if vec_dirs else val
+            gap_rows[j][coords[p]] += 1
+        moments = [
+            (lo, hi, tuple(row) if any(row) else None) for (lo, hi), row in zip(spans, gap_rows)
+        ]
+        val = 0
+        for exps, coeff in poly.terms.items():
+            factor = coeff
+            for c, p in zip(values, exps):
+                if p:
+                    factor = factor * c**p
+            for lo, hi, gap in moments:
+                row = exps[lo:hi]
+                if gap:
+                    factor = factor * mu.moment(row, gap)
+                elif any(row):
+                    factor = factor * mu.moment(row)
+            val = val + factor
+        out[(comp,) + tuple(coords[p] for p in free_dirs)] += val * weight if vec_dirs else val
     return out
 
 
@@ -491,40 +503,6 @@ class NormEstimates:
     lip_free: tuple
 
 
-def _combined_polys(ts):
-    """For each (output, direction coordinates): the joint polynomial in
-    (x0, free variables, integration variables) whose expectation over
-    independent box-supported integration variables is the derivative.
-
-    Keeping the terms in one polynomial preserves cancellations in the sup
-    bound."""
-    kernel = ts.kernel
-    e = kernel.e
-    m = ts.n_free
-    spatial = 1 if kernel.has_spatial else 0
-    nvars_g = (spatial + m + kernel.arity) * e
-    # Each term's map of kernel variables into groups of e joint variables:
-    # x0, free variables 1..m, then slots 1..arity (a pinned slot goes to its
-    # free variable's group).
-    mappings = []
-    for term in ts.terms:
-        groups = list(range(spatial + m, spatial + m + kernel.arity))
-        for j, slot in enumerate(term.pins):
-            groups[slot - 1] = spatial + j
-        mappings.append([g * e + c for g in [0] * spatial + groups for c in range(e)])
-
-    out = {}
-    for comp in range(kernel.d):
-        for coords in itertools.product(range(e), repeat=ts.order):
-            total = MPoly.zero(nvars_g)
-            for term, mapping in zip(ts.terms, mappings):
-                poly = ts.deriv_poly(comp, term, coords)
-                if poly:
-                    total = total + poly.map_vars(nvars_g, mapping)
-            out[(comp, coords)] = total
-    return out, nvars_g
-
-
 def _crude_sup(poly, var_bounds):
     """Certified sup of |poly| on the box: sum of |coeff| * prod bound^exp,
     or inf when that exceeds the float range."""
@@ -541,45 +519,31 @@ def _crude_sup(poly, var_bounds):
     return total
 
 
-def _box_scalar(box, nvars_g, e):
-    """The (lo, hi) interval of each scalar variable of the combined
-    polynomials: the box repeated once per argument group."""
-    return (box * (nvars_g // e))[:nvars_g]
-
-
-def _frobenius_sup(polys, box_scalar):
-    """Certified Frobenius sup of the tensor whose entries are `polys`: the
-    root of the sum of the squared coefficient-wise entry bounds."""
-    var_bounds = [max(abs(lo), abs(hi)) for lo, hi in box_scalar]
+def _frobenius_sup(ts, box):
+    """Certified Frobenius sup of a derivative over its argument groups in
+    the (normalized) box and measures supported in it: the root of the sum
+    of the squared coefficient-wise bounds of its joint cells."""
+    var_bounds = [max(abs(lo), abs(hi)) for lo, hi in box] * ts.n_groups
     certified_sq = 0.0
-    for poly in polys:
+    for poly in ts.joint().values():
         sup = _crude_sup(poly, var_bounds)
         certified_sq += sup * sup
     return math.sqrt(certified_sq)
 
 
 def _certified_sup(f, seq, box, partials):
-    """Certified Frobenius sup of the derivative of `f` indexed by `seq`
-    over spatial and free arguments in the (normalized) box and measures
-    supported in it. No grid is evaluated. `partials` is the
-    partial-derivative table the caller shares among its derivatives of `f`
-    (see `_derivative`).
-
-    A sequence longer than the kernel degree gives 0.0 without building the
-    derivative: every entry of its combined polynomials is zero, so the sum
-    of squared entry bounds is 0.0 and so is its root.
-    """
-    if _past_degree(f.kernel, len(seq)):
-        return 0.0
-    polys, nvars_g = _combined_polys(_derivative(f, seq, partials))
-    return _frobenius_sup(polys.values(), _box_scalar(box, nvars_g, f.kernel.e))
+    """Certified Frobenius sup of the derivative of `f` indexed by `seq`, with
+    no grid evaluated. `partials` is the partial-derivative table the caller
+    shares among its derivatives of `f` (see `_derivative`)."""
+    return _frobenius_sup(_derivative(f, seq, partials), box)
 
 
 GRID_SAMPLES = 5  # mesh points per variable of the `norms_on_box` grid, before its cap
 
 
-def _grid_points(box_scalar, nvars, samples, budget):
+def _grid_points(box_scalar, samples, budget):
     """Deterministic mesh over the scalar variables, capped in size."""
+    nvars = len(box_scalar)
     while samples > 2 and samples**nvars > budget:
         samples -= 1
     if samples**nvars > budget:
@@ -593,14 +557,12 @@ def _grid_points(box_scalar, nvars, samples, budget):
 def _sup_report(ts, box):
     """The certified Frobenius sup of a derivative, as `_certified_sup`
     computes it, with the largest value on a sample mesh beside it."""
-    polys, nvars_g = _combined_polys(ts)
-    box_scalar = _box_scalar(box, nvars_g, ts.kernel.e)
-    certified = _frobenius_sup(polys.values(), box_scalar)
+    certified = _frobenius_sup(ts, box)
     grid = 0.0
-    entries = [p for p in polys.values() if p]
+    entries = list(ts.joint().values())
     if entries:
         budget = max(1, 2048 // len(entries))
-        for point in _grid_points(box_scalar, nvars_g, GRID_SAMPLES, budget):
+        for point in _grid_points(box * ts.n_groups, GRID_SAMPLES, budget):
             point = list(point)
             sq = sum(float(p.eval(point)) ** 2 for p in entries)
             grid = max(grid, math.sqrt(sq))

@@ -180,11 +180,7 @@ class MPoly:
                 if e:
                     new[mapping[i]] += e
             key = tuple(new)
-            val = out.get(key, ZERO) + coeff
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            out[key] = out[key] + coeff if key in out else coeff
         return MPoly(nvars, out)
 
     def __repr__(self):

@@ -464,6 +464,12 @@ def test_enum_graded_rejects_other_families(capsys):
     assert run_cli(["enum", "5", "--kn", "2"])[0] == 0
 
 
+def test_enum_kn_rejects_tagged(capsys):
+    # --kn lists tagged sequences already; --tagged used to be ignored
+    assert_one_line_exit_two(["enum", "2", "--kn", "1", "--tagged"], capsys)
+    assert run_cli(["enum", "2", "--kn", "1"])[0] == 0
+
+
 def test_enum_graded_rejects_a_length(capsys):
     # the grading sets the lengths; N used to be ignored without a word
     for n in ("3", "1", "-1"):
@@ -594,6 +600,39 @@ def test_malformed_input_files_exit_two(tmp_path, capsys):
     assert_one_line_exit_two(["converge", "--kernel", kpath, "--points", xpath,
                               "--directions", numbers, "--order", "1"], capsys)
     assert run_cli(["expand", "--kernel", kpath] + points)[0] == 0
+
+
+_SQUARE = {"out": 0, "coeff": "1", "exps": [[2]]}
+
+
+@pytest.mark.parametrize(
+    "fields, command",
+    [
+        # the term used to land in the last component
+        ({"d": 2, "terms": [{**_SQUARE, "out": -1}]}, "order"),
+        # the term used to land in component 1
+        ({"d": 2, "terms": [{**_SQUARE, "out": True}]}, "order"),
+        ({"arity": -1, "terms": []}, "order"),
+        # every tensor used to come out empty
+        ({"d": 0, "terms": []}, "order"),
+        ({"e": True}, "order"),
+        # used to be read as a spatial kernel
+        ({"spatial": "no", "terms": [{**_SQUARE, "exps": [[1], [1]]}]}, "grading"),
+    ],
+    ids=["out-negative", "out-bool", "arity-negative", "d-zero", "e-bool", "spatial-string"],
+)
+def test_kernel_of_a_wrong_shape_exits_two(tmp_path, capsys, fields, command):
+    # each of these used to expand with exit 0
+    _, xpath, ypath = _expand_inputs(tmp_path)
+    kpath = tmp_path / "shape.json"
+    kernel = {"e": 1, "d": 1, "arity": 1, "spatial": False, "terms": [_SQUARE]}
+    kpath.write_text(json.dumps({**kernel, **fields}))
+    args = ["expand", "--kernel", str(kpath), "--points", xpath, "--points2", ypath]
+    if command == "order":
+        args += ["--order", "1"]
+    else:
+        args += ["--grading", "2", "1", "1", "--x0", "0", "--y0", "1/2"]
+    assert_one_line_exit_two(args, capsys)
 
 
 def test_verify_rejects_empty_batches(capsys):

@@ -11,14 +11,17 @@ from lionsjet.errors import ValidationError
 from lionsjet.expansion import taylor1
 from lionsjet.functional import (
     DerivTerm,
+    DerivTermSum,
     MomentView,
     PolyFunctional,
     PolyKernel,
+    _certified_sup,
     _derivative,
     contract_derivative,
     eval_derivative,
     eval_derivative_brute,
     lions_derivative,
+    normalize_box,
     norms_on_box,
 )
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
@@ -176,6 +179,23 @@ def test_argument_validation():
         eval_derivative(d, (F(0),), mu, [(F(1),)])
 
 
+def every_slot_functional(rng, e, spatial, arity=3, degree=5, d=2, nterms=6):
+    """Random kernel whose every monomial has a positive degree in every slot."""
+    n_slots = arity + spatial
+    comps = []
+    for _ in range(d):
+        terms = {}
+        for _ in range(nterms):
+            exps = [0] * (n_slots * e)
+            for slot in range(n_slots):
+                exps[slot * e + rng.randrange(e)] += 1
+            for _ in range(degree - n_slots):
+                exps[rng.randrange(len(exps))] += 1
+            terms[tuple(exps)] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+        comps.append(MPoly(n_slots * e, terms))
+    return PolyFunctional(PolyKernel(e, d, arity, spatial, comps))
+
+
 def test_factorized_matches_brute_force():
     rng = random.Random(42)
     for e in (1, 2):
@@ -190,6 +210,27 @@ def test_factorized_matches_brute_force():
                 assert eval_derivative(d, x0, mu, free) == eval_derivative_brute(
                     d, x0, mu, free
                 )
+    # three free variables on an arity-3 kernel: distinct terms of one
+    # derivative land on the same joint monomial and merge there
+    merged = 0
+    for e in (1, 2):
+        for spatial in (False, True):
+            f = every_slot_functional(rng, e, spatial)
+            mu = EmpiricalMeasure([random_point(rng, e) for _ in range(3)])
+            x0 = random_point(rng, e) if spatial else None
+            for values in [(1, 2, 3), (1, 2, 1, 3)] + [(0, 1, 2, 3)] * spatial:
+                d = lions_derivative(f, TaggedSeq(values))
+                free = [random_point(rng, e) for _ in range(3)]
+                got = eval_derivative(d, x0, mu, free)
+                assert got == eval_derivative_brute(d, x0, mu, free)
+                assert got.max_abs() != 0
+                per_term = sum(
+                    len(d.deriv_poly(out, term, coords).terms)
+                    for term in d.terms
+                    for out, coords in d.joint()
+                )
+                merged += per_term > sum(len(p.terms) for p in d.joint().values())
+    assert merged > 0
 
 
 def test_letterwise_recursion_commutes():
@@ -353,7 +394,7 @@ def test_terms_are_the_injective_pin_maps_in_lexicographic_order():
 def test_pinned_slots_share_their_free_variable_in_the_sup():
     # f(mu) = int int (u1^2 - u2^2) dmu dmu (times x0) is identically zero,
     # and so is its first measure derivative. Its two terms cancel in the
-    # combined polynomial only when each term's pinned slot is mapped to the
+    # joint polynomial only when each term's pinned slot is mapped to the
     # one free variable, so the certified sup is exactly 0.0.
     for spatial in (False, True):
         if spatial:
@@ -408,6 +449,43 @@ def test_contraction_through_shared_table_equals_fresh_derivative():
         shared = contract_derivative(_derivative(f, a, partials), None, view, [], dirvecs)
         fresh = contract_derivative(lions_derivative(f, a), None, view, [], dirvecs)
         assert shared == fresh
+
+
+def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypatch):
+    rng = random.Random(14)
+    f = random_functional(rng, 2, 2, True, degree=3)
+    atoms = [random_point(rng, 2) for _ in range(3)]
+    gaps = [random_point(rng, 2) for _ in range(3)]
+    base = MomentView(atoms, dim=2, gaps=gaps)
+    path = base.with_atoms(
+        [tuple(XiPoly.affine(a, g) for a, g in zip(x, v)) for x, v in zip(atoms, gaps)]
+    )
+    x0, vec = random_point(rng, 2), random_point(rng, 2)
+    calls = {"deriv_poly": 0, "map_vars": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    deriv_poly = DerivTermSum.deriv_poly
+    monkeypatch.setattr(DerivTermSum, "deriv_poly", counting("deriv_poly", deriv_poly))
+    monkeypatch.setattr(MPoly, "map_vars", counting("map_vars", MPoly.map_vars))
+    # past the kernel degree: zeros and 0.0, with nothing differentiated
+    past = TaggedSeq((0, 1, 1, 2))
+    assert len(past) > f.kernel.degree
+    zeros = contract_derivative(lions_derivative(f, past), x0, base, [], [vec, None, 0, 1])
+    assert zeros.shape == (1, 2) and not any(zeros.data)
+    assert _certified_sup(f, past, normalize_box((-1, 1), 2), {}) == 0.0
+    assert calls == {"deriv_poly": 0, "map_vars": 0}
+    # the base and the path contraction of one derivative share one build
+    ts = lions_derivative(f, TaggedSeq((0, 1)))
+    contract_derivative(ts, x0, base, [], [vec, 0])
+    built = calls["map_vars"]
+    contract_derivative(ts, x0, path, [], [vec, 0])
+    assert built > 0 and calls["map_vars"] == built
 
 
 def test_no_partial_table_outlives_a_call(monkeypatch):
