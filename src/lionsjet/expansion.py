@@ -44,7 +44,9 @@ One graded engine computes every expansion. `taylor2` and
 `taylor_derivative` run it over tagged sequences; `taylor1` is the same
 engine at alpha = beta = 1, gamma = n over partition sequences (there is no
 spatial letter), whose core is every sequence of length at most n and whose
-star family is the length-n sequences.
+star family is the length-n sequences. `oracle.convergence_study` runs the
+engine's orbit cache and jet loop once per study, not once per scale
+(`_jet_by_length`).
 
 One bound engine, over the same families and the same table of which
 argument groups each family's integrand moves, turns the remainder into a
@@ -215,13 +217,12 @@ def eval_Da(f, a, x0, displacement, mu, c):
 
 
 def _coupling_views(c):
-    """Views of the left marginal, of the straight path to the right
-    marginal (coordinates in `XiPoly`), and of the right marginal; the first
-    two carry the coupling gaps for the averaged coupling variables."""
+    """Views of the left marginal and of the straight path to the right
+    marginal (coordinates in `XiPoly`), both carrying the coupling gaps for
+    the averaged coupling variables."""
     base = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=c.gaps())
     path = base.with_atoms([_affine_point(x, y) for x, y in c.pairs])
-    target = MomentView([y for _, y in c.pairs], dim=c.dim)
-    return base, path, target
+    return base, path
 
 
 def _family_sides(alpha, beta):
@@ -239,43 +240,30 @@ def _family_sides(alpha, beta):
     return (("star", (True, True), (False, False)), ("plus", *plus), ("cross", *cross))
 
 
-def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
-    """The one expansion engine: graded jet and exact remainder terms of the
-    derivative indexed by `base`, truncated at level eta.
+def _orbit_cache(f, base, tagged_pairs, c, partials):
+    """The engine's contractions over the coupling `c` and the (start,
+    target) pairs of the tagged slots 0..m[base] (slot 0 is the spatial
+    point), one per orbit and sides.
 
-    base: the sequence whose derivative is being expanded (empty for the
-          plain expansions).
-    tagged_pairs: (start, target) pairs for the tagged slots 0..m[base]
-          (slot 0 is the spatial point). A measure-only functional has none:
-          its sequences start at letter 1, and its jet is listed
-          length-major, as `enum_A` lists sequences.
-    Returns the ExpansionResult; its tensors have one e-axis per letter of
-    `base` after the leading output axis.
+    Returns evaluate(values, tagged_at_xi, measure_at_xi): the derivative
+    for base+values contracted with one displacement per letter of
+    `values`, averaged over the coupling, with the tagged group and/or the
+    measure group on the interpolation path. It is the contraction of the
+    orbit's representative, computed once per sides and copied on every
+    later request. The derivatives share the partial-derivative table
+    `partials`.
     """
-    base = as_tagged(base)
     _check_dimension(f, c, [p for pair in tagged_pairs for p in pair])
-    kernel = f.kernel
-    m0 = base.m
-    n0 = len(base)
-    base_view, path_view, target_view = _coupling_views(c)
-
+    m0, n0 = base.m, len(base)
+    base_view, path_view = _coupling_views(c)
     tagged_base = [tuple(x) for x, _ in tagged_pairs]
-    tagged_target = [tuple(y) for _, y in tagged_pairs]
     tagged_path = [_affine_point(x, y) for x, y in tagged_pairs]
     tagged_disp = [
         tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs
     ]
-
-    first, seq_type = (0, TaggedSeq) if f.has_spatial else (1, PartitionSeq)
-    core, *families = _graded_value_families(alpha, beta, eta, m0, first)
     orbits = {}  # orbit representative -> (its derivative, its contractions by sides)
-    partials = {}
 
     def evaluate(values, tagged_at_xi, measure_at_xi):
-        """Contract the derivative for base+values, averaged over the
-        coupling, with the tagged group and/or the measure group on the
-        interpolation path: the contraction of its orbit's representative,
-        computed once per sides and copied on every later request."""
         rep = _orbit_key(values, m0)
         if rep not in orbits:
             orbits[rep] = (_derivative(f, TaggedSeq(base.values + rep), partials), {})
@@ -293,12 +281,39 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
         done = contractions[sides] = contract_derivative(ts, x0, view, tagged[1:], dirvecs)
         return done
 
-    jet_terms = []
+    return evaluate
+
+
+def _jet_loop(evaluate, core):
+    """The engine's jet loop: per core sequence, its raw contraction at the
+    starts and that divided by the factorial of its length."""
     for values in core:
         raw = evaluate(values, False, False)
-        value = raw.scale(Fraction(1, math.factorial(len(values))))
-        seq = ExtendedSeq(base, values) if n0 else seq_type(values)
-        jet_terms.append(JetTerm(seq=seq, value=value, raw=raw))
+        yield values, raw, raw.scale(Fraction(1, math.factorial(len(values))))
+
+
+def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
+    """The one expansion engine: graded jet and exact remainder terms of the
+    derivative indexed by `base`, truncated at level eta.
+
+    base: the sequence whose derivative is being expanded (empty for the
+          plain expansions).
+    tagged_pairs: (start, target) pairs for the tagged slots 0..m[base]
+          (slot 0 is the spatial point). A measure-only functional has none:
+          its sequences start at letter 1, and its jet is listed
+          length-major, as `enum_A` lists sequences.
+    Returns the ExpansionResult; its tensors have one e-axis per letter of
+    `base` after the leading output axis.
+    """
+    base = as_tagged(base)
+    partials = {}
+    evaluate = _orbit_cache(f, base, tagged_pairs, c, partials)
+    first, seq_type = (0, TaggedSeq) if f.has_spatial else (1, PartitionSeq)
+    core, *families = _graded_value_families(alpha, beta, eta, base.m, first)
+    jet_terms = [
+        JetTerm(ExtendedSeq(base, values) if base else seq_type(values), value, raw)
+        for values, raw, value in _jet_loop(evaluate, core)
+    ]
     if not f.has_spatial:
         jet_terms.sort(key=lambda term: len(term.seq))
 
@@ -315,11 +330,12 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
                 )
             remainder_terms[(family, values)] = term
 
+    targets = [tuple(y) for _, y in tagged_pairs]
     actual = eval_derivative(
         _derivative(f, base, partials),
-        tagged_target[0] if kernel.has_spatial else None,
-        target_view,
-        tagged_target[1:],
+        targets[0] if f.has_spatial else None,
+        MomentView([y for _, y in c.pairs], dim=c.dim),
+        targets[1:],
     )
     predicted = Tensor(actual.shape)
     for term in jet_terms:
@@ -332,6 +348,25 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
         remainder_terms=remainder_terms,
         meta=meta,
     )
+
+
+def _jet_by_length(f, tagged_pairs, c, alpha, beta, gamma):
+    """The jet of the plain graded expansion about the left marginal of `c`
+    and the starts of `tagged_pairs`, summed by sequence length: {k: J_k},
+    through the engine's orbit cache and jet loop.
+
+    A jet term of length k contracts one displacement per letter, the
+    spatial step or a coupling gap, at base points that stay put. Moving
+    every target to start + h * (target - start) therefore scales J_k by
+    h^k, and the jet at that scale is the sum of h^k J_k.
+    """
+    evaluate = _orbit_cache(f, _EMPTY, tagged_pairs, c, {})
+    core, *_ = _graded_value_families(alpha, beta, gamma, 0, 0 if f.has_spatial else 1)
+    jets = {}
+    for values, _, value in _jet_loop(evaluate, core):
+        k = len(values)
+        jets[k] = jets[k] + value if k in jets else value
+    return jets
 
 
 def _check_order(f, n):

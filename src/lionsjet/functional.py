@@ -135,9 +135,11 @@ class PolyKernel:
             rows = term["exps"]
             if len(rows) != arity + spatial:
                 raise ValidationError("exponent matrix has wrong row count")
-            flat = tuple(int(x) for row in rows for x in row)
-            if len(flat) != nvars or any(x < 0 for x in flat):
-                raise ValidationError("bad exponent matrix")
+            flat = tuple(x for row in rows for x in row)
+            if len(flat) != nvars or any(type(x) is not int or x < 0 for x in flat):
+                raise ValidationError(
+                    f"exponent matrix must hold {e} integers >= 0 per row, got {rows!r}"
+                )
             out = term["out"]
             if type(out) is not int or not 0 <= out < d:
                 raise ValidationError(

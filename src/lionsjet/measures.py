@@ -73,12 +73,21 @@ class _PowerTables:
         return cls(scale, poly, coeff_lists, len(vectors), dim)
 
     def rows(self, exps):
+        """The table of `exps`, built when missing in a loop: lower the last
+        nonzero exponent until a table is cached, then multiply back up by
+        the unit tables. Only the requested table is kept; the ones in
+        between of a high-degree path view would hold cubically many bits."""
         table = self._rows.get(exps)
         if table is None:
-            c = max(i for i, p in enumerate(exps) if p)
-            lower = exps[:c] + (exps[c] - 1,) + exps[c + 1 :]
-            unit = (0,) * c + (1,) + (0,) * (len(exps) - c - 1)
-            table = _times(self.rows(lower), self._rows[unit])
+            steps = []
+            lower = exps
+            while table is None:
+                c = max(i for i, p in enumerate(lower) if p)
+                steps.append((0,) * c + (1,) + (0,) * (len(exps) - c - 1))
+                lower = lower[:c] + (lower[c] - 1,) + lower[c + 1 :]
+                table = self._rows.get(lower)
+            for unit in reversed(steps):
+                table = _times(table, self._rows[unit])
             self._rows[exps] = table
         return table
 

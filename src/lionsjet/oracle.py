@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .expansion import _bound_terms, remainder_bound1, remainder_bound2, taylor1, taylor2
+from .expansion import (
+    _bound_terms,
+    _check_graded,
+    _check_order,
+    _jet_by_length,
+    remainder_bound1,
+    remainder_bound2,
+    taylor1,
+    taylor2,
+)
 from .functional import MomentView, eval_derivative, lions_derivative
 from .measures import pair_coupling
 from .partitions import enum_A, equiv_class
@@ -442,9 +451,20 @@ def convergence_study(
     bound) at each scale h. `h_list` needs at least two distinct scales, all
     positive, for the slope to be a fit.
 
+    At scale h every coupling gap is h times a direction and the spatial
+    step h times `x0_direction`, while the base points stay put. A jet term
+    indexed by a sequence of length k contracts one of these displacements
+    per letter, so it is homogeneous of degree k in h: the jet is computed
+    once, at h = 1, and summed by length into J_k, and the prediction at h
+    is the sum of h^k J_k. Per scale only f at the scaled target is
+    evaluated, from one compiled empty-sequence derivative. With rational
+    points and scales the rows equal those of a full expansion at every h;
+    a float h or float points may move a row by rounding.
+
     The box Lipschitz constants of the bounds depend on f, the box and the
     orbit of a sequence, not on h, so one memo made by this call serves every
-    scale and is dropped when the call returns.
+    scale and is dropped when the call returns. Each scale's bound reads
+    that scale's coupling moments and checks that its points lie in the box.
 
     Returns (rows, slope): rows are dicts with h, remainder norm, bound; the
     slope is the least-squares log-log fit, or None when every remainder is
@@ -452,7 +472,8 @@ def convergence_study(
     nonzero but fewer than two clear `SLOPE_FLOOR`.
 
     `x0` and `x0_direction` are the spatial base point and its direction:
-    a grading needs both, an order takes neither.
+    a grading needs both, an order takes neither. Every direction has as
+    many coordinates as its point.
     """
     graded = isinstance(order_or_grading, Grading)
     if graded and (x0 is None or x0_direction is None):
@@ -462,28 +483,43 @@ def convergence_study(
     hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
     if not all(h > 0 for h in hs) or len(set(hs)) < 2:
         raise ValidationError("h_list needs at least two distinct scales h, all positive")
+    if len(directions) != len(points) or any(
+        len(v) != len(p) for p, v in zip(points, directions)
+    ):
+        raise ValidationError("need one direction per point, of as many coordinates as the point")
+    if graded:
+        if len(x0_direction) != len(x0):
+            raise ValidationError("x0_direction needs as many coordinates as x0")
+        g = order_or_grading
+        _check_graded(f, g)
+        alpha, beta, gamma = g.alpha, g.beta, g.gamma
+    else:
+        _check_order(f, order_or_grading)
+        alpha, beta, gamma = 1, 1, order_or_grading
+
+    def scaled(h):
+        """The coupling and the spatial pair with every displacement scaled
+        by h."""
+        y = [tuple(p + h * d for p, d in zip(pt, v)) for pt, v in zip(points, directions)]
+        pairs = []
+        if graded:
+            pairs = [(tuple(x0), tuple(p + h * d for p, d in zip(x0, x0_direction)))]
+        return pair_coupling(points, y), pairs
+
+    c, pairs = scaled(1)
+    jets = _jet_by_length(f, pairs, c, alpha, beta, gamma)
+    f_at = lions_derivative(f, ())
     rows = []
-    rems = []
     lips = {}
     for h in hs:
-        y = [
-            tuple(p + h * d for p, d in zip(pt, dirvec))
-            for pt, dirvec in zip(points, directions)
-        ]
-        c = pair_coupling(points, y)
-        if graded:
-            g = order_or_grading
-            y0 = tuple(p + h * d for p, d in zip(x0, x0_direction))
-            result = taylor2(f, x0, y0, c, g)
-            pairs, alpha, beta, gamma = [(tuple(x0), y0)], g.alpha, g.beta, g.gamma
-        else:
-            result = taylor1(f, c.left(), c, order_or_grading)
-            pairs, alpha, beta, gamma = [], 1, 1, order_or_grading
+        c, pairs = scaled(h)
+        rem = eval_derivative(f_at, pairs[0][1] if graded else None, c.right(), [])
+        for k, jet in jets.items():
+            rem = rem - jet.scale(h**k)
+        norm = math.sqrt(sum(float(v) ** 2 for v in rem.data))
         bound = None
         if box is not None:
             bound = _bound_terms(f, pairs, c, alpha, beta, gamma, box, lips)[0]
-        rem = result.remainder_norm()
-        rows.append({"h": float(h), "remainder": rem, "bound": bound})
-        rems.append(rem)
-    slope = ols_loglog_slope([r["h"] for r in rows], rems)
+        rows.append({"h": float(h), "remainder": norm, "bound": bound})
+    slope = ols_loglog_slope([r["h"] for r in rows], [r["remainder"] for r in rows])
     return rows, slope

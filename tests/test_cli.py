@@ -317,6 +317,22 @@ def test_converge_rejects_mismatched_rows(tmp_path, capsys):
     assert_one_line_exit_two(args, capsys)
 
 
+def test_converge_rejects_directions_of_another_dimension(tmp_path, capsys):
+    # a 2-d direction for a 1-d point used to be cut to its first coordinate
+    # by zip, and the 1-d study came out with exit 0
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    save_points(tmp_path / "dirs.csv", [(F(1), F(2)), (F(1), F(-1))])
+    args = ["converge", "--kernel", kpath, "--points", xpath,
+            "--directions", str(tmp_path / "dirs.csv"), "--order", "1"]
+    assert_one_line_exit_two(args, capsys)
+    spatial = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(1, 2): F(1)})]))
+    (tmp_path / "spatial.json").write_text(json.dumps(spatial.to_json()))
+    args = ["converge", "--kernel", str(tmp_path / "spatial.json"), "--points", xpath,
+            "--directions", xpath, "--grading", "5/2", "1", "1", "--x0=0"]
+    assert run_cli(args + ["--x0-direction=1"])[0] == 0
+    assert_one_line_exit_two(args + ["--x0-direction=1,2"], capsys)
+
+
 def test_expand_seq_with_box_exits_two(tmp_path, capsys):
     _, xpath, ypath = _expand_inputs(tmp_path)
     kernel = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(1, 1): F(1)})]))
@@ -633,6 +649,37 @@ def test_kernel_of_a_wrong_shape_exits_two(tmp_path, capsys, fields, command):
     else:
         args += ["--grading", "2", "1", "1", "--x0", "0", "--y0", "1/2"]
     assert_one_line_exit_two(args, capsys)
+
+
+@pytest.mark.parametrize("exponent", [2.7, True, "2"], ids=["float", "bool", "string"])
+def test_kernel_exponent_that_is_not_an_integer_exits_two(tmp_path, capsys, exponent):
+    # these used to load as u^2, u^1 and u^2 and expand with exit 0
+    kpath, xpath, ypath = _expand_inputs(tmp_path)
+    data = json.loads(Path(kpath).read_text())
+    assert data["terms"] == [_SQUARE]
+    data["terms"][0]["exps"] = [[exponent]]
+    Path(kpath).write_text(json.dumps(data))
+    args = ["expand", "--kernel", kpath, "--points", xpath, "--points2", ypath, "--order", "1"]
+    assert_one_line_exit_two(args, capsys)
+
+
+def test_converge_on_a_high_degree_kernel(tmp_path, capsys):
+    # the power tables of u^1999 used to be built by one recursive call per
+    # unit of exponent, which ended in a RecursionError and exit 1
+    kpath = tmp_path / "high.json"
+    kpath.write_text(json.dumps({
+        "e": 1, "d": 1, "arity": 1, "spatial": False,
+        "terms": [{"out": 0, "coeff": "1", "exps": [[2000]]}],
+    }))
+    save_points(tmp_path / "x.csv", [(F(1),), (F(-1),)])
+    save_points(tmp_path / "v.csv", [(F(1, 1000),), (F(1, 500),)])
+    code, text = run_cli(["converge", "--kernel", str(kpath), "--points", str(tmp_path / "x.csv"),
+                          "--directions", str(tmp_path / "v.csv"), "--order", "1",
+                          "--h-list", "1/8,1/16"])
+    assert code == 0 and capsys.readouterr().err == ""
+    header, *rows, slope = text.splitlines()
+    assert header == "h,remainder,bound" and len(rows) == 2
+    assert float(slope.split(": ")[1]) == pytest.approx(2, abs=0.1)
 
 
 def test_verify_rejects_empty_batches(capsys):

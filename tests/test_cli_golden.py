@@ -58,6 +58,10 @@ INVOCATIONS = {
                       "--directions", "{dirs}", "--order", "2",
                       "--h-list", "1/2,1/4,1/8", "--box", "-4", "4",
                       "--output", "json"],
+    "converge-graded": ["converge", "--kernel", "{spatial}", "--points", "{x}",
+                        "--directions", "{dirs}", "--grading", "9/4", "1/2", "1",
+                        "--x0=1/4", "--x0-direction=1",
+                        "--h-list", "1/2,1/4,1/8", "--box", "-4", "4"],
     "verify-expansion": ["verify", "expansion", "--trials", "5", "--seed", "1000"],
     "verify-expansion-float": ["verify", "expansion", "--trials", "5", "--seed", "1000",
                                "--mode", "float"],
@@ -66,6 +70,7 @@ INVOCATIONS = {
 GOLDEN = {
     "converge-csv": (0, "65beabae1d15abb733fbc060b85cee658b7f1bfea9267dd42f33c55787781a29"),
     "converge-json": (0, "c40351bc63d2d5ee7db3711ae6a8628eed42512bd539b7cc12b7ac16b460cd62"),
+    "converge-graded": (0, "3e9dec77ee683efef2adbc284f91926f1fcc3937f181649e7939c538e399bd3c"),
     "enum": (0, "08d4f6e3bd4a589f8c381987372bfc88e9739cb6cad6af0686efb5ad88c9be5f"),
     "enum-graded": (0, "b56cfadc59dc2e3d91674b0e55d663e057f16c8cdc39ca41bd55461daf5880c4"),
     "enum-graded-equal": (0, "2777f6361ff42a2cc2f63f2b417258b5b43dee05e8c685a623a66d3dbb7335d9"),

@@ -815,7 +815,7 @@ def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
     base + values, never of another member of its orbit."""
     base = TaggedSeq(base)
     m0, n0 = base.m, len(base)
-    base_view, path_view, _ = _coupling_views(c)
+    base_view, path_view = _coupling_views(c)
     starts = [tuple(x) for x, _ in pairs]
     paths = [_affine_point(x, y) for x, y in pairs]
     disps = [tuple(b - a for a, b in zip(x, y)) for x, y in pairs]
@@ -980,3 +980,104 @@ def test_convergence_study_computes_each_orbit_constant_once(monkeypatch):
         computed.clear()
         assert study()[0] == rows
         assert len(computed) == len(once)
+
+
+def _per_scale_rows(f, pts, dirs, spec, hs, x0=None, dx0=None, box=None):
+    """The rows of a convergence study the direct way: a full `taylor1` or
+    `taylor2` at every scale h, its remainder norm, and the bound of that
+    scale's coupling."""
+    rows, lips = [], {}
+    for h in hs:
+        c = pair_coupling(pts, [tuple(p + h * d for p, d in zip(x, v)) for x, v in zip(pts, dirs)])
+        if isinstance(spec, Grading):
+            y0 = tuple(p + h * d for p, d in zip(x0, dx0))
+            res = taylor2(f, x0, y0, c, spec)
+            pairs, alpha, beta, gamma = [(x0, y0)], spec.alpha, spec.beta, spec.gamma
+        else:
+            res = taylor1(f, c.left(), c, spec)
+            pairs, alpha, beta, gamma = [], 1, 1, spec
+        bound = None
+        if box is not None:
+            bound = expansion._bound_terms(f, pairs, c, alpha, beta, gamma, box, lips)[0]
+        rows.append({"h": float(h), "remainder": res.remainder_norm(), "bound": bound})
+    return rows
+
+
+STUDY_SPECS = [1, 2, 3, Grading(F(1, 2), 1, F(9, 4)), Grading(1, 1, F(5, 2)),
+               Grading(1, F(1, 2), F(9, 4))]
+
+
+def _study_instance(spec, seed):
+    """A seeded convergence study: points, directions and, for a grading, the
+    spatial pair, on a kernel of the matching kind."""
+    graded = isinstance(spec, Grading)
+    rng = random.Random(f"study:{spec}:{seed}")
+    e, n = rng.choice([(1, 3), (2, 2)])
+    f = random_functional(rng, e, 2, graded, degree=4)
+    pts = [random_point(rng, e) for _ in range(n)]
+    dirs = [random_point(rng, e) for _ in range(n)]
+    spatial = {"x0": random_point(rng, e), "x0_direction": random_point(rng, e)} if graded else {}
+    return f, pts, dirs, spatial
+
+
+@pytest.mark.parametrize("spec", STUDY_SPECS, ids=str)
+@pytest.mark.parametrize("box", [None, (-4, 4)], ids=["no-box", "box"])
+def test_convergence_study_equals_an_expansion_per_scale(spec, box):
+    # the jet once at h = 1, scaled by h^k, against a full expansion at
+    # every h: with rational inputs the rows are equal, not merely close
+    hs = [F(1, 2), F(1, 3), F(1, 8), F(1, 16)]
+    for seed in range(3):
+        f, pts, dirs, spatial = _study_instance(spec, seed)
+        rows, slope = convergence_study(f, pts, dirs, spec, hs, box=box, **spatial)
+        want = _per_scale_rows(f, pts, dirs, spec, hs, spatial.get("x0"),
+                               spatial.get("x0_direction"), box)
+        assert rows == want
+        assert any(row["remainder"] for row in rows) or slope is None
+
+
+@pytest.mark.parametrize("spec", [2, Grading(F(1, 2), 1, F(9, 4))], ids=str)
+def test_convergence_study_with_float_scales_is_close(spec):
+    # a float h makes the prediction a float sum of h^k J_k, which may round
+    # differently from the float expansion at that h
+    hs = [F(1, 2), 0.25, F(1, 8), 0.0625, 0.1]
+    checked = 0
+    for seed in range(4):
+        f, pts, dirs, spatial = _study_instance(spec, seed)
+        want = _per_scale_rows(f, pts, dirs, spec, hs, spatial.get("x0"),
+                               spatial.get("x0_direction"), (-4, 4))
+        if max(ref["remainder"] for ref in want) < 1e-12:
+            continue  # an exact expansion, whose float rows are rounding noise
+        rows, _ = convergence_study(f, pts, dirs, spec, hs, box=(-4, 4), **spatial)
+        for h, row, ref in zip(hs, rows, want):
+            if isinstance(h, Fraction):
+                assert row == ref
+            assert row["h"] == ref["h"] and row["bound"] == ref["bound"]
+            assert row["remainder"] == pytest.approx(ref["remainder"], rel=1e-9)
+        checked += 1
+    assert checked >= 2
+
+
+def test_convergence_study_contracts_each_core_orbit_once(monkeypatch):
+    # one contraction per orbit of the core at h = 1 and one evaluation of f
+    # per scale, not one engine pass per scale
+    calls = []
+    real = functional.contract_derivative
+
+    def counting(ts, *args):
+        calls.append(ts.seq.values)
+        return real(ts, *args)
+
+    monkeypatch.setattr(expansion, "contract_derivative", counting)
+    monkeypatch.setattr(functional, "contract_derivative", counting)
+    hs = [F(1, 2), F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
+    for spec in STUDY_SPECS:
+        f, pts, dirs, spatial = _study_instance(spec, 0)
+        graded = isinstance(spec, Grading)
+        alpha, beta, gamma = (spec.alpha, spec.beta, spec.gamma) if graded else (1, 1, spec)
+        core = _graded_value_families(alpha, beta, gamma, 0, 0 if graded else 1)[0]
+        calls.clear()
+        convergence_study(f, pts, dirs, spec, hs, box=(-4, 4), **spatial)
+        orbits = {_orbit_key(values, 0) for values in core}
+        assert len(calls) == len(orbits) + len(hs)
+        assert sorted(calls[: len(orbits)]) == sorted(orbits)
+        assert calls[len(orbits):] == [()] * len(hs)

@@ -185,6 +185,34 @@ def test_integer_moments_match_the_loop_on_a_user_built_path_view():
     assert view.moment((1, 0, 2)) == view._loop_moment((1, 0, 2), None)
 
 
+def test_high_degree_moments_match_the_loop():
+    # the tables used to be built by one recursive call per unit of
+    # exponent, which exceeded the recursion limit from a total degree of
+    # about 990; the path view is short (of degree 1 and 0 in xi) so that
+    # the XiPoly loop it is checked against stays cheap
+    rational = MomentView(
+        [(Fraction(3, 2), Fraction(-1, 3)), (Fraction(-5, 7), Fraction(1)), (Fraction(1, 4), 2)],
+        dim=2,
+        gaps=[(Fraction(1, 2), 2), (Fraction(-1, 3), Fraction(1, 5)), (1, Fraction(-2, 3))],
+    )
+    path = MomentView(
+        [(XiPoly.affine(Fraction(1, 2), Fraction(1, 3)), XiPoly((Fraction(-4, 5),))),
+         (XiPoly.affine(-1, Fraction(2, 7)), XiPoly((Fraction(3, 2),)))],
+        dim=2,
+        gaps=[(Fraction(1, 3), 2), (-1, Fraction(1, 4))],
+    )
+    cases = {
+        rational: [((700, 800), None), ((699, 800), (1, 0)), ((1, 1500), (0, 2))],
+        path: [((3, 1497), None), ((2, 1498), (1, 0)), ((1, 1499), (0, 2))],
+    }
+    for view, requests in cases.items():
+        for exps, gap_exps in requests:
+            got = view.moment(exps, gap_exps)
+            want = view._loop_moment(exps, gap_exps)
+            assert type(got) is type(want) and got == want
+    assert type(path.moment((3, 1497))) is XiPoly
+
+
 @pytest.mark.parametrize("kind", ["float", "mixed"])
 def test_float_and_mixed_atoms_take_the_fraction_loop(kind):
     rng = random.Random(kind)

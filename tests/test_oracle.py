@@ -375,6 +375,13 @@ def test_convergence_study_checks_its_spatial_arguments():
             convergence_study(m, pts, dirs, 2, hs, x0=x0, x0_direction=dx0)
     rows, _ = convergence_study(f, pts, dirs, g, hs, x0=(F(0),), x0_direction=(F(1),))
     assert len(rows) == 2
+    # a direction longer than its point, or a direction for no point, used
+    # to be cut off by zip
+    for bad in ([(F(1), F(2))], dirs * 2):
+        with pytest.raises(ValidationError, match="one direction per point"):
+            convergence_study(m, pts, bad, 2, hs)
+    with pytest.raises(ValidationError, match="x0_direction needs"):
+        convergence_study(f, pts, dirs, g, hs, x0=(F(0),), x0_direction=(F(1), F(2)))
 
 
 def test_particle_checks_reject_points_of_another_dimension():
