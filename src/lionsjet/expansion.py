@@ -40,16 +40,17 @@ sum (a float-mode contraction, or a constant, which sums float terms) may
 change by rounding with the order of its terms; on the benchmark and test
 instances every constant was bit-equal to that of its own sequence.
 
-One graded engine computes every expansion. `taylor2` and
+Each call resolves its truncation once (`_plan`): the order or grading,
+the level and one search for the graded core and its boundary families.
+One graded engine computes every expansion from that plan. `taylor2` and
 `taylor_derivative` run it over tagged sequences; `taylor1` is the same
 engine at alpha = beta = 1, gamma = n over partition sequences (there is no
 spatial letter), whose core is every sequence of length at most n and whose
-star family is the length-n sequences. `oracle.convergence_study` runs the
-engine's orbit cache and jet loop once per study, not once per scale
-(`_jet_by_length`).
+star family is the length-n sequences. `oracle.convergence_study` plans
+once: its jet runs once per study (`_jet_by_length`), its bound reads the
+plan's families at every scale.
 
-One bound engine, over the same families and the same table of which
-argument groups each family's integrand moves, turns the remainder into a
+One bound engine, over the plan's families, turns the remainder into a
 certified upper bound: per family member, the box Lipschitz constants of
 the moving groups times displacement and coupling-moment factors, with
 every factor reported. `remainder_bound1` is it at alpha = beta = 1,
@@ -194,6 +195,13 @@ def _check_dimension(f, c, points):
         raise ValidationError(f"points must have e = {e} coordinates, as the kernel does")
 
 
+def _check_pairs(f, c, tagged_pairs):
+    """The spatial pair leads the tagged pairs exactly when f has a spatial slot."""
+    if bool(tagged_pairs) != f.has_spatial:
+        raise ValidationError("spatial points go with a spatial slot, and only with one")
+    _check_dimension(f, c, [p for pair in tagged_pairs for p in pair])
+
+
 def _check_marginal(coupling, mu):
     if mu is not None and coupling.left() != mu:
         raise ValidationError("coupling left marginal differs from the measure")
@@ -253,7 +261,7 @@ def _orbit_cache(f, base, tagged_pairs, c, partials):
     later request. The derivatives share the partial-derivative table
     `partials`.
     """
-    _check_dimension(f, c, [p for pair in tagged_pairs for p in pair])
+    _check_pairs(f, c, tagged_pairs)
     m0, n0 = base.m, len(base)
     base_view, path_view = _coupling_views(c)
     tagged_base = [tuple(x) for x, _ in tagged_pairs]
@@ -292,9 +300,43 @@ def _jet_loop(evaluate, core):
         yield values, raw, raw.scale(Fraction(1, math.factorial(len(values))))
 
 
-def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
-    """The one expansion engine: graded jet and exact remainder terms of the
-    derivative indexed by `base`, truncated at level eta.
+def _plan(f, spec, base=None):
+    """One call's truncation, resolved once: an order n for a functional
+    without a spatial slot (alpha = beta = 1, gamma = n over partition
+    sequences) or a `Grading` for a spatial one, its level lowered by the
+    grade of `base`. Returns (core, [(family, moving, frozen, members), ...],
+    meta), the families zipped with `_family_sides`; the engine, the bound
+    and the convergence study all read it, so a call searches once."""
+    if isinstance(spec, Grading) != f.has_spatial:
+        raise ValidationError(
+            "grading required: an order expands only a functional without a spatial slot"
+            if f.has_spatial else "a grading expands only a functional with a spatial slot"
+        )
+    if not f.has_spatial:
+        if spec < 1:
+            raise ValidationError("order must be at least 1")
+        alpha = beta = first = 1
+        level, meta = spec, {"kind": "order", "order": spec}
+    else:
+        alpha, beta, level, first = spec.alpha, spec.beta, spec.gamma, 0
+        meta = {"kind": "graded", "grading": spec.to_json()}
+    if base is not None:
+        level -= grade(base, spec)
+        if level < 0:
+            raise ValidationError("sequence lies outside the graded set")
+        if level < spec.lo:
+            raise ValidationError("threshold after discounting the sequence grade is below "
+                                  "one derivative step")
+        meta = {"kind": "derivative", "seq": list(base.values), "grading": spec.to_json(),
+                "eta": format_rational(level)}
+    core, *families = _graded_value_families(alpha, beta, level, base.m if base else 0, first)
+    return core, [(*sides, m) for sides, m in zip(_family_sides(alpha, beta), families)], meta
+
+
+def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
+    """The one expansion engine: jet and exact remainder terms of the
+    derivative indexed by `base`, over the `core` and `families` of its
+    `_plan`, and given a `box` the certified bound over the same families.
 
     base: the sequence whose derivative is being expanded (empty for the
           plain expansions).
@@ -305,11 +347,9 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
     Returns the ExpansionResult; its tensors have one e-axis per letter of
     `base` after the leading output axis.
     """
-    base = as_tagged(base)
     partials = {}
     evaluate = _orbit_cache(f, base, tagged_pairs, c, partials)
-    first, seq_type = (0, TaggedSeq) if f.has_spatial else (1, PartitionSeq)
-    core, *families = _graded_value_families(alpha, beta, eta, base.m, first)
+    seq_type = TaggedSeq if f.has_spatial else PartitionSeq
     jet_terms = [
         JetTerm(ExtendedSeq(base, values) if base else seq_type(values), value, raw)
         for values, raw, value in _jet_loop(evaluate, core)
@@ -318,7 +358,7 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
         jet_terms.sort(key=lambda term: len(term.seq))
 
     remainder_terms = {}
-    for (family, moving, frozen), members in zip(_family_sides(alpha, beta), families):
+    for family, moving, frozen, members in families:
         for values in members:
             r = len(values) - 1
             acc = evaluate(values, *moving) - evaluate(values, *frozen)
@@ -340,7 +380,7 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
     predicted = Tensor(actual.shape)
     for term in jet_terms:
         predicted = predicted + term.value
-    return ExpansionResult(
+    result = ExpansionResult(
         jet=jet_terms,
         predicted=predicted,
         actual=actual,
@@ -348,12 +388,17 @@ def _graded_engine(f, base, tagged_pairs, c, alpha, beta, eta, meta):
         remainder_terms=remainder_terms,
         meta=meta,
     )
+    if box is not None:
+        result.remainder_bound, result.bound_terms = _bound_terms(
+            f, tagged_pairs, c, families, box, {}
+        )
+    return result
 
 
-def _jet_by_length(f, tagged_pairs, c, alpha, beta, gamma):
-    """The jet of the plain graded expansion about the left marginal of `c`
-    and the starts of `tagged_pairs`, summed by sequence length: {k: J_k},
-    through the engine's orbit cache and jet loop.
+def _jet_by_length(f, tagged_pairs, c, core):
+    """The jet of the plain expansion over `core` about the left marginal of
+    `c` and the starts of `tagged_pairs`, summed by sequence length:
+    {k: J_k}, through the engine's orbit cache and jet loop.
 
     A jet term of length k contracts one displacement per letter, the
     spatial step or a coupling gap, at base points that stay put. Moving
@@ -361,7 +406,6 @@ def _jet_by_length(f, tagged_pairs, c, alpha, beta, gamma):
     h^k, and the jet at that scale is the sum of h^k J_k.
     """
     evaluate = _orbit_cache(f, _EMPTY, tagged_pairs, c, {})
-    core, *_ = _graded_value_families(alpha, beta, gamma, 0, 0 if f.has_spatial else 1)
     jets = {}
     for values, _, value in _jet_loop(evaluate, core):
         k = len(values)
@@ -369,51 +413,20 @@ def _jet_by_length(f, tagged_pairs, c, alpha, beta, gamma):
     return jets
 
 
-def _check_order(f, n):
-    if f.has_spatial:
-        raise ValidationError("taylor1 expects a functional without a spatial slot")
-    if n < 1:
-        raise ValidationError("order must be at least 1")
-
-
-def _check_graded(f, g):
-    if not f.has_spatial:
-        raise ValidationError("taylor2 expects a functional with a spatial slot")
-    if not isinstance(g, Grading):
-        raise ValidationError("grading required")
-
-
 def taylor1(f, mu, c, n, box=None):
     """Expansion of a measure-only functional about the left marginal of a
     coupling, truncated at order n, with exact remainder terms over the
     length-n sequences: the graded expansion with alpha = beta = 1 and
     gamma = n over partition sequences."""
-    _check_order(f, n)
+    plan = _plan(f, n)
     _check_marginal(c, mu)
-    result = _graded_engine(
-        f, _EMPTY, [], c, 1, 1, n, {"kind": "order", "order": n}
-    )
-    if box is not None:
-        result.remainder_bound, result.bound_terms = _bound_terms(
-            f, [], c, 1, 1, n, box, {}
-        )
-    return result
+    return _graded_engine(f, _EMPTY, [], c, *plan, box)
 
 
 def taylor2(f, x0, y0, c, g, box=None):
     """Graded expansion of a spatial functional in both arguments, truncated
     at level gamma, with the three-family exact remainder decomposition."""
-    _check_graded(f, g)
-    pairs = [(tuple(x0), tuple(y0))]
-    result = _graded_engine(
-        f, _EMPTY, pairs, c, g.alpha, g.beta, g.gamma,
-        {"kind": "graded", "grading": g.to_json()},
-    )
-    if box is not None:
-        result.remainder_bound, result.bound_terms = _bound_terms(
-            f, pairs, c, g.alpha, g.beta, g.gamma, box, {}
-        )
-    return result
+    return _graded_engine(f, _EMPTY, [(tuple(x0), tuple(y0))], c, *_plan(f, g), box)
 
 
 def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
@@ -422,29 +435,13 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
     level drops by the grade of `a`, and the same exactness identity holds
     tensor-entry by tensor-entry."""
     a = as_tagged(a)
-    if not f.has_spatial:
-        raise ValidationError("expansion of derivatives needs a spatial slot")
     if len(free_x) != a.m or len(free_y) != a.m:
         raise ValidationError(f"expected {a.m} free start and target points")
-    used = grade(a, g)
-    if used > g.gamma:
-        raise ValidationError("sequence lies outside the graded set")
-    eta = g.gamma - used
-    if eta < min(g.alpha, g.beta):
-        raise ValidationError(
-            "threshold after discounting the sequence grade is below one "
-            "derivative step"
-        )
+    plan = _plan(f, g, a)
     pairs = [(tuple(x0), tuple(y0))] + [
         (tuple(u), tuple(v)) for u, v in zip(free_x, free_y)
     ]
-    meta = {
-        "kind": "derivative",
-        "seq": list(a.values),
-        "grading": g.to_json(),
-        "eta": format_rational(eta),
-    }
-    return _graded_engine(f, a, pairs, c, g.alpha, g.beta, eta, meta)
+    return _graded_engine(f, a, pairs, c, *plan)
 
 
 def _check_box_membership(box, points):
@@ -466,9 +463,9 @@ def _product(constant, *factors):
     return constant
 
 
-def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box, lips):
-    """Certified bound for the graded remainder (empty base), with one
-    record per member of each remainder family.
+def _bound_terms(f, tagged_pairs, c, families, box, lips):
+    """Certified bound for the remainder of the plain expansion (empty base)
+    over the `families` of its `_plan`, with one record per family member.
 
     A member with z spatial letters and positive block sizes k_1..k_m is
     bounded by Lipschitz constants on the box of its derivative, one per
@@ -485,7 +482,7 @@ def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box, lips):
     no memo outlives the call that made it.
     """
     box = normalize_box(box, f.kernel.e)
-    _check_dimension(f, c, [p for pair in tagged_pairs for p in pair])
+    _check_pairs(f, c, tagged_pairs)
     _check_box_membership(box, [x for x, _ in c.pairs])
     _check_box_membership(box, [y for _, y in c.pairs])
     _check_box_membership(box, [p for pair in tagged_pairs for p in pair])
@@ -501,12 +498,9 @@ def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box, lips):
             lips[rep] = _certified_sup(f, TaggedSeq(rep), box, partials)
         return lips[rep]
 
-    _, *families = _graded_value_families(
-        alpha, beta, gamma, 0, 0 if f.has_spatial else 1
-    )
     total = 0.0
     breakdown = []
-    for (_, moving, frozen), members in zip(_family_sides(alpha, beta), families):
+    for _, moving, frozen, members in families:
         spatial_moves = f.has_spatial and moving[0] != frozen[0]
         measure_moves = moving[1] != frozen[1]
         for values in members:
@@ -538,12 +532,9 @@ def _bound_terms(f, tagged_pairs, c, alpha, beta, gamma, box, lips):
 
 def remainder_bound1(f, c, n, box):
     """Certified upper bound for the norm of the order-n remainder."""
-    _check_order(f, n)
-    return _bound_terms(f, [], c, 1, 1, n, box, {})[0]
+    return _bound_terms(f, [], c, _plan(f, n)[1], box, {})[0]
 
 
 def remainder_bound2(f, x0, y0, c, g, box):
     """Certified upper bound for the norm of the graded remainder."""
-    _check_graded(f, g)
-    pairs = [(tuple(x0), tuple(y0))]
-    return _bound_terms(f, pairs, c, g.alpha, g.beta, g.gamma, box, {})[0]
+    return _bound_terms(f, [(tuple(x0), tuple(y0))], c, _plan(f, g)[1], box, {})[0]

@@ -368,6 +368,9 @@ def eval_derivative(ts, x0, mu, free):
         )
     if mu is None or mu.n_atoms < 1:
         raise ValidationError("empirical measure required")
+    e = kernel.e
+    if mu.dim != e or any(len(p) != e for p in [x0, *free] if p is not None):
+        raise ValidationError(f"points and atoms must have e = {e} coordinates, as the kernel has")
     return contract_derivative(ts, x0, mu, free, [None] * ts.order)
 
 

@@ -17,9 +17,8 @@ from fractions import Fraction
 from .errors import ValidationError
 from .expansion import (
     _bound_terms,
-    _check_graded,
-    _check_order,
     _jet_by_length,
+    _plan,
     remainder_bound1,
     remainder_bound2,
     taylor1,
@@ -353,6 +352,9 @@ def schwarz_check(f, a, sigma, x0, mu, free, dirs, seed=None):
         raise ValidationError("sigma is not a permutation of the positions")
     if len(dirs) != n:
         raise ValidationError("one direction per derivative required")
+    e, d = f.kernel.e, f.kernel.d
+    if any(len(v) != e for v in dirs):
+        raise ValidationError(f"directions must have e = {e} coordinates, as the kernel has")
     permuted = tuple(a.values[sigma[p]] for p in range(n))
     a2 = equiv_class_tagged(permuted, tag=0) if n else a
     labels = compose_tagged(permuted, a2) if n else ()
@@ -361,7 +363,6 @@ def schwarz_check(f, a, sigma, x0, mu, free, dirs, seed=None):
     t1 = eval_derivative(lions_derivative(f, a), x0, mu, free)
     t2 = eval_derivative(lions_derivative(f, a2), x0, mu, free2)
 
-    e, d = f.kernel.e, f.kernel.d
     worst = Fraction(0)
     # entrywise: T1[c] == T2[c o sigma]
     for comp in range(d):
@@ -461,15 +462,20 @@ def convergence_study(
     points and scales the rows equal those of a full expansion at every h;
     a float h or float points may move a row by rounding.
 
-    The box Lipschitz constants of the bounds depend on f, the box and the
-    orbit of a sequence, not on h, so one memo made by this call serves every
-    scale and is dropped when the call returns. Each scale's bound reads
-    that scale's coupling moments and checks that its points lie in the box.
+    The truncation is planned once (`expansion._plan`): the jet reads its
+    core, and every scale's bound reads its families. The box Lipschitz
+    constants of the bounds depend on f, the box and the orbit of a
+    sequence, not on h, so one memo made by this call serves every scale
+    and is dropped when the call returns. Each scale's bound reads that
+    scale's coupling moments and checks that its points lie in the box.
 
     Returns (rows, slope): rows are dicts with h, remainder norm, bound; the
-    slope is the least-squares log-log fit, or None when every remainder is
-    exactly zero ("exact"). Raises ValidationError when some remainder is
-    nonzero but fewer than two clear `SLOPE_FLOOR`.
+    slope is the least-squares log-log fit, or None ("exact") when every
+    member of every boundary family is at least as long as the kernel
+    degree, or when every remainder is exactly zero. Under that rule each
+    remainder integrand is a constant, so the remainder is 0 at every h and
+    float rows hold only rounding. Raises ValidationError when some
+    remainder is nonzero but fewer than two clear `SLOPE_FLOOR`.
 
     `x0` and `x0_direction` are the spatial base point and its direction:
     a grading needs both, an order takes neither. Every direction has as
@@ -487,15 +493,9 @@ def convergence_study(
         len(v) != len(p) for p, v in zip(points, directions)
     ):
         raise ValidationError("need one direction per point, of as many coordinates as the point")
-    if graded:
-        if len(x0_direction) != len(x0):
-            raise ValidationError("x0_direction needs as many coordinates as x0")
-        g = order_or_grading
-        _check_graded(f, g)
-        alpha, beta, gamma = g.alpha, g.beta, g.gamma
-    else:
-        _check_order(f, order_or_grading)
-        alpha, beta, gamma = 1, 1, order_or_grading
+    if graded and len(x0_direction) != len(x0):
+        raise ValidationError("x0_direction needs as many coordinates as x0")
+    core, families, _ = _plan(f, order_or_grading)
 
     def scaled(h):
         """The coupling and the spatial pair with every displacement scaled
@@ -507,7 +507,7 @@ def convergence_study(
         return pair_coupling(points, y), pairs
 
     c, pairs = scaled(1)
-    jets = _jet_by_length(f, pairs, c, alpha, beta, gamma)
+    jets = _jet_by_length(f, pairs, c, core)
     f_at = lions_derivative(f, ())
     rows = []
     lips = {}
@@ -519,7 +519,9 @@ def convergence_study(
         norm = math.sqrt(sum(float(v) ** 2 for v in rem.data))
         bound = None
         if box is not None:
-            bound = _bound_terms(f, pairs, c, alpha, beta, gamma, box, lips)[0]
+            bound = _bound_terms(f, pairs, c, families, box, lips)[0]
         rows.append({"h": float(h), "remainder": norm, "bound": bound})
-    slope = ols_loglog_slope([r["h"] for r in rows], [r["remainder"] for r in rows])
-    return rows, slope
+    degree = f.kernel.degree
+    if all(len(values) >= degree for *_, members in families for values in members):
+        return rows, None  # every remainder integrand is constant: exact
+    return rows, ols_loglog_slope([r["h"] for r in rows], [r["remainder"] for r in rows])

@@ -414,6 +414,67 @@ def test_replay_of_points_of_another_dimension_exits_two(tmp_path, capsys, ident
     assert_one_line_exit_two(["verify", "--replay", str(path)], capsys)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("x0", ["0", "1"]), ("points", [["1", "0"]] * 4), ("dirs", [[], [], []]),
+     ("dirs", [["1"], ["1"], ["1", "2"]])],
+    ids=["x0", "points", "empty-dirs", "long-dir"],
+)
+def test_replay_of_schwarz_data_of_another_dimension_exits_two(tmp_path, capsys, field, bad):
+    # seed 3000 has an e = 1 kernel and three directions: a 2-coordinate x0
+    # used to pass, and empty directions ended in an IndexError traceback
+    inst = make_instance("schwarz", 3000)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    assert run_cli(["verify", "--replay", str(path)])[0] == 0
+    inst[field] = bad
+    path.write_text(json.dumps(inst))
+    assert_one_line_exit_two(["verify", "--replay", str(path)], capsys)
+
+
+def test_verify_pool_starts_no_more_workers_than_it_can_use(monkeypatch):
+    # a fork pool starts every worker on first use, so --jobs 5000 would
+    # start 5000 processes; a fake pool records the count instead
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    args = ["verify", "empirical", "--seed", "7"]
+    serial = {n: run_cli(args + ["--trials", str(n)]) for n in (2, 6)}
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    for trials, jobs, workers in ((2, 5000, 2), (6, 5000, 4), (6, 3, 3), (2, 2, 2)):
+        assert run_cli(args + ["--trials", str(trials), "--jobs", str(jobs)]) == serial[trials]
+        assert started.pop() == workers
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run_cli(args + ["--trials", "6", "--jobs", "8"]) == serial[6]
+    assert started == [1]
+
+
+def test_float_verify_expansion_runs_the_graded_identity():
+    # before the tolerance was applied, a float trial's pass flag was
+    # worst == 0, so most spatial trials skipped the graded taylor2 identity
+    graded = 0
+    for seed in range(1000, 1200):
+        inst = make_instance("expansion", seed, "float")
+        if "grading" in inst:
+            rep = run_instance(inst)
+            assert rep.passed and "graded_identity_gap" in rep.details, seed
+            graded += 1
+    assert graded == 110
+
+
 def test_converge_needs_two_distinct_positive_scales(tmp_path, capsys):
     kpath, xpath, _ = _expand_inputs(tmp_path)
     args = ["converge", "--kernel", kpath, "--points", xpath, "--directions", xpath,

@@ -590,6 +590,16 @@ def test_bounds_reject_the_wrong_kind_of_functional():
         remainder_bound2(measure_only, x0, y0, c, Grading(1, 1, 2), (-4, 4))
     with pytest.raises(ValidationError, match="grading required"):
         remainder_bound2(spatial, x0, y0, c, (1, 1, 2), (-4, 4))
+    # an order where a grading belongs, or the reverse, is refused too: the
+    # spatial points go with a spatial slot and only with one
+    for call in (
+        lambda: taylor2(measure_only, x0, y0, c, 2),
+        lambda: remainder_bound2(measure_only, x0, y0, c, 2, (-4, 4)),
+        lambda: taylor1(spatial, c.left(), c, Grading(1, 1, 2)),
+        lambda: remainder_bound1(spatial, c, Grading(1, 1, 2), (-4, 4)),
+    ):
+        with pytest.raises(ValidationError, match="spatial points go with"):
+            call()
 
 
 def test_pure_spatial_cross_term_reduces_to_classical_shape():
@@ -991,14 +1001,13 @@ def _per_scale_rows(f, pts, dirs, spec, hs, x0=None, dx0=None, box=None):
         c = pair_coupling(pts, [tuple(p + h * d for p, d in zip(x, v)) for x, v in zip(pts, dirs)])
         if isinstance(spec, Grading):
             y0 = tuple(p + h * d for p, d in zip(x0, dx0))
-            res = taylor2(f, x0, y0, c, spec)
-            pairs, alpha, beta, gamma = [(x0, y0)], spec.alpha, spec.beta, spec.gamma
+            res, pairs = taylor2(f, x0, y0, c, spec), [(x0, y0)]
         else:
-            res = taylor1(f, c.left(), c, spec)
-            pairs, alpha, beta, gamma = [], 1, 1, spec
+            res, pairs = taylor1(f, c.left(), c, spec), []
         bound = None
         if box is not None:
-            bound = expansion._bound_terms(f, pairs, c, alpha, beta, gamma, box, lips)[0]
+            families = expansion._plan(f, spec)[1]
+            bound = expansion._bound_terms(f, pairs, c, families, box, lips)[0]
         rows.append({"h": float(h), "remainder": res.remainder_norm(), "bound": bound})
     return rows
 
@@ -1081,3 +1090,43 @@ def test_convergence_study_contracts_each_core_orbit_once(monkeypatch):
         assert len(calls) == len(orbits) + len(hs)
         assert sorted(calls[: len(orbits)]) == sorted(orbits)
         assert calls[len(orbits):] == [()] * len(hs)
+
+
+def test_each_call_searches_the_families_once(monkeypatch):
+    # the truncation is planned once per call: a bound reads the families
+    # its expansion found, and a study's bound reads one plan at every h
+    searches = []
+    real = expansion._graded_value_families
+
+    def counting(*args):
+        searches.append(args)
+        return real(*args)
+
+    rng = random.Random("one-plan")
+    e, box, hs = 2, (-4, 4), [F(1, 2), F(1, 4), F(1, 8)]
+    pts = [random_point(rng, e) for _ in range(2)]
+    dirs = [random_point(rng, e) for _ in range(2)]
+    x0, y0, dx0 = (random_point(rng, e) for _ in range(3))
+    f1 = random_functional(rng, e, 2, False, degree=4)
+    f2 = random_functional(rng, e, 2, True, degree=4)
+    c = pair_coupling(pts, [random_point(rng, e) for _ in pts])
+    g = Grading(F(1, 2), 1, F(9, 4))
+    fx, fy = [random_point(rng, e)], [random_point(rng, e)]
+    calls = {
+        "taylor1": lambda: taylor1(f1, c.left(), c, 2, box=box),
+        "taylor2": lambda: taylor2(f2, x0, y0, c, g, box=box),
+        "taylor_derivative": lambda: taylor_derivative(f2, TaggedSeq((1,)), x0, y0, fx, fy, c, g),
+        "remainder_bound1": lambda: remainder_bound1(f1, c, 2, box),
+        "remainder_bound2": lambda: remainder_bound2(f2, x0, y0, c, g, box),
+        "study-order": lambda: convergence_study(f1, pts, dirs, 2, hs, box=box),
+        "study-graded": lambda: convergence_study(
+            f2, pts, dirs, g, hs, x0=x0, x0_direction=dx0, box=box
+        ),
+    }
+    monkeypatch.setattr(expansion, "_graded_value_families", counting)
+    counts = {}
+    for name, call in calls.items():
+        searches.clear()
+        call()
+        counts[name] = len(searches)
+    assert counts == dict.fromkeys(calls, 1)

@@ -509,3 +509,21 @@ def test_no_partial_table_outlives_a_call(monkeypatch):
         taylor1(f, c.left(), c, 2, box=(-4, 4))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_evaluation_rejects_points_of_another_dimension():
+    # f = int x0 u dmu with e = 1: x0 = (2, 5) used to be read as x0 = 2
+    f = kernel_1d({(1, 1): F(1)}, arity=1, spatial=True)
+    mu = EmpiricalMeasure([(F(1),), (F(3),)])
+    assert f.eval((F(2),), mu) == [F(4)]
+    wide = EmpiricalMeasure([(F(1), F(0)), (F(3), F(0))])
+    d1 = lions_derivative(f, TaggedSeq((1,)))
+    for call in (
+        lambda: f.eval((F(2), F(5)), mu),
+        lambda: f.eval((), mu),
+        lambda: f.eval((F(2),), wide),
+        lambda: eval_derivative(d1, (F(2),), mu, [(F(1), F(1))]),
+    ):
+        with pytest.raises(ValidationError, match="coordinates"):
+            call()
+    assert eval_derivative(d1, (F(2),), mu, [(F(1),)]).data == [F(2)]

@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from lionsjet.errors import ValidationError
+from lionsjet.expansion import _plan
 from lionsjet.functional import MomentView, eval_derivative, lions_derivative
 from lionsjet.measures import EmpiricalMeasure
 from lionsjet.oracle import (
+    SLOPE_FLOOR,
     classical_grad,
     convergence_study,
     fd_gradient,
@@ -281,6 +283,28 @@ def test_schwarz_all_sequences_up_to_three():
                 assert rep.passed, (a, sigma)
 
 
+def test_schwarz_rejects_points_and_directions_of_another_dimension():
+    # the kernel has e = 1: a longer x0 used to be cut off by zip, and an
+    # empty direction ended in an IndexError
+    rng = random.Random(14)
+    f = random_functional(rng, 1, 2, True, degree=4)
+    mu = EmpiricalMeasure([random_point(rng, 1) for _ in range(3)])
+    x0, free = random_point(rng, 1), [mu.atoms[0]]
+    dirs = [random_point(rng, 1) for _ in range(3)]
+    a, sigma = TaggedSeq((1, 0, 1)), (0, 2, 1)
+    assert schwarz_check(f, a, sigma, x0, mu, free, dirs).passed
+    wide = EmpiricalMeasure([p + (F(1),) for p in mu.atoms])
+    for args in (
+        (x0 + (F(1),), mu, free, dirs),
+        (x0, mu, [free[0] + (F(1),)], dirs),
+        (x0, wide, free, dirs),
+        (x0, mu, free, [()] * 3),
+        (x0, mu, free, dirs[:2] + [dirs[2] + (F(1),)]),
+    ):
+        with pytest.raises(ValidationError, match="coordinates"):
+            schwarz_check(f, a, sigma, *args)
+
+
 def test_regrouping_counts():
     for n_particles in range(1, 5):
         for n in range(1, 5):
@@ -347,6 +371,53 @@ def test_convergence_study_without_a_fit_is_an_error_not_exact():
         ols_loglog_slope([0.5, 0.25], [0.0, 1e-16])
     rows, slope = convergence_study(f, pts, dirs, 1, [F(1, 2), F(1, 4)])
     assert slope is not None and all(r["remainder"] > 0 for r in rows)
+
+
+def test_convergence_study_of_an_exact_expansion_is_exact_in_float():
+    # k(u1, u2) = u1 u2 + u1/3 at order 2: every boundary sequence is as long
+    # as the kernel degree, so the remainder is 0; float rows carry rounding
+    # noise under the fit floor, which used to raise "fewer than two scales"
+    f = kernel_1d({(1, 1): F(1), (1, 0): F(1, 3)}, arity=2)
+    pts, dirs = [(F(1, 3),), (F(2, 7),)], [(F(1, 5),), (F(-2, 3),)]
+    float_pts = [tuple(map(float, p)) for p in pts]
+    rational_hs = [F(1, 2), F(1, 10)]
+    for points, hs in ((pts, [0.5, 0.1]), (float_pts, rational_hs), (pts, rational_hs)):
+        rows, slope = convergence_study(f, points, dirs, 2, hs)
+        assert slope is None and len(rows) == 2
+        assert all(row["remainder"] < SLOPE_FLOOR for row in rows)
+    # one order lower the remainder is not 0, and the study fits a slope
+    rows, slope = convergence_study(f, pts, dirs, 1, [0.5, 0.1])
+    assert slope == pytest.approx(2)
+
+
+def test_a_study_called_exact_has_remainder_zero():
+    # the rule: every boundary sequence at least as long as the kernel
+    # degree makes every remainder integrand constant, so with rational
+    # inputs each row is exactly 0, and the slope is None in float too
+    hs = [F(1, 2), F(1, 4), F(1, 8)]
+    exact = 0
+    for seed in range(60):
+        rng = random.Random(f"exact-rule:{seed}")
+        graded = seed % 2 == 1
+        e = rng.choice([1, 2])
+        f = random_functional(rng, e, 2, graded, degree=rng.randint(1, 3))
+        pts = [random_point(rng, e) for _ in range(2)]
+        dirs = [random_point(rng, e) for _ in range(2)]
+        spatial = {}
+        if graded:
+            spec = Grading(*rng.choice([(1, 1, F(5, 2)), (F(1, 2), 1, F(9, 4)), (1, F(1, 2), F(3, 2))]))
+            spatial = {"x0": random_point(rng, e), "x0_direction": random_point(rng, e)}
+        else:
+            spec = rng.randint(1, 3)
+        families = _plan(f, spec)[1]
+        if not all(len(v) >= f.kernel.degree for *_, members in families for v in members):
+            continue
+        exact += 1
+        rows, slope = convergence_study(f, pts, dirs, spec, hs, **spatial)
+        assert slope is None and all(row["remainder"] == 0 for row in rows)
+        float_dirs = [tuple(map(float, v)) for v in dirs]
+        assert convergence_study(f, pts, float_dirs, spec, [0.5, 0.1], **spatial)[1] is None
+    assert exact >= 30
 
 
 def test_convergence_study_needs_two_distinct_positive_scales():
