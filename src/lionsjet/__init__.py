@@ -17,6 +17,7 @@ from .errors import (
 from .expansion import (
     ExpansionResult,
     JetTerm,
+    convergence_study,
     eval_Da,
     remainder_bound1,
     remainder_bound2,
@@ -43,7 +44,6 @@ from .measures import (
 )
 from .oracle import (
     classical_grad,
-    convergence_study,
     lift,
     regrouping_counts,
     schwarz_check,

@@ -21,12 +21,11 @@ import sys
 from fractions import Fraction
 
 from .errors import ValidationError
-from .expansion import taylor1, taylor2, taylor_derivative
+from .expansion import convergence_study, taylor1, taylor2, taylor_derivative
 from .functional import PolyFunctional, PolyKernel
-from .measures import load_coupling, load_points, pair_coupling
+from .measures import _as_point, load_coupling, load_points, pair_coupling
 from .oracle import (
     Report,
-    convergence_study,
     schwarz_check,
     verify_empirical_deriv,
     verify_expansion_match,
@@ -159,7 +158,7 @@ def _points_json(pts):
 
 
 def _parse_point(p):
-    return tuple(parse_rational(c) if "/" in c or "." not in c else float(c) for c in p)
+    return _as_point(c if "/" in c or "." not in c else float(c) for c in p)
 
 
 def _parse_points(pts):
@@ -381,7 +380,8 @@ def _cmd_expand(args, out):
             [tuple(map(float, q)) for _, q in c.pairs],
         )
     box = tuple(float(v) for v in args.box) if args.box else None
-    point = lambda s: tuple(parse_rational(v) for v in s.split(","))
+    num = float if args.mode == "float" else Fraction
+    point = lambda s: tuple(num(parse_rational(v)) for v in s.split(","))
     if args.order is not None:
         result = taylor1(f, c.left(), c, args.order, box=box)
     else:

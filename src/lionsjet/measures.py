@@ -22,9 +22,13 @@ from .poly import XiPoly, parse_rational
 
 
 def _as_point(coords):
-    return tuple(
+    point = tuple(
         c if isinstance(c, (Fraction, float)) else parse_rational(c) for c in coords
     )
+    for c in point:
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValidationError(f"point coordinates must be finite, got {c}")
+    return point
 
 
 class _PowerTables:

@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .expansion import (
-    _bound_terms,
-    _jet_by_length,
-    _plan,
-    remainder_bound1,
-    remainder_bound2,
-    taylor1,
-    taylor2,
-)
+from .expansion import convergence_study  # re-exported under its old public name
+from .expansion import remainder_bound1, remainder_bound2, taylor1, taylor2
 from .functional import MomentView, eval_derivative, lions_derivative
 from .measures import pair_coupling
 from .partitions import enum_A, equiv_class
@@ -279,6 +272,8 @@ def verify_expansion_match(f, x, y, n, box=None, seed=None):
     """
     if len(x) != len(y):
         raise ValidationError("configurations of different size")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValidationError(f"an order is an integer of at least 1, not {n!r}")
     n_particles = len(x)
     c = pair_coupling(x, y)
     gaps = c.gaps()
@@ -417,111 +412,3 @@ def fd_gradient(f, points, particle, coord, step=1e-4):
     hi = lifted.eval(up)
     lo = lifted.eval(down)
     return [(h - l) / (2 * step) for h, l in zip(hi, lo)]
-
-
-SLOPE_FLOOR = 1e-14  # remainders at or below this are float rounding, left out of fits
-
-
-def ols_loglog_slope(h_values, values):
-    """Least-squares slope of log2(values) against log2(h) over the rows
-    above SLOPE_FLOOR. Returns None when every value is exactly zero; raises
-    ValidationError when some value is nonzero but fewer than two distinct
-    scales clear the floor, since that is neither exact nor a fit."""
-    xs, ys = [], []
-    for h, v in zip(h_values, values):
-        if v is not None and v > SLOPE_FLOOR:
-            xs.append(math.log2(float(h)))
-            ys.append(math.log2(v))
-    if len(set(xs)) < 2:
-        if any(values):
-            raise ValidationError(
-                f"fewer than two scales h have a remainder above the fit floor {SLOPE_FLOOR:g}"
-            )
-        return None
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    denom = sum((x - mx) ** 2 for x in xs)
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
-
-
-def convergence_study(
-    f, points, directions, order_or_grading, h_list, x0=None, x0_direction=None, box=None
-):
-    """Scale the target configuration toward the base along fixed directions
-    and record the exact remainder (and, when a box is given, its certified
-    bound) at each scale h. `h_list` needs at least two distinct scales, all
-    positive, for the slope to be a fit.
-
-    At scale h every coupling gap is h times a direction and the spatial
-    step h times `x0_direction`, while the base points stay put. A jet term
-    indexed by a sequence of length k contracts one of these displacements
-    per letter, so it is homogeneous of degree k in h: the jet is computed
-    once, at h = 1, and summed by length into J_k, and the prediction at h
-    is the sum of h^k J_k. Per scale only f at the scaled target is
-    evaluated, from one compiled empty-sequence derivative. With rational
-    points and scales the rows equal those of a full expansion at every h;
-    a float h or float points may move a row by rounding.
-
-    The truncation is planned once (`expansion._plan`): the jet reads its
-    core, and every scale's bound reads its families. The box Lipschitz
-    constants of the bounds depend on f, the box and the orbit of a
-    sequence, not on h, so one memo made by this call serves every scale
-    and is dropped when the call returns. Each scale's bound reads that
-    scale's coupling moments and checks that its points lie in the box.
-
-    Returns (rows, slope): rows are dicts with h, remainder norm, bound; the
-    slope is the least-squares log-log fit, or None ("exact") when every
-    member of every boundary family is at least as long as the kernel
-    degree, or when every remainder is exactly zero. Under that rule each
-    remainder integrand is a constant, so the remainder is 0 at every h and
-    float rows hold only rounding. Raises ValidationError when some
-    remainder is nonzero but fewer than two clear `SLOPE_FLOOR`.
-
-    `x0` and `x0_direction` are the spatial base point and its direction:
-    a grading needs both, an order takes neither. Every direction has as
-    many coordinates as its point.
-    """
-    graded = isinstance(order_or_grading, Grading)
-    if graded and (x0 is None or x0_direction is None):
-        raise ValidationError("a grading needs x0 and x0_direction")
-    if not graded and (x0 is not None or x0_direction is not None):
-        raise ValidationError("x0 and x0_direction need a grading, not an order")
-    hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
-    if not all(h > 0 for h in hs) or len(set(hs)) < 2:
-        raise ValidationError("h_list needs at least two distinct scales h, all positive")
-    if len(directions) != len(points) or any(
-        len(v) != len(p) for p, v in zip(points, directions)
-    ):
-        raise ValidationError("need one direction per point, of as many coordinates as the point")
-    if graded and len(x0_direction) != len(x0):
-        raise ValidationError("x0_direction needs as many coordinates as x0")
-    core, families, _ = _plan(f, order_or_grading)
-
-    def scaled(h):
-        """The coupling and the spatial pair with every displacement scaled
-        by h."""
-        y = [tuple(p + h * d for p, d in zip(pt, v)) for pt, v in zip(points, directions)]
-        pairs = []
-        if graded:
-            pairs = [(tuple(x0), tuple(p + h * d for p, d in zip(x0, x0_direction)))]
-        return pair_coupling(points, y), pairs
-
-    c, pairs = scaled(1)
-    jets = _jet_by_length(f, pairs, c, core)
-    f_at = lions_derivative(f, ())
-    rows = []
-    lips = {}
-    for h in hs:
-        c, pairs = scaled(h)
-        rem = eval_derivative(f_at, pairs[0][1] if graded else None, c.right(), [])
-        for k, jet in jets.items():
-            rem = rem - jet.scale(h**k)
-        norm = math.sqrt(sum(float(v) ** 2 for v in rem.data))
-        bound = None
-        if box is not None:
-            bound = _bound_terms(f, pairs, c, families, box, lips)[0]
-        rows.append({"h": float(h), "remainder": norm, "bound": bound})
-    degree = f.kernel.degree
-    if all(len(values) >= degree for *_, members in families for values in members):
-        return rows, None  # every remainder integrand is constant: exact
-    return rows, ols_loglog_slope([r["h"] for r in rows], [r["remainder"] for r in rows])

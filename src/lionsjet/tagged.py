@@ -331,6 +331,7 @@ def compose_tagged(labels, a):
 
 def grade(a, g):
     """G[a] = alpha * #tagged entries + beta * #measure entries."""
+    a = as_tagged(a)
     zeros = a.zero_count
     return g.alpha * zeros + g.beta * (len(a) - zeros)
 

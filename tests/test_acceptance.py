@@ -14,6 +14,7 @@ import pytest
 
 from lionsjet.cli import gen_kernel, gen_points, make_instance, run_instance
 from lionsjet.expansion import (
+    convergence_study,
     remainder_bound1,
     remainder_bound2,
     taylor1,
@@ -23,7 +24,6 @@ from lionsjet.expansion import (
 from lionsjet.functional import eval_derivative, lions_derivative
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
 from lionsjet.oracle import (
-    convergence_study,
     regrouping_counts,
     schwarz_check,
     verify_empirical_deriv,

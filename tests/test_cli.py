@@ -432,6 +432,83 @@ def test_replay_of_schwarz_data_of_another_dimension_exits_two(tmp_path, capsys,
     assert_one_line_exit_two(["verify", "--replay", str(path)], capsys)
 
 
+
+@pytest.mark.parametrize("order", [True, 2.5, "2", 0], ids=repr)
+@pytest.mark.parametrize("seed", [1000, 1002], ids=["measure", "spatial"])
+def test_replay_of_an_order_that_is_no_integer_exits_two(tmp_path, capsys, seed, order):
+    # "order": true used to exit 0 and print "order": true
+    inst = make_instance("expansion", seed)
+    assert ("grading" in inst) == (seed == 1002)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    assert run_cli(["verify", "--replay", str(path)])[0] == 0
+    inst["order"] = order
+    path.write_text(json.dumps(inst))
+    assert_one_line_exit_two(["verify", "--replay", str(path)], capsys)
+
+
+@pytest.mark.parametrize("token", ["1e400", "NaN", "-Infinity"])
+def test_non_finite_coordinates_in_files_exit_two(tmp_path, capsys, token):
+    # json reads 1e400 as inf and NaN as nan; expand and converge used to
+    # exit 0 and print NaN or Infinity, which is not JSON
+    kpath, xpath, _ = _expand_inputs(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"[[{token}], [0.5]]")
+    coupling = tmp_path / "coupling.json"
+    coupling.write_text(f"[[[0], [{token}]], [[0.5], [1]]]")
+    for args in (
+        ["expand", "--kernel", kpath, "--points", xpath, "--points2", str(bad), "--order", "1"],
+        ["expand", "--kernel", kpath, "--coupling", str(coupling), "--order", "1"],
+        ["converge", "--kernel", kpath, "--points", xpath, "--directions", str(bad),
+         "--order", "2", "--output", "json"],
+        ["converge", "--kernel", kpath, "--points", str(bad), "--directions", xpath,
+         "--order", "2"],
+    ):
+        assert_one_line_exit_two(args, capsys)
+
+
+def test_expand_float_mode_converts_every_point(tmp_path):
+    # --x0, --y0, --free-x and --free-y stayed rational, so jet 0,0 of this
+    # kernel printed "1/36"; an exact zero still prints "0"
+    kernel = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(2, 0): F(1), (1, 1): F(1)})]))
+    kpath = tmp_path / "spatial.json"
+    kpath.write_text(json.dumps(kernel.to_json()))
+    _, xpath, ypath = _expand_inputs(tmp_path)
+    args = ["expand", "--kernel", str(kpath), "--points", xpath, "--points2", ypath,
+            "--grading", "5/2", "1", "1", "--x0=1/3", "--y0=1/2", "--mode", "float"]
+
+    def entries(x):
+        return [v for item in x for v in entries(item)] if isinstance(x, list) else [x]
+
+    for extra in ([], ["--seq", "1", "--free-x", "1/3", "--free-y", "1/5"]):
+        code, text = run_cli(args + extra)
+        assert code == 0
+        out = json.loads(text)
+        tensors = [term[k] for term in out["jet"].values() for k in ("value", "raw")]
+        tensors += [out[k] for k in ("predicted", "actual", "remainder_exact")]
+        tensors += [t for family in out["remainder_terms"].values() for t in family.values()]
+        values = [v for t in tensors for v in entries(t)]
+        assert any(isinstance(v, float) and v for v in values)
+        assert [v for v in values if isinstance(v, str) and v != "0"] == []
+
+
+@pytest.mark.parametrize(
+    "identity, seed, field",
+    [("empirical", 1, "points"), ("fullsystem", 1, "points"), ("expansion", 1000, "points2"),
+     ("expansion", 1002, "x0"), ("schwarz", 3000, "x0"), ("schwarz", 3000, "dirs")],
+)
+def test_replay_of_a_coordinate_past_float_range_exits_two(tmp_path, capsys, identity, seed,
+                                                           field):
+    # "1.5e400" parses as a float, inf: replays used to pass or print NaN
+    inst = make_instance(identity, seed, "float")
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    assert run_cli(["verify", "--replay", str(path)])[0] == 0
+    point = inst[field] if field == "x0" else inst[field][0]
+    point[0] = "1.5e400"
+    path.write_text(json.dumps(inst))
+    assert_one_line_exit_two(["verify", "--replay", str(path)], capsys)
+
 def test_verify_pool_starts_no_more_workers_than_it_can_use(monkeypatch):
     # a fork pool starts every worker on first use, so --jobs 5000 would
     # start 5000 processes; a fake pool records the count instead

@@ -14,6 +14,7 @@ from lionsjet.expansion import (
     _coupling_views,
     _family_sides,
     _integrate_entry,
+    convergence_study,
     eval_Da,
     remainder_bound1,
     remainder_bound2,
@@ -30,7 +31,6 @@ from lionsjet.functional import (
     norms_on_box,
 )
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
-from lionsjet.oracle import convergence_study
 from lionsjet.poly import XiPoly
 from lionsjet.tagged import Grading, TaggedSeq, _graded_value_families, _orbit_key, grade
 
@@ -322,6 +322,24 @@ def test_expansion_validation():
             f_spatial, TaggedSeq((1,)), (F(0),), (F(1),), [], [], c, Grading(1, 1, 2)
         )
 
+
+
+@pytest.mark.parametrize("order", [2.5, F(5, 2), True, "2", 0], ids=repr)
+def test_an_order_is_an_integer(order):
+    # 2.5 and 5/2 used to run the order-2 expansion with meta "order": 2.5,
+    # True ran order 1 and "2" ended in a TypeError
+    rng = random.Random(16)
+    f = random_functional(rng, 1, 1, False)
+    c = random_coupling(rng, 2, 1)
+    pts = [x for x, _ in c.pairs]
+    calls = (
+        lambda: taylor1(f, c.left(), c, order),
+        lambda: remainder_bound1(f, c, order, (-4, 4)),
+        lambda: convergence_study(f, pts, [(F(1),)] * 2, order, [F(1, 2), F(1, 4)]),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="an order is an integer of at least 1"):
+            call()
 
 def test_jet_term_value_raw_relation():
     rng = random.Random(17)

@@ -32,6 +32,16 @@ def test_pair_coupling_examples():
         pair_coupling([(0,)], [(1,), (2,)])
 
 
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+def test_non_finite_coordinates_are_refused(bad):
+    # float coordinates used to be kept as given, so an expansion printed NaN
+    with pytest.raises(ValidationError, match="finite"):
+        EmpiricalMeasure([(0.5,), (bad,)])
+    with pytest.raises(ValidationError, match="finite"):
+        pair_coupling([(0.5, 0.0)], [(1.0, bad)])
+    assert pair_coupling([(0.5,)], [(Fraction(10**400),)]).pairs[0][1] == (Fraction(10**400),)
+
 def test_diagonal_coupling():
     pts = [(1, 2), (3, 4)]
     c = pair_coupling(pts, pts)

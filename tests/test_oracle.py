@@ -1,22 +1,22 @@
 """Lifted-polynomial ground truth against the derivative machinery."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lionsjet import expansion, oracle
 from lionsjet.errors import ValidationError
-from lionsjet.expansion import _plan
+from lionsjet.expansion import SLOPE_FLOOR, _plan, convergence_study, ols_loglog_slope
 from lionsjet.functional import MomentView, eval_derivative, lions_derivative
 from lionsjet.measures import EmpiricalMeasure
 from lionsjet.oracle import (
-    SLOPE_FLOOR,
     classical_grad,
-    convergence_study,
     fd_gradient,
     lift,
-    ols_loglog_slope,
     regrouping_counts,
     schwarz_check,
     verify_empirical_deriv,
@@ -219,6 +219,33 @@ def test_expansion_match_spatial():
         rep = verify_expansion_match(f, x, y, rng.randint(1, 2), box=(-50, 50))
         assert rep.passed
 
+
+
+@pytest.mark.parametrize("order", [2.5, F(5, 2), True, "2", 0], ids=repr)
+@pytest.mark.parametrize("spatial", [False, True], ids=["measure", "spatial"])
+def test_expansion_match_takes_an_integer_order(order, spatial):
+    # True used to pass as order 1, and a spatial functional at order 5/2
+    # was expanded with the grading truncated at level 3
+    f = random_functional(random.Random(9), 1, 1, spatial)
+    x, y = [(F(0),), (F(1, 2),)], [(F(1, 3),), (F(1),)]
+    assert verify_expansion_match(f, x, y, 2).passed
+    with pytest.raises(ValidationError, match="an order is an integer of at least 1"):
+        verify_expansion_match(f, x, y, order)
+
+
+def test_the_oracle_imports_no_engine_internals():
+    # the ground truth must not run the optimised paths it checks: from the
+    # package it imports public names only, and the convergence study it
+    # re-exports is the engine's own
+    names = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("lionsjet")):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name.startswith("lionsjet")]
+    assert "expansion.taylor1" in names
+    assert [name for name in names if any(part.startswith("_") for part in name.split("."))] == []
+    assert oracle.convergence_study is expansion.convergence_study
 
 def test_schwarz_pair_exchange():
     rng = random.Random(10)

@@ -113,6 +113,16 @@ def test_grade_examples():
     assert grade(TaggedSeq((1, 2, 3)), Grading(third, third, 1)) == 1
 
 
+
+def test_grade_coerces_a_raw_tuple_as_families_of_does():
+    # grade((0, 1), g) used to end in an AttributeError
+    g = Grading(1, 2, 100)
+    assert grade((0, 1, 1), g) == grade(TaggedSeq((0, 1, 1)), g) == 5
+    assert grade((), g) == 0
+    assert families_of((0, 1), g) == families_of(TaggedSeq((0, 1)), g)
+    with pytest.raises(ValidationError):
+        grade((0, 2), g)
+
 def test_grading_validation():
     with pytest.raises(ValidationError):
         Grading(1, 2, Fraction(1, 2))
