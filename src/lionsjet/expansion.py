@@ -9,14 +9,12 @@ operator costs time linear in the atom count N (see
 `functional.contract_derivative`). With rational data each moment is a sum
 of plain integers over power tables scaled once per view, divided once at
 the end (`measures.MomentView`), and the base and path views of a coupling
-share their gap tables. Each partial derivative of a kernel component is
-differentiated once per expansion or bound call: the derivatives built by
-one call share one table (`functional._derivative`), dropped when the call
-returns. Each derivative compiles its joint polynomials once, and its base
-and path contractions both read them. Truncating the expansion at an order
-(or at a grading level) leaves remainder terms indexed by the boundary
-families;
-on the interpolation path the atoms have coordinates polynomial in the path
+share their gap tables. Each derivative compiles its joint polynomials once
+per functional and keeps them on it, so every later expansion, bound or
+study of that functional, and both the base and the path contraction, read
+the same cells. Truncating the expansion at an order (or at a grading
+level) leaves remainder terms indexed by the boundary families; on the
+interpolation path the atoms have coordinates polynomial in the path
 parameter, so the same moments are polynomials and the integrals are taken
 in closed form, and
 
@@ -34,7 +32,8 @@ variables, which are exchangeable. So the orbit is fixed by the tagged
 letters, the sorted block sizes of the fresh letters and the sides, and
 `tagged._orbit_key` names it by a canonical representative. The engine
 contracts that representative once per orbit and sides and copies it to
-every other member, and the bound computes each constant once per orbit.
+every other member, the remainder loop integrates each orbit's term once
+per sides, and the bound computes each constant once per orbit.
 In rational mode the contractions are equal, not merely close. A float
 sum (a float-mode contraction, or a constant, which sums float terms) may
 change by rounding with the order of its terms; on the benchmark and test
@@ -75,7 +74,6 @@ from .errors import ValidationError
 from .functional import (
     MomentView,
     _certified_sup,
-    _derivative,
     contract_derivative,
     eval_derivative,
     lions_derivative,
@@ -248,7 +246,7 @@ def _family_sides(alpha, beta):
     return (("star", (True, True), (False, False)), ("plus", *plus), ("cross", *cross))
 
 
-def _orbit_cache(f, base, tagged_pairs, c, partials):
+def _orbit_cache(f, base, tagged_pairs, c):
     """The engine's contractions over the coupling `c` and the (start,
     target) pairs of the tagged slots 0..m[base] (slot 0 is the spatial
     point), one per orbit and sides.
@@ -258,8 +256,7 @@ def _orbit_cache(f, base, tagged_pairs, c, partials):
     `values`, averaged over the coupling, with the tagged group and/or the
     measure group on the interpolation path. It is the contraction of the
     orbit's representative, computed once per sides and copied on every
-    later request. The derivatives share the partial-derivative table
-    `partials`.
+    later request.
     """
     _check_pairs(f, c, tagged_pairs)
     m0, n0 = base.m, len(base)
@@ -274,7 +271,7 @@ def _orbit_cache(f, base, tagged_pairs, c, partials):
     def evaluate(values, tagged_at_xi, measure_at_xi):
         rep = _orbit_key(values, m0)
         if rep not in orbits:
-            orbits[rep] = (_derivative(f, TaggedSeq(base.values + rep), partials), {})
+            orbits[rep] = (lions_derivative(f, TaggedSeq(base.values + rep)), {})
         ts, contractions = orbits[rep]
         sides = (tagged_at_xi, measure_at_xi)
         done = contractions.get(sides)
@@ -347,8 +344,7 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
     Returns the ExpansionResult; its tensors have one e-axis per letter of
     `base` after the leading output axis.
     """
-    partials = {}
-    evaluate = _orbit_cache(f, base, tagged_pairs, c, partials)
+    evaluate = _orbit_cache(f, base, tagged_pairs, c)
     seq_type = TaggedSeq if f.has_spatial else PartitionSeq
     jet_terms = [
         JetTerm(ExtendedSeq(base, values) if base else seq_type(values), value, raw)
@@ -357,22 +353,26 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
     if not f.has_spatial:
         jet_terms.sort(key=lambda term: len(term.seq))
 
-    remainder_terms = {}
+    remainder_terms, integrated = {}, {}  # integrated: one term per orbit and sides
     for family, moving, frozen, members in families:
         for values in members:
-            r = len(values) - 1
-            acc = evaluate(values, *moving) - evaluate(values, *frozen)
-            if r < 0:
-                term = acc.map(_at_one)
-            else:
-                term = acc.map(lambda v: _integrate_entry(v, r)).scale(
-                    Fraction(1, math.factorial(r))
-                )
-            remainder_terms[(family, values)] = term
+            key = (_orbit_key(values, base.m), moving, frozen)
+            term = integrated.get(key)
+            if term is None:
+                r = len(values) - 1
+                acc = evaluate(values, *moving) - evaluate(values, *frozen)
+                if r < 0:
+                    term = acc.map(_at_one)
+                else:
+                    term = acc.map(lambda v: _integrate_entry(v, r)).scale(
+                        Fraction(1, math.factorial(r))
+                    )
+                integrated[key] = term
+            remainder_terms[(family, values)] = Tensor(term.shape, term.data)
 
     targets = [tuple(y) for _, y in tagged_pairs]
     actual = eval_derivative(
-        _derivative(f, base, partials),
+        lions_derivative(f, base),
         targets[0] if f.has_spatial else None,
         MomentView([y for _, y in c.pairs], dim=c.dim),
         targets[1:],
@@ -472,12 +472,11 @@ def _bound_terms(f, tagged_pairs, c, families, box, lips):
         sum((float(b) - float(a)) ** 2 for x, y in tagged_pairs for a, b in zip(x, y))
     )
     mom = functools.cache(lambda p: coupling_moment(c, p))
-    partials = {}
 
     def lip(values, letter):
         rep = _orbit_key(values + (letter,), 0)
         if rep not in lips:
-            lips[rep] = _certified_sup(f, TaggedSeq(rep), box, partials)
+            lips[rep] = _certified_sup(f, TaggedSeq(rep), box)
         return lips[rep]
 
     total = 0.0
@@ -611,7 +610,7 @@ def convergence_study(
 
     c, pairs = scaled(1)
     jets = {}  # J_k: the jet at h = 1 summed by sequence length k
-    for values, _, value in _jet_loop(_orbit_cache(f, _EMPTY, pairs, c, {}), core):
+    for values, _, value in _jet_loop(_orbit_cache(f, _EMPTY, pairs, c), core):
         k = len(values)
         jets[k] = jets[k] + value if k in jets else value
     f_at = lions_derivative(f, ())

@@ -14,11 +14,12 @@ term per injective map of the free variables 1..m into the integrated slots
 1..arity: arity!/(arity - m)! terms, none when m > arity. Each term records
 which slot each free variable pins and which slot each tensor direction hit.
 
-Each derivative is compiled once into joint polynomials over x0, the free
-variables and the integrated slots (`DerivTermSum.joint`). The contraction,
-the certified sup and the grid report all read that form, and a derivative
-past the kernel degree has no cells in it; only the reference evaluator
-`eval_derivative_brute` walks the terms.
+Each derivative is compiled once per functional into joint polynomials over
+x0, the free variables and the integrated slots (`DerivTermSum.joint`), and
+kept on the functional, so every later expansion, bound or norm report of it
+reads the same cells. The contraction, the certified sup and the grid report
+all read that form, and a derivative past the kernel degree has no cells in
+it; only the reference evaluator `eval_derivative_brute` walks the terms.
 """
 
 from __future__ import annotations
@@ -158,12 +159,20 @@ class PolyKernel:
 
 
 class PolyFunctional:
-    """A kernel integrated against the measure in every non-spatial slot."""
+    """A kernel integrated against the measure in every non-spatial slot.
 
-    __slots__ = ("kernel",)
+    `_joints` holds the compiled joint cells of its derivatives, keyed by
+    sequence values: at most one entry per distinct sequence of length at
+    most the kernel degree that some call asked for. It starts empty and
+    dies with the functional. A write stores a finished, equal value under
+    its key, so threads sharing a functional may race to fill it.
+    """
+
+    __slots__ = ("kernel", "_joints")
 
     def __init__(self, kernel):
         self.kernel = kernel
+        self._joints = {}
 
     @property
     def has_spatial(self):
@@ -208,20 +217,18 @@ class DerivTermSum:
 
     `partials` is the table of partial derivatives of the kernel components
     that `deriv_poly` reads and fills, keyed by (output, sorted variables).
-    `lions_derivative` gives each derivative a fresh one; the derivatives
-    built within one expansion, bound or norm report share one (see
-    `_derivative`), so a partial derivative that several sequences reach is
-    computed once per call.
+    It is local to this derivative and serves its compile and
+    `eval_derivative_brute`; only the compiled joint cells are kept, on the
+    functional.
     """
 
-    __slots__ = ("functional", "seq", "terms", "partials", "_joint")
+    __slots__ = ("functional", "seq", "terms", "partials")
 
     def __init__(self, functional, seq, terms):
         self.functional = functional
         self.seq = seq
         self.terms = tuple(terms)
         self.partials = {}
-        self._joint = None
 
     @property
     def kernel(self):
@@ -243,24 +250,25 @@ class DerivTermSum:
         return self.kernel.n_slots + self.n_free
 
     def joint(self):
-        """The derivative compiled once: for each (output, direction
-        coordinates) cell that is not identically zero, the polynomial over
-        the argument groups whose expectation over independent integrated
-        slots is that entry.
+        """The derivative compiled once per functional: for each (output,
+        direction coordinates) cell that is not identically zero, the
+        polynomial over the argument groups whose expectation over
+        independent integrated slots is that entry.
 
         Each term maps its kernel slots into the groups, a pinned slot to its
         free variable's group, and the mapped partial derivatives are summed,
         so distinct terms that land on one monomial merge and cancellations
         between them are kept. A sequence longer than the kernel degree has
-        no cells: every partial derivative of a polynomial past its total
-        degree is zero, so the contraction returns zeros and the certified
-        sup 0.0 without differentiating anything."""
-        if self._joint is not None:
-            return self._joint
-        kernel, joint = self.kernel, {}
+        no cells and no cache entry: every partial derivative of a polynomial
+        past its total degree is zero, so the contraction returns zeros and
+        the certified sup 0.0 without differentiating anything."""
+        kernel, cache = self.kernel, self.functional._joints
         if self.order > kernel.degree:
-            self._joint = joint
+            return {}
+        joint = cache.get(self.seq.values)
+        if joint is not None:
             return joint
+        joint = {}
         e, spatial, m = kernel.e, int(kernel.has_spatial), self.n_free
         nvars = self.n_groups * e
         mappings = []
@@ -279,7 +287,7 @@ class DerivTermSum:
                         total = poly if total is None else total + poly
                 if total:
                     joint[(comp, coords)] = total
-        self._joint = joint
+        cache[self.seq.values] = joint
         return joint
 
     def deriv_poly(self, out, term, coords):
@@ -337,17 +345,6 @@ def lions_derivative(f, a):
         for pins in itertools.permutations(range(1, kernel.arity + 1), a.m)
     ]
     return DerivTermSum(f, a, terms)
-
-
-def _derivative(f, a, partials):
-    """`lions_derivative(f, a)` reading and filling the partial-derivative
-    table `partials`, which the caller shares among the derivatives of `f`
-    it builds. The table is made by and dropped with that one call (an
-    expansion, a bound or a norm report); nothing keeps it on the kernel,
-    functional or coupling, so no call reuses another's work."""
-    ts = lions_derivative(f, a)
-    ts.partials = partials
-    return ts
 
 
 def eval_derivative(ts, x0, mu, free):
@@ -536,11 +533,10 @@ def _frobenius_sup(ts, box):
     return math.sqrt(certified_sq)
 
 
-def _certified_sup(f, seq, box, partials):
+def _certified_sup(f, seq, box):
     """Certified Frobenius sup of the derivative of `f` indexed by `seq`, with
-    no grid evaluated. `partials` is the partial-derivative table the caller
-    shares among its derivatives of `f` (see `_derivative`)."""
-    return _frobenius_sup(_derivative(f, seq, partials), box)
+    no grid evaluated."""
+    return _frobenius_sup(lions_derivative(f, seq), box)
 
 
 GRID_SAMPLES = 5  # mesh points per variable of the `norms_on_box` grid, before its cap
@@ -590,11 +586,9 @@ def norms_on_box(ts, box):
     """
     box = normalize_box(box, ts.kernel.e)
     f, values, m = ts.functional, ts.seq.values, ts.n_free
-    partials = {}
 
     def next_norm(letter):
-        seq = TaggedSeq(values + (letter,))
-        return _sup_report(_derivative(f, seq, partials), box)
+        return _sup_report(lions_derivative(f, TaggedSeq(values + (letter,))), box)
 
     return NormEstimates(
         sup=_sup_report(ts, box),

@@ -281,7 +281,7 @@ def pair_coupling(x, y):
     """Diagonal coupling of two point lists: pair x_j with y_j."""
     if len(x) != len(y):
         raise ValidationError("point lists of different length")
-    return Coupling([(_as_point(a), _as_point(b)) for a, b in zip(x, y)])
+    return Coupling(zip(x, y))
 
 
 def interpolate(coupling, xi):

@@ -935,6 +935,35 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
         assert len({id(t.data) for t in tensors}) == len(tensors)
 
 
+def test_each_orbit_remainder_is_integrated_once(monkeypatch):
+    calls = []
+    integrate = XiPoly.integrate_weighted
+
+    def counting(self, r):
+        calls.append(r)
+        return integrate(self, r)
+
+    monkeypatch.setattr(XiPoly, "integrate_weighted", counting)
+    for name, run, f, base, pairs, c, alpha, beta, eta in _orbit_cases():
+        if not name.startswith("taylor2"):
+            continue
+        _, terms = _per_sequence_terms(f, base, pairs, c, alpha, beta, eta)
+        # the path entries of each member's step, by (orbit, sides)
+        evaluate = expansion._orbit_cache(f, TaggedSeq(base), pairs, c)
+        entries, members = {}, 0
+        _, *families = _graded_value_families(alpha, beta, eta, 0, 0)
+        for (_, moving, frozen), values_list in zip(_family_sides(alpha, beta), families):
+            for values in filter(None, values_list):
+                step = evaluate(values, *moving) - evaluate(values, *frozen)
+                paths = sum(isinstance(v, XiPoly) for v in step.data)
+                entries[(_orbit_key(values, 0), moving, frozen)] = paths
+                members += paths
+        calls.clear()
+        res = run()
+        assert len(calls) == sum(entries.values()) < members
+        assert res.remainder_terms == terms
+
+
 def _lip_sequences(record):
     """(field, the sequences whose constants it holds) for each constant
     field of a bound record."""
@@ -957,7 +986,7 @@ def test_bound_constants_equal_certified_sup_of_their_own_sequence():
             nbox = normalize_box(box, f.kernel.e)
             for record in res.bound_terms:
                 for name, seqs in _lip_sequences(record):
-                    sups = [_certified_sup(f, TaggedSeq(s), nbox, {}) for s in seqs]
+                    sups = [_certified_sup(f, TaggedSeq(s), nbox) for s in seqs]
                     assert record[name] == (sups if name == "lip_free" else sups[0])
                     moved += sum(_orbit_key(s, 0) != s and sup > 0 for s, sup in zip(seqs, sups))
     assert moved > 0
@@ -974,9 +1003,9 @@ def test_convergence_study_computes_each_orbit_constant_once(monkeypatch):
     computed = []
     real = expansion._certified_sup
 
-    def counting(f, seq, box, partials):
+    def counting(f, seq, box):
         computed.append(seq.values)
-        return real(f, seq, box, partials)
+        return real(f, seq, box)
 
     rng = random.Random("convergence-memo")
     e, box, hs = 2, (-4, 4), [F(1, 2), F(1, 4), F(1, 8)]

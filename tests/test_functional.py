@@ -3,12 +3,15 @@
 import itertools
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from lionsjet.errors import ValidationError
-from lionsjet.expansion import taylor1
+from lionsjet.expansion import taylor1, taylor2
 from lionsjet.functional import (
     DerivTerm,
     DerivTermSum,
@@ -16,7 +19,6 @@ from lionsjet.functional import (
     PolyFunctional,
     PolyKernel,
     _certified_sup,
-    _derivative,
     contract_derivative,
     eval_derivative,
     eval_derivative_brute,
@@ -27,7 +29,7 @@ from lionsjet.functional import (
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
 from lionsjet.partitions import enum_A
 from lionsjet.poly import MPoly, XiPoly
-from lionsjet.tagged import TaggedSeq, enum_A0
+from lionsjet.tagged import Grading, TaggedSeq, enum_A0
 
 F = Fraction
 
@@ -407,7 +409,7 @@ def test_pinned_slots_share_their_free_variable_in_the_sup():
             assert sup.value == 0.0 and sup.grid == 0.0
 
 
-# -- the per-call partial-derivative table ------------------------------------
+# -- the compiled joints kept on the functional -------------------------------
 
 
 def _direct_partial(f, out, term, coords):
@@ -420,35 +422,130 @@ def _direct_partial(f, out, term, coords):
     return poly
 
 
-def test_shared_table_partials_equal_direct_differentiation():
+def test_partials_equal_direct_differentiation():
     rng = random.Random(11)
     f = random_functional(rng, 2, 2, True, degree=4, d=2)
-    partials = {}
     seqs = list(enum_A0(3))
-    rng.shuffle(seqs)  # fill the table in no particular order
+    rng.shuffle(seqs)  # fill the tables in no particular order
     for a in seqs:
-        ts = _derivative(f, a, partials)
-        assert ts.partials is partials
+        ts = lions_derivative(f, a)
         for term in ts.terms:
             for out in range(f.kernel.d):
                 for coords in itertools.product(range(2), repeat=len(a)):
                     assert ts.deriv_poly(out, term, coords) == _direct_partial(f, out, term, coords)
-    # each entry is keyed by (output, sorted variables), zeros included
-    assert all(list(variables) == sorted(variables) for _, variables in partials)
+        # each entry is keyed by (output, sorted variables), zeros included
+        assert all(list(variables) == sorted(variables) for _, variables in ts.partials)
 
 
-def test_contraction_through_shared_table_equals_fresh_derivative():
+def test_contraction_through_cached_joint_equals_fresh_derivative():
     rng = random.Random(12)
     f = random_functional(rng, 2, 3, False, degree=4)
     atoms = [random_point(rng, 2) for _ in range(3)]
     view = MomentView(atoms, dim=2, gaps=[random_point(rng, 2) for _ in range(3)])
-    partials = {}
     for values in [(1, 2), (1,), (1, 1, 2), (1, 2, 3), (1, 2, 1)]:
         a = TaggedSeq(values)
         dirvecs = [v - 1 for v in values]
-        shared = contract_derivative(_derivative(f, a, partials), None, view, [], dirvecs)
-        fresh = contract_derivative(lions_derivative(f, a), None, view, [], dirvecs)
+        lions_derivative(f, a).joint()  # fill the cache of f
+        shared = contract_derivative(lions_derivative(f, a), None, view, [], dirvecs)
+        fresh = contract_derivative(
+            lions_derivative(PolyFunctional(f.kernel), a), None, view, [], dirvecs
+        )
         assert shared == fresh
+
+
+def test_a_repeated_call_differentiates_nothing(monkeypatch):
+    # the compiled joints stay on the functional, so the second of two
+    # identical calls reads them and differentiates nothing
+    rng = random.Random(13)
+    f = random_functional(rng, 2, 2, False, degree=4)
+    points = [random_point(rng, 2) for _ in range(4)]
+    c = pair_coupling(points[:2], points[2:])
+    calls = []
+    original = MPoly.diff
+
+    def counting_diff(self, index):
+        calls.append(index)
+        return original(self, index)
+
+    monkeypatch.setattr(MPoly, "diff", counting_diff)
+    counts, results = [], []
+    for _ in range(2):
+        calls.clear()
+        results.append(taylor1(f, c.left(), c, 2, box=(-4, 4)).to_json())
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == 0
+    assert results[0] == results[1]
+
+
+def test_cached_joint_equals_a_fresh_compile():
+    rng = random.Random(15)
+    f = random_functional(rng, 2, 2, True, degree=3, d=2)
+    points = [random_point(rng, 2) for _ in range(4)]
+    c = pair_coupling(points[:2], points[2:])
+    x0, y0 = random_point(rng, 2), random_point(rng, 2)
+    taylor2(f, x0, y0, c, Grading(F(1, 2), 1, F(5, 2)), box=(-4, 4))
+    assert f._joints
+    for values, cells in f._joints.items():
+        fresh = lions_derivative(PolyFunctional(f.kernel), TaggedSeq(values)).joint()
+        assert cells.keys() == fresh.keys()
+        for cell, poly in cells.items():
+            assert poly == fresh[cell]
+
+
+def test_a_past_degree_sequence_leaves_no_cache_entry():
+    f = kernel_1d({(2, 1, 0): F(1), (0, 1, 1): F(-2)}, arity=2, spatial=True)
+    past = TaggedSeq((0, 1, 1, 2))
+    assert len(past) > f.kernel.degree == 3
+    assert lions_derivative(f, past).joint() == {}
+    assert _certified_sup(f, past, normalize_box((-1, 1), 1)) == 0.0
+    assert past.values not in f._joints
+    within = TaggedSeq((0, 1))
+    lions_derivative(f, within).joint()
+    assert list(f._joints) == [within.values]
+
+
+def test_a_new_functional_starts_with_an_empty_cache():
+    rng = random.Random(17)
+    f = random_functional(rng, 2, 2, True, degree=3)
+    g = random_functional(rng, 2, 2, True, degree=3)
+    for h in (f, g):
+        lions_derivative(h, TaggedSeq((0, 1))).joint()
+        assert h._joints
+    assert (f + g)._joints == {}
+    assert PolyFunctional.from_json(f.to_json())._joints == {}
+    assert PolyFunctional(f.kernel)._joints == {}
+
+
+THREADS = 4  # more than the cores of a small host, so that threads preempt each other
+
+
+def test_threads_sharing_a_fresh_functional_agree_with_a_serial_run():
+    rng = random.Random(18)
+    kernel = random_functional(rng, 2, 2, True, degree=4, d=2).kernel
+    points = [random_point(rng, 2) for _ in range(6)]
+    c = pair_coupling(points[:3], points[3:])
+    x0, y0 = random_point(rng, 2), random_point(rng, 2)
+    g = Grading(F(1, 2), 1, F(9, 4))
+    serial_f = PolyFunctional(kernel)
+    serial = taylor2(serial_f, x0, y0, c, g, box=(-4, 4)).to_json()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the compiles interleave
+    try:
+        for _ in range(10):
+            f = PolyFunctional(kernel)
+            start = threading.Barrier(THREADS)
+
+            def expand(_, f=f, start=start):
+                start.wait(timeout=60)
+                return taylor2(f, x0, y0, c, g, box=(-4, 4)).to_json()
+
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                results = list(pool.map(expand, range(THREADS), timeout=120))
+            assert results == [serial] * THREADS
+            # every write stored an equal value under its key
+            assert f._joints == serial_f._joints
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypatch):
@@ -478,7 +575,7 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     assert len(past) > f.kernel.degree
     zeros = contract_derivative(lions_derivative(f, past), x0, base, [], [vec, None, 0, 1])
     assert zeros.shape == (1, 2) and not any(zeros.data)
-    assert _certified_sup(f, past, normalize_box((-1, 1), 2), {}) == 0.0
+    assert _certified_sup(f, past, normalize_box((-1, 1), 2)) == 0.0
     assert calls == {"deriv_poly": 0, "map_vars": 0}
     # the base and the path contraction of one derivative share one build
     ts = lions_derivative(f, TaggedSeq((0, 1)))
@@ -486,29 +583,6 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     built = calls["map_vars"]
     contract_derivative(ts, x0, path, [], [vec, 0])
     assert built > 0 and calls["map_vars"] == built
-
-
-def test_no_partial_table_outlives_a_call(monkeypatch):
-    # the second of two identical calls differentiates exactly as much as
-    # the first: nothing it computed is kept on the functional or kernel
-    rng = random.Random(13)
-    f = random_functional(rng, 2, 2, False, degree=4)
-    points = [random_point(rng, 2) for _ in range(4)]
-    c = pair_coupling(points[:2], points[2:])
-    calls = []
-    original = MPoly.diff
-
-    def counting_diff(self, index):
-        calls.append(index)
-        return original(self, index)
-
-    monkeypatch.setattr(MPoly, "diff", counting_diff)
-    counts = []
-    for _ in range(2):
-        calls.clear()
-        taylor1(f, c.left(), c, 2, box=(-4, 4))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
 
 
 def test_evaluation_rejects_points_of_another_dimension():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lionsjet import measures
 from lionsjet.errors import UnsupportedError, ValidationError
 from lionsjet.measures import (
     Coupling,
@@ -31,6 +32,14 @@ def test_pair_coupling_examples():
     with pytest.raises(ValidationError):
         pair_coupling([(0,)], [(1,), (2,)])
 
+
+def test_pair_coupling_validates_each_point_once(monkeypatch):
+    calls = []
+    as_point = measures._as_point
+    monkeypatch.setattr(measures, "_as_point", lambda coords: calls.append(coords) or as_point(coords))
+    c = pair_coupling([(0,), (1,)], [(1,), ("3",)])
+    assert len(calls) == 4
+    assert c.pairs == (((Fraction(0),), (Fraction(1),)), ((Fraction(1),), (Fraction(3),)))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
