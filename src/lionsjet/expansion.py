@@ -6,17 +6,19 @@ derivative. Per monomial of the derivative's joint polynomials that m-fold
 average factorizes into a product of mixed coupling moments
 (1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per coupling variable, so the
 operator costs time linear in the atom count N (see
-`functional.contract_derivative`). With rational data each moment is a sum
-of plain integers over power tables scaled once per view, divided once at
-the end (`measures.MomentView`), and the base and path views of a coupling
-share their gap tables. Each derivative compiles its joint polynomials once
-per functional and keeps them on it, so every later expansion, bound or
-study of that functional, and both the base and the path contraction, read
-the same cells. Truncating the expansion at an order (or at a grading
-level) leaves remainder terms indexed by the boundary families; on the
-interpolation path the atoms have coordinates polynomial in the path
-parameter, so the same moments are polynomials and the integrals are taken
-in closed form, and
+`functional.contract_derivative`). With rational data the contraction runs
+on integers: every argument group reads a power table scaled once per view
+(`measures.MomentView`; the start and path points of the tagged slots are
+one-atom views built once per call), the monomials share one denominator
+and each output entry is divided once. The base and path views of a
+coupling share their gap tables. Each derivative compiles its joint
+polynomials once per functional and keeps them on it, so every later
+expansion, bound or study of that functional, and both the base and the
+path contraction, read the same cells. Truncating the expansion at an
+order (or at a grading level) leaves remainder terms indexed by the
+boundary families; on the interpolation path the atoms have coordinates
+polynomial in the path parameter, so the same moments are polynomials and
+the integrals are taken in closed form, and
 
     predicted + sum of remainder terms == value at the target
 
@@ -261,8 +263,9 @@ def _orbit_cache(f, base, tagged_pairs, c):
     _check_pairs(f, c, tagged_pairs)
     m0, n0 = base.m, len(base)
     base_view, path_view = _coupling_views(c)
-    tagged_base = [tuple(x) for x, _ in tagged_pairs]
-    tagged_path = [_affine_point(x, y) for x, y in tagged_pairs]
+    # one-atom views, so that every contraction reads the same power tables
+    tagged_base = [MomentView([x], c.dim) for x, _ in tagged_pairs]
+    tagged_path = [MomentView([_affine_point(x, y)], c.dim) for x, y in tagged_pairs]
     tagged_disp = [
         tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs
     ]

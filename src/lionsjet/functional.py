@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .measures import MomentView  # re-exported
-from .poly import MPoly, Tensor, format_rational, parse_rational
+from .poly import MPoly, Tensor, XiPoly, format_rational, parse_rational
 from .tagged import TaggedSeq, as_tagged
 
 
@@ -41,10 +41,14 @@ class PolyKernel:
     Scalar variables are laid out slot-major: the spatial slot first when
     present, then the integrated slots 1..arity, each contributing e
     coordinates. `degree` is the largest total degree of a component (0 for
-    a constant or zero kernel), computed once here.
+    a constant or zero kernel), and `denominator` the lcm of the coefficient
+    denominators when every coefficient is an int or a Fraction (else
+    None), both computed once here. Differentiating multiplies coefficients
+    by integers and compiling adds them, so `denominator` is a common
+    denominator of every derivative's coefficients too.
     """
 
-    __slots__ = ("e", "d", "arity", "has_spatial", "components", "degree")
+    __slots__ = ("e", "d", "arity", "has_spatial", "components", "degree", "denominator")
 
     def __init__(self, e, d, arity, has_spatial, components):
         self.e = e
@@ -60,6 +64,12 @@ class PolyKernel:
                 raise ValidationError("component variable count mismatch")
         self.components = components
         self.degree = max((c.degree() for c in components), default=0)
+        coeffs = [q for c in components for q in c.terms.values()]
+        self.denominator = (
+            math.lcm(*(q.denominator for q in coeffs))
+            if all(type(q) in (int, Fraction) for q in coeffs)
+            else None
+        )
 
     @property
     def nvars(self):
@@ -215,6 +225,13 @@ class DerivTermSum:
     """The derivative of a functional indexed by a tagged sequence, as a sum
     of slot-assignment terms over the shared kernel.
 
+    `terms` is built on first read: one term per injective map `pins` of
+    the free variables 1..m into the slots 1..arity, in lexicographic
+    order, with letter 0 on the spatial argument and letter j > 0 on the
+    slot pinned to free variable j. Only a compile and
+    `eval_derivative_brute` read them, so a derivative whose joint cells
+    are already on its functional never builds them.
+
     `partials` is the table of partial derivatives of the kernel components
     that `deriv_poly` reads and fills, keyed by (output, sorted variables).
     It is local to this derivative and serves its compile and
@@ -222,13 +239,22 @@ class DerivTermSum:
     functional.
     """
 
-    __slots__ = ("functional", "seq", "terms", "partials")
+    __slots__ = ("functional", "seq", "_terms", "partials")
 
-    def __init__(self, functional, seq, terms):
+    def __init__(self, functional, seq):
         self.functional = functional
         self.seq = seq
-        self.terms = tuple(terms)
+        self._terms = None
         self.partials = {}
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = tuple(
+                DerivTerm(pins, tuple(pins[v - 1] if v else 0 for v in self.seq.values))
+                for pins in itertools.permutations(range(1, self.kernel.arity + 1), self.seq.m)
+            )
+        return self._terms
 
     @property
     def kernel(self):
@@ -272,7 +298,8 @@ class DerivTermSum:
         e, spatial, m = kernel.e, int(kernel.has_spatial), self.n_free
         nvars = self.n_groups * e
         mappings = []
-        for term in self.terms:
+        terms = self.terms
+        for term in terms:
             groups = list(range(spatial + m, spatial + m + kernel.arity))
             for j, slot in enumerate(term.pins):
                 groups[slot - 1] = spatial + j
@@ -280,7 +307,7 @@ class DerivTermSum:
         for comp in range(kernel.d):
             for coords in itertools.product(range(e), repeat=self.order):
                 total = None
-                for term, mapping in zip(self.terms, mappings):
+                for term, mapping in zip(terms, mappings):
                     poly = self.deriv_poly(comp, term, coords)
                     if poly:
                         poly = poly.map_vars(nvars, mapping)
@@ -326,25 +353,16 @@ def _partial(table, kernel, out, variables):
 
 
 def lions_derivative(f, a):
-    """Symbolic mixed derivative of `f` indexed by the tagged sequence `a`.
-
-    One term per injective map `pins` of the free variables 1..m into the
-    slots 1..arity, in lexicographic order: arity!/(arity - m)! terms, none
-    when m > arity. Letter 0 differentiates the spatial argument and letter
-    j > 0 the slot pinned to free variable j.
-    """
+    """Symbolic mixed derivative of `f` indexed by the tagged sequence `a`:
+    arity!/(arity - m)! slot-assignment terms (`DerivTermSum.terms`), none
+    when m > arity."""
     a = as_tagged(a)
-    kernel = f.kernel
-    if 0 in a.values and not kernel.has_spatial:
+    if 0 in a.values and not f.kernel.has_spatial:
         raise ValidationError(
             "sequence contains spatial letters but the functional has no "
             "spatial argument"
         )
-    terms = [
-        DerivTerm(pins, tuple(pins[v - 1] if v else 0 for v in a.values))
-        for pins in itertools.permutations(range(1, kernel.arity + 1), a.m)
-    ]
-    return DerivTermSum(f, a, terms)
+    return DerivTermSum(f, a)
 
 
 def eval_derivative(ts, x0, mu, free):
@@ -407,14 +425,17 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     coupling variables 0, 1, ...: each is drawn uniformly from the atoms of
     `mu` (a `MomentView` with gaps) and the result is the average over all
     such draws. Returns a tensor of shape (d, e, ..., e) with one axis per
-    uncontracted direction.
+    uncontracted direction. x0 and each given point may be passed as its
+    one-atom `MomentView`, whose power tables a caller then builds once.
 
     Each cell of the joint form (`DerivTermSum.joint`) is evaluated group by
     group: x0 and the given free points contribute their powers, averaged
-    coupling variable j the mixed moment mu.moment(row, gap_exps), and an
-    integrated slot mu.moment(row). Per monomial the average over the atoms
-    factorizes into those moments, so the cost is linear in the atom count
-    rather than a sum over configurations.
+    coupling variable j the mixed moment of `mu` with the gap exponents of
+    its directions, and an integrated slot a moment of `mu`. Per monomial
+    the average over the atoms factorizes into those moments, so the cost
+    is linear in the atom count rather than a sum over configurations.
+    Rational data runs on integers (`_integer_contraction`); float,
+    symbolic and mixed data take the Fraction loop over `mu.moment`.
     """
     kernel = ts.kernel
     e = kernel.e
@@ -426,13 +447,18 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             gap_dirs.append((p, v))
         else:
             vec_dirs.append((p, v))
-    given = ([x0] if kernel.has_spatial else []) + list(free)
-    values = [c for point in given for c in point]
+    out = Tensor((kernel.d,) + (e,) * len(free_dirs))
+    joint = ts.joint()
+    if not joint:
+        return out
+    points = ([x0] if kernel.has_spatial else []) + list(free)
+    if _integer_contraction(ts, joint, points, mu, vec_dirs, gap_dirs, free_dirs, out):
+        return out
+    values = [c for p in points for c in (p.atoms[0] if isinstance(p, MomentView) else p)]
     # the groups integrated against `mu`: the averaged coupling variables
     # first, then the integrated slots
-    spans = [(g * e, g * e + e) for g in range(len(given), ts.n_groups)]
-    out = Tensor((kernel.d,) + (e,) * len(free_dirs))
-    for (comp, coords), poly in ts.joint().items():
+    spans = [(g * e, g * e + e) for g in range(len(points), ts.n_groups)]
+    for (comp, coords), poly in joint.items():
         weight = 1
         for p, vec in vec_dirs:
             weight = weight * vec[coords[p]]
@@ -459,6 +485,109 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             val = val + factor
         out[(comp,) + tuple(coords[p] for p in free_dirs)] += val * weight if vec_dirs else val
     return out
+
+
+def _integer_contraction(ts, joint, points, mu, vec_dirs, gap_dirs, free_dirs, out):
+    """`contract_derivative` in integers, into `out`; False, with `out`
+    untouched, when a view, coefficient or vector is not rational.
+
+    Each group reads integer sums: x0 and the given points of their one-atom
+    views, the other groups of `mu`. A monomial has degree at most
+    D = kernel degree - order, so each group reads its sums lifted to
+    degree D (`MomentView.sums`), coefficients become numerators over the
+    kernel's common denominator and vectors are scaled by the lcm of their
+    denominators. All monomials then share one denominator: those scales,
+    N * scale^D per group, and the gap scale to the number of gap
+    directions. Each output entry sums plain ints (xi-coefficient lists on
+    the path) and is divided once; a path entry without xi terms is a
+    Fraction.
+    """
+    kernel = ts.kernel
+    e, unit, mu_scales = kernel.e, kernel.denominator, mu.integer_scales(bool(gap_dirs))
+    if unit is None or mu_scales is None:
+        return False
+    den, weights = unit, []
+    for p, vec in vec_dirs:
+        if not all(type(c) in (int, Fraction) for c in vec):
+            return False
+        scale = math.lcm(*(c.denominator for c in vec))
+        weights.append((p, [c.numerator * (scale // c.denominator) for c in vec]))
+        den *= scale
+    given = [p if isinstance(p, MomentView) else MomentView([p], e) for p in points]
+    scales = [view.integer_scales(False) for view in given] + [mu_scales]
+    if None in scales:
+        return False
+    views = given + [mu] * (ts.n_groups - len(given))
+    degree = kernel.degree - ts.order
+    path = any(poly for *_, poly in scales)
+    n, mu_scale, gap_scale, _ = mu_scales
+    den *= (n * mu_scale**degree) ** (len(views) - len(given)) * gap_scale ** len(gap_dirs)
+    den *= math.prod(k * s**degree for k, s, *_ in scales[:-1])  # the given points
+    n_avg = ts.n_free + kernel.has_spatial - len(given)
+    readers_by_gaps, sums = {}, {}
+    for (comp, coords), poly in joint.items():
+        weight = 1
+        for p, vec in weights:
+            weight *= vec[coords[p]]
+        if not weight:
+            continue
+        # (lo, hi, sums) per group, fixed by the coordinates of the gap directions
+        gap_coords = tuple(coords[p] for p, _ in gap_dirs)
+        readers = readers_by_gaps.get(gap_coords)
+        if readers is None:
+            gap_rows = [[0] * e for _ in range(n_avg)]
+            for (_, j), c in zip(gap_dirs, gap_coords):
+                gap_rows[j][c] += 1
+            readers = readers_by_gaps[gap_coords] = []
+            for g, view in enumerate(views):
+                j = g - len(given)
+                gap = tuple(gap_rows[j]) if 0 <= j < n_avg else (0,) * e
+                readers.append((g * e, g * e + e, view.sums(gap, degree)))
+        idx = (comp,) + tuple(coords[p] for p in free_dirs)
+        if path:
+            total = [0]
+            for exps, coeff in poly.terms.items():
+                term = [coeff.numerator * (unit // coeff.denominator)]
+                for lo, hi, cache in readers:
+                    term = _xi_times(term, cache[exps[lo:hi]])
+                _xi_add(total, term)
+            _xi_add(sums.setdefault(idx, [0]), [t * weight for t in total])
+        else:
+            total = 0
+            for exps, coeff in poly.terms.items():
+                term = coeff.numerator * (unit // coeff.denominator)
+                for lo, hi, cache in readers:
+                    term *= cache[exps[lo:hi]]
+                total += term
+            sums[idx] = sums.get(idx, 0) + total * weight
+    for idx, total in sums.items():
+        if path and any(total[1:]):
+            out[idx] = XiPoly([Fraction(t, den) for t in total])
+        else:
+            out[idx] = Fraction(total[0] if path else total, den)
+    return True
+
+
+def _xi_times(a, b):
+    """Product of a nonempty int xi-coefficient list and an int or another
+    such list."""
+    if type(b) is int:
+        return [x * b for x in a]
+    if len(a) == 1:
+        return [a[0] * y for y in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def _xi_add(total, term):
+    """Add the int xi-coefficient list `term` into `total`, in place."""
+    total.extend([0] * (len(term) - len(total)))
+    for k, t in enumerate(term):
+        total[k] += t
 
 
 def normalize_box(box, e):

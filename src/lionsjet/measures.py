@@ -46,16 +46,13 @@ class _PowerTables:
 
     __slots__ = ("scale", "poly", "_rows")
 
-    def __init__(self, scale, poly, coeff_lists, n, dim):
+    def __init__(self, scale, poly, units, n):
         self.scale = scale
         self.poly = poly
+        dim = len(units)
         self._rows = {(0,) * dim: [[1] * n]}
-        for c in range(dim):
-            unit = tuple(int(i == c) for i in range(dim))
-            length = max(1, max(len(v[c]) for v in coeff_lists))
-            self._rows[unit] = [
-                [_scaled(v[c], k, scale) for v in coeff_lists] for k in range(length)
-            ]
+        for c, table in enumerate(units):
+            self._rows[(0,) * c + (1,) + (0,) * (dim - c - 1)] = table
 
     @classmethod
     def of(cls, vectors, dim):
@@ -65,16 +62,23 @@ class _PowerTables:
         if any(len(v) != dim for v in vectors):
             return None
         kinds = {type(c) for v in vectors for c in v}
+        columns = list(zip(*vectors))  # coordinate c of every vector
         if kinds <= {int, Fraction}:
-            poly, coeff_lists = False, [[(c,) for c in v] for v in vectors]
-        elif kinds == {XiPoly}:
-            poly, coeff_lists = True, [[c.coeffs for c in v] for v in vectors]
-            if not {type(q) for v in coeff_lists for c in v for q in c} <= {int, Fraction}:
-                return None
-        else:
+            scale = math.lcm(*(c.denominator for v in vectors for c in v))
+            units = [[[c.numerator * (scale // c.denominator) for c in col]] for col in columns]
+            return cls(scale, False, units, len(vectors))
+        if kinds != {XiPoly}:
             return None
-        scale = math.lcm(*(q.denominator for v in coeff_lists for c in v for q in c))
-        return cls(scale, poly, coeff_lists, len(vectors), dim)
+        columns = [[c.coeffs for c in col] for col in columns]
+        coeffs = [q for col in columns for cs in col for q in cs]
+        if not {type(q) for q in coeffs} <= {int, Fraction}:
+            return None
+        scale = math.lcm(*(q.denominator for q in coeffs))
+        units = [
+            [[_scaled(cs, k, scale) for cs in col] for k in range(max(1, *map(len, col)))]
+            for col in columns
+        ]
+        return cls(scale, True, units, len(vectors))
 
     def rows(self, exps):
         """The table of `exps`, built when missing in a loop: lower the last
@@ -124,29 +128,32 @@ class MomentView:
 
         (1/N) * sum_i atom_i^exps * gap_i^gap_exps,
 
-    which is what an averaged coupling variable contributes per monomial.
-    One cache serves both: it is keyed by (exps, gap_exps), and `moment(exps)`
-    is the case gap_exps = 0.
+    which is what an averaged coupling variable contributes per monomial;
+    `moment(exps)` is the case gap_exps = 0. A one-atom view is a point.
 
     When every atom coordinate is an int or a Fraction, or every one is an
     `XiPoly` with such coefficients (the path view), and every gap is an int
-    or a Fraction, the sum runs over integers: atoms and gaps are each
-    scaled once by the lcm of their denominators (`_PowerTables`), the
-    scaled powers are summed as plain ints, and the sum is divided once by
-    N * scale^degree. Scaling by a common integer commutes with sums and
-    products, so the result is the exact value the Fraction loop gives, of
-    the same type: a Fraction, or an `XiPoly` when a nonzero exponent falls
-    on a path coordinate. Float and symbolic atoms take the loop.
+    or a Fraction, atoms and gaps are each scaled once by the lcm of their
+    denominators (`_PowerTables`) and the moments are sums of plain ints
+    (one int per xi power on a path view): `sums` and `integer_scales`.
+    Scaling by a common integer commutes with sums and products, so
+    `moment` returns the exact value the Fraction loop gives, of the same
+    type: a Fraction, or an `XiPoly` when a nonzero exponent falls on a path
+    coordinate. Float and symbolic atoms take the loop.
+
+    One cache, keyed by (gap_exps, degree), holds the integer sums `sums`
+    returns, divided on demand by `moment`; under degree None it holds the
+    loop moments of the exponents the tables cannot serve.
     """
 
-    __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_moments", "_atom_tables", "_gap_tables")
+    __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_sums", "_atom_tables", "_gap_tables")
 
     def __init__(self, atoms, dim, gaps=None):
         self.atoms = tuple(tuple(a) for a in atoms)
         self.dim = dim
         self.gaps = None if gaps is None else [tuple(g) for g in gaps]
         self._no_gaps = (0,) * self.dim
-        self._moments = {}
+        self._sums = {}
         self._atom_tables = self.atoms and _PowerTables.of(self.atoms, self.dim)
         gap_tables = self.gaps and _PowerTables.of(self.gaps, self.dim)
         self._gap_tables = None if gap_tables and gap_tables.poly else gap_tables
@@ -162,36 +169,47 @@ class MomentView:
         view.gaps, view._gap_tables = self.gaps, self._gap_tables
         return view
 
-    def moment(self, exps, gap_exps=None):
-        key = (tuple(exps), tuple(gap_exps or self._no_gaps))
-        cached = self._moments.get(key)
-        if cached is None:
-            exps, gap_exps = key
-            weighted = any(gap_exps)
-            if weighted and self.gaps is None:
-                raise ValidationError("gap moments need a view with gaps")
-            tables = self._atom_tables and (self._gap_tables or not weighted)
-            if tables and len(exps) == len(gap_exps) == self.dim:
-                cached = self._integer_moment(exps, gap_exps if weighted else None)
-            else:
-                cached = self._loop_moment(exps, gap_exps if weighted else None)
-            self._moments[key] = cached
-        return cached
+    def integer_scales(self, weighted):
+        """(N, scale, gap_scale, path) when `sums` serves this view (with
+        gap exponents if `weighted`), else None; on a path view a sum is a
+        list of ints, one per xi power."""
+        atoms, gaps = self._atom_tables, self._gap_tables
+        if not atoms or (weighted and not gaps):
+            return None
+        return len(self.atoms), atoms.scale, gaps.scale if gaps else 1, atoms.poly
 
-    def _integer_moment(self, exps, gap_exps):
-        atoms = self._atom_tables
-        rows = atoms.rows(exps)
-        denom = len(self.atoms) * atoms.scale ** sum(exps)
-        if gap_exps is None:
-            sums = [sum(row) for row in rows]
-        else:
-            gaps = self._gap_tables
-            (weights,) = gaps.rows(gap_exps)
-            denom *= gaps.scale ** sum(gap_exps)
-            sums = [sum(map(operator.mul, row, weights)) for row in rows]
-        if atoms.poly and any(exps):
-            return XiPoly([Fraction(s, denom) for s in sums])
-        return Fraction(sums[0], denom)
+    def sums(self, gap_exps, degree):
+        """The integer sums with gap exponents `gap_exps` lifted to `degree`:
+        a dict, filled on first read and kept, from each exponent tuple r of
+        total at most `degree` to scale^(degree - |r|) times
+
+            sum_i prod_c (scale * atom_ic)^r_c * (gap_scale * gap_ic)^gap_exps_c,
+
+        which is N * scale^degree * gap_scale^|gap_exps| times the moment."""
+        table = self._sums.get((gap_exps, degree))
+        if table is None:
+            table = _Lifted(self._atom_tables, self._gap_tables, gap_exps, degree)
+            self._sums[(gap_exps, degree)] = table
+        return table
+
+    def moment(self, exps, gap_exps=None):
+        exps, gap_exps = tuple(exps), tuple(gap_exps or self._no_gaps)
+        weighted = any(gap_exps)
+        if weighted and self.gaps is None:
+            raise ValidationError("gap moments need a view with gaps")
+        scales = self.integer_scales(weighted)
+        if scales is None or not len(exps) == len(gap_exps) == self.dim:
+            loops = self._sums.setdefault((gap_exps, None), {})
+            if exps not in loops:
+                loops[exps] = self._loop_moment(exps, gap_exps if weighted else None)
+            return loops[exps]
+        n, scale, gap_scale, path = scales
+        degree = sum(exps)
+        denom = n * scale**degree * gap_scale ** sum(gap_exps)
+        total = self.sums(gap_exps, degree)[exps]
+        if path and degree:
+            return XiPoly([Fraction(s, denom) for s in total])
+        return Fraction(total[0] if path else total, denom)
 
     def _loop_moment(self, exps, gap_exps):
         total = 0
@@ -206,6 +224,29 @@ class MomentView:
                         factor = factor * c**e
             total = total + factor
         return total * Fraction(1, len(self.atoms))
+
+
+class _Lifted(dict):
+    """`MomentView.sums`: filled by `__missing__` from the power tables. It
+    holds the tables, not the view, so that a view is freed with its last
+    reference rather than by the cycle collector."""
+
+    __slots__ = ("atoms", "gaps", "gap", "degree")
+
+    def __init__(self, atoms, gaps, gap, degree):
+        self.atoms, self.gaps, self.gap, self.degree = atoms, gaps, gap, degree
+
+    def __missing__(self, exps):
+        atoms = self.atoms
+        rows = atoms.rows(exps)
+        if any(self.gap):
+            (weights,) = self.gaps.rows(self.gap)
+            sums = [sum(map(operator.mul, row, weights)) for row in rows]
+        else:
+            sums = [sum(row) for row in rows]
+        lift = atoms.scale ** (self.degree - sum(exps))
+        value = self[exps] = [s * lift for s in sums] if atoms.poly else sums[0] * lift
+        return value
 
 
 class EmpiricalMeasure(MomentView):
@@ -240,7 +281,7 @@ class Coupling:
     The marginals are the empirical measures of the two columns.
     """
 
-    __slots__ = ("pairs", "dim")
+    __slots__ = ("pairs", "dim", "_gap_squares")
 
     def __init__(self, pairs):
         pairs = [(_as_point(x), _as_point(y)) for x, y in pairs]
@@ -251,6 +292,7 @@ class Coupling:
             raise ValidationError("pairs of mixed dimension")
         self.pairs = tuple(pairs)
         self.dim = dim
+        self._gap_squares = None
 
     @property
     def n_atoms(self):
@@ -265,6 +307,15 @@ class Coupling:
     def gaps(self):
         """Displacements y_i - x_i."""
         return [tuple(b - a for a, b in zip(x, y)) for x, y in self.pairs]
+
+    def gap_squares(self):
+        """|y_i - x_i|^2 per pair, exact for rational points, computed on
+        first use and kept."""
+        if self._gap_squares is None:
+            self._gap_squares = [
+                sum((b - a) ** 2 for a, b in zip(x, y)) for x, y in self.pairs
+            ]
+        return self._gap_squares
 
     def to_json(self):
         return [[[str(c) for c in x], [str(c) for c in y]] for x, y in self.pairs]
@@ -295,10 +346,6 @@ def interpolate(coupling, xi):
     return EmpiricalMeasure(atoms)
 
 
-def _gap_sq(x, y):
-    return sum((b - a) ** 2 for a, b in zip(x, y))
-
-
 def coupling_moment(coupling, p, exact=False):
     """(1/N) * sum of |y_i - x_i|^p, Euclidean norm.
 
@@ -308,7 +355,7 @@ def coupling_moment(coupling, p, exact=False):
     n = coupling.n_atoms
     if exact:
         if p % 2 == 0:
-            total = sum(_gap_sq(x, y) ** (p // 2) for x, y in coupling.pairs)
+            total = sum(sq ** (p // 2) for sq in coupling.gap_squares())
             return Fraction(total, n)
         if coupling.dim == 1:
             total = sum(abs(y[0] - x[0]) ** p for x, y in coupling.pairs)
@@ -317,7 +364,7 @@ def coupling_moment(coupling, p, exact=False):
             "odd-power moments of multi-dimensional gaps are irrational; "
             "use float mode"
         )
-    total = sum(float(_gap_sq(x, y)) ** (p / 2) for x, y in coupling.pairs)
+    total = sum(float(sq) ** (p / 2) for sq in coupling.gap_squares())
     return total / n
 
 

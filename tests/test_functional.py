@@ -492,6 +492,19 @@ def test_cached_joint_equals_a_fresh_compile():
             assert poly == fresh[cell]
 
 
+def test_a_cached_derivative_builds_no_terms():
+    # the joint is read from the functional, so the second derivative
+    # object never builds its slot-assignment terms
+    f = kernel_1d({(2, 1, 0): F(1), (0, 1, 1): F(-2)}, arity=2, spatial=True)
+    a = TaggedSeq((0, 1))
+    first = lions_derivative(f, a)
+    first.joint()
+    assert first._terms is not None
+    again = lions_derivative(f, a)
+    assert again.joint() is first.joint() and again._terms is None
+    assert again.terms == first.terms and len(again.terms) == 2
+
+
 def test_a_past_degree_sequence_leaves_no_cache_entry():
     f = kernel_1d({(2, 1, 0): F(1), (0, 1, 1): F(-2)}, arity=2, spatial=True)
     past = TaggedSeq((0, 1, 1, 2))

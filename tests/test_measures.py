@@ -92,6 +92,14 @@ def test_coupling_moment_examples():
     assert coupling_moment(c3, 3, exact=True) == Fraction(1, 216)
 
 
+def test_gap_squares_are_computed_once_and_serve_every_power():
+    c = pair_coupling([(Fraction(1, 2), 0), (-1, 2)], [(Fraction(3, 2), 1), (0, 0)])
+    squares = c.gap_squares()
+    assert squares == [2, 5] and c.gap_squares() is squares
+    assert coupling_moment(c, 4, exact=True) == Fraction(29, 2)
+    assert coupling_moment(c, 3) == (2.0**1.5 + 5.0**1.5) / 2
+
+
 def test_coupling_moment_bounds_the_best_permutation():
     # the pairing of a coupling is one of the N! permutations, so its moment
     # is at least their minimum; each permuted pairing's moment is its sum

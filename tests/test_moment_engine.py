@@ -4,20 +4,27 @@ per-configuration sums of `config_loop_reference`."""
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lionsjet import functional
 from lionsjet.cli import _tolerance
 from lionsjet.expansion import taylor1, taylor2, taylor_derivative
 from lionsjet.functional import (
     MomentView,
+    PolyFunctional,
+    PolyKernel,
     contract_derivative,
     eval_derivative_brute,
     lions_derivative,
 )
 from lionsjet.measures import pair_coupling
-from lionsjet.poly import Tensor, XiPoly
-from lionsjet.tagged import Grading, TaggedSeq, grade
+from lionsjet.partitions import enum_A
+from lionsjet.poly import MPoly, Tensor, XiPoly
+from lionsjet.tagged import Grading, TaggedSeq, enum_A0, grade
 
 from config_loop_reference import graded_reference, taylor1_reference
 from test_expansion import random_coupling
@@ -112,7 +119,8 @@ def test_gap_moments_share_one_cache():
     assert view.moment((1, 0)) == view.moment((1, 0), (0, 0)) == F(0)
     want = (F(1) * F(1, 3) ** 2 + F(-1) * F(2) ** 2) / 2
     assert view.moment((1, 0), (2, 0)) == want
-    assert set(view._moments) == {((1, 0), (0, 0)), ((1, 0), (2, 0))}
+    cached = {(exps, gap) for (gap, _), sums in view._sums.items() for exps in sums}
+    assert cached == {((1, 0), (0, 0)), ((1, 0), (2, 0))}
 
 
 def test_int_direction_on_path_view():
@@ -217,3 +225,149 @@ def test_contraction_past_kernel_degree_matches_brute(past, directions, spatial,
         assert all(isinstance(v, Fraction) for v in got.data)
     else:
         assert float((got - want).max_abs()) <= _tolerance("float") * (1 + float(want.max_abs()))
+
+
+# -- contractions in integers --------------------------------------------------
+
+
+def _loop_contraction(ts, x0, view, fixed, dirvecs):
+    """`contract_derivative` forced onto its Fraction loop over `moment`."""
+    with mock.patch.object(functional, "_integer_contraction", return_value=False):
+        return contract_derivative(ts, x0, view, fixed, dirvecs)
+
+
+def _int_or_fraction(rng, q):
+    """q, as an int when it is a whole number and a coin says so."""
+    return int(q) if q.denominator == 1 and rng.random() < 0.5 else q
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    e=st.integers(1, 2),
+    n_atoms=st.integers(1, 3),
+    spatial=st.booleans(),
+    order=st.integers(0, 3),
+    tagged_on_path=st.booleans(),
+    measure_on_path=st.booleans(),
+)
+def test_integer_contraction_equals_brute_and_loop(
+    seed, e, n_atoms, spatial, order, tagged_on_path, measure_on_path
+):
+    # base and path views, tagged points on the path (one of them with a
+    # zero XiPoly coordinate at times), gap directions, int/Fraction mixes
+    # and, past the kernel degree, empty joints; every entry must equal the
+    # brute nested-loop evaluation and the Fraction loop exactly
+    rng = random.Random(seed)
+    nvars = (2 + spatial) * e
+    terms = {}
+    for _ in range(8):
+        exps = [0] * nvars
+        for _ in range(rng.randint(1, 4)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    f = PolyFunctional(PolyKernel(e, 1, 2, spatial, [MPoly(nvars, terms)]))
+    values = rng.choice(list((enum_A0 if spatial else enum_A)(order))).values
+    ts = lions_derivative(f, TaggedSeq(values))
+    m = ts.n_free
+
+    def point():
+        return tuple(_int_or_fraction(rng, q) for q in random_point(rng, e))
+
+    xs = [point() for _ in range(n_atoms)]
+    gaps = [point() for _ in range(n_atoms)]
+    view = MomentView(xs, dim=e, gaps=gaps)
+    if measure_on_path:
+        view = view.with_atoms(
+            [tuple(XiPoly.affine(a, g) for a, g in zip(x, gv)) for x, gv in zip(xs, gaps)]
+        )
+    n_fixed = rng.choice([0, rng.randint(0, m)])
+    starts = [point() for _ in range(spatial + n_fixed)]
+    targets = [point() for _ in starts]
+    if starts and rng.random() < 0.3:
+        starts[0] = targets[0] = (0,) * e  # its path coordinates are XiPoly(())
+    tagged = starts
+    if tagged_on_path:
+        tagged = [
+            tuple(XiPoly.affine(a, b - a) for a, b in zip(x, y)) for x, y in zip(starts, targets)
+        ]
+    x0, fixed = (tagged[0], tagged[1:]) if spatial else (None, tagged)
+    dirvecs = []
+    for v in values:
+        choice = rng.randrange(4)
+        if choice == 0:
+            dirvecs.append(None)
+        elif choice == 1 or v <= n_fixed:
+            dirvecs.append(point())
+        else:
+            dirvecs.append(v - n_fixed - 1)
+    got = contract_derivative(ts, x0, view, fixed, dirvecs)
+    brute = _brute_contraction(ts, x0, view, fixed, dirvecs)
+    loop = _loop_contraction(ts, x0, view, fixed, dirvecs)
+    assert got.shape == brute.shape == loop.shape
+    for g, b, lp in zip(got.data, brute.data, loop.data):
+        assert g == b and g == lp
+        assert type(g) in (Fraction, XiPoly)
+
+
+def test_rational_contractions_run_on_integers(monkeypatch):
+    # neither the dividing `moment` nor the loop is reached: every group
+    # reads integer sums
+    rng = random.Random(21)
+    f = random_functional(rng, 2, 2, True, degree=3)
+    c = random_coupling(rng, 3, 2)
+    x0, y0 = random_point(rng, 2), random_point(rng, 2)
+
+    def refuse(*args):
+        raise AssertionError("a rational contraction left the integer path")
+
+    monkeypatch.setattr(MomentView, "moment", refuse)
+    monkeypatch.setattr(MomentView, "_loop_moment", refuse)
+    res = taylor2(f, x0, y0, c, Grading(1, F(1, 2), F(9, 4)))
+    assert res.identity_gap() == 0
+    res = taylor_derivative(f, TaggedSeq((1,)), x0, y0, [x0], [y0], c, Grading(1, 1, 3))
+    assert res.identity_gap() == 0
+
+
+def _fallback_case(kind):
+    """A contraction whose data keeps it on the Fraction loop, with the
+    tolerance its entries must meet against the brute evaluation."""
+    rng = random.Random(f"fallback:{kind}")
+    # variables x0 (0, 1), slot 1 (2, 3), slot 2 (4, 5)
+    terms = {(1, 0, 1, 0, 0, 1): F(1), (0, 2, 0, 1, 2, 0): F(1, 2), (2, 0, 1, 1, 1, 0): F(-3)}
+    f = PolyFunctional(PolyKernel(2, 1, 2, True, [MPoly(6, terms)]))
+    atoms = [random_point(rng, 2) for _ in range(2)]
+    gaps = [random_point(rng, 2) for _ in range(2)]
+    x0, vec = random_point(rng, 2), random_point(rng, 2)
+    tol = 0
+    if kind == "float atoms":
+        atoms = [tuple(map(float, a)) for a in atoms]
+        gaps = [tuple(map(float, g)) for g in gaps]
+        tol = _tolerance("float")
+    elif kind == "float x0":
+        x0 = tuple(map(float, x0))
+        tol = _tolerance("float")
+    else:  # symbolic atoms: one MPoly variable per coordinate
+        atoms = [tuple(MPoly.var(4, 2 * i + c) for c in range(2)) for i in range(2)]
+    view = MomentView(atoms, dim=2, gaps=gaps)
+    return lions_derivative(f, TaggedSeq((0, 1, 2))), x0, view, [vec, None, 0], tol
+
+
+@pytest.mark.parametrize("kind", ["float atoms", "float x0", "symbolic"])
+def test_fallback_loop_values(kind, monkeypatch):
+    ts, x0, view, dirvecs, tol = _fallback_case(kind)
+    fixed = [view.atoms[0]]
+    assert ts.joint()
+    taken = []
+    integer = functional._integer_contraction
+    monkeypatch.setattr(
+        functional, "_integer_contraction", lambda *args: taken.append(integer(*args)) or taken[-1]
+    )
+    got = contract_derivative(ts, x0, view, fixed, dirvecs)
+    assert taken == [False]
+    want = _brute_contraction(ts, x0, view, fixed, dirvecs)
+    if tol:
+        assert all(isinstance(v, float) for v in got.data)
+        assert float((got - want).max_abs()) <= tol * (1 + float(want.max_abs()))
+    else:
+        assert got == want
