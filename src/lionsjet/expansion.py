@@ -33,9 +33,11 @@ direction; relabelling its fresh letters permutes the averaged coupling
 variables, which are exchangeable. So the orbit is fixed by the tagged
 letters, the sorted block sizes of the fresh letters and the sides, and
 `tagged._orbit_key` names it by a canonical representative. The engine
-contracts that representative once per orbit and sides and copies it to
-every other member, the remainder loop integrates each orbit's term once
-per sides, and the bound computes each constant once per orbit.
+keys each live member's orbit once, contracts the representative once per
+orbit and sides, scales each orbit's jet term by 1/k! once and copies it
+to every other member; the remainder loop reads the jet loop's keys and
+integrates each orbit's term once per sides, and the bound computes each
+constant once per orbit.
 In rational mode the contractions are equal, not merely close. A float
 sum (a float-mode contraction, or a constant, which sums float terms) may
 change by rounding with the order of its terms; on the benchmark and test
@@ -59,10 +61,15 @@ gamma = n; `remainder_bound2` with the spatial pair (x0, y0). Each constant
 is `functional._certified_sup` of the next derivative: the coefficient-wise
 sup bound alone, with no sample grid (the grid and its slack are reported
 only by `norms_on_box`, whose `.value`s equal these constants bit for bit).
-A derivative indexed by a sequence longer than the kernel degree vanishes
-identically: its joint form has no cells, so its constant is 0.0 and its
-jet and remainder contractions are zero tensors, with nothing
-differentiated.
+A derivative vanishes identically when its sequence is longer than the
+kernel degree or has more free variables than the kernel arity
+(`functional._vanishes`); with a low-degree kernel most family members are
+such zeros. The engine, the study and the bound read that rule first: a
+vanishing member gets fresh zero tensors as its jet and remainder terms and
+a constant of 0.0, and nothing is keyed, built, contracted, scaled,
+integrated or added into the prediction for it. Skipping an add of an
+exact zero leaves every sum as it was, floats included, since the
+prediction starts from an exact zero and so never holds -0.0.
 """
 
 from __future__ import annotations
@@ -76,18 +83,20 @@ from .errors import ValidationError
 from .functional import (
     MomentView,
     _certified_sup,
+    _vanishes,
     contract_derivative,
     eval_derivative,
     lions_derivative,
     normalize_box,
 )
-from .measures import coupling_moment, pair_coupling
+from .measures import EmpiricalMeasure, coupling_moment, pair_coupling
 from .partitions import PartitionSeq
 from .poly import Tensor, XiPoly, format_rational
 from .tagged import (
     ExtendedSeq,
     Grading,
     TaggedSeq,
+    _built,
     _graded_value_families,
     _orbit_key,
     as_tagged,
@@ -203,7 +212,15 @@ def _check_pairs(f, c, tagged_pairs):
 
 
 def _check_marginal(coupling, mu):
-    if mu is not None and coupling.left() != mu:
+    """`mu` must be the coupling's left marginal. Atoms in the order of the
+    left column pass at once (`c.left()` holds the coupling's own coordinate
+    objects, so they compare by identity); any other order is compared as a
+    multiset."""
+    if mu is None or isinstance(mu, EmpiricalMeasure) and mu.atoms == tuple(
+        x for x, _ in coupling.pairs
+    ):
+        return
+    if coupling.left() != mu:
         raise ValidationError("coupling left marginal differs from the measure")
 
 
@@ -253,15 +270,17 @@ def _orbit_cache(f, base, tagged_pairs, c):
     target) pairs of the tagged slots 0..m[base] (slot 0 is the spatial
     point), one per orbit and sides.
 
-    Returns evaluate(values, tagged_at_xi, measure_at_xi): the derivative
-    for base+values contracted with one displacement per letter of
-    `values`, averaged over the coupling, with the tagged group and/or the
-    measure group on the interpolation path. It is the contraction of the
-    orbit's representative, computed once per sides and copied on every
-    later request.
+    Returns (key, evaluate). key(values) is the orbit representative of the
+    member `values` (`_orbit_key`), or None when the derivative of
+    base+values vanishes identically (`_vanishes`), which then is never
+    built. evaluate(rep, tagged_at_xi, measure_at_xi) is the derivative for
+    base+rep contracted with one displacement per letter of `rep`, averaged
+    over the coupling, with the tagged group and/or the measure group on
+    the interpolation path: computed once per orbit and sides, and the same
+    tensor on every later request, so callers copy what they hand out.
     """
     _check_pairs(f, c, tagged_pairs)
-    m0, n0 = base.m, len(base)
+    kernel, m0, n0 = f.kernel, base.m, len(base)
     base_view, path_view = _coupling_views(c)
     # one-atom views, so that every contraction reads the same power tables
     tagged_base = [MomentView([x], c.dim) for x, _ in tagged_pairs]
@@ -269,35 +288,47 @@ def _orbit_cache(f, base, tagged_pairs, c):
     tagged_disp = [
         tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs
     ]
-    orbits = {}  # orbit representative -> (its derivative, its contractions by sides)
+    derivs, contractions = {}, {}  # by representative; by (representative, sides)
 
-    def evaluate(values, tagged_at_xi, measure_at_xi):
-        rep = _orbit_key(values, m0)
-        if rep not in orbits:
-            orbits[rep] = (lions_derivative(f, TaggedSeq(base.values + rep)), {})
-        ts, contractions = orbits[rep]
-        sides = (tagged_at_xi, measure_at_xi)
+    def key(values):
+        return None if _vanishes(kernel, base.values + values) else _orbit_key(values, m0)
+
+    def evaluate(rep, tagged_at_xi, measure_at_xi):
+        sides = (rep, tagged_at_xi, measure_at_xi)
         done = contractions.get(sides)
-        if done is not None:
-            return Tensor(done.shape, done.data)
-        tagged = tagged_path if tagged_at_xi else tagged_base
-        view = path_view if measure_at_xi else base_view
-        dirvecs = [None] * n0 + [
-            tagged_disp[v] if v <= m0 else v - m0 - 1 for v in rep
-        ]
-        x0 = tagged[0] if tagged else None
-        done = contractions[sides] = contract_derivative(ts, x0, view, tagged[1:], dirvecs)
+        if done is None:
+            ts = derivs.get(rep)
+            if ts is None:
+                ts = derivs[rep] = lions_derivative(f, _built(TaggedSeq, base.values + rep))
+            tagged = tagged_path if tagged_at_xi else tagged_base
+            view = path_view if measure_at_xi else base_view
+            dirvecs = [None] * n0 + [
+                tagged_disp[v] if v <= m0 else v - m0 - 1 for v in rep
+            ]
+            x0 = tagged[0] if tagged else None
+            done = contractions[sides] = contract_derivative(ts, x0, view, tagged[1:], dirvecs)
         return done
 
-    return evaluate
+    return key, evaluate
 
 
-def _jet_loop(evaluate, core):
-    """The engine's jet loop: per core sequence, its raw contraction at the
-    starts and that divided by the factorial of its length."""
+def _jet_loop(key, evaluate, core):
+    """The engine's jet loop: per core sequence, (values, rep, raw, value)
+    with its orbit representative, the orbit's raw contraction at the
+    starts and that divided by the factorial of its length. Both tensors
+    are made once per orbit and shared by its members; a member whose
+    derivative vanishes has rep, raw and value None."""
+    scaled = {}
     for values in core:
-        raw = evaluate(values, False, False)
-        yield values, raw, raw.scale(Fraction(1, math.factorial(len(values))))
+        rep = key(values)
+        if rep is None:
+            yield values, None, None, None
+            continue
+        done = scaled.get(rep)
+        if done is None:
+            raw = evaluate(rep, False, False)
+            done = scaled[rep] = (raw, raw.scale(Fraction(1, math.factorial(len(values)))))
+        yield values, rep, *done
 
 
 def _plan(f, spec, base=None):
@@ -347,30 +378,38 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
     Returns the ExpansionResult; its tensors have one e-axis per letter of
     `base` after the leading output axis.
     """
-    evaluate = _orbit_cache(f, base, tagged_pairs, c)
+    key, evaluate = _orbit_cache(f, base, tagged_pairs, c)
+    shape = (f.kernel.d,) + (f.kernel.e,) * len(base)  # of every jet and remainder term
     seq_type = TaggedSeq if f.has_spatial else PartitionSeq
-    jet_terms = [
-        JetTerm(ExtendedSeq(base, values) if base else seq_type(values), value, raw)
-        for values, raw, value in _jet_loop(evaluate, core)
-    ]
+    reps, jet_terms = {}, []  # reps: each core member's orbit, None when it vanishes
+    for values, rep, raw, value in _jet_loop(key, evaluate, core):
+        reps[values] = rep
+        seq = _built(ExtendedSeq, values, base) if base else _built(seq_type, values)
+        if rep is None:
+            jet_terms.append(JetTerm(seq, Tensor(shape), Tensor(shape)))
+        else:
+            jet_terms.append(JetTerm(seq, Tensor(shape, value.data), Tensor(shape, raw.data)))
     if not f.has_spatial:
         jet_terms.sort(key=lambda term: len(term.seq))
 
     remainder_terms, integrated = {}, {}  # integrated: one term per orbit and sides
     for family, moving, frozen, members in families:
         for values in members:
-            key = (_orbit_key(values, base.m), moving, frozen)
-            term = integrated.get(key)
+            rep = reps[values]  # every family member is in the core
+            if rep is None:
+                remainder_terms[(family, values)] = Tensor(shape)
+                continue
+            term = integrated.get((rep, moving, frozen))
             if term is None:
                 r = len(values) - 1
-                acc = evaluate(values, *moving) - evaluate(values, *frozen)
+                acc = evaluate(rep, *moving) - evaluate(rep, *frozen)
                 if r < 0:
                     term = acc.map(_at_one)
                 else:
                     term = acc.map(lambda v: _integrate_entry(v, r)).scale(
                         Fraction(1, math.factorial(r))
                     )
-                integrated[key] = term
+                integrated[rep, moving, frozen] = term
             remainder_terms[(family, values)] = Tensor(term.shape, term.data)
 
     targets = [tuple(y) for _, y in tagged_pairs]
@@ -382,7 +421,8 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
     )
     predicted = Tensor(actual.shape)
     for term in jet_terms:
-        predicted = predicted + term.value
+        if reps[term.seq.values] is not None:
+            predicted = predicted + term.value
     result = ExpansionResult(
         jet=jet_terms,
         predicted=predicted,
@@ -459,7 +499,9 @@ def _bound_terms(f, tagged_pairs, c, families, box, lips):
     with M_1 * |y0 - x0|^z * prod M_k (the first coupling moment M_1
     dominates the transport distance moved along the path); the constant of
     free variable q with |y0 - x0|^z times the block-moment product whose
-    q-th factor is raised by one. M_p is the p-th coupling moment.
+    q-th factor is raised by one. M_p is the p-th coupling moment. A
+    constant whose next derivative vanishes (`_vanishes`) is 0.0, with no
+    orbit keyed and nothing compiled.
 
     `lips` is the memo of constants by orbit representative that the public
     caller makes, per call: a constant depends only on f, the box and the
@@ -477,9 +519,12 @@ def _bound_terms(f, tagged_pairs, c, families, box, lips):
     mom = functools.cache(lambda p: coupling_moment(c, p))
 
     def lip(values, letter):
-        rep = _orbit_key(values + (letter,), 0)
+        seq = values + (letter,)
+        if _vanishes(f.kernel, seq):
+            return 0.0
+        rep = _orbit_key(seq, 0)
         if rep not in lips:
-            lips[rep] = _certified_sup(f, TaggedSeq(rep), box)
+            lips[rep] = _certified_sup(f, _built(TaggedSeq, rep), box)
         return lips[rep]
 
     total = 0.0
@@ -612,10 +657,11 @@ def convergence_study(
         return pair_coupling(points, y), pairs
 
     c, pairs = scaled(1)
-    jets = {}  # J_k: the jet at h = 1 summed by sequence length k
-    for values, _, value in _jet_loop(_orbit_cache(f, _EMPTY, pairs, c), core):
-        k = len(values)
-        jets[k] = jets[k] + value if k in jets else value
+    jets = {}  # J_k: the live jet terms at h = 1 summed by sequence length k
+    for values, rep, _, value in _jet_loop(*_orbit_cache(f, _EMPTY, pairs, c), core):
+        if rep is not None:
+            k = len(values)
+            jets[k] = jets[k] + value if k in jets else value
     f_at = lions_derivative(f, ())
     rows = []
     lips = {}

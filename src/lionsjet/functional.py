@@ -18,8 +18,10 @@ Each derivative is compiled once per functional into joint polynomials over
 x0, the free variables and the integrated slots (`DerivTermSum.joint`), and
 kept on the functional, so every later expansion, bound or norm report of it
 reads the same cells. The contraction, the certified sup and the grid report
-all read that form, and a derivative past the kernel degree has no cells in
-it; only the reference evaluator `eval_derivative_brute` walks the terms.
+all read that form; only the reference evaluator `eval_derivative_brute`
+walks the terms. A derivative longer than the kernel degree, or with more
+free variables than the kernel arity, vanishes identically (`_vanishes`):
+it has no cells, and the expansion engine skips it without building it.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ class PolyFunctional:
     """A kernel integrated against the measure in every non-spatial slot.
 
     `_joints` holds the compiled joint cells of its derivatives, keyed by
-    sequence values: at most one entry per distinct sequence of length at
-    most the kernel degree that some call asked for. It starts empty and
+    sequence values: at most one entry per distinct sequence, not vanishing
+    identically (`_vanishes`), that some call asked for. It starts empty and
     dies with the functional. A write stores a finished, equal value under
     its key, so threads sharing a functional may race to fill it.
     """
@@ -284,12 +286,11 @@ class DerivTermSum:
         Each term maps its kernel slots into the groups, a pinned slot to its
         free variable's group, and the mapped partial derivatives are summed,
         so distinct terms that land on one monomial merge and cancellations
-        between them are kept. A sequence longer than the kernel degree has
-        no cells and no cache entry: every partial derivative of a polynomial
-        past its total degree is zero, so the contraction returns zeros and
-        the certified sup 0.0 without differentiating anything."""
+        between them are kept. A derivative that `_vanishes` has no cells
+        and no cache entry, so the contraction returns zeros and the
+        certified sup 0.0 without differentiating anything."""
         kernel, cache = self.kernel, self.functional._joints
-        if self.order > kernel.degree:
+        if _vanishes(kernel, self.seq.values):
             return {}
         joint = cache.get(self.seq.values)
         if joint is not None:
@@ -337,6 +338,16 @@ class DerivTermSum:
             f"DerivTermSum(seq={self.seq.values}, {len(self.terms)} terms, "
             f"kernel={self.kernel!r})"
         )
+
+
+def _vanishes(kernel, values):
+    """Whether the derivative indexed by the tagged sequence `values` is
+    identically zero: longer than the kernel degree, every partial
+    derivative of a polynomial past its total degree is zero; with more
+    free variables than the kernel has integrated slots, no slot assignment
+    exists. The engine, the convergence study and the bound read this rule
+    before they key, build or contract a derivative."""
+    return len(values) > kernel.degree or max(values, default=0) > kernel.arity
 
 
 def _partial(table, kernel, out, variables):

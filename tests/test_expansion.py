@@ -1,5 +1,7 @@
 """Jet operators, graded expansions, exact remainders, certified bounds."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,6 +26,7 @@ from lionsjet.expansion import (
 )
 from lionsjet.functional import (
     _certified_sup,
+    _vanishes,
     contract_derivative,
     eval_derivative,
     lions_derivative,
@@ -32,7 +35,14 @@ from lionsjet.functional import (
 )
 from lionsjet.measures import EmpiricalMeasure, pair_coupling
 from lionsjet.poly import XiPoly
-from lionsjet.tagged import Grading, TaggedSeq, _graded_value_families, _orbit_key, grade
+from lionsjet.tagged import (
+    Grading,
+    TaggedSeq,
+    _graded_value_families,
+    _orbit_key,
+    as_tagged,
+    grade,
+)
 
 from test_functional import kernel_1d, random_functional, random_point
 
@@ -83,6 +93,24 @@ def test_eval_Da_checks_marginal():
     c = random_coupling(rng, 2, 1)
     with pytest.raises(ValidationError):
         eval_Da(f, TaggedSeq((1,)), None, None, EmpiricalMeasure([(99,), (98,)]), c)
+
+
+def test_marginal_check_accepts_the_left_column_in_any_order():
+    rng = random.Random(30)
+    f = random_functional(rng, 1, 2, False)
+    c = pair_coupling([(F(-1),), (F(1, 2),), (F(2),)], [random_point(rng, 1) for _ in range(3)])
+    left = [x for x, _ in c.pairs]
+    permuted = EmpiricalMeasure(left[::-1])
+    assert permuted.atoms != c.left().atoms
+    others = [EmpiricalMeasure(left[:-1] + [(F(99),)]), EmpiricalMeasure(left + left[:1])]
+    a = TaggedSeq((1,))
+    assert taylor1(f, permuted, c, 2).to_json() == taylor1(f, c.left(), c, 2).to_json()
+    assert eval_Da(f, a, None, None, permuted, c) == eval_Da(f, a, None, None, c.left(), c)
+    for other in others:
+        with pytest.raises(ValidationError):
+            taylor1(f, other, c, 2)
+        with pytest.raises(ValidationError):
+            eval_Da(f, a, None, None, other, c)
 
 
 def test_taylor1_single_atom_square():
@@ -913,6 +941,7 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
 
     monkeypatch.setattr(expansion, "contract_derivative", counting)
     monkeypatch.setattr(functional, "contract_derivative", counting)
+    vanishing = 0
     for _, run, f, base, pairs, c, alpha, beta, eta in _orbit_cases():
         contracted.clear()
         res = run()
@@ -923,9 +952,11 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
         requests = [(values, (False, False)) for values in core]
         for (_, moving, frozen), members in zip(_family_sides(alpha, beta), families):
             requests += [(values, sides) for values in members for sides in (moving, frozen)]
-        orbits = {(_orbit_key(values, m0), sides) for values, sides in requests}
-        # one contraction per distinct (orbit, sides), of the representative,
-        # then one for the value at the target
+        live = [(v, sides) for v, sides in requests if not _vanishes(f.kernel, base + v)]
+        vanishing += len(requests) - len(live)
+        orbits = {(_orbit_key(values, m0), sides) for values, sides in live}
+        # one contraction per distinct live (orbit, sides), of the
+        # representative, then one for the value at the target
         assert len(contracted) == len(orbits) + 1 < len(requests) + 1
         assert all(_orbit_key(s[n0:], m0) == s[n0:] for s in contracted[:-1])
         assert contracted[-1] == tuple(base)
@@ -933,6 +964,7 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
         tensors += [t for term in res.jet for t in (term.value, term.raw)]
         tensors += list(res.remainder_terms.values())
         assert len({id(t.data) for t in tensors}) == len(tensors)
+    assert vanishing > 0
 
 
 def test_each_orbit_remainder_is_integrated_once(monkeypatch):
@@ -948,15 +980,18 @@ def test_each_orbit_remainder_is_integrated_once(monkeypatch):
         if not name.startswith("taylor2"):
             continue
         _, terms = _per_sequence_terms(f, base, pairs, c, alpha, beta, eta)
-        # the path entries of each member's step, by (orbit, sides)
-        evaluate = expansion._orbit_cache(f, TaggedSeq(base), pairs, c)
+        # the path entries of each live member's step, by (orbit, sides)
+        _, evaluate = expansion._orbit_cache(f, TaggedSeq(base), pairs, c)
         entries, members = {}, 0
         _, *families = _graded_value_families(alpha, beta, eta, 0, 0)
         for (_, moving, frozen), values_list in zip(_family_sides(alpha, beta), families):
             for values in filter(None, values_list):
-                step = evaluate(values, *moving) - evaluate(values, *frozen)
+                if _vanishes(f.kernel, values):
+                    continue
+                rep = _orbit_key(values, 0)
+                step = evaluate(rep, *moving) - evaluate(rep, *frozen)
                 paths = sum(isinstance(v, XiPoly) for v in step.data)
-                entries[(_orbit_key(values, 0), moving, frozen)] = paths
+                entries[(rep, moving, frozen)] = paths
                 members += paths
         calls.clear()
         res = run()
@@ -992,10 +1027,15 @@ def test_bound_constants_equal_certified_sup_of_their_own_sequence():
     assert moved > 0
 
 
-def _bound_orbits(records):
-    """The orbit representatives of every constant the records hold."""
+def _bound_orbits(f, records):
+    """The orbit representatives of every constant the records hold whose
+    derivative does not vanish identically."""
     return {
-        _orbit_key(s, 0) for record in records for _, seqs in _lip_sequences(record) for s in seqs
+        _orbit_key(s, 0)
+        for record in records
+        for _, seqs in _lip_sequences(record)
+        for s in seqs
+        if not _vanishes(f.kernel, s)
     }
 
 
@@ -1018,25 +1058,30 @@ def test_convergence_study_computes_each_orbit_constant_once(monkeypatch):
     c = pair_coupling(pts, [tuple(p + hs[0] * d for p, d in zip(x, v)) for x, v in zip(pts, dirs)])
     y0 = tuple(p + hs[0] * d for p, d in zip(x0, dx0))
     studies = [
-        (lambda n=n: convergence_study(f1, pts, dirs, n, hs, box=box),
+        (f1, lambda n=n: convergence_study(f1, pts, dirs, n, hs, box=box),
          taylor1(f1, c.left(), c, n, box=box))
         for n in (1, 2, 3)
     ]
     studies.append((
+        f2,
         lambda: convergence_study(f2, pts, dirs, g, hs, x0=x0, x0_direction=dx0, box=box),
         taylor2(f2, x0, y0, c, g, box=box),
     ))
     monkeypatch.setattr(expansion, "_certified_sup", counting)
-    for study, first_scale in studies:
+    constants = []
+    for f, study, first_scale in studies:
         computed.clear()
         rows, _ = study()
         once = list(computed)
         assert rows[0]["bound"] == first_scale.remainder_bound
-        assert len(once) == len(set(once)) > 0
-        assert set(once) == _bound_orbits(first_scale.bound_terms)
+        assert len(once) == len(set(once))
+        # one constant per live orbit; a vanishing one is 0.0, never computed
+        assert set(once) == _bound_orbits(f, first_scale.bound_terms)
         computed.clear()
         assert study()[0] == rows
         assert len(computed) == len(once)
+        constants.append(len(once))
+    assert constants == [2, 2, 0, 4]  # at order 3 every next derivative vanishes
 
 
 def _per_scale_rows(f, pts, dirs, spec, hs, x0=None, dx0=None, box=None):
@@ -1114,8 +1159,8 @@ def test_convergence_study_with_float_scales_is_close(spec):
 
 
 def test_convergence_study_contracts_each_core_orbit_once(monkeypatch):
-    # one contraction per orbit of the core at h = 1 and one evaluation of f
-    # per scale, not one engine pass per scale
+    # one contraction per live orbit of the core at h = 1 and one evaluation
+    # of f per scale, not one engine pass per scale
     calls = []
     real = functional.contract_derivative
 
@@ -1133,7 +1178,7 @@ def test_convergence_study_contracts_each_core_orbit_once(monkeypatch):
         core = _graded_value_families(alpha, beta, gamma, 0, 0 if graded else 1)[0]
         calls.clear()
         convergence_study(f, pts, dirs, spec, hs, box=(-4, 4), **spatial)
-        orbits = {_orbit_key(values, 0) for values in core}
+        orbits = {_orbit_key(values, 0) for values in core if not _vanishes(f.kernel, values)}
         assert len(calls) == len(orbits) + len(hs)
         assert sorted(calls[: len(orbits)]) == sorted(orbits)
         assert calls[len(orbits):] == [()] * len(hs)
@@ -1177,3 +1222,101 @@ def test_each_call_searches_the_families_once(monkeypatch):
         call()
         counts[name] = len(searches)
     assert counts == dict.fromkeys(calls, 1)
+
+
+# -- vanishing derivatives -------------------------------------------------------
+
+
+def _study(*args, **kwargs):
+    """A convergence study's rows and slope, or the message of its
+    ValidationError: float rows of an exact expansion hold only rounding."""
+    try:
+        return convergence_study(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _vanishing_outputs():
+    """The outputs of every public expansion, bound and study, in rational
+    and in float mode, on seeded e = 2 kernels of arity 2 and degree 3:
+    their cores and families hold members longer than the degree (order 4,
+    and the grading 1, 1/2, 9/4) and members with three free variables."""
+    rng = random.Random("vanishing-members")
+    e, box, hs = 2, (-4, 4), [F(1, 2), F(1, 4), F(1, 8)]
+    f1 = random_functional(rng, e, 2, False, degree=3, d=2)
+    f2 = random_functional(rng, e, 2, True, degree=3, d=2)
+    assert f1.kernel.degree == f2.kernel.degree == 3
+    rational = random_coupling(rng, 3, e)
+    x0, y0 = random_point(rng, e), random_point(rng, e)
+    free = [(random_point(rng, e), random_point(rng, e)) for _ in range(2)]
+    dirs = [random_point(rng, e) for _ in range(3)]
+    out = {}
+    for mode, point in (("rational", tuple), ("float", lambda p: tuple(map(float, p)))):
+        c = pair_coupling(
+            [point(u) for u, _ in rational.pairs], [point(v) for _, v in rational.pairs]
+        )
+        x, y = point(x0), point(y0)
+        fx, fy = [point(u) for u, _ in free], [point(v) for _, v in free]
+        pts = [u for u, _ in c.pairs]
+        for n in (1, 2, 3, 4):
+            out[mode, "taylor1", n] = taylor1(f1, c.left(), c, n, box=box).to_json()
+            out[mode, "bound1", n] = remainder_bound1(f1, c, n, box)
+            out[mode, "study", n] = _study(f1, pts, dirs, n, hs, box=box)
+        for name, g in BOUND_GRADINGS.items():
+            out[mode, "taylor2", name] = taylor2(f2, x, y, c, g, box=box).to_json()
+            out[mode, "bound2", name] = remainder_bound2(f2, x, y, c, g, box)
+            out[mode, "study", name] = _study(
+                f2, pts, dirs, g, hs, x0=x, x0_direction=dirs[0], box=box
+            )
+        for values, g in (
+            ((0,), Grading(F(1, 2), 1, 3)),
+            ((1,), Grading(1, F(1, 2), F(5, 2))),
+            ((1, 1), Grading(1, 1, 3)),
+            ((1, 2), Grading(F(1, 2), 1, 3)),
+        ):
+            a = TaggedSeq(values)
+            out[mode, "derivative", values] = taylor_derivative(
+                f2, a, x, y, fx[: a.m], fy[: a.m], c, g
+            ).to_json()
+    return out
+
+
+def _digest(outputs):
+    text = json.dumps({repr(k): v for k, v in outputs.items()}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the outputs of an engine that contracts every member, vanishing or not
+VANISHING_DIGEST = "df8684fd25ddf95854318647659832aa111ba2529fcd58679b84465f121b2087"
+
+
+def test_outputs_with_vanishing_members_are_pinned():
+    outputs = _vanishing_outputs()
+    vanishing = [
+        key
+        for key, data in outputs.items()
+        if key[1] in ("taylor1", "taylor2")
+        for values in data["jet"]
+        if len(values.split(",")) > 3 or "3" in values.split(",")
+    ]
+    assert len(vanishing) > 10
+    assert _digest(outputs) == VANISHING_DIGEST
+
+
+def test_vanishing_derivatives_are_never_built_or_contracted(monkeypatch):
+    real_derivative, real_contract = functional.lions_derivative, functional.contract_derivative
+
+    def derivative(f, a):
+        if _vanishes(f.kernel, as_tagged(a).values):
+            raise AssertionError(f"built the vanishing derivative {a}")
+        return real_derivative(f, a)
+
+    def contract(ts, *args):
+        if _vanishes(ts.kernel, ts.seq.values):
+            raise AssertionError(f"contracted the vanishing derivative {ts.seq}")
+        return real_contract(ts, *args)
+
+    for module in (expansion, functional):
+        monkeypatch.setattr(module, "lions_derivative", derivative)
+        monkeypatch.setattr(module, "contract_derivative", contract)
+    assert _digest(_vanishing_outputs()) == VANISHING_DIGEST

@@ -9,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lionsjet.errors import ValidationError
 from lionsjet.expansion import taylor1, taylor2
@@ -19,6 +21,7 @@ from lionsjet.functional import (
     PolyFunctional,
     PolyKernel,
     _certified_sup,
+    _vanishes,
     contract_derivative,
     eval_derivative,
     eval_derivative_brute,
@@ -614,3 +617,29 @@ def test_evaluation_rejects_points_of_another_dimension():
         with pytest.raises(ValidationError, match="coordinates"):
             call()
     assert eval_derivative(d1, (F(2),), mu, [(F(1),)]).data == [F(2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_vanishing_derivative_is_zero(data):
+    # the rule implies no joint cells and an all-zero brute evaluation
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    e, arity, spatial = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)), data.draw(
+        st.booleans()
+    )
+    f = random_functional(rng, e, arity, spatial, degree=data.draw(st.integers(0, 4)))
+    values, running = [], 0
+    for _ in range(data.draw(st.integers(0, 5))):
+        values.append(data.draw(st.integers(0 if spatial else 1, running + 1)))
+        running = max(running, values[-1])
+    values = tuple(values)
+    if not _vanishes(f.kernel, values):
+        return
+    ts = lions_derivative(f, TaggedSeq(values))
+    assert ts.joint() == {} and values not in f._joints
+    mu = EmpiricalMeasure([random_point(rng, e) for _ in range(2)])
+    x0 = random_point(rng, e) if spatial else None
+    free = [random_point(rng, e) for _ in range(ts.n_free)]
+    out = eval_derivative_brute(ts, x0, mu, free)
+    assert out.shape == (f.kernel.d,) + (e,) * len(values)
+    assert all(v == 0 for v in out.data)
