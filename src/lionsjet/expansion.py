@@ -6,13 +6,14 @@ derivative. Per monomial of the derivative's joint polynomials that m-fold
 average factorizes into a product of mixed coupling moments
 (1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per coupling variable, so the
 operator costs time linear in the atom count N (see
-`functional.contract_derivative`). With rational data the contraction runs
-on integers: every argument group reads a power table scaled once per view
-(`measures.MomentView`; the start and path points of the tagged slots are
-one-atom views built once per call), the monomials share one denominator
-and each output entry is divided once. The base and path views of a
-coupling share their gap tables. Each derivative compiles its joint
-polynomials once per functional and keeps them on it, so every later
+`functional.contract_derivative`). Every argument group reads the power
+tables of a view (`measures.MomentView`; the start and path points of the
+tagged slots are one-atom views built once per call). With rational data
+the tables are scaled once per view, the contraction runs on integers, the
+monomials share one denominator and each output entry is divided once;
+float data runs the same loop on the values as given. The base and path
+views of a coupling share their gap tables. Each derivative compiles its
+joint polynomials once per functional and keeps them on it, so every later
 expansion, bound or study of that functional, and both the base and the
 path contraction, read the same cells. Truncating the expansion at an
 order (or at a grading level) leaves remainder terms indexed by the
@@ -147,8 +148,16 @@ class ExpansionResult:
         return math.sqrt(sum(float(v) ** 2 for v in self.remainder_exact.data))
 
     def to_json(self):
+        """The result as JSON data. Rational entries print as "p/q"; in a
+        result that holds any float entry, an exact zero (a vanishing term,
+        a tensor that starts from Fraction(0)) prints as 0.0 beside them."""
+        tensors = [t for term in self.jet for t in (term.value, term.raw)]
+        tensors += [self.predicted, self.actual, self.remainder_exact]
+        tensors += self.remainder_terms.values()
+        floats = any(isinstance(v, float) for t in tensors for v in t.data)
+
         def num(v):
-            return float(v) if isinstance(v, float) else format_rational(v)
+            return float(v) if isinstance(v, float) or floats and not v else format_rational(v)
 
         def tensor(t):
             def walk(x):

@@ -19,9 +19,13 @@ x0, the free variables and the integrated slots (`DerivTermSum.joint`), and
 kept on the functional, so every later expansion, bound or norm report of it
 reads the same cells. The contraction, the certified sup and the grid report
 all read that form; only the reference evaluator `eval_derivative_brute`
-walks the terms. A derivative longer than the kernel degree, or with more
-free variables than the kernel arity, vanishes identically (`_vanishes`):
-it has no cells, and the expansion engine skips it without building it.
+walks the terms. The contraction is one loop over the cells that reads the
+power tables of its `measures.MomentView`s: in integers, with one
+denominator, when every input is rational, and on the values as given
+(floats, symbolic or mixed data) otherwise. A derivative longer than the
+kernel degree, or with more free variables than the kernel arity, vanishes
+identically (`_vanishes`): it has no cells, and the expansion engine skips
+it without building it.
 """
 
 from __future__ import annotations
@@ -440,13 +444,25 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     one-atom `MomentView`, whose power tables a caller then builds once.
 
     Each cell of the joint form (`DerivTermSum.joint`) is evaluated group by
-    group: x0 and the given free points contribute their powers, averaged
-    coupling variable j the mixed moment of `mu` with the gap exponents of
-    its directions, and an integrated slot a moment of `mu`. Per monomial
-    the average over the atoms factorizes into those moments, so the cost
-    is linear in the atom count rather than a sum over configurations.
-    Rational data runs on integers (`_integer_contraction`); float,
-    symbolic and mixed data take the Fraction loop over `mu.moment`.
+    group: x0 and the given free points contribute the sums of their
+    one-atom views, averaged coupling variable j the mixed moment sums of
+    `mu` with the gap exponents of its directions, and an integrated slot
+    the moment sums of `mu`. Per monomial the average over the atoms
+    factorizes into those moments, so the cost is linear in the atom count
+    rather than a sum over configurations.
+
+    The contraction is exact when every view is, the kernel coefficients
+    and the vectors are rational. It then runs on integers: a monomial has
+    degree at most D = kernel degree - order, so each group reads its
+    integer sums lifted to degree D (`MomentView.sums`), coefficients
+    become numerators over the kernel's common denominator and vectors are
+    scaled by the lcm of their denominators. All monomials then share one
+    denominator: those scales, N * scale^D per group, and the gap scale to
+    the number of gap directions. Each output entry sums plain ints
+    (xi-coefficient lists on the path) and is divided once; a path entry
+    without xi terms is a Fraction. Otherwise (float, symbolic or mixed
+    data) the same loop reads each group's moments, skips a moment without
+    exponents or gap (it is 1) and takes coefficients and vectors as given.
     """
     kernel = ts.kernel
     e = kernel.e
@@ -463,77 +479,26 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     if not joint:
         return out
     points = ([x0] if kernel.has_spatial else []) + list(free)
-    if _integer_contraction(ts, joint, points, mu, vec_dirs, gap_dirs, free_dirs, out):
-        return out
-    values = [c for p in points for c in (p.atoms[0] if isinstance(p, MomentView) else p)]
-    # the groups integrated against `mu`: the averaged coupling variables
-    # first, then the integrated slots
-    spans = [(g * e, g * e + e) for g in range(len(points), ts.n_groups)]
-    for (comp, coords), poly in joint.items():
-        weight = 1
-        for p, vec in vec_dirs:
-            weight = weight * vec[coords[p]]
-        if not weight:
-            continue
-        gap_rows = [[0] * e for _ in spans]
-        for p, j in gap_dirs:
-            gap_rows[j][coords[p]] += 1
-        moments = [
-            (lo, hi, tuple(row) if any(row) else None) for (lo, hi), row in zip(spans, gap_rows)
-        ]
-        val = 0
-        for exps, coeff in poly.terms.items():
-            factor = coeff
-            for c, p in zip(values, exps):
-                if p:
-                    factor = factor * c**p
-            for lo, hi, gap in moments:
-                row = exps[lo:hi]
-                if gap:
-                    factor = factor * mu.moment(row, gap)
-                elif any(row):
-                    factor = factor * mu.moment(row)
-            val = val + factor
-        out[(comp,) + tuple(coords[p] for p in free_dirs)] += val * weight if vec_dirs else val
-    return out
-
-
-def _integer_contraction(ts, joint, points, mu, vec_dirs, gap_dirs, free_dirs, out):
-    """`contract_derivative` in integers, into `out`; False, with `out`
-    untouched, when a view, coefficient or vector is not rational.
-
-    Each group reads integer sums: x0 and the given points of their one-atom
-    views, the other groups of `mu`. A monomial has degree at most
-    D = kernel degree - order, so each group reads its sums lifted to
-    degree D (`MomentView.sums`), coefficients become numerators over the
-    kernel's common denominator and vectors are scaled by the lcm of their
-    denominators. All monomials then share one denominator: those scales,
-    N * scale^D per group, and the gap scale to the number of gap
-    directions. Each output entry sums plain ints (xi-coefficient lists on
-    the path) and is divided once; a path entry without xi terms is a
-    Fraction.
-    """
-    kernel = ts.kernel
-    e, unit, mu_scales = kernel.e, kernel.denominator, mu.integer_scales(bool(gap_dirs))
-    if unit is None or mu_scales is None:
-        return False
-    den, weights = unit, []
-    for p, vec in vec_dirs:
-        if not all(type(c) in (int, Fraction) for c in vec):
-            return False
-        scale = math.lcm(*(c.denominator for c in vec))
-        weights.append((p, [c.numerator * (scale // c.denominator) for c in vec]))
-        den *= scale
     given = [p if isinstance(p, MomentView) else MomentView([p], e) for p in points]
-    scales = [view.integer_scales(False) for view in given] + [mu_scales]
-    if None in scales:
-        return False
     views = given + [mu] * (ts.n_groups - len(given))
-    degree = kernel.degree - ts.order
-    path = any(poly for *_, poly in scales)
-    n, mu_scale, gap_scale, _ = mu_scales
-    den *= (n * mu_scale**degree) ** (len(views) - len(given)) * gap_scale ** len(gap_dirs)
-    den *= math.prod(k * s**degree for k, s, *_ in scales[:-1])  # the given points
+    unit, den, weights, degree, path = kernel.denominator, 1, vec_dirs, None, False
+    exact = (
+        unit is not None
+        and mu.exact
+        and all(view.exact for view in given)
+        and all(type(c) in (int, Fraction) for _, vec in vec_dirs for c in vec)
+    )
+    if exact:
+        den, weights, degree = unit, [], kernel.degree - ts.order
+        for p, vec in vec_dirs:
+            scale = math.lcm(*(c.denominator for c in vec))
+            weights.append((p, [c.numerator * (scale // c.denominator) for c in vec]))
+            den *= scale
+        scales = [view.table_scales() for view in given]
+        n, mu_scale, gap_scale, mu_path = mu.table_scales()
+        den *= (n * mu_scale**degree) ** (len(views) - len(given)) * gap_scale ** len(gap_dirs)
+        den *= math.prod(k * s**degree for k, s, *_ in scales)  # the given points
+        path = mu_path or any(poly for *_, poly in scales)
     n_avg = ts.n_free + kernel.has_spatial - len(given)
     readers_by_gaps, sums = {}, {}
     for (comp, coords), poly in joint.items():
@@ -542,7 +507,7 @@ def _integer_contraction(ts, joint, points, mu, vec_dirs, gap_dirs, free_dirs, o
             weight *= vec[coords[p]]
         if not weight:
             continue
-        # (lo, hi, sums) per group, fixed by the coordinates of the gap directions
+        # (lo, hi, sums, weighted) per group, fixed by the coordinates of the gap directions
         gap_coords = tuple(coords[p] for p, _ in gap_dirs)
         readers = readers_by_gaps.get(gap_coords)
         if readers is None:
@@ -553,30 +518,39 @@ def _integer_contraction(ts, joint, points, mu, vec_dirs, gap_dirs, free_dirs, o
             for g, view in enumerate(views):
                 j = g - len(given)
                 gap = tuple(gap_rows[j]) if 0 <= j < n_avg else (0,) * e
-                readers.append((g * e, g * e + e, view.sums(gap, degree)))
+                readers.append((g * e, g * e + e, view.sums(gap, degree), not exact and any(gap)))
         idx = (comp,) + tuple(coords[p] for p in free_dirs)
         if path:
             total = [0]
             for exps, coeff in poly.terms.items():
                 term = [coeff.numerator * (unit // coeff.denominator)]
-                for lo, hi, cache in readers:
+                for lo, hi, cache, _ in readers:
                     term = _xi_times(term, cache[exps[lo:hi]])
                 _xi_add(total, term)
             _xi_add(sums.setdefault(idx, [0]), [t * weight for t in total])
         else:
             total = 0
-            for exps, coeff in poly.terms.items():
-                term = coeff.numerator * (unit // coeff.denominator)
-                for lo, hi, cache in readers:
-                    term *= cache[exps[lo:hi]]
-                total += term
+            if exact:
+                for exps, coeff in poly.terms.items():
+                    term = coeff.numerator * (unit // coeff.denominator)
+                    for lo, hi, cache, _ in readers:
+                        term *= cache[exps[lo:hi]]
+                    total += term
+            else:  # a moment without exponents or gap is 1
+                for exps, term in poly.terms.items():
+                    for lo, hi, cache, weighted in readers:
+                        if weighted or any(exps[lo:hi]):
+                            term *= cache[exps[lo:hi]]
+                    total += term
             sums[idx] = sums.get(idx, 0) + total * weight
     for idx, total in sums.items():
-        if path and any(total[1:]):
+        if not exact:
+            out[idx] = total
+        elif path and any(total[1:]):
             out[idx] = XiPoly([Fraction(t, den) for t in total])
         else:
             out[idx] = Fraction(total[0] if path else total, den)
-    return True
+    return out
 
 
 def _xi_times(a, b):

@@ -6,7 +6,9 @@ finite sums.
 
 `MomentView` is the one moment cache every evaluator integrates against; an
 `EmpiricalMeasure` is a view whose atoms are validated rational or float
-points.
+points. Every moment of a view is a sum over its power tables, which are
+scaled to integers when the atoms and gaps are rational and keep the values
+as given otherwise.
 """
 
 from __future__ import annotations
@@ -31,54 +33,56 @@ def _as_point(coords):
     return point
 
 
-class _PowerTables:
-    """Integer power tables of N vectors whose coordinates are all rationals
-    (`int` or `Fraction`), or all `XiPoly` with rational coefficients.
+def _exact(vectors, path=True):
+    """Whether the power tables of `vectors` scale to integers: every
+    coordinate is an int or a Fraction or, if `path`, every one is an
+    `XiPoly` with such coefficients."""
+    kinds = {type(c) for v in vectors for c in v}
+    if path and kinds == {XiPoly}:
+        kinds = {type(q) for v in vectors for c in v for q in c.coeffs}
+    return kinds <= {int, Fraction}
 
-    Every coordinate is scaled once by `scale`, the lcm of all denominators,
-    so that it is an integer (an integer coefficient list for an `XiPoly`).
-    `rows(exps)` is the table of the monomial with exponents `exps`: row k
-    lists, vector by vector, the coefficient of xi^k in
-    scale^|exps| * prod_c v_c^exps_c (a single row for rational
-    coordinates). Each table is one elementwise product of a smaller table
-    and a coordinate's table, built on first use and kept.
+
+class _PowerTables:
+    """Power tables of N vectors, exact or as given.
+
+    Exact tables (vectors that `_exact` accepts) scale every coordinate
+    once by `scale`, the lcm of all denominators, so that it is an integer
+    (an integer coefficient list for an `XiPoly`: `poly`). Other tables
+    keep the coordinates as given (floats, symbolic polynomials, mixes of
+    rationals and `XiPoly`), at scale 1. `rows(exps)` is the table of the
+    monomial with exponents `exps`: row k lists, vector by vector, the
+    coefficient of xi^k in scale^|exps| * prod_c v_c^exps_c (a single row of
+    the products themselves unless `poly`). Each table is one elementwise
+    product of a smaller table and a coordinate's table, built on first use
+    and kept.
     """
 
-    __slots__ = ("scale", "poly", "_rows")
+    __slots__ = ("n", "scale", "poly", "exact", "_rows")
 
-    def __init__(self, scale, poly, units, n):
-        self.scale = scale
-        self.poly = poly
-        dim = len(units)
-        self._rows = {(0,) * dim: [[1] * n]}
-        for c, table in enumerate(units):
-            self._rows[(0,) * c + (1,) + (0,) * (dim - c - 1)] = table
-
-    @classmethod
-    def of(cls, vectors, dim):
-        """The tables of `vectors`, or None when a coordinate is of another
-        kind (float, symbolic, or a mix of rationals and `XiPoly`) or a
-        vector is not of length `dim`."""
-        if any(len(v) != dim for v in vectors):
-            return None
-        kinds = {type(c) for v in vectors for c in v}
+    def __init__(self, vectors, exact):
+        self.n = len(vectors)
         columns = list(zip(*vectors))  # coordinate c of every vector
-        if kinds <= {int, Fraction}:
+        self.exact = exact
+        self.poly = exact and any(type(c) is XiPoly for c in vectors[0])
+        if not exact:
+            scale = 1
+            units = [[list(col)] for col in columns]
+        elif not self.poly:
             scale = math.lcm(*(c.denominator for v in vectors for c in v))
             units = [[[c.numerator * (scale // c.denominator) for c in col]] for col in columns]
-            return cls(scale, False, units, len(vectors))
-        if kinds != {XiPoly}:
-            return None
-        columns = [[c.coeffs for c in col] for col in columns]
-        coeffs = [q for col in columns for cs in col for q in cs]
-        if not {type(q) for q in coeffs} <= {int, Fraction}:
-            return None
-        scale = math.lcm(*(q.denominator for q in coeffs))
-        units = [
-            [[_scaled(cs, k, scale) for cs in col] for k in range(max(1, *map(len, col)))]
-            for col in columns
-        ]
-        return cls(scale, True, units, len(vectors))
+        else:
+            columns = [[c.coeffs for c in col] for col in columns]
+            scale = math.lcm(*(q.denominator for col in columns for cs in col for q in cs))
+            units = [
+                [[_scaled(cs, k, scale) for cs in col] for k in range(max(1, *map(len, col)))]
+                for col in columns
+            ]
+        self.scale = scale
+        dim = len(units)
+        self._rows = {(0,) * dim: [[1] * self.n]}
+        for c, table in enumerate(units):
+            self._rows[(0,) * c + (1,) + (0,) * (dim - c - 1)] = table
 
     def rows(self, exps):
         """The table of `exps`, built when missing in a loop: lower the last
@@ -131,19 +135,20 @@ class MomentView:
     which is what an averaged coupling variable contributes per monomial;
     `moment(exps)` is the case gap_exps = 0. A one-atom view is a point.
 
-    When every atom coordinate is an int or a Fraction, or every one is an
-    `XiPoly` with such coefficients (the path view), and every gap is an int
-    or a Fraction, atoms and gaps are each scaled once by the lcm of their
-    denominators (`_PowerTables`) and the moments are sums of plain ints
-    (one int per xi power on a path view): `sums` and `integer_scales`.
-    Scaling by a common integer commutes with sums and products, so
-    `moment` returns the exact value the Fraction loop gives, of the same
-    type: a Fraction, or an `XiPoly` when a nonzero exponent falls on a path
-    coordinate. Float and symbolic atoms take the loop.
+    Every moment is a sum over the power tables (`_PowerTables`) of the atoms
+    and gaps. The view is `exact` when every atom coordinate is an int or a
+    Fraction, or every one an `XiPoly` with such coefficients (the path
+    view), and every gap is an int or a Fraction: atoms and gaps are then
+    each scaled once by the lcm of their denominators, and the sums are
+    plain ints (one int per xi power on a path view) that the exact
+    contraction reads lifted to a common degree (`sums`). Scaling by a common
+    integer commutes with sums and products, so `moment` is the exact value,
+    a Fraction, or an `XiPoly` when a nonzero exponent falls on a path
+    coordinate. Otherwise atoms and gaps both keep their values as given
+    and a moment is their sum times 1/N, of whatever type the products are.
 
-    One cache, keyed by (gap_exps, degree), holds the integer sums `sums`
-    returns, divided on demand by `moment`; under degree None it holds the
-    loop moments of the exponents the tables cannot serve.
+    One cache, keyed by (gap_exps, degree), holds the sums `sums` returns;
+    under degree None they are the moments themselves.
     """
 
     __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_sums", "_atom_tables", "_gap_tables")
@@ -152,78 +157,64 @@ class MomentView:
         self.atoms = tuple(tuple(a) for a in atoms)
         self.dim = dim
         self.gaps = None if gaps is None else [tuple(g) for g in gaps]
+        vectors = self.atoms + tuple(self.gaps or ())
+        if not self.atoms or any(len(v) != dim for v in vectors) or (
+            self.gaps is not None and len(self.gaps) != len(self.atoms)
+        ):
+            raise ValidationError(f"a view needs atoms, and one gap per atom, of {dim} coordinates")
         self._no_gaps = (0,) * self.dim
         self._sums = {}
-        self._atom_tables = self.atoms and _PowerTables.of(self.atoms, self.dim)
-        gap_tables = self.gaps and _PowerTables.of(self.gaps, self.dim)
-        self._gap_tables = None if gap_tables and gap_tables.poly else gap_tables
+        exact = _exact(self.atoms) and (self.gaps is None or _exact(self.gaps, path=False))
+        self._atom_tables = _PowerTables(self.atoms, exact)
+        self._gap_tables = self.gaps and _PowerTables(self.gaps, exact)
 
     @property
     def n_atoms(self):
         return len(self.atoms)
 
+    @property
+    def exact(self):
+        """Whether the power tables are scaled to integers."""
+        return self._atom_tables.exact
+
     def with_atoms(self, atoms):
         """The view of `atoms`, one per atom of this view, carrying this
-        view's gaps and sharing their power tables."""
+        view's gaps and sharing their power tables when both views are
+        exact or both are not."""
         view = MomentView(atoms, self.dim)
+        if view.exact != self.exact:
+            return MomentView(atoms, self.dim, self.gaps)
         view.gaps, view._gap_tables = self.gaps, self._gap_tables
         return view
 
-    def integer_scales(self, weighted):
-        """(N, scale, gap_scale, path) when `sums` serves this view (with
-        gap exponents if `weighted`), else None; on a path view a sum is a
-        list of ints, one per xi power."""
+    def table_scales(self):
+        """(N, scale, gap_scale, path) of the power tables; scale and
+        gap_scale are 1 on a view that is not exact, and on a path view a
+        sum is a list of ints, one per xi power."""
         atoms, gaps = self._atom_tables, self._gap_tables
-        if not atoms or (weighted and not gaps):
-            return None
-        return len(self.atoms), atoms.scale, gaps.scale if gaps else 1, atoms.poly
+        return self.n_atoms, atoms.scale, gaps.scale if gaps else 1, atoms.poly
 
-    def sums(self, gap_exps, degree):
-        """The integer sums with gap exponents `gap_exps` lifted to `degree`:
-        a dict, filled on first read and kept, from each exponent tuple r of
-        total at most `degree` to scale^(degree - |r|) times
+    def sums(self, gap_exps, degree=None):
+        """The sums with gap exponents `gap_exps`: a dict, filled on first
+        read and kept, from each exponent tuple r to the moment or, given a
+        `degree` at least |r| on an exact view, to scale^(degree - |r|) times
 
             sum_i prod_c (scale * atom_ic)^r_c * (gap_scale * gap_ic)^gap_exps_c,
 
         which is N * scale^degree * gap_scale^|gap_exps| times the moment."""
         table = self._sums.get((gap_exps, degree))
         if table is None:
+            if any(gap_exps) and self.gaps is None:
+                raise ValidationError("gap moments need a view with gaps")
             table = _Lifted(self._atom_tables, self._gap_tables, gap_exps, degree)
             self._sums[(gap_exps, degree)] = table
         return table
 
     def moment(self, exps, gap_exps=None):
         exps, gap_exps = tuple(exps), tuple(gap_exps or self._no_gaps)
-        weighted = any(gap_exps)
-        if weighted and self.gaps is None:
-            raise ValidationError("gap moments need a view with gaps")
-        scales = self.integer_scales(weighted)
-        if scales is None or not len(exps) == len(gap_exps) == self.dim:
-            loops = self._sums.setdefault((gap_exps, None), {})
-            if exps not in loops:
-                loops[exps] = self._loop_moment(exps, gap_exps if weighted else None)
-            return loops[exps]
-        n, scale, gap_scale, path = scales
-        degree = sum(exps)
-        denom = n * scale**degree * gap_scale ** sum(gap_exps)
-        total = self.sums(gap_exps, degree)[exps]
-        if path and degree:
-            return XiPoly([Fraction(s, denom) for s in total])
-        return Fraction(total[0] if path else total, denom)
-
-    def _loop_moment(self, exps, gap_exps):
-        total = 0
-        for i, atom in enumerate(self.atoms):
-            factor = Fraction(1)
-            for c, e in zip(atom, exps):
-                if e:
-                    factor = factor * c**e
-            if gap_exps is not None:
-                for c, e in zip(self.gaps[i], gap_exps):
-                    if e:
-                        factor = factor * c**e
-            total = total + factor
-        return total * Fraction(1, len(self.atoms))
+        if not len(exps) == len(gap_exps) == self.dim:
+            raise ValidationError(f"moment exponents must have {self.dim} entries each")
+        return self.sums(gap_exps)[exps]
 
 
 class _Lifted(dict):
@@ -244,8 +235,19 @@ class _Lifted(dict):
             sums = [sum(map(operator.mul, row, weights)) for row in rows]
         else:
             sums = [sum(row) for row in rows]
-        lift = atoms.scale ** (self.degree - sum(exps))
-        value = self[exps] = [s * lift for s in sums] if atoms.poly else sums[0] * lift
+        if self.degree is None:  # the moment: divide by N * scale^|r| * gap_scale^|gap|
+            gap_scale = self.gaps.scale if self.gaps else 1
+            denom = atoms.n * atoms.scale ** sum(exps) * gap_scale ** sum(self.gap)
+            if not atoms.exact:
+                value = sums[0] * Fraction(1, denom)
+            elif atoms.poly and any(exps):
+                value = XiPoly([Fraction(s, denom) for s in sums])
+            else:
+                value = Fraction(sums[0], denom)
+        else:
+            lift = atoms.scale ** (self.degree - sum(exps))
+            value = [s * lift for s in sums] if atoms.poly else sums[0] * lift
+        self[exps] = value
         return value
 
 

@@ -469,7 +469,8 @@ def test_non_finite_coordinates_in_files_exit_two(tmp_path, capsys, token):
 
 def test_expand_float_mode_converts_every_point(tmp_path):
     # --x0, --y0, --free-x and --free-y stayed rational, so jet 0,0 of this
-    # kernel printed "1/36"; an exact zero still prints "0"
+    # kernel printed "1/36"; an exact zero (jet 1,1 and 1,2 here) printed
+    # "0" beside the floats and now prints 0.0
     kernel = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(2, 0): F(1), (1, 1): F(1)})]))
     kpath = tmp_path / "spatial.json"
     kpath.write_text(json.dumps(kernel.to_json()))
@@ -489,7 +490,24 @@ def test_expand_float_mode_converts_every_point(tmp_path):
         tensors += [t for family in out["remainder_terms"].values() for t in family.values()]
         values = [v for t in tensors for v in entries(t)]
         assert any(isinstance(v, float) and v for v in values)
-        assert [v for v in values if isinstance(v, str) and v != "0"] == []
+        assert all(isinstance(v, float) for v in values)
+        if not extra:
+            assert out["jet"]["1,1"]["value"] == out["jet"]["1,2"]["value"] == [0.0]
+
+
+def test_expand_float_points_with_rational_targets(tmp_path):
+    # float starts from a JSON file, rational targets from a CSV file: the
+    # jet contracts float data, the value at the targets is exact
+    kpath, _, ypath = _expand_inputs(tmp_path)
+    xpath = tmp_path / "x.json"
+    xpath.write_text(json.dumps([[0.25], [-0.5]]))
+    code, text = run_cli(["expand", "--kernel", kpath, "--points", str(xpath),
+                          "--points2", ypath, "--order", "2"])
+    assert code == 0
+    out = json.loads(text)
+    total = out["predicted"][0] + sum(t[0] for t in out["remainder_terms"]["star"].values())
+    assert isinstance(out["predicted"][0], float) and out["actual"] == ["5/9"]
+    assert math.isclose(total, 5 / 9, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -88,8 +88,8 @@ GOLDEN = {
     "enum-zero-tagged": (0, "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b"),
     "expand-box": (0, "e9016d49d97fa91ce73430cf549bdb36ec8042df1f713d2077391f4e2a6127a7"),
     "expand-graded": (0, "50e974f46d4ce15a2f06f3c10eef099a39de0415bb93cdc9cb5d7e74b1bde193"),
-    "expand-float": (0, "750422abf1ca39d17122a986e4482648f899e5a62643c2dc62aa6f013791e8aa"),
-    "expand-graded-box-float": (0, "87fc70f708bacd031498966f6c0809f6a158cc6c86d12f94ea9e37f09f6b9b9e"),
+    "expand-float": (0, "62210bee24957ca7f5e97f528ad540b449190aa73b2be8d46f488df8677f31c0"),
+    "expand-graded-box-float": (0, "98140c8c70a642203bfc7dfd5fb5d611d6fc0bb7bbeb21b4a41bf2b6c181c7fc"),
     "expand-graded-box": (0, "9f4df174e24d8f818f13d962b9b8a8e43a3fb392069b40fd5caf427651cd7c15"),
     "expand-order": (0, "04726b0f71dbc016a0afacb39b328378788beb23f092fcb3cb198a492391d5de"),
     "expand-seq": (0, "df667393a3a9d4ba516cbd3cb7dc02ffa91921a282c6b87fc34688108f9c40ce"),

@@ -145,7 +145,8 @@ def _rational_points(rng, n, e):
 
 
 def _literal(atoms, gaps, exps, gap_exps):
-    """(1/N) sum_i prod_c atom_ic^exps_c * gap_ic^gap_exps_c, term by term."""
+    """(1/N) sum_i prod_c atom_ic^exps_c * gap_ic^gap_exps_c, term by term;
+    the sum is multiplied by Fraction(1, N), so that an `XiPoly` sum works."""
     total = Fraction(0)
     for i, atom in enumerate(atoms):
         term = Fraction(1)
@@ -154,7 +155,7 @@ def _literal(atoms, gaps, exps, gap_exps):
         for c, p in enumerate(gap_exps):
             term *= gaps[i][c] ** p
         total += term
-    return total / len(atoms)
+    return total * Fraction(1, len(atoms))
 
 
 def _exponents(e, degree):
@@ -194,7 +195,7 @@ def test_integer_moments_equal_the_literal_sum(n, e, with_gaps):
     assert path._gap_tables is base._gap_tables
 
 
-def test_integer_moments_match_the_loop_on_a_user_built_path_view():
+def test_integer_moments_match_the_literal_sum_on_a_user_built_path_view():
     # XiPoly atoms of degree 0, 1 and 2, a zero coordinate, int gaps
     atoms = [
         (XiPoly((Fraction(1, 3), Fraction(2, 7))), XiPoly(())),
@@ -202,21 +203,27 @@ def test_integer_moments_match_the_loop_on_a_user_built_path_view():
     ]
     gaps = [(2, Fraction(-1, 4)), (Fraction(5, 6), 0)]
     view = MomentView(atoms, dim=2, gaps=gaps)
-    assert view._atom_tables is not None and view._gap_tables is not None
+    assert view.exact and view.table_scales() == (2, 630, 12, True)
     for exps in _exponents(2, 3):
         for gap_exps in _exponents(2, 2):
             got = view.moment(exps, gap_exps)
-            want = view._loop_moment(exps, gap_exps if any(gap_exps) else None)
-            assert type(got) is type(want) and got == want
-    # exponents of another length take the loop, which pairs them up by zip
-    assert view.moment((1, 0, 2)) == view._loop_moment((1, 0, 2), None)
+            assert type(got) is (XiPoly if any(exps) else Fraction)
+            assert got == _literal(atoms, gaps, exps, gap_exps)
 
 
-def test_high_degree_moments_match_the_loop():
+@pytest.mark.parametrize("exps,gap_exps", [((1, 0, 2), None), ((1,), None), ((1, 0), (1, 0, 0))])
+def test_moment_exponents_of_another_length_raise(exps, gap_exps):
+    # they used to be paired up with the coordinates by zip, silently
+    view = MomentView([(Fraction(1, 3), 2), (0.5, -1.0)], dim=2, gaps=[(1, 2), (3, 4)])
+    with pytest.raises(ValidationError, match="2 entries"):
+        view.moment(exps, gap_exps)
+
+
+def test_high_degree_moments_match_the_literal_sum():
     # the tables used to be built by one recursive call per unit of
     # exponent, which exceeded the recursion limit from a total degree of
     # about 990; the path view is short (of degree 1 and 0 in xi) so that
-    # the XiPoly loop it is checked against stays cheap
+    # the XiPoly powers it is checked against stay cheap
     rational = MomentView(
         [(Fraction(3, 2), Fraction(-1, 3)), (Fraction(-5, 7), Fraction(1)), (Fraction(1, 4), 2)],
         dim=2,
@@ -229,19 +236,19 @@ def test_high_degree_moments_match_the_loop():
         gaps=[(Fraction(1, 3), 2), (-1, Fraction(1, 4))],
     )
     cases = {
-        rational: [((700, 800), None), ((699, 800), (1, 0)), ((1, 1500), (0, 2))],
-        path: [((3, 1497), None), ((2, 1498), (1, 0)), ((1, 1499), (0, 2))],
+        rational: [((700, 800), (0, 0)), ((699, 800), (1, 0)), ((1, 1500), (0, 2))],
+        path: [((3, 1497), (0, 0)), ((2, 1498), (1, 0)), ((1, 1499), (0, 2))],
     }
     for view, requests in cases.items():
+        assert view.exact
         for exps, gap_exps in requests:
             got = view.moment(exps, gap_exps)
-            want = view._loop_moment(exps, gap_exps)
-            assert type(got) is type(want) and got == want
-    assert type(path.moment((3, 1497))) is XiPoly
+            assert type(got) is (XiPoly if view is path else Fraction)
+            assert got == _literal(view.atoms, view.gaps, exps, gap_exps)
 
 
 @pytest.mark.parametrize("kind", ["float", "mixed"])
-def test_float_and_mixed_atoms_take_the_fraction_loop(kind):
+def test_float_and_mixed_atoms_read_tables_as_given(kind):
     rng = random.Random(kind)
     xs = _rational_points(rng, 3, 2)
     gs = _rational_points(rng, 3, 2)
@@ -251,19 +258,35 @@ def test_float_and_mixed_atoms_take_the_fraction_loop(kind):
     else:
         xs = [(float(x[0]), x[1]) for x in xs]
     view = MomentView(xs, dim=2, gaps=gs)
-    assert view._atom_tables is None
+    assert not view.exact and view.table_scales() == (3, 1, 1, False)
     for exps, gap_exps in [((1, 0), (0, 0)), ((2, 1), (0, 1)), ((0, 0), (2, 0))]:
         got = view.moment(exps, gap_exps)
         # a float factor makes the sum a float; mixed atoms with no weight
-        # on their float coordinate sum to a Fraction, as the loop does
+        # on their float coordinate sum to a Fraction
         assert type(got) is (float if kind == "float" or exps[0] else Fraction)
         assert math.isclose(got, float(_literal(xs, gs, exps, gap_exps)), rel_tol=1e-12)
 
 
 def test_float_gaps_with_rational_atoms():
-    # the atom moments still run on integers; a gap moment takes the loop
+    # a view is exact only when its atoms and its gaps both are: here both
+    # tables keep their values, and a moment of the rational atoms alone
+    # is still their exact Fraction
     xs = [(Fraction(1, 3),), (Fraction(-2, 7),)]
     view = MomentView(xs, dim=1, gaps=[(0.5,), (-1.25,)])
-    assert view._atom_tables is not None and view._gap_tables is None
+    assert not view.exact and not view._gap_tables.exact
     assert view.moment((2,)) == _literal(xs, None, (2,), ()) and type(view.moment((2,))) is Fraction
     assert isinstance(view.moment((1,), (1,)), float)
+    # the path view of exact atoms over these gaps is not exact either
+    path = view.with_atoms([(XiPoly.affine(x, g),) for (x,), (g,) in zip(xs, view.gaps)])
+    assert not path.exact and path._gap_tables is view._gap_tables
+
+
+def test_a_view_checks_its_atoms_and_gaps():
+    with pytest.raises(ValidationError):
+        MomentView([], dim=1)
+    with pytest.raises(ValidationError):
+        MomentView([(1, 2), (3,)], dim=2)
+    with pytest.raises(ValidationError):
+        MomentView([(1,), (2,)], dim=1, gaps=[(1,)])
+    with pytest.raises(ValidationError, match="view with gaps"):
+        MomentView([(1,), (2,)], dim=1).moment((1,), (1,))

@@ -2,15 +2,15 @@
 per-configuration sums of `config_loop_reference`."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lionsjet import functional
+from lionsjet.errors import ValidationError
 from lionsjet.cli import _tolerance
 from lionsjet.expansion import taylor1, taylor2, taylor_derivative
 from lionsjet.functional import (
@@ -18,6 +18,7 @@ from lionsjet.functional import (
     PolyFunctional,
     PolyKernel,
     contract_derivative,
+    eval_derivative,
     eval_derivative_brute,
     lions_derivative,
 )
@@ -230,12 +231,6 @@ def test_contraction_past_kernel_degree_matches_brute(past, directions, spatial,
 # -- contractions in integers --------------------------------------------------
 
 
-def _loop_contraction(ts, x0, view, fixed, dirvecs):
-    """`contract_derivative` forced onto its Fraction loop over `moment`."""
-    with mock.patch.object(functional, "_integer_contraction", return_value=False):
-        return contract_derivative(ts, x0, view, fixed, dirvecs)
-
-
 def _int_or_fraction(rng, q):
     """q, as an int when it is a whole number and a coin says so."""
     return int(q) if q.denominator == 1 and rng.random() < 0.5 else q
@@ -251,13 +246,13 @@ def _int_or_fraction(rng, q):
     tagged_on_path=st.booleans(),
     measure_on_path=st.booleans(),
 )
-def test_integer_contraction_equals_brute_and_loop(
+def test_integer_contraction_equals_brute(
     seed, e, n_atoms, spatial, order, tagged_on_path, measure_on_path
 ):
     # base and path views, tagged points on the path (one of them with a
     # zero XiPoly coordinate at times), gap directions, int/Fraction mixes
     # and, past the kernel degree, empty joints; every entry must equal the
-    # brute nested-loop evaluation and the Fraction loop exactly
+    # brute nested-loop evaluation exactly
     rng = random.Random(seed)
     nvars = (2 + spatial) * e
     terms = {}
@@ -303,16 +298,15 @@ def test_integer_contraction_equals_brute_and_loop(
             dirvecs.append(v - n_fixed - 1)
     got = contract_derivative(ts, x0, view, fixed, dirvecs)
     brute = _brute_contraction(ts, x0, view, fixed, dirvecs)
-    loop = _loop_contraction(ts, x0, view, fixed, dirvecs)
-    assert got.shape == brute.shape == loop.shape
-    for g, b, lp in zip(got.data, brute.data, loop.data):
-        assert g == b and g == lp
+    assert got.shape == brute.shape
+    for g, b in zip(got.data, brute.data):
+        assert g == b
         assert type(g) in (Fraction, XiPoly)
 
 
 def test_rational_contractions_run_on_integers(monkeypatch):
-    # neither the dividing `moment` nor the loop is reached: every group
-    # reads integer sums
+    # neither `moment` nor the moments themselves (the sums under degree
+    # None) are read: every group reads integer sums lifted to a degree
     rng = random.Random(21)
     f = random_functional(rng, 2, 2, True, degree=3)
     c = random_coupling(rng, 3, 2)
@@ -321,17 +315,24 @@ def test_rational_contractions_run_on_integers(monkeypatch):
     def refuse(*args):
         raise AssertionError("a rational contraction left the integer path")
 
+    sums = MomentView.sums
+
+    def integer_sums(view, gap_exps, degree=None):
+        if degree is None:
+            refuse()
+        return sums(view, gap_exps, degree)
+
     monkeypatch.setattr(MomentView, "moment", refuse)
-    monkeypatch.setattr(MomentView, "_loop_moment", refuse)
+    monkeypatch.setattr(MomentView, "sums", integer_sums)
     res = taylor2(f, x0, y0, c, Grading(1, F(1, 2), F(9, 4)))
     assert res.identity_gap() == 0
     res = taylor_derivative(f, TaggedSeq((1,)), x0, y0, [x0], [y0], c, Grading(1, 1, 3))
     assert res.identity_gap() == 0
 
 
-def _fallback_case(kind):
-    """A contraction whose data keeps it on the Fraction loop, with the
-    tolerance its entries must meet against the brute evaluation."""
+def _inexact_case(kind):
+    """A contraction whose data is not all rational, with the tolerance its
+    entries must meet against the brute evaluation."""
     rng = random.Random(f"fallback:{kind}")
     # variables x0 (0, 1), slot 1 (2, 3), slot 2 (4, 5)
     terms = {(1, 0, 1, 0, 0, 1): F(1), (0, 2, 0, 1, 2, 0): F(1, 2), (2, 0, 1, 1, 1, 0): F(-3)}
@@ -354,20 +355,65 @@ def _fallback_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["float atoms", "float x0", "symbolic"])
-def test_fallback_loop_values(kind, monkeypatch):
-    ts, x0, view, dirvecs, tol = _fallback_case(kind)
+def test_inexact_contraction_values(kind, monkeypatch):
+    # the one contraction loop reads each group's moments (the sums under
+    # degree None) and matches the brute evaluation: within tolerance for
+    # floats, exactly for symbolic atoms
+    ts, x0, view, dirvecs, tol = _inexact_case(kind)
     fixed = [view.atoms[0]]
     assert ts.joint()
-    taken = []
-    integer = functional._integer_contraction
-    monkeypatch.setattr(
-        functional, "_integer_contraction", lambda *args: taken.append(integer(*args)) or taken[-1]
-    )
+    degrees, sums = [], MomentView.sums
+
+    def recorded(view, gap_exps, degree=None):
+        degrees.append(degree)
+        return sums(view, gap_exps, degree)
+
+    monkeypatch.setattr(MomentView, "sums", recorded)
     got = contract_derivative(ts, x0, view, fixed, dirvecs)
-    assert taken == [False]
+    assert degrees and set(degrees) == {None}
     want = _brute_contraction(ts, x0, view, fixed, dirvecs)
     if tol:
         assert all(isinstance(v, float) for v in got.data)
         assert float((got - want).max_abs()) <= tol * (1 + float(want.max_abs()))
     else:
         assert got == want
+
+
+# k(x0, u1, u2) = x0^2 u1 u2 + 3 x0 u1^2 - u2^3 / 2 + 5
+_SPATIAL_DEGREE_4 = PolyFunctional(
+    PolyKernel(
+        1, 1, 2, True,
+        [MPoly(3, {(2, 1, 1): F(1), (1, 2, 0): F(3), (0, 0, 3): F(-1, 2), (0, 0, 0): F(5)})],
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "values,want", [((), 15.43252109049181), ((0, 1), 6.383658008658008)], ids=["f", "D0,1"]
+)
+def test_rational_atoms_with_huge_denominators_and_a_float_point(values, want):
+    # the atoms' common scale has 241 digits, so their integer sums lifted
+    # to the kernel degree are far past the float range; with a float x0
+    # the contraction must read the atoms' Fraction moments instead. `want`
+    # is the value the Fraction loop this contraction replaced returned.
+    big = 10**60
+    nums = (-2 * big // 3, big // 7, 13 * big // 11, 5 * big // 2)
+    atoms = [(F(num, big + 2 * k + 1),) for k, num in enumerate(nums)]
+    mu = MomentView(atoms, dim=1)
+    assert mu.exact and len(str(mu.table_scales()[1])) == 241
+    ts = lions_derivative(_SPATIAL_DEGREE_4, TaggedSeq(values))
+    free = atoms[1:2] * ts.n_free
+    (got,) = eval_derivative(ts, (1.75,), mu, free).data
+    assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12)
+    (brute,) = eval_derivative_brute(ts, (1.75,), mu, free).data
+    assert math.isclose(got, brute, rel_tol=1e-12)
+
+
+def test_gap_directions_need_a_view_with_gaps():
+    # the check that `moment` made for the Fraction loop, now made where the
+    # contraction first reads a gap sum, for rational and for float data
+    f = kernel_1d({(2,): F(1)}, arity=1)
+    ts = lions_derivative(f, TaggedSeq((1,)))
+    for atoms in ([(F(1),), (F(-2),)], [(1.0,), (-2.0,)]):
+        with pytest.raises(ValidationError, match="view with gaps"):
+            contract_derivative(ts, None, MomentView(atoms, dim=1), [], [0])
