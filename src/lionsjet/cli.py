@@ -394,7 +394,7 @@ def _cmd_expand(args, out):
             result = taylor_derivative(f, a, x0, y0, fx, fy, c, g)
         else:
             result = taylor2(f, x0, y0, c, g, box=box)
-    print(json.dumps(result.to_json(), indent=2), file=out)
+    print(json.dumps(result.to_json(floats=args.mode == "float"), indent=2), file=out)
     return 0
 
 

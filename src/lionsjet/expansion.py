@@ -147,17 +147,19 @@ class ExpansionResult:
     def remainder_norm(self):
         return math.sqrt(sum(float(v) ** 2 for v in self.remainder_exact.data))
 
-    def to_json(self):
-        """The result as JSON data. Rational entries print as "p/q"; in a
+    def to_json(self, floats=False):
+        """The result as JSON data. Rational entries print as "p/q"; with
+        `floats` (float mode) every entry prints as a float. Otherwise, in a
         result that holds any float entry, an exact zero (a vanishing term,
         a tensor that starts from Fraction(0)) prints as 0.0 beside them."""
         tensors = [t for term in self.jet for t in (term.value, term.raw)]
         tensors += [self.predicted, self.actual, self.remainder_exact]
         tensors += self.remainder_terms.values()
-        floats = any(isinstance(v, float) for t in tensors for v in t.data)
+        zeros = floats or any(isinstance(v, float) for t in tensors for v in t.data)
 
         def num(v):
-            return float(v) if isinstance(v, float) or floats and not v else format_rational(v)
+            as_float = floats or isinstance(v, float) or zeros and not v
+            return float(v) if as_float else format_rational(v)
 
         def tensor(t):
             def walk(x):
@@ -190,9 +192,9 @@ class ExpansionResult:
         }
 
 
-def _affine_point(x, y):
-    """Point whose coordinates follow the straight path x + xi * (y - x)."""
-    return tuple(XiPoly.affine(a, b - a) for a, b in zip(x, y))
+def _affine_point(x, gap):
+    """Point whose coordinates follow the straight path x + xi * gap."""
+    return tuple(XiPoly.affine(a, g) for a, g in zip(x, gap))
 
 
 def _integrate_entry(value, r):
@@ -254,8 +256,9 @@ def _coupling_views(c):
     """Views of the left marginal and of the straight path to the right
     marginal (coordinates in `XiPoly`), both carrying the coupling gaps for
     the averaged coupling variables."""
-    base = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=c.gaps())
-    path = base.with_atoms([_affine_point(x, y) for x, y in c.pairs])
+    gaps = c.gaps()
+    base = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=gaps)
+    path = base.with_atoms([_affine_point(x, gap) for (x, _), gap in zip(c.pairs, gaps)])
     return base, path
 
 
@@ -293,9 +296,10 @@ def _orbit_cache(f, base, tagged_pairs, c):
     base_view, path_view = _coupling_views(c)
     # one-atom views, so that every contraction reads the same power tables
     tagged_base = [MomentView([x], c.dim) for x, _ in tagged_pairs]
-    tagged_path = [MomentView([_affine_point(x, y)], c.dim) for x, y in tagged_pairs]
-    tagged_disp = [
-        tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs
+    tagged_disp = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
+    tagged_path = [
+        MomentView([_affine_point(x, gap)], c.dim)
+        for (x, _), gap in zip(tagged_pairs, tagged_disp)
     ]
     derivs, contractions = {}, {}  # by representative; by (representative, sides)
 

@@ -17,12 +17,15 @@ which slot each free variable pins and which slot each tensor direction hit.
 Each derivative is compiled once per functional into joint polynomials over
 x0, the free variables and the integrated slots (`DerivTermSum.joint`), and
 kept on the functional, so every later expansion, bound or norm report of it
-reads the same cells. The contraction, the certified sup and the grid report
-all read that form; only the reference evaluator `eval_derivative_brute`
-walks the terms. The contraction is one loop over the cells that reads the
-power tables of its `measures.MomentView`s: in integers, with one
-denominator, when every input is rational, and on the values as given
-(floats, symbolic or mixed data) otherwise. A derivative longer than the
+reads the same cells. It is compiled from its prefix's cells, one letter at
+a time as the derivative is defined (`_joint`): one differentiation per cell
+and coordinate for a spatial or an already used letter, and one per cell,
+coordinate and slot for a fresh one. The contraction, the certified sup and
+the grid report all read that form; only the reference evaluator
+`eval_derivative_brute` walks the terms. The contraction is one loop over
+the cells that reads the power tables of its `measures.MomentView`s: in
+integers, with one denominator, when every input is rational, and on the
+values as given (floats, symbolic or mixed data) otherwise. A derivative longer than the
 kernel degree, or with more free variables than the kernel arity, vanishes
 identically (`_vanishes`): it has no cells, and the expansion engine skips
 it without building it.
@@ -178,10 +181,12 @@ class PolyFunctional:
     """A kernel integrated against the measure in every non-spatial slot.
 
     `_joints` holds the compiled joint cells of its derivatives, keyed by
-    sequence values: at most one entry per distinct sequence, not vanishing
-    identically (`_vanishes`), that some call asked for. It starts empty and
-    dies with the functional. A write stores a finished, equal value under
-    its key, so threads sharing a functional may race to fill it.
+    sequence values: one entry for each sequence some call asked for and
+    for each of its prefixes (a derivative is compiled from its prefix's),
+    never one for a sequence whose derivative vanishes identically
+    (`_vanishes`). It starts empty and dies with the functional. A write
+    stores a finished, equal value under its key, so threads sharing a
+    functional may race to fill it.
     """
 
     __slots__ = ("kernel", "_joints")
@@ -228,21 +233,20 @@ class DerivTerm:
 
 
 class DerivTermSum:
-    """The derivative of a functional indexed by a tagged sequence, as a sum
-    of slot-assignment terms over the shared kernel.
+    """The derivative of a functional indexed by a tagged sequence: its
+    joint cells (`joint`, compiled from its prefix's and kept on the
+    functional), and as a reference a sum of slot-assignment terms over the
+    shared kernel.
 
     `terms` is built on first read: one term per injective map `pins` of
     the free variables 1..m into the slots 1..arity, in lexicographic
     order, with letter 0 on the spatial argument and letter j > 0 on the
-    slot pinned to free variable j. Only a compile and
-    `eval_derivative_brute` read them, so a derivative whose joint cells
-    are already on its functional never builds them.
+    slot pinned to free variable j. Only `eval_derivative_brute` reads them
+    (with `deriv_poly`), so no compile builds them.
 
     `partials` is the table of partial derivatives of the kernel components
-    that `deriv_poly` reads and fills, keyed by (output, sorted variables).
-    It is local to this derivative and serves its compile and
-    `eval_derivative_brute`; only the compiled joint cells are kept, on the
-    functional.
+    that `deriv_poly` reads and fills, keyed by (output, sorted variables),
+    local to this derivative.
     """
 
     __slots__ = ("functional", "seq", "_terms", "partials")
@@ -287,40 +291,11 @@ class DerivTermSum:
         polynomial over the argument groups whose expectation over
         independent integrated slots is that entry.
 
-        Each term maps its kernel slots into the groups, a pinned slot to its
-        free variable's group, and the mapped partial derivatives are summed,
-        so distinct terms that land on one monomial merge and cancellations
-        between them are kept. A derivative that `_vanishes` has no cells
-        and no cache entry, so the contraction returns zeros and the
-        certified sup 0.0 without differentiating anything."""
-        kernel, cache = self.kernel, self.functional._joints
-        if _vanishes(kernel, self.seq.values):
-            return {}
-        joint = cache.get(self.seq.values)
-        if joint is not None:
-            return joint
-        joint = {}
-        e, spatial, m = kernel.e, int(kernel.has_spatial), self.n_free
-        nvars = self.n_groups * e
-        mappings = []
-        terms = self.terms
-        for term in terms:
-            groups = list(range(spatial + m, spatial + m + kernel.arity))
-            for j, slot in enumerate(term.pins):
-                groups[slot - 1] = spatial + j
-            mappings.append([g * e + c for g in [0] * spatial + groups for c in range(e)])
-        for comp in range(kernel.d):
-            for coords in itertools.product(range(e), repeat=self.order):
-                total = None
-                for term, mapping in zip(terms, mappings):
-                    poly = self.deriv_poly(comp, term, coords)
-                    if poly:
-                        poly = poly.map_vars(nvars, mapping)
-                        total = poly if total is None else total + poly
-                if total:
-                    joint[(comp, coords)] = total
-        cache[self.seq.values] = joint
-        return joint
+        Compiled from its prefix's cells (`_joint`). A derivative that
+        `_vanishes` has no cells and no cache entry, so the contraction
+        returns zeros and the certified sup 0.0 without differentiating
+        anything."""
+        return _joint(self.functional, self.seq.values)
 
     def deriv_poly(self, out, term, coords):
         """The kernel component differentiated once per direction, direction
@@ -338,10 +313,8 @@ class DerivTermSum:
         return _partial(self.partials, kernel, out, variables)
 
     def __repr__(self):
-        return (
-            f"DerivTermSum(seq={self.seq.values}, {len(self.terms)} terms, "
-            f"kernel={self.kernel!r})"
-        )
+        n_terms = math.perm(self.kernel.arity, self.n_free)  # without building them
+        return f"DerivTermSum(seq={self.seq.values}, {n_terms} terms, kernel={self.kernel!r})"
 
 
 def _vanishes(kernel, values):
@@ -365,6 +338,56 @@ def _partial(table, kernel, out, variables):
             poly = prefix.diff(variables[-1]) if prefix else prefix
         table[key] = poly
     return poly
+
+
+def _joint(f, values):
+    """The joint cells of the derivative of `f` indexed by `values`, kept on
+    `f`, over the groups [x0 if spatial] + free groups 1..m + integrated
+    slots 1..arity, e variables each.
+
+    The empty sequence's cells are the nonzero kernel components, in the
+    kernel's own layout. Any other derivative is one derivative of its
+    prefix's (compiled first if no call asked for it), cell by cell in the
+    prefix's order with the new coordinate c last. A letter 0, or j <= m,
+    differentiates in coordinate c of x0 or of free group j. A fresh letter
+    m + 1 inserts a free group before the integrated slots and sums, over
+    the slots s, the derivative in coordinate c of slot s with slot s moved
+    into the new group; a term that pins s has no variables there and adds
+    zero. Terms that land on one monomial merge, cancellations included."""
+    kernel, cache = f.kernel, f._joints
+    if _vanishes(kernel, values):
+        return {}
+    joint = cache.get(values)
+    if joint is not None:
+        return joint
+    if not values:
+        joint = {(comp, ()): poly for comp, poly in enumerate(kernel.components) if poly}
+    else:
+        prefix, letter = _joint(f, values[:-1]), values[-1]
+        e, m = kernel.e, max(values[:-1], default=0)
+        split = (kernel.has_spatial + m) * e  # the first integrated variable
+        nvars = split + (kernel.arity + 1) * e  # after a fresh letter
+        if letter <= m:  # (first variable differentiated, no map)
+            slots = [((kernel.has_spatial + letter - 1) * e if letter else 0, None)]
+        else:  # (first variable of slot s, the map moving it into the new group)
+            shifted = list(range(split)) + list(range(split + e, nvars))
+            moved = list(range(split, split + e))
+            slots = [
+                (lo, shifted[:lo] + moved + shifted[lo + e :]) for lo in range(split, nvars - e, e)
+            ]
+        joint = {}
+        for (comp, coords), poly in prefix.items():
+            for c in range(e):
+                cell = None
+                for lo, mapping in slots:
+                    part = poly.diff(lo + c)
+                    if part:
+                        part = part.map_vars(nvars, mapping) if mapping else part
+                        cell = part if cell is None else cell + part
+                if cell:
+                    joint[(comp, coords + (c,))] = cell
+    cache[values] = joint
+    return joint
 
 
 def lions_derivative(f, a):

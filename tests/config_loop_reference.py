@@ -12,10 +12,16 @@ import itertools
 import math
 from fractions import Fraction
 
-from lionsjet.expansion import _affine_point, _at_one, _integrate_entry
+from lionsjet.expansion import _at_one, _integrate_entry
 from lionsjet.functional import MomentView, contract_derivative, lions_derivative
 from lionsjet.partitions import enum_A
+from lionsjet.poly import XiPoly
 from lionsjet.tagged import TaggedSeq, as_tagged, graded_families_ext
+
+
+def path_point(x, y):
+    """Point whose coordinates follow the straight path x + xi * (y - x)."""
+    return tuple(XiPoly.affine(a, b - a) for a, b in zip(x, y))
 
 
 def config_average(ts, x0, view, fixed, directions, n_avg, gaps):
@@ -34,7 +40,7 @@ def config_average(ts, x0, view, fixed, directions, n_avg, gaps):
 
 def _views(c):
     base = MomentView([x for x, _ in c.pairs], dim=c.dim)
-    path = MomentView([_affine_point(x, y) for x, y in c.pairs], dim=c.dim)
+    path = MomentView([path_point(x, y) for x, y in c.pairs], dim=c.dim)
     return base, path
 
 
@@ -68,7 +74,7 @@ def graded_reference(f, base, tagged_pairs, c, alpha, beta, eta):
     views = dict(zip((False, True), _views(c)))
     tagged = {
         False: [tuple(x) for x, _ in tagged_pairs],
-        True: [_affine_point(x, y) for x, y in tagged_pairs],
+        True: [path_point(x, y) for x, y in tagged_pairs],
     }
     disp = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
 

@@ -467,32 +467,62 @@ def test_non_finite_coordinates_in_files_exit_two(tmp_path, capsys, token):
         assert_one_line_exit_two(args, capsys)
 
 
-def test_expand_float_mode_converts_every_point(tmp_path):
-    # --x0, --y0, --free-x and --free-y stayed rational, so jet 0,0 of this
-    # kernel printed "1/36"; an exact zero (jet 1,1 and 1,2 here) printed
-    # "0" beside the floats and now prints 0.0
+def _spatial_expand_args(tmp_path):
+    """expand of the kernel x0^2 + x0 u1 (e = 1, arity 1) from --x0=1/3 to
+    --y0=1/2; the caller adds the grading and the mode."""
     kernel = PolyFunctional(PolyKernel(1, 1, 1, True, [MPoly(2, {(2, 0): F(1), (1, 1): F(1)})]))
     kpath = tmp_path / "spatial.json"
     kpath.write_text(json.dumps(kernel.to_json()))
     _, xpath, ypath = _expand_inputs(tmp_path)
-    args = ["expand", "--kernel", str(kpath), "--points", xpath, "--points2", ypath,
-            "--grading", "5/2", "1", "1", "--x0=1/3", "--y0=1/2", "--mode", "float"]
+    return ["expand", "--kernel", str(kpath), "--points", xpath, "--points2", ypath,
+            "--x0=1/3", "--y0=1/2"]
+
+
+def _expand_entries(out):
+    """Every tensor entry of an `expand` JSON result."""
 
     def entries(x):
         return [v for item in x for v in entries(item)] if isinstance(x, list) else [x]
 
+    tensors = [term[k] for term in out["jet"].values() for k in ("value", "raw")]
+    tensors += [out[k] for k in ("predicted", "actual", "remainder_exact")]
+    tensors += [t for family in out["remainder_terms"].values() for t in family.values()]
+    return [v for t in tensors for v in entries(t)]
+
+
+def test_expand_float_mode_converts_every_point(tmp_path):
+    # --x0, --y0, --free-x and --free-y stayed rational, so jet 0,0 of this
+    # kernel printed "1/36"; an exact zero (jet 1,1 and 1,2 here) printed
+    # "0" beside the floats and now prints 0.0
+    args = _spatial_expand_args(tmp_path) + ["--grading", "5/2", "1", "1", "--mode", "float"]
     for extra in ([], ["--seq", "1", "--free-x", "1/3", "--free-y", "1/5"]):
         code, text = run_cli(args + extra)
         assert code == 0
         out = json.loads(text)
-        tensors = [term[k] for term in out["jet"].values() for k in ("value", "raw")]
-        tensors += [out[k] for k in ("predicted", "actual", "remainder_exact")]
-        tensors += [t for family in out["remainder_terms"].values() for t in family.values()]
-        values = [v for t in tensors for v in entries(t)]
+        values = _expand_entries(out)
         assert any(isinstance(v, float) and v for v in values)
         assert all(isinstance(v, float) for v in values)
         if not extra:
             assert out["jet"]["1,1"]["value"] == out["jet"]["1,2"]["value"] == [0.0]
+
+
+def test_expand_float_mode_prints_floats_when_no_entry_is_a_float(tmp_path):
+    # every cell of the second x0-derivative of x0^2 + x0 u1 is a constant,
+    # so no entry of the result turns into a float; float mode printed "2"
+    # and "0", and now prints 2.0 and 0.0. Rational mode prints as before.
+    args = _spatial_expand_args(tmp_path) + ["--grading", "4", "1", "1", "--seq", "0,0"]
+    code, text = run_cli(args + ["--mode", "float"])
+    assert code == 0
+    out = json.loads(text)
+    assert all(isinstance(v, float) for v in _expand_entries(out))
+    assert out["jet"][""]["value"] == out["actual"] == [[[2.0]]]
+    assert out["jet"]["1"]["value"] == [[[0.0]]]
+    code, text = run_cli(args)
+    assert code == 0
+    out = json.loads(text)
+    assert all(isinstance(v, str) for v in _expand_entries(out))
+    assert out["jet"][""]["value"] == out["actual"] == [[["2"]]]
+    assert out["jet"]["1"]["value"] == [[["0"]]]
 
 
 def test_expand_float_points_with_rational_targets(tmp_path):

@@ -873,8 +873,8 @@ def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
     m0, n0 = base.m, len(base)
     base_view, path_view = _coupling_views(c)
     starts = [tuple(x) for x, _ in pairs]
-    paths = [_affine_point(x, y) for x, y in pairs]
     disps = [tuple(b - a for a, b in zip(x, y)) for x, y in pairs]
+    paths = [_affine_point(x, disp) for (x, _), disp in zip(pairs, disps)]
 
     def contract(values, tagged_at_xi, measure_at_xi):
         tagged = paths if tagged_at_xi else starts

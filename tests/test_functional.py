@@ -495,29 +495,121 @@ def test_cached_joint_equals_a_fresh_compile():
             assert poly == fresh[cell]
 
 
-def test_a_cached_derivative_builds_no_terms():
-    # the joint is read from the functional, so the second derivative
-    # object never builds its slot-assignment terms
+def test_no_compile_builds_terms(monkeypatch):
+    # a compile whose prefixes are compiled on demand, a compile from a
+    # cached prefix and a cached read all run on joint cells alone; the
+    # terms stay available to the reference evaluator
     f = kernel_1d({(2, 1, 0): F(1), (0, 1, 1): F(-2)}, arity=2, spatial=True)
-    a = TaggedSeq((0, 1))
-    first = lions_derivative(f, a)
-    first.joint()
-    assert first._terms is not None
-    again = lions_derivative(f, a)
-    assert again.joint() is first.joint() and again._terms is None
-    assert again.terms == first.terms and len(again.terms) == 2
+    seqs = [TaggedSeq(values) for values in [(0, 1), (0,), (0, 0, 1), (0, 1)]]
+    derivs = [lions_derivative(f, a) for a in seqs]
+    monkeypatch.setattr(DerivTermSum, "terms", property(lambda ts: pytest.fail("terms built")))
+    joints = [ts.joint() for ts in derivs]
+    assert all(ts._terms is None for ts in derivs)
+    assert joints[3] is joints[0] and all(joints)
+    monkeypatch.undo()
+    assert len(derivs[0].terms) == 2 and derivs[0]._terms is not None
 
 
-def test_a_past_degree_sequence_leaves_no_cache_entry():
+def test_the_cache_holds_the_requested_sequences_and_their_prefixes():
     f = kernel_1d({(2, 1, 0): F(1), (0, 1, 1): F(-2)}, arity=2, spatial=True)
     past = TaggedSeq((0, 1, 1, 2))
     assert len(past) > f.kernel.degree == 3
     assert lions_derivative(f, past).joint() == {}
     assert _certified_sup(f, past, normalize_box((-1, 1), 1)) == 0.0
-    assert past.values not in f._joints
-    within = TaggedSeq((0, 1))
-    lions_derivative(f, within).joint()
-    assert list(f._joints) == [within.values]
+    assert f._joints == {}
+    lions_derivative(f, TaggedSeq((0, 1, 1))).joint()
+    assert list(f._joints) == [(), (0,), (0, 1), (0, 1, 1)]
+    # a vanishing extension (past the degree, or a third free variable on
+    # two slots) adds nothing; a new request adds itself and no other entry
+    for values in [(0, 1, 1, 2), (1, 2, 3), (0, 1, 2)]:
+        lions_derivative(f, TaggedSeq(values)).joint()
+    assert list(f._joints) == [(), (0,), (0, 1), (0, 1, 1), (0, 1, 2)]
+    assert not any(_vanishes(f.kernel, values) for values in f._joints)
+
+
+def _slot_assignment_joint(ts):
+    """The joint cells of `ts` compiled from the kernel, independently of
+    any prefix: per (output, coordinates) cell, each slot-assignment term's
+    partial mapped into the argument groups (a pinned slot to its free
+    variable's group), summed over the terms in their order."""
+    kernel = ts.kernel
+    e, spatial, m = kernel.e, int(kernel.has_spatial), ts.n_free
+    mappings = []
+    for term in ts.terms:
+        groups = list(range(spatial + m, spatial + m + kernel.arity))
+        for j, slot in enumerate(term.pins):
+            groups[slot - 1] = spatial + j
+        mappings.append([g * e + c for g in [0] * spatial + groups for c in range(e)])
+    joint = {}
+    for comp in range(kernel.d):
+        for coords in itertools.product(range(e), repeat=ts.order):
+            total = None
+            for term, mapping in zip(ts.terms, mappings):
+                poly = ts.deriv_poly(comp, term, coords)
+                if poly:
+                    poly = poly.map_vars(ts.n_groups * e, mapping)
+                    total = poly if total is None else total + poly
+            if total:
+                joint[(comp, coords)] = total
+    return joint
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefix_compile_equals_the_slot_assignment_compile(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    spatial, floats = data.draw(st.booleans()), data.draw(st.booleans())
+    e, d, arity = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)), data.draw(
+        st.integers(0 if spatial else 1, 3)
+    )
+    f = random_functional(rng, e, arity, spatial, degree=4, d=d)
+    if floats:
+        f = PolyFunctional(PolyKernel(e, d, arity, spatial, [
+            MPoly(p.nvars, {exps: rng.uniform(-3, 3) for exps in p.terms})
+            for p in f.kernel.components
+        ]))
+    enum = enum_A0 if spatial else enum_A
+    seqs = [a for n in range(5) for a in enum(n)]
+    # in a random order, so that a prefix is compiled before some requests
+    # and on demand for others
+    for a in data.draw(st.permutations(seqs)):
+        ts = lions_derivative(f, a)
+        got, want = ts.joint(), _slot_assignment_joint(ts)
+        assert list(got) == list(want)
+        for cell, poly in got.items():
+            if floats:
+                assert poly.terms.keys() == want[cell].terms.keys()
+                for exps, coeff in poly.terms.items():
+                    assert math.isclose(coeff, want[cell].terms[exps], rel_tol=1e-12)
+            else:
+                assert poly == want[cell]
+
+
+def test_a_compile_from_a_cached_prefix_makes_one_diff_per_cell_and_coordinate(monkeypatch):
+    # a tagged letter (0 or j <= m) differentiates each prefix cell once per
+    # coordinate, and a fresh letter once per coordinate and slot
+    rng = random.Random(16)
+    for e, arity, spatial in [(1, 2, True), (2, 3, True), (2, 2, False), (2, 3, False)]:
+        f = random_functional(rng, e, arity, spatial, degree=4, d=2)
+        calls = []
+        original = MPoly.diff
+
+        def counting_diff(self, index):
+            calls.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(MPoly, "diff", counting_diff)
+        monkeypatch.setattr(DerivTermSum, "terms", property(lambda ts: pytest.fail("terms built")))
+        enum = enum_A0 if spatial else enum_A
+        for a in [a for n in range(5) for a in enum(n)]:
+            if _vanishes(f.kernel, a.values) or not a.values:
+                continue
+            prefix = lions_derivative(f, TaggedSeq(a.values[:-1])).joint()
+            calls.clear()
+            lions_derivative(f, a).joint()
+            fresh = a.values[-1] > max(a.values[:-1], default=0)
+            assert len(calls) == len(prefix) * e * (arity if fresh else 1)
+        monkeypatch.undo()
 
 
 def test_a_new_functional_starts_with_an_empty_cache():
