@@ -7,13 +7,15 @@ average factorizes into a product of mixed coupling moments
 (1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per coupling variable, so the
 operator costs time linear in the atom count N (see
 `functional.contract_derivative`). Every argument group reads the power
-tables of a view (`measures.MomentView`; the start and path points of the
-tagged slots are one-atom views built once per call). With rational data
-the tables are scaled once per view, the contraction runs on integers, the
-monomials share one denominator and each output entry is divided once;
-float data runs the same loop on the values as given. The base and path
-views of a coupling share their gap tables. Each derivative compiles its
-joint polynomials once per functional and keeps them on it, so every later
+tables of a view (`measures.MomentView`). The coupling keeps its base,
+path and target views, which share their gap tables, with their sums,
+so every expansion, bound and evaluation on one coupling reads the
+same ones; the start and path points of the tagged slots are one-atom
+views built once per call. With rational data the tables are scaled once
+per view, the contraction runs on integers, the monomials share one
+denominator and each output entry is divided once; float data runs the
+same loop on the values as given. Each derivative compiles its joint
+polynomials once per functional and keeps them on it, so every later
 expansion, bound or study of that functional, and both the base and the
 path contraction, read the same cells. Truncating the expansion at an
 order (or at a grading level) leaves remainder terms indexed by the
@@ -90,7 +92,7 @@ from .functional import (
     lions_derivative,
     normalize_box,
 )
-from .measures import EmpiricalMeasure, coupling_moment, pair_coupling
+from .measures import EmpiricalMeasure, _affine_point, coupling_moment, pair_coupling
 from .partitions import PartitionSeq
 from .poly import Tensor, XiPoly, format_rational
 from .tagged import (
@@ -192,11 +194,6 @@ class ExpansionResult:
         }
 
 
-def _affine_point(x, gap):
-    """Point whose coordinates follow the straight path x + xi * gap."""
-    return tuple(XiPoly.affine(a, g) for a, g in zip(x, gap))
-
-
 def _integrate_entry(value, r):
     """Integral over [0,1] of value(xi) * (1-xi)^r; value may be constant."""
     if isinstance(value, XiPoly):
@@ -247,19 +244,8 @@ def eval_Da(f, a, x0, displacement, mu, c):
         raise ValidationError("spatial argument and displacement required")
     if not f.has_spatial and (x0 is not None or displacement is not None):
         raise ValidationError("functional has no spatial argument")
-    view = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=c.gaps())
     dirvecs = [tuple(displacement) if v == 0 else v - 1 for v in a.values]
-    return contract_derivative(lions_derivative(f, a), x0, view, [], dirvecs)
-
-
-def _coupling_views(c):
-    """Views of the left marginal and of the straight path to the right
-    marginal (coordinates in `XiPoly`), both carrying the coupling gaps for
-    the averaged coupling variables."""
-    gaps = c.gaps()
-    base = MomentView([x for x, _ in c.pairs], dim=c.dim, gaps=gaps)
-    path = base.with_atoms([_affine_point(x, gap) for (x, _), gap in zip(c.pairs, gaps)])
-    return base, path
+    return contract_derivative(lions_derivative(f, a), x0, c.base_view(), [], dirvecs)
 
 
 def _family_sides(alpha, beta):
@@ -293,7 +279,6 @@ def _orbit_cache(f, base, tagged_pairs, c):
     """
     _check_pairs(f, c, tagged_pairs)
     kernel, m0, n0 = f.kernel, base.m, len(base)
-    base_view, path_view = _coupling_views(c)
     # one-atom views, so that every contraction reads the same power tables
     tagged_base = [MomentView([x], c.dim) for x, _ in tagged_pairs]
     tagged_disp = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
@@ -314,7 +299,7 @@ def _orbit_cache(f, base, tagged_pairs, c):
             if ts is None:
                 ts = derivs[rep] = lions_derivative(f, _built(TaggedSeq, base.values + rep))
             tagged = tagged_path if tagged_at_xi else tagged_base
-            view = path_view if measure_at_xi else base_view
+            view = c.path_view() if measure_at_xi else c.base_view()
             dirvecs = [None] * n0 + [
                 tagged_disp[v] if v <= m0 else v - m0 - 1 for v in rep
             ]
@@ -429,7 +414,7 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
     actual = eval_derivative(
         lions_derivative(f, base),
         targets[0] if f.has_spatial else None,
-        MomentView([y for _, y in c.pairs], dim=c.dim),
+        c.target_view(),
         targets[1:],
     )
     predicted = Tensor(actual.shape)
@@ -485,7 +470,7 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
 def _check_box_membership(box, points):
     for p in points:
         for (lo, hi), coord in zip(box, p):
-            if not (lo <= float(coord) <= hi):
+            if not lo <= coord <= hi:  # exact: a Fraction compares with a float exactly
                 raise ValidationError(f"point {p} outside box")
 
 
@@ -512,7 +497,8 @@ def _bound_terms(f, tagged_pairs, c, families, box, lips):
     with M_1 * |y0 - x0|^z * prod M_k (the first coupling moment M_1
     dominates the transport distance moved along the path); the constant of
     free variable q with |y0 - x0|^z times the block-moment product whose
-    q-th factor is raised by one. M_p is the p-th coupling moment. A
+    q-th factor is raised by one. M_p is the p-th coupling moment, which
+    the coupling keeps (`coupling_moment`). A
     constant whose next derivative vanishes (`_vanishes`) is 0.0, with no
     orbit keyed and nothing compiled.
 
@@ -529,7 +515,7 @@ def _bound_terms(f, tagged_pairs, c, families, box, lips):
     disp_norm = math.sqrt(
         sum((float(b) - float(a)) ** 2 for x, y in tagged_pairs for a, b in zip(x, y))
     )
-    mom = functools.cache(lambda p: coupling_moment(c, p))
+    mom = functools.partial(coupling_moment, c)
 
     def lip(values, letter):
         seq = values + (letter,)
@@ -680,7 +666,7 @@ def convergence_study(
     lips = {}
     for h in hs:
         c, pairs = scaled(h)
-        rem = eval_derivative(f_at, pairs[0][1] if graded else None, c.right(), [])
+        rem = eval_derivative(f_at, pairs[0][1] if graded else None, c.target_view(), [])
         for k, jet in jets.items():
             rem = rem - jet.scale(h**k)
         norm = math.sqrt(sum(float(v) ** 2 for v in rem.data))

@@ -8,7 +8,10 @@ finite sums.
 `EmpiricalMeasure` is a view whose atoms are validated rational or float
 points. Every moment of a view is a sum over its power tables, which are
 scaled to integers when the atoms and gaps are rational and keep the values
-as given otherwise.
+as given otherwise. A `Coupling` keeps the views built from its pairs (of
+its left marginal with the gaps, of the straight path between its
+marginals, of its right marginal), so that every call on one coupling
+reads the same sums.
 """
 
 from __future__ import annotations
@@ -53,12 +56,13 @@ class _PowerTables:
     rationals and `XiPoly`), at scale 1. `rows(exps)` is the table of the
     monomial with exponents `exps`: row k lists, vector by vector, the
     coefficient of xi^k in scale^|exps| * prod_c v_c^exps_c (a single row of
-    the products themselves unless `poly`). Each table is one elementwise
-    product of a smaller table and a coordinate's table, built on first use
-    and kept.
+    the products themselves unless `poly`). Only the coordinates' own
+    tables are kept: a view keeps every sum it reads from a table
+    (`MomentView.sums`), so a product table is built for one sum and
+    dropped.
     """
 
-    __slots__ = ("n", "scale", "poly", "exact", "_rows")
+    __slots__ = ("n", "scale", "poly", "exact", "_units")
 
     def __init__(self, vectors, exact):
         self.n = len(vectors)
@@ -79,29 +83,16 @@ class _PowerTables:
                 for col in columns
             ]
         self.scale = scale
-        dim = len(units)
-        self._rows = {(0,) * dim: [[1] * self.n]}
-        for c, table in enumerate(units):
-            self._rows[(0,) * c + (1,) + (0,) * (dim - c - 1)] = table
+        self._units = units
 
     def rows(self, exps):
-        """The table of `exps`, built when missing in a loop: lower the last
-        nonzero exponent until a table is cached, then multiply back up by
-        the unit tables. Only the requested table is kept; the ones in
-        between of a high-degree path view would hold cubically many bits."""
-        table = self._rows.get(exps)
-        if table is None:
-            steps = []
-            lower = exps
-            while table is None:
-                c = max(i for i, p in enumerate(lower) if p)
-                steps.append((0,) * c + (1,) + (0,) * (len(exps) - c - 1))
-                lower = lower[:c] + (lower[c] - 1,) + lower[c + 1 :]
-                table = self._rows.get(lower)
-            for unit in reversed(steps):
-                table = _times(table, self._rows[unit])
-            self._rows[exps] = table
-        return table
+        """The table of `exps`: the coordinates' tables multiplied one
+        factor at a time, coordinate 0 first."""
+        table = None
+        for unit, p in zip(self._units, exps):
+            for _ in range(p):
+                table = unit if table is None else _times(table, unit)
+        return [[1] * self.n] if table is None else table
 
 
 def _scaled(coeffs, k, scale):
@@ -201,7 +192,10 @@ class MomentView:
 
             sum_i prod_c (scale * atom_ic)^r_c * (gap_scale * gap_ic)^gap_exps_c,
 
-        which is N * scale^degree * gap_scale^|gap_exps| times the moment."""
+        which is N * scale^degree * gap_scale^|gap_exps| times the moment.
+        At scale 1 every lift is by 1, so one dict serves every degree."""
+        if degree is not None and self._atom_tables.scale == 1:
+            degree = 0
         table = self._sums.get((gap_exps, degree))
         if table is None:
             if any(gap_exps) and self.gaps is None:
@@ -218,21 +212,22 @@ class MomentView:
 
 
 class _Lifted(dict):
-    """`MomentView.sums`: filled by `__missing__` from the power tables. It
-    holds the tables, not the view, so that a view is freed with its last
-    reference rather than by the cycle collector."""
+    """`MomentView.sums`: filled by `__missing__` from the power tables and
+    the gap weights of `gap`, built once. It holds the tables, not the view,
+    so that a view is freed with its last reference rather than by the cycle
+    collector."""
 
-    __slots__ = ("atoms", "gaps", "gap", "degree")
+    __slots__ = ("atoms", "gaps", "gap", "degree", "weights")
 
     def __init__(self, atoms, gaps, gap, degree):
         self.atoms, self.gaps, self.gap, self.degree = atoms, gaps, gap, degree
+        self.weights = gaps.rows(gap)[0] if any(gap) else None
 
     def __missing__(self, exps):
         atoms = self.atoms
         rows = atoms.rows(exps)
-        if any(self.gap):
-            (weights,) = self.gaps.rows(self.gap)
-            sums = [sum(map(operator.mul, row, weights)) for row in rows]
+        if self.weights is not None:
+            sums = [sum(map(operator.mul, row, self.weights)) for row in rows]
         else:
             sums = [sum(row) for row in rows]
         if self.degree is None:  # the moment: divide by N * scale^|r| * gap_scale^|gap|
@@ -245,8 +240,10 @@ class _Lifted(dict):
             else:
                 value = Fraction(sums[0], denom)
         else:
-            lift = atoms.scale ** (self.degree - sum(exps))
-            value = [s * lift for s in sums] if atoms.poly else sums[0] * lift
+            value = sums if atoms.poly else sums[0]
+            if atoms.scale != 1:
+                lift = atoms.scale ** (self.degree - sum(exps))
+                value = [s * lift for s in sums] if atoms.poly else value * lift
         self[exps] = value
         return value
 
@@ -280,10 +277,17 @@ class EmpiricalMeasure(MomentView):
 class Coupling:
     """Uniform measure on N point pairs (x_i, y_i) in R^e + R^e.
 
-    The marginals are the empirical measures of the two columns.
+    The marginals are the empirical measures of the two columns. Every term
+    of an expansion integrates against the same coupling, so the coupling
+    keeps what it derives from its pairs, each built on first use: the gaps
+    y_i - x_i and their squares, the base, path and target views with their
+    sums, and the float moments. The pairs and the dimension are read-only,
+    so that this state never goes stale, and it dies with the coupling.
+    Threads that race on a first use each build an equal value, and one of
+    them is kept.
     """
 
-    __slots__ = ("pairs", "dim", "_gap_squares")
+    __slots__ = ("_pairs", "_dim", "_gaps", "_gap_squares", "_base", "_path", "_target", "_moments")
 
     def __init__(self, pairs):
         pairs = [(_as_point(x), _as_point(y)) for x, y in pairs]
@@ -292,9 +296,18 @@ class Coupling:
         dim = len(pairs[0][0])
         if any(len(x) != dim or len(y) != dim for x, y in pairs):
             raise ValidationError("pairs of mixed dimension")
-        self.pairs = tuple(pairs)
-        self.dim = dim
-        self._gap_squares = None
+        self._pairs = tuple(pairs)
+        self._dim = dim
+        self._gaps = self._gap_squares = self._base = self._path = self._target = None
+        self._moments = {}
+
+    @property
+    def pairs(self):
+        return self._pairs
+
+    @property
+    def dim(self):
+        return self._dim
 
     @property
     def n_atoms(self):
@@ -307,17 +320,38 @@ class Coupling:
         return EmpiricalMeasure([y for _, y in self.pairs])
 
     def gaps(self):
-        """Displacements y_i - x_i."""
-        return [tuple(b - a for a, b in zip(x, y)) for x, y in self.pairs]
+        """Displacements y_i - x_i, a tuple of tuples, kept."""
+        if self._gaps is None:
+            self._gaps = tuple(tuple(b - a for a, b in zip(x, y)) for x, y in self.pairs)
+        return self._gaps
 
     def gap_squares(self):
         """|y_i - x_i|^2 per pair, exact for rational points, computed on
         first use and kept."""
         if self._gap_squares is None:
-            self._gap_squares = [
-                sum((b - a) ** 2 for a, b in zip(x, y)) for x, y in self.pairs
-            ]
+            self._gap_squares = [sum(g**2 for g in gap) for gap in self.gaps()]
         return self._gap_squares
+
+    def base_view(self):
+        """The view of the left marginal carrying the gaps, which the
+        averaged coupling variables of a contraction read; kept."""
+        if self._base is None:
+            self._base = MomentView([x for x, _ in self.pairs], self.dim, self.gaps())
+        return self._base
+
+    def path_view(self):
+        """The base view moved onto the straight path x + xi * (y - x), its
+        coordinates in `XiPoly`, sharing the base view's gap tables; kept."""
+        if self._path is None:
+            atoms = [_affine_point(x, gap) for (x, _), gap in zip(self.pairs, self.gaps())]
+            self._path = self.base_view().with_atoms(atoms)
+        return self._path
+
+    def target_view(self):
+        """The view of the right marginal, without gaps; kept."""
+        if self._target is None:
+            self._target = MomentView([y for _, y in self.pairs], self.dim)
+        return self._target
 
     def to_json(self):
         return [[[str(c) for c in x], [str(c) for c in y]] for x, y in self.pairs]
@@ -328,6 +362,11 @@ class Coupling:
 
     def __repr__(self):
         return f"Coupling({len(self.pairs)} pairs in R^{self.dim})"
+
+
+def _affine_point(x, gap):
+    """Point whose coordinates follow the straight path x + xi * gap."""
+    return tuple(XiPoly.affine(a, g) for a, g in zip(x, gap))
 
 
 def pair_coupling(x, y):
@@ -353,6 +392,7 @@ def coupling_moment(coupling, p, exact=False):
 
     With exact=True the result is a Fraction; this requires p even or
     dimension 1 (odd powers of Euclidean norms are irrational in general).
+    A float moment is kept on the coupling by p.
     """
     n = coupling.n_atoms
     if exact:
@@ -366,8 +406,11 @@ def coupling_moment(coupling, p, exact=False):
             "odd-power moments of multi-dimensional gaps are irrational; "
             "use float mode"
         )
-    total = sum(float(sq) ** (p / 2) for sq in coupling.gap_squares())
-    return total / n
+    moment = coupling._moments.get(p)
+    if moment is None:
+        total = sum(float(sq) ** (p / 2) for sq in coupling.gap_squares())
+        moment = coupling._moments[p] = total / n
+    return moment
 
 
 def load_points(path):

@@ -8,12 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from lionsjet import expansion, functional
+from lionsjet import expansion, functional, measures
 from lionsjet.errors import ValidationError
 from lionsjet.expansion import (
     _affine_point,
     _at_one,
-    _coupling_views,
     _family_sides,
     _integrate_entry,
     convergence_study,
@@ -33,7 +32,7 @@ from lionsjet.functional import (
     normalize_box,
     norms_on_box,
 )
-from lionsjet.measures import EmpiricalMeasure, pair_coupling
+from lionsjet.measures import EmpiricalMeasure, MomentView, pair_coupling
 from lionsjet.poly import XiPoly
 from lionsjet.tagged import (
     Grading,
@@ -568,6 +567,14 @@ def test_bound_rejects_data_outside_box():
     c = pair_coupling([(F(5),)], [(F(0),)])
     with pytest.raises(ValidationError):
         remainder_bound1(f, c, 1, (-1, 1))
+    # the box is closed, and a rational point just past it is outside even
+    # where it rounds to the edge as a float
+    past = F(4) + F(1, 10**20)
+    assert float(past) == 4.0
+    remainder_bound1(f, pair_coupling([(F(4),)], [(F(-4),)]), 1, (-4, 4))
+    for x, y in (((past,), (F(0),)), ((F(0),), (-past,))):
+        with pytest.raises(ValidationError, match="outside box"):
+            remainder_bound1(f, pair_coupling([x], [y]), 1, (-4, 4))
 
 
 def test_bound_is_never_nan_when_a_constant_overflows():
@@ -868,10 +875,13 @@ def _orbit_cases(as_float=False):
 def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
     """The jet raws and remainder terms of the graded expansion, each
     sequence contracted on its own derivative: a fresh `lions_derivative` of
-    base + values, never of another member of its orbit."""
+    base + values, never of another member of its orbit, against fresh
+    views of the coupling, never the ones it keeps."""
     base = TaggedSeq(base)
     m0, n0 = base.m, len(base)
-    base_view, path_view = _coupling_views(c)
+    gaps = [tuple(b - a for a, b in zip(x, y)) for x, y in c.pairs]
+    base_view = MomentView([x for x, _ in c.pairs], c.dim, gaps)
+    path_view = MomentView([_affine_point(x, g) for (x, _), g in zip(c.pairs, gaps)], c.dim, gaps)
     starts = [tuple(x) for x, _ in pairs]
     disps = [tuple(b - a for a, b in zip(x, y)) for x, y in pairs]
     paths = [_affine_point(x, disp) for (x, _), disp in zip(pairs, disps)]
@@ -1009,6 +1019,39 @@ def _lip_sequences(record):
         out.append(("lip_measure", [values + (k + 1,)]))
         out.append(("lip_free", [values + (q,) for q in range(1, k + 1)]))
     return out
+
+
+def test_a_coupling_keeps_its_views_and_moments_for_itself(monkeypatch):
+    rng = random.Random(30)
+    f = random_functional(rng, 2, 2, False, degree=4)
+    assert f.kernel.degree == 4  # so that the path view is read
+    points = [random_point(rng, 2) for _ in range(6)]
+    c = pair_coupling(points[:3], points[3:])
+    mu = c.left()
+
+    def kept(d):
+        return d._gaps, d._gap_squares, d._base, d._path, d._target, d._moments
+
+    assert kept(c) == (None,) * 5 + ({},)
+    first = taylor1(f, mu, c, 3, box=(-4, 4)).to_json()
+    views = c.base_view(), c.path_view(), c.target_view()
+    moments = dict(c._moments)
+    assert moments and all(view._sums for view in views)
+    built = []
+    init = measures._PowerTables.__init__
+    monkeypatch.setattr(
+        measures._PowerTables, "__init__", lambda self, *args: built.append(1) or init(self, *args)
+    )
+    # a second call on the coupling reads the same views and builds no table
+    assert taylor1(f, mu, c, 3, box=(-4, 4)).to_json() == first
+    assert not built and c._moments == moments
+    assert all(a is b for a, b in zip((c.base_view(), c.path_view(), c.target_view()), views))
+    # a coupling with equal pairs starts with nothing kept and builds its own
+    twin = pair_coupling(points[:3], points[3:])
+    assert kept(twin) == (None,) * 5 + ({},)
+    assert taylor1(f, mu, twin, 3, box=(-4, 4)).to_json() == first
+    assert built and twin._moments == moments
+    assert all(a is not b for a, b in zip((twin.base_view(), twin.path_view(), twin.target_view()), views))
 
 
 def test_bound_constants_equal_certified_sup_of_their_own_sequence():

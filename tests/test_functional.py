@@ -627,31 +627,41 @@ def test_a_new_functional_starts_with_an_empty_cache():
 THREADS = 4  # more than the cores of a small host, so that threads preempt each other
 
 
-def test_threads_sharing_a_fresh_functional_agree_with_a_serial_run():
+def _kept_sums(view):
+    return {key: dict(sums) for key, sums in view._sums.items()}
+
+
+def test_threads_sharing_a_fresh_functional_and_coupling_agree_with_a_serial_run():
     rng = random.Random(18)
     kernel = random_functional(rng, 2, 2, True, degree=4, d=2).kernel
     points = [random_point(rng, 2) for _ in range(6)]
-    c = pair_coupling(points[:3], points[3:])
     x0, y0 = random_point(rng, 2), random_point(rng, 2)
     g = Grading(F(1, 2), 1, F(9, 4))
-    serial_f = PolyFunctional(kernel)
-    serial = taylor2(serial_f, x0, y0, c, g, box=(-4, 4)).to_json()
+    serial_f, serial_c = PolyFunctional(kernel), pair_coupling(points[:3], points[3:])
+    serial = taylor2(serial_f, x0, y0, serial_c, g, box=(-4, 4)).to_json()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so that the compiles interleave
     try:
         for _ in range(10):
-            f = PolyFunctional(kernel)
+            f, c = PolyFunctional(kernel), pair_coupling(points[:3], points[3:])
             start = threading.Barrier(THREADS)
 
-            def expand(_, f=f, start=start):
+            def expand(_, f=f, c=c, start=start):
                 start.wait(timeout=60)
                 return taylor2(f, x0, y0, c, g, box=(-4, 4)).to_json()
 
             with ThreadPoolExecutor(max_workers=THREADS) as pool:
                 results = list(pool.map(expand, range(THREADS), timeout=120))
             assert results == [serial] * THREADS
-            # every write stored an equal value under its key
+            # every write stored an equal value under its key; a view that
+            # lost a race to be kept holds what its own thread asked for
             assert f._joints == serial_f._joints
+            assert c._moments == serial_c._moments
+            for view in ("base_view", "path_view", "target_view"):
+                kept, want = (_kept_sums(getattr(d, view)()) for d in (c, serial_c))
+                assert kept.keys() <= want.keys()
+                for key, sums in kept.items():
+                    assert sums.items() <= want[key].items()
     finally:
         sys.setswitchinterval(interval)
 

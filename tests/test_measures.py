@@ -92,6 +92,18 @@ def test_coupling_moment_examples():
     assert coupling_moment(c3, 3, exact=True) == Fraction(1, 216)
 
 
+def test_pairs_and_dimension_are_read_only_so_kept_moments_stay_right():
+    c = pair_coupling([(0,)], [(1,)])
+    assert c.gap_squares() == [1] and coupling_moment(c, 2) == 1.0
+    with pytest.raises(AttributeError):
+        c.pairs = (((Fraction(0),), (Fraction(3),)),)
+    with pytest.raises(AttributeError):
+        c.dim = 2
+    assert c.pairs == (((Fraction(0),), (Fraction(1),)),) and c.dim == 1
+    assert coupling_moment(c, 2, exact=True) == 1 and coupling_moment(c, 2) == 1.0
+    assert coupling_moment(pair_coupling([(0,)], [(3,)]), 2, exact=True) == 9
+
+
 def test_gap_squares_are_computed_once_and_serve_every_power():
     c = pair_coupling([(Fraction(1, 2), 0), (-1, 2)], [(Fraction(3, 2), 1), (0, 0)])
     squares = c.gap_squares()
