@@ -12,9 +12,13 @@ path and target views, which share their gap tables, with their sums,
 so every expansion, bound and evaluation on one coupling reads the
 same ones; the start and path points of the tagged slots are one-atom
 views built once per call. With rational data the tables are scaled once
-per view, the contraction runs on integers, the monomials share one
-denominator and each output entry is divided once; float data runs the
-same loop on the values as given. Each derivative compiles its joint
+per view, the contraction runs on integers and returns integer numerators
+over one denominator (`poly.RationalTensor`), and the engine keeps them:
+the jet's 1/k!, the remainder's path integral and 1/r!, the prediction
+sums and actual - predicted stay in integers, and each output entry is
+divided once, into a reduced Fraction, when the result is built. Float
+data runs the same loop on the values as given, and any step that meets
+a float tensor takes the Fractions instead. Each derivative compiles its joint
 polynomials once per functional and keeps them on it, so every later
 expansion, bound or study of that functional, and both the base and the
 path contraction, read the same cells. Truncating the expansion at an
@@ -85,16 +89,16 @@ from fractions import Fraction
 from .errors import ValidationError
 from .functional import (
     MomentView,
+    _as_tensor,
     _certified_sup,
     _vanishes,
     contract_derivative,
-    eval_derivative,
     lions_derivative,
     normalize_box,
 )
 from .measures import EmpiricalMeasure, _affine_point, coupling_moment, pair_coupling
 from .partitions import PartitionSeq
-from .poly import Tensor, XiPoly, format_rational
+from .poly import RationalTensor, Tensor, XiPoly, format_rational
 from .tagged import (
     ExtendedSeq,
     Grading,
@@ -205,6 +209,17 @@ def _at_one(value):
     return value.eval(Fraction(1)) if isinstance(value, XiPoly) else value
 
 
+def _integrated(acc, r):
+    """A remainder integrand integrated: entry by entry the integral over
+    [0, 1] of acc(xi) * (1 - xi)^r / r!, or acc at xi = 1 when r < 0 (the
+    empty sequence). Integer numerators stay integers."""
+    if isinstance(acc, RationalTensor):
+        return acc.taylor_integral(r)
+    if r < 0:
+        return acc.map(_at_one)
+    return acc.map(lambda v: _integrate_entry(v, r)).scale(Fraction(1, math.factorial(r)))
+
+
 def _check_dimension(f, c, points):
     """Every atom and every given point has the kernel's e coordinates."""
     e = f.kernel.e
@@ -245,7 +260,7 @@ def eval_Da(f, a, x0, displacement, mu, c):
     if not f.has_spatial and (x0 is not None or displacement is not None):
         raise ValidationError("functional has no spatial argument")
     dirvecs = [tuple(displacement) if v == 0 else v - 1 for v in a.values]
-    return contract_derivative(lions_derivative(f, a), x0, c.base_view(), [], dirvecs)
+    return _as_tensor(contract_derivative(lions_derivative(f, a), x0, c.base_view(), [], dirvecs))
 
 
 def _family_sides(alpha, beta):
@@ -380,13 +395,17 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
     shape = (f.kernel.d,) + (f.kernel.e,) * len(base)  # of every jet and remainder term
     seq_type = TaggedSeq if f.has_spatial else PartitionSeq
     reps, jet_terms = {}, []  # reps: each core member's orbit, None when it vanishes
+    jets = {}  # by orbit: its value as contracted, then its value and raw as Tensors
     for values, rep, raw, value in _jet_loop(key, evaluate, core):
         reps[values] = rep
         seq = _built(ExtendedSeq, values, base) if base else _built(seq_type, values)
         if rep is None:
             jet_terms.append(JetTerm(seq, Tensor(shape), Tensor(shape)))
-        else:
-            jet_terms.append(JetTerm(seq, Tensor(shape, value.data), Tensor(shape, raw.data)))
+            continue
+        if rep not in jets:
+            jets[rep] = (value, _as_tensor(value), _as_tensor(raw))
+        _, value, raw = jets[rep]
+        jet_terms.append(JetTerm(seq, Tensor(shape, value.data), Tensor(shape, raw.data)))
     if not f.has_spatial:
         jet_terms.sort(key=lambda term: len(term.seq))
 
@@ -399,33 +418,30 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
                 continue
             term = integrated.get((rep, moving, frozen))
             if term is None:
-                r = len(values) - 1
                 acc = evaluate(rep, *moving) - evaluate(rep, *frozen)
-                if r < 0:
-                    term = acc.map(_at_one)
-                else:
-                    term = acc.map(lambda v: _integrate_entry(v, r)).scale(
-                        Fraction(1, math.factorial(r))
-                    )
-                integrated[rep, moving, frozen] = term
+                term = integrated[rep, moving, frozen] = _as_tensor(
+                    _integrated(acc, len(values) - 1)
+                )
             remainder_terms[(family, values)] = Tensor(term.shape, term.data)
 
     targets = [tuple(y) for _, y in tagged_pairs]
-    actual = eval_derivative(
+    actual = contract_derivative(  # `eval_derivative` at the targets, kept in integers
         lions_derivative(f, base),
         targets[0] if f.has_spatial else None,
         c.target_view(),
         targets[1:],
+        [None] * len(base),
     )
-    predicted = Tensor(actual.shape)
+    predicted = RationalTensor(shape, [0] * math.prod(shape), 1)  # an exact zero
     for term in jet_terms:
-        if reps[term.seq.values] is not None:
-            predicted = predicted + term.value
+        rep = reps[term.seq.values]
+        if rep is not None:
+            predicted = predicted + jets[rep][0]
     result = ExpansionResult(
         jet=jet_terms,
-        predicted=predicted,
-        actual=actual,
-        remainder_exact=actual - predicted,
+        predicted=_as_tensor(predicted),
+        actual=_as_tensor(actual),
+        remainder_exact=_as_tensor(actual - predicted),
         remainder_terms=remainder_terms,
         meta=meta,
     )
@@ -467,11 +483,26 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
     return _graded_engine(f, a, pairs, c, *plan)
 
 
-def _check_box_membership(box, points):
-    for p in points:
-        for (lo, hi), coord in zip(box, p):
-            if not lo <= coord <= hi:  # exact: a Fraction compares with a float exactly
-                raise ValidationError(f"point {p} outside box")
+def _check_box_membership(box, c, points):
+    """Every atom of the coupling `c` and every one of `points` lies in the
+    box, compared exactly: a float coordinate with the float endpoints, any
+    other with the endpoints as Fractions (each float is one exactly). The
+    atoms are checked by the two corners of the coupling's kept bounding
+    box; only when a corner lies outside are they scanned, to name one."""
+    exact = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+
+    def outside(p):
+        return any(
+            not (lo <= coord <= hi if type(coord) is float else q_lo <= coord <= q_hi)
+            for (lo, hi), (q_lo, q_hi), coord in zip(box, exact, p)
+        )
+
+    scan = list(points)
+    if any(map(outside, c.bounding_box())):
+        scan = [x for x, _ in c.pairs] + [y for _, y in c.pairs] + scan
+    for p in scan:
+        if outside(p):
+            raise ValidationError(f"point {p} outside box")
 
 
 def _product(constant, *factors):
@@ -509,9 +540,7 @@ def _bound_terms(f, tagged_pairs, c, families, box, lips):
     """
     box = normalize_box(box, f.kernel.e)
     _check_pairs(f, c, tagged_pairs)
-    _check_box_membership(box, [x for x, _ in c.pairs])
-    _check_box_membership(box, [y for _, y in c.pairs])
-    _check_box_membership(box, [p for pair in tagged_pairs for p in pair])
+    _check_box_membership(box, c, [p for pair in tagged_pairs for p in pair])
     disp_norm = math.sqrt(
         sum((float(b) - float(a)) ** 2 for x, y in tagged_pairs for a, b in zip(x, y))
     )
@@ -608,8 +637,10 @@ def convergence_study(
     once, at h = 1, and summed by length into J_k, and the prediction at h
     is the sum of h^k J_k. Per scale only f at the scaled target is
     evaluated, from one compiled empty-sequence derivative. With rational
-    points and scales the rows equal those of a full expansion at every h;
-    a float h or float points may move a row by rounding.
+    points and scales, J_k, h^k J_k and the remainder stay integer
+    numerators over one denominator, and the rows equal those of a full
+    expansion at every h; a float h or float points may move a row by
+    rounding.
 
     The truncation is planned once (`_plan`): the jet reads its
     core, and every scale's bound reads its families. The box Lipschitz
@@ -666,10 +697,10 @@ def convergence_study(
     lips = {}
     for h in hs:
         c, pairs = scaled(h)
-        rem = eval_derivative(f_at, pairs[0][1] if graded else None, c.target_view(), [])
+        rem = contract_derivative(f_at, pairs[0][1] if graded else None, c.target_view(), [], [])
         for k, jet in jets.items():
             rem = rem - jet.scale(h**k)
-        norm = math.sqrt(sum(float(v) ** 2 for v in rem.data))
+        norm = math.sqrt(sum(float(v) ** 2 for v in _as_tensor(rem).data))
         bound = None
         if box is not None:
             bound = _bound_terms(f, pairs, c, families, box, lips)[0]

@@ -24,8 +24,10 @@ coordinate and slot for a fresh one. The contraction, the certified sup and
 the grid report all read that form; only the reference evaluator
 `eval_derivative_brute` walks the terms. The contraction is one loop over
 the cells that reads the power tables of its `measures.MomentView`s: in
-integers, with one denominator, when every input is rational, and on the
-values as given (floats, symbolic or mixed data) otherwise. A derivative longer than the
+integers when every input is rational, returning integer numerators over
+one denominator (`poly.RationalTensor`) for the expansion to keep in
+integers, and on the values as given (floats, symbolic or mixed data)
+otherwise. `eval_derivative` divides each entry once. A derivative longer than the
 kernel degree, or with more free variables than the kernel arity, vanishes
 identically (`_vanishes`): it has no cells, and the expansion engine skips
 it without building it.
@@ -40,7 +42,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .measures import MomentView  # re-exported
-from .poly import MPoly, Tensor, XiPoly, format_rational, parse_rational
+from .poly import MPoly, RationalTensor, Tensor, format_rational, parse_rational
 from .tagged import TaggedSeq, as_tagged
 
 
@@ -424,7 +426,13 @@ def eval_derivative(ts, x0, mu, free):
     e = kernel.e
     if mu.dim != e or any(len(p) != e for p in [x0, *free] if p is not None):
         raise ValidationError(f"points and atoms must have e = {e} coordinates, as the kernel has")
-    return contract_derivative(ts, x0, mu, free, [None] * ts.order)
+    return _as_tensor(contract_derivative(ts, x0, mu, free, [None] * ts.order))
+
+
+def _as_tensor(t):
+    """A contraction's result as a `Tensor`: its entries divided once when
+    it holds integer numerators."""
+    return t.tensor() if isinstance(t, RationalTensor) else t
 
 
 def eval_derivative_brute(ts, x0, mu, free):
@@ -482,10 +490,13 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     scaled by the lcm of their denominators. All monomials then share one
     denominator: those scales, N * scale^D per group, and the gap scale to
     the number of gap directions. Each output entry sums plain ints
-    (xi-coefficient lists on the path) and is divided once; a path entry
-    without xi terms is a Fraction. Otherwise (float, symbolic or mixed
-    data) the same loop reads each group's moments, skips a moment without
-    exponents or gap (it is 1) and takes coefficients and vectors as given.
+    (xi-coefficient lists on the path), and the result is a
+    `RationalTensor` of those numerators over that denominator, whose
+    `tensor()` divides each entry once. Otherwise
+    (float, symbolic or mixed data) the same loop reads each group's
+    moments, skips a moment without exponents or gap (it is 1), takes
+    coefficients and vectors as given and returns a `Tensor`. A derivative
+    without cells contracts to an exact zero, a `RationalTensor` over 1.
     """
     kernel = ts.kernel
     e = kernel.e
@@ -497,10 +508,10 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             gap_dirs.append((p, v))
         else:
             vec_dirs.append((p, v))
-    out = Tensor((kernel.d,) + (e,) * len(free_dirs))
+    shape = (kernel.d,) + (e,) * len(free_dirs)
     joint = ts.joint()
-    if not joint:
-        return out
+    if not joint:  # an exact zero, whatever the data
+        return RationalTensor(shape, [0] * math.prod(shape), 1)
     points = ([x0] if kernel.has_spatial else []) + list(free)
     given = [p if isinstance(p, MomentView) else MomentView([p], e) for p in points]
     views = given + [mu] * (ts.n_groups - len(given))
@@ -511,6 +522,7 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
         and all(view.exact for view in given)
         and all(type(c) in (int, Fraction) for _, vec in vec_dirs for c in vec)
     )
+    out = Tensor(shape, [0] * math.prod(shape)) if exact else Tensor(shape)
     if exact:
         den, weights, degree = unit, [], kernel.degree - ts.order
         for p, vec in vec_dirs:
@@ -567,13 +579,8 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
                     total += term
             sums[idx] = sums.get(idx, 0) + total * weight
     for idx, total in sums.items():
-        if not exact:
-            out[idx] = total
-        elif path and any(total[1:]):
-            out[idx] = XiPoly([Fraction(t, den) for t in total])
-        else:
-            out[idx] = Fraction(total[0] if path else total, den)
-    return out
+        out[idx] = total
+    return RationalTensor(shape, out.data, den) if exact else out
 
 
 def _xi_times(a, b):

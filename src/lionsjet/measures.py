@@ -10,8 +10,8 @@ points. Every moment of a view is a sum over its power tables, which are
 scaled to integers when the atoms and gaps are rational and keep the values
 as given otherwise. A `Coupling` keeps the views built from its pairs (of
 its left marginal with the gaps, of the straight path between its
-marginals, of its right marginal), so that every call on one coupling
-reads the same sums.
+marginals, of its right marginal) and the bounding box of its atoms, so
+that every call on one coupling reads the same sums and box.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class MomentView:
 
     @property
     def n_atoms(self):
-        return len(self.atoms)
+        return self._atom_tables.n
 
     @property
     def exact(self):
@@ -281,13 +281,16 @@ class Coupling:
     of an expansion integrates against the same coupling, so the coupling
     keeps what it derives from its pairs, each built on first use: the gaps
     y_i - x_i and their squares, the base, path and target views with their
-    sums, and the float moments. The pairs and the dimension are read-only,
-    so that this state never goes stale, and it dies with the coupling.
+    sums, the float moments and the bounding box of its atoms. The pairs
+    and the dimension are read-only, so that this state never goes stale,
+    and it dies with the coupling.
     Threads that race on a first use each build an equal value, and one of
     them is kept.
     """
 
-    __slots__ = ("_pairs", "_dim", "_gaps", "_gap_squares", "_base", "_path", "_target", "_moments")
+    __slots__ = (
+        "_pairs", "_dim", "_gaps", "_gap_squares", "_base", "_path", "_target", "_moments", "_box"
+    )
 
     def __init__(self, pairs):
         pairs = [(_as_point(x), _as_point(y)) for x, y in pairs]
@@ -298,7 +301,7 @@ class Coupling:
             raise ValidationError("pairs of mixed dimension")
         self._pairs = tuple(pairs)
         self._dim = dim
-        self._gaps = self._gap_squares = self._base = self._path = self._target = None
+        self._gaps = self._gap_squares = self._base = self._path = self._target = self._box = None
         self._moments = {}
 
     @property
@@ -332,6 +335,14 @@ class Coupling:
             self._gap_squares = [sum(g**2 for g in gap) for gap in self.gaps()]
         return self._gap_squares
 
+    def bounding_box(self):
+        """(lows, highs): per coordinate, the least and the greatest value
+        over both columns, compared exactly, kept."""
+        if self._box is None:
+            columns = list(zip(*(p for pair in self.pairs for p in pair)))
+            self._box = (tuple(map(min, columns)), tuple(map(max, columns)))
+        return self._box
+
     def base_view(self):
         """The view of the left marginal carrying the gaps, which the
         averaged coupling variables of a contraction read; kept."""
@@ -341,10 +352,15 @@ class Coupling:
 
     def path_view(self):
         """The base view moved onto the straight path x + xi * (y - x), its
-        coordinates in `XiPoly`, sharing the base view's gap tables; kept."""
+        coordinates in `XiPoly`, sharing the base view's gap tables; kept.
+        Its power tables hold all that a contraction reads, so its `XiPoly`
+        atoms are dropped once they are built: `atoms` is None, and
+        `n_atoms` still counts them."""
         if self._path is None:
             atoms = [_affine_point(x, gap) for (x, _), gap in zip(self.pairs, self.gaps())]
-            self._path = self.base_view().with_atoms(atoms)
+            view = self.base_view().with_atoms(atoms)
+            view.atoms = None
+            self._path = view
         return self._path
 
     def target_view(self):

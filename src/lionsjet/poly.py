@@ -339,11 +339,15 @@ class Tensor:
         self.data[self._offset(idx)] = value
 
     def __add__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return Tensor(self.shape, [a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return Tensor(self.shape, [a - b for a, b in zip(self.data, other.data)])
@@ -383,3 +387,91 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, data={self.data})"
+
+
+class RationalTensor:
+    """A tensor of rationals held as int numerators over one positive
+    denominator `den`: each entry of `data` is an int or, for a polynomial
+    in the interpolation parameter xi, a list of ints, its xi-coefficients.
+
+    This is what an exact contraction returns. Sums, differences, rational
+    scales and the remainder's path integral (`taylor_integral`) stay in
+    integers; `tensor()` divides each entry once, into the reduced
+    `Fraction` (or `XiPoly`) of a `Tensor`. Any other operand, a float
+    scale or a `Tensor`, meets that tensor instead. Immutable by convention:
+    results may share `data` with their operands.
+    """
+
+    __slots__ = ("shape", "data", "den")
+
+    def __init__(self, shape, data, den):
+        self.shape, self.data, self.den = tuple(shape), data, den
+
+    def tensor(self):
+        den, data = self.den, []
+        for v in self.data:
+            if type(v) is not int:
+                if any(v[1:]):
+                    data.append(XiPoly([Fraction(t, den) for t in v]))
+                    continue
+                v = v[0]
+            data.append(Fraction(v, den) if v else ZERO)
+        return Tensor(self.shape, data)
+
+    def _combine(self, other, sign):
+        if not isinstance(other, RationalTensor):
+            return self.tensor() + other if sign > 0 else self.tensor() - other
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return RationalTensor(self.shape, [_lin(x, a, y, b) for x, y in zip(self.data, other.data)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __radd__(self, other):
+        return other + self.tensor()
+
+    def __rsub__(self, other):
+        return other - self.tensor()
+
+    def scale(self, factor):
+        """The tensor times `factor`: in integers for an int or a Fraction."""
+        if type(factor) not in (int, Fraction):
+            return self.tensor().scale(factor)
+        num = factor.numerator
+        data = self.data if num == 1 else [_lin(x, num, 0, 0) for x in self.data]
+        return RationalTensor(self.shape, data, self.den * factor.denominator)
+
+    def taylor_integral(self, r):
+        """Entry by entry, the integral over [0, 1] of v(xi) (1 - xi)^r / r!
+        (the value at xi = 1 when r < 0), as ints over one denominator.
+
+        The Beta integral gives xi^k the weight k! / (k + r + 1)!, so over
+        the denominator top! = (K + r)!, for entries of at most K
+        coefficients, xi^k weighs k! * top! / (k + r + 1)!."""
+        data = self.data
+        if r < 0:
+            return RationalTensor(self.shape, [v if type(v) is int else sum(v) for v in data], self.den)
+        top = max([len(v) for v in data if type(v) is not int] or [1]) + r
+        full = math.factorial(top)
+        weights = [math.factorial(k) * (full // math.factorial(k + r + 1)) for k in range(top - r)]
+        data = [v * weights[0] if type(v) is int else sum(c * w for c, w in zip(v, weights)) for v in data]
+        return RationalTensor(self.shape, data, self.den * full)
+
+
+def _lin(x, a, y, b):
+    """x * a + y * b for ints a, b and entries x, y that are ints or int
+    xi-coefficient lists."""
+    if type(x) is int and type(y) is int:
+        return x * a + y * b
+    x = [x] if type(x) is int else x
+    y = [y] if type(y) is int else y
+    out = [t * a for t in x] + [0] * (len(y) - len(x))
+    for k, t in enumerate(y):
+        out[k] += t * b
+    return out

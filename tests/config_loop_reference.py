@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from lionsjet.expansion import _at_one, _integrate_entry
-from lionsjet.functional import MomentView, contract_derivative, lions_derivative
+from lionsjet.functional import MomentView, _as_tensor, contract_derivative, lions_derivative
 from lionsjet.partitions import enum_A
 from lionsjet.poly import XiPoly
 from lionsjet.tagged import TaggedSeq, as_tagged, graded_families_ext
@@ -33,7 +33,7 @@ def config_average(ts, x0, view, fixed, directions, n_avg, gaps):
     for idx in itertools.product(range(n), repeat=n_avg):
         free = list(fixed) + [view.atoms[i] for i in idx]
         dirvecs = [gaps[idx[v]] if isinstance(v, int) else v for v in directions]
-        term = contract_derivative(ts, x0, view, free, dirvecs)
+        term = _as_tensor(contract_derivative(ts, x0, view, free, dirvecs))
         total = term if total is None else total + term
     return total.scale(Fraction(1, n**n_avg))
 

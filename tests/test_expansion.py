@@ -24,6 +24,7 @@ from lionsjet.expansion import (
     taylor_derivative,
 )
 from lionsjet.functional import (
+    _as_tensor,
     _certified_sup,
     _vanishes,
     contract_derivative,
@@ -33,7 +34,7 @@ from lionsjet.functional import (
     norms_on_box,
 )
 from lionsjet.measures import EmpiricalMeasure, MomentView, pair_coupling
-from lionsjet.poly import XiPoly
+from lionsjet.poly import RationalTensor, XiPoly
 from lionsjet.tagged import (
     Grading,
     TaggedSeq,
@@ -187,6 +188,29 @@ def test_xi_integration_identities():
         assert one.integrate_weighted(n - 1) * F(1, math.factorial(n - 1)) == F(
             1, math.factorial(n)
         )
+
+
+def test_integer_numerators_compute_what_their_fractions_do():
+    # sums, scales and the remainder's path integral on int numerators over
+    # one denominator, against the same steps on the Fractions they stand for
+    rng = random.Random(8)
+    for _ in range(20):
+        def numerators():
+            data = [rng.randint(-9, 9) for _ in range(3)]
+            data += [[rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] for _ in range(3)]
+            return RationalTensor((2, 3), data, rng.randint(1, 30))
+
+        a, b = numerators(), numerators()
+        q = F(rng.randint(-5, 5), rng.randint(1, 7))
+        r = rng.randint(-1, 4)
+        ta, tb = a.tensor(), b.tensor()
+        assert all(type(v) in (Fraction, XiPoly) for v in ta.data)
+        assert (a + b).tensor() == ta + tb and (a - b).tensor() == ta - tb
+        assert a.scale(q).tensor() == ta.scale(q)
+        assert a.taylor_integral(r).tensor() == expansion._integrated(ta, r)
+        # any other operand meets the Fractions
+        assert a.scale(0.5) == ta.scale(0.5) and a - tb == ta - tb and tb + a == tb + ta
+        assert type((tb - a).data[0]) is Fraction
 
 
 def test_taylor1_exactness_batch():
@@ -577,6 +601,104 @@ def test_bound_rejects_data_outside_box():
             remainder_bound1(f, pair_coupling([x], [y]), 1, (-4, 4))
 
 
+def test_box_membership_is_exact_at_a_float_edge():
+    # the float 0.1 is greater than 1/10, and 0.09999999999999999 less
+    tenth, half = F(1, 10), F(1, 2)
+    assert F(0.1) > tenth > F(0.09999999999999999)
+    f = kernel_1d({(2, 1): F(1)}, arity=2)
+    g = kernel_1d({(1, 1, 1): F(1)}, arity=2, spatial=True)
+    grading = Grading(1, 1, F(3, 2))
+    still = pair_coupling([(half,)], [(half,)])
+    bounds = {
+        "atom": lambda box: remainder_bound1(f, pair_coupling([(tenth,)], [(half,)]), 1, box),
+        "target": lambda box: remainder_bound1(f, pair_coupling([(half,)], [(tenth,)]), 1, box),
+        "spatial point": lambda box: remainder_bound2(g, (tenth,), (half,), still, grading, box),
+    }
+    for name, bound in bounds.items():
+        with pytest.raises(ValidationError, match="outside box"):
+            bound((0.1, 1))
+        assert bound((0.09999999999999999, 1)) >= 0.0, name
+    # a float coordinate meets the float endpoints as they are
+    on_edge = pair_coupling([(0.1,)], [(0.5,)])
+    assert remainder_bound1(f, on_edge, 1, (0.1, 1)) >= 0.0
+    with pytest.raises(ValidationError, match=r"point \(0\.1,\) outside box"):
+        remainder_bound1(f, on_edge, 1, (0.10000000000000002, 1))
+
+
+def test_a_second_bound_call_reads_the_kept_bounding_box(monkeypatch):
+    f = random_functional(random.Random(4), 2, 2, False)
+    c = pair_coupling([(F(1), F(-2)), (F(2), F(1, 3))], [(F(3), F(0)), (F(-1), F(2))])
+    seen = []
+    read = measures.Coupling.bounding_box
+    monkeypatch.setattr(
+        measures.Coupling, "bounding_box", lambda self: seen.append(self._box) or read(self)
+    )
+    first = remainder_bound1(f, c, 2, (-4, 4))
+    box = c._box
+    assert box == ((F(-1), F(-2)), (F(3), F(2)))
+    assert remainder_bound1(f, c, 2, (-4, 4)) == first
+    assert seen == [None, box] and c._box is box
+    # a corner outside the box is traced back to the point that put it there
+    with pytest.raises(ValidationError, match=r"point \(Fraction\(3, 1\), Fraction\(0, 1\)\)"):
+        remainder_bound1(f, c, 2, (-2, 2))
+
+
+def _entries(res):
+    """(tensor name, entry) of every entry of an expansion result."""
+    named = [(f"jet {term.seq.values} {part}", t) for term in res.jet
+             for part, t in (("value", term.value), ("raw", term.raw))]
+    named += [("predicted", res.predicted), ("actual", res.actual)]
+    named += [("remainder_exact", res.remainder_exact)]
+    named += [(f"remainder {key}", t) for key, t in res.remainder_terms.items()]
+    return [(name, v) for name, t in named for v in t.data]
+
+
+def test_rational_results_hold_fractions_and_float_results_floats():
+    rng = random.Random(23)
+    f1 = random_functional(rng, 2, 2, False, degree=4)
+    f2 = random_functional(rng, 2, 2, True, degree=4)
+    c = random_coupling(rng, 3, 2)
+    x0, y0, u, v = (random_point(rng, 2) for _ in range(4))
+    g = Grading(1, 1, F(5, 2))
+
+    def results(c, x0, y0, u, v):
+        yield taylor1(f1, c.left(), c, 3)
+        yield taylor2(f2, x0, y0, c, g)
+        yield taylor_derivative(f2, (1,), x0, y0, [u], [v], c, Grading(1, F(1, 2), 3))
+
+    for res in results(c, x0, y0, u, v):
+        entries = _entries(res)
+        assert all(type(v) is Fraction for _, v in entries)
+        assert any(v for _, v in entries)
+        assert all(isinstance(v, str) for v in _json_numbers(res.to_json()))
+
+    def floats(p):
+        return tuple(float(q) for q in p)
+
+    fc = pair_coupling([floats(x) for x, _ in c.pairs], [floats(y) for _, y in c.pairs])
+    for res in results(fc, *map(floats, (x0, y0, u, v))):
+        # a float everywhere but in the exact zeros of vanishing terms
+        entries = _entries(res)
+        assert all(type(v) is float or type(v) is Fraction and v == 0 for _, v in entries)
+        assert all(type(v) is float for name, v in entries if not name.startswith(("jet", "rem")))
+        assert all(isinstance(v, float) for v in _json_numbers(res.to_json()))
+
+
+def _json_numbers(data):
+    """The printed entries of the tensors of `ExpansionResult.to_json`."""
+    tensors = [t for term in data["jet"].values() for t in term.values()]
+    tensors += [data["predicted"], data["actual"], data["remainder_exact"]]
+    tensors += [t for family in data["remainder_terms"].values() for t in family.values()]
+    out = []
+
+    def walk(x):
+        for y in x:
+            walk(y) if isinstance(y, list) else out.append(y)
+
+    walk(tensors)
+    return out
+
+
 def test_bound_is_never_nan_when_a_constant_overflows():
     # on a box of half-width 1e308 the Lipschitz constants overflow to inf;
     # with a coupling that moves no atom (and x0 == y0) every moment and
@@ -840,7 +962,8 @@ def _orbit_cases(as_float=False):
     `taylor1` at orders 1-3, `taylor2` in its three grading branches and
     `taylor_derivative` on (0), (1) and (1, 2), on e = 2 kernels of arity 2.
     The base (1, 2) expands with its free letters among the tagged letters.
-    `run()` computes the expansion."""
+    `run()` computes the expansion. With `as_float` every point is a float;
+    with `as_float == "targets"` only the tagged targets are."""
     rng = random.Random("orbit-cases")
     e = 2
     f1 = random_functional(rng, e, 2, False, degree=5)
@@ -848,8 +971,11 @@ def _orbit_cases(as_float=False):
     c = random_coupling(rng, 2, e)
     x0, y0 = random_point(rng, e), random_point(rng, e)
     free = [(random_point(rng, e), random_point(rng, e)) for _ in range(2)]
-    if as_float:
-        point = lambda p: tuple(map(float, p))
+    point = lambda p: tuple(map(float, p))
+    if as_float == "targets":
+        y0 = point(y0)
+        free = [(x, point(y)) for x, y in free]
+    elif as_float:
         c = pair_coupling([point(x) for x, _ in c.pairs], [point(y) for _, y in c.pairs])
         x0, y0 = point(x0), point(y0)
         free = [(point(x), point(y)) for x, y in free]
@@ -889,13 +1015,13 @@ def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
     def contract(values, tagged_at_xi, measure_at_xi):
         tagged = paths if tagged_at_xi else starts
         dirvecs = [None] * n0 + [disps[v] if v <= m0 else v - m0 - 1 for v in values]
-        return contract_derivative(
+        return _as_tensor(contract_derivative(
             lions_derivative(f, TaggedSeq(base.values + values)),
             tagged[0] if tagged else None,
             path_view if measure_at_xi else base_view,
             tagged[1:],
             dirvecs,
-        )
+        ))
 
     core, *families = _graded_value_families(alpha, beta, eta, m0, 0 if f.has_spatial else 1)
     raws = {values: contract(values, False, False) for values in core}
@@ -927,6 +1053,26 @@ def test_every_term_equals_the_contraction_of_its_own_sequence():
     # of a member that is not its orbit's representative (orders 1 and 2 of
     # taylor1 have no such orbit)
     assert [name for name, count in moved.items() if not count] == ["taylor1-1", "taylor1-2"]
+
+
+@pytest.mark.parametrize("as_float", [False, True, "targets"])
+def test_integer_bookkeeping_changes_no_output_byte(monkeypatch, as_float):
+    # the engine and the study on integer numerators, against the same code
+    # handed every contraction as Fractions, so that each later step runs on
+    # Fractions: rational, float and mixed data print the same bytes
+    def outputs():
+        out = [json.dumps(run().to_json()) for _, run, *_ in _orbit_cases(as_float)]
+        f = random_functional(random.Random(5), 2, 2, False, degree=4)
+        points = [random_point(random.Random(k), 2) for k in range(3)]
+        directions = [random_point(random.Random(k + 3), 2) for k in range(3)]
+        for hs in ([F(1, 2), F(1, 4)], [F(1, 2), 0.25]):
+            out.append(repr(convergence_study(f, points, directions, 2, hs, box=(-9, 9))))
+        return out
+
+    kept = outputs()
+    real = functional.contract_derivative
+    monkeypatch.setattr(expansion, "contract_derivative", lambda *args: _as_tensor(real(*args)))
+    assert outputs() == kept
 
 
 def test_float_terms_stay_close_to_their_own_sequence_contraction():
@@ -979,33 +1125,28 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
 
 def test_each_orbit_remainder_is_integrated_once(monkeypatch):
     calls = []
-    integrate = XiPoly.integrate_weighted
+    integrate = RationalTensor.taylor_integral
 
     def counting(self, r):
         calls.append(r)
         return integrate(self, r)
 
-    monkeypatch.setattr(XiPoly, "integrate_weighted", counting)
+    monkeypatch.setattr(RationalTensor, "taylor_integral", counting)
     for name, run, f, base, pairs, c, alpha, beta, eta in _orbit_cases():
         if not name.startswith("taylor2"):
             continue
         _, terms = _per_sequence_terms(f, base, pairs, c, alpha, beta, eta)
-        # the path entries of each live member's step, by (orbit, sides)
-        _, evaluate = expansion._orbit_cache(f, TaggedSeq(base), pairs, c)
-        entries, members = {}, 0
+        # the live members and their distinct (orbit, sides)
+        orbits, members = set(), 0
         _, *families = _graded_value_families(alpha, beta, eta, 0, 0)
         for (_, moving, frozen), values_list in zip(_family_sides(alpha, beta), families):
-            for values in filter(None, values_list):
-                if _vanishes(f.kernel, values):
-                    continue
-                rep = _orbit_key(values, 0)
-                step = evaluate(rep, *moving) - evaluate(rep, *frozen)
-                paths = sum(isinstance(v, XiPoly) for v in step.data)
-                entries[(rep, moving, frozen)] = paths
-                members += paths
+            for values in values_list:
+                if not _vanishes(f.kernel, values):
+                    orbits.add((_orbit_key(values, 0), moving, frozen))
+                    members += 1
         calls.clear()
         res = run()
-        assert len(calls) == sum(entries.values()) < members
+        assert len(calls) == len(orbits) < members
         assert res.remainder_terms == terms
 
 

@@ -207,6 +207,18 @@ def test_integer_moments_equal_the_literal_sum(n, e, with_gaps):
     assert path._gap_tables is base._gap_tables
 
 
+def test_a_couplings_path_view_drops_its_atoms_and_keeps_its_moments():
+    c = pair_coupling([(Fraction(1, 3), 0), (-1, 2)], [(Fraction(3, 2), 1), (0, 0)])
+    path = c.path_view()
+    assert path.atoms is None and path.n_atoms == c.n_atoms == 2
+    built = c.base_view().with_atoms(
+        [tuple(XiPoly.affine(a, b - a) for a, b in zip(x, y)) for x, y in c.pairs]
+    )
+    for exps in _exponents(2, 3):
+        for gap_exps in _exponents(2, 2):
+            assert path.moment(exps, gap_exps) == built.moment(exps, gap_exps)
+
+
 def test_integer_moments_match_the_literal_sum_on_a_user_built_path_view():
     # XiPoly atoms of degree 0, 1 and 2, a zero coordinate, int gaps
     atoms = [

@@ -17,6 +17,7 @@ from lionsjet.functional import (
     MomentView,
     PolyFunctional,
     PolyKernel,
+    _as_tensor,
     contract_derivative,
     eval_derivative,
     eval_derivative_brute,
@@ -133,7 +134,7 @@ def test_int_direction_on_path_view():
         [(XiPoly.affine(x, g),) for x, g in zip(xs, gs)], dim=1, gaps=[(g,) for g in gs]
     )
     ts = lions_derivative(f, TaggedSeq((1,)))
-    got = contract_derivative(ts, None, path, [], [0])[(0,)]
+    got = _as_tensor(contract_derivative(ts, None, path, [], [0]))[(0,)]
     want = XiPoly(
         (sum(2 * x * g for x, g in zip(xs, gs)) / 2, sum(2 * g * g for g in gs) / 2)
     )
@@ -216,7 +217,7 @@ def test_contraction_past_kernel_degree_matches_brute(past, directions, spatial,
         n_fixed = ts.n_free
         dirvecs = [vec[v] if directions == "vector" else None for v in values]
     fixed = [view.atoms[i % view.n_atoms] for i in range(n_fixed)]
-    got = contract_derivative(ts, x0, view, fixed, dirvecs)
+    got = _as_tensor(contract_derivative(ts, x0, view, fixed, dirvecs))
     want = _brute_contraction(ts, x0, view, fixed, dirvecs)
     assert got.shape == want.shape == (1,) + (e,) * dirvecs.count(None)
     if past:
@@ -296,7 +297,7 @@ def test_integer_contraction_equals_brute(
             dirvecs.append(point())
         else:
             dirvecs.append(v - n_fixed - 1)
-    got = contract_derivative(ts, x0, view, fixed, dirvecs)
+    got = _as_tensor(contract_derivative(ts, x0, view, fixed, dirvecs))
     brute = _brute_contraction(ts, x0, view, fixed, dirvecs)
     assert got.shape == brute.shape
     for g, b in zip(got.data, brute.data):
@@ -369,7 +370,7 @@ def test_inexact_contraction_values(kind, monkeypatch):
         return sums(view, gap_exps, degree)
 
     monkeypatch.setattr(MomentView, "sums", recorded)
-    got = contract_derivative(ts, x0, view, fixed, dirvecs)
+    got = _as_tensor(contract_derivative(ts, x0, view, fixed, dirvecs))
     assert degrees and set(degrees) == {None}
     want = _brute_contraction(ts, x0, view, fixed, dirvecs)
     if tol:
