@@ -56,15 +56,21 @@ One graded engine computes every expansion from that plan. `taylor2` and
 `taylor_derivative` run it over tagged sequences; `taylor1` is the same
 engine at alpha = beta = 1, gamma = n over partition sequences (there is no
 spatial letter), whose core is every sequence of length at most n and whose
-star family is the length-n sequences. `convergence_study` plans once:
-it sums the engine's jet by sequence length once per study, and its bound
-reads the plan's families at every scale.
+star family is the length-n sequences. `convergence_study` plans once
+and builds one coupling, at h = 1: it sums the engine's jet by sequence
+length once, contracts f once on that coupling's path, whose point at
+xi = h is the target of scale h, and plans its bound once.
 
 One bound engine, over the plan's families, turns the remainder into a
 certified upper bound: per family member, the box Lipschitz constants of
 the moving groups times displacement and coupling-moment factors, with
-every factor reported. `remainder_bound1` is it at alpha = beta = 1,
-gamma = n; `remainder_bound2` with the spatial pair (x0, y0). Each constant
+every factor reported. It runs in two steps: the plan (`_bound_plan`)
+looks up each member's vanishing rule, orbit and constants, which depend
+on f and the box alone, and the price (`_bound_price`) multiplies them by
+one coupling's moments and one displacement, each block-moment product once.
+`remainder_bound1` is it at alpha = beta = 1, gamma = n; `remainder_bound2`
+with the spatial pair (x0, y0); the engine with a box plans and prices
+once, and a convergence study prices one plan at every scale. Each constant
 is `functional._certified_sup` of the next derivative: the coefficient-wise
 sup bound alone, with no sample grid (the grid and its slack are reported
 only by `norms_on_box`, whose `.value`s equal these constants bit for bit).
@@ -96,7 +102,14 @@ from .functional import (
     lions_derivative,
     normalize_box,
 )
-from .measures import EmpiricalMeasure, _affine_point, coupling_moment, pair_coupling
+from .measures import (
+    EmpiricalMeasure,
+    _affine_point,
+    _as_point,
+    coupling_moment,
+    float_moment,
+    pair_coupling,
+)
 from .partitions import PartitionSeq
 from .poly import RationalTensor, Tensor, XiPoly, format_rational
 from .tagged import (
@@ -205,10 +218,6 @@ def _integrate_entry(value, r):
     return value * Fraction(1, r + 1)
 
 
-def _at_one(value):
-    return value.eval(Fraction(1)) if isinstance(value, XiPoly) else value
-
-
 def _integrated(acc, r):
     """A remainder integrand integrated: entry by entry the integral over
     [0, 1] of acc(xi) * (1 - xi)^r / r!, or acc at xi = 1 when r < 0 (the
@@ -216,7 +225,7 @@ def _integrated(acc, r):
     if isinstance(acc, RationalTensor):
         return acc.taylor_integral(r)
     if r < 0:
-        return acc.map(_at_one)
+        return acc.at(Fraction(1))
     return acc.map(lambda v: _integrate_entry(v, r)).scale(Fraction(1, math.factorial(r)))
 
 
@@ -446,9 +455,7 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
         meta=meta,
     )
     if box is not None:
-        result.remainder_bound, result.bound_terms = _bound_terms(
-            f, tagged_pairs, c, families, box, {}
-        )
+        result.remainder_bound, result.bound_terms = _bound_terms(f, tagged_pairs, c, families, box)
     return result
 
 
@@ -483,12 +490,10 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
     return _graded_engine(f, a, pairs, c, *plan)
 
 
-def _check_box_membership(box, c, points):
-    """Every atom of the coupling `c` and every one of `points` lies in the
-    box, compared exactly: a float coordinate with the float endpoints, any
-    other with the endpoints as Fractions (each float is one exactly). The
-    atoms are checked by the two corners of the coupling's kept bounding
-    box; only when a corner lies outside are they scanned, to name one."""
+def _outside_box(box):
+    """The test of whether a point lies outside the normalized `box`,
+    compared exactly: a float coordinate with the float endpoints, any other
+    with the endpoints as Fractions (each float is one exactly)."""
     exact = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
 
     def outside(p):
@@ -497,12 +502,33 @@ def _check_box_membership(box, c, points):
             for (lo, hi), (q_lo, q_hi), coord in zip(box, exact, p)
         )
 
+    return outside
+
+
+def _refuse_outside(outside, points):
+    """Raise ValidationError naming the first of `points` outside the box."""
+    for p in points:
+        if outside(p):
+            raise ValidationError(f"point {p} outside box")
+
+
+def _check_box_membership(box, c, points):
+    """Every atom of the coupling `c` and every one of `points` lies in the
+    box (`_outside_box`). The atoms are checked by the two corners of the
+    coupling's kept bounding box; only when a corner lies outside are they
+    scanned, to name one."""
+    outside = _outside_box(box)
     scan = list(points)
     if any(map(outside, c.bounding_box())):
         scan = [x for x, _ in c.pairs] + [y for _, y in c.pairs] + scan
-    for p in scan:
-        if outside(p):
-            raise ValidationError(f"point {p} outside box")
+    _refuse_outside(outside, scan)
+
+
+def _displacement_norm(tagged_pairs):
+    """|y0 - x0| in floats, over the coordinates of every tagged pair."""
+    return math.sqrt(
+        sum((float(b) - float(a)) ** 2 for x, y in tagged_pairs for a, b in zip(x, y))
+    )
 
 
 def _product(constant, *factors):
@@ -517,34 +543,23 @@ def _product(constant, *factors):
     return constant
 
 
-def _bound_terms(f, tagged_pairs, c, families, box, lips):
-    """Certified bound for the remainder of the plain expansion (empty base)
-    over the `families` of its `_plan`, with one record per family member.
+def _bound_plan(f, families, box):
+    """What a certified bound over the `families` of a `_plan` reads of f
+    and the normalized `box` alone, looked up once per call: per family
+    member, (values, z, ks, spatial, measure, 1/len!) with z its spatial
+    letters, ks its block sizes k_1..k_m, `spatial` the spatial Lipschitz
+    constant (None when the spatial group does not move) and `measure` the
+    pair (measure constant, free constants) (None when the measure group
+    does not move).
 
-    A member with z spatial letters and positive block sizes k_1..k_m is
-    bounded by Lipschitz constants on the box of its derivative, one per
-    moving argument group, divided by its length factorial. The spatial
-    constant is paired with |y0 - x0|^(z+1) * prod M_k; the measure constant
-    with M_1 * |y0 - x0|^z * prod M_k (the first coupling moment M_1
-    dominates the transport distance moved along the path); the constant of
-    free variable q with |y0 - x0|^z times the block-moment product whose
-    q-th factor is raised by one. M_p is the p-th coupling moment, which
-    the coupling keeps (`coupling_moment`). A
-    constant whose next derivative vanishes (`_vanishes`) is 0.0, with no
-    orbit keyed and nothing compiled.
-
-    `lips` is the memo of constants by orbit representative that the public
-    caller makes, per call: a constant depends only on f, the box and the
-    orbit, so `convergence_study` shares one memo across its scales h, and
-    no memo outlives the call that made it.
+    Each constant is `_certified_sup` of the next derivative on the box. It
+    depends only on the orbit of that derivative's sequence, so it is
+    computed once per orbit and call; a constant whose next derivative
+    vanishes (`_vanishes`) is 0.0, with no orbit keyed and nothing
+    compiled. A call that prices several couplings (`convergence_study`, one
+    per scale h) plans once.
     """
-    box = normalize_box(box, f.kernel.e)
-    _check_pairs(f, c, tagged_pairs)
-    _check_box_membership(box, c, [p for pair in tagged_pairs for p in pair])
-    disp_norm = math.sqrt(
-        sum((float(b) - float(a)) ** 2 for x, y in tagged_pairs for a, b in zip(x, y))
-    )
-    mom = functools.partial(coupling_moment, c)
+    lips = {}  # by orbit representative
 
     def lip(values, letter):
         seq = values + (letter,)
@@ -555,46 +570,83 @@ def _bound_terms(f, tagged_pairs, c, families, box, lips):
             lips[rep] = _certified_sup(f, _built(TaggedSeq, rep), box)
         return lips[rep]
 
-    total = 0.0
-    breakdown = []
+    plan = []
     for _, moving, frozen, members in families:
         spatial_moves = f.has_spatial and moving[0] != frozen[0]
         measure_moves = moving[1] != frozen[1]
         for values in members:
-            z = values.count(0)
-            ks = [values.count(j) for j in range(1, max(values, default=0) + 1)]
-            prod = math.prod(mom(k) for k in ks)
-            record = {"seq": list(values)}
-            term = 0.0
-            if spatial_moves:
-                record["lip_spatial"] = lip(values, 0)
-                term += _product(record["lip_spatial"], disp_norm ** (z + 1), prod)
+            ks = tuple(values.count(j) for j in range(1, max(values, default=0) + 1))
+            spatial = lip(values, 0) if spatial_moves else None
+            measure = None
             if measure_moves:
-                dz = disp_norm**z
-                record["lip_measure"] = lip(values, len(ks) + 1)
-                record["lip_free"] = [lip(values, q) for q in range(1, len(ks) + 1)]
-                record["block_moments"] = [mom(k) for k in ks]
-                term += _product(record["lip_measure"], mom(1), dz, prod)
-                for q, lip_q in enumerate(record["lip_free"], start=1):
-                    prod_q = math.prod(
-                        mom(k + (1 if j == q else 0)) for j, k in enumerate(ks, start=1)
-                    )
-                    term += _product(lip_q, dz, prod_q)
-            term *= 1.0 / math.factorial(len(values))
-            record["term"] = term
-            total += term
-            breakdown.append(record)
+                free = [lip(values, q) for q in range(1, len(ks) + 1)]
+                measure = lip(values, len(ks) + 1), free
+            inverse = 1.0 / math.factorial(len(values))
+            plan.append((values, values.count(0), ks, spatial, measure, inverse))
+    return plan
+
+
+def _bound_price(plan, disp_norm, moment):
+    """The certified bound of a `_bound_plan` for one coupling and spatial
+    pair, with one record per family member. `disp_norm` is |y0 - x0| and
+    `moment(p)` the coupling moment M_p.
+
+    A member with z spatial letters and block sizes k_1..k_m is bounded by
+    its constants divided by its length factorial: the spatial constant
+    times |y0 - x0|^(z+1) * prod M_k; the measure constant times M_1 *
+    |y0 - x0|^z * prod M_k (the first coupling moment M_1 dominates the
+    transport distance moved along the path); the constant of free
+    variable q times |y0 - x0|^z and the block-moment product whose q-th
+    factor is raised by one. Each moment is read once, and each product is
+    multiplied once per block-size tuple, left to right.
+    """
+    mom = functools.cache(moment)
+    prod = functools.cache(lambda ks: math.prod(map(mom, ks)))
+    total = 0.0
+    breakdown = []
+    for values, z, ks, spatial, measure, inverse in plan:
+        record = {"seq": list(values)}
+        term = 0.0
+        if spatial is not None:
+            record["lip_spatial"] = spatial
+            term += _product(spatial, disp_norm ** (z + 1), prod(ks))
+        if measure is not None:
+            dz = disp_norm**z
+            record["lip_measure"], free = measure
+            record["lip_free"] = list(free)
+            record["block_moments"] = [mom(k) for k in ks]
+            term += _product(record["lip_measure"], mom(1), dz, prod(ks))
+            for q, lip_q in enumerate(free):
+                term += _product(lip_q, dz, prod(ks[:q] + (ks[q] + 1,) + ks[q + 1 :]))
+        term *= inverse
+        record["term"] = term
+        total += term
+        breakdown.append(record)
     return total, breakdown
+
+
+def _bound_terms(f, tagged_pairs, c, families, box):
+    """Certified bound for the remainder of the plain expansion (empty base)
+    over the `families` of its `_plan`, on the coupling `c` and the tagged
+    pairs, with one record per family member: the points are checked to lie
+    in the box, then the bound is planned (`_bound_plan`) and priced
+    (`_bound_price`) with the moments the coupling keeps
+    (`coupling_moment`)."""
+    box = normalize_box(box, f.kernel.e)
+    _check_pairs(f, c, tagged_pairs)
+    _check_box_membership(box, c, [p for pair in tagged_pairs for p in pair])
+    moment = functools.partial(coupling_moment, c)
+    return _bound_price(_bound_plan(f, families, box), _displacement_norm(tagged_pairs), moment)
 
 
 def remainder_bound1(f, c, n, box):
     """Certified upper bound for the norm of the order-n remainder."""
-    return _bound_terms(f, [], c, _plan(f, n)[1], box, {})[0]
+    return _bound_terms(f, [], c, _plan(f, n)[1], box)[0]
 
 
 def remainder_bound2(f, x0, y0, c, g, box):
     """Certified upper bound for the norm of the graded remainder."""
-    return _bound_terms(f, [(tuple(x0), tuple(y0))], c, _plan(f, g)[1], box, {})[0]
+    return _bound_terms(f, [(tuple(x0), tuple(y0))], c, _plan(f, g)[1], box)[0]
 
 
 SLOPE_FLOOR = 1e-14  # remainders at or below this are float rounding, left out of fits
@@ -622,32 +674,54 @@ def ols_loglog_slope(h_values, values):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
+def _reach(box, c):
+    """The largest h at which every target x + h * (y - x) of the rational
+    coupling `c`, whose base points x lie in the box, does too: coordinate
+    by coordinate, while h <= (hi - x) / gap for a positive gap and
+    (lo - x) / gap for a negative one. Exact; inf when no gap moves."""
+    reach = math.inf
+    for (x, _), gap in zip(c.pairs, c.gaps()):
+        for (lo, hi), a, g in zip(box, x, gap):
+            if g:
+                reach = min(reach, (Fraction(hi if g > 0 else lo) - a) / g)
+    return reach
+
+
 def convergence_study(
     f, points, directions, order_or_grading, h_list, x0=None, x0_direction=None, box=None
 ):
     """Scale the target configuration toward the base along fixed directions
     and record the exact remainder (and, when a box is given, its certified
     bound) at each scale h. `h_list` needs at least two distinct scales, all
-    positive, for the slope to be a fit.
+    positive and finite, for the slope to be a fit.
 
     At scale h every coupling gap is h times a direction and the spatial
-    step h times `x0_direction`, while the base points stay put. A jet term
-    indexed by a sequence of length k contracts one of these displacements
-    per letter, so it is homogeneous of degree k in h: the jet is computed
-    once, at h = 1, and summed by length into J_k, and the prediction at h
-    is the sum of h^k J_k. Per scale only f at the scaled target is
-    evaluated, from one compiled empty-sequence derivative. With rational
-    points and scales, J_k, h^k J_k and the remainder stay integer
-    numerators over one denominator, and the rows equal those of a full
-    expansion at every h; a float h or float points may move a row by
-    rounding.
+    step h times `x0_direction`, while the base points stay put: the targets
+    of scale h are the points at xi = h on the straight path of the h = 1
+    coupling, the only coupling the study builds. A jet term indexed by a
+    sequence of length k contracts one of these displacements per letter,
+    so it is homogeneous of degree k in h: the jet is computed once, at
+    h = 1, and summed by length into J_k, and the prediction at h is the sum
+    of h^k J_k. f is contracted once, on the path, into one polynomial in xi
+    per entry, and the value at the targets of scale h is that polynomial at
+    xi = h. With rational points and scales, the polynomial's value, J_k,
+    h^k J_k and the remainder stay integer numerators over one denominator,
+    and the rows equal those of a full expansion at every h; a float h or
+    float points may move a remainder by rounding.
 
-    The truncation is planned once (`_plan`): the jet reads its
-    core, and every scale's bound reads its families. The box Lipschitz
-    constants of the bounds depend on f, the box and the orbit of a
-    sequence, not on h, so one memo made by this call serves every scale
-    and is dropped when the call returns. Each scale's bound reads that
-    scale's coupling moments and checks that its points lie in the box.
+    The truncation is planned once (`_plan`): the jet reads its core, and
+    the bound its families. The bound is planned once too (`_bound_plan`):
+    its box Lipschitz constants depend on f, the box and the orbit of a
+    sequence, not on h. Each scale prices that plan (`_bound_price`) with
+    its own coupling moments and spatial step, computed from that scale's
+    gaps by the arithmetic of a coupling built at h, so every bound equals
+    that of the coupling of scale h bit for bit; with rational points and a
+    rational h every gap is h times its gap at h = 1, and the squared gap
+    lengths are scaled in integers. The base points are checked to lie in
+    the box once and each scale's targets and spatial pair at that scale,
+    exactly: with rational data a target stays in the box up to a largest
+    scale, computed once, and the targets are built only to name the one
+    outside.
 
     Returns (rows, slope): rows are dicts with h, remainder norm, bound; the
     slope is the least-squares log-log fit, or None ("exact") when every
@@ -667,8 +741,8 @@ def convergence_study(
     if not graded and (x0 is not None or x0_direction is not None):
         raise ValidationError("x0 and x0_direction need a grading, not an order")
     hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
-    if not all(h > 0 for h in hs) or len(set(hs)) < 2:
-        raise ValidationError("h_list needs at least two distinct scales h, all positive")
+    if not all(0 < h < math.inf for h in hs) or len(set(hs)) < 2:
+        raise ValidationError("h_list needs at least two distinct scales h, all positive and finite")
     if len(directions) != len(points) or any(
         len(v) != len(p) for p, v in zip(points, directions)
     ):
@@ -677,35 +751,55 @@ def convergence_study(
         raise ValidationError("x0_direction needs as many coordinates as x0")
     core, families, _ = _plan(f, order_or_grading)
 
-    def scaled(h):
-        """The coupling and the spatial pair with every displacement scaled
-        by h."""
-        y = [tuple(p + h * d for p, d in zip(pt, v)) for pt, v in zip(points, directions)]
-        pairs = []
-        if graded:
-            pairs = [(tuple(x0), tuple(p + h * d for p, d in zip(x0, x0_direction)))]
-        return pair_coupling(points, y), pairs
+    def moved(point, direction, h):
+        return tuple(p + h * d for p, d in zip(point, direction))
 
-    c, pairs = scaled(1)
+    def targets(h):
+        """The targets of scale h as a coupling of them holds them (its
+        `_as_point` refuses a non-finite one)."""
+        return [_as_point(moved(p, v, h)) for p, v in zip(points, directions)]
+
+    c = pair_coupling(points, [moved(p, v, 1) for p, v in zip(points, directions)])
+    pairs = [(tuple(x0), moved(x0, x0_direction, 1))] if graded else []
+    key, evaluate = _orbit_cache(f, _EMPTY, pairs, c)
     jets = {}  # J_k: the live jet terms at h = 1 summed by sequence length k
-    for values, rep, _, value in _jet_loop(*_orbit_cache(f, _EMPTY, pairs, c), core):
+    for values, rep, _, value in _jet_loop(key, evaluate, core):
         if rep is not None:
             k = len(values)
             jets[k] = jets[k] + value if k in jets else value
-    f_at = lions_derivative(f, ())
+    along = evaluate((), True, True)  # f on the path of the h = 1 coupling
+    exact = c.base_view().exact
+    reach = math.inf  # with rational data every target lies in the box up to this h
+    if box is not None:
+        box = normalize_box(box, f.kernel.e)
+        outside = _outside_box(box)
+        _refuse_outside(outside, [x for x, _ in c.pairs])
+        reach = _reach(box, c) if exact else reach
+        plan = _bound_plan(f, families, box)
     rows = []
-    lips = {}
     for h in hs:
-        c, pairs = scaled(h)
-        rem = contract_derivative(f_at, pairs[0][1] if graded else None, c.target_view(), [], [])
+        # rational data within reach: every gap is h times its gap at h = 1,
+        # and no target is built (one outside the box is built, to name it)
+        scaled = exact and type(h) is Fraction and h <= reach
+        ys = [] if scaled else targets(h)
+        rem = along.at(h)
         for k, jet in jets.items():
             rem = rem - jet.scale(h**k)
         norm = math.sqrt(sum(float(v) ** 2 for v in _as_tensor(rem).data))
         bound = None
         if box is not None:
-            bound = _bound_terms(f, pairs, c, families, box, lips)[0]
+            spatial = [(tuple(x0), moved(x0, x0_direction, h))] if graded else []
+            _refuse_outside(outside, ys + [p for pair in spatial for p in pair])
+            if scaled:  # |h * gap|^2 in floats, as float(h^2 * |gap|^2) rounds it
+                p2, q2 = h.numerator**2, h.denominator**2
+                squares = [p2 * sq.numerator / (q2 * sq.denominator) for sq in c.gap_squares()]
+            else:
+                squares = [sum((b - a) ** 2 for a, b in zip(x, y)) for (x, _), y in zip(c.pairs, ys)]
+            moment = functools.partial(float_moment, squares)
+            bound = _bound_price(plan, _displacement_norm(spatial), moment)[0]
         rows.append({"h": float(h), "remainder": norm, "bound": bound})
     degree = f.kernel.degree
     if all(len(values) >= degree for *_, members in families for values in members):
         return rows, None  # every remainder integrand is constant: exact
     return rows, ols_loglog_slope([r["h"] for r in rows], [r["remainder"] for r in rows])
+

@@ -424,9 +424,14 @@ def coupling_moment(coupling, p, exact=False):
         )
     moment = coupling._moments.get(p)
     if moment is None:
-        total = sum(float(sq) ** (p / 2) for sq in coupling.gap_squares())
-        moment = coupling._moments[p] = total / n
+        moment = coupling._moments[p] = float_moment(coupling.gap_squares(), p)
     return moment
+
+
+def float_moment(squares, p):
+    """(1/N) * sum of sq^(p/2) over the N gap squares `squares`, in floats:
+    the float coupling moment M_p of gaps with these squared lengths."""
+    return sum(float(sq) ** (p / 2) for sq in squares) / len(squares)
 
 
 def load_points(path):

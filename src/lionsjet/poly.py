@@ -371,6 +371,10 @@ class Tensor:
     def map(self, fn):
         return Tensor(self.shape, [fn(v) for v in self.data])
 
+    def at(self, xi):
+        """Entry by entry the value at the interpolation parameter `xi`."""
+        return self.map(lambda v: v.eval(xi) if isinstance(v, XiPoly) else v)
+
     def to_nested(self):
         """Nested lists (for JSON), innermost axis last."""
 
@@ -395,11 +399,11 @@ class RationalTensor:
     in the interpolation parameter xi, a list of ints, its xi-coefficients.
 
     This is what an exact contraction returns. Sums, differences, rational
-    scales and the remainder's path integral (`taylor_integral`) stay in
-    integers; `tensor()` divides each entry once, into the reduced
-    `Fraction` (or `XiPoly`) of a `Tensor`. Any other operand, a float
-    scale or a `Tensor`, meets that tensor instead. Immutable by convention:
-    results may share `data` with their operands.
+    scales, the remainder's path integral (`taylor_integral`) and values at
+    a rational xi (`at`) stay in integers; `tensor()` divides each entry
+    once, into the reduced `Fraction` (or `XiPoly`) of a `Tensor`. Any other
+    operand, a float scale or a `Tensor`, meets that tensor instead.
+    Immutable by convention: results may share `data` with their operands.
     """
 
     __slots__ = ("shape", "data", "den")
@@ -454,14 +458,27 @@ class RationalTensor:
         The Beta integral gives xi^k the weight k! / (k + r + 1)!, so over
         the denominator top! = (K + r)!, for entries of at most K
         coefficients, xi^k weighs k! * top! / (k + r + 1)!."""
-        data = self.data
         if r < 0:
-            return RationalTensor(self.shape, [v if type(v) is int else sum(v) for v in data], self.den)
+            return self.at(1)
+        data = self.data
         top = max([len(v) for v in data if type(v) is not int] or [1]) + r
         full = math.factorial(top)
         weights = [math.factorial(k) * (full // math.factorial(k + r + 1)) for k in range(top - r)]
         data = [v * weights[0] if type(v) is int else sum(c * w for c, w in zip(v, weights)) for v in data]
         return RationalTensor(self.shape, data, self.den * full)
+
+    def at(self, xi):
+        """Entry by entry the value at the interpolation parameter `xi`: in
+        integers for an int or a Fraction p/q, where over the denominator
+        q^K, for entries of at most K + 1 coefficients, xi^k weighs
+        p^k * q^(K - k). Any other `xi` meets `tensor()`."""
+        if type(xi) not in (int, Fraction):
+            return self.tensor().at(xi)
+        p, q = xi.numerator, xi.denominator
+        top = max([len(v) for v in self.data if type(v) is not int] or [1]) - 1
+        weights = [p**k * q ** (top - k) for k in range(top + 1)]
+        data = [v * weights[0] if type(v) is int else sum(c * w for c, w in zip(v, weights)) for v in self.data]
+        return RationalTensor(self.shape, data, self.den * q**top)
 
 
 def _lin(x, a, y, b):

@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from lionsjet.expansion import _at_one, _integrate_entry
+from lionsjet.expansion import _integrate_entry
 from lionsjet.functional import MomentView, _as_tensor, contract_derivative, lions_derivative
 from lionsjet.partitions import enum_A
 from lionsjet.poly import XiPoly
@@ -110,7 +110,7 @@ def graded_reference(f, base, tagged_pairs, c, alpha, beta, eta):
             r = len(values) - 1
             acc = average(values, *moving) - average(values, *frozen)
             if r < 0:
-                term = acc.map(_at_one)
+                term = acc.at(Fraction(1))
             else:
                 term = acc.map(lambda v: _integrate_entry(v, r)).scale(
                     Fraction(1, math.factorial(r))
