@@ -11,18 +11,18 @@ tables of a view (`measures.MomentView`). The coupling keeps its base,
 path and target views, which share their gap tables, with their sums,
 so every expansion, bound and evaluation on one coupling reads the
 same ones; the start and path points of the tagged slots are one-atom
-views built once per call. With rational data the tables are scaled once
-per view, the contraction runs on integers and returns integer numerators
-over one denominator (`poly.RationalTensor`), and the engine keeps them:
-the jet's 1/k!, the remainder's path integral and 1/r!, the prediction
-sums and actual - predicted stay in integers, and each output entry is
-divided once, into a reduced Fraction, when the result is built. Float
-data runs the same loop on the values as given, and any step that meets
-a float tensor takes the Fractions instead. Each derivative compiles its joint
-polynomials once per functional and keeps them on it, so every later
-expansion, bound or study of that functional, and both the base and the
-path contraction, read the same cells. Truncating the expansion at an
-order (or at a grading level) leaves remainder terms indexed by the
+views built once per call. Every contraction returns a `poly.RationalTensor`
+and the engine keeps that type up to the output: the jet's 1/k!, the
+remainder's path integral and 1/r!, the prediction sums, actual - predicted
+and a study's value at h and h^k. With rational data they stay integer
+numerators over one denominator, each output entry divided once, into a
+reduced Fraction, when the result is built; other data keeps its values as
+given, and an exact tensor that meets a float is divided first. Each
+derivative compiles its joint polynomials once per functional and keeps
+them on it, so every later expansion, bound or study of that functional,
+and both the base and the path contraction, read the same cells.
+Truncating the expansion at an order (or at a grading level) leaves
+remainder terms indexed by the
 boundary families; on the interpolation path the atoms have coordinates
 polynomial in the path parameter, so the same moments are polynomials and
 the integrals are taken in closed form, and
@@ -95,7 +95,6 @@ from fractions import Fraction
 from .errors import ValidationError
 from .functional import (
     MomentView,
-    _as_tensor,
     _certified_sup,
     _vanishes,
     contract_derivative,
@@ -111,7 +110,7 @@ from .measures import (
     pair_coupling,
 )
 from .partitions import PartitionSeq
-from .poly import RationalTensor, Tensor, XiPoly, format_rational
+from .poly import RationalTensor, Tensor, format_rational
 from .tagged import (
     ExtendedSeq,
     Grading,
@@ -211,24 +210,6 @@ class ExpansionResult:
         }
 
 
-def _integrate_entry(value, r):
-    """Integral over [0,1] of value(xi) * (1-xi)^r; value may be constant."""
-    if isinstance(value, XiPoly):
-        return value.integrate_weighted(r)
-    return value * Fraction(1, r + 1)
-
-
-def _integrated(acc, r):
-    """A remainder integrand integrated: entry by entry the integral over
-    [0, 1] of acc(xi) * (1 - xi)^r / r!, or acc at xi = 1 when r < 0 (the
-    empty sequence). Integer numerators stay integers."""
-    if isinstance(acc, RationalTensor):
-        return acc.taylor_integral(r)
-    if r < 0:
-        return acc.at(Fraction(1))
-    return acc.map(lambda v: _integrate_entry(v, r)).scale(Fraction(1, math.factorial(r)))
-
-
 def _check_dimension(f, c, points):
     """Every atom and every given point has the kernel's e coordinates."""
     e = f.kernel.e
@@ -269,7 +250,7 @@ def eval_Da(f, a, x0, displacement, mu, c):
     if not f.has_spatial and (x0 is not None or displacement is not None):
         raise ValidationError("functional has no spatial argument")
     dirvecs = [tuple(displacement) if v == 0 else v - 1 for v in a.values]
-    return _as_tensor(contract_derivative(lions_derivative(f, a), x0, c.base_view(), [], dirvecs))
+    return contract_derivative(lions_derivative(f, a), x0, c.base_view(), [], dirvecs).tensor()
 
 
 def _family_sides(alpha, beta):
@@ -412,7 +393,7 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
             jet_terms.append(JetTerm(seq, Tensor(shape), Tensor(shape)))
             continue
         if rep not in jets:
-            jets[rep] = (value, _as_tensor(value), _as_tensor(raw))
+            jets[rep] = (value, value.tensor(), raw.tensor())
         _, value, raw = jets[rep]
         jet_terms.append(JetTerm(seq, Tensor(shape, value.data), Tensor(shape, raw.data)))
     if not f.has_spatial:
@@ -428,9 +409,7 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
             term = integrated.get((rep, moving, frozen))
             if term is None:
                 acc = evaluate(rep, *moving) - evaluate(rep, *frozen)
-                term = integrated[rep, moving, frozen] = _as_tensor(
-                    _integrated(acc, len(values) - 1)
-                )
+                term = integrated[rep, moving, frozen] = acc.taylor_integral(len(values) - 1).tensor()
             remainder_terms[(family, values)] = Tensor(term.shape, term.data)
 
     targets = [tuple(y) for _, y in tagged_pairs]
@@ -448,9 +427,9 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
             predicted = predicted + jets[rep][0]
     result = ExpansionResult(
         jet=jet_terms,
-        predicted=_as_tensor(predicted),
-        actual=_as_tensor(actual),
-        remainder_exact=_as_tensor(actual - predicted),
+        predicted=predicted.tensor(),
+        actual=actual.tensor(),
+        remainder_exact=(actual - predicted).tensor(),
         remainder_terms=remainder_terms,
         meta=meta,
     )
@@ -785,7 +764,7 @@ def convergence_study(
         rem = along.at(h)
         for k, jet in jets.items():
             rem = rem - jet.scale(h**k)
-        norm = math.sqrt(sum(float(v) ** 2 for v in _as_tensor(rem).data))
+        norm = math.sqrt(sum(float(v) ** 2 for v in rem.tensor().data))
         bound = None
         if box is not None:
             spatial = [(tuple(x0), moved(x0, x0_direction, h))] if graded else []

@@ -23,14 +23,15 @@ and coordinate for a spatial or an already used letter, and one per cell,
 coordinate and slot for a fresh one. The contraction, the certified sup and
 the grid report all read that form; only the reference evaluator
 `eval_derivative_brute` walks the terms. The contraction is one loop over
-the cells that reads the power tables of its `measures.MomentView`s: in
-integers when every input is rational, returning integer numerators over
-one denominator (`poly.RationalTensor`) for the expansion to keep in
-integers, and on the values as given (floats, symbolic or mixed data)
-otherwise. `eval_derivative` divides each entry once. A derivative longer than the
-kernel degree, or with more free variables than the kernel arity, vanishes
-identically (`_vanishes`): it has no cells, and the expansion engine skips
-it without building it.
+the cells that reads the power tables of its `measures.MomentView`s and
+returns a `poly.RationalTensor` for every number type: integer numerators
+over one denominator when every input is rational, for the expansion to
+keep in integers, and the values as given over 1 (floats, symbolic or
+mixed data) otherwise; on the path each entry is a list of
+xi-coefficients. `eval_derivative` divides each entry once. A derivative
+longer than the kernel degree, or with more free variables than the kernel
+arity, vanishes identically (`_vanishes`): it has no cells, and the
+expansion engine skips it without building it.
 """
 
 from __future__ import annotations
@@ -426,13 +427,7 @@ def eval_derivative(ts, x0, mu, free):
     e = kernel.e
     if mu.dim != e or any(len(p) != e for p in [x0, *free] if p is not None):
         raise ValidationError(f"points and atoms must have e = {e} coordinates, as the kernel has")
-    return _as_tensor(contract_derivative(ts, x0, mu, free, [None] * ts.order))
-
-
-def _as_tensor(t):
-    """A contraction's result as a `Tensor`: its entries divided once when
-    it holds integer numerators."""
-    return t.tensor() if isinstance(t, RationalTensor) else t
+    return contract_derivative(ts, x0, mu, free, [None] * ts.order).tensor()
 
 
 def eval_derivative_brute(ts, x0, mu, free):
@@ -492,10 +487,11 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     the number of gap directions. Each output entry sums plain ints
     (xi-coefficient lists on the path), and the result is a
     `RationalTensor` of those numerators over that denominator, whose
-    `tensor()` divides each entry once. Otherwise
-    (float, symbolic or mixed data) the same loop reads each group's
-    moments, skips a moment without exponents or gap (it is 1), takes
-    coefficients and vectors as given and returns a `Tensor`. A derivative
+    `tensor()` divides each entry once. Otherwise (float, symbolic or mixed
+    data) the same loop reads each group's moments (`MomentView.sums` under
+    degree None, lists on a path view), skips a moment without exponents
+    or gap (it is 1), takes coefficients and vectors as given and returns
+    a `RationalTensor` of those values over 1, not `exact`. A derivative
     without cells contracts to an exact zero, a `RationalTensor` over 1.
     """
     kernel = ts.kernel
@@ -515,25 +511,25 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     points = ([x0] if kernel.has_spatial else []) + list(free)
     given = [p if isinstance(p, MomentView) else MomentView([p], e) for p in points]
     views = given + [mu] * (ts.n_groups - len(given))
-    unit, den, weights, degree, path = kernel.denominator, 1, vec_dirs, None, False
+    unit, den, weights, degree = kernel.denominator, 1, vec_dirs, None
     exact = (
         unit is not None
         and mu.exact
         and all(view.exact for view in given)
         and all(type(c) in (int, Fraction) for _, vec in vec_dirs for c in vec)
     )
-    out = Tensor(shape, [0] * math.prod(shape)) if exact else Tensor(shape)
+    scales = [view.table_scales() for view in given]
+    n, mu_scale, gap_scale, path = mu.table_scales()
+    path = path or any(poly for *_, poly in scales)
     if exact:
         den, weights, degree = unit, [], kernel.degree - ts.order
         for p, vec in vec_dirs:
             scale = math.lcm(*(c.denominator for c in vec))
             weights.append((p, [c.numerator * (scale // c.denominator) for c in vec]))
             den *= scale
-        scales = [view.table_scales() for view in given]
-        n, mu_scale, gap_scale, mu_path = mu.table_scales()
         den *= (n * mu_scale**degree) ** (len(views) - len(given)) * gap_scale ** len(gap_dirs)
         den *= math.prod(k * s**degree for k, s, *_ in scales)  # the given points
-        path = mu_path or any(poly for *_, poly in scales)
+    out = Tensor(shape, [0] * math.prod(shape)) if exact else Tensor(shape)
     n_avg = ts.n_free + kernel.has_spatial - len(given)
     readers_by_gaps, sums = {}, {}
     for (comp, coords), poly in joint.items():
@@ -542,7 +538,9 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             weight *= vec[coords[p]]
         if not weight:
             continue
-        # (lo, hi, sums, weighted) per group, fixed by the coordinates of the gap directions
+        # (lo, hi, sums, read) per group, fixed by the coordinates of the gap
+        # directions; `read`: exact or with a gap, the group is read even
+        # without exponents (an inexact moment without either is 1)
         gap_coords = tuple(coords[p] for p, _ in gap_dirs)
         readers = readers_by_gaps.get(gap_coords)
         if readers is None:
@@ -553,40 +551,41 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             for g, view in enumerate(views):
                 j = g - len(given)
                 gap = tuple(gap_rows[j]) if 0 <= j < n_avg else (0,) * e
-                readers.append((g * e, g * e + e, view.sums(gap, degree), not exact and any(gap)))
+                readers.append((g * e, g * e + e, view.sums(gap, degree), exact or any(gap)))
         idx = (comp,) + tuple(coords[p] for p in free_dirs)
         if path:
             total = [0]
             for exps, coeff in poly.terms.items():
-                term = [coeff.numerator * (unit // coeff.denominator)]
-                for lo, hi, cache, _ in readers:
-                    term = _xi_times(term, cache[exps[lo:hi]])
+                term = [coeff.numerator * (unit // coeff.denominator) if exact else coeff]
+                for lo, hi, cache, read in readers:
+                    if read or any(exps[lo:hi]):
+                        term = _xi_times(term, cache[exps[lo:hi]])
                 _xi_add(total, term)
             _xi_add(sums.setdefault(idx, [0]), [t * weight for t in total])
         else:
             total = 0
-            if exact:
+            if exact:  # the hot loop of rational data, without the test of `read`
                 for exps, coeff in poly.terms.items():
                     term = coeff.numerator * (unit // coeff.denominator)
                     for lo, hi, cache, _ in readers:
                         term *= cache[exps[lo:hi]]
                     total += term
-            else:  # a moment without exponents or gap is 1
+            else:
                 for exps, term in poly.terms.items():
-                    for lo, hi, cache, weighted in readers:
-                        if weighted or any(exps[lo:hi]):
+                    for lo, hi, cache, read in readers:
+                        if read or any(exps[lo:hi]):
                             term *= cache[exps[lo:hi]]
                     total += term
             sums[idx] = sums.get(idx, 0) + total * weight
     for idx, total in sums.items():
         out[idx] = total
-    return RationalTensor(shape, out.data, den) if exact else out
+    return RationalTensor(shape, out.data, den, exact)
 
 
 def _xi_times(a, b):
-    """Product of a nonempty int xi-coefficient list and an int or another
+    """Product of a nonempty xi-coefficient list and a scalar or another
     such list."""
-    if type(b) is int:
+    if type(b) is not list:
         return [x * b for x in a]
     if len(a) == 1:
         return [a[0] * y for y in b]
@@ -599,7 +598,7 @@ def _xi_times(a, b):
 
 
 def _xi_add(total, term):
-    """Add the int xi-coefficient list `term` into `total`, in place."""
+    """Add the xi-coefficient list `term` into `total`, in place."""
     total.extend([0] * (len(term) - len(total)))
     for k, t in enumerate(term):
         total[k] += t

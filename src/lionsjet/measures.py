@@ -6,17 +6,19 @@ finite sums.
 
 `MomentView` is the one moment cache every evaluator integrates against; an
 `EmpiricalMeasure` is a view whose atoms are validated rational or float
-points. Every moment of a view is a sum over its power tables, which are
-scaled to integers when the atoms and gaps are rational and keep the values
-as given otherwise. A `Coupling` keeps the views built from its pairs (of
-its left marginal with the gaps, of the straight path between its
-marginals, of its right marginal) and the bounding box of its atoms, so
-that every call on one coupling reads the same sums and box.
+points. Every moment of a view is a sum over its power tables, which hold
+each coordinate as its xi-coefficients (one, off the path), scaled to
+integers when the atoms and gaps are rational and as given otherwise. A
+`Coupling` keeps the views built from its pairs (of its left marginal with
+the gaps, of the straight path between its marginals, of its right
+marginal) and the bounding box of its atoms, so that every call on one
+coupling reads the same sums and box.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -49,41 +51,40 @@ def _exact(vectors, path=True):
 class _PowerTables:
     """Power tables of N vectors, exact or as given.
 
-    Exact tables (vectors that `_exact` accepts) scale every coordinate
-    once by `scale`, the lcm of all denominators, so that it is an integer
-    (an integer coefficient list for an `XiPoly`: `poly`). Other tables
-    keep the coordinates as given (floats, symbolic polynomials, mixes of
-    rationals and `XiPoly`), at scale 1. `rows(exps)` is the table of the
-    monomial with exponents `exps`: row k lists, vector by vector, the
-    coefficient of xi^k in scale^|exps| * prod_c v_c^exps_c (a single row of
-    the products themselves unless `poly`). Only the coordinates' own
-    tables are kept: a view keeps every sum it reads from a table
-    (`MomentView.sums`), so a product table is built for one sum and
-    dropped.
+    On a path view (`poly`: its first vector holds an `XiPoly`) every
+    coordinate is held as its xi-coefficients, elsewhere as itself. Exact
+    tables (vectors that `_exact` accepts) scale every coefficient once by
+    `scale`, the lcm of all denominators, so that it is an integer. Other
+    tables keep the coefficients as given (floats, symbolic polynomials,
+    mixes of rationals and floats), at scale 1.
+    `rows(exps)` is the table of the monomial with exponents `exps`: row k
+    lists, vector by vector, the coefficient of xi^k in scale^|exps| *
+    prod_c v_c^exps_c (a single row of the products themselves unless
+    `poly`). Only the coordinates' own tables are kept: a view keeps every
+    sum it reads from a table (`MomentView.sums`), so a product table is
+    built for one sum and dropped.
     """
 
     __slots__ = ("n", "scale", "poly", "exact", "_units")
 
     def __init__(self, vectors, exact):
         self.n = len(vectors)
-        columns = list(zip(*vectors))  # coordinate c of every vector
         self.exact = exact
-        self.poly = exact and any(type(c) is XiPoly for c in vectors[0])
-        if not exact:
-            scale = 1
-            units = [[list(col)] for col in columns]
-        elif not self.poly:
-            scale = math.lcm(*(c.denominator for v in vectors for c in v))
-            units = [[[c.numerator * (scale // c.denominator) for c in col]] for col in columns]
-        else:
-            columns = [[c.coeffs for c in col] for col in columns]
-            scale = math.lcm(*(q.denominator for col in columns for cs in col for q in cs))
+        self.poly = XiPoly in map(type, vectors[0])
+        if self.poly:  # row k of a coordinate: its xi^k coefficient in every vector
             units = [
-                [[_scaled(cs, k, scale) for cs in col] for k in range(max(1, *map(len, col)))]
-                for col in columns
+                [list(row) for row in itertools.zip_longest(
+                    *[c.coeffs if type(c) is XiPoly else (c,) for c in col], fillvalue=0
+                )] or [[0] * self.n]
+                for col in zip(*vectors)
             ]
-        self.scale = scale
-        self._units = units
+        else:
+            units = [[list(col)] for col in zip(*vectors)]
+        scale = 1
+        if exact:
+            scale = math.lcm(*(q.denominator for rows in units for row in rows for q in row))
+            units = [[[q.numerator * (scale // q.denominator) for q in row] for row in rows] for rows in units]
+        self.scale, self._units = scale, units
 
     def rows(self, exps):
         """The table of `exps`: the coordinates' tables multiplied one
@@ -93,14 +94,6 @@ class _PowerTables:
             for _ in range(p):
                 table = unit if table is None else _times(table, unit)
         return [[1] * self.n] if table is None else table
-
-
-def _scaled(coeffs, k, scale):
-    """scale times the coefficient of xi^k in `coeffs`, as an int."""
-    if k >= len(coeffs):
-        return 0
-    q = coeffs[k]
-    return q.numerator * (scale // q.denominator)
 
 
 def _times(a, b):
@@ -133,13 +126,14 @@ class MomentView:
     each scaled once by the lcm of their denominators, and the sums are
     plain ints (one int per xi power on a path view) that the exact
     contraction reads lifted to a common degree (`sums`). Scaling by a common
-    integer commutes with sums and products, so `moment` is the exact value,
-    a Fraction, or an `XiPoly` when a nonzero exponent falls on a path
-    coordinate. Otherwise atoms and gaps both keep their values as given
-    and a moment is their sum times 1/N, of whatever type the products are.
+    integer commutes with sums and products, so a moment is the exact value.
+    Otherwise atoms and gaps both keep their values as given and a moment
+    is their sum times 1/N, of whatever type the products are.
 
     One cache, keyed by (gap_exps, degree), holds the sums `sums` returns;
-    under degree None they are the moments themselves.
+    under degree None they are the moments themselves, which an inexact
+    contraction reads: on a path view, lists of xi-coefficients, which
+    `moment` hands out as an `XiPoly` when an exponent is nonzero.
     """
 
     __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_sums", "_atom_tables", "_gap_tables")
@@ -181,7 +175,7 @@ class MomentView:
     def table_scales(self):
         """(N, scale, gap_scale, path) of the power tables; scale and
         gap_scale are 1 on a view that is not exact, and on a path view a
-        sum is a list of ints, one per xi power."""
+        sum is a list, one entry per xi power."""
         atoms, gaps = self._atom_tables, self._gap_tables
         return self.n_atoms, atoms.scale, gaps.scale if gaps else 1, atoms.poly
 
@@ -208,7 +202,10 @@ class MomentView:
         exps, gap_exps = tuple(exps), tuple(gap_exps or self._no_gaps)
         if not len(exps) == len(gap_exps) == self.dim:
             raise ValidationError(f"moment exponents must have {self.dim} entries each")
-        return self.sums(gap_exps)[exps]
+        value = self.sums(gap_exps)[exps]
+        if type(value) is list:  # on a path view
+            return XiPoly(value) if any(exps) else value[0]
+        return value
 
 
 class _Lifted(dict):
@@ -232,18 +229,10 @@ class _Lifted(dict):
             sums = [sum(row) for row in rows]
         if self.degree is None:  # the moment: divide by N * scale^|r| * gap_scale^|gap|
             gap_scale = self.gaps.scale if self.gaps else 1
-            denom = atoms.n * atoms.scale ** sum(exps) * gap_scale ** sum(self.gap)
-            if not atoms.exact:
-                value = sums[0] * Fraction(1, denom)
-            elif atoms.poly and any(exps):
-                value = XiPoly([Fraction(s, denom) for s in sums])
-            else:
-                value = Fraction(sums[0], denom)
-        else:
-            value = sums if atoms.poly else sums[0]
-            if atoms.scale != 1:
-                lift = atoms.scale ** (self.degree - sum(exps))
-                value = [s * lift for s in sums] if atoms.poly else value * lift
+            factor = Fraction(1, atoms.n * atoms.scale ** sum(exps) * gap_scale ** sum(self.gap))
+        else:  # lifted to `degree`, by 1 at scale 1 (where the degree is 0)
+            factor = atoms.scale ** (self.degree - sum(exps)) if atoms.scale != 1 else 1
+        value = [s * factor for s in sums] if atoms.poly else sums[0] * factor
         self[exps] = value
         return value
 
@@ -408,8 +397,10 @@ def coupling_moment(coupling, p, exact=False):
 
     With exact=True the result is a Fraction; this requires p even or
     dimension 1 (odd powers of Euclidean norms are irrational in general).
-    A float moment is kept on the coupling by p.
+    A float moment is kept on the coupling by p. `p` is an int >= 0.
     """
+    if type(p) is not int or p < 0:
+        raise ValidationError(f"a coupling moment's power is an integer >= 0, not {p!r}")
     n = coupling.n_atoms
     if exact:
         if p % 2 == 0:

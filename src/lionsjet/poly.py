@@ -4,7 +4,10 @@ polynomials, and small dense tensors.
 Coefficients default to `fractions.Fraction` so that identities can be checked
 for exact zero; every operation is generic in the scalar type, so the same
 code paths run with floats (fast mode) or with `MPoly` coordinates (symbolic
-evaluation).
+evaluation). A contraction's result, for every number type, is a
+`RationalTensor`: int numerators over one denominator for rational data,
+the values as given over 1 otherwise, a path value as its list of
+xi-coefficients.
 """
 
 from __future__ import annotations
@@ -339,15 +342,11 @@ class Tensor:
         self.data[self._offset(idx)] = value
 
     def __add__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return Tensor(self.shape, [a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return Tensor(self.shape, [a - b for a, b in zip(self.data, other.data)])
@@ -371,10 +370,6 @@ class Tensor:
     def map(self, fn):
         return Tensor(self.shape, [fn(v) for v in self.data])
 
-    def at(self, xi):
-        """Entry by entry the value at the interpolation parameter `xi`."""
-        return self.map(lambda v: v.eval(xi) if isinstance(v, XiPoly) else v)
-
     def to_nested(self):
         """Nested lists (for JSON), innermost axis last."""
 
@@ -393,43 +388,56 @@ class Tensor:
         return f"Tensor(shape={self.shape}, data={self.data})"
 
 
-class RationalTensor:
-    """A tensor of rationals held as int numerators over one positive
-    denominator `den`: each entry of `data` is an int or, for a polynomial
-    in the interpolation parameter xi, a list of ints, its xi-coefficients.
 
-    This is what an exact contraction returns. Sums, differences, rational
+
+class RationalTensor:
+    """What every contraction returns: entries that are scalars or, for a
+    polynomial in the interpolation parameter xi, lists of xi-coefficients,
+    over one positive denominator `den`.
+
+    An `exact` tensor (rational data) holds int numerators: sums, rational
     scales, the remainder's path integral (`taylor_integral`) and values at
-    a rational xi (`at`) stay in integers; `tensor()` divides each entry
-    once, into the reduced `Fraction` (or `XiPoly`) of a `Tensor`. Any other
-    operand, a float scale or a `Tensor`, meets that tensor instead.
-    Immutable by convention: results may share `data` with their operands.
+    a rational xi (`at`) stay in integers. Any other holds the values as
+    given (float, symbolic or mixed data), over 1. An exact tensor that
+    meets a float scale or xi, or a tensor that is not exact, is first
+    divided into Fractions (`_values`): a lifted integer never meets a
+    float. Immutable by convention: results may share `data`.
     """
 
-    __slots__ = ("shape", "data", "den")
+    __slots__ = ("shape", "data", "den", "exact")
 
-    def __init__(self, shape, data, den):
-        self.shape, self.data, self.den = tuple(shape), data, den
+    def __init__(self, shape, data, den=1, exact=True):
+        self.shape, self.data, self.den, self.exact = tuple(shape), data, den, exact
 
     def tensor(self):
-        den, data = self.den, []
+        """A `Tensor` of the values, each exact entry divided once: a reduced
+        Fraction, or an `XiPoly` of them for a polynomial in xi."""
+        den, exact, data = self.den, self.exact, []
         for v in self.data:
-            if type(v) is not int:
+            if type(v) is list:
                 if any(v[1:]):
-                    data.append(XiPoly([Fraction(t, den) for t in v]))
+                    data.append(XiPoly([Fraction(t, den) for t in v] if exact else v))
                     continue
                 v = v[0]
-            data.append(Fraction(v, den) if v else ZERO)
+            data.append((Fraction(v, den) if v else ZERO) if exact else v)
         return Tensor(self.shape, data)
 
+    def _values(self):
+        """The tensor as values over 1: an exact one divided into Fractions."""
+        if not self.exact:
+            return self
+        den = self.den
+        data = [[Fraction(t, den) for t in v] if type(v) is list else Fraction(v, den) for v in self.data]
+        return RationalTensor(self.shape, data, 1, False)
+
     def _combine(self, other, sign):
-        if not isinstance(other, RationalTensor):
-            return self.tensor() + other if sign > 0 else self.tensor() - other
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        return RationalTensor(self.shape, [_lin(x, a, y, b) for x, y in zip(self.data, other.data)], den)
+        exact = self.exact and other.exact
+        x, y = (self, other) if exact else (self._values(), other._values())
+        den = math.lcm(x.den, y.den)
+        a, b = den // x.den, sign * (den // y.den)
+        return RationalTensor(self.shape, [_lin(u, a, v, b) for u, v in zip(x.data, y.data)], den, exact)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -437,31 +445,39 @@ class RationalTensor:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __radd__(self, other):
-        return other + self.tensor()
-
-    def __rsub__(self, other):
-        return other - self.tensor()
-
     def scale(self, factor):
-        """The tensor times `factor`: in integers for an int or a Fraction."""
-        if type(factor) not in (int, Fraction):
-            return self.tensor().scale(factor)
+        """The tensor times `factor`: in integers for an exact tensor and an
+        int or a Fraction."""
+        if not (self.exact and type(factor) in (int, Fraction)):
+            data = [
+                [t * factor for t in v] if type(v) is list else v * factor
+                for v in self._values().data
+            ]
+            return RationalTensor(self.shape, data, 1, False)
         num = factor.numerator
         data = self.data if num == 1 else [_lin(x, num, 0, 0) for x in self.data]
         return RationalTensor(self.shape, data, self.den * factor.denominator)
 
     def taylor_integral(self, r):
         """Entry by entry, the integral over [0, 1] of v(xi) (1 - xi)^r / r!
-        (the value at xi = 1 when r < 0), as ints over one denominator.
+        (the value at xi = 1 when r < 0).
 
         The Beta integral gives xi^k the weight k! / (k + r + 1)!, so over
         the denominator top! = (K + r)!, for entries of at most K
-        coefficients, xi^k weighs k! * top! / (k + r + 1)!."""
+        coefficients, xi^k weighs k! * top! / (k + r + 1)! in an exact
+        tensor. Values that are not exact take the weights k! r! / (k + r +
+        1)! and then 1/r!, one Fraction each, as `XiPoly.integrate_weighted`
+        does."""
         if r < 0:
             return self.at(1)
         data = self.data
-        top = max([len(v) for v in data if type(v) is not int] or [1]) + r
+        top = max([len(v) for v in data if type(v) is list] or [1]) + r
+        if not self.exact:
+            fr = math.factorial(r)
+            beta = [Fraction(math.factorial(k) * fr, math.factorial(k + r + 1)) for k in range(top - r)]
+            inverse = Fraction(1, fr)
+            data = [sum(c * w for c, w in zip(v if type(v) is list else [v], beta) if c) * inverse for v in data]
+            return RationalTensor(self.shape, data, 1, False)
         full = math.factorial(top)
         weights = [math.factorial(k) * (full // math.factorial(k + r + 1)) for k in range(top - r)]
         data = [v * weights[0] if type(v) is int else sum(c * w for c, w in zip(v, weights)) for v in data]
@@ -469,11 +485,12 @@ class RationalTensor:
 
     def at(self, xi):
         """Entry by entry the value at the interpolation parameter `xi`: in
-        integers for an int or a Fraction p/q, where over the denominator
-        q^K, for entries of at most K + 1 coefficients, xi^k weighs
-        p^k * q^(K - k). Any other `xi` meets `tensor()`."""
-        if type(xi) not in (int, Fraction):
-            return self.tensor().at(xi)
+        integers for an exact tensor and an int or a Fraction p/q, where over
+        the denominator q^K, for entries of at most K + 1 coefficients, xi^k
+        weighs p^k * q^(K - k). Otherwise by Horner's rule on the values."""
+        if not (self.exact and type(xi) in (int, Fraction)):
+            data = [XiPoly(v).eval(xi) if type(v) is list else v for v in self._values().data]
+            return RationalTensor(self.shape, data, 1, False)
         p, q = xi.numerator, xi.denominator
         top = max([len(v) for v in self.data if type(v) is not int] or [1]) - 1
         weights = [p**k * q ** (top - k) for k in range(top + 1)]
@@ -482,12 +499,12 @@ class RationalTensor:
 
 
 def _lin(x, a, y, b):
-    """x * a + y * b for ints a, b and entries x, y that are ints or int
+    """x * a + y * b for scalars a, b and entries x, y that are scalars or
     xi-coefficient lists."""
-    if type(x) is int and type(y) is int:
+    if type(x) is not list and type(y) is not list:
         return x * a + y * b
-    x = [x] if type(x) is int else x
-    y = [y] if type(y) is int else y
+    x = x if type(x) is list else [x]
+    y = y if type(y) is list else [y]
     out = [t * a for t in x] + [0] * (len(y) - len(x))
     for k, t in enumerate(y):
         out[k] += t * b

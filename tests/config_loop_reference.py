@@ -12,8 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from lionsjet.expansion import _integrate_entry
-from lionsjet.functional import MomentView, _as_tensor, contract_derivative, lions_derivative
+from lionsjet.functional import MomentView, contract_derivative, lions_derivative
 from lionsjet.partitions import enum_A
 from lionsjet.poly import XiPoly
 from lionsjet.tagged import TaggedSeq, as_tagged, graded_families_ext
@@ -33,9 +32,23 @@ def config_average(ts, x0, view, fixed, directions, n_avg, gaps):
     for idx in itertools.product(range(n), repeat=n_avg):
         free = list(fixed) + [view.atoms[i] for i in idx]
         dirvecs = [gaps[idx[v]] if isinstance(v, int) else v for v in directions]
-        term = _as_tensor(contract_derivative(ts, x0, view, free, dirvecs))
+        term = contract_derivative(ts, x0, view, free, dirvecs).tensor()
         total = term if total is None else total + term
     return total.scale(Fraction(1, n**n_avg))
+
+
+def integrated(acc, r):
+    """Entry by entry the integral over [0, 1] of acc(xi) (1 - xi)^r / r!
+    for a `Tensor` of constants and path polynomials, by the Beta integral
+    of `XiPoly.integrate_weighted`; the value at xi = 1 when r < 0."""
+
+    def entry(v):
+        v = v if isinstance(v, XiPoly) else XiPoly.const(v)
+        if r < 0:
+            return v.eval(1)
+        return v.integrate_weighted(r) * Fraction(1, math.factorial(r))
+
+    return acc.map(entry)
 
 
 def _views(c):
@@ -58,9 +71,7 @@ def taylor1_reference(f, c, n):
     remainder = {}
     for a in enum_A(n):
         acc = average(a, path) - average(a, base)
-        remainder[("star", a.values)] = acc.map(
-            lambda v: _integrate_entry(v, n - 1)
-        ).scale(Fraction(1, math.factorial(n - 1)))
+        remainder[("star", a.values)] = integrated(acc, n - 1)
     return jet, remainder
 
 
@@ -107,13 +118,6 @@ def graded_reference(f, base, tagged_pairs, c, alpha, beta, eta):
             continue
         for ext in members:
             values = ext.values
-            r = len(values) - 1
             acc = average(values, *moving) - average(values, *frozen)
-            if r < 0:
-                term = acc.at(Fraction(1))
-            else:
-                term = acc.map(lambda v: _integrate_entry(v, r)).scale(
-                    Fraction(1, math.factorial(r))
-                )
-            remainder[(family, values)] = term
+            remainder[(family, values)] = integrated(acc, len(values) - 1)
     return jet, remainder

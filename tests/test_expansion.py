@@ -13,7 +13,6 @@ from lionsjet.errors import ValidationError
 from lionsjet.expansion import (
     _affine_point,
     _family_sides,
-    _integrate_entry,
     convergence_study,
     eval_Da,
     remainder_bound1,
@@ -23,7 +22,6 @@ from lionsjet.expansion import (
     taylor_derivative,
 )
 from lionsjet.functional import (
-    _as_tensor,
     _certified_sup,
     _vanishes,
     contract_derivative,
@@ -43,6 +41,7 @@ from lionsjet.tagged import (
     grade,
 )
 
+from config_loop_reference import integrated
 from test_functional import kernel_1d, random_functional, random_point
 
 F = Fraction
@@ -190,10 +189,33 @@ def test_xi_integration_identities():
 
 
 def test_integer_numerators_compute_what_their_fractions_do():
-    # sums, scales, the remainder's path integral and values at a rational xi
-    # on int numerators over one denominator, against the same steps on the
-    # Fractions they stand for
+    # sums, scales, the remainder's path integral and values at xi on int
+    # numerators over one denominator, against the same steps taken here on
+    # the Fractions they stand for, one xi-coefficient list per entry
     rng = random.Random(8)
+
+    def coeffs(t):
+        return [[F(c, t.den) for c in v] if type(v) is list else [F(v, t.den)] for v in t.data]
+
+    def values(t):  # comparable whatever the trailing zero coefficients
+        return [XiPoly(cs) for cs in coeffs(t)]
+
+    def horner(cs, xi):
+        total = F(0)
+        for c in reversed(cs):
+            total = total * xi + c
+        return total
+
+    def integral(cs, r):  # of v(xi) (1 - xi)^r / r!: xi^k weighs k! / (k + r + 1)!
+        if r < 0:
+            return horner(cs, 1)
+        return sum(c * F(math.factorial(k), math.factorial(k + r + 1)) for k, c in enumerate(cs))
+
+    def lin(u, v, sign):
+        n = max(len(u), len(v))
+        u, v = u + [F(0)] * (n - len(u)), v + [F(0)] * (n - len(v))
+        return XiPoly([x + sign * y for x, y in zip(u, v)])
+
     for _ in range(20):
         def numerators():
             data = [rng.randint(-9, 9) for _ in range(3)]
@@ -203,16 +225,28 @@ def test_integer_numerators_compute_what_their_fractions_do():
         a, b = numerators(), numerators()
         q = F(rng.randint(-5, 5), rng.randint(1, 7))
         r = rng.randint(-1, 4)
-        ta, tb = a.tensor(), b.tensor()
-        assert all(type(v) in (Fraction, XiPoly) for v in ta.data)
-        assert (a + b).tensor() == ta + tb and (a - b).tensor() == ta - tb
-        assert a.scale(q).tensor() == ta.scale(q)
-        assert a.taylor_integral(r).tensor() == expansion._integrated(ta, r)
-        assert a.at(q).tensor() == ta.at(q) and a.at(2).tensor() == ta.at(2)
-        assert a.at(0.25) == ta.at(0.25)  # a float xi meets the Fractions
-        # any other operand meets the Fractions
-        assert a.scale(0.5) == ta.scale(0.5) and a - tb == ta - tb and tb + a == tb + ta
-        assert type((tb - a).data[0]) is Fraction
+        ca, cb = coeffs(a), coeffs(b)
+        assert all(type(v) in (Fraction, XiPoly) for v in a.tensor().data)
+        assert values(a + b) == [lin(u, v, 1) for u, v in zip(ca, cb)]
+        assert values(a - b) == [lin(u, v, -1) for u, v in zip(ca, cb)]
+        assert values(a.scale(q)) == [XiPoly([c * q for c in cs]) for cs in ca]
+        assert values(a.taylor_integral(r)) == [XiPoly([integral(cs, r)]) for cs in ca]
+        for xi in (q, 2):
+            assert values(a.at(xi)) == [XiPoly([horner(cs, xi)]) for cs in ca]
+        for t in (a + b, a.scale(q), a.taylor_integral(r), a.at(q)):
+            assert t.exact
+        # a float xi, a float scale or a tensor that is not exact meets the
+        # Fractions: the exact tensor is divided first, bit for bit
+        floats = RationalTensor((2, 3), [rng.uniform(-1, 1) for _ in range(6)], 1, exact=False)
+        met = [a.at(0.25), a.scale(0.5), a - floats, floats + a]
+        assert not any(t.exact for t in met) and {t.den for t in met} == {1}
+        assert met[0].data == [horner(cs, 0.25) if type(v) is list else cs[0] for v, cs in zip(a.data, ca)]
+        assert met[1].data == [[c * 0.5 for c in cs] if type(v) is list else cs[0] * 0.5 for v, cs in zip(a.data, ca)]
+        for t, step in ((met[2], lambda c, y: c - y), (met[3], lambda c, y: y + c)):
+            assert t.data == [
+                [step(cs[0], y)] + cs[1:] if type(v) is list else step(cs[0], y)
+                for v, cs, y in zip(a.data, ca, floats.data)
+            ]
 
 
 def test_taylor1_exactness_batch():
@@ -1017,13 +1051,13 @@ def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
     def contract(values, tagged_at_xi, measure_at_xi):
         tagged = paths if tagged_at_xi else starts
         dirvecs = [None] * n0 + [disps[v] if v <= m0 else v - m0 - 1 for v in values]
-        return _as_tensor(contract_derivative(
+        return contract_derivative(
             lions_derivative(f, TaggedSeq(base.values + values)),
             tagged[0] if tagged else None,
             path_view if measure_at_xi else base_view,
             tagged[1:],
             dirvecs,
-        ))
+        ).tensor()
 
     core, *families = _graded_value_families(alpha, beta, eta, m0, 0 if f.has_spatial else 1)
     raws = {values: contract(values, False, False) for values in core}
@@ -1031,12 +1065,7 @@ def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
     for (family, moving, frozen), members in zip(_family_sides(alpha, beta), families):
         for values in members:
             step = contract(values, *moving) - contract(values, *frozen)
-            r = len(values) - 1
-            if r < 0:
-                terms[(family, values)] = step.at(F(1))
-            else:
-                integral = step.map(lambda v: _integrate_entry(v, r))
-                terms[(family, values)] = integral.scale(F(1, math.factorial(r)))
+            terms[(family, values)] = integrated(step, len(values) - 1)
     return raws, terms
 
 
@@ -1071,10 +1100,81 @@ def test_integer_bookkeeping_changes_no_output_byte(monkeypatch, as_float):
             out.append(repr(convergence_study(f, points, directions, 2, hs, box=(-9, 9))))
         return out
 
+    def as_fractions(t):  # an exact contraction divided here, entry by entry, over 1
+        if t.exact:
+            t = RationalTensor(t.shape, [
+                [F(c, t.den) for c in v] if type(v) is list else F(v, t.den) for v in t.data
+            ], 1, exact=False)
+        return t
+
     kept = outputs()
     real = functional.contract_derivative
-    monkeypatch.setattr(expansion, "contract_derivative", lambda *args: _as_tensor(real(*args)))
+    monkeypatch.setattr(expansion, "contract_derivative", lambda *args: as_fractions(real(*args)))
     assert outputs() == kept
+
+
+def _float_path_outputs():
+    """Float taylor1 and taylor2 expansions, whose remainder integrands lie
+    on the path, and a study at float scales h, on fresh couplings."""
+    rng = random.Random("float-path")
+    f1 = random_functional(rng, 2, 2, False, degree=4)
+    f2 = random_functional(rng, 2, 2, True, degree=3)
+    points = [tuple(rng.uniform(-2, 2) for _ in range(2)) for _ in range(6)]
+    c = pair_coupling(points[:3], points[3:])
+    out = [taylor1(f1, c.left(), c, n, box=(-9, 9)).to_json() for n in (1, 2, 3)]
+    out.append(taylor2(f2, (0.5, -0.25), (1.0, 0.75), c, Grading(1, F(1, 2), F(5, 2))).to_json())
+    out.append(convergence_study(f1, points[:3], points[3:], 2, [0.5, 0.25, 0.125]))
+    return [json.dumps(item) for item in out]
+
+
+def test_float_path_terms_read_coefficient_lists(monkeypatch):
+    # a float path value is a list of xi-coefficients from the power tables
+    # to the integral and the value at h: no step multiplies, adds or
+    # integrates an XiPoly
+    kept = _float_path_outputs()
+
+    def refuse(*args):
+        raise AssertionError("XiPoly arithmetic on the path")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "integrate_weighted"):
+        monkeypatch.setattr(XiPoly, name, refuse)
+    assert _float_path_outputs() == kept
+
+
+def _huge_point(rng, e):
+    return tuple(F(rng.randint(-(3**201), 3**201), 3**200) for _ in range(e))
+
+
+HUGE_DENOMINATOR_DIGESTS = [
+    "8b020b0716ba037d017b5641e0f6d269e67e04eb7d20ff195338ce7447e6853e",
+    "bc56666a500db6c7d335362fc1a2d6b928a592c38e177ed68d42c4be0215afca",
+    "d2306d00e3b5bbf58f75887c93b5ee605ff75812052b4850d099236b49b67b12",
+    "a230730670d1fa3b2382f2883cd37b72937724b8d46c3782d07d6e91e2407df6",
+    "786677fe58343fb2ee751bdc80e626ce4ef6f39ad38192fe4834b6361ec80f97",
+]
+
+
+def test_exact_tensors_are_divided_before_they_meet_a_float():
+    # float starts and rational targets with denominators of 3^200: the
+    # target value is an exact tensor over a huge denominator, the
+    # prediction is not exact, and a study at a float h on such rational
+    # points meets its exact jets and path value with float scales. Each
+    # exact tensor is divided into Fractions first (a lifted integer that
+    # met a float would overflow it), so the bytes are those pinned here
+    rng = random.Random("huge-denominators")
+    e = 2
+    f1 = random_functional(rng, e, 2, False, degree=4)
+    f2 = random_functional(rng, e, 2, True, degree=3)
+    starts = [tuple(rng.uniform(-2, 2) for _ in range(e)) for _ in range(3)]
+    c = pair_coupling(starts, [_huge_point(rng, e) for _ in range(3)])
+    out = [taylor1(f1, c.left(), c, n).to_json() for n in (1, 2, 3)]
+    g = Grading(1, F(1, 2), F(5, 2))
+    out.append(taylor2(f2, (0.5, -0.25), _huge_point(rng, e), c, g).to_json())
+    points = [_huge_point(rng, e) for _ in range(3)]
+    dirs = [_huge_point(rng, e) for _ in range(3)]
+    out.append(convergence_study(f1, points, dirs, 2, [0.5, 0.25, F(1, 8)]))
+    digests = [hashlib.sha256(json.dumps(item).encode()).hexdigest() for item in out]
+    assert digests == HUGE_DENOMINATOR_DIGESTS
 
 
 def test_float_terms_stay_close_to_their_own_sequence_contraction():

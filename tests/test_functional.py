@@ -20,7 +20,6 @@ from lionsjet.functional import (
     MomentView,
     PolyFunctional,
     PolyKernel,
-    _as_tensor,
     _certified_sup,
     _vanishes,
     contract_derivative,
@@ -288,7 +287,7 @@ def test_contraction_is_multilinear():
     full = eval_derivative(d, None, mu, free)
 
     def contract(u1, u2):
-        return _as_tensor(contract_derivative(d, None, mu, free, [u1, u2]))[(0,)]
+        return contract_derivative(d, None, mu, free, [u1, u2]).tensor()[(0,)]
 
     expected = sum(
         full[(0, c1, c2)] * v1[c1] * v2[c2] for c1 in range(2) for c2 in range(2)
@@ -454,7 +453,7 @@ def test_contraction_through_cached_joint_equals_fresh_derivative():
         fresh = contract_derivative(
             lions_derivative(PolyFunctional(f.kernel), a), None, view, [], dirvecs
         )
-        assert _as_tensor(shared) == _as_tensor(fresh)
+        assert shared.tensor() == fresh.tensor()
 
 
 def test_a_repeated_call_differentiates_nothing(monkeypatch):

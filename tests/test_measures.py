@@ -92,6 +92,17 @@ def test_coupling_moment_examples():
     assert coupling_moment(c3, 3, exact=True) == Fraction(1, 216)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("p", [-1, 0.5, 2.0, True, Fraction(2), "2", None])
+def test_coupling_moment_takes_only_an_integer_power_of_at_least_0(p, exact):
+    # one gap is zero: p = -1 would divide by it, and an exact 0.5 would
+    # reach an int-only branch
+    c = Coupling([((0,), (0,)), ((0,), (2,))])
+    with pytest.raises(ValidationError):
+        coupling_moment(c, p, exact=exact)
+    assert coupling_moment(c, 0, exact=exact) == 1
+
+
 def test_pairs_and_dimension_are_read_only_so_kept_moments_stay_right():
     c = pair_coupling([(0,)], [(1,)])
     assert c.gap_squares() == [1] and coupling_moment(c, 2) == 1.0

@@ -17,15 +17,14 @@ from lionsjet.functional import (
     MomentView,
     PolyFunctional,
     PolyKernel,
-    _as_tensor,
     contract_derivative,
     eval_derivative,
     eval_derivative_brute,
     lions_derivative,
 )
-from lionsjet.measures import pair_coupling
+from lionsjet.measures import _affine_point, pair_coupling
 from lionsjet.partitions import enum_A
-from lionsjet.poly import MPoly, Tensor, XiPoly
+from lionsjet.poly import MPoly, RationalTensor, Tensor, XiPoly
 from lionsjet.tagged import Grading, TaggedSeq, enum_A0, grade
 
 from config_loop_reference import graded_reference, taylor1_reference
@@ -134,7 +133,7 @@ def test_int_direction_on_path_view():
         [(XiPoly.affine(x, g),) for x, g in zip(xs, gs)], dim=1, gaps=[(g,) for g in gs]
     )
     ts = lions_derivative(f, TaggedSeq((1,)))
-    got = _as_tensor(contract_derivative(ts, None, path, [], [0]))[(0,)]
+    got = contract_derivative(ts, None, path, [], [0]).tensor()[(0,)]
     want = XiPoly(
         (sum(2 * x * g for x, g in zip(xs, gs)) / 2, sum(2 * g * g for g in gs) / 2)
     )
@@ -217,7 +216,7 @@ def test_contraction_past_kernel_degree_matches_brute(past, directions, spatial,
         n_fixed = ts.n_free
         dirvecs = [vec[v] if directions == "vector" else None for v in values]
     fixed = [view.atoms[i % view.n_atoms] for i in range(n_fixed)]
-    got = _as_tensor(contract_derivative(ts, x0, view, fixed, dirvecs))
+    got = contract_derivative(ts, x0, view, fixed, dirvecs).tensor()
     want = _brute_contraction(ts, x0, view, fixed, dirvecs)
     assert got.shape == want.shape == (1,) + (e,) * dirvecs.count(None)
     if past:
@@ -297,7 +296,7 @@ def test_integer_contraction_equals_brute(
             dirvecs.append(point())
         else:
             dirvecs.append(v - n_fixed - 1)
-    got = _as_tensor(contract_derivative(ts, x0, view, fixed, dirvecs))
+    got = contract_derivative(ts, x0, view, fixed, dirvecs).tensor()
     brute = _brute_contraction(ts, x0, view, fixed, dirvecs)
     assert got.shape == brute.shape
     for g, b in zip(got.data, brute.data):
@@ -370,7 +369,7 @@ def test_inexact_contraction_values(kind, monkeypatch):
         return sums(view, gap_exps, degree)
 
     monkeypatch.setattr(MomentView, "sums", recorded)
-    got = _as_tensor(contract_derivative(ts, x0, view, fixed, dirvecs))
+    got = contract_derivative(ts, x0, view, fixed, dirvecs).tensor()
     assert degrees and set(degrees) == {None}
     want = _brute_contraction(ts, x0, view, fixed, dirvecs)
     if tol:
@@ -378,6 +377,36 @@ def test_inexact_contraction_values(kind, monkeypatch):
         assert float((got - want).max_abs()) <= tol * (1 + float(want.max_abs()))
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("kind", ["rational", "float atoms", "float x0", "symbolic"])
+def test_every_contraction_is_a_rational_tensor(kind):
+    # one result type for every number type: int numerators over their
+    # denominator for rational data, the values as given over 1 otherwise,
+    # an exact zero for a derivative without cells; on the path every entry
+    # that a cell reaches is a list of xi-coefficients
+    if kind == "rational":
+        ts, x0, view, dirvecs, _ = _inexact_case("float x0")
+        x0 = tuple(map(F, x0))
+    else:
+        ts, x0, view, dirvecs, _ = _inexact_case(kind)
+    path = view.with_atoms([_affine_point(a, g) for a, g in zip(view.atoms, view.gaps)])
+    fixed = [view.atoms[0]]
+    exact = kind == "rational"
+    for v in (view, path):
+        got = contract_derivative(ts, x0, v, fixed, dirvecs)
+        assert isinstance(got, RationalTensor) and got.exact == exact
+        if exact:
+            entries = [t for u in got.data for t in (u if type(u) is list else [u])]
+            assert all(type(t) is int for t in entries)
+            assert got.tensor() == _brute_contraction(ts, x0, v, fixed, dirvecs)
+        else:
+            assert got.den == 1
+        reached = [type(u) is list for u in got.data if u != 0]
+        assert reached and set(reached) == {v is path}
+    vanishing = lions_derivative(ts.functional, TaggedSeq((0,) * (ts.kernel.degree + 1)))
+    zero = contract_derivative(vanishing, x0, path, [], [None] * len(vanishing.seq))
+    assert isinstance(zero, RationalTensor) and zero.exact and not any(zero.data)
 
 
 # k(x0, u1, u2) = x0^2 u1 u2 + 3 x0 u1^2 - u2^3 / 2 + 5
