@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import ValidationError
 from .expansion import convergence_study, taylor1, taylor2, taylor_derivative
 from .functional import PolyFunctional, PolyKernel
-from .measures import _as_point, load_coupling, load_points, pair_coupling
+from .measures import _as_point, _coordinate_text, load_coupling, load_points, pair_coupling
 from .oracle import (
     Report,
     schwarz_check,
@@ -150,7 +150,7 @@ def make_instance(identity, seed, mode="rational"):
 
 
 def _point_json(p):
-    return [str(c) for c in p]
+    return list(map(_coordinate_text, p))
 
 
 def _points_json(pts):

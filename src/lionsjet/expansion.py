@@ -10,8 +10,9 @@ operator costs time linear in the atom count N (see
 tables of a view (`measures.MomentView`). The coupling keeps its base,
 path and target views, which share their gap tables, with their sums,
 so every expansion, bound and evaluation on one coupling reads the
-same ones; the start and path points of the tagged slots are one-atom
-views built once per call. Every contraction returns a `poly.RationalTensor`
+same ones; the start of each tagged slot is a one-atom view, and its path
+point that view with its displacement on the path (`MomentView.on_path`),
+each built once per call. Every contraction returns a `poly.RationalTensor`
 and the engine keeps that type up to the output: the jet's 1/k!, the
 remainder's path integral and 1/r!, the prediction sums, actual - predicted
 and a study's value at h and h^k. With rational data they stay integer
@@ -103,7 +104,6 @@ from .functional import (
 )
 from .measures import (
     EmpiricalMeasure,
-    _affine_point,
     _as_point,
     coupling_moment,
     float_moment,
@@ -284,12 +284,12 @@ def _orbit_cache(f, base, tagged_pairs, c):
     """
     _check_pairs(f, c, tagged_pairs)
     kernel, m0, n0 = f.kernel, base.m, len(base)
-    # one-atom views, so that every contraction reads the same power tables
+    # one-atom views, so that every contraction reads the same power tables;
+    # a path view from its start and displacement rows
     tagged_base = [MomentView([x], c.dim) for x, _ in tagged_pairs]
     tagged_disp = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
     tagged_path = [
-        MomentView([_affine_point(x, gap)], c.dim)
-        for (x, _), gap in zip(tagged_pairs, tagged_disp)
+        MomentView([x], c.dim, [gap]).on_path() for (x, _), gap in zip(tagged_pairs, tagged_disp)
     ]
     derivs, contractions = {}, {}  # by representative; by (representative, sides)
 

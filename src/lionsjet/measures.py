@@ -7,25 +7,24 @@ finite sums.
 `MomentView` is the one moment cache every evaluator integrates against; an
 `EmpiricalMeasure` is a view whose atoms are validated rational or float
 points. Every moment of a view is a sum over its power tables, which hold
-each coordinate as its xi-coefficients (one, off the path), scaled to
-integers when the atoms and gaps are rational and as given otherwise. A
-`Coupling` keeps the views built from its pairs (of its left marginal with
-the gaps, of the straight path between its marginals, of its right
-marginal) and the bounding box of its atoms, so that every call on one
-coupling reads the same sums and box.
+each coordinate as one row, scaled to integers when the atoms and gaps are
+rational and as given otherwise; on the path atom + xi * gap
+(`MomentView.on_path`), as its start and gap rows. A `Coupling` keeps the
+views built from its pairs (of its left marginal with the gaps, that view
+on the path, of its right marginal) and the bounding box of its atoms, so
+that every call on one coupling reads the same sums and box.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import operator
 from fractions import Fraction
 
 from .errors import UnsupportedError, ValidationError
-from .poly import XiPoly, parse_rational
+from .poly import XiPoly, format_rational, parse_rational
 
 
 def _as_point(coords):
@@ -38,62 +37,81 @@ def _as_point(coords):
     return point
 
 
-def _exact(vectors, path=True):
-    """Whether the power tables of `vectors` scale to integers: every
-    coordinate is an int or a Fraction or, if `path`, every one is an
-    `XiPoly` with such coefficients."""
-    kinds = {type(c) for v in vectors for c in v}
-    if path and kinds == {XiPoly}:
-        kinds = {type(q) for v in vectors for c in v for q in c.coeffs}
-    return kinds <= {int, Fraction}
+def _coordinate_text(c):
+    """A point coordinate as text: a float as Python prints it, a rational
+    as "p/q" of any size."""
+    return str(c) if isinstance(c, float) else format_rational(c)
 
 
 class _PowerTables:
     """Power tables of N vectors, exact or as given.
 
-    On a path view (`poly`: its first vector holds an `XiPoly`) every
-    coordinate is held as its xi-coefficients, elsewhere as itself. Exact
-    tables (vectors that `_exact` accepts) scale every coefficient once by
-    `scale`, the lcm of all denominators, so that it is an integer. Other
-    tables keep the coefficients as given (floats, symbolic polynomials,
-    mixes of rationals and floats), at scale 1.
-    `rows(exps)` is the table of the monomial with exponents `exps`: row k
-    lists, vector by vector, the coefficient of xi^k in scale^|exps| *
-    prod_c v_c^exps_c (a single row of the products themselves unless
-    `poly`). Only the coordinates' own tables are kept: a view keeps every
-    sum it reads from a table (`MomentView.sums`), so a product table is
-    built for one sum and dropped.
+    `_units` holds each coordinate's table: one row, the coordinate in every
+    vector or, on a path (`on_path`), the rows of its xi-coefficients. Exact
+    tables hold every entry times `scale`, an integer that clears every
+    denominator; others keep the entries as given, at scale 1. `rows(exps)`
+    is the table of the monomial with exponents `exps`: row k lists, vector
+    by vector, the coefficient of xi^k in scale^|exps| * prod_c v_c^exps_c.
+    Only the coordinates' own tables are kept: a view keeps every sum it
+    reads from a table (`MomentView.sums`), so a product table is built for
+    one sum and dropped.
     """
 
-    __slots__ = ("n", "scale", "poly", "exact", "_units")
+    __slots__ = ("n", "scale", "exact", "path", "_units")
 
     def __init__(self, vectors, exact):
-        self.n = len(vectors)
-        self.exact = exact
-        self.poly = XiPoly in map(type, vectors[0])
-        if self.poly:  # row k of a coordinate: its xi^k coefficient in every vector
-            units = [
-                [list(row) for row in itertools.zip_longest(
-                    *[c.coeffs if type(c) is XiPoly else (c,) for c in col], fillvalue=0
-                )] or [[0] * self.n]
-                for col in zip(*vectors)
-            ]
-        else:
-            units = [[list(col)] for col in zip(*vectors)]
-        scale = 1
-        if exact:
-            scale = math.lcm(*(q.denominator for rows in units for row in rows for q in row))
-            units = [[[q.numerator * (scale // q.denominator) for q in row] for row in rows] for rows in units]
-        self.scale, self._units = scale, units
+        units, scale = [list(col) for col in zip(*vectors)], 1
+        if exact:  # scaled by the lcm of the denominators
+            scale = math.lcm(*(q.denominator for col in units for q in col))
+            units = [[q.numerator * (scale // q.denominator) for q in col] for col in units]
+        self.n, self.scale, self.exact, self.path = len(vectors), scale, exact, False
+        self._units = [[col] for col in units]
+
+    def on_path(self, gaps):
+        """The tables of vector + xi * gap, given the tables `gaps` of one
+        gap per vector: per coordinate, its row here and, unless all are 0,
+        its gaps, both at the scale lcm(scale, gaps.scale)."""
+        path = _PowerTables.__new__(_PowerTables)
+        path.n, path.exact, path.path = self.n, self.exact, True
+        path.scale = math.lcm(self.scale, gaps.scale)
+        a, b = path.scale // self.scale, path.scale // gaps.scale
+        path._units = [
+            [[q * a for q in x]] + ([[q * b for q in g]] if any(g) else [])
+            for (x,), (g,) in zip(self._units, gaps._units)
+        ]
+        return path
 
     def rows(self, exps):
-        """The table of `exps`: the coordinates' tables multiplied one
-        factor at a time, coordinate 0 first."""
+        """The table of `exps`: the coordinates' tables multiplied into it,
+        coordinate 0 first, one factor at a time, but an exact path
+        coordinate's power in closed form (`_binomial_power`: its int
+        C(p, k) would overflow a float row)."""
         table = None
         for unit, p in zip(self._units, exps):
-            for _ in range(p):
-                table = unit if table is None else _times(table, unit)
+            closed = p and len(unit) == 2 and self.exact
+            for factor in [_binomial_power(*unit, p)] if closed else [unit] * p:
+                table = factor if table is None else _times(table, factor)
         return [[1] * self.n] if table is None else table
+
+
+def _row_times(a, b):
+    """Vector-by-vector product of two rows."""
+    return list(map(operator.mul, a, b))
+
+
+def _binomial_power(start, gap, p):
+    """The table of (start + xi * gap)^p, vector by vector: row k is
+    C(p, k) * start^(p - k) * gap^k, from 3(p - 1) row products."""
+    starts, gaps = [start], [gap]  # the powers 1, ..., p
+    for _ in range(p - 1):
+        starts.append(_row_times(starts[-1], start))
+        gaps.append(_row_times(gaps[-1], gap))
+    table, c = [starts[-1]], 1
+    for k in range(1, p + 1):
+        c = c * (p - k + 1) // k
+        row = gaps[-1] if k == p else _row_times(starts[p - k - 1], gaps[k - 1])
+        table.append(row if c == 1 else [c * q for q in row])
+    return table
 
 
 def _times(a, b):
@@ -101,14 +119,14 @@ def _times(a, b):
     out = [None] * (len(a) + len(b) - 1)
     for j, b_row in enumerate(b):
         for k, a_row in enumerate(a, j):
-            prod = list(map(operator.mul, a_row, b_row))
+            prod = _row_times(a_row, b_row)
             out[k] = prod if out[k] is None else list(map(operator.add, out[k], prod))
     return out
 
 
 class MomentView:
     """Duck-typed empirical measure over atoms with generic scalar
-    coordinates (Fractions, floats, path or symbolic polynomials).
+    coordinates (Fractions, floats, symbolic polynomials).
 
     Provides the `moment` interface the evaluators integrate against. When
     `gaps` is given (one displacement vector per atom, e.g. the coupling gaps
@@ -120,15 +138,14 @@ class MomentView:
     `moment(exps)` is the case gap_exps = 0. A one-atom view is a point.
 
     Every moment is a sum over the power tables (`_PowerTables`) of the atoms
-    and gaps. The view is `exact` when every atom coordinate is an int or a
-    Fraction, or every one an `XiPoly` with such coefficients (the path
-    view), and every gap is an int or a Fraction: atoms and gaps are then
-    each scaled once by the lcm of their denominators, and the sums are
-    plain ints (one int per xi power on a path view) that the exact
+    and gaps. The view is `exact` when every atom coordinate and every gap
+    is an int or a Fraction: atoms and gaps are then each scaled once by the
+    lcm of their denominators, and the sums are plain ints that the exact
     contraction reads lifted to a common degree (`sums`). Scaling by a common
     integer commutes with sums and products, so a moment is the exact value.
-    Otherwise atoms and gaps both keep their values as given and a moment
-    is their sum times 1/N, of whatever type the products are.
+    Otherwise atoms and gaps both keep their values as given (`XiPoly`
+    coordinates among them are symbolic data) and a moment is their sum
+    times 1/N, of whatever type the products are.
 
     One cache, keyed by (gap_exps, degree), holds the sums `sums` returns;
     under degree None they are the moments themselves, which an inexact
@@ -149,7 +166,7 @@ class MomentView:
             raise ValidationError(f"a view needs atoms, and one gap per atom, of {dim} coordinates")
         self._no_gaps = (0,) * self.dim
         self._sums = {}
-        exact = _exact(self.atoms) and (self.gaps is None or _exact(self.gaps, path=False))
+        exact = {type(c) for v in vectors for c in v} <= {int, Fraction}
         self._atom_tables = _PowerTables(self.atoms, exact)
         self._gap_tables = self.gaps and _PowerTables(self.gaps, exact)
 
@@ -162,14 +179,17 @@ class MomentView:
         """Whether the power tables are scaled to integers."""
         return self._atom_tables.exact
 
-    def with_atoms(self, atoms):
-        """The view of `atoms`, one per atom of this view, carrying this
-        view's gaps and sharing their power tables when both views are
-        exact or both are not."""
-        view = MomentView(atoms, self.dim)
-        if view.exact != self.exact:
-            return MomentView(atoms, self.dim, self.gaps)
-        view.gaps, view._gap_tables = self.gaps, self._gap_tables
+    def on_path(self):
+        """This view moved onto the straight path atom + xi * gap: a view
+        that shares this view's gaps and gap tables, and whose power tables
+        are this view's start and gap rows (`_PowerTables.on_path`). Its
+        `atoms` is None; `n_atoms` still counts them."""
+        if self.gaps is None:
+            raise ValidationError("a path view needs a view with gaps")
+        view = MomentView.__new__(MomentView)
+        view.atoms, view.dim, view.gaps, view._no_gaps = None, self.dim, self.gaps, self._no_gaps
+        view._sums, view._gap_tables = {}, self._gap_tables
+        view._atom_tables = self._atom_tables.on_path(self._gap_tables)
         return view
 
     def table_scales(self):
@@ -177,7 +197,7 @@ class MomentView:
         gap_scale are 1 on a view that is not exact, and on a path view a
         sum is a list, one entry per xi power."""
         atoms, gaps = self._atom_tables, self._gap_tables
-        return self.n_atoms, atoms.scale, gaps.scale if gaps else 1, atoms.poly
+        return self.n_atoms, atoms.scale, gaps.scale if gaps else 1, atoms.path
 
     def sums(self, gap_exps, degree=None):
         """The sums with gap exponents `gap_exps`: a dict, filled on first
@@ -232,7 +252,7 @@ class _Lifted(dict):
             factor = Fraction(1, atoms.n * atoms.scale ** sum(exps) * gap_scale ** sum(self.gap))
         else:  # lifted to `degree`, by 1 at scale 1 (where the degree is 0)
             factor = atoms.scale ** (self.degree - sum(exps)) if atoms.scale != 1 else 1
-        value = [s * factor for s in sums] if atoms.poly else sums[0] * factor
+        value = [s * factor for s in sums] if atoms.path else sums[0] * factor
         self[exps] = value
         return value
 
@@ -340,16 +360,10 @@ class Coupling:
         return self._base
 
     def path_view(self):
-        """The base view moved onto the straight path x + xi * (y - x), its
-        coordinates in `XiPoly`, sharing the base view's gap tables; kept.
-        Its power tables hold all that a contraction reads, so its `XiPoly`
-        atoms are dropped once they are built: `atoms` is None, and
-        `n_atoms` still counts them."""
+        """The base view on the straight path x + xi * (y - x)
+        (`MomentView.on_path`), its `atoms` None; kept."""
         if self._path is None:
-            atoms = [_affine_point(x, gap) for (x, _), gap in zip(self.pairs, self.gaps())]
-            view = self.base_view().with_atoms(atoms)
-            view.atoms = None
-            self._path = view
+            self._path = self.base_view().on_path()
         return self._path
 
     def target_view(self):
@@ -359,7 +373,7 @@ class Coupling:
         return self._target
 
     def to_json(self):
-        return [[[str(c) for c in x], [str(c) for c in y]] for x, y in self.pairs]
+        return [[list(map(_coordinate_text, x)), list(map(_coordinate_text, y))] for x, y in self.pairs]
 
     @classmethod
     def from_json(cls, data):
@@ -367,11 +381,6 @@ class Coupling:
 
     def __repr__(self):
         return f"Coupling({len(self.pairs)} pairs in R^{self.dim})"
-
-
-def _affine_point(x, gap):
-    """Point whose coordinates follow the straight path x + xi * gap."""
-    return tuple(XiPoly.affine(a, g) for a, g in zip(x, gap))
 
 
 def pair_coupling(x, y):
@@ -430,7 +439,7 @@ def load_points(path):
     with open(path) as fh:
         text = fh.read()
     if str(path).endswith(".json") or text.lstrip().startswith("["):
-        return [_as_point(row) for row in json.loads(text)]
+        return [_as_point(row) for row in json.loads(text, parse_int=parse_rational)]
     rows = [r for r in csv.reader(text.splitlines()) if r]
     return [_as_point(row) for row in rows]
 
@@ -439,7 +448,7 @@ def save_points(path, points):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for p in points:
-            writer.writerow([str(c) for c in p])
+            writer.writerow(map(_coordinate_text, p))
 
 
 def load_coupling(path):

@@ -13,6 +13,7 @@ xi-coefficients.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -22,20 +23,28 @@ ONE = Fraction(1)
 
 
 def parse_rational(text):
-    """Parse "p/q", "p" or a number into a Fraction."""
+    """Parse "p/q", "p" or a decimal number, of any length, into a Fraction."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    try:
-        return Fraction(str(text))
+    num, slash, den = str(text).partition("/")
+    try:  # Decimal reads digits without Python's int <-> str digit limit
+        if slash and not (num.lstrip().lstrip("+-").isdecimal() and den.rstrip().isdecimal()):
+            raise ValueError  # "p/q" takes ints, q unsigned
+        value = Fraction(Decimal(num))
+        return value / int(Decimal(den)) if slash else value
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator in {text}") from None
+    except (ArithmeticError, ValueError):  # Decimal's InvalidOperation, nan, inf
+        raise ValidationError(f"Invalid literal for Fraction: {text!r}") from None
 
 
 def format_rational(value):
-    """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
-    return str(Fraction(value))
+    """Render a Fraction as "p/q" (or "p" when the denominator is 1), of any length."""
+    value = Fraction(value)
+    num = str(Decimal(value.numerator))  # Decimal writes digits without the limit
+    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 class MPoly:

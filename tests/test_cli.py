@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, replay."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -20,7 +21,8 @@ from lionsjet.cli import main, make_instance, run_instance
 from lionsjet.functional import PolyFunctional, PolyKernel
 from lionsjet.measures import pair_coupling, save_coupling, save_points
 from lionsjet.partitions import enum_A
-from lionsjet.poly import MPoly
+from lionsjet.expansion import taylor1
+from lionsjet.poly import MPoly, parse_rational
 from lionsjet.tagged import Grading, enum_A0, enum_graded
 
 F = Fraction
@@ -866,6 +868,62 @@ def test_converge_on_a_high_degree_kernel(tmp_path, capsys):
     header, *rows, slope = text.splitlines()
     assert header == "h,remainder,bound" and len(rows) == 2
     assert float(slope.split(": ")[1]) == pytest.approx(2, abs=0.1)
+
+
+def test_float_expand_on_a_kernel_past_the_float_binomials(tmp_path, capsys):
+    # u^1100 on float points: C(1100, 550) is past the float range, so a
+    # path power that multiplied a float row by the int C(p, k) ended in
+    # "int too large to convert to float" and exit 2; float paths keep the
+    # one-factor-at-a-time product, and the output is the bytes recorded
+    # before the closed form existed
+    kpath = tmp_path / "high.json"
+    kpath.write_text(json.dumps({
+        "e": 1, "d": 1, "arity": 1, "spatial": False,
+        "terms": [{"out": 0, "coeff": "1", "exps": [[1100]]}],
+    }))
+    (tmp_path / "x.csv").write_text("1.0\n-1.0\n")
+    (tmp_path / "y.csv").write_text("1.001\n-0.998\n")
+    code, text = run_cli(["expand", "--kernel", str(kpath), "--points", str(tmp_path / "x.csv"),
+                          "--points2", str(tmp_path / "y.csv"), "--order", "1", "--mode", "float"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "11beedcac225d8486a2dfd6a21df67e85e6d62e4938bfa9ca40088e99500fd15"
+    )
+
+
+def test_expand_prints_exact_numbers_past_the_int_text_limit(tmp_path):
+    # u^3 over points with 1,500-digit denominators: entries of more than
+    # the 4,300 digits that Python converts between int and text by
+    # default used to end in exit 2; each printed entry parses back to the
+    # library's value
+    kpath = tmp_path / "cube.json"
+    kpath.write_text(json.dumps({
+        "e": 1, "d": 1, "arity": 1, "spatial": False,
+        "terms": [{"out": 0, "coeff": "1", "exps": [[3]]}],
+    }))
+    x, y = [(F(1),), (F(-1),)], [(1 + F(1, 10**1500 + 7),), (F(-1, 2) - F(1, 3**3000),)]
+    save_points(tmp_path / "x.csv", x)
+    save_points(tmp_path / "y.csv", y)
+    code, text = run_cli(["expand", "--kernel", str(kpath), "--points", str(tmp_path / "x.csv"),
+                          "--points2", str(tmp_path / "y.csv"), "--order", "1"])
+    assert code == 0
+    data = json.loads(text)
+    c = pair_coupling(x, y)
+    res = taylor1(PolyFunctional.from_json(json.loads(kpath.read_text())), c.left(), c, 1)
+    for key in ("predicted", "actual", "remainder_exact"):
+        assert [parse_rational(v) for v in data[key]] == getattr(res, key).data
+    assert max(len(v) for v in data["actual"]) > 4300
+
+
+def test_a_dumped_instance_with_5000_digit_points_replays(tmp_path):
+    inst = make_instance("empirical", 3)
+    points = cli._parse_points(inst["points"])
+    points[0] = (F(1, (10**5000 - 1) // 3),) + points[0][1:]
+    inst["points"] = cli._points_json(points)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    code, text = run_cli(["verify", "--replay", str(path)])
+    assert code == 0 and json.loads(text)["pass"] is True
 
 
 def test_verify_rejects_empty_batches(capsys):

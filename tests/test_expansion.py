@@ -11,7 +11,6 @@ import pytest
 from lionsjet import expansion, functional, measures
 from lionsjet.errors import ValidationError
 from lionsjet.expansion import (
-    _affine_point,
     _family_sides,
     convergence_study,
     eval_Da,
@@ -1043,10 +1042,10 @@ def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
     m0, n0 = base.m, len(base)
     gaps = [tuple(b - a for a, b in zip(x, y)) for x, y in c.pairs]
     base_view = MomentView([x for x, _ in c.pairs], c.dim, gaps)
-    path_view = MomentView([_affine_point(x, g) for (x, _), g in zip(c.pairs, gaps)], c.dim, gaps)
+    path_view = MomentView([x for x, _ in c.pairs], c.dim, gaps).on_path()
     starts = [tuple(x) for x, _ in pairs]
     disps = [tuple(b - a for a, b in zip(x, y)) for x, y in pairs]
-    paths = [_affine_point(x, disp) for (x, _), disp in zip(pairs, disps)]
+    paths = [MomentView([x], c.dim, [disp]).on_path() for x, disp in zip(starts, disps)]
 
     def contract(values, tagged_at_xi, measure_at_xi):
         tagged = paths if tagged_at_xi else starts

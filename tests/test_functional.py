@@ -672,9 +672,7 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     atoms = [random_point(rng, 2) for _ in range(3)]
     gaps = [random_point(rng, 2) for _ in range(3)]
     base = MomentView(atoms, dim=2, gaps=gaps)
-    path = base.with_atoms(
-        [tuple(XiPoly.affine(a, g) for a, g in zip(x, v)) for x, v in zip(atoms, gaps)]
-    )
+    path = base.on_path()
     x0, vec = random_point(rng, 2), random_point(rng, 2)
     calls = {"deriv_poly": 0, "map_vars": 0}
 

@@ -155,6 +155,22 @@ def test_coupling_io(tmp_path):
     assert load_coupling(path).pairs == c.pairs
 
 
+def test_coordinates_of_5000_digits_round_trip_through_files(tmp_path):
+    # past the 4,300 digits that Python converts between int and text by
+    # default: 1/33...3 and 10^5000, as "p/q" text, a decimal and a JSON int
+    huge = Fraction(1, (10**5000 - 1) // 3)
+    pts = [(huge, Fraction(-1)), (Fraction(2, 3), -huge)]
+    csv_path = tmp_path / "pts.csv"
+    save_points(csv_path, pts)
+    assert load_points(csv_path) == pts
+    json_path = tmp_path / "pts.json"
+    json_path.write_text('[["0.' + "5" * 5000 + '", 1' + "0" * 5000 + "]]")
+    assert load_points(json_path) == [(Fraction(5 * (10**5000 - 1) // 9, 10**5000), Fraction(10**5000))]
+    c = pair_coupling(pts, pts[::-1])
+    save_coupling(tmp_path / "coupling.json", c)
+    assert load_coupling(tmp_path / "coupling.json").pairs == c.pairs
+
+
 # -- integer moment tables ----------------------------------------------------
 
 _DENOMS = (3, 7, 5, 9)  # per-coordinate denominators, all non-unit
@@ -196,9 +212,8 @@ def test_integer_moments_equal_the_literal_sum(n, e, with_gaps):
     xs, ys = _rational_points(rng, n, e), _rational_points(rng, n, e)
     gs = [tuple(b - a for a, b in zip(x, y)) for x, y in zip(xs, ys)]
     base = MomentView(xs, dim=e, gaps=gs if with_gaps else None)
-    path = base.with_atoms(
-        [tuple(XiPoly.affine(a, g) for a, g in zip(x, gv)) for x, gv in zip(xs, gs)]
-    )
+    path = (base if with_gaps else MomentView(xs, dim=e, gaps=gs)).on_path()
+    assert path.atoms is None and path.n_atoms == n
     target = MomentView(ys, dim=e)
     gap_choices = _exponents(e, 2) if with_gaps else [(0,) * e]
     for exps in _exponents(e, 3):
@@ -215,30 +230,40 @@ def test_integer_moments_equal_the_literal_sum(n, e, with_gaps):
             for xi in (Fraction(k, 3) for k in range(sum(exps) + 1)):
                 moved = [tuple(a + xi * g for a, g in zip(x, gv)) for x, gv in zip(xs, gs)]
                 assert on_path.eval(xi) == _literal(moved, gs, exps, gap_exps)
-    assert path._gap_tables is base._gap_tables
+    if with_gaps:
+        assert path._gap_tables is base._gap_tables
+
+
+def _xi_points(starts, gaps):
+    """The points start + xi * gap with `XiPoly` coordinates: a path as
+    symbolic data, which literal sums and brute evaluations read as it is."""
+    return [tuple(XiPoly.affine(a, g) for a, g in zip(x, gv)) for x, gv in zip(starts, gaps)]
 
 
 def test_a_couplings_path_view_drops_its_atoms_and_keeps_its_moments():
+    # its moments are those of the view of its `XiPoly` points, which
+    # are symbolic data
     c = pair_coupling([(Fraction(1, 3), 0), (-1, 2)], [(Fraction(3, 2), 1), (0, 0)])
     path = c.path_view()
     assert path.atoms is None and path.n_atoms == c.n_atoms == 2
-    built = c.base_view().with_atoms(
-        [tuple(XiPoly.affine(a, b - a) for a, b in zip(x, y)) for x, y in c.pairs]
-    )
+    starts = [x for x, _ in c.pairs]
+    built = MomentView(_xi_points(starts, c.gaps()), dim=2, gaps=c.gaps())
+    assert path.exact and not built.exact
     for exps in _exponents(2, 3):
         for gap_exps in _exponents(2, 2):
             assert path.moment(exps, gap_exps) == built.moment(exps, gap_exps)
 
 
 def test_integer_moments_match_the_literal_sum_on_a_user_built_path_view():
-    # XiPoly atoms of degree 0, 1 and 2, a zero coordinate, int gaps
-    atoms = [
-        (XiPoly((Fraction(1, 3), Fraction(2, 7))), XiPoly(())),
-        (XiPoly((Fraction(-2, 9),)), XiPoly((1, Fraction(1, 2), Fraction(-3, 5)))),
-    ]
-    gaps = [(2, Fraction(-1, 4)), (Fraction(5, 6), 0)]
-    view = MomentView(atoms, dim=2, gaps=gaps)
-    assert view.exact and view.table_scales() == (2, 630, 12, True)
+    # a path view of a view built by hand: a zero start, int gaps, and a
+    # coordinate that does not move, whose table is its start alone; start
+    # and gap rows are both at the scale lcm(63, 6)
+    starts = [(Fraction(1, 3), 0), (Fraction(-2, 9), Fraction(5, 7))]
+    gaps = [(2, 0), (Fraction(5, 6), 0)]
+    view = MomentView(starts, dim=2, gaps=gaps).on_path()
+    assert view.exact and view.table_scales() == (2, 126, 6, True)
+    assert [len(unit) for unit in view._atom_tables._units] == [2, 1]
+    atoms = _xi_points(starts, gaps)
     for exps in _exponents(2, 3):
         for gap_exps in _exponents(2, 2):
             got = view.moment(exps, gap_exps)
@@ -257,29 +282,58 @@ def test_moment_exponents_of_another_length_raise(exps, gap_exps):
 def test_high_degree_moments_match_the_literal_sum():
     # the tables used to be built by one recursive call per unit of
     # exponent, which exceeded the recursion limit from a total degree of
-    # about 990; the path view is short (of degree 1 and 0 in xi) so that
-    # the XiPoly powers it is checked against stay cheap
+    # about 990. On the path, the coordinate that moves is raised to a
+    # high power only where the moment is checked at points of xi, so that
+    # the XiPoly powers of the literal sum stay cheap
     rational = MomentView(
         [(Fraction(3, 2), Fraction(-1, 3)), (Fraction(-5, 7), Fraction(1)), (Fraction(1, 4), 2)],
         dim=2,
         gaps=[(Fraction(1, 2), 2), (Fraction(-1, 3), Fraction(1, 5)), (1, Fraction(-2, 3))],
     )
-    path = MomentView(
-        [(XiPoly.affine(Fraction(1, 2), Fraction(1, 3)), XiPoly((Fraction(-4, 5),))),
-         (XiPoly.affine(-1, Fraction(2, 7)), XiPoly((Fraction(3, 2),)))],
-        dim=2,
-        gaps=[(Fraction(1, 3), 2), (-1, Fraction(1, 4))],
-    )
-    cases = {
-        rational: [((700, 800), (0, 0)), ((699, 800), (1, 0)), ((1, 1500), (0, 2))],
-        path: [((3, 1497), (0, 0)), ((2, 1498), (1, 0)), ((1, 1499), (0, 2))],
-    }
-    for view, requests in cases.items():
+    starts = [(Fraction(1, 2), Fraction(-4, 5)), (-1, Fraction(3, 2))]
+    gaps = [(Fraction(1, 3), 0), (Fraction(2, 7), 0)]
+    path = MomentView(starts, dim=2, gaps=gaps).on_path()
+    cases = [
+        (rational, rational.atoms, [((700, 800), (0, 0)), ((699, 800), (1, 0)), ((1, 1500), (0, 2))]),
+        (path, _xi_points(starts, gaps), [((3, 1497), (0, 0)), ((2, 1498), (1, 0)), ((1, 1499), (2, 0))]),
+    ]
+    for view, atoms, requests in cases:
         assert view.exact
         for exps, gap_exps in requests:
             got = view.moment(exps, gap_exps)
             assert type(got) is (XiPoly if view is path else Fraction)
-            assert got == _literal(view.atoms, view.gaps, exps, gap_exps)
+            assert got == _literal(atoms, gaps if view is path else view.gaps, exps, gap_exps)
+    got = path.moment((60, 1440), (1, 0))
+    assert len(got.coeffs) == 61
+    for xi in (Fraction(0), Fraction(1), Fraction(1, 3)):
+        moved = [tuple(a + xi * g for a, g in zip(x, gv)) for x, gv in zip(starts, gaps)]
+        assert got.eval(xi) == _literal(moved, gaps, (60, 1440), (1, 0))
+
+
+def test_a_high_degree_path_power_takes_row_products_linear_in_the_degree(monkeypatch):
+    # (x + xi * g)^D from its start and gap rows in closed form: about 3D
+    # row products, where multiplying by the two-row table one factor at a
+    # time took about D^2
+    c = pair_coupling([(Fraction(1, 3),), (Fraction(-2, 5),)], [(Fraction(1, 2),), (Fraction(3, 4),)])
+    path, degree, products = c.path_view(), 2000, []
+    row_times = measures._row_times
+    monkeypatch.setattr(measures, "_row_times", lambda a, b: products.append(1) or row_times(a, b))
+    sums = path.sums((0,), degree)[(degree,)]
+    assert len(products) <= 3 * degree and len(sums) == degree + 1
+    # N * scale^D times the moment, at xi = 0, 1 and 1/2 (times 2^D)
+    scale = path.table_scales()[1]
+    for p, q in ((0, 1), (1, 1), (1, 2)):
+        at = sum(s * p**k * q ** (degree - k) for k, s in enumerate(sums))
+        assert at == sum((scale * (q * x + p * (y - x))) ** degree for (x,), (y,) in c.pairs)
+
+
+def test_a_path_coordinate_that_does_not_move_is_one_row():
+    c = pair_coupling([(Fraction(1, 3), 2), (0, Fraction(1, 4))], [(1, 2), (0, Fraction(1, 4))])
+    path = c.path_view()
+    assert [len(unit) for unit in path._atom_tables._units] == [2, 1]
+    assert path.moment((0, 3)) == path.moment((0, 3)).coeffs[0] == (8 + Fraction(1, 64)) / 2
+    with pytest.raises(ValidationError, match="view with gaps"):
+        MomentView([(1,), (2,)], dim=1).on_path()
 
 
 @pytest.mark.parametrize("kind", ["float", "mixed"])
@@ -312,7 +366,7 @@ def test_float_gaps_with_rational_atoms():
     assert view.moment((2,)) == _literal(xs, None, (2,), ()) and type(view.moment((2,))) is Fraction
     assert isinstance(view.moment((1,), (1,)), float)
     # the path view of exact atoms over these gaps is not exact either
-    path = view.with_atoms([(XiPoly.affine(x, g),) for (x,), (g,) in zip(xs, view.gaps)])
+    path = view.on_path()
     assert not path.exact and path._gap_tables is view._gap_tables
 
 

@@ -22,7 +22,7 @@ from lionsjet.functional import (
     eval_derivative_brute,
     lions_derivative,
 )
-from lionsjet.measures import _affine_point, pair_coupling
+from lionsjet.measures import pair_coupling
 from lionsjet.partitions import enum_A
 from lionsjet.poly import MPoly, RationalTensor, Tensor, XiPoly
 from lionsjet.tagged import Grading, TaggedSeq, enum_A0, grade
@@ -30,6 +30,7 @@ from lionsjet.tagged import Grading, TaggedSeq, enum_A0, grade
 from config_loop_reference import graded_reference, taylor1_reference
 from test_expansion import random_coupling
 from test_functional import kernel_1d, random_functional, random_point
+from test_measures import _xi_points
 
 F = Fraction
 
@@ -129,9 +130,7 @@ def test_int_direction_on_path_view():
     # x_i + xi * g_i is (1/N) sum_i 2 (x_i + xi g_i) g_i, a polynomial in xi
     f = kernel_1d({(2,): F(1)}, arity=1)
     xs, gs = [F(1), F(-2)], [F(1, 2), F(3)]
-    path = MomentView(
-        [(XiPoly.affine(x, g),) for x, g in zip(xs, gs)], dim=1, gaps=[(g,) for g in gs]
-    )
+    path = MomentView([(x,) for x in xs], dim=1, gaps=[(g,) for g in gs]).on_path()
     ts = lions_derivative(f, TaggedSeq((1,)))
     got = contract_derivative(ts, None, path, [], [0]).tensor()[(0,)]
     want = XiPoly(
@@ -250,9 +249,9 @@ def test_integer_contraction_equals_brute(
     seed, e, n_atoms, spatial, order, tagged_on_path, measure_on_path
 ):
     # base and path views, tagged points on the path (one of them with a
-    # zero XiPoly coordinate at times), gap directions, int/Fraction mixes
-    # and, past the kernel degree, empty joints; every entry must equal the
-    # brute nested-loop evaluation exactly
+    # zero start and gap at times), gap directions, int/Fraction mixes and,
+    # past the kernel degree, empty joints; every entry must equal the
+    # brute nested-loop evaluation over `XiPoly` points exactly
     rng = random.Random(seed)
     nvars = (2 + spatial) * e
     terms = {}
@@ -271,22 +270,21 @@ def test_integer_contraction_equals_brute(
 
     xs = [point() for _ in range(n_atoms)]
     gaps = [point() for _ in range(n_atoms)]
-    view = MomentView(xs, dim=e, gaps=gaps)
+    view = brute_view = MomentView(xs, dim=e, gaps=gaps)
     if measure_on_path:
-        view = view.with_atoms(
-            [tuple(XiPoly.affine(a, g) for a, g in zip(x, gv)) for x, gv in zip(xs, gaps)]
-        )
+        view, brute_view = view.on_path(), MomentView(_xi_points(xs, gaps), dim=e, gaps=gaps)
     n_fixed = rng.choice([0, rng.randint(0, m)])
     starts = [point() for _ in range(spatial + n_fixed)]
     targets = [point() for _ in starts]
     if starts and rng.random() < 0.3:
-        starts[0] = targets[0] = (0,) * e  # its path coordinates are XiPoly(())
-    tagged = starts
+        starts[0] = targets[0] = (0,) * e  # one row per path coordinate
+    tagged = brute_tagged = starts
     if tagged_on_path:
-        tagged = [
-            tuple(XiPoly.affine(a, b - a) for a, b in zip(x, y)) for x, y in zip(starts, targets)
-        ]
+        disps = [tuple(b - a for a, b in zip(x, y)) for x, y in zip(starts, targets)]
+        tagged = [MomentView([x], dim=e, gaps=[g]).on_path() for x, g in zip(starts, disps)]
+        brute_tagged = _xi_points(starts, disps)
     x0, fixed = (tagged[0], tagged[1:]) if spatial else (None, tagged)
+    brute_x0, brute_fixed = (brute_tagged[0], brute_tagged[1:]) if spatial else (None, brute_tagged)
     dirvecs = []
     for v in values:
         choice = rng.randrange(4)
@@ -297,7 +295,7 @@ def test_integer_contraction_equals_brute(
         else:
             dirvecs.append(v - n_fixed - 1)
     got = contract_derivative(ts, x0, view, fixed, dirvecs).tensor()
-    brute = _brute_contraction(ts, x0, view, fixed, dirvecs)
+    brute = _brute_contraction(ts, brute_x0, brute_view, brute_fixed, dirvecs)
     assert got.shape == brute.shape
     for g, b in zip(got.data, brute.data):
         assert g == b
@@ -390,16 +388,17 @@ def test_every_contraction_is_a_rational_tensor(kind):
         x0 = tuple(map(F, x0))
     else:
         ts, x0, view, dirvecs, _ = _inexact_case(kind)
-    path = view.with_atoms([_affine_point(a, g) for a, g in zip(view.atoms, view.gaps)])
+    path = view.on_path()
+    on_xi = MomentView(_xi_points(view.atoms, view.gaps), dim=view.dim, gaps=view.gaps)
     fixed = [view.atoms[0]]
     exact = kind == "rational"
-    for v in (view, path):
+    for v, brute in ((view, view), (path, on_xi)):
         got = contract_derivative(ts, x0, v, fixed, dirvecs)
         assert isinstance(got, RationalTensor) and got.exact == exact
         if exact:
             entries = [t for u in got.data for t in (u if type(u) is list else [u])]
             assert all(type(t) is int for t in entries)
-            assert got.tensor() == _brute_contraction(ts, x0, v, fixed, dirvecs)
+            assert got.tensor() == _brute_contraction(ts, x0, brute, fixed, dirvecs)
         else:
             assert got.den == 1
         reached = [type(u) is list for u in got.data if u != 0]
