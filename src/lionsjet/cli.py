@@ -31,7 +31,7 @@ from .oracle import (
     verify_expansion_match,
     verify_fullsystem,
 )
-from .poly import MPoly, format_rational, parse_rational
+from .poly import MPoly, format_rational, json_int, parse_rational
 from .tagged import Grading, TaggedSeq, enum_A0, enum_Akn0, enum_graded, families_of, grade
 from .tagged import _graded_value_families, _sequences
 
@@ -293,7 +293,7 @@ def _cmd_verify(args, out):
         if given:
             raise ValidationError(f"--replay takes no {', '.join(given)}")
         with open(args.replay) as fh:
-            inst = json.load(fh)
+            inst = json.load(fh, parse_int=json_int)
         try:
             rep = run_instance(inst)
         except (KeyError, TypeError) as exc:
@@ -339,7 +339,7 @@ def _cmd_verify(args, out):
 
 def _load_functional(path):
     with open(path) as fh:
-        return PolyFunctional.from_json(json.load(fh))
+        return PolyFunctional.from_json(json.load(fh, parse_int=json_int))
 
 
 def _read(load, path, what):

@@ -40,10 +40,10 @@ route by `oracle.schwarz_check`), and the contraction sums over every
 direction; relabelling its fresh letters permutes the averaged coupling
 variables, which are exchangeable. So the orbit is fixed by the tagged
 letters, the sorted block sizes of the fresh letters and the sides, and
-`tagged._orbit_key` names it by a canonical representative. The engine
-keys each live member's orbit once, contracts the representative once per
-orbit and sides, scales each orbit's jet term by 1/k! once and copies it
-to every other member; the remainder loop reads the jet loop's keys and
+`tagged._orbit_key` names it by a canonical representative. The plan keys
+each live member's orbit once per functional; the engine contracts the
+representative once per orbit and sides, scales each orbit's jet term by
+1/k! once and copies it to every other member, the remainder loop
 integrates each orbit's term once per sides, and the bound computes each
 constant once per orbit.
 In rational mode the contractions are equal, not merely close. A float
@@ -51,27 +51,34 @@ sum (a float-mode contraction, or a constant, which sums float terms) may
 change by rounding with the order of its terms; on the benchmark and test
 instances every constant was bit-equal to that of its own sequence.
 
-Each call resolves its truncation once (`_plan`): the order or grading,
-the level and one search for the graded core and its boundary families.
-One graded engine computes every expansion from that plan. `taylor2` and
+Each truncation is planned once per functional (`_plan`): the order or
+grading, the level, one search for the graded core and its boundary
+families, and each member's orbit, kept on the functional (`_plans`) by
+the spec and the base sequence, so every later call with that spec reads
+the same plan. The spec is checked on every call, and a spec that fails
+its checks plans nothing. One graded engine computes every expansion from
+that plan; each result gets its own `meta`, formatted only by the calls
+that return one. `taylor2` and
 `taylor_derivative` run it over tagged sequences; `taylor1` is the same
 engine at alpha = beta = 1, gamma = n over partition sequences (there is no
 spatial letter), whose core is every sequence of length at most n and whose
-star family is the length-n sequences. `convergence_study` plans once
-and builds one coupling, at h = 1: it sums the engine's jet by sequence
-length once, contracts f once on that coupling's path, whose point at
-xi = h is the target of scale h, and plans its bound once.
+star family is the length-n sequences. `convergence_study` reads the
+plan and builds one coupling, at h = 1: it sums the engine's jet by
+sequence length once, contracts f once on that coupling's path, whose
+point at xi = h is the target of scale h, and reads its bound plan once.
 
 One bound engine, over the plan's families, turns the remainder into a
 certified upper bound: per family member, the box Lipschitz constants of
 the moving groups times displacement and coupling-moment factors, with
 every factor reported. It runs in two steps: the plan (`_bound_plan`)
 looks up each member's vanishing rule, orbit and constants, which depend
-on f and the box alone, and the price (`_bound_price`) multiplies them by
-one coupling's moments and one displacement, each block-moment product once.
-`remainder_bound1` is it at alpha = beta = 1, gamma = n; `remainder_bound2`
-with the spatial pair (x0, y0); the engine with a box plans and prices
-once, and a convergence study prices one plan at every scale. Each constant
+on f, the truncation and the box alone, once per functional, truncation
+plan and normalized box, kept beside the truncation plan; the price
+(`_bound_price`) multiplies them by one coupling's moments and one
+displacement, each block-moment product once. `remainder_bound1` is it at
+alpha = beta = 1, gamma = n; `remainder_bound2` with the spatial pair
+(x0, y0); the engine with a box prices once, and a convergence study
+prices one plan at every scale. Each constant
 is `functional._certified_sup` of the next derivative: the coefficient-wise
 sup bound alone, with no sample grid (the grid and its slack are reported
 only by `norms_on_box`, whose `.value`s equal these constants bit for bit).
@@ -273,17 +280,15 @@ def _orbit_cache(f, base, tagged_pairs, c):
     target) pairs of the tagged slots 0..m[base] (slot 0 is the spatial
     point), one per orbit and sides.
 
-    Returns (key, evaluate). key(values) is the orbit representative of the
-    member `values` (`_orbit_key`), or None when the derivative of
-    base+values vanishes identically (`_vanishes`), which then is never
-    built. evaluate(rep, tagged_at_xi, measure_at_xi) is the derivative for
-    base+rep contracted with one displacement per letter of `rep`, averaged
-    over the coupling, with the tagged group and/or the measure group on
-    the interpolation path: computed once per orbit and sides, and the same
-    tensor on every later request, so callers copy what they hand out.
+    Returns evaluate(rep, tagged_at_xi, measure_at_xi): the derivative for
+    base+rep, `rep` an orbit representative of its `_plan`, contracted with
+    one displacement per letter of `rep`, averaged over the coupling, with
+    the tagged group and/or the measure group on the interpolation path:
+    computed once per orbit and sides, and the same tensor on every later
+    request, so callers copy what they hand out.
     """
     _check_pairs(f, c, tagged_pairs)
-    kernel, m0, n0 = f.kernel, base.m, len(base)
+    m0, n0 = base.m, len(base)
     # one-atom views, so that every contraction reads the same power tables;
     # a path view from its start and displacement rows
     tagged_base = [MomentView([x], c.dim) for x, _ in tagged_pairs]
@@ -292,9 +297,6 @@ def _orbit_cache(f, base, tagged_pairs, c):
         MomentView([x], c.dim, [gap]).on_path() for (x, _), gap in zip(tagged_pairs, tagged_disp)
     ]
     derivs, contractions = {}, {}  # by representative; by (representative, sides)
-
-    def key(values):
-        return None if _vanishes(kernel, base.values + values) else _orbit_key(values, m0)
 
     def evaluate(rep, tagged_at_xi, measure_at_xi):
         sides = (rep, tagged_at_xi, measure_at_xi)
@@ -312,48 +314,71 @@ def _orbit_cache(f, base, tagged_pairs, c):
             done = contractions[sides] = contract_derivative(ts, x0, view, tagged[1:], dirvecs)
         return done
 
-    return key, evaluate
+    return evaluate
 
 
-def _jet_loop(key, evaluate, core):
-    """The engine's jet loop: per core sequence, (values, rep, raw, value)
-    with its orbit representative, the orbit's raw contraction at the
-    starts and that divided by the factorial of its length. Both tensors
-    are made once per orbit and shared by its members; a member whose
-    derivative vanishes has rep, raw and value None."""
+def _jet_loop(plan, evaluate):
+    """The engine's jet loop: per core member of the `plan`, (values, rep,
+    raw, value) with its orbit representative, the orbit's raw contraction
+    at the starts and that divided by the factorial of its length. Both
+    tensors are made once per orbit and shared by its members; a member
+    whose derivative vanishes has rep, raw and value None."""
     scaled = {}
-    for values in core:
-        rep = key(values)
+    for values, rep in zip(plan.core, plan.reps):
         if rep is None:
             yield values, None, None, None
             continue
         done = scaled.get(rep)
         if done is None:
             raw = evaluate(rep, False, False)
-            done = scaled[rep] = (raw, raw.scale(Fraction(1, math.factorial(len(values)))))
+            done = scaled[rep] = (raw, raw.scale(1, math.factorial(len(values))))
         yield values, rep, *done
 
 
+class _Plan:
+    """A truncation resolved once per functional (`_plan`).
+
+    core: the member value tuples of the graded core, in the order the jet
+          lists them (by length for a functional without a spatial slot).
+    reps: per core member its orbit representative (`_orbit_key`), or None
+          when its derivative vanishes identically (`_vanishes`); each
+          representative is one object, shared by its members.
+    families: (family, moving, frozen, reps, members) per boundary family,
+          zipped with `_family_sides`, `reps` those of its members.
+    level: the truncation level, lowered by the grade of the base.
+    """
+
+    __slots__ = ("core", "reps", "families", "level")
+
+    def __init__(self, core, reps, families, level):
+        self.core, self.reps, self.families, self.level = core, reps, families, level
+
+
 def _plan(f, spec, base=None):
-    """One call's truncation, resolved once: an order n for a functional
-    without a spatial slot (alpha = beta = 1, gamma = n over partition
-    sequences) or a `Grading` for a spatial one, its level lowered by the
-    grade of `base`. Returns (core, [(family, moving, frozen, members), ...],
-    meta), the families zipped with `_family_sides`; the engine, the bound
-    and the convergence study all read it, so a call searches once."""
+    """The truncation of `f` at `spec`, resolved once per functional: an
+    order n for a functional without a spatial slot (alpha = beta = 1,
+    gamma = n over partition sequences) or a `Grading` for a spatial one,
+    its level lowered by the grade of `base`. The spec is checked on every
+    call, before the lookup (True == 1 and hash(2.0) == hash(2)); a spec and
+    base that pass are planned once (`_Plan`) and kept in `f._plans`, so the
+    engine, the bound and the convergence study of every later call read
+    one search, one orbit key per member and one bound plan per box."""
     if isinstance(spec, Grading) != f.has_spatial:
         raise ValidationError(
             "grading required: an order expands only a functional without a spatial slot"
             if f.has_spatial else "a grading expands only a functional with a spatial slot"
         )
+    if not f.has_spatial and (isinstance(spec, bool) or not isinstance(spec, int) or spec < 1):
+        raise ValidationError(f"an order is an integer of at least 1, not {spec!r}")
+    prefix = base.values if base is not None else ()
+    plan = f._plans.get((spec, prefix))
+    if plan is not None:
+        return plan
     if not f.has_spatial:
-        if isinstance(spec, bool) or not isinstance(spec, int) or spec < 1:
-            raise ValidationError(f"an order is an integer of at least 1, not {spec!r}")
         alpha = beta = first = 1
-        level, meta = spec, {"kind": "order", "order": spec}
+        level = spec
     else:
         alpha, beta, level, first = spec.alpha, spec.beta, spec.gamma, 0
-        meta = {"kind": "graded", "grading": spec.to_json()}
     if base is not None:
         level -= grade(base, spec)
         if level < 0:
@@ -361,15 +386,30 @@ def _plan(f, spec, base=None):
         if level < spec.lo:
             raise ValidationError("threshold after discounting the sequence grade is below "
                                   "one derivative step")
-        meta = {"kind": "derivative", "seq": list(base.values), "grading": spec.to_json(),
-                "eta": format_rational(level)}
-    core, *families = _graded_value_families(alpha, beta, level, base.m if base else 0, first)
-    return core, [(*sides, m) for sides, m in zip(_family_sides(alpha, beta), families)], meta
+    m0 = base.m if base is not None else 0
+    core, *families = _graded_value_families(alpha, beta, level, m0, first)
+    if not f.has_spatial:
+        core.sort(key=len)  # the jet lists partition sequences length-major, as `enum_A` does
+    orbits, kernel = {}, f.kernel
+
+    def rep(values):
+        if _vanishes(kernel, prefix + values):
+            return None
+        key = _orbit_key(values, m0)
+        return orbits.setdefault(key, values if key == values else key)
+
+    reps = {values: rep(values) for values in core}
+    families = [
+        (*sides, [reps[values] for values in members], members)
+        for sides, members in zip(_family_sides(alpha, beta), families)
+    ]
+    plan = _Plan(core, list(reps.values()), families, level)
+    return f._plans.setdefault((spec, prefix), plan)
 
 
-def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
+def _graded_engine(f, base, tagged_pairs, c, plan, box=None):
     """The one expansion engine: jet and exact remainder terms of the
-    derivative indexed by `base`, over the `core` and `families` of its
+    derivative indexed by `base`, over the core and the families of its
     `_plan`, and given a `box` the certified bound over the same families.
 
     base: the sequence whose derivative is being expanded (empty for the
@@ -378,16 +418,15 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
           (slot 0 is the spatial point). A measure-only functional has none:
           its sequences start at letter 1, and its jet is listed
           length-major, as `enum_A` lists sequences.
-    Returns the ExpansionResult; its tensors have one e-axis per letter of
-    `base` after the leading output axis.
+    Returns the ExpansionResult, whose `meta` its caller fills; its tensors
+    have one e-axis per letter of `base` after the leading output axis.
     """
-    key, evaluate = _orbit_cache(f, base, tagged_pairs, c)
+    evaluate = _orbit_cache(f, base, tagged_pairs, c)
     shape = (f.kernel.d,) + (f.kernel.e,) * len(base)  # of every jet and remainder term
     seq_type = TaggedSeq if f.has_spatial else PartitionSeq
-    reps, jet_terms = {}, []  # reps: each core member's orbit, None when it vanishes
+    jet_terms = []
     jets = {}  # by orbit: its value as contracted, then its value and raw as Tensors
-    for values, rep, raw, value in _jet_loop(key, evaluate, core):
-        reps[values] = rep
+    for values, rep, raw, value in _jet_loop(plan, evaluate):
         seq = _built(ExtendedSeq, values, base) if base else _built(seq_type, values)
         if rep is None:
             jet_terms.append(JetTerm(seq, Tensor(shape), Tensor(shape)))
@@ -396,13 +435,10 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
             jets[rep] = (value, value.tensor(), raw.tensor())
         _, value, raw = jets[rep]
         jet_terms.append(JetTerm(seq, Tensor(shape, value.data), Tensor(shape, raw.data)))
-    if not f.has_spatial:
-        jet_terms.sort(key=lambda term: len(term.seq))
 
     remainder_terms, integrated = {}, {}  # integrated: one term per orbit and sides
-    for family, moving, frozen, members in families:
-        for values in members:
-            rep = reps[values]  # every family member is in the core
+    for family, moving, frozen, reps, members in plan.families:
+        for values, rep in zip(members, reps):
             if rep is None:
                 remainder_terms[(family, values)] = Tensor(shape)
                 continue
@@ -421,8 +457,7 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
         [None] * len(base),
     )
     predicted = RationalTensor(shape, [0] * math.prod(shape), 1)  # an exact zero
-    for term in jet_terms:
-        rep = reps[term.seq.values]
+    for rep in plan.reps:
         if rep is not None:
             predicted = predicted + jets[rep][0]
     result = ExpansionResult(
@@ -431,10 +466,9 @@ def _graded_engine(f, base, tagged_pairs, c, core, families, meta, box=None):
         actual=actual.tensor(),
         remainder_exact=(actual - predicted).tensor(),
         remainder_terms=remainder_terms,
-        meta=meta,
     )
     if box is not None:
-        result.remainder_bound, result.bound_terms = _bound_terms(f, tagged_pairs, c, families, box)
+        result.remainder_bound, result.bound_terms = _bound_terms(f, tagged_pairs, c, plan, box)
     return result
 
 
@@ -445,13 +479,17 @@ def taylor1(f, mu, c, n, box=None):
     gamma = n over partition sequences."""
     plan = _plan(f, n)
     _check_marginal(c, mu)
-    return _graded_engine(f, _EMPTY, [], c, *plan, box)
+    result = _graded_engine(f, _EMPTY, [], c, plan, box)
+    result.meta = {"kind": "order", "order": n}
+    return result
 
 
 def taylor2(f, x0, y0, c, g, box=None):
     """Graded expansion of a spatial functional in both arguments, truncated
     at level gamma, with the three-family exact remainder decomposition."""
-    return _graded_engine(f, _EMPTY, [(tuple(x0), tuple(y0))], c, *_plan(f, g), box)
+    result = _graded_engine(f, _EMPTY, [(tuple(x0), tuple(y0))], c, _plan(f, g), box)
+    result.meta = {"kind": "graded", "grading": g.to_json()}
+    return result
 
 
 def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
@@ -466,7 +504,10 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
     pairs = [(tuple(x0), tuple(y0))] + [
         (tuple(u), tuple(v)) for u, v in zip(free_x, free_y)
     ]
-    return _graded_engine(f, a, pairs, c, *plan)
+    result = _graded_engine(f, a, pairs, c, plan)
+    result.meta = {"kind": "derivative", "seq": list(a.values), "grading": g.to_json(),
+                   "eta": format_rational(plan.level)}
+    return result
 
 
 def _outside_box(box):
@@ -522,23 +563,28 @@ def _product(constant, *factors):
     return constant
 
 
-def _bound_plan(f, families, box):
-    """What a certified bound over the `families` of a `_plan` reads of f
-    and the normalized `box` alone, looked up once per call: per family
-    member, (values, z, ks, spatial, measure, 1/len!) with z its spatial
-    letters, ks its block sizes k_1..k_m, `spatial` the spatial Lipschitz
-    constant (None when the spatial group does not move) and `measure` the
-    pair (measure constant, free constants) (None when the measure group
-    does not move).
+def _bound_plan(f, plan, box):
+    """What a certified bound over the families of a `_plan` reads of f and
+    the normalized `box` alone: per family, one entry per member, (z, ks,
+    spatial, measure, free, 1/len!) with z its spatial letters, ks its block
+    sizes k_1..k_m, `spatial` the spatial Lipschitz constant (None when the
+    spatial group does not move), `measure` the measure constant (None when
+    the measure group does not move) and `free` the constants of the free
+    variables 1..m (none when it does not). Equal entries are one object.
 
     Each constant is `_certified_sup` of the next derivative on the box. It
     depends only on the orbit of that derivative's sequence, so it is
-    computed once per orbit and call; a constant whose next derivative
-    vanishes (`_vanishes`) is 0.0, with no orbit keyed and nothing
-    compiled. A call that prices several couplings (`convergence_study`, one
-    per scale h) plans once.
+    computed once per orbit; a constant whose next derivative vanishes
+    (`_vanishes`) is 0.0, with no orbit keyed and nothing compiled. The
+    result is kept in `f._plans` under (plan, box), so every later bound
+    over that plan and box, and every scale of a convergence study, reads
+    it.
     """
-    lips = {}  # by orbit representative
+    key = (plan, tuple(box))
+    bound = f._plans.get(key)
+    if bound is not None:
+        return bound
+    lips, entries = {}, {}  # by orbit representative; each entry once
 
     def lip(values, letter):
         seq = values + (letter,)
@@ -549,26 +595,28 @@ def _bound_plan(f, families, box):
             lips[rep] = _certified_sup(f, _built(TaggedSeq, rep), box)
         return lips[rep]
 
-    plan = []
-    for _, moving, frozen, members in families:
+    bound = []
+    for _, moving, frozen, _, members in plan.families:
         spatial_moves = f.has_spatial and moving[0] != frozen[0]
         measure_moves = moving[1] != frozen[1]
+        family = []
         for values in members:
             ks = tuple(values.count(j) for j in range(1, max(values, default=0) + 1))
             spatial = lip(values, 0) if spatial_moves else None
-            measure = None
+            measure, free = None, ()
             if measure_moves:
-                free = [lip(values, q) for q in range(1, len(ks) + 1)]
-                measure = lip(values, len(ks) + 1), free
-            inverse = 1.0 / math.factorial(len(values))
-            plan.append((values, values.count(0), ks, spatial, measure, inverse))
-    return plan
+                free = tuple(lip(values, q) for q in range(1, len(ks) + 1))
+                measure = lip(values, len(ks) + 1)
+            entry = (values.count(0), ks, spatial, measure, free, 1.0 / math.factorial(len(values)))
+            family.append(entries.setdefault(entry, entry))
+        bound.append(family)
+    return f._plans.setdefault(key, bound)
 
 
-def _bound_price(plan, disp_norm, moment):
-    """The certified bound of a `_bound_plan` for one coupling and spatial
-    pair, with one record per family member. `disp_norm` is |y0 - x0| and
-    `moment(p)` the coupling moment M_p.
+def _bound_price(plan, bound, disp_norm, moment):
+    """The certified bound of the `_bound_plan` `bound` of a `_plan` for one
+    coupling and spatial pair, with one record per family member.
+    `disp_norm` is |y0 - x0| and `moment(p)` the coupling moment M_p.
 
     A member with z spatial letters and block sizes k_1..k_m is bounded by
     its constants divided by its length factorial: the spatial constant
@@ -583,49 +631,50 @@ def _bound_price(plan, disp_norm, moment):
     prod = functools.cache(lambda ks: math.prod(map(mom, ks)))
     total = 0.0
     breakdown = []
-    for values, z, ks, spatial, measure, inverse in plan:
-        record = {"seq": list(values)}
-        term = 0.0
-        if spatial is not None:
-            record["lip_spatial"] = spatial
-            term += _product(spatial, disp_norm ** (z + 1), prod(ks))
-        if measure is not None:
-            dz = disp_norm**z
-            record["lip_measure"], free = measure
-            record["lip_free"] = list(free)
-            record["block_moments"] = [mom(k) for k in ks]
-            term += _product(record["lip_measure"], mom(1), dz, prod(ks))
-            for q, lip_q in enumerate(free):
-                term += _product(lip_q, dz, prod(ks[:q] + (ks[q] + 1,) + ks[q + 1 :]))
-        term *= inverse
-        record["term"] = term
-        total += term
-        breakdown.append(record)
+    for (*_, members), entries in zip(plan.families, bound):
+        for values, (z, ks, spatial, measure, free, inverse) in zip(members, entries):
+            record = {"seq": list(values)}
+            term = 0.0
+            if spatial is not None:
+                record["lip_spatial"] = spatial
+                term += _product(spatial, disp_norm ** (z + 1), prod(ks))
+            if measure is not None:
+                dz = disp_norm**z
+                record["lip_measure"] = measure
+                record["lip_free"] = list(free)
+                record["block_moments"] = [mom(k) for k in ks]
+                term += _product(measure, mom(1), dz, prod(ks))
+                for q, lip_q in enumerate(free):
+                    term += _product(lip_q, dz, prod(ks[:q] + (ks[q] + 1,) + ks[q + 1 :]))
+            term *= inverse
+            record["term"] = term
+            total += term
+            breakdown.append(record)
     return total, breakdown
 
 
-def _bound_terms(f, tagged_pairs, c, families, box):
+def _bound_terms(f, tagged_pairs, c, plan, box):
     """Certified bound for the remainder of the plain expansion (empty base)
-    over the `families` of its `_plan`, on the coupling `c` and the tagged
+    over the families of its `_plan`, on the coupling `c` and the tagged
     pairs, with one record per family member: the points are checked to lie
-    in the box, then the bound is planned (`_bound_plan`) and priced
-    (`_bound_price`) with the moments the coupling keeps
+    in the box, then the bound is planned (`_bound_plan`, once per plan and
+    box) and priced (`_bound_price`) with the moments the coupling keeps
     (`coupling_moment`)."""
     box = normalize_box(box, f.kernel.e)
     _check_pairs(f, c, tagged_pairs)
     _check_box_membership(box, c, [p for pair in tagged_pairs for p in pair])
     moment = functools.partial(coupling_moment, c)
-    return _bound_price(_bound_plan(f, families, box), _displacement_norm(tagged_pairs), moment)
+    return _bound_price(plan, _bound_plan(f, plan, box), _displacement_norm(tagged_pairs), moment)
 
 
 def remainder_bound1(f, c, n, box):
     """Certified upper bound for the norm of the order-n remainder."""
-    return _bound_terms(f, [], c, _plan(f, n)[1], box)[0]
+    return _bound_terms(f, [], c, _plan(f, n), box)[0]
 
 
 def remainder_bound2(f, x0, y0, c, g, box):
     """Certified upper bound for the norm of the graded remainder."""
-    return _bound_terms(f, [(tuple(x0), tuple(y0))], c, _plan(f, g)[1], box)[0]
+    return _bound_terms(f, [(tuple(x0), tuple(y0))], c, _plan(f, g), box)[0]
 
 
 SLOPE_FLOOR = 1e-14  # remainders at or below this are float rounding, left out of fits
@@ -688,9 +737,10 @@ def convergence_study(
     and the rows equal those of a full expansion at every h; a float h or
     float points may move a remainder by rounding.
 
-    The truncation is planned once (`_plan`): the jet reads its core, and
-    the bound its families. The bound is planned once too (`_bound_plan`):
-    its box Lipschitz constants depend on f, the box and the orbit of a
+    The truncation plan (`_plan`, once per functional and spec) gives the
+    jet its core and the bound its families. The bound plan
+    (`_bound_plan`, once per functional, spec and box) holds its box
+    Lipschitz constants, which depend on f, the box and the orbit of a
     sequence, not on h. Each scale prices that plan (`_bound_price`) with
     its own coupling moments and spatial step, computed from that scale's
     gaps by the arithmetic of a coupling built at h, so every bound equals
@@ -728,7 +778,7 @@ def convergence_study(
         raise ValidationError("need one direction per point, of as many coordinates as the point")
     if graded and len(x0_direction) != len(x0):
         raise ValidationError("x0_direction needs as many coordinates as x0")
-    core, families, _ = _plan(f, order_or_grading)
+    plan = _plan(f, order_or_grading)
 
     def moved(point, direction, h):
         return tuple(p + h * d for p, d in zip(point, direction))
@@ -740,9 +790,9 @@ def convergence_study(
 
     c = pair_coupling(points, [moved(p, v, 1) for p, v in zip(points, directions)])
     pairs = [(tuple(x0), moved(x0, x0_direction, 1))] if graded else []
-    key, evaluate = _orbit_cache(f, _EMPTY, pairs, c)
+    evaluate = _orbit_cache(f, _EMPTY, pairs, c)
     jets = {}  # J_k: the live jet terms at h = 1 summed by sequence length k
-    for values, rep, _, value in _jet_loop(key, evaluate, core):
+    for values, rep, _, value in _jet_loop(plan, evaluate):
         if rep is not None:
             k = len(values)
             jets[k] = jets[k] + value if k in jets else value
@@ -754,7 +804,7 @@ def convergence_study(
         outside = _outside_box(box)
         _refuse_outside(outside, [x for x, _ in c.pairs])
         reach = _reach(box, c) if exact else reach
-        plan = _bound_plan(f, families, box)
+        bound_plan = _bound_plan(f, plan, box)
     rows = []
     for h in hs:
         # rational data within reach: every gap is h times its gap at h = 1,
@@ -762,8 +812,9 @@ def convergence_study(
         scaled = exact and type(h) is Fraction and h <= reach
         ys = [] if scaled else targets(h)
         rem = along.at(h)
+        p, q = (h, 1) if type(h) is float else (h.numerator, h.denominator)
         for k, jet in jets.items():
-            rem = rem - jet.scale(h**k)
+            rem = rem - jet.scale(p**k, q**k)  # h^k, for a rational h as a pair of ints
         norm = math.sqrt(sum(float(v) ** 2 for v in rem.tensor().data))
         bound = None
         if box is not None:
@@ -775,10 +826,10 @@ def convergence_study(
             else:
                 squares = [sum((b - a) ** 2 for a, b in zip(x, y)) for (x, _), y in zip(c.pairs, ys)]
             moment = functools.partial(float_moment, squares)
-            bound = _bound_price(plan, _displacement_norm(spatial), moment)[0]
+            bound = _bound_price(plan, bound_plan, _displacement_norm(spatial), moment)[0]
         rows.append({"h": float(h), "remainder": norm, "bound": bound})
     degree = f.kernel.degree
-    if all(len(values) >= degree for *_, members in families for values in members):
+    if all(len(values) >= degree for *_, members in plan.families for values in members):
         return rows, None  # every remainder integrand is constant: exact
     return rows, ols_loglog_slope([r["h"] for r in rows], [r["remainder"] for r in rows])
 

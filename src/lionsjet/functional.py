@@ -187,16 +187,22 @@ class PolyFunctional:
     sequence values: one entry for each sequence some call asked for and
     for each of its prefixes (a derivative is compiled from its prefix's),
     never one for a sequence whose derivative vanishes identically
-    (`_vanishes`). It starts empty and dies with the functional. A write
-    stores a finished, equal value under its key, so threads sharing a
-    functional may race to fill it.
+    (`_vanishes`). `_plans` holds the truncation plans of the expansions,
+    bounds and studies of it (`expansion._plan`), keyed by (order or
+    grading, base sequence values): the graded core, its boundary families
+    and each member's orbit, and inside each plan its bound plan per
+    normalized box (`expansion._bound_plan`). Only a spec that passed its
+    checks is planned. Both start empty and die with the functional. A
+    write stores a finished, equal value under its key, so threads sharing
+    a functional may race to fill them.
     """
 
-    __slots__ = ("kernel", "_joints")
+    __slots__ = ("kernel", "_joints", "_plans")
 
     def __init__(self, kernel):
         self.kernel = kernel
         self._joints = {}
+        self._plans = {}
 
     @property
     def has_spatial(self):

@@ -24,7 +24,7 @@ import operator
 from fractions import Fraction
 
 from .errors import UnsupportedError, ValidationError
-from .poly import XiPoly, format_rational, parse_rational
+from .poly import XiPoly, format_rational, json_int, parse_rational
 
 
 def _as_point(coords):
@@ -453,7 +453,7 @@ def save_points(path, points):
 
 def load_coupling(path):
     with open(path) as fh:
-        return Coupling.from_json(json.load(fh))
+        return Coupling.from_json(json.load(fh, parse_int=json_int))
 
 
 def save_coupling(path, coupling):

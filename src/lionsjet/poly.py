@@ -40,6 +40,12 @@ def parse_rational(text):
         raise ValidationError(f"Invalid literal for Fraction: {text!r}") from None
 
 
+def json_int(text):
+    """A JSON int literal as an `int` of any length (`json.load`'s
+    `parse_int`): Decimal reads digits without Python's int <-> str limit."""
+    return int(Decimal(text))
+
+
 def format_rational(value):
     """Render a Fraction as "p/q" (or "p" when the denominator is 1), of any length."""
     value = Fraction(value)
@@ -454,18 +460,21 @@ class RationalTensor:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def scale(self, factor):
-        """The tensor times `factor`: in integers for an exact tensor and an
-        int or a Fraction."""
-        if not (self.exact and type(factor) in (int, Fraction)):
+    def scale(self, num, den=1):
+        """The tensor times num/den, `den` a positive int: in integers for an
+        exact tensor and an int or a Fraction `num`, so that a caller with
+        an integer pair builds no Fraction."""
+        if not (self.exact and type(num) in (int, Fraction)):
+            factor = num / den if type(num) is float else Fraction(num, den)
             data = [
                 [t * factor for t in v] if type(v) is list else v * factor
                 for v in self._values().data
             ]
             return RationalTensor(self.shape, data, 1, False)
-        num = factor.numerator
+        if type(num) is Fraction:
+            num, den = num.numerator, num.denominator * den
         data = self.data if num == 1 else [_lin(x, num, 0, 0) for x in self.data]
-        return RationalTensor(self.shape, data, self.den * factor.denominator)
+        return RationalTensor(self.shape, data, self.den * den)
 
     def taylor_integral(self, r):
         """Entry by entry, the integral over [0, 1] of v(xi) (1 - xi)^r / r!
@@ -473,22 +482,22 @@ class RationalTensor:
 
         The Beta integral gives xi^k the weight k! / (k + r + 1)!, so over
         the denominator top! = (K + r)!, for entries of at most K
-        coefficients, xi^k weighs k! * top! / (k + r + 1)! in an exact
-        tensor. Values that are not exact take the weights k! r! / (k + r +
-        1)! and then 1/r!, one Fraction each, as `XiPoly.integrate_weighted`
-        does."""
+        coefficients, xi^k weighs `_beta_weights(top, r)[k]` in an exact
+        tensor. Values that are not exact take those weights over top! times
+        r!, that is k! r! / (k + r + 1)!, and then 1/r!, one Fraction each,
+        as `XiPoly.integrate_weighted` does."""
         if r < 0:
             return self.at(1)
         data = self.data
         top = max([len(v) for v in data if type(v) is list] or [1]) + r
+        weights = _beta_weights(top, r)
+        full = weights[0] * math.factorial(r + 1)  # top!
         if not self.exact:
             fr = math.factorial(r)
-            beta = [Fraction(math.factorial(k) * fr, math.factorial(k + r + 1)) for k in range(top - r)]
+            beta = [Fraction(w * fr, full) for w in weights]
             inverse = Fraction(1, fr)
             data = [sum(c * w for c, w in zip(v if type(v) is list else [v], beta) if c) * inverse for v in data]
             return RationalTensor(self.shape, data, 1, False)
-        full = math.factorial(top)
-        weights = [math.factorial(k) * (full // math.factorial(k + r + 1)) for k in range(top - r)]
         data = [v * weights[0] if type(v) is int else sum(c * w for c, w in zip(v, weights)) for v in data]
         return RationalTensor(self.shape, data, self.den * full)
 
@@ -505,6 +514,19 @@ class RationalTensor:
         weights = [p**k * q ** (top - k) for k in range(top + 1)]
         data = [v * weights[0] if type(v) is int else sum(c * w for c, w in zip(v, weights)) for v in self.data]
         return RationalTensor(self.shape, data, self.den * q**top)
+
+
+def _beta_weights(top, r):
+    """The integers k! * top! / (k + r + 1)! for k = 0..top - r - 1, each
+    from the one before: w(0) = top! / (r + 1)! and w(k + 1) = w(k) *
+    (k + 1) / (k + r + 2), a division without remainder since w(k + 1) is
+    an integer."""
+    w = math.prod(range(r + 2, top + 1))
+    weights = [w]
+    for k in range(top - r - 1):
+        w = w * (k + 1) // (k + r + 2)
+        weights.append(w)
+    return weights
 
 
 def _lin(x, a, y, b):

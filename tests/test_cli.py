@@ -926,6 +926,48 @@ def test_a_dumped_instance_with_5000_digit_points_replays(tmp_path):
     assert code == 0 and json.loads(text)["pass"] is True
 
 
+def test_bare_json_ints_past_the_int_text_limit_load(tmp_path):
+    # a kernel, a coupling or a replayed instance holding a bare JSON int
+    # literal of 5,000 digits used to exit 2 with "Exceeds the limit (4300
+    # digits)"; each loads as an int of that size and runs
+    big = 10**5000
+    literal = "1" + "0" * 5000
+    kpath = tmp_path / "big.json"
+    kpath.write_text(
+        '{"e": 1, "d": 1, "arity": 1, "spatial": false, "terms": '
+        f'[{{"out": 0, "coeff": {literal}, "exps": [[2]]}}, {{"out": 0, "coeff": 1, "exps": [[1]]}}]}}'
+    )
+    f = cli._load_functional(kpath)
+    assert f.kernel.components[0].terms[(2,)] == big
+    assert type(f.kernel.e) is int and type(f.kernel.arity) is int
+    x, y = [(F(1),), (F(-1),)], [(F(1, 2),), (F(2),)]
+    save_points(tmp_path / "x.csv", x)
+    save_points(tmp_path / "y.csv", y)
+    code, text = run_cli(["expand", "--kernel", str(kpath), "--points", str(tmp_path / "x.csv"),
+                          "--points2", str(tmp_path / "y.csv"), "--order", "1"])
+    assert code == 0
+    c = pair_coupling(x, y)
+    want = taylor1(f, c.left(), c, 1)
+    assert [parse_rational(v) for v in json.loads(text)["actual"]] == want.actual.data
+
+    digits = "3" * 5000  # a coordinate of 5,000 digits
+    cpath = tmp_path / "coupling.json"
+    cpath.write_text(f'[[[{digits}], [1]], [[-1], ["1/2"]]]')
+    code, text = run_cli(["expand", "--kernel", str(kpath), "--coupling", str(cpath), "--order", "1"])
+    assert code == 0
+    c = pair_coupling([(F((10**5000 - 1) // 3),), (F(-1),)], [(F(1),), (F(1, 2),)])
+    want = taylor1(f, c.left(), c, 1)
+    assert [parse_rational(v) for v in json.loads(text)["actual"]] == want.actual.data
+
+    inst = make_instance("empirical", 3)
+    inst["kernel"]["terms"][0]["coeff"] = "BIG"
+    text = json.dumps(inst).replace('"BIG"', literal)
+    ipath = tmp_path / "instance.json"
+    ipath.write_text(text)
+    code, text = run_cli(["verify", "--replay", str(ipath)])
+    assert code == 0 and json.loads(text)["pass"] is True
+
+
 def test_verify_rejects_empty_batches(capsys):
     # --trials -1 used to print "0/0 passed" and exit 0
     for extra in (["--trials", "0"], ["--trials", "-1"], ["--jobs", "0"], ["--jobs", "-2"]):

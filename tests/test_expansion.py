@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from lionsjet.expansion import (
     taylor_derivative,
 )
 from lionsjet.functional import (
+    PolyFunctional,
     _certified_sup,
     _vanishes,
     contract_derivative,
@@ -30,7 +34,7 @@ from lionsjet.functional import (
     norms_on_box,
 )
 from lionsjet.measures import EmpiricalMeasure, MomentView, pair_coupling
-from lionsjet.poly import RationalTensor, XiPoly
+from lionsjet.poly import RationalTensor, XiPoly, _beta_weights
 from lionsjet.tagged import (
     Grading,
     TaggedSeq,
@@ -229,6 +233,8 @@ def test_integer_numerators_compute_what_their_fractions_do():
         assert values(a + b) == [lin(u, v, 1) for u, v in zip(ca, cb)]
         assert values(a - b) == [lin(u, v, -1) for u, v in zip(ca, cb)]
         assert values(a.scale(q)) == [XiPoly([c * q for c in cs]) for cs in ca]
+        pair = a.scale(q.numerator, q.denominator)  # num/den as an integer pair
+        assert (pair.data, pair.den) == (a.scale(q).data, a.scale(q).den)
         assert values(a.taylor_integral(r)) == [XiPoly([integral(cs, r)]) for cs in ca]
         for xi in (q, 2):
             assert values(a.at(xi)) == [XiPoly([horner(cs, xi)]) for cs in ca]
@@ -246,6 +252,16 @@ def test_integer_numerators_compute_what_their_fractions_do():
                 [step(cs[0], y)] + cs[1:] if type(v) is list else step(cs[0], y)
                 for v, cs, y in zip(a.data, ca, floats.data)
             ]
+
+
+def test_beta_weights_follow_the_factorial_formula():
+    # each exact weight of the remainder's path integral from the one
+    # before, against the two-factorial formula it replaces
+    for top in range(1, 61):
+        full = math.factorial(top)
+        for r in range(min(top, 6)):
+            want = [math.factorial(k) * (full // math.factorial(k + r + 1)) for k in range(top - r)]
+            assert _beta_weights(top, r) == want
 
 
 def test_taylor1_exactness_batch():
@@ -1325,6 +1341,9 @@ def _bound_orbits(f, records):
 
 
 def test_convergence_study_computes_each_orbit_constant_once(monkeypatch):
+    # on a fresh functional a study computes each live orbit's constant
+    # once; the bound plan is kept on the functional, so a repeated study,
+    # or a study after an expansion bounded on the same box, computes none
     computed = []
     real = expansion._certified_sup
 
@@ -1337,34 +1356,41 @@ def test_convergence_study_computes_each_orbit_constant_once(monkeypatch):
     pts = [random_point(rng, e) for _ in range(2)]
     dirs = [random_point(rng, e) for _ in range(2)]
     x0, dx0 = random_point(rng, e), random_point(rng, e)
-    f1 = random_functional(rng, e, 2, False, degree=4)
-    f2 = random_functional(rng, e, 2, True, degree=4)
+    k1 = random_functional(rng, e, 2, False, degree=4).kernel
+    k2 = random_functional(rng, e, 2, True, degree=4).kernel
     g = Grading(F(1, 2), 1, F(9, 4))
     c = pair_coupling(pts, [tuple(p + hs[0] * d for p, d in zip(x, v)) for x, v in zip(pts, dirs)])
     y0 = tuple(p + hs[0] * d for p, d in zip(x0, dx0))
     studies = [
-        (f1, lambda n=n: convergence_study(f1, pts, dirs, n, hs, box=box),
-         taylor1(f1, c.left(), c, n, box=box))
+        (k1, lambda f, n=n: convergence_study(f, pts, dirs, n, hs, box=box),
+         lambda f, n=n: taylor1(f, c.left(), c, n, box=box))
         for n in (1, 2, 3)
     ]
     studies.append((
-        f2,
-        lambda: convergence_study(f2, pts, dirs, g, hs, x0=x0, x0_direction=dx0, box=box),
-        taylor2(f2, x0, y0, c, g, box=box),
+        k2,
+        lambda f: convergence_study(f, pts, dirs, g, hs, x0=x0, x0_direction=dx0, box=box),
+        lambda f: taylor2(f, x0, y0, c, g, box=box),
     ))
     monkeypatch.setattr(expansion, "_certified_sup", counting)
     constants = []
-    for f, study, first_scale in studies:
+    for kernel, study, expand in studies:
+        f = PolyFunctional(kernel)
         computed.clear()
-        rows, _ = study()
+        rows, _ = study(f)
         once = list(computed)
-        assert rows[0]["bound"] == first_scale.remainder_bound
         assert len(once) == len(set(once))
+        computed.clear()
+        assert study(f)[0] == rows
+        assert computed == []
+        first_scale = expand(PolyFunctional(kernel))
+        assert rows[0]["bound"] == first_scale.remainder_bound
         # one constant per live orbit; a vanishing one is 0.0, never computed
         assert set(once) == _bound_orbits(f, first_scale.bound_terms)
+        f = PolyFunctional(kernel)
+        expand(f)
         computed.clear()
-        assert study()[0] == rows
-        assert len(computed) == len(once)
+        assert study(f)[0] == rows
+        assert computed == []
         constants.append(len(once))
     assert constants == [2, 2, 0, 4]  # at order 3 every next derivative vanishes
 
@@ -1383,8 +1409,7 @@ def _per_scale_rows(f, pts, dirs, spec, hs, x0=None, dx0=None, box=None):
             res, pairs = taylor1(f, c.left(), c, spec), []
         bound = None
         if box is not None:
-            families = expansion._plan(f, spec)[1]
-            bound = expansion._bound_terms(f, pairs, c, families, box)[0]
+            bound = expansion._bound_terms(f, pairs, c, expansion._plan(f, spec), box)[0]
         rows.append({"h": float(h), "remainder": res.remainder_norm(), "bound": bound})
     return rows
 
@@ -1575,8 +1600,9 @@ def test_a_study_refuses_a_non_finite_scale(spec, box, h):
 
 
 def test_each_call_searches_the_families_once(monkeypatch):
-    # the truncation is planned once per call: a bound reads the families
-    # its expansion found, and a study's bound reads one plan at every h
+    # the truncation is planned once per functional: on a fresh one each
+    # call searches once, a repeated call or a bound after its expansion
+    # reads the kept plan, and a study's bound reads one plan at every h
     searches = []
     real = expansion._graded_value_families
 
@@ -1589,29 +1615,207 @@ def test_each_call_searches_the_families_once(monkeypatch):
     pts = [random_point(rng, e) for _ in range(2)]
     dirs = [random_point(rng, e) for _ in range(2)]
     x0, y0, dx0 = (random_point(rng, e) for _ in range(3))
-    f1 = random_functional(rng, e, 2, False, degree=4)
-    f2 = random_functional(rng, e, 2, True, degree=4)
+    k1 = random_functional(rng, e, 2, False, degree=4).kernel
+    k2 = random_functional(rng, e, 2, True, degree=4).kernel
     c = pair_coupling(pts, [random_point(rng, e) for _ in pts])
     g = Grading(F(1, 2), 1, F(9, 4))
     fx, fy = [random_point(rng, e)], [random_point(rng, e)]
     calls = {
-        "taylor1": lambda: taylor1(f1, c.left(), c, 2, box=box),
-        "taylor2": lambda: taylor2(f2, x0, y0, c, g, box=box),
-        "taylor_derivative": lambda: taylor_derivative(f2, TaggedSeq((1,)), x0, y0, fx, fy, c, g),
-        "remainder_bound1": lambda: remainder_bound1(f1, c, 2, box),
-        "remainder_bound2": lambda: remainder_bound2(f2, x0, y0, c, g, box),
-        "study-order": lambda: convergence_study(f1, pts, dirs, 2, hs, box=box),
-        "study-graded": lambda: convergence_study(
-            f2, pts, dirs, g, hs, x0=x0, x0_direction=dx0, box=box
-        ),
+        "taylor1": (k1, lambda f: taylor1(f, c.left(), c, 2, box=box)),
+        "taylor2": (k2, lambda f: taylor2(f, x0, y0, c, g, box=box)),
+        "taylor_derivative": (k2, lambda f: taylor_derivative(f, TaggedSeq((1,)), x0, y0, fx, fy, c, g)),
+        "remainder_bound1": (k1, lambda f: remainder_bound1(f, c, 2, box)),
+        "remainder_bound2": (k2, lambda f: remainder_bound2(f, x0, y0, c, g, box)),
+        "study-order": (k1, lambda f: convergence_study(f, pts, dirs, 2, hs, box=box)),
+        "study-graded": (k2, lambda f: convergence_study(
+            f, pts, dirs, g, hs, x0=x0, x0_direction=dx0, box=box
+        )),
     }
     monkeypatch.setattr(expansion, "_graded_value_families", counting)
-    counts = {}
-    for name, call in calls.items():
+    first, again = {}, {}
+    for name, (kernel, call) in calls.items():
+        f = PolyFunctional(kernel)
+        for counts in (first, again):
+            searches.clear()
+            call(f)
+            counts[name] = len(searches)
+    assert first == dict.fromkeys(calls, 1)
+    assert again == dict.fromkeys(calls, 0)
+    # a bound, and a study, after an expansion of the same spec
+    for kernel, expand, bound in (
+        (k1, calls["taylor1"][1], (calls["remainder_bound1"][1], calls["study-order"][1])),
+        (k2, calls["taylor2"][1], (calls["remainder_bound2"][1], calls["study-graded"][1])),
+    ):
+        f = PolyFunctional(kernel)
+        expand(f)
         searches.clear()
-        call()
-        counts[name] = len(searches)
-    assert counts == dict.fromkeys(calls, 1)
+        for call in bound:
+            call(f)
+        assert searches == []
+
+
+def test_a_repeated_call_searches_and_prices_no_sequence_again(monkeypatch):
+    # a second identical call on one functional runs no family search and
+    # computes no box constant, and returns what the first returned
+    work = []
+    for name in ("_graded_value_families", "_certified_sup"):
+        real = getattr(expansion, name)
+        monkeypatch.setattr(expansion, name, lambda *args, name=name, real=real: (
+            work.append(name), real(*args))[1])
+    rng = random.Random("repeat")
+    e, box = 2, (-4, 4)
+    c = random_coupling(rng, 3, e)
+    x0, y0 = random_point(rng, e), random_point(rng, e)
+    f1 = random_functional(rng, e, 2, False, degree=4)
+    f2 = random_functional(rng, e, 2, True, degree=4)
+    calls = [lambda n=n: taylor1(f1, c.left(), c, n, box=box).to_json() for n in (1, 2, 3)]
+    calls += [lambda g=g: taylor2(f2, x0, y0, c, g, box=box).to_json() for g in BOUND_GRADINGS.values()]
+    calls += [lambda: remainder_bound1(f1, c, 2, box), lambda: remainder_bound2(f2, x0, y0, c, BOUND_GRADINGS["a<b"], box)]
+    planned = 0
+    for call in calls:
+        work.clear()
+        first = call()
+        planned += "_graded_value_families" in work
+        work.clear()
+        assert call() == first
+        assert work == []
+    assert planned == 6  # the two bounds read the plans of the expansions before them
+
+
+# -- plans kept on the functional ---------------------------------------------
+
+
+def test_a_refused_spec_is_refused_again_and_plans_nothing(monkeypatch):
+    # a spec or base that fails its checks runs no search, and a plan kept
+    # for an equal-hashing valid spec does not let it through: True == 1
+    # and hash(2.0) == hash(Fraction(2)) == hash(2)
+    searches = []
+    real = expansion._graded_value_families
+    monkeypatch.setattr(expansion, "_graded_value_families", lambda *args: (
+        searches.append(args), real(*args))[1])
+    rng = random.Random("refused")
+    e = 2
+    c = random_coupling(rng, 3, e)
+    x0, y0 = random_point(rng, e), random_point(rng, e)
+    f1 = random_functional(rng, e, 2, False, degree=4)
+    f2 = random_functional(rng, e, 2, True, degree=4)
+    g = Grading(1, 1, F(5, 2))
+    far = TaggedSeq((1, 2, 3))  # grade 3 > 5/2: outside the graded set
+    refused = [
+        lambda: taylor1(f1, c.left(), c, True),
+        lambda: taylor1(f1, c.left(), c, 2.0),
+        lambda: taylor1(f1, c.left(), c, F(2)),
+        lambda: taylor1(f1, c.left(), c, 0),
+        lambda: remainder_bound1(f1, c, 2.0, (-4, 4)),
+        lambda: remainder_bound1(f1, c, True, (-4, 4)),
+        lambda: taylor2(f1, x0, y0, c, g),
+        lambda: taylor1(f2, c.left(), c, 2),
+        lambda: taylor_derivative(f2, far, x0, y0, [x0] * 3, [y0] * 3, c, g),
+    ]
+    for _ in range(2):  # before and after the valid calls have been planned
+        searches.clear()
+        for call in refused:
+            with pytest.raises(ValidationError):
+                call()
+        assert searches == []
+        for n in (1, 2):
+            assert taylor1(f1, c.left(), c, n).meta == {"kind": "order", "order": n}
+        taylor2(f2, x0, y0, c, g)
+        taylor_derivative(f2, TaggedSeq((1,)), x0, y0, [x0], [y0], c, g)
+    assert len(searches) == 0  # the second round found every valid plan kept
+
+
+def test_boxes_that_normalize_alike_share_one_bound_plan(monkeypatch):
+    computed = []
+    real = expansion._certified_sup
+    monkeypatch.setattr(expansion, "_certified_sup", lambda *args: (
+        computed.append(args[1].values), real(*args))[1])
+    rng = random.Random("one-box")
+    e = 2
+    c = random_coupling(rng, 3, e)
+    x0, y0 = random_point(rng, e), random_point(rng, e)
+    f1 = random_functional(rng, e, 2, False, degree=4)
+    f2 = random_functional(rng, e, 2, True, degree=4)
+    g = BOUND_GRADINGS["a>b"]
+    for bound in (lambda box: remainder_bound1(f1, c, 1, box),
+                  lambda box: remainder_bound2(f2, x0, y0, c, g, box)):
+        computed.clear()
+        first = bound((-4, 4))
+        assert computed
+        computed.clear()
+        assert bound([(-4.0, 4.0)] * e) == first
+        assert bound([(F(-4), 4)] * e) == first
+        assert computed == []
+        assert bound((-5, 4)) >= first  # another box is planned on its own
+        assert computed
+
+
+def test_each_result_owns_its_meta():
+    rng = random.Random("meta")
+    e = 2
+    c = random_coupling(rng, 3, e)
+    x0, y0 = random_point(rng, e), random_point(rng, e)
+    f1 = random_functional(rng, e, 2, False, degree=4)
+    f2 = random_functional(rng, e, 2, True, degree=4)
+    g = Grading(1, F(1, 2), 3)
+    a = TaggedSeq((1,))
+    calls = [
+        lambda: taylor1(f1, c.left(), c, 2, box=(-4, 4)),
+        lambda: taylor2(f2, x0, y0, c, g),
+        lambda: taylor_derivative(f2, a, x0, y0, [x0], [y0], c, g),
+    ]
+    for call in calls:
+        first = call()
+        want = json.loads(json.dumps(first.meta))
+        first.meta["kind"] = "changed"
+        for value in first.meta.values():
+            if isinstance(value, dict):
+                value["alpha"] = "7"
+            elif isinstance(value, list):
+                value.append(9)
+        first.meta["extra"] = 1
+        assert call().meta == want
+    assert want == {"kind": "derivative", "seq": [1], "grading": g.to_json(), "eta": "5/2"}
+
+
+def test_threads_sharing_a_fresh_functional_get_the_serial_results():
+    rng = random.Random("plan-threads")
+    e, box, threads = 2, (-4, 4), 4
+    c = random_coupling(rng, 3, e)
+    x0, y0 = random_point(rng, e), random_point(rng, e)
+    k1 = random_functional(rng, e, 2, False, degree=4).kernel
+    k2 = random_functional(rng, e, 2, True, degree=4).kernel
+    pts, dirs = [x for x, _ in c.pairs], [random_point(rng, e) for _ in c.pairs]
+    hs = [F(1, 2), F(1, 4)]
+
+    def run(f1, f2):
+        out = [taylor1(f1, c.left(), c, n, box=box).to_json() for n in (1, 2, 3)]
+        out += [remainder_bound1(f1, c, n, box) for n in (1, 2, 3)]
+        for g in BOUND_GRADINGS.values():
+            out.append(taylor2(f2, x0, y0, c, g, box=box).to_json())
+            out.append(remainder_bound2(f2, x0, y0, c, g, box))
+        out.append(taylor_derivative(f2, TaggedSeq((1,)), x0, y0, [x0], [y0], c,
+                                     Grading(1, F(1, 2), 3)).to_json())
+        out.append(convergence_study(f1, pts, dirs, 2, hs, box=box))
+        return out
+
+    serial = run(PolyFunctional(k1), PolyFunctional(k2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that the plans interleave
+    try:
+        for _ in range(3):
+            f1, f2 = PolyFunctional(k1), PolyFunctional(k2)
+            start = threading.Barrier(threads)
+
+            def expand(_, f1=f1, f2=f2, start=start):
+                start.wait(timeout=60)
+                return run(f1, f2)
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(expand, range(threads), timeout=120))
+            assert results == [serial] * threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- vanishing derivatives -------------------------------------------------------

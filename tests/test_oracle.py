@@ -436,7 +436,7 @@ def test_a_study_called_exact_has_remainder_zero():
             spatial = {"x0": random_point(rng, e), "x0_direction": random_point(rng, e)}
         else:
             spec = rng.randint(1, 3)
-        families = _plan(f, spec)[1]
+        families = _plan(f, spec).families
         if not all(len(v) >= f.kernel.degree for *_, members in families for v in members):
             continue
         exact += 1
