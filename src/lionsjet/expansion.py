@@ -109,13 +109,7 @@ from .functional import (
     lions_derivative,
     normalize_box,
 )
-from .measures import (
-    EmpiricalMeasure,
-    _as_point,
-    coupling_moment,
-    float_moment,
-    pair_coupling,
-)
+from .measures import _as_point, coupling_moment, float_moment, pair_coupling
 from .partitions import PartitionSeq
 from .poly import RationalTensor, Tensor, format_rational
 from .tagged import (
@@ -232,15 +226,10 @@ def _check_pairs(f, c, tagged_pairs):
 
 
 def _check_marginal(coupling, mu):
-    """`mu` must be the coupling's left marginal. Atoms in the order of the
-    left column pass at once (`c.left()` holds the coupling's own coordinate
-    objects, so they compare by identity); any other order is compared as a
+    """`mu` must be the coupling's left marginal: `c.left()`, which the
+    coupling keeps, passes at once; any other measure is compared as a
     multiset."""
-    if mu is None or isinstance(mu, EmpiricalMeasure) and mu.atoms == tuple(
-        x for x, _ in coupling.pairs
-    ):
-        return
-    if coupling.left() != mu:
+    if mu is not None and mu is not coupling.left() and coupling.left() != mu:
         raise ValidationError("coupling left marginal differs from the measure")
 
 

@@ -489,8 +489,8 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     integer sums lifted to degree D (`MomentView.sums`), coefficients
     become numerators over the kernel's common denominator and vectors are
     scaled by the lcm of their denominators. All monomials then share one
-    denominator: those scales, N * scale^D per group, and the gap scale to
-    the number of gap directions. Each output entry sums plain ints
+    denominator: those scales, N * scale^D per group, and mu's scale to the
+    number of gap directions. Each output entry sums plain ints
     (xi-coefficient lists on the path), and the result is a
     `RationalTensor` of those numerators over that denominator, whose
     `tensor()` divides each entry once. Otherwise (float, symbolic or mixed
@@ -525,7 +525,7 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
         and all(type(c) in (int, Fraction) for _, vec in vec_dirs for c in vec)
     )
     scales = [view.table_scales() for view in given]
-    n, mu_scale, gap_scale, path = mu.table_scales()
+    n, mu_scale, path = mu.table_scales()
     path = path or any(poly for *_, poly in scales)
     if exact:
         den, weights, degree = unit, [], kernel.degree - ts.order
@@ -533,7 +533,7 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
             scale = math.lcm(*(c.denominator for c in vec))
             weights.append((p, [c.numerator * (scale // c.denominator) for c in vec]))
             den *= scale
-        den *= (n * mu_scale**degree) ** (len(views) - len(given)) * gap_scale ** len(gap_dirs)
+        den *= (n * mu_scale**degree) ** (len(views) - len(given)) * mu_scale ** len(gap_dirs)
         den *= math.prod(k * s**degree for k, s, *_ in scales)  # the given points
     out = Tensor(shape, [0] * math.prod(shape)) if exact else Tensor(shape)
     n_avg = ts.n_free + kernel.has_spatial - len(given)

@@ -7,12 +7,12 @@ finite sums.
 `MomentView` is the one moment cache every evaluator integrates against; an
 `EmpiricalMeasure` is a view whose atoms are validated rational or float
 points. Every moment of a view is a sum over its power tables, which hold
-each coordinate as one row, scaled to integers when the atoms and gaps are
-rational and as given otherwise; on the path atom + xi * gap
-(`MomentView.on_path`), as its start and gap rows. A `Coupling` keeps the
-views built from its pairs (of its left marginal with the gaps, that view
-on the path, of its right marginal) and the bounding box of its atoms, so
-that every call on one coupling reads the same sums and box.
+each coordinate as one row, atoms and gaps scaled to integers by one lcm
+when rational and as given otherwise; on the path atom + xi * gap
+(`MomentView.on_path`), as its start and gap rows. A `Coupling` keeps its
+marginals and views (its left marginal with the gaps, on the path too, and
+its right marginal), all on one scaling of a rational coupling, and its
+bounding box, so that every call on one coupling reads the same sums and box.
 """
 
 from __future__ import annotations
@@ -54,32 +54,20 @@ class _PowerTables:
     by vector, the coefficient of xi^k in scale^|exps| * prod_c v_c^exps_c.
     Only the coordinates' own tables are kept: a view keeps every sum it
     reads from a table (`MomentView.sums`), so a product table is built for
-    one sum and dropped.
+    one sum and dropped. Tables never change, so that views share them.
     """
 
     __slots__ = ("n", "scale", "exact", "path", "_units")
 
-    def __init__(self, vectors, exact):
-        units, scale = [list(col) for col in zip(*vectors)], 1
-        if exact:  # scaled by the lcm of the denominators
-            scale = math.lcm(*(q.denominator for col in units for q in col))
-            units = [[q.numerator * (scale // q.denominator) for q in col] for col in units]
-        self.n, self.scale, self.exact, self.path = len(vectors), scale, exact, False
-        self._units = [[col] for col in units]
+    def __init__(self, n, units, scale, exact, path=False):
+        self.n, self._units, self.scale, self.exact, self.path = n, units, scale, exact, path
 
     def on_path(self, gaps):
         """The tables of vector + xi * gap, given the tables `gaps` of one
-        gap per vector: per coordinate, its row here and, unless all are 0,
-        its gaps, both at the scale lcm(scale, gaps.scale)."""
-        path = _PowerTables.__new__(_PowerTables)
-        path.n, path.exact, path.path = self.n, self.exact, True
-        path.scale = math.lcm(self.scale, gaps.scale)
-        a, b = path.scale // self.scale, path.scale // gaps.scale
-        path._units = [
-            [[q * a for q in x]] + ([[q * b for q in g]] if any(g) else [])
-            for (x,), (g,) in zip(self._units, gaps._units)
-        ]
-        return path
+        gap per vector at this scale: per coordinate, its row here and,
+        unless all are 0, its gap row, both as they are."""
+        units = [unit + [g] if any(g) else unit for unit, (g,) in zip(self._units, gaps._units)]
+        return _PowerTables(self.n, units, self.scale, self.exact, True)
 
     def rows(self, exps):
         """The table of `exps`: the coordinates' tables multiplied into it,
@@ -92,6 +80,17 @@ class _PowerTables:
             for factor in [_binomial_power(*unit, p)] if closed else [unit] * p:
                 table = factor if table is None else _times(table, factor)
         return [[1] * self.n] if table is None else table
+
+
+def _tables(*groups):
+    """The power tables of each group of N vectors (None stays None): exact
+    at one scale, the lcm of every denominator, when every entry is an int
+    or a Fraction, else as given at scale 1."""
+    vectors = [v for g in groups if g for v in g]
+    exact = {type(q) for v in vectors for q in v} <= {int, Fraction}
+    scale = math.lcm(*(q.denominator for v in vectors for q in v)) if exact else 1
+    row = (lambda col: [q.numerator * (scale // q.denominator) for q in col]) if exact else list
+    return [g and _PowerTables(len(g), [[row(col)] for col in zip(*g)], scale, exact) for g in groups]
 
 
 def _row_times(a, b):
@@ -139,8 +138,8 @@ class MomentView:
 
     Every moment is a sum over the power tables (`_PowerTables`) of the atoms
     and gaps. The view is `exact` when every atom coordinate and every gap
-    is an int or a Fraction: atoms and gaps are then each scaled once by the
-    lcm of their denominators, and the sums are plain ints that the exact
+    is an int or a Fraction: atoms and gaps are then scaled together, by one
+    lcm of all their denominators, and the sums are plain ints that the exact
     contraction reads lifted to a common degree (`sums`). Scaling by a common
     integer commutes with sums and products, so a moment is the exact value.
     Otherwise atoms and gaps both keep their values as given (`XiPoly`
@@ -156,19 +155,20 @@ class MomentView:
     __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_sums", "_atom_tables", "_gap_tables")
 
     def __init__(self, atoms, dim, gaps=None):
-        self.atoms = tuple(tuple(a) for a in atoms)
-        self.dim = dim
-        self.gaps = None if gaps is None else [tuple(g) for g in gaps]
-        vectors = self.atoms + tuple(self.gaps or ())
-        if not self.atoms or any(len(v) != dim for v in vectors) or (
-            self.gaps is not None and len(self.gaps) != len(self.atoms)
+        atoms = tuple(tuple(a) for a in atoms)
+        gaps = None if gaps is None else [tuple(g) for g in gaps]
+        vectors = atoms + tuple(gaps or ())
+        if not atoms or any(len(v) != dim for v in vectors) or (
+            gaps is not None and len(gaps) != len(atoms)
         ):
             raise ValidationError(f"a view needs atoms, and one gap per atom, of {dim} coordinates")
-        self._no_gaps = (0,) * self.dim
-        self._sums = {}
-        exact = {type(c) for v in vectors for c in v} <= {int, Fraction}
-        self._atom_tables = _PowerTables(self.atoms, exact)
-        self._gap_tables = self.gaps and _PowerTables(self.gaps, exact)
+        self._set(atoms, dim, gaps, *_tables(atoms, gaps))
+
+    def _set(self, atoms, dim, gaps, atom_tables, gap_tables):
+        """Fill this view from power tables built already, which it shares."""
+        self.atoms, self.dim, self.gaps, self._no_gaps = atoms, dim, gaps, (0,) * dim
+        self._sums, self._atom_tables, self._gap_tables = {}, atom_tables, gap_tables
+        return self
 
     @property
     def n_atoms(self):
@@ -184,35 +184,33 @@ class MomentView:
         that shares this view's gaps and gap tables, and whose power tables
         are this view's start and gap rows (`_PowerTables.on_path`). Its
         `atoms` is None; `n_atoms` still counts them."""
-        if self.gaps is None:
+        gaps = self._gap_tables
+        if gaps is None:
             raise ValidationError("a path view needs a view with gaps")
         view = MomentView.__new__(MomentView)
-        view.atoms, view.dim, view.gaps, view._no_gaps = None, self.dim, self.gaps, self._no_gaps
-        view._sums, view._gap_tables = {}, self._gap_tables
-        view._atom_tables = self._atom_tables.on_path(self._gap_tables)
-        return view
+        return view._set(None, self.dim, self.gaps, self._atom_tables.on_path(gaps), gaps)
 
     def table_scales(self):
-        """(N, scale, gap_scale, path) of the power tables; scale and
-        gap_scale are 1 on a view that is not exact, and on a path view a
+        """(N, scale, path) of the power tables: atoms and gaps share the
+        one scale, which is 1 on a view that is not exact; on a path view a
         sum is a list, one entry per xi power."""
-        atoms, gaps = self._atom_tables, self._gap_tables
-        return self.n_atoms, atoms.scale, gaps.scale if gaps else 1, atoms.path
+        tables = self._atom_tables
+        return tables.n, tables.scale, tables.path
 
     def sums(self, gap_exps, degree=None):
         """The sums with gap exponents `gap_exps`: a dict, filled on first
         read and kept, from each exponent tuple r to the moment or, given a
         `degree` at least |r| on an exact view, to scale^(degree - |r|) times
 
-            sum_i prod_c (scale * atom_ic)^r_c * (gap_scale * gap_ic)^gap_exps_c,
+            sum_i prod_c (scale * atom_ic)^r_c * (scale * gap_ic)^gap_exps_c,
 
-        which is N * scale^degree * gap_scale^|gap_exps| times the moment.
+        which is N * scale^(degree + |gap_exps|) times the moment.
         At scale 1 every lift is by 1, so one dict serves every degree."""
         if degree is not None and self._atom_tables.scale == 1:
             degree = 0
         table = self._sums.get((gap_exps, degree))
         if table is None:
-            if any(gap_exps) and self.gaps is None:
+            if any(gap_exps) and self._gap_tables is None:
                 raise ValidationError("gap moments need a view with gaps")
             table = _Lifted(self._atom_tables, self._gap_tables, gap_exps, degree)
             self._sums[(gap_exps, degree)] = table
@@ -234,10 +232,10 @@ class _Lifted(dict):
     so that a view is freed with its last reference rather than by the cycle
     collector."""
 
-    __slots__ = ("atoms", "gaps", "gap", "degree", "weights")
+    __slots__ = ("atoms", "gap", "degree", "weights")
 
     def __init__(self, atoms, gaps, gap, degree):
-        self.atoms, self.gaps, self.gap, self.degree = atoms, gaps, gap, degree
+        self.atoms, self.gap, self.degree = atoms, gap, degree
         self.weights = gaps.rows(gap)[0] if any(gap) else None
 
     def __missing__(self, exps):
@@ -247,9 +245,8 @@ class _Lifted(dict):
             sums = [sum(map(operator.mul, row, self.weights)) for row in rows]
         else:
             sums = [sum(row) for row in rows]
-        if self.degree is None:  # the moment: divide by N * scale^|r| * gap_scale^|gap|
-            gap_scale = self.gaps.scale if self.gaps else 1
-            factor = Fraction(1, atoms.n * atoms.scale ** sum(exps) * gap_scale ** sum(self.gap))
+        if self.degree is None:  # the moment: divide by N * scale^(|r| + |gap|)
+            factor = Fraction(1, atoms.n * atoms.scale ** (sum(exps) + sum(self.gap)))
         else:  # lifted to `degree`, by 1 at scale 1 (where the degree is 0)
             factor = atoms.scale ** (self.degree - sum(exps)) if atoms.scale != 1 else 1
         value = [s * factor for s in sums] if atoms.path else sums[0] * factor
@@ -288,18 +285,16 @@ class Coupling:
 
     The marginals are the empirical measures of the two columns. Every term
     of an expansion integrates against the same coupling, so the coupling
-    keeps what it derives from its pairs, each built on first use: the gaps
-    y_i - x_i and their squares, the base, path and target views with their
-    sums, the float moments and the bounding box of its atoms. The pairs
-    and the dimension are read-only, so that this state never goes stale,
-    and it dies with the coupling.
+    keeps what it derives from its pairs, each built on first use: its
+    marginals, the gaps y_i - x_i and their squares, the base, path and
+    target views with their sums, the float moments and the bounding box of
+    its atoms. The pairs and the dimension are read-only, so that this
+    state never goes stale, and it dies with the coupling.
     Threads that race on a first use each build an equal value, and one of
     them is kept.
     """
 
-    __slots__ = (
-        "_pairs", "_dim", "_gaps", "_gap_squares", "_base", "_path", "_target", "_moments", "_box"
-    )
+    __slots__ = ("_pairs", "_dim", "_rows", "_gaps", "_gap_squares", "_path", "_moments", "_box")
 
     def __init__(self, pairs):
         pairs = [(_as_point(x), _as_point(y)) for x, y in pairs]
@@ -310,7 +305,7 @@ class Coupling:
             raise ValidationError("pairs of mixed dimension")
         self._pairs = tuple(pairs)
         self._dim = dim
-        self._gaps = self._gap_squares = self._base = self._path = self._target = self._box = None
+        self._rows = self._gaps = self._gap_squares = self._path = self._box = None
         self._moments = {}
 
     @property
@@ -325,11 +320,32 @@ class Coupling:
     def n_atoms(self):
         return len(self.pairs)
 
+    def _views(self):
+        """(left, right, base): the marginals and `base_view`, kept. A rational
+        coupling is scaled once, by one lcm over every start and target
+        coordinate: the three share its rows of ints (the base `gaps` is None)."""
+        if self._rows is None:
+            xs, ys = columns = [tuple(col) for col in zip(*self.pairs)]
+            starts, targets = _tables(*columns)
+            if starts.exact:  # the gap rows are the differences of the integer rows
+                units = [[list(map(operator.sub, y, x))] for (x,), (y,) in zip(starts._units, targets._units)]
+                gaps = _PowerTables(self.n_atoms, units, starts.scale, True)
+                base = MomentView.__new__(MomentView)._set(xs, self.dim, None, starts, gaps)
+            else:  # a float coordinate: each view scaled on its own
+                (starts,), (targets,) = _tables(xs), _tables(ys)
+                base = MomentView(xs, self.dim, self.gaps())
+            self._rows = (
+                EmpiricalMeasure.__new__(EmpiricalMeasure)._set(xs, self.dim, None, starts, None),
+                EmpiricalMeasure.__new__(EmpiricalMeasure)._set(ys, self.dim, None, targets, None),
+                base,
+            )
+        return self._rows
+
     def left(self):
-        return EmpiricalMeasure([x for x, _ in self.pairs])
+        return self._views()[0]
 
     def right(self):
-        return EmpiricalMeasure([y for _, y in self.pairs])
+        return self._views()[1]
 
     def gaps(self):
         """Displacements y_i - x_i, a tuple of tuples, kept."""
@@ -338,10 +354,13 @@ class Coupling:
         return self._gaps
 
     def gap_squares(self):
-        """|y_i - x_i|^2 per pair, exact for rational points, computed on
-        first use and kept."""
+        """|y_i - x_i|^2 per pair, exact for rational points (an int per
+        pair over scale^2, from the base view's gap rows), kept."""
         if self._gap_squares is None:
-            self._gap_squares = [sum(g**2 for g in gap) for gap in self.gaps()]
+            gaps, squares = self.base_view()._gap_tables, [0] * self.n_atoms
+            for (g,) in gaps._units:
+                squares = [s + q**2 for s, q in zip(squares, g)]
+            self._gap_squares = [Fraction(s, gaps.scale**2) for s in squares] if gaps.exact else squares
         return self._gap_squares
 
     def bounding_box(self):
@@ -355,9 +374,7 @@ class Coupling:
     def base_view(self):
         """The view of the left marginal carrying the gaps, which the
         averaged coupling variables of a contraction read; kept."""
-        if self._base is None:
-            self._base = MomentView([x for x, _ in self.pairs], self.dim, self.gaps())
-        return self._base
+        return self._views()[2]
 
     def path_view(self):
         """The base view on the straight path x + xi * (y - x)
@@ -367,10 +384,8 @@ class Coupling:
         return self._path
 
     def target_view(self):
-        """The view of the right marginal, without gaps; kept."""
-        if self._target is None:
-            self._target = MomentView([y for _, y in self.pairs], self.dim)
-        return self._target
+        """The view of the right marginal, without gaps: `right()`, kept."""
+        return self.right()
 
     def to_json(self):
         return [[list(map(_coordinate_text, x)), list(map(_coordinate_text, y))] for x, y in self.pairs]
@@ -415,9 +430,9 @@ def coupling_moment(coupling, p, exact=False):
         if p % 2 == 0:
             total = sum(sq ** (p // 2) for sq in coupling.gap_squares())
             return Fraction(total, n)
-        if coupling.dim == 1:
-            total = sum(abs(y[0] - x[0]) ** p for x, y in coupling.pairs)
-            return Fraction(total, n)
+        if coupling.dim == 1:  # the base view's one row of gaps, at its scale
+            gaps = coupling.base_view()._gap_tables
+            return Fraction(sum(abs(g) ** p for g in gaps._units[0][0]), n * gaps.scale**p)
         raise UnsupportedError(
             "odd-power moments of multi-dimensional gaps are irrational; "
             "use float mode"

@@ -1285,12 +1285,12 @@ def test_a_coupling_keeps_its_views_and_moments_for_itself(monkeypatch):
     assert f.kernel.degree == 4  # so that the path view is read
     points = [random_point(rng, 2) for _ in range(6)]
     c = pair_coupling(points[:3], points[3:])
-    mu = c.left()
 
     def kept(d):
-        return d._gaps, d._gap_squares, d._base, d._path, d._target, d._moments
+        return d._rows, d._gaps, d._gap_squares, d._path, d._moments
 
-    assert kept(c) == (None,) * 5 + ({},)
+    assert kept(c) == (None,) * 4 + ({},)
+    mu = c.left()
     first = taylor1(f, mu, c, 3, box=(-4, 4)).to_json()
     views = c.base_view(), c.path_view(), c.target_view()
     moments = dict(c._moments)
@@ -1306,10 +1306,48 @@ def test_a_coupling_keeps_its_views_and_moments_for_itself(monkeypatch):
     assert all(a is b for a, b in zip((c.base_view(), c.path_view(), c.target_view()), views))
     # a coupling with equal pairs starts with nothing kept and builds its own
     twin = pair_coupling(points[:3], points[3:])
-    assert kept(twin) == (None,) * 5 + ({},)
+    assert kept(twin) == (None,) * 4 + ({},)
     assert taylor1(f, mu, twin, 3, box=(-4, 4)).to_json() == first
     assert built and twin._moments == moments
     assert all(a is not b for a, b in zip((twin.base_view(), twin.path_view(), twin.target_view()), views))
+
+
+# A coupling with a float coordinate builds each view from its points, as
+# before couplings were scaled once: per kind, the `exact` flags of left(),
+# right(), base_view(), path_view() and target_view(), and the sha256 of
+# the taylor1 and taylor2 JSON, each pinned from the per-view construction.
+MIXED_COUPLINGS = {
+    "rational starts, float targets": (
+        (True, False, False, False, False), ("7c6b73e4173408f4", "7bc89e96397d5f16")
+    ),
+    "float starts, rational targets": (
+        (False, True, False, False, True), ("3eafd881f957da7b", "a64c50225258cec7")
+    ),
+    "all float": ((False,) * 5, ("fe05feab5da969e1", "c965d74779a872f5")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MIXED_COUPLINGS))
+def test_a_coupling_with_a_float_coordinate_keeps_each_views_exactness(kind):
+    rng = random.Random(f"mixed:{kind}")
+    f1 = random_functional(rng, 2, 2, False, degree=4)
+    f2 = random_functional(rng, 2, 2, True, degree=4)
+    xs = [random_point(rng, 2) for _ in range(3)]
+    ys = [random_point(rng, 2) for _ in range(3)]
+    x0, y0 = random_point(rng, 2), random_point(rng, 2)
+    if kind != "rational starts, float targets":
+        xs = [tuple(map(float, x)) for x in xs]
+    if kind != "float starts, rational targets":
+        ys = [tuple(map(float, y)) for y in ys]
+    c = pair_coupling(xs, ys)
+    views = c.left(), c.right(), c.base_view(), c.path_view(), c.target_view()
+    out = [
+        taylor1(f1, c.left(), c, 3, box=(-4, 4)).to_json(),
+        taylor2(f2, x0, y0, c, BOUND_GRADINGS["a<b"], box=(-4, 4)).to_json(),
+    ]
+    flags, digests = MIXED_COUPLINGS[kind]
+    assert tuple(view.exact for view in views) == flags
+    assert tuple(hashlib.sha256(json.dumps(o).encode()).hexdigest()[:16] for o in out) == digests
 
 
 def test_bound_constants_equal_certified_sup_of_their_own_sequence():

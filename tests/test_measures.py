@@ -123,6 +123,76 @@ def test_gap_squares_are_computed_once_and_serve_every_power():
     assert coupling_moment(c, 3) == (2.0**1.5 + 5.0**1.5) / 2
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_gap_squares_of_a_rational_coupling_equal_the_literal_sum(seed, monkeypatch):
+    # one int per pair from the coupling's integer gap rows, over scale^2:
+    # the same Fractions as sum((y - x)**2), and neither they nor an exact
+    # moment (an odd power of a one-dimensional gap too) subtract a Fraction
+    rng = random.Random(f"gap squares:{seed}")
+    e, n = rng.randint(1, 3), rng.randint(1, 5)
+    xs, ys = _rational_points(rng, n, e), _rational_points(rng, n, e)
+    want = [sum((b - a) ** 2 for a, b in zip(x, y)) for x, y in zip(xs, ys)]
+    powers = range(6) if e == 1 else range(0, 6, 2)
+    literal = [sum(sq ** (p // 2) if p % 2 == 0 else abs(y[0] - x[0]) ** p
+                   for sq, x, y in zip(want, xs, ys)) / n for p in powers]
+    c = pair_coupling(xs, ys)
+    subtract, subtractions = Fraction.__sub__, []
+    monkeypatch.setattr(Fraction, "__sub__", lambda a, b: subtractions.append(1) or subtract(a, b))
+    squares = c.gap_squares()
+    moments = [coupling_moment(c, p, exact=True) for p in powers]
+    monkeypatch.undo()
+    assert not subtractions
+    assert squares == want and all(type(sq) is Fraction for sq in squares)
+    assert moments == literal and all(type(m) is Fraction for m in moments)
+
+
+def test_a_rational_coupling_is_scaled_once_and_its_views_share_its_rows():
+    # starts in thirds, targets in halves: both marginals and all three
+    # views read one scale, the lcm 6 over every coordinate, and the same
+    # row objects; the gap rows are the differences of the integer rows
+    xs = [(Fraction(1, 3), Fraction(-2, 3)), (Fraction(2, 3), Fraction(1))]
+    ys = [(Fraction(1, 2), Fraction(0)), (Fraction(-3, 2), Fraction(5, 2))]
+    c = pair_coupling(xs, ys)
+    left, right = c.left(), c.right()
+    base, path, target = c.base_view(), c.path_view(), c.target_view()
+    assert [view.table_scales() for view in (left, right, base, target)] == [(2, 6, False)] * 4
+    assert path.table_scales() == (2, 6, True)
+
+    def rows(tables):
+        return [unit[0] for unit in tables._units]
+
+    starts, targets, gaps = rows(left._atom_tables), rows(right._atom_tables), rows(base._gap_tables)
+    assert starts == [[2, 4], [-4, 6]] and targets == [[3, -9], [0, 15]]
+    assert gaps == [[1, -13], [4, 9]]
+    for view, want in ((base, starts), (path, starts), (target, targets)):
+        assert all(a is b for a, b in zip(rows(view._atom_tables), want))
+    assert all(unit[1] is g for unit, g in zip(path._atom_tables._units, gaps))
+    assert path._gap_tables is base._gap_tables
+    gs = [tuple(b - a for a, b in zip(x, y)) for x, y in zip(xs, ys)]
+    for exps in _exponents(2, 3):
+        assert left.moment(exps) == _literal(xs, None, exps, ())
+        assert right.moment(exps) == target.moment(exps) == _literal(ys, None, exps, ())
+        for gap_exps in _exponents(2, 2):
+            assert base.moment(exps, gap_exps) == _literal(xs, gs, exps, gap_exps)
+            on_path = path.moment(exps, gap_exps)
+            for xi in (Fraction(0), Fraction(1), Fraction(2, 5)):
+                moved = [tuple(a + xi * g for a, g in zip(x, gv)) for x, gv in zip(xs, gs)]
+                got = on_path.eval(xi) if any(exps) else on_path
+                assert got == _literal(moved, gs, exps, gap_exps)
+
+
+def test_a_rational_coupling_validates_each_point_once(monkeypatch):
+    # building the coupling validates its 2N points; its marginals and its
+    # views read the coupling's rows and validate none of them again
+    calls = []
+    as_point = measures._as_point
+    monkeypatch.setattr(measures, "_as_point", lambda coords: calls.append(coords) or as_point(coords))
+    n = 5
+    c = pair_coupling([(Fraction(k, 3), k) for k in range(n)], [(Fraction(1, k + 2), -k) for k in range(n)])
+    c.left(), c.right(), c.base_view(), c.path_view(), c.target_view()
+    assert len(calls) == 2 * n
+
+
 def test_coupling_moment_bounds_the_best_permutation():
     # the pairing of a coupling is one of the N! permutations, so its moment
     # is at least their minimum; each permuted pairing's moment is its sum
@@ -257,11 +327,11 @@ def test_a_couplings_path_view_drops_its_atoms_and_keeps_its_moments():
 def test_integer_moments_match_the_literal_sum_on_a_user_built_path_view():
     # a path view of a view built by hand: a zero start, int gaps, and a
     # coordinate that does not move, whose table is its start alone; start
-    # and gap rows are both at the scale lcm(63, 6)
+    # and gap rows share the view's one scale, the lcm of 63 and 6
     starts = [(Fraction(1, 3), 0), (Fraction(-2, 9), Fraction(5, 7))]
     gaps = [(2, 0), (Fraction(5, 6), 0)]
     view = MomentView(starts, dim=2, gaps=gaps).on_path()
-    assert view.exact and view.table_scales() == (2, 126, 6, True)
+    assert view.exact and view.table_scales() == (2, 126, True)
     assert [len(unit) for unit in view._atom_tables._units] == [2, 1]
     atoms = _xi_points(starts, gaps)
     for exps in _exponents(2, 3):
@@ -347,7 +417,7 @@ def test_float_and_mixed_atoms_read_tables_as_given(kind):
     else:
         xs = [(float(x[0]), x[1]) for x in xs]
     view = MomentView(xs, dim=2, gaps=gs)
-    assert not view.exact and view.table_scales() == (3, 1, 1, False)
+    assert not view.exact and view.table_scales() == (3, 1, False)
     for exps, gap_exps in [((1, 0), (0, 0)), ((2, 1), (0, 1)), ((0, 0), (2, 0))]:
         got = view.moment(exps, gap_exps)
         # a float factor makes the sum a float; mixed atoms with no weight
