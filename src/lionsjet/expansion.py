@@ -2,7 +2,7 @@
 
 The jet operator contracts a derivative against coupling gaps, averaged over
 every coupling configuration: one atom pair per coupling variable of the
-derivative. Per monomial of the derivative's joint polynomials that m-fold
+derivative. Per monomial of the derivative's cells that m-fold
 average factorizes into a product of mixed coupling moments
 (1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per coupling variable, so the
 operator costs time linear in the atom count N (see
@@ -19,9 +19,10 @@ and a study's value at h and h^k. With rational data they stay integer
 numerators over one denominator, each output entry divided once, into a
 reduced Fraction, when the result is built; other data keeps its values as
 given, and an exact tensor that meets a float is divided first. Each
-derivative compiles its joint polynomials once per functional and keeps
-them on it, so every later expansion, bound or study of that functional,
-and both the base and the path contraction, read the same cells.
+derivative compiles its cells, and a layout per direction pattern, once
+per functional and keeps them on it, so every later expansion, bound or
+study of that functional, and both the base and the path contraction, read
+the same cells and layouts.
 Truncating the expansion at an order (or at a grading level) leaves
 remainder terms indexed by the
 boundary families; on the interpolation path the atoms have coordinates
@@ -695,13 +696,22 @@ def _reach(box, c):
     """The largest h at which every target x + h * (y - x) of the rational
     coupling `c`, whose base points x lie in the box, does too: coordinate
     by coordinate, while h <= (hi - x) / gap for a positive gap and
-    (lo - x) / gap for a negative one. Exact; inf when no gap moves."""
-    reach = math.inf
-    for (x, _), gap in zip(c.pairs, c.gaps()):
-        for (lo, hi), a, g in zip(box, x, gap):
+    (lo - x) / gap for a negative one. Exact and in integers: with the
+    coupling's rows at its scale S (x = X / S, gap = G / S) and an endpoint
+    p / q, a bound is (p S - q X) / (q G); inf when no gap moves."""
+    scale, starts, gaps = c.scaled_rows()
+    least = None  # (num, den) of the least bound so far, den > 0
+    for (lo, hi), xs, gs in zip(box, starts, gaps):
+        ends = (lo.as_integer_ratio(), hi.as_integer_ratio())
+        for x, g in zip(xs, gs):
             if g:
-                reach = min(reach, (Fraction(hi if g > 0 else lo) - a) / g)
-    return reach
+                p, q = ends[g > 0]
+                num, den = p * scale - q * x, q * g
+                if den < 0:
+                    num, den = -num, -den
+                if least is None or num * least[1] < least[0] * den:
+                    least = (num, den)
+    return math.inf if least is None else Fraction(*least)
 
 
 def convergence_study(

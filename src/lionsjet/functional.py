@@ -14,20 +14,27 @@ term per injective map of the free variables 1..m into the integrated slots
 1..arity: arity!/(arity - m)! terms, none when m > arity. Each term records
 which slot each free variable pins and which slot each tensor direction hit.
 
-Each derivative is compiled once per functional into joint polynomials over
-x0, the free variables and the integrated slots (`DerivTermSum.joint`), and
-kept on the functional, so every later expansion, bound or norm report of it
-reads the same cells. It is compiled from its prefix's cells, one letter at
-a time as the derivative is defined (`_joint`): one differentiation per cell
-and coordinate for a spatial or an already used letter, and one per cell,
-coordinate and slot for a fresh one. The contraction, the certified sup and
-the grid report all read that form; only the reference evaluator
-`eval_derivative_brute` walks the terms. The contraction is one loop over
-the cells that reads the power tables of its `measures.MomentView`s and
-returns a `poly.RationalTensor` for every number type: integer numerators
-over one denominator when every input is rational, for the expansion to
-keep in integers, and the values as given over 1 (floats, symbolic or
-mixed data) otherwise; on the path each entry is a list of
+Each derivative is compiled once per functional into cells over x0, the
+free variables and the integrated slots (`DerivTermSum.joint`), and kept on
+the functional, so every later expansion, bound or norm report of it reads
+the same cells. A cell holds its monomials split by argument group: per
+group a column of interned exponent tuples, and integer numerators over the
+kernel's common denominator (a kernel with a coefficient that is not
+rational keeps its values as given, over 1). It is compiled from its
+prefix's cells, one letter at a time as the derivative is defined
+(`_joint`): one differentiation per cell and coordinate for a spatial or an
+already used letter, and one per cell, coordinate and slot for a fresh one.
+The contraction, the certified sup and the grid report all read these
+cells; only the reference evaluator `eval_derivative_brute` walks the
+terms. Beside the cells the functional keeps one layout per derivative,
+direction pattern and number of given points (`_layout`): where each cell
+lands in the flat output, which vector coordinates weigh it and which gap
+exponents each group reads. The contraction reads each slot's sums from the
+power tables of its `measures.MomentView`s, runs the monomial loop over the
+layout and returns a `poly.RationalTensor` for every number type: integer
+numerators over one denominator when every input is rational, for the
+expansion to keep in integers, and the values as given over 1 (floats,
+symbolic or mixed data) otherwise; on the path each entry is a list of
 xi-coefficients. `eval_derivative` divides each entry once. A derivative
 longer than the kernel degree, or with more free variables than the kernel
 arity, vanishes identically (`_vanishes`): it has no cells, and the
@@ -38,12 +45,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
 from .measures import MomentView  # re-exported
-from .poly import MPoly, RationalTensor, Tensor, format_rational, parse_rational
+from .poly import ZERO, MPoly, RationalTensor, Tensor, format_rational, parse_rational
 from .tagged import TaggedSeq, as_tagged
 
 
@@ -183,26 +191,27 @@ class PolyKernel:
 class PolyFunctional:
     """A kernel integrated against the measure in every non-spatial slot.
 
-    `_joints` holds the compiled joint cells of its derivatives, keyed by
-    sequence values: one entry for each sequence some call asked for and
+    `_joints` holds the compiled cells of its derivatives (`_joint`), keyed
+    by sequence values: one entry for each sequence some call asked for and
     for each of its prefixes (a derivative is compiled from its prefix's),
     never one for a sequence whose derivative vanishes identically
-    (`_vanishes`). `_plans` holds the truncation plans of the expansions,
-    bounds and studies of it (`expansion._plan`), keyed by (order or
-    grading, base sequence values): the graded core, its boundary families
-    and each member's orbit, and inside each plan its bound plan per
-    normalized box (`expansion._bound_plan`). Only a spec that passed its
-    checks is planned. Both start empty and die with the functional. A
-    write stores a finished, equal value under its key, so threads sharing
-    a functional may race to fill them.
+    (`_vanishes`); `_tuples` interns the tuples of cells and layouts. `_layouts`
+    holds each derivative's contraction layout per direction pattern and
+    number of given points (`_layout`). `_plans` holds the truncation plans
+    of the expansions, bounds and studies of it (`expansion._plan`), keyed
+    by (order or grading, base sequence values): the graded core, its
+    boundary families and each member's orbit, and inside each plan its
+    bound plan per normalized box (`expansion._bound_plan`). Only a spec
+    that passed its checks is planned. All start empty and die with the
+    functional. A write stores a finished, equal value under its key, so
+    threads sharing a functional may race to fill them.
     """
 
-    __slots__ = ("kernel", "_joints", "_plans")
+    __slots__ = ("kernel", "_joints", "_tuples", "_layouts", "_plans")
 
     def __init__(self, kernel):
         self.kernel = kernel
-        self._joints = {}
-        self._plans = {}
+        self._joints, self._tuples, self._layouts, self._plans = {}, {}, {}, {}
 
     @property
     def has_spatial(self):
@@ -243,7 +252,7 @@ class DerivTerm:
 
 class DerivTermSum:
     """The derivative of a functional indexed by a tagged sequence: its
-    joint cells (`joint`, compiled from its prefix's and kept on the
+    cells (`joint`, compiled from its prefix's and kept on the
     functional), and as a reference a sum of slot-assignment terms over the
     shared kernel.
 
@@ -289,7 +298,7 @@ class DerivTermSum:
 
     @property
     def n_groups(self):
-        """Argument groups of the joint polynomials, e variables each: x0
+        """Argument groups of the cells, e variables each: x0
         when the kernel is spatial, the free variables 1..m, then the
         integrated slots 1..arity."""
         return self.kernel.n_slots + self.n_free
@@ -297,8 +306,8 @@ class DerivTermSum:
     def joint(self):
         """The derivative compiled once per functional: for each (output,
         direction coordinates) cell that is not identically zero, the
-        polynomial over the argument groups whose expectation over
-        independent integrated slots is that entry.
+        monomials over the argument groups, split by group, whose
+        expectation over independent integrated slots is that entry.
 
         Compiled from its prefix's cells (`_joint`). A derivative that
         `_vanishes` has no cells and no cache entry, so the contraction
@@ -350,53 +359,103 @@ def _partial(table, kernel, out, variables):
 
 
 def _joint(f, values):
-    """The joint cells of the derivative of `f` indexed by `values`, kept on
-    `f`, over the groups [x0 if spatial] + free groups 1..m + integrated
-    slots 1..arity, e variables each.
+    """The cells of the derivative of `f` indexed by `values`, kept on `f`:
+    a dict from each (output, direction coordinates) cell that is not
+    identically zero to its monomials, over the groups [x0 if spatial] +
+    free groups 1..m + integrated slots 1..arity, e variables each.
+
+    A cell is one tuple: per group the column of its monomials' exponent
+    tuples, then their coefficients, in integers over the kernel's
+    `denominator` (as given, over 1, for a kernel without one). Group
+    tuples, columns and integer coefficient tuples are interned on `f`
+    (`_tuples`), so that equal ones are one object.
 
     The empty sequence's cells are the nonzero kernel components, in the
-    kernel's own layout. Any other derivative is one derivative of its
+    kernel's own term order. Any other derivative is one derivative of its
     prefix's (compiled first if no call asked for it), cell by cell in the
-    prefix's order with the new coordinate c last. A letter 0, or j <= m,
-    differentiates in coordinate c of x0 or of free group j. A fresh letter
-    m + 1 inserts a free group before the integrated slots and sums, over
-    the slots s, the derivative in coordinate c of slot s with slot s moved
-    into the new group; a term that pins s has no variables there and adds
-    zero. Terms that land on one monomial merge, cancellations included."""
+    prefix's order with the new coordinate c last (`_diff`). A letter 0, or
+    j <= m, differentiates in coordinate c of x0 or of free group j: it
+    lowers that group's entry and multiplies the coefficient by it. A fresh
+    letter m + 1 inserts a free group before the integrated slots and sums,
+    slot by slot, the derivative in coordinate c of slot s with slot s
+    moved into the new group and zeroed; a term that pins s has no variables
+    there and adds zero. Terms that land on one monomial merge, in the order
+    they come, and a cancellation drops the monomial."""
     kernel, cache = f.kernel, f._joints
     if _vanishes(kernel, values):
         return {}
     joint = cache.get(values)
     if joint is not None:
         return joint
+    e, intern, exact = kernel.e, f._tuples.setdefault, kernel.denominator is not None
+    joint = {}
     if not values:
-        joint = {(comp, ()): poly for comp, poly in enumerate(kernel.components) if poly}
+        den = kernel.denominator
+        for comp, poly in enumerate(kernel.components):
+            if poly:
+                joint[(comp, ())] = _cell(intern, exact, {
+                    tuple(intern(exps[lo : lo + e], exps[lo : lo + e]) for lo in range(0, len(exps), e)):
+                    q.numerator * (den // q.denominator) if exact else q
+                    for exps, q in poly.terms.items()
+                })
     else:
         prefix, letter = _joint(f, values[:-1]), values[-1]
-        e, m = kernel.e, max(values[:-1], default=0)
-        split = (kernel.has_spatial + m) * e  # the first integrated variable
-        nvars = split + (kernel.arity + 1) * e  # after a fresh letter
-        if letter <= m:  # (first variable differentiated, no map)
-            slots = [((kernel.has_spatial + letter - 1) * e if letter else 0, None)]
-        else:  # (first variable of slot s, the map moving it into the new group)
-            shifted = list(range(split)) + list(range(split + e, nvars))
-            moved = list(range(split, split + e))
-            slots = [
-                (lo, shifted[:lo] + moved + shifted[lo + e :]) for lo in range(split, nvars - e, e)
-            ]
-        joint = {}
-        for (comp, coords), poly in prefix.items():
+        m = max(values[:-1], default=0)
+        first, fresh = kernel.has_spatial + m, letter > m  # first: the first integrated group
+        if fresh:
+            slots = range(first, first + kernel.arity)
+        else:  # x0 or the free group of a used letter
+            slots = [kernel.has_spatial + letter - 1 if letter else 0]
+        zero = intern((0,) * e, (0,) * e)
+        for (comp, coords), cell in prefix.items():
+            monomials = list(_monomials(cell))
             for c in range(e):
-                cell = None
-                for lo, mapping in slots:
-                    part = poly.diff(lo + c)
-                    if part:
-                        part = part.map_vars(nvars, mapping) if mapping else part
-                        cell = part if cell is None else cell + part
-                if cell:
-                    joint[(comp, coords + (c,))] = cell
+                merged = {}
+                for s in slots:
+                    for num, gs in _diff(intern, monomials, s, c):
+                        if fresh:  # slot s moves into the new free group
+                            gs = gs[:first] + (gs[s],) + gs[first:s] + (zero,) + gs[s + 1 :]
+                        if gs in merged:
+                            num = merged[gs] + num
+                            if not num:
+                                del merged[gs]
+                                continue
+                        merged[gs] = num
+                if merged:
+                    joint[(comp, coords + (c,))] = _cell(intern, exact, merged)
     cache[values] = joint
     return joint
+
+
+def _cell(intern, exact, monomials):
+    """A cell from a nonempty dict of its monomials, from their group
+    tuples to their coefficients, in order: its columns and coefficients,
+    interned by `intern` (the `setdefault` of the functional's `_tuples`;
+    coefficients only when they are integers, so that no equal value of
+    another type stands in for one)."""
+    nums = tuple(monomials.values())
+    cols = [intern(col, col) for col in zip(*monomials)]
+    return (*cols, intern(nums, nums) if exact else nums)
+
+
+def _monomials(cell):
+    """The (coefficient, group tuples) monomials of a cell, in order."""
+    cols, nums = cell[:-1], cell[-1]
+    return zip(nums, zip(*cols) if cols else itertools.repeat(()))
+
+
+def _diff(intern, monomials, g, c):
+    """The monomials differentiated in coordinate c of group g, in order:
+    each with that exponent k > 0 becomes k times itself with k lowered by
+    one, the new group tuple interned by `intern`."""
+    out = []
+    for num, gs in monomials:
+        k = gs[g][c]
+        if k:
+            group = gs[g]
+            lowered = group[:c] + (k - 1,) + group[c + 1 :]
+            out.append((num * k, gs[:g] + (intern(lowered, lowered),) + gs[g + 1 :]))
+    return out
 
 
 def lions_derivative(f, a):
@@ -463,6 +522,62 @@ def eval_derivative_brute(ts, x0, mu, free):
     return out
 
 
+_VECTOR = "vector"  # a direction contracted against a given vector, in a direction pattern
+
+
+def _layout(ts, pattern, n_given):
+    """The layout of the derivative `ts` for the direction pattern `pattern`
+    (per direction None to stay free, `_VECTOR`, or the averaged variable j
+    whose gap it takes) and `n_given` given points, kept on its functional.
+
+    (offsets, weights, slots, cells, gaps), the first four one entry per
+    cell in the cells' order: its flat output offset, the flat index of its
+    vector-direction coordinates in the table of vector weights, its slot
+    and the cell itself. A slot stands for one tuple of gap-direction
+    coordinates, in order of first use, and `gaps` holds per slot the gap
+    exponents of each argument group. Its tuples of integers are interned
+    with the cells' (`_tuples`)."""
+    f, key = ts.functional, (ts.seq.values, pattern, n_given)
+    layout = f._layouts.get(key)
+    if layout is not None:
+        return layout
+    kernel, intern, joint = f.kernel, f._tuples.setdefault, _joint(f, key[0])
+    e, n_free = kernel.e, ts.n_free
+    free, vecs, gap_dirs = [], [], []  # the directions by kind: (direction, j) for a gap
+    for p, v in enumerate(pattern):
+        if v is None:
+            free.append(p)
+        elif v is _VECTOR:
+            vecs.append(p)
+        else:
+            gap_dirs.append((p, v))
+    offsets, weights, slots, firsts = [], [], [], {}
+    for comp, coords in joint:
+        offset, weight = comp, 0
+        for p in free:
+            offset = offset * e + coords[p]
+        for p in vecs:
+            weight = weight * e + coords[p]
+        offsets.append(offset)
+        weights.append(weight)
+        slots.append(firsts.setdefault(tuple([coords[p] for p, _ in gap_dirs]), len(firsts)))
+    zero, gaps = intern((0,) * e, (0,) * e), []
+    for gap_coords in firsts:
+        groups = [zero] * (kernel.n_slots + n_free)
+        for (_, j), c in zip(gap_dirs, gap_coords):
+            row = list(groups[n_given + j])
+            row[c] += 1
+            groups[n_given + j] = intern(tuple(row), tuple(row))
+        groups = tuple(groups)
+        gaps.append(intern(groups, groups))
+    offsets, weights, slots, gaps = tuple(offsets), tuple(weights), tuple(slots), tuple(gaps)
+    layout = f._layouts[key] = (
+        intern(offsets, offsets), intern(weights, weights), intern(slots, slots),
+        tuple(joint.values()), intern(gaps, gaps),
+    )
+    return layout
+
+
 def contract_derivative(ts, x0, mu, free, direction_vectors):
     """Evaluate and contract tensor directions against given vectors.
 
@@ -475,20 +590,25 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     uncontracted direction. x0 and each given point may be passed as its
     one-atom `MomentView`, whose power tables a caller then builds once.
 
-    Each cell of the joint form (`DerivTermSum.joint`) is evaluated group by
+    Each cell of the derivative (`DerivTermSum.joint`) is evaluated group by
     group: x0 and the given free points contribute the sums of their
     one-atom views, averaged coupling variable j the mixed moment sums of
     `mu` with the gap exponents of its directions, and an integrated slot
     the moment sums of `mu`. Per monomial the average over the atoms
     factorizes into those moments, so the cost is linear in the atom count
-    rather than a sum over configurations.
+    rather than a sum over configurations. Where each cell lands, which
+    vector coordinates weigh it and which gap exponents each group reads
+    depend only on the derivative and the direction pattern, so they are
+    laid out once per functional (`_layout`). A call reads each slot's sums
+    on first use, forms the vector weights, runs the monomial loop and
+    writes one flat list.
 
     The contraction is exact when every view is, the kernel coefficients
     and the vectors are rational. It then runs on integers: a monomial has
     degree at most D = kernel degree - order, so each group reads its
-    integer sums lifted to degree D (`MomentView.sums`), coefficients
-    become numerators over the kernel's common denominator and vectors are
-    scaled by the lcm of their denominators. All monomials then share one
+    integer sums lifted to degree D (`MomentView.sums`), the cells hold
+    numerators over the kernel's common denominator and vectors are scaled
+    by the lcm of their denominators. All monomials then share one
     denominator: those scales, N * scale^D per group, and mu's scale to the
     number of gap directions. Each output entry sums plain ints
     (xi-coefficient lists on the path), and the result is a
@@ -502,90 +622,105 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     """
     kernel = ts.kernel
     e = kernel.e
-    free_dirs, vec_dirs, gap_dirs = [], [], []
-    for p, v in enumerate(direction_vectors):
-        if v is None:
-            free_dirs.append(p)
-        elif isinstance(v, int):
-            gap_dirs.append((p, v))
-        else:
-            vec_dirs.append((p, v))
-    shape = (kernel.d,) + (e,) * len(free_dirs)
-    joint = ts.joint()
-    if not joint:  # an exact zero, whatever the data
-        return RationalTensor(shape, [0] * math.prod(shape), 1)
+    pattern = tuple(v if v is None or isinstance(v, int) else _VECTOR for v in direction_vectors)
+    vecs = [v for v, p in zip(direction_vectors, pattern) if p is _VECTOR]
+    n_left = pattern.count(None)  # the directions left free
+    shape, n_gaps = (kernel.d,) + (e,) * n_left, len(pattern) - n_left - len(vecs)
+    size = math.prod(shape)
+    if not ts.joint():  # an exact zero, whatever the data
+        return RationalTensor(shape, [0] * size, 1)
     points = ([x0] if kernel.has_spatial else []) + list(free)
     given = [p if isinstance(p, MomentView) else MomentView([p], e) for p in points]
+    offsets, weight_at, slots, cells, slot_gaps = _layout(ts, pattern, len(given))
     views = given + [mu] * (ts.n_groups - len(given))
-    unit, den, weights, degree = kernel.denominator, 1, vec_dirs, None
+    unit, den, weights, degree = kernel.denominator, 1, vecs, None
     exact = (
         unit is not None
         and mu.exact
         and all(view.exact for view in given)
-        and all(type(c) in (int, Fraction) for _, vec in vec_dirs for c in vec)
+        and all(type(c) in (int, Fraction) for vec in vecs for c in vec)
     )
     scales = [view.table_scales() for view in given]
-    n, mu_scale, path = mu.table_scales()
-    path = path or any(poly for *_, poly in scales)
+    n, mu_scale, mu_path = mu.table_scales()
+    on_path = [listed for *_, listed in scales] + [mu_path] * (len(views) - len(given))
+    path = any(on_path)
     if exact:
         den, weights, degree = unit, [], kernel.degree - ts.order
-        for p, vec in vec_dirs:
+        for vec in vecs:
             scale = math.lcm(*(c.denominator for c in vec))
-            weights.append((p, [c.numerator * (scale // c.denominator) for c in vec]))
+            weights.append([c.numerator * (scale // c.denominator) for c in vec])
             den *= scale
-        den *= (n * mu_scale**degree) ** (len(views) - len(given)) * mu_scale ** len(gap_dirs)
+        den *= (n * mu_scale**degree) ** (len(views) - len(given)) * mu_scale**n_gaps
         den *= math.prod(k * s**degree for k, s, *_ in scales)  # the given points
-    out = Tensor(shape, [0] * math.prod(shape)) if exact else Tensor(shape)
-    n_avg = ts.n_free + kernel.has_spatial - len(given)
-    readers_by_gaps, sums = {}, {}
-    for (comp, coords), poly in joint.items():
-        weight = 1
-        for p, vec in weights:
-            weight *= vec[coords[p]]
+    table = [1]  # the weight of each tuple of vector coordinates, by flat index
+    for vec in weights:
+        table = [w * c for w in table for c in vec]
+    readers = [None] * len(slot_gaps)  # per slot, (sums, read) per group on first use
+    out = [0] * size if exact else [None] * size  # None: no cell reached it
+    for offset, weight, slot, cell in zip(offsets, map(table.__getitem__, weight_at), slots, cells):
         if not weight:
             continue
-        # (lo, hi, sums, read) per group, fixed by the coordinates of the gap
-        # directions; `read`: exact or with a gap, the group is read even
-        # without exponents (an inexact moment without either is 1)
-        gap_coords = tuple(coords[p] for p, _ in gap_dirs)
-        readers = readers_by_gaps.get(gap_coords)
-        if readers is None:
-            gap_rows = [[0] * e for _ in range(n_avg)]
-            for (_, j), c in zip(gap_dirs, gap_coords):
-                gap_rows[j][c] += 1
-            readers = readers_by_gaps[gap_coords] = []
-            for g, view in enumerate(views):
-                j = g - len(given)
-                gap = tuple(gap_rows[j]) if 0 <= j < n_avg else (0,) * e
-                readers.append((g * e, g * e + e, view.sums(gap, degree), exact or any(gap)))
-        idx = (comp,) + tuple(coords[p] for p in free_dirs)
-        if path:
+        groups = readers[slot]
+        if groups is None:  # read: exact or with a gap, a group is read without exponents
+            groups = readers[slot] = [
+                (view.sums(gap, degree), exact or any(gap)) for view, gap in zip(views, slot_gaps[slot])
+            ]
+        nums = cell[-1]
+        if exact and not path:  # the hot loop of rational data, in C
+            terms = nums
+            for (sums, _), col in zip(groups, cell):
+                terms = map(operator.mul, terms, map(sums.__getitem__, col))
+            out[offset] += sum(terms) * weight
+            continue
+        if exact:  # on the path, in integers: a list of one coefficient is a scalar
+            total, scalars, lists = [0], nums, []
+            for (sums, _), col, listed in zip(groups, cell, on_path):
+                values = map(sums.__getitem__, col)
+                if listed:
+                    lists.append(values)
+                else:
+                    scalars = map(operator.mul, scalars, values)
+            for num, *factors in zip(scalars, *lists):
+                poly = None
+                for v in factors:
+                    if len(v) == 1:
+                        num *= v[0]
+                    else:
+                        poly = v if poly is None else _xi_times(poly, v)
+                if poly is None:
+                    total[0] += num
+                else:
+                    total.extend([0] * (len(poly) - len(total)))
+                    for k, y in enumerate(poly):
+                        total[k] += num * y
+        else:  # the coefficients' values, and a moment without exponents or gap is 1
+            monomials = _monomials(cell)
+            if unit is not None:
+                monomials = ((Fraction(num, unit), exps) for num, exps in monomials)
+            if not path:
+                total = 0
+                for term, exps in monomials:
+                    for (sums, read), g in zip(groups, exps):
+                        if read or any(g):
+                            term *= sums[g]
+                    total += term
+                acc = out[offset]
+                out[offset] = (0 if acc is None else acc) + total * weight
+                continue
             total = [0]
-            for exps, coeff in poly.terms.items():
-                term = [coeff.numerator * (unit // coeff.denominator) if exact else coeff]
-                for lo, hi, cache, read in readers:
-                    if read or any(exps[lo:hi]):
-                        term = _xi_times(term, cache[exps[lo:hi]])
+            for term, exps in monomials:
+                term = [term]
+                for (sums, read), g in zip(groups, exps):
+                    if read or any(g):
+                        term = _xi_times(term, sums[g])
                 _xi_add(total, term)
-            _xi_add(sums.setdefault(idx, [0]), [t * weight for t in total])
-        else:
-            total = 0
-            if exact:  # the hot loop of rational data, without the test of `read`
-                for exps, coeff in poly.terms.items():
-                    term = coeff.numerator * (unit // coeff.denominator)
-                    for lo, hi, cache, _ in readers:
-                        term *= cache[exps[lo:hi]]
-                    total += term
-            else:
-                for exps, term in poly.terms.items():
-                    for lo, hi, cache, read in readers:
-                        if read or any(exps[lo:hi]):
-                            term *= cache[exps[lo:hi]]
-                    total += term
-            sums[idx] = sums.get(idx, 0) + total * weight
-    for idx, total in sums.items():
-        out[idx] = total
-    return RationalTensor(shape, out.data, den, exact)
+        acc = out[offset]
+        if type(acc) is not list:
+            acc = out[offset] = [0]
+        _xi_add(acc, [t * weight for t in total])
+    if not exact:
+        out = [ZERO if v is None else v for v in out]
+    return RationalTensor(shape, out, den, exact)
 
 
 def _xi_times(a, b):
@@ -654,16 +789,18 @@ class NormEstimates:
     lip_free: tuple
 
 
-def _crude_sup(poly, var_bounds):
-    """Certified sup of |poly| on the box: sum of |coeff| * prod bound^exp,
-    or inf when that exceeds the float range."""
+def _crude_sup(cell, unit, bounds):
+    """Certified sup of |cell| on the box, `bounds` the largest |value| of
+    each coordinate and `unit` the cell's denominator: sum of |coeff| *
+    prod bound^exp, or inf when that exceeds the float range."""
     total = 0.0
     try:
-        for exps, coeff in poly.terms.items():
-            factor = abs(float(coeff))
-            for b, p in zip(var_bounds, exps):
-                if p:
-                    factor *= b**p
+        for num, groups in _monomials(cell):
+            factor = abs(float(num / unit))
+            for g in groups:
+                for b, p in zip(bounds, g):
+                    if p:
+                        factor *= b**p
             total += factor
     except OverflowError:
         return math.inf
@@ -673,13 +810,23 @@ def _crude_sup(poly, var_bounds):
 def _frobenius_sup(ts, box):
     """Certified Frobenius sup of a derivative over its argument groups in
     the (normalized) box and measures supported in it: the root of the sum
-    of the squared coefficient-wise bounds of its joint cells."""
-    var_bounds = [max(abs(lo), abs(hi)) for lo, hi in box] * ts.n_groups
+    of the squared coefficient-wise bounds of its cells."""
+    bounds = [max(abs(lo), abs(hi)) for lo, hi in box]
+    unit = ts.kernel.denominator or 1
     certified_sq = 0.0
-    for poly in ts.joint().values():
-        sup = _crude_sup(poly, var_bounds)
+    for cell in ts.joint().values():
+        sup = _crude_sup(cell, unit, bounds)
         certified_sq += sup * sup
     return math.sqrt(certified_sq)
+
+
+def _cell_poly(cell, unit, nvars):
+    """A cell as the polynomial in `nvars` variables it stands for, its
+    numerators divided by `unit` (None: the coefficients as given)."""
+    return MPoly(
+        nvars,
+        {sum(groups, ()): Fraction(num, unit) if unit else num for num, groups in _monomials(cell)},
+    )
 
 
 def _certified_sup(f, seq, box):
@@ -709,7 +856,8 @@ def _sup_report(ts, box):
     computes it, with the largest value on a sample mesh beside it."""
     certified = _frobenius_sup(ts, box)
     grid = 0.0
-    entries = list(ts.joint().values())
+    unit, nvars = ts.kernel.denominator, ts.n_groups * ts.kernel.e
+    entries = [_cell_poly(cell, unit, nvars) for cell in ts.joint().values()]
     if entries:
         budget = max(1, 2048 // len(entries))
         for point in _grid_points(box * ts.n_groups, GRID_SAMPLES, budget):

@@ -82,15 +82,42 @@ class _PowerTables:
         return [[1] * self.n] if table is None else table
 
 
+_RATIOS = {int: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio}
+
+
+def _ratios(vectors):
+    """Per coordinate of the vectors, each entry's (numerator, denominator),
+    read once; None at the first entry that is not an int or a Fraction."""
+    try:
+        return [[_RATIOS[type(q)](q) for q in col] for col in zip(*vectors)]
+    except KeyError:
+        return None
+
+
+def _scaled(n, *ratios):
+    """Exact power tables of groups of n vectors, given by their `_ratios`,
+    at one scale: the lcm of every denominator."""
+    scale = math.lcm(*{d for cols in ratios for col in cols for _, d in col})
+    return [
+        _PowerTables(n, [[[q * (scale // d) for q, d in col]] for col in cols], scale, True)
+        for cols in ratios
+    ]
+
+
+def _as_given(vectors):
+    """Power tables of the vectors, their entries as given, at scale 1."""
+    return _PowerTables(len(vectors), [[list(col)] for col in zip(*vectors)], 1, False)
+
+
 def _tables(*groups):
     """The power tables of each group of N vectors (None stays None): exact
-    at one scale, the lcm of every denominator, when every entry is an int
-    or a Fraction, else as given at scale 1."""
-    vectors = [v for g in groups if g for v in g]
-    exact = {type(q) for v in vectors for q in v} <= {int, Fraction}
-    scale = math.lcm(*(q.denominator for v in vectors for q in v)) if exact else 1
-    row = (lambda col: [q.numerator * (scale // q.denominator) for q in col]) if exact else list
-    return [g and _PowerTables(len(g), [[row(col)] for col in zip(*g)], scale, exact) for g in groups]
+    at one scale when every entry is an int or a Fraction (`_scaled`), else
+    as given at scale 1."""
+    ratios = [_ratios(g) for g in groups if g]
+    if None in ratios:
+        return [g and _as_given(g) for g in groups]
+    tables = iter(_scaled(len(next(g for g in groups if g)), *ratios))
+    return [g and next(tables) for g in groups]
 
 
 def _row_times(a, b):
@@ -323,23 +350,37 @@ class Coupling:
     def _views(self):
         """(left, right, base): the marginals and `base_view`, kept. A rational
         coupling is scaled once, by one lcm over every start and target
-        coordinate: the three share its rows of ints (the base `gaps` is None)."""
+        coordinate: the three share its rows of ints (the base `gaps` is None).
+        Otherwise each marginal is scaled on its own, and the base view keeps
+        its starts and gaps as given."""
         if self._rows is None:
-            xs, ys = columns = [tuple(col) for col in zip(*self.pairs)]
-            starts, targets = _tables(*columns)
-            if starts.exact:  # the gap rows are the differences of the integer rows
+            n, xs, ys = self.n_atoms, *(tuple(col) for col in zip(*self.pairs))
+            rx, ry = _ratios(xs), _ratios(ys)
+            if rx is not None and ry is not None:  # the gap rows: differences of the integer rows
+                starts, targets = _scaled(n, rx, ry)
                 units = [[list(map(operator.sub, y, x))] for (x,), (y,) in zip(starts._units, targets._units)]
-                gaps = _PowerTables(self.n_atoms, units, starts.scale, True)
+                gaps = _PowerTables(n, units, starts.scale, True)
                 base = MomentView.__new__(MomentView)._set(xs, self.dim, None, starts, gaps)
-            else:  # a float coordinate: each view scaled on its own
-                (starts,), (targets,) = _tables(xs), _tables(ys)
-                base = MomentView(xs, self.dim, self.gaps())
+            else:  # a float coordinate, so a float gap: the base view keeps its values as given
+                starts = _as_given(xs) if rx is None else _scaled(n, rx)[0]
+                targets = _as_given(ys) if ry is None else _scaled(n, ry)[0]
+                gaps = list(self.gaps())
+                atoms = _as_given(xs) if starts.exact else starts
+                base = MomentView.__new__(MomentView)._set(xs, self.dim, gaps, atoms, _as_given(gaps))
             self._rows = (
                 EmpiricalMeasure.__new__(EmpiricalMeasure)._set(xs, self.dim, None, starts, None),
                 EmpiricalMeasure.__new__(EmpiricalMeasure)._set(ys, self.dim, None, targets, None),
                 base,
             )
         return self._rows
+
+    def scaled_rows(self):
+        """(scale, starts, gaps) of a rational coupling: per coordinate the
+        row of its start coordinates and the row of its gaps, each times the
+        coupling's one scale, as ints."""
+        base = self.base_view()
+        starts, gaps = base._atom_tables, base._gap_tables
+        return starts.scale, [row for (row,) in starts._units], [row for (row,) in gaps._units]
 
     def left(self):
         return self._views()[0]

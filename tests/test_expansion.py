@@ -1564,6 +1564,34 @@ def test_convergence_study_builds_one_coupling(monkeypatch):
             assert len(built) == 1, (spec, box)
 
 
+def test_reach_reads_the_integer_rows_and_equals_the_fraction_formula(monkeypatch):
+    # the largest scale at which every target stays in the box comes from
+    # the coupling's integer start and gap rows: a boxed rational study
+    # makes no gap as a Fraction, and the value is that of the formula
+    # (hi - x) / gap, (lo - x) / gap in Fractions
+    calls = []
+    gaps = measures.Coupling.gaps
+    monkeypatch.setattr(measures.Coupling, "gaps", lambda self: calls.append(1) or gaps(self))
+    for spec in STUDY_SPECS:
+        f, pts, dirs, spatial = _study_instance(spec, 2)
+        convergence_study(f, pts, dirs, spec, [F(1, 2), F(1, 4), F(1, 8)], box=(-4, 4), **spatial)
+    assert not calls
+    monkeypatch.undo()
+    for seed in range(30):
+        rng = random.Random(f"reach:{seed}")
+        e, n = rng.choice([1, 2]), rng.randint(1, 5)
+        c = random_coupling(rng, n, e) if seed % 5 else pair_coupling(*[[random_point(rng, e)] * 2] * 2)
+        ends = [(rng.choice([-4, -3.5, -1.25]), rng.choice([1.5, 3, 4])) for _ in range(e)]
+        box = normalize_box(ends, e)
+        want = math.inf
+        for x, y in c.pairs:
+            for (lo, hi), a, b in zip(box, x, y):
+                if b - a:
+                    want = min(want, (Fraction(hi if b > a else lo) - a) / (b - a))
+        got = expansion._reach(box, c)
+        assert got == want and type(got) is type(want)
+
+
 def _box_study_cases():
     """Studies on e = 1 data whose box check fails in one place: a base
     point, only a target of the largest h, or only the spatial target y0 of

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from lionsjet.errors import ValidationError
 from lionsjet.expansion import taylor1, taylor2
+from lionsjet import functional
 from lionsjet.functional import (
     DerivTerm,
     DerivTermSum,
     MomentView,
     PolyFunctional,
     PolyKernel,
+    _cell_poly,
     _certified_sup,
     _vanishes,
     contract_derivative,
@@ -234,7 +236,7 @@ def test_factorized_matches_brute_force():
                     for term in d.terms
                     for out, coords in d.joint()
                 )
-                merged += per_term > sum(len(p.terms) for p in d.joint().values())
+                merged += per_term > sum(len(p.terms) for p in _joint_polys(d).values())
     assert merged > 0
 
 
@@ -456,21 +458,34 @@ def test_contraction_through_cached_joint_equals_fresh_derivative():
         assert shared.tensor() == fresh.tensor()
 
 
+def _counting(monkeypatch, name):
+    """Patch `functional.<name>` to record each call's arguments; returns
+    the record."""
+    calls, original = [], getattr(functional, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(functional, name, counted)
+    return calls
+
+
+def _joint_polys(ts):
+    """The cells of `ts` converted back to polynomials over all its
+    variables, in their order."""
+    nvars = ts.n_groups * ts.kernel.e
+    return {key: _cell_poly(cell, ts.kernel.denominator, nvars) for key, cell in ts.joint().items()}
+
+
 def test_a_repeated_call_differentiates_nothing(monkeypatch):
-    # the compiled joints stay on the functional, so the second of two
+    # the compiled cells stay on the functional, so the second of two
     # identical calls reads them and differentiates nothing
     rng = random.Random(13)
     f = random_functional(rng, 2, 2, False, degree=4)
     points = [random_point(rng, 2) for _ in range(4)]
     c = pair_coupling(points[:2], points[2:])
-    calls = []
-    original = MPoly.diff
-
-    def counting_diff(self, index):
-        calls.append(index)
-        return original(self, index)
-
-    monkeypatch.setattr(MPoly, "diff", counting_diff)
+    calls = _counting(monkeypatch, "_diff")
     counts, results = [], []
     for _ in range(2):
         calls.clear()
@@ -574,7 +589,7 @@ def test_prefix_compile_equals_the_slot_assignment_compile(data):
     # and on demand for others
     for a in data.draw(st.permutations(seqs)):
         ts = lions_derivative(f, a)
-        got, want = ts.joint(), _slot_assignment_joint(ts)
+        got, want = _joint_polys(ts), _slot_assignment_joint(ts)
         assert list(got) == list(want)
         for cell, poly in got.items():
             if floats:
@@ -585,20 +600,198 @@ def test_prefix_compile_equals_the_slot_assignment_compile(data):
                 assert poly == want[cell]
 
 
+def _letterwise_polynomial_joint(f, values):
+    """The cells of the derivative of `f` indexed by `values` as
+    polynomials over all its variables, compiled from the kernel one letter
+    at a time with `MPoly.diff` and `MPoly.map_vars`: a letter 0 or j <= m
+    differentiates x0 or free group j; a fresh letter sums, slot by slot,
+    the derivative in slot s with slot s moved into a new free group."""
+    kernel, e = f.kernel, f.kernel.e
+    joint = {(comp, ()): poly for comp, poly in enumerate(kernel.components) if poly}
+    for n, letter in enumerate(values):
+        m = max(values[:n], default=0)
+        split = (kernel.has_spatial + m) * e  # the first integrated variable
+        nvars = split + (kernel.arity + 1) * e
+        if letter <= m:
+            slots = [((kernel.has_spatial + letter - 1) * e if letter else 0, None)]
+        else:
+            shifted = list(range(split)) + list(range(split + e, nvars))
+            moved = list(range(split, split + e))
+            slots = [(lo, shifted[:lo] + moved + shifted[lo + e :]) for lo in range(split, nvars - e, e)]
+        step = {}
+        for (comp, coords), poly in joint.items():
+            for c in range(e):
+                cell = None
+                for lo, mapping in slots:
+                    part = poly.diff(lo + c)
+                    if part:
+                        part = part.map_vars(nvars, mapping) if mapping else part
+                        cell = part if cell is None else cell + part
+                if cell:
+                    step[(comp, coords + (c,))] = cell
+        joint = step
+    return joint
+
+
+def test_cells_keep_the_letter_by_letter_monomial_order():
+    # on seeded kernels, rational and float, every cell converted back is
+    # the letter-by-letter polynomial compile monomial by monomial, in its
+    # order (which fixes the float summation order of a contraction and of
+    # a certified sup), and the slot-assignment compile as a polynomial:
+    # that compile sums its terms pin map by pin map, so its monomials may
+    # come in another order
+    for seed in range(12):
+        rng = random.Random(seed)
+        spatial, e, arity = seed % 2 == 0, 1 + seed % 2, 1 + seed % 3
+        f = random_functional(rng, e, arity, spatial, degree=4, d=2)
+        floats = seed % 3 == 0
+        if floats:
+            f = PolyFunctional(PolyKernel(e, 2, arity, spatial, [
+                MPoly(p.nvars, {exps: rng.uniform(-3, 3) for exps in p.terms})
+                for p in f.kernel.components
+            ]))
+        for a in [a for n in range(5) for a in (enum_A0 if spatial else enum_A)(n)]:
+            if _vanishes(f.kernel, a.values):
+                continue
+            ts = lions_derivative(f, a)
+            got, want = _joint_polys(ts), _letterwise_polynomial_joint(f, a.values)
+            assert list(got) == list(want)
+            for key, poly in got.items():
+                assert list(poly.terms.items()) == list(want[key].terms.items())
+            if not floats:
+                assert got == _slot_assignment_joint(ts)
+
+
+def test_a_repeated_contraction_builds_no_layout(monkeypatch):
+    # one layout per direction pattern and number of given points, kept on
+    # the functional: the base and the path view share it, and a repeated
+    # contraction, with other vectors too, interns and lays out nothing
+    rng = random.Random(19)
+    f = random_functional(rng, 2, 2, True, degree=4, d=2)
+    atoms = [random_point(rng, 2) for _ in range(3)]
+    base = MomentView(atoms, dim=2, gaps=[random_point(rng, 2) for _ in range(3)])
+    x0, vec, other = (random_point(rng, 2) for _ in range(3))
+    ts = lions_derivative(f, TaggedSeq((0, 1, 2)))
+    patterns = [[vec, 0, None], [None, None, 1], [vec, 0, 1]]
+
+    def contract(vector):
+        return [
+            contract_derivative(ts, x0, view, [], [vector if type(v) is tuple else v for v in dirs])
+            for view in (base, base.on_path())
+            for dirs in patterns
+        ]
+
+    first = [t.tensor() for t in contract(vec)]
+    kept = dict(f._layouts)
+    assert len(kept) == len(patterns)
+    compiled, interned = _counting(monkeypatch, "_cell"), len(f._tuples)
+    assert [t.tensor() for t in contract(vec)] == first
+    contract(other)
+    assert not compiled and len(f._tuples) == interned
+    assert f._layouts.keys() == kept.keys()
+    assert all(f._layouts[key] is layout for key, layout in kept.items())
+    # a given free point makes another layout
+    contract_derivative(ts, x0, base, [atoms[0]], [vec, None, 0])
+    assert len(f._layouts) == len(patterns) + 1
+
+
+class _Unsliced(tuple):
+    """A tuple whose slicing fails the test."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            pytest.fail("a tuple was sliced")
+        return tuple.__getitem__(self, index)
+
+
+def test_an_exact_contraction_on_a_kept_layout_makes_no_fraction_and_slices_nothing():
+    rng = random.Random(20)
+    kernel = random_functional(rng, 2, 2, True, degree=4, d=2).kernel
+    atoms = [random_point(rng, 2) for _ in range(3)]
+    base = MomentView(atoms, dim=2, gaps=[random_point(rng, 2) for _ in range(3)])
+    x0 = MomentView([random_point(rng, 2)], 2)  # a one-atom view, as the engine passes
+    vec = random_point(rng, 2)
+    views, seq = (base, base.on_path()), TaggedSeq((0, 1, 2))
+    fresh = lions_derivative(PolyFunctional(kernel), seq)
+    want = [contract_derivative(fresh, x0, view, [], [vec, 0, None]).tensor() for view in views]
+    f = PolyFunctional(kernel)
+    ts = lions_derivative(f, seq)
+    cells = ts.joint()
+    for key, cell in cells.items():  # every tuple a contraction reads, unsliceable
+        cols = [_Unsliced(_Unsliced(g) for g in col) for col in cell[:-1]]
+        cells[key] = _Unsliced(cols + [_Unsliced(cell[-1])])
+    for view in views:  # lay out and fill the sums
+        contract_derivative(ts, x0, view, [], [vec, 0, None])
+    made, new = [], Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            made.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        got = [contract_derivative(ts, x0, view, [], [vec, 0, None]) for view in views]
+    finally:
+        sys.setprofile(None)
+    assert not made and all(t.exact for t in got)
+    assert [t.tensor() for t in got] == want
+
+
+def test_a_float_coefficient_kernel_contracts_as_before():
+    # the values, types and float bits that the polynomial cells gave, on
+    # rational and float views, off and on the path
+    f = PolyFunctional(PolyKernel(1, 1, 2, True, [MPoly(3, {
+        (1, 1, 1): 0.1, (2, 0, 1): -2.5, (0, 2, 1): F(1, 3), (1, 2, 0): 0.75,
+    })]))
+    base = MomentView([(F(1, 3),), (F(-2, 5),), (F(3, 2),)], 1, [(F(1, 2),), (F(1, 7),), (F(-1, 3),)])
+    floats = MomentView([(0.3,), (-0.7,)], 1, [(0.25,), (-0.5,)])
+    got = []
+    for view in (base, base.on_path(), floats, floats.on_path()):
+        for values, dirs in [
+            ((), []), ((0,), [(F(2, 3),)]), ((0, 1), [None, 0]), ((1, 1), [0, None]),
+            ((1, 2), [0, 1]), ((0, 1, 2), [(F(1, 2),), 0, None]),
+        ]:
+            ts = lions_derivative(f, TaggedSeq(values))
+            out = contract_derivative(ts, (F(1, 4),), view, [], dirs).tensor()
+            got.append((values, [repr(v) for v in out.data]))
+    assert got == _FLOAT_KERNEL_VALUES
+
+
+_FLOAT_KERNEL_VALUES = [  # per view: base, its path, float atoms, their path
+    ((), ['0.222460219478738']),
+    ((0,), ['0.03725514403292177']),
+    ((0, 1), ['-0.314347442680776']),
+    ((1, 1), ['0.07155349794238683']),
+    ((1, 2), ['-0.01737318384143781']),
+    ((0, 1, 2), ['0.010317460317460317']),
+    ((), ['XiPoly([0.222460219478738, -0.07502216833235352, 0.035411855071246605, Fraction(8749, 2000376)])']),
+    ((0,), ['XiPoly([0.03725514403292177, -0.209564961787184, 0.06429621231208532])']),
+    ((0, 1), ['XiPoly([-0.314347442680776, 0.19288863693625596])']),
+    ((1, 1), ['XiPoly([0.07155349794238683, Fraction(169, 23814)])']),
+    ((1, 2), ['XiPoly([-0.01737318384143781, Fraction(8749, 500094)])']),
+    ((0, 1, 2), ['0.010317460317460317']),
+    ((), ['0.06729166666666667']),
+    ((0,), ['0.31433333333333324']),
+    ((0, 1), ['0.48']),
+    ((1, 1), ['-0.030208333333333337']),
+    ((1, 2), ['-0.03463541666666667']),
+    ((0, 1, 2), ['-0.0125']),
+    ((), ['XiPoly([0.06729166666666667, 0.06005208333333333, 0.0015625000000000014, -0.006510416666666666])']),
+    ((0,), ['XiPoly([0.31433333333333324, 0.31999999999999995, 0.07916666666666666])']),
+    ((0, 1), ['XiPoly([0.48, 0.2375])']),
+    ((1, 1), ['XiPoly([-0.030208333333333337, 0.010416666666666666])']),
+    ((1, 2), ['XiPoly([-0.03463541666666667, -0.026041666666666664])']),
+    ((0, 1, 2), ['-0.0125']),
+]
+
+
 def test_a_compile_from_a_cached_prefix_makes_one_diff_per_cell_and_coordinate(monkeypatch):
     # a tagged letter (0 or j <= m) differentiates each prefix cell once per
     # coordinate, and a fresh letter once per coordinate and slot
     rng = random.Random(16)
     for e, arity, spatial in [(1, 2, True), (2, 3, True), (2, 2, False), (2, 3, False)]:
         f = random_functional(rng, e, arity, spatial, degree=4, d=2)
-        calls = []
-        original = MPoly.diff
-
-        def counting_diff(self, index):
-            calls.append(index)
-            return original(self, index)
-
-        monkeypatch.setattr(MPoly, "diff", counting_diff)
+        calls = _counting(monkeypatch, "_diff")
         monkeypatch.setattr(DerivTermSum, "terms", property(lambda ts: pytest.fail("terms built")))
         enum = enum_A0 if spatial else enum_A
         for a in [a for n in range(5) for a in enum(n)]:
@@ -674,31 +867,25 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     base = MomentView(atoms, dim=2, gaps=gaps)
     path = base.on_path()
     x0, vec = random_point(rng, 2), random_point(rng, 2)
-    calls = {"deriv_poly": 0, "map_vars": 0}
-
-    def counting(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    deriv_poly = DerivTermSum.deriv_poly
-    monkeypatch.setattr(DerivTermSum, "deriv_poly", counting("deriv_poly", deriv_poly))
-    monkeypatch.setattr(MPoly, "map_vars", counting("map_vars", MPoly.map_vars))
-    # past the kernel degree: zeros and 0.0, with nothing differentiated
+    diffs, cells = _counting(monkeypatch, "_diff"), _counting(monkeypatch, "_cell")
+    deriv_poly = _counting(monkeypatch, "_partial")
+    # past the kernel degree: zeros and 0.0, with nothing differentiated,
+    # laid out or kept
     past = TaggedSeq((0, 1, 1, 2))
     assert len(past) > f.kernel.degree
     zeros = contract_derivative(lions_derivative(f, past), x0, base, [], [vec, None, 0, 1])
     assert zeros.shape == (1, 2) and not any(zeros.data)
     assert _certified_sup(f, past, normalize_box((-1, 1), 2)) == 0.0
-    assert calls == {"deriv_poly": 0, "map_vars": 0}
-    # the base and the path contraction of one derivative share one build
+    assert not diffs and not cells and not deriv_poly
+    assert f._joints == f._layouts == f._tuples == {}
+    # the base and the path contraction of one derivative share one build:
+    # its cells and its one layout for that direction pattern
     ts = lions_derivative(f, TaggedSeq((0, 1)))
     contract_derivative(ts, x0, base, [], [vec, 0])
-    built = calls["map_vars"]
+    built, layouts = len(diffs), dict(f._layouts)
     contract_derivative(ts, x0, path, [], [vec, 0])
-    assert built > 0 and calls["map_vars"] == built
+    assert built > 0 and len(diffs) == built and not deriv_poly
+    assert len(layouts) == 1 and f._layouts == layouts
 
 
 def test_evaluation_rejects_points_of_another_dimension():
