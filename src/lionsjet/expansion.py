@@ -165,7 +165,7 @@ class ExpansionResult:
         return (self.actual - total).max_abs()
 
     def remainder_norm(self):
-        return math.sqrt(sum(float(v) ** 2 for v in self.remainder_exact.data))
+        return _norm(self.remainder_exact.data)
 
     def to_json(self, floats=False):
         """The result as JSON data. Rational entries print as "p/q"; with
@@ -667,17 +667,28 @@ def remainder_bound2(f, x0, y0, c, g, box):
     return _bound_terms(f, [(tuple(x0), tuple(y0))], c, _plan(f, g), box)[0]
 
 
+def _norm(values):
+    """The Euclidean norm of the values as floats, inf past the float range."""
+    try:
+        return math.sqrt(sum(float(v) ** 2 for v in values))
+    except OverflowError:  # a square past the float range, or a value
+        try:
+            return math.hypot(*map(float, values))
+        except OverflowError:
+            return math.inf
+
+
 SLOPE_FLOOR = 1e-14  # remainders at or below this are float rounding, left out of fits
 
 
 def ols_loglog_slope(h_values, values):
-    """Least-squares slope of log2(values) against log2(h) over the rows
-    above SLOPE_FLOOR. Returns None when every value is exactly zero; raises
-    ValidationError when some value is nonzero but fewer than two distinct
-    scales clear the floor, since that is neither exact nor a fit."""
+    """Least-squares slope of log2(values) against log2(h) over the finite
+    rows above SLOPE_FLOOR. Returns None when every value is exactly zero;
+    raises ValidationError when some value is nonzero but fewer than two
+    distinct scales have a finite one above the floor: no fit, nor exact."""
     xs, ys = [], []
     for h, v in zip(h_values, values):
-        if v is not None and v > SLOPE_FLOOR:
+        if v is not None and SLOPE_FLOOR < v < math.inf:
             xs.append(math.log2(float(h)))
             ys.append(math.log2(v))
     if len(set(xs)) < 2:
@@ -814,7 +825,7 @@ def convergence_study(
         p, q = (h, 1) if type(h) is float else (h.numerator, h.denominator)
         for k, jet in jets.items():
             rem = rem - jet.scale(p**k, q**k)  # h^k, for a rational h as a pair of ints
-        norm = math.sqrt(sum(float(v) ** 2 for v in rem.tensor().data))
+        norm = _norm(rem.tensor().data)
         bound = None
         if box is not None:
             spatial = [(tuple(x0), moved(x0, x0_direction, h))] if graded else []

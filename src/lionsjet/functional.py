@@ -30,8 +30,9 @@ terms. Beside the cells the functional keeps one layout per derivative,
 direction pattern and number of given points (`_layout`): where each cell
 lands in the flat output, which vector coordinates weigh it and which gap
 exponents each group reads. The contraction reads each slot's sums from the
-power tables of its `measures.MomentView`s, runs the monomial loop over the
-layout and returns a `poly.RationalTensor` for every number type: integer
+power tables of its `measures.MomentView`s, runs one monomial loop over the
+layout for every number type (two on the path: in integers and on the
+values as given) and returns one `poly.RationalTensor` type: integer
 numerators over one denominator when every input is rational, for the
 expansion to keep in integers, and the values as given over 1 (floats,
 symbolic or mixed data) otherwise; on the path each entry is a list of
@@ -599,9 +600,9 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     rather than a sum over configurations. Where each cell lands, which
     vector coordinates weigh it and which gap exponents each group reads
     depend only on the derivative and the direction pattern, so they are
-    laid out once per functional (`_layout`). A call reads each slot's sums
-    on first use, forms the vector weights, runs the monomial loop and
-    writes one flat list.
+    laid out once per functional (`_layout`). A call reads each slot's sums,
+    forms the vector weights, runs the monomial loop and writes one flat
+    list.
 
     The contraction is exact when every view is, the kernel coefficients
     and the vectors are rational. It then runs on integers: a monomial has
@@ -615,10 +616,12 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     `RationalTensor` of those numerators over that denominator, whose
     `tensor()` divides each entry once. Otherwise (float, symbolic or mixed
     data) the same loop reads each group's moments (`MomentView.sums` under
-    degree None, lists on a path view), skips a moment without exponents
-    or gap (it is 1), takes coefficients and vectors as given and returns
-    a `RationalTensor` of those values over 1, not `exact`. A derivative
-    without cells contracts to an exact zero, a `RationalTensor` over 1.
+    degree None, lists on a path view), takes the coefficients' values and
+    the vectors as given and returns a `RationalTensor` of those values
+    over 1, not `exact`. Off the path every number type multiplies the
+    groups in order; on the path exact data multiply the scalar groups
+    first, and values as given keep the group order, or their float bits
+    would move. A derivative without cells contracts to an exact zero.
     """
     kernel = ts.kernel
     e = kernel.e
@@ -655,32 +658,31 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     table = [1]  # the weight of each tuple of vector coordinates, by flat index
     for vec in weights:
         table = [w * c for w in table for c in vec]
-    readers = [None] * len(slot_gaps)  # per slot, (sums, read) per group on first use
-    out = [0] * size if exact else [None] * size  # None: no cell reached it
-    for offset, weight, slot, cell in zip(offsets, map(table.__getitem__, weight_at), slots, cells):
+    readers = [[view.sums(gap, degree) for view, gap in zip(views, gaps)] for gaps in slot_gaps]
+    out = [0 if exact else ZERO] * size
+    for offset, weight, groups, cell in zip(
+        offsets, map(table.__getitem__, weight_at), map(readers.__getitem__, slots), cells
+    ):
         if not weight:
             continue
-        groups = readers[slot]
-        if groups is None:  # read: exact or with a gap, a group is read without exponents
-            groups = readers[slot] = [
-                (view.sums(gap, degree), exact or any(gap)) for view, gap in zip(views, slot_gaps[slot])
-            ]
-        nums = cell[-1]
-        if exact and not path:  # the hot loop of rational data, in C
-            terms = nums
-            for (sums, _), col in zip(groups, cell):
+        terms = cell[-1]
+        if not exact and unit is not None:  # a rational kernel's values
+            terms = map(Fraction, terms, itertools.repeat(unit))
+        if not path:  # the monomial loop, in C
+            for sums, col in zip(groups, cell):
                 terms = map(operator.mul, terms, map(sums.__getitem__, col))
             out[offset] += sum(terms) * weight
             continue
-        if exact:  # on the path, in integers: a list of one coefficient is a scalar
-            total, scalars, lists = [0], nums, []
-            for (sums, _), col, listed in zip(groups, cell, on_path):
+        total = [0]
+        if exact:  # in integers, the scalar groups first: a list of one coefficient is a scalar
+            lists = []
+            for sums, col, listed in zip(groups, cell, on_path):
                 values = map(sums.__getitem__, col)
                 if listed:
                     lists.append(values)
                 else:
-                    scalars = map(operator.mul, scalars, values)
-            for num, *factors in zip(scalars, *lists):
+                    terms = map(operator.mul, terms, values)
+            for num, *factors in zip(terms, *lists):
                 poly = None
                 for v in factors:
                     if len(v) == 1:
@@ -690,36 +692,17 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
                 if poly is None:
                     total[0] += num
                 else:
-                    total.extend([0] * (len(poly) - len(total)))
-                    for k, y in enumerate(poly):
-                        total[k] += num * y
-        else:  # the coefficients' values, and a moment without exponents or gap is 1
-            monomials = _monomials(cell)
-            if unit is not None:
-                monomials = ((Fraction(num, unit), exps) for num, exps in monomials)
-            if not path:
-                total = 0
-                for term, exps in monomials:
-                    for (sums, read), g in zip(groups, exps):
-                        if read or any(g):
-                            term *= sums[g]
-                    total += term
-                acc = out[offset]
-                out[offset] = (0 if acc is None else acc) + total * weight
-                continue
-            total = [0]
-            for term, exps in monomials:
+                    _xi_add(total, _xi_times(poly, num))
+        else:  # the values as given, the groups in order
+            for term, *exps in zip(terms, *cell[:-1]):
                 term = [term]
-                for (sums, read), g in zip(groups, exps):
-                    if read or any(g):
-                        term = _xi_times(term, sums[g])
+                for sums, g in zip(groups, exps):
+                    term = _xi_times(term, sums[g])
                 _xi_add(total, term)
         acc = out[offset]
         if type(acc) is not list:
             acc = out[offset] = [0]
         _xi_add(acc, [t * weight for t in total])
-    if not exact:
-        out = [ZERO if v is None else v for v in out]
     return RationalTensor(shape, out, den, exact)
 
 
@@ -748,9 +731,12 @@ def _xi_add(total, term):
 def normalize_box(box, e):
     """Accept (lo, hi) or a per-coordinate list of (lo, hi) pairs of finite
     endpoints."""
-    if len(box) == 2 and not hasattr(box[0], "__len__"):
-        box = [box] * e
-    box = [(float(lo), float(hi)) for lo, hi in box]
+    try:
+        if len(box) == 2 and not hasattr(box[0], "__len__"):
+            box = [box] * e
+        box = [(float(lo), float(hi)) for lo, hi in box]
+    except (TypeError, ValueError):
+        raise ValidationError(f"box must be (lo, hi) or a list of {e} (lo, hi) pairs of numbers") from None
     if len(box) != e:
         raise ValidationError(f"box must have {e} coordinate intervals")
     for lo, hi in box:

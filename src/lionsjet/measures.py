@@ -232,7 +232,9 @@ class MomentView:
             sum_i prod_c (scale * atom_ic)^r_c * (scale * gap_ic)^gap_exps_c,
 
         which is N * scale^(degree + |gap_exps|) times the moment.
-        At scale 1 every lift is by 1, so one dict serves every degree."""
+        At scale 1 every lift is by 1, so one dict serves every degree.
+        Under degree None the empty monomial without gap is the int 1 (on a
+        path view too), by which a product keeps every value and type."""
         if degree is not None and self._atom_tables.scale == 1:
             degree = 0
         table = self._sums.get((gap_exps, degree))
@@ -250,14 +252,14 @@ class MomentView:
         value = self.sums(gap_exps)[exps]
         if type(value) is list:  # on a path view
             return XiPoly(value) if any(exps) else value[0]
-        return value
+        return Fraction(value) if type(value) is int else value  # the empty monomial's 1
 
 
 class _Lifted(dict):
     """`MomentView.sums`: filled by `__missing__` from the power tables and
-    the gap weights of `gap`, built once. It holds the tables, not the view,
-    so that a view is freed with its last reference rather than by the cycle
-    collector."""
+    the gap weights of `gap`, built once (but for the moment of the empty
+    monomial without gap, the int 1). It holds the tables, not the view, so
+    that a view is freed with its last reference, not by the collector."""
 
     __slots__ = ("atoms", "gap", "degree", "weights")
 
@@ -266,6 +268,8 @@ class _Lifted(dict):
         self.weights = gaps.rows(gap)[0] if any(gap) else None
 
     def __missing__(self, exps):
+        if self.degree is None and self.weights is None and not any(exps):
+            return self.setdefault(exps, 1)  # a scalar on every view
         atoms = self.atoms
         rows = atoms.rows(exps)
         if self.weights is not None:

@@ -200,6 +200,23 @@ def test_converge_command(tmp_path):
     assert abs(slope - 2.0) < 0.3
 
 
+def test_converge_of_remainders_whose_float_squares_overflow(tmp_path):
+    # k(u) = u^62 at 400 moved by 1, order 2: remainders about 1e155
+    kernel = PolyFunctional(PolyKernel(1, 1, 1, False, [MPoly(1, {(62,): F(1)})]))
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel.to_json()))
+    save_points(tmp_path / "pts.csv", [(F(400),)])
+    save_points(tmp_path / "dirs.csv", [(F(1),)])
+    code, text = run_cli(
+        ["converge", "--kernel", str(kpath), "--points", str(tmp_path / "pts.csv"),
+         "--directions", str(tmp_path / "dirs.csv"), "--order", "2"]
+    )
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 8 and lines[-1].startswith("# slope:")
+    assert all(1e150 < float(line.split(",")[1]) < 1e160 for line in lines[1:-1])
+
+
 def test_console_entry_point():
     # the child imports the package from where this process found it
     src = os.path.dirname(os.path.dirname(lionsjet.__file__))

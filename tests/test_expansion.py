@@ -783,6 +783,13 @@ def test_bounds_reject_non_finite_boxes():
         taylor1(f, c.left(), c, 1, box=(-4, math.inf))
 
 
+@pytest.mark.parametrize("box", [(0, 1, 2), ("a", "b"), [(0, 1, 2)]], ids=str)
+def test_a_malformed_box_is_refused_naming_both_forms(box):
+    # these used to raise a bare unpacking TypeError or ValueError
+    with pytest.raises(ValidationError, match=r"\(lo, hi\) or a list of 1 \(lo, hi\) pairs"):
+        normalize_box(box, 1)
+
+
 def test_expansions_reject_points_of_another_dimension():
     rng = random.Random(26)
     f = random_functional(rng, 2, 1, False)
@@ -1450,6 +1457,22 @@ def _per_scale_rows(f, pts, dirs, spec, hs, x0=None, dx0=None, box=None):
             bound = expansion._bound_terms(f, pairs, c, expansion._plan(f, spec), box)[0]
         rows.append({"h": float(h), "remainder": res.remainder_norm(), "bound": bound})
     return rows
+
+
+def test_a_study_of_remainders_whose_float_squares_overflow():
+    # k(u) = u^62 at 400 moved by 1, order 2: each remainder, about 1e155,
+    # fits a float while its square does not; one past the float range has
+    # norm inf, which the fit leaves out
+    f = kernel_1d({(62,): F(1)}, arity=1)
+    pts, dirs, hs = [(F(400),)], [(F(1),)], [F(1, 2), F(1, 4), F(1, 8)]
+    rows, slope = convergence_study(f, pts, dirs, 2, hs + [10**6])
+    want = _per_scale_rows(f, pts, dirs, 2, hs)  # by `remainder_norm`
+    assert rows == want + [{"h": 1e6, "remainder": math.inf, "bound": None}]
+    for row, h in zip(rows, hs):
+        c = pair_coupling(pts, [(400 + h,)])
+        (rem,) = taylor1(f, c.left(), c, 2).remainder_exact.data
+        assert row["remainder"] == abs(float(rem)) and 1e150 < row["remainder"] < 1e160
+    assert slope == expansion.ols_loglog_slope(hs, [row["remainder"] for row in want])
 
 
 STUDY_SPECS = [1, 2, 3, Grading(F(1, 2), 1, F(9, 4)), Grading(1, 1, F(5, 2)),

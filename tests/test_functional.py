@@ -785,6 +785,82 @@ _FLOAT_KERNEL_VALUES = [  # per view: base, its path, float atoms, their path
 ]
 
 
+def test_values_as_given_contract_as_before():
+    # the repr of every raw entry of contractions of float, symbolic and
+    # mixed data, with a rational kernel: float atoms with a float vector
+    # and a gap direction, off and on the path; a float x0 over the path of a
+    # rational coupling whose first coordinate's gaps sum to 0, so that a
+    # sum has an exact-zero xi-coefficient and a zero keeps its type; and
+    # symbolic `MPoly` atoms, off and on the path
+    f = PolyFunctional(PolyKernel(2, 2, 2, True, [MPoly(6, {(1, 0, 1, 0, 0, 0): F(3, 2)}), MPoly(6, {
+        (1, 0, 1, 0, 1, 0): F(1, 3), (0, 1, 2, 0, 0, 0): F(-5, 2), (0, 0, 1, 1, 0, 1): F(3, 4),
+        (2, 0, 0, 0, 0, 1): F(7), (0, 0, 0, 0, 0, 0): F(-1, 6), (0, 0, 1, 0, 0, 0): F(2, 9),
+    })]))
+    floats = MomentView([(0.3, -1.5), (-0.7, 0.0), (1.25, 2.0)], 2, [(0.5, -0.125), (-0.25, 0.0), (0.75, -1.0)])
+    rational = MomentView([(F(1, 3), F(1, 2)), (F(-2, 5), 0)], 2, [(1, F(1, 3)), (-1, F(-1, 2))])
+    x, y = MPoly(2, {(1, 0): F(1)}), MPoly(2, {(0, 1): F(1, 2), (0, 0): F(-1)})
+    symbolic = MomentView([(x, y), (y, F(2))], 2, [(F(1, 2), 0), (x, F(-1, 3))])
+    got = []
+    for label, x0, view in [
+        ("float atoms", (0.5, -0.25), floats),
+        ("float path", (0.5, -0.25), floats.on_path()),
+        ("float x0, rational path", (0.5, -0.0), rational.on_path()),
+        ("symbolic", (F(1, 4), 1), symbolic),
+        ("symbolic path", (F(1, 4), 1), symbolic.on_path()),
+    ]:
+        for values, dirs in [
+            ((), []), ((0,), [(0.5, -1.25)]), ((0,), [None]), ((1,), [0]), ((0, 1), [None, 0]),
+            ((1, 1), [0, (0.5, -1.25)]), ((1, 2), [0, 1]), ((1, 1, 2), [(F(1, 2), 3), 0, None]),
+        ]:
+            out = contract_derivative(lions_derivative(f, TaggedSeq(values)), x0, view, [], dirs)
+            got.append((label, values, [repr(v) for v in out.data]))
+    assert got == _VALUES_AS_GIVEN
+
+
+_VALUES_AS_GIVEN = [
+    ('float atoms', (), ['0.2125', '0.7331134259259259']),
+    ('float atoms', (0,), ['0.2125', '2.828483796296296']),
+    ('float atoms', (0,), ['0.425', 'Fraction(0, 1)', '1.1934259259259257', '-1.7854166666666664']),
+    ('float atoms', (1,), ['0.25', '-0.2392361111111112']),
+    ('float atoms', (0, 1), ['0.5', 'Fraction(0, 1)', '-2.562037037037037', '-2.1041666666666665']),
+    ('float atoms', (1, 1), ['Fraction(0, 1)', '0.1328125']),
+    ('float atoms', (1, 2), ['Fraction(0, 1)', '0.13781828703703705']),
+    ('float atoms', (1, 1, 2), ['Fraction(0, 1)', 'Fraction(0, 1)', 'Fraction(0, 1)', '0.609375']),
+    ('float path', (), ['[0.2125, 0.25]', '[0.7331134259259259, -0.2392361111111112, 0.21734664351851846, 0.076171875]']),
+    ('float path', (0,), ['[0.2125, 0.25]', '[2.828483796296296, 1.3491898148148145, 0.9299768518518516]']),
+    ('float path', (0,), ['[0.425, 0.5]', 'Fraction(0, 1)', '[1.1934259259259257, -2.562037037037037, 0.037037037037037035]', '[-1.7854166666666664, -2.1041666666666665, -0.7291666666666665]']),
+    ('float path', (1,), ['[0.25]', '[-0.2392361111111112, 0.4346932870370369, 0.228515625]']),
+    ('float path', (0, 1), ['[0.5]', 'Fraction(0, 1)', '[-2.562037037037037, 0.07407407407407407]', '[-2.1041666666666665, -1.458333333333333]']),
+    ('float path', (1, 1), ['Fraction(0, 1)', '[0.1328125, 0.169921875]']),
+    ('float path', (1, 2), ['Fraction(0, 1)', '[0.13781828703703705, 0.3046875]']),
+    ('float path', (1, 1, 2), ['Fraction(0, 1)', 'Fraction(0, 1)', 'Fraction(0, 1)', '[0.609375]']),
+    ('float x0, rational path', (), ['[-0.025, 0.0]', '[0.27923611111111113, -0.07499999999999998, 0.05277777777777778, Fraction(-5, 192)]']),
+    ('float x0, rational path', (0,), ['[-0.025, 0.0]', '[1.2987962962962962, 2.0, 3.125]']),
+    ('float x0, rational path', (0,), ['[Fraction(-1, 20), Fraction(0, 1)]', 'Fraction(0, 1)', '[1.7503703703703704, -0.5833333333333333, 0]', '[Fraction(-61, 180), Fraction(-11, 6), Fraction(-5, 2)]']),
+    ('float x0, rational path', (1,), ['[0.0]', '[-0.07499999999999998, 0.10555555555555556, Fraction(-5, 64)]']),
+    ('float x0, rational path', (0, 1), ['[Fraction(0, 1)]', 'Fraction(0, 1)', '[-0.5833333333333333, Fraction(0, 1)]', '[Fraction(-11, 6), Fraction(-5, 1)]']),
+    ('float x0, rational path', (1, 1), ['Fraction(0, 1)', '[-0.0078125, 0.0026041666666666665]']),
+    ('float x0, rational path', (1, 2), ['Fraction(0, 1)', '[-0.050694444444444445, Fraction(-5, 48)]']),
+    ('float x0, rational path', (1, 1, 2), ['Fraction(0, 1)', 'Fraction(0, 1)', 'Fraction(0, 1)', '[Fraction(-1, 32)]']),
+    ('symbolic', (), ['MPoly(-3/16 + 3/32*x1 + 3/16*x0)', 'MPoly(-479/288 + 803/576*x1 + -41/192*x1^2 + -17/144*x0 + 1/48*x0*x1 + 3/64*x0*x1^2 + -59/48*x0^2)']),
+    ('symbolic', (0,), ['MPoly(-0.375 + 0.1875*x1 + 0.375*x0)', 'MPoly(2.4791666666666665 + -1.1666666666666667*x1 + 0.4010416666666667*x1^2 + -0.08333333333333333*x0 + 0.041666666666666664*x0*x1 + 1.6041666666666667*x0^2)']),
+    ('symbolic', (0,), ['MPoly(-3/4 + 3/8*x1 + 3/4*x0)', 'Fraction(0, 1)', 'MPoly(11/6 + 19/24*x1 + 1/48*x1^2 + -1/6*x0 + 1/12*x0*x1 + 1/12*x0^2)', 'MPoly(-5/4 + 5/4*x1 + -5/16*x1^2 + -5/4*x0^2)']),
+    ('symbolic', (1,), ['MPoly(3/32 + 3/16*x0)', 'MPoly(1/18 + -5/96*x1 + 1/128*x1^2 + 16/9*x0 + -103/96*x0*x1 + 1/24*x0^2)']),
+    ('symbolic', (0, 1), ['MPoly(3/8 + 3/4*x0)', 'Fraction(0, 1)', 'MPoly(-2/3 + 1/24*x1 + -1/12*x0 + 1/12*x0*x1 + 1/6*x0^2)', 'MPoly(5/4*x0 + -5/4*x0*x1)']),
+    ('symbolic', (1, 1), ['Fraction(0, 1)', 'MPoly(-0.7734375 + -0.07421875*x1 + -1.484375*x0 + -0.1171875*x0*x1)']),
+    ('symbolic', (1, 2), ['Fraction(0, 1)', 'MPoly(1/32 + -1/96*x1 + -5/24*x0 + 1/24*x0^2)']),
+    ('symbolic', (1, 1, 2), ['Fraction(0, 1)', 'Fraction(0, 1)', 'Fraction(0, 1)', 'MPoly(1/2 + 9/8*x0)']),
+    ('symbolic path', (), ['[MPoly(-3/16 + 3/32*x1 + 3/16*x0), MPoly(3/32 + 3/16*x0)]', '[MPoly(-479/288 + 803/576*x1 + -41/192*x1^2 + -17/144*x0 + 1/48*x0*x1 + 3/64*x0*x1^2 + -59/48*x0^2), MPoly(1/18 + -5/96*x1 + 1/128*x1^2 + 16/9*x0 + -103/96*x0*x1 + 1/24*x0^2), MPoly(-19/64 + -1/192*x1 + -1/6*x0 + -1/32*x0*x1 + -59/48*x0^2), MPoly(1/48*x0)]']),
+    ('symbolic path', (0,), ['[MPoly(-0.375 + 0.1875*x1 + 0.375*x0), MPoly(0.1875 + 0.375*x0)]', '[MPoly(2.4791666666666665 + -1.1666666666666667*x1 + 0.4010416666666667*x1^2 + -0.08333333333333333*x0 + 0.041666666666666664*x0*x1 + 1.6041666666666667*x0^2), MPoly(-0.3333333333333333 + 0.020833333333333332*x1 + -1.6041666666666667*x0 + 1.6041666666666667*x0*x1 + 0.08333333333333333*x0^2), MPoly(0.4010416666666667 + 0.041666666666666664*x0 + 1.6041666666666667*x0^2)]']),
+    ('symbolic path', (0,), ['[MPoly(-3/4 + 3/8*x1 + 3/4*x0), MPoly(3/8 + 3/4*x0)]', 'Fraction(0, 1)', '[MPoly(11/6 + 19/24*x1 + 1/48*x1^2 + -1/6*x0 + 1/12*x0*x1 + 1/12*x0^2), MPoly(-2/3 + 1/24*x1 + -1/12*x0 + 1/12*x0*x1 + 1/6*x0^2), MPoly(1/48 + 1/12*x0 + 1/12*x0^2)]', '[MPoly(-5/4 + 5/4*x1 + -5/16*x1^2 + -5/4*x0^2), MPoly(5/4*x0 + -5/4*x0*x1), MPoly(-5/16 + -5/4*x0^2)]']),
+    ('symbolic path', (1,), ['[MPoly(3/32 + 3/16*x0)]', '[MPoly(1/18 + -5/96*x1 + 1/128*x1^2 + 16/9*x0 + -103/96*x0*x1 + 1/24*x0^2), MPoly(-19/32 + -1/96*x1 + -1/3*x0 + -1/16*x0*x1 + -59/24*x0^2), MPoly(1/16*x0)]']),
+    ('symbolic path', (0, 1), ['[MPoly(3/8 + 3/4*x0)]', 'Fraction(0, 1)', '[MPoly(-2/3 + 1/24*x1 + -1/12*x0 + 1/12*x0*x1 + 1/6*x0^2), MPoly(1/24 + 1/6*x0 + 1/6*x0^2)]', '[MPoly(5/4*x0 + -5/4*x0*x1), MPoly(-5/8 + -5/2*x0^2)]']),
+    ('symbolic path', (1, 1), ['Fraction(0, 1)', '[MPoly(-0.7734375 + -0.07421875*x1 + -1.484375*x0 + -0.1171875*x0*x1), MPoly(0.049479166666666664 + 0.078125*x0)]']),
+    ('symbolic path', (1, 2), ['Fraction(0, 1)', '[MPoly(1/32 + -1/96*x1 + -5/24*x0 + 1/24*x0^2), MPoly(1/12*x0)]']),
+    ('symbolic path', (1, 1, 2), ['Fraction(0, 1)', 'Fraction(0, 1)', 'Fraction(0, 1)', '[MPoly(1/2 + 9/8*x0)]']),
+]
+
+
 def test_a_compile_from_a_cached_prefix_makes_one_diff_per_cell_and_coordinate(monkeypatch):
     # a tagged letter (0 or j <= m) differentiates each prefix cell once per
     # coordinate, and a fresh letter once per coordinate and slot

@@ -302,6 +302,18 @@ def test_integer_moments_equal_the_literal_sum(n, e, with_gaps):
                 assert on_path.eval(xi) == _literal(moved, gs, exps, gap_exps)
     if with_gaps:
         assert path._gap_tables is base._gap_tables
+    # the empty monomial without gap: as a moment the int 1, a scalar on
+    # every view, which a product by it leaves as it is; lifted to a degree,
+    # N * scale^degree
+    zero = (0,) * e
+    floats = MomentView([tuple(map(float, x)) for x in xs], dim=e, gaps=[tuple(map(float, g)) for g in gs])
+    for view in (base, path, target, floats, floats.on_path()):
+        _, scale, on_path = view.table_scales()
+        got = view.sums(zero)[zero]
+        assert type(got) is int and got == 1
+        assert type(view.moment(zero)) is Fraction and view.moment(zero) == 1
+        lifted = view.sums(zero, 3)[zero]
+        assert lifted == ([n * scale**3] if on_path else n * scale**3)
 
 
 def _xi_points(starts, gaps):
