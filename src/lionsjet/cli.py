@@ -230,6 +230,23 @@ def _trial(args):
 # ---------------------------------------------------------------------------
 # commands
 
+def _strict(data):
+    """JSON data with every non-finite float replaced by its name, the
+    string "inf", "-inf" or "nan"."""
+    if isinstance(data, float):
+        return data if math.isfinite(data) else repr(data)
+    if isinstance(data, dict):
+        return {key: _strict(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_strict(value) for value in data]
+    return data
+
+
+def _print_json(data, out, indent=None):
+    """Print `data` as strict JSON: a non-finite float as its name."""
+    print(json.dumps(_strict(data), indent=indent, allow_nan=False), file=out)
+
+
 def _grading_arg(values):
     gamma, alpha, beta = (parse_rational(v) for v in values)
     return Grading(alpha, beta, gamma)
@@ -298,7 +315,7 @@ def _cmd_verify(args, out):
             rep = run_instance(inst)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed instance: {exc!r}") from exc
-        print(json.dumps(rep.to_json()), file=out)
+        _print_json(rep.to_json(), out)
         return 0 if rep.passed else 1
     if args.identity is None:
         raise ValidationError("verify needs an identity or --replay")
@@ -332,7 +349,7 @@ def _cmd_verify(args, out):
                     json.dump(inst, fh, indent=2)
                 print(f"instance dumped to {path}", file=out)
             else:
-                print(json.dumps(inst), file=out)
+                _print_json(inst, out)
     print(f"{len(results) - failures}/{len(results)} passed", file=out)
     return 1 if failures else 0
 
@@ -394,7 +411,7 @@ def _cmd_expand(args, out):
             result = taylor_derivative(f, a, x0, y0, fx, fy, c, g)
         else:
             result = taylor2(f, x0, y0, c, g, box=box)
-    print(json.dumps(result.to_json(floats=args.mode == "float"), indent=2), file=out)
+    _print_json(result.to_json(floats=args.mode == "float"), out, indent=2)
     return 0
 
 
@@ -425,13 +442,7 @@ def _cmd_converge(args, out):
         f, pts, dirs, spec, hs, x0=x0, x0_direction=dx0, box=box
     )
     if args.output == "json":
-        print(
-            json.dumps(
-                {"rows": rows, "slope": "exact" if slope is None else slope},
-                indent=2,
-            ),
-            file=out,
-        )
+        _print_json({"rows": rows, "slope": "exact" if slope is None else slope}, out, indent=2)
         return 0
     print("h,remainder,bound", file=out)
     for row in rows:

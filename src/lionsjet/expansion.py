@@ -226,6 +226,15 @@ def _check_pairs(f, c, tagged_pairs):
     _check_dimension(f, c, [p for pair in tagged_pairs for p in pair])
 
 
+def _as_pair(x, y):
+    """A start and a target point as tuples; a point that is not a sequence
+    of coordinates is a ValidationError."""
+    try:
+        return tuple(x), tuple(y)
+    except TypeError:
+        raise ValidationError(f"points must be sequences of coordinates, got {x!r} and {y!r}") from None
+
+
 def _check_marginal(coupling, mu):
     """`mu` must be the coupling's left marginal: `c.left()`, which the
     coupling keeps, passes at once; any other measure is compared as a
@@ -477,7 +486,7 @@ def taylor1(f, mu, c, n, box=None):
 def taylor2(f, x0, y0, c, g, box=None):
     """Graded expansion of a spatial functional in both arguments, truncated
     at level gamma, with the three-family exact remainder decomposition."""
-    result = _graded_engine(f, _EMPTY, [(tuple(x0), tuple(y0))], c, _plan(f, g), box)
+    result = _graded_engine(f, _EMPTY, [_as_pair(x0, y0)], c, _plan(f, g), box)
     result.meta = {"kind": "graded", "grading": g.to_json()}
     return result
 
@@ -491,9 +500,7 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
     if len(free_x) != a.m or len(free_y) != a.m:
         raise ValidationError(f"expected {a.m} free start and target points")
     plan = _plan(f, g, a)
-    pairs = [(tuple(x0), tuple(y0))] + [
-        (tuple(u), tuple(v)) for u, v in zip(free_x, free_y)
-    ]
+    pairs = [_as_pair(x0, y0)] + [_as_pair(u, v) for u, v in zip(free_x, free_y)]
     result = _graded_engine(f, a, pairs, c, plan)
     result.meta = {"kind": "derivative", "seq": list(a.values), "grading": g.to_json(),
                    "eta": format_rational(plan.level)}
@@ -664,7 +671,7 @@ def remainder_bound1(f, c, n, box):
 
 def remainder_bound2(f, x0, y0, c, g, box):
     """Certified upper bound for the norm of the graded remainder."""
-    return _bound_terms(f, [(tuple(x0), tuple(y0))], c, _plan(f, g), box)[0]
+    return _bound_terms(f, [_as_pair(x0, y0)], c, _plan(f, g), box)[0]
 
 
 def _norm(values):
@@ -779,7 +786,10 @@ def convergence_study(
         raise ValidationError("a grading needs x0 and x0_direction")
     if not graded and (x0 is not None or x0_direction is not None):
         raise ValidationError("x0 and x0_direction need a grading, not an order")
-    hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
+    try:
+        hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
+    except (TypeError, ValueError):
+        raise ValidationError(f"h_list must hold numbers, got {h_list!r}") from None
     if not all(0 < h < math.inf for h in hs) or len(set(hs)) < 2:
         raise ValidationError("h_list needs at least two distinct scales h, all positive and finite")
     if len(directions) != len(points) or any(

@@ -24,19 +24,20 @@ rational keeps its values as given, over 1). It is compiled from its
 prefix's cells, one letter at a time as the derivative is defined
 (`_joint`): one differentiation per cell and coordinate for a spatial or an
 already used letter, and one per cell, coordinate and slot for a fresh one.
-The contraction, the certified sup and the grid report all read these
-cells; only the reference evaluator `eval_derivative_brute` walks the
-terms. Beside the cells the functional keeps one layout per derivative,
-direction pattern and number of given points (`_layout`): where each cell
-lands in the flat output, which vector coordinates weigh it and which gap
-exponents each group reads. The contraction reads each slot's sums from the
-power tables of its `measures.MomentView`s, runs one monomial loop over the
-layout for every number type (two on the path: in integers and on the
-values as given) and returns one `poly.RationalTensor` type: integer
-numerators over one denominator when every input is rational, for the
-expansion to keep in integers, and the values as given over 1 (floats,
-symbolic or mixed data) otherwise; on the path each entry is a list of
-xi-coefficients. `eval_derivative` divides each entry once. A derivative
+A derivative object (`DerivTermSum`) holds only its functional and its
+sequence. The contraction, the certified sup and the grid report all read
+these cells; only the reference evaluator `eval_derivative_brute` walks the
+terms, and it differentiates the kernel on its own. Beside the cells the
+functional keeps one layout per derivative, direction pattern and number of
+given points (`_layout`): where each cell lands in the flat output, which
+vector coordinates weigh it and which gap exponents each group reads. The
+contraction reads each slot's sums from the power tables of its
+`measures.MomentView`s, runs one monomial loop over the layout for every
+number type (two on the path: in integers and on the values as given) and
+returns one `poly.RationalTensor` type: integer numerators over one
+denominator when every input is rational, for the expansion to keep in
+integers, and the values as given over 1 (floats, symbolic or mixed data)
+otherwise; on the path each entry is a list of xi-coefficients. `eval_derivative` divides each entry once. A derivative
 longer than the kernel degree, or with more free variables than the kernel
 arity, vanishes identically (`_vanishes`): it has no cells, and the
 expansion engine skips it without building it.
@@ -252,38 +253,29 @@ class DerivTerm:
 
 
 class DerivTermSum:
-    """The derivative of a functional indexed by a tagged sequence: its
-    cells (`joint`, compiled from its prefix's and kept on the
-    functional), and as a reference a sum of slot-assignment terms over the
-    shared kernel.
+    """The derivative of a functional indexed by a tagged sequence: the
+    functional and the sequence, nothing more. Its cells (`joint`) are
+    compiled from its prefix's and kept on the functional.
 
-    `terms` is built on first read: one term per injective map `pins` of
-    the free variables 1..m into the slots 1..arity, in lexicographic
-    order, with letter 0 on the spatial argument and letter j > 0 on the
-    slot pinned to free variable j. Only `eval_derivative_brute` reads them
-    (with `deriv_poly`), so no compile builds them.
-
-    `partials` is the table of partial derivatives of the kernel components
-    that `deriv_poly` reads and fills, keyed by (output, sorted variables),
-    local to this derivative.
+    `terms` is the slot-assignment form, built on each read for the
+    reference evaluator (and counted by tracers): one term per injective
+    map `pins` of the free variables 1..m into the slots 1..arity, in
+    lexicographic order, with letter 0 on the spatial argument and letter
+    j > 0 on the slot pinned to free variable j. No compile reads them.
     """
 
-    __slots__ = ("functional", "seq", "_terms", "partials")
+    __slots__ = ("functional", "seq")
 
     def __init__(self, functional, seq):
         self.functional = functional
         self.seq = seq
-        self._terms = None
-        self.partials = {}
 
     @property
     def terms(self):
-        if self._terms is None:
-            self._terms = tuple(
-                DerivTerm(pins, tuple(pins[v - 1] if v else 0 for v in self.seq.values))
-                for pins in itertools.permutations(range(1, self.kernel.arity + 1), self.seq.m)
-            )
-        return self._terms
+        return tuple(
+            DerivTerm(pins, tuple(pins[v - 1] if v else 0 for v in self.seq.values))
+            for pins in itertools.permutations(range(1, self.kernel.arity + 1), self.seq.m)
+        )
 
     @property
     def kernel(self):
@@ -316,21 +308,6 @@ class DerivTermSum:
         anything."""
         return _joint(self.functional, self.seq.values)
 
-    def deriv_poly(self, out, term, coords):
-        """The kernel component differentiated once per direction, direction
-        p acting on coordinate coords[p] of slot term.dirs[p].
-
-        Partial derivatives commute, so the table keys them by the sorted
-        variables; each entry is one `diff` of the entry for its prefix, and
-        the zero polynomial once a prefix is zero."""
-        kernel = self.kernel
-        variables = tuple(
-            sorted(
-                kernel.slot_offset(slot) + c for slot, c in zip(term.dirs, coords)
-            )
-        )
-        return _partial(self.partials, kernel, out, variables)
-
     def __repr__(self):
         n_terms = math.perm(self.kernel.arity, self.n_free)  # without building them
         return f"DerivTermSum(seq={self.seq.values}, {n_terms} terms, kernel={self.kernel!r})"
@@ -344,19 +321,6 @@ def _vanishes(kernel, values):
     exists. The engine, the convergence study and the bound read this rule
     before they key, build or contract a derivative."""
     return len(values) > kernel.degree or max(values, default=0) > kernel.arity
-
-
-def _partial(table, kernel, out, variables):
-    key = (out, variables)
-    poly = table.get(key)
-    if poly is None:
-        if not variables:
-            poly = kernel.components[out]
-        else:
-            prefix = _partial(table, kernel, out, variables[:-1])
-            poly = prefix.diff(variables[-1]) if prefix else prefix
-        table[key] = poly
-    return poly
 
 
 def _joint(f, values):
@@ -497,12 +461,23 @@ def eval_derivative(ts, x0, mu, free):
 
 
 def eval_derivative_brute(ts, x0, mu, free):
-    """Reference evaluator: integrated slots summed by explicit nested loops
-    over atom assignments. Used to cross-check the factorized path."""
+    """Reference evaluator, independent of the compiled cells: per
+    slot-assignment term, each kernel component differentiated with
+    `MPoly.diff` once per direction, direction p in coordinate coords[p] of
+    slot term.dirs[p], then the integrated slots summed by explicit nested
+    loops over atom assignments. Used to cross-check the factorized path."""
     kernel = ts.kernel
     e, d, n = kernel.e, kernel.d, ts.order
     out = Tensor((d,) + (e,) * n)
     for term in ts.terms:
+        partials = []
+        for comp in range(d):
+            for coords in itertools.product(range(e), repeat=n):
+                poly = kernel.components[comp]
+                for slot, c in zip(term.dirs, coords):
+                    poly = poly.diff(kernel.slot_offset(slot) + c)
+                if poly:
+                    partials.append(((comp,) + coords, poly))
         given = dict(zip(term.pins, free))
         if kernel.has_spatial:
             given[0] = x0
@@ -513,13 +488,8 @@ def eval_derivative_brute(ts, x0, mu, free):
         for assign in itertools.product(mu.atoms, repeat=len(int_slots)):
             slot_values = {**given, **dict(zip(int_slots, assign))}
             flat = [c for s in kernel.slots() for c in slot_values[s]]
-            for comp in range(d):
-                for coords in itertools.product(range(e), repeat=n):
-                    poly = ts.deriv_poly(comp, term, coords)
-                    if not poly:
-                        continue
-                    idx = (comp,) + coords
-                    out[idx] = out[idx] + scale * poly.eval(flat)
+            for idx, poly in partials:
+                out[idx] = out[idx] + scale * poly.eval(flat)
     return out
 
 

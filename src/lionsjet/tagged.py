@@ -50,9 +50,19 @@ from .poly import format_rational, parse_rational
 ENUM_CAP = 12
 
 
+def _length(n):
+    """An enumeration length as an int; one that is not an integer is a
+    ValidationError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValidationError(f"length must be an integer, got {n!r}") from None
+
+
 def check_length(n):
-    """Reject a negative enumeration length or one above the cap."""
-    if n < 0:
+    """Reject a length that is not an integer, a negative one or one above
+    the cap."""
+    if _length(n) < 0:
         raise ValidationError(f"negative length {n}")
     if n > ENUM_CAP:
         raise EnumerationLimitError(f"length {n} exceeds enumeration cap {ENUM_CAP}")
@@ -258,7 +268,7 @@ def enum_A0(n):
 def enum_Akn0(k, n):
     """Tagged sequences with exactly k zeros shuffled into a length-n
     partition sequence: all (k, n)-shuffles of a zero block with A_n."""
-    if k < 0 or n < 0:
+    if _length(k) < 0 or _length(n) < 0:
         raise ValidationError("negative length")
     check_length(k + n)
     partition_values = _sequences(n, 1, 0)

@@ -217,6 +217,42 @@ def test_converge_of_remainders_whose_float_squares_overflow(tmp_path):
     assert all(1e150 < float(line.split(",")[1]) < 1e160 for line in lines[1:-1])
 
 
+def _parse_strict(text):
+    """`text` parsed as strict JSON: the tokens Infinity, -Infinity and NaN
+    are refused."""
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_prints_a_non_finite_float_as_its_name(tmp_path):
+    # u^62 at 400 moved by 1: a remainder at h = 1e6 and every bound on a
+    # box of half-width 1000 are past the float range, and used to print
+    # as the bare token Infinity
+    kernel = PolyFunctional(PolyKernel(1, 1, 1, False, [MPoly(1, {(62,): F(1)})]))
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel.to_json()))
+    save_points(tmp_path / "pts.csv", [(F(400),)])
+    save_points(tmp_path / "dirs.csv", [(F(1),)])
+    save_points(tmp_path / "far.csv", [(F(401),)])
+    converge = ["converge", "--kernel", str(kpath), "--points", str(tmp_path / "pts.csv"),
+                "--directions", str(tmp_path / "dirs.csv"), "--order", "2"]
+    code, text = run_cli(converge + ["--h-list", "1/2,1/4,1000000", "--output", "json"])
+    assert code == 0 and _parse_strict(text)["rows"][2]["remainder"] == "inf"
+    boxed = converge + ["--box", "-1000", "1000", "--h-list", "1/2,1/4"]
+    code, text = run_cli(boxed + ["--output", "json"])
+    assert code == 0 and [row["bound"] for row in _parse_strict(text)["rows"]] == ["inf"] * 2
+    # the CSV rows print the float as Python does, as before
+    code, text = run_cli(boxed)
+    assert code == 0 and all(line.endswith(",inf") for line in text.splitlines()[1:-1])
+    code, text = run_cli(["expand", "--kernel", str(kpath), "--points", str(tmp_path / "pts.csv"),
+                          "--points2", str(tmp_path / "far.csv"), "--order", "2",
+                          "--box", "-1000", "1000", "--mode", "float"])
+    assert code == 0 and _parse_strict(text)["remainder_bound"] == "inf"
+
+
 def test_console_entry_point():
     # the child imports the package from where this process found it
     src = os.path.dirname(os.path.dirname(lionsjet.__file__))
@@ -1092,6 +1128,8 @@ def test_expand_converge_verify_fuzz_exit_codes(fuzz_files, data):
         assert len(err.getvalue().splitlines()) == 1
     else:
         assert err.getvalue() == ""
+        if argv[0] == "expand" or "json" in argv or "--replay" in argv:
+            _parse_strict(out.getvalue())
 
 
 # -- fuzzing the contents of kernel and point files ---------------------------
@@ -1184,6 +1222,7 @@ def test_kernel_and_point_contents_fuzz_exit_codes(content_dir, data):
             argv += ["--order", "1"]
         else:
             argv += ["--grading", "5/2", "1", "1", "--x0=0", "--x0-direction=1"]
+        argv += ["--output", "json"] if data.draw(st.booleans()) else []
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv, out=out)
@@ -1194,6 +1233,8 @@ def test_kernel_and_point_contents_fuzz_exit_codes(content_dir, data):
         assert len(err.getvalue().splitlines()) == 1
     else:
         assert err.getvalue() == ""
+        if argv[0] == "expand" or "json" in argv:
+            _parse_strict(out.getvalue())
 
 
 # -- enum writes from the searches' text ---------------------------------------

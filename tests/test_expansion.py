@@ -811,6 +811,33 @@ def test_expansions_reject_points_of_another_dimension():
             call()
 
 
+def test_a_spatial_point_that_is_not_a_point_is_refused_in_one_line():
+    # taylor2(f, None, ...) used to raise "'NoneType' object is not iterable"
+    rng = random.Random(27)
+    fs = random_functional(rng, 1, 1, True)
+    c, g, y0 = random_coupling(rng, 2, 1), Grading(1, 1, F(5, 2)), (F(1),)
+    calls = [
+        lambda: taylor2(fs, None, y0, c, g),
+        lambda: taylor2(fs, y0, 3, c, g),
+        lambda: remainder_bound2(fs, None, y0, c, g, (-4, 4)),
+        lambda: taylor_derivative(fs, TaggedSeq((1,)), None, y0, [y0], [y0], c, g),
+        lambda: taylor_derivative(fs, TaggedSeq((1,)), y0, y0, [None], [y0], c, g),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="sequences of coordinates") as err:
+            call()
+        assert "\n" not in str(err.value)
+
+
+def test_a_study_refuses_scales_that_are_not_numbers_in_one_line():
+    # h_list=["a", "b"] used to raise the bare ValueError of Fraction
+    f = kernel_1d({(2,): F(1)}, arity=1)
+    for h_list in (["a", "b"], [None, F(1, 2)], 0.5):
+        with pytest.raises(ValidationError, match="h_list must hold numbers") as err:
+            convergence_study(f, [(F(1),)], [(F(1),)], 1, h_list)
+        assert "\n" not in str(err.value)
+
+
 def test_bounds_reject_the_wrong_kind_of_functional():
     rng = random.Random(25)
     spatial = kernel_1d({(1, 1): F(1)}, arity=1, spatial=True)

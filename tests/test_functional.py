@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lionsjet.errors import ValidationError
-from lionsjet.expansion import taylor1, taylor2
+from lionsjet.expansion import convergence_study, taylor1, taylor2
 from lionsjet import functional
 from lionsjet.functional import (
     DerivTerm,
@@ -232,7 +232,7 @@ def test_factorized_matches_brute_force():
                 assert got == eval_derivative_brute(d, x0, mu, free)
                 assert got.max_abs() != 0
                 per_term = sum(
-                    len(d.deriv_poly(out, term, coords).terms)
+                    len(_direct_partial(f, out, term, coords).terms)
                     for term in d.terms
                     for out, coords in d.joint()
                 )
@@ -427,21 +427,6 @@ def _direct_partial(f, out, term, coords):
     return poly
 
 
-def test_partials_equal_direct_differentiation():
-    rng = random.Random(11)
-    f = random_functional(rng, 2, 2, True, degree=4, d=2)
-    seqs = list(enum_A0(3))
-    rng.shuffle(seqs)  # fill the tables in no particular order
-    for a in seqs:
-        ts = lions_derivative(f, a)
-        for term in ts.terms:
-            for out in range(f.kernel.d):
-                for coords in itertools.product(range(2), repeat=len(a)):
-                    assert ts.deriv_poly(out, term, coords) == _direct_partial(f, out, term, coords)
-        # each entry is keyed by (output, sorted variables), zeros included
-        assert all(list(variables) == sorted(variables) for _, variables in ts.partials)
-
-
 def test_contraction_through_cached_joint_equals_fresh_derivative():
     rng = random.Random(12)
     f = random_functional(rng, 2, 3, False, degree=4)
@@ -519,10 +504,9 @@ def test_no_compile_builds_terms(monkeypatch):
     derivs = [lions_derivative(f, a) for a in seqs]
     monkeypatch.setattr(DerivTermSum, "terms", property(lambda ts: pytest.fail("terms built")))
     joints = [ts.joint() for ts in derivs]
-    assert all(ts._terms is None for ts in derivs)
     assert joints[3] is joints[0] and all(joints)
     monkeypatch.undo()
-    assert len(derivs[0].terms) == 2 and derivs[0]._terms is not None
+    assert len(derivs[0].terms) == 2
 
 
 def test_the_cache_holds_the_requested_sequences_and_their_prefixes():
@@ -560,7 +544,7 @@ def _slot_assignment_joint(ts):
         for coords in itertools.product(range(e), repeat=ts.order):
             total = None
             for term, mapping in zip(ts.terms, mappings):
-                poly = ts.deriv_poly(comp, term, coords)
+                poly = _direct_partial(ts.functional, comp, term, coords)
                 if poly:
                     poly = poly.map_vars(ts.n_groups * e, mapping)
                     total = poly if total is None else total + poly
@@ -944,7 +928,8 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     path = base.on_path()
     x0, vec = random_point(rng, 2), random_point(rng, 2)
     diffs, cells = _counting(monkeypatch, "_diff"), _counting(monkeypatch, "_cell")
-    deriv_poly = _counting(monkeypatch, "_partial")
+    poly_diffs = []
+    monkeypatch.setattr(MPoly, "diff", lambda poly, index: poly_diffs.append(index))
     # past the kernel degree: zeros and 0.0, with nothing differentiated,
     # laid out or kept
     past = TaggedSeq((0, 1, 1, 2))
@@ -952,7 +937,7 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     zeros = contract_derivative(lions_derivative(f, past), x0, base, [], [vec, None, 0, 1])
     assert zeros.shape == (1, 2) and not any(zeros.data)
     assert _certified_sup(f, past, normalize_box((-1, 1), 2)) == 0.0
-    assert not diffs and not cells and not deriv_poly
+    assert not diffs and not cells and not poly_diffs
     assert f._joints == f._layouts == f._tuples == {}
     # the base and the path contraction of one derivative share one build:
     # its cells and its one layout for that direction pattern
@@ -960,8 +945,16 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     contract_derivative(ts, x0, base, [], [vec, 0])
     built, layouts = len(diffs), dict(f._layouts)
     contract_derivative(ts, x0, path, [], [vec, 0])
-    assert built > 0 and len(diffs) == built and not deriv_poly
+    assert built > 0 and len(diffs) == built and not poly_diffs
     assert len(layouts) == 1 and f._layouts == layouts
+    # expansions, their bounds, a norm report and a study differentiate no
+    # polynomial either: every derivative is read from its cells
+    c, f1 = pair_coupling(atoms, gaps), random_functional(rng, 2, 2, False, degree=3)
+    taylor2(f, x0, random_point(rng, 2), c, Grading(F(1, 2), 1, F(5, 2)), box=(-4, 4))
+    norms_on_box(ts, (-4, 4))
+    taylor1(f1, c.left(), c, 2, box=(-4, 4))
+    convergence_study(f1, atoms, gaps, 2, [F(1, 2), F(1, 4)], box=(-4, 4))
+    assert not poly_diffs
 
 
 def test_evaluation_rejects_points_of_another_dimension():

@@ -123,6 +123,22 @@ def test_grade_coerces_a_raw_tuple_as_families_of_does():
     with pytest.raises(ValidationError):
         grade((0, 2), g)
 
+def test_an_enumeration_length_that_is_not_an_integer_is_refused_in_one_line():
+    # enum_A("3") used to raise a TypeError in check_length
+    calls = [
+        lambda: enum_A("3"),
+        lambda: enum_A(2.0),
+        lambda: enum_A0("3"),
+        lambda: enum_Akn0("1", 2),
+        lambda: enum_Akn0(1, None),
+        lambda: enum_A_a(TaggedSeq((1,)), "2"),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="length must be an integer") as err:
+            call()
+        assert "\n" not in str(err.value)
+
+
 def test_grading_validation():
     with pytest.raises(ValidationError):
         Grading(1, 2, Fraction(1, 2))

@@ -4,6 +4,7 @@ must still resolve in the package, or `perfbench/run.py --trace 1` breaks."""
 import ast
 import importlib
 import importlib.util
+import math
 import random
 from pathlib import Path
 
@@ -68,4 +69,9 @@ def test_the_tracer_runs_over_expansions_and_a_study():
         tracer.remove()
     summary = tracer.summary({tracer.op: 1.0})
     assert summary["functional.contract_derivative.calls"] > 0
-    assert summary["functional.lions_derivative.terms"] > 0
+    # the terms counted are arity!/(arity - m)! per derivative seen built
+    seen = tracer.keys["functional.lions_derivative", tracer.op]
+    expected = sum(
+        math.perm(tracer.keep[fid].kernel.arity, max(values, default=0)) for fid, values in seen
+    )
+    assert summary["functional.lions_derivative.terms"] == expected > 0
