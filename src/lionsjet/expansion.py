@@ -42,11 +42,12 @@ direction; relabelling its fresh letters permutes the averaged coupling
 variables, which are exchangeable. So the orbit is fixed by the tagged
 letters, the sorted block sizes of the fresh letters and the sides, and
 `tagged._orbit_key` names it by a canonical representative. The plan keys
-each live member's orbit once per functional; the engine contracts the
-representative once per orbit and sides, scales each orbit's jet term by
-1/k! once and copies it to every other member, the remainder loop
-integrates each orbit's term once per sides, and the bound computes each
-constant once per orbit.
+each live member's orbit once per functional into its orbit table: the
+live orbits' representatives (`orbits`) and per core member the index of
+its orbit (`of`). The engine contracts each representative once per sides
+(`_orbit_jets` lists the jet's raw and 1/k! terms by orbit), copies them to
+every member by index, the remainder loop integrates each orbit's term once
+per sides, and the bound computes each constant once per orbit.
 In rational mode the contractions are equal, not merely close. A float
 sum (a float-mode contraction, or a constant, which sums float terms) may
 change by rounding with the order of its terms; on the benchmark and test
@@ -110,7 +111,8 @@ from .functional import (
     lions_derivative,
     normalize_box,
 )
-from .measures import _as_point, coupling_moment, float_moment, pair_coupling
+from .measures import Coupling, _as_point, _point_count, coupling_moment, float_moment
+from .measures import pair_coupling
 from .partitions import PartitionSeq
 from .poly import RationalTensor, Tensor, format_rational
 from .tagged import (
@@ -212,8 +214,15 @@ class ExpansionResult:
         }
 
 
+def _check_coupling(c):
+    """`c` must be a `Coupling`."""
+    if not isinstance(c, Coupling):
+        raise ValidationError(f"expected a coupling, got {type(c).__name__}")
+
+
 def _check_dimension(f, c, points):
-    """Every atom and every given point has the kernel's e coordinates."""
+    """`c` is a coupling whose atoms, and every given point, have the kernel's e coordinates."""
+    _check_coupling(c)
     e = f.kernel.e
     if c.dim != e or any(len(p) != e for p in points):
         raise ValidationError(f"points must have e = {e} coordinates, as the kernel does")
@@ -238,7 +247,8 @@ def _as_pair(x, y):
 def _check_marginal(coupling, mu):
     """`mu` must be the coupling's left marginal: `c.left()`, which the
     coupling keeps, passes at once; any other measure is compared as a
-    multiset."""
+    multiset. The coupling is checked first."""
+    _check_coupling(coupling)
     if mu is not None and mu is not coupling.left() and coupling.left() != mu:
         raise ValidationError("coupling left marginal differs from the measure")
 
@@ -280,11 +290,12 @@ def _orbit_cache(f, base, tagged_pairs, c):
     point), one per orbit and sides.
 
     Returns evaluate(rep, tagged_at_xi, measure_at_xi): the derivative for
-    base+rep, `rep` an orbit representative of its `_plan`, contracted with
-    one displacement per letter of `rep`, averaged over the coupling, with
-    the tagged group and/or the measure group on the interpolation path:
-    computed once per orbit and sides, and the same tensor on every later
-    request, so callers copy what they hand out.
+    base+rep, `rep` one of the `orbits` of its `_plan`, contracted with one
+    displacement per letter of `rep`, averaged over the coupling, with the
+    tagged group and/or the measure group on the interpolation path:
+    computed once per orbit and sides (the star and cross families' frozen
+    side is the jet's), and the same tensor on every later request, so
+    callers copy what they hand out.
     """
     _check_pairs(f, c, tagged_pairs)
     m0, n0 = base.m, len(base)
@@ -295,15 +306,13 @@ def _orbit_cache(f, base, tagged_pairs, c):
     tagged_path = [
         MomentView([x], c.dim, [gap]).on_path() for (x, _), gap in zip(tagged_pairs, tagged_disp)
     ]
-    derivs, contractions = {}, {}  # by representative; by (representative, sides)
+    contractions = {}  # by (representative, sides)
 
     def evaluate(rep, tagged_at_xi, measure_at_xi):
         sides = (rep, tagged_at_xi, measure_at_xi)
         done = contractions.get(sides)
         if done is None:
-            ts = derivs.get(rep)
-            if ts is None:
-                ts = derivs[rep] = lions_derivative(f, _built(TaggedSeq, base.values + rep))
+            ts = lions_derivative(f, _built(TaggedSeq, base.values + rep))
             tagged = tagged_path if tagged_at_xi else tagged_base
             view = c.path_view() if measure_at_xi else c.base_view()
             dirvecs = [None] * n0 + [
@@ -316,41 +325,32 @@ def _orbit_cache(f, base, tagged_pairs, c):
     return evaluate
 
 
-def _jet_loop(plan, evaluate):
-    """The engine's jet loop: per core member of the `plan`, (values, rep,
-    raw, value) with its orbit representative, the orbit's raw contraction
-    at the starts and that divided by the factorial of its length. Both
-    tensors are made once per orbit and shared by its members; a member
-    whose derivative vanishes has rep, raw and value None."""
-    scaled = {}
-    for values, rep in zip(plan.core, plan.reps):
-        if rep is None:
-            yield values, None, None, None
-            continue
-        done = scaled.get(rep)
-        if done is None:
-            raw = evaluate(rep, False, False)
-            done = scaled[rep] = (raw, raw.scale(1, math.factorial(len(values))))
-        yield values, rep, *done
+def _orbit_jets(plan, evaluate):
+    """Each orbit's raw contraction at the starts, and that raw divided by
+    the factorial of its length, as two lists in `plan.orbits` order: a live
+    core member's jet term is the entry its `plan.of` names."""
+    raws = [evaluate(rep, False, False) for rep in plan.orbits]
+    return raws, [raw.scale(1, math.factorial(len(rep))) for rep, raw in zip(plan.orbits, raws)]
 
 
 class _Plan:
-    """A truncation resolved once per functional (`_plan`).
+    """A truncation resolved once per functional (`_plan`): its orbit table.
 
     core: the member value tuples of the graded core, in the order the jet
           lists them (by length for a functional without a spatial slot).
-    reps: per core member its orbit representative (`_orbit_key`), or None
-          when its derivative vanishes identically (`_vanishes`); each
-          representative is one object, shared by its members.
-    families: (family, moving, frozen, reps, members) per boundary family,
-          zipped with `_family_sides`, `reps` those of its members.
+    orbits: each live orbit's canonical representative (`_orbit_key`), in
+          the order of its first core member.
+    of: per core member the index of its orbit in `orbits`, or None when its
+          derivative vanishes identically (`_vanishes`).
+    families: (family, moving, frozen, of, members) per boundary family,
+          zipped with `_family_sides`, `of` that of its members.
     level: the truncation level, lowered by the grade of the base.
     """
 
-    __slots__ = ("core", "reps", "families", "level")
+    __slots__ = ("core", "orbits", "of", "families", "level")
 
-    def __init__(self, core, reps, families, level):
-        self.core, self.reps, self.families, self.level = core, reps, families, level
+    def __init__(self, core, orbits, of, families, level):
+        self.core, self.orbits, self.of, self.families, self.level = core, orbits, of, families, level
 
 
 def _plan(f, spec, base=None):
@@ -389,20 +389,20 @@ def _plan(f, spec, base=None):
     core, *families = _graded_value_families(alpha, beta, level, m0, first)
     if not f.has_spatial:
         core.sort(key=len)  # the jet lists partition sequences length-major, as `enum_A` does
-    orbits, kernel = {}, f.kernel
+    orbits, kernel = {}, f.kernel  # representative: its index
 
-    def rep(values):
+    def orbit(values):
         if _vanishes(kernel, prefix + values):
             return None
         key = _orbit_key(values, m0)
-        return orbits.setdefault(key, values if key == values else key)
+        return orbits.setdefault(values if key == values else key, len(orbits))
 
-    reps = {values: rep(values) for values in core}
+    of = {values: orbit(values) for values in core}
     families = [
-        (*sides, [reps[values] for values in members], members)
+        (*sides, [of[values] for values in members], members)
         for sides, members in zip(_family_sides(alpha, beta), families)
     ]
-    plan = _Plan(core, list(reps.values()), families, level)
+    plan = _Plan(core, list(orbits), list(of.values()), families, level)
     return f._plans.setdefault((spec, prefix), plan)
 
 
@@ -421,30 +421,30 @@ def _graded_engine(f, base, tagged_pairs, c, plan, box=None):
     have one e-axis per letter of `base` after the leading output axis.
     """
     evaluate = _orbit_cache(f, base, tagged_pairs, c)
+    raws, terms = _orbit_jets(plan, evaluate)
     shape = (f.kernel.d,) + (f.kernel.e,) * len(base)  # of every jet and remainder term
     seq_type = TaggedSeq if f.has_spatial else PartitionSeq
+    tensors = [(term.tensor(), raw.tensor()) for term, raw in zip(terms, raws)]  # by orbit
     jet_terms = []
-    jets = {}  # by orbit: its value as contracted, then its value and raw as Tensors
-    for values, rep, raw, value in _jet_loop(plan, evaluate):
+    for values, k in zip(plan.core, plan.of):
         seq = _built(ExtendedSeq, values, base) if base else _built(seq_type, values)
-        if rep is None:
+        if k is None:
             jet_terms.append(JetTerm(seq, Tensor(shape), Tensor(shape)))
             continue
-        if rep not in jets:
-            jets[rep] = (value, value.tensor(), raw.tensor())
-        _, value, raw = jets[rep]
+        value, raw = tensors[k]
         jet_terms.append(JetTerm(seq, Tensor(shape, value.data), Tensor(shape, raw.data)))
 
     remainder_terms, integrated = {}, {}  # integrated: one term per orbit and sides
-    for family, moving, frozen, reps, members in plan.families:
-        for values, rep in zip(members, reps):
-            if rep is None:
+    for family, moving, frozen, of, members in plan.families:
+        for values, k in zip(members, of):
+            if k is None:
                 remainder_terms[(family, values)] = Tensor(shape)
                 continue
-            term = integrated.get((rep, moving, frozen))
+            term = integrated.get((k, moving, frozen))
             if term is None:
+                rep = plan.orbits[k]
                 acc = evaluate(rep, *moving) - evaluate(rep, *frozen)
-                term = integrated[rep, moving, frozen] = acc.taylor_integral(len(values) - 1).tensor()
+                term = integrated[k, moving, frozen] = acc.taylor_integral(len(rep) - 1).tensor()
             remainder_terms[(family, values)] = Tensor(term.shape, term.data)
 
     targets = [tuple(y) for _, y in tagged_pairs]
@@ -456,9 +456,9 @@ def _graded_engine(f, base, tagged_pairs, c, plan, box=None):
         [None] * len(base),
     )
     predicted = RationalTensor(shape, [0] * math.prod(shape), 1)  # an exact zero
-    for rep in plan.reps:
-        if rep is not None:
-            predicted = predicted + jets[rep][0]
+    for k in plan.of:
+        if k is not None:
+            predicted = predicted + terms[k]
     result = ExpansionResult(
         jet=jet_terms,
         predicted=predicted.tensor(),
@@ -497,7 +497,7 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
     level drops by the grade of `a`, and the same exactness identity holds
     tensor-entry by tensor-entry."""
     a = as_tagged(a)
-    if len(free_x) != a.m or len(free_y) != a.m:
+    if _point_count(free_x, "free_x") != a.m or _point_count(free_y, "free_y") != a.m:
         raise ValidationError(f"expected {a.m} free start and target points")
     plan = _plan(f, g, a)
     pairs = [_as_pair(x0, y0)] + [_as_pair(u, v) for u, v in zip(free_x, free_y)]
@@ -792,7 +792,7 @@ def convergence_study(
         raise ValidationError(f"h_list must hold numbers, got {h_list!r}") from None
     if not all(0 < h < math.inf for h in hs) or len(set(hs)) < 2:
         raise ValidationError("h_list needs at least two distinct scales h, all positive and finite")
-    if len(directions) != len(points) or any(
+    if _point_count(directions, "directions") != _point_count(points, "points") or any(
         len(v) != len(p) for p, v in zip(points, directions)
     ):
         raise ValidationError("need one direction per point, of as many coordinates as the point")
@@ -811,11 +811,12 @@ def convergence_study(
     c = pair_coupling(points, [moved(p, v, 1) for p, v in zip(points, directions)])
     pairs = [(tuple(x0), moved(x0, x0_direction, 1))] if graded else []
     evaluate = _orbit_cache(f, _EMPTY, pairs, c)
+    _, terms = _orbit_jets(plan, evaluate)
     jets = {}  # J_k: the live jet terms at h = 1 summed by sequence length k
-    for values, rep, _, value in _jet_loop(plan, evaluate):
-        if rep is not None:
+    for values, i in zip(plan.core, plan.of):
+        if i is not None:
             k = len(values)
-            jets[k] = jets[k] + value if k in jets else value
+            jets[k] = jets[k] + terms[i] if k in jets else terms[i]
     along = evaluate((), True, True)  # f on the path of the h = 1 coupling
     exact = c.base_view().exact
     reach = math.inf  # with rational data every target lies in the box up to this h

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .measures import MomentView  # re-exported
+from .measures import MomentView, _point_count  # MomentView re-exported
 from .poly import ZERO, MPoly, RationalTensor, Tensor, format_rational, parse_rational
 from .tagged import TaggedSeq, as_tagged
 
@@ -448,10 +448,9 @@ def eval_derivative(ts, x0, mu, free):
         raise ValidationError("missing spatial argument")
     if not kernel.has_spatial and x0 is not None:
         raise ValidationError("functional has no spatial argument")
-    if len(free) != ts.n_free:
-        raise ValidationError(
-            f"expected {ts.n_free} free points, got {len(free)}"
-        )
+    n_free = _point_count(free, "free")
+    if n_free != ts.n_free:
+        raise ValidationError(f"expected {ts.n_free} free points, got {n_free}")
     if mu is None or mu.n_atoms < 1:
         raise ValidationError("empirical measure required")
     e = kernel.e

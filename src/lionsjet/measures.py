@@ -37,6 +37,15 @@ def _as_point(coords):
     return point
 
 
+def _point_count(points, name):
+    """len(points) of the point list `name`; a value with no length, such
+    as None, is a ValidationError."""
+    try:
+        return len(points)
+    except TypeError:
+        raise ValidationError(f"{name} must be a list of points, got {type(points).__name__}") from None
+
+
 def _coordinate_text(c):
     """A point coordinate as text: a float as Python prints it, a rational
     as "p/q" of any size."""
@@ -445,7 +454,7 @@ class Coupling:
 
 def pair_coupling(x, y):
     """Diagonal coupling of two point lists: pair x_j with y_j."""
-    if len(x) != len(y):
+    if _point_count(x, "x") != _point_count(y, "y"):
         raise ValidationError("point lists of different length")
     return Coupling(zip(x, y))
 

@@ -147,10 +147,15 @@ def _grows(values, first, running):
 
 
 def as_tagged(seq):
-    """Coerce a PartitionSeq (or raw tuple) to a plain TaggedSeq."""
+    """Coerce a PartitionSeq (or raw tuple) to a plain TaggedSeq; a value
+    that is not a sequence of letters is a ValidationError."""
     if type(seq) is TaggedSeq:
         return seq
-    return TaggedSeq(tuple(seq))
+    try:
+        values = tuple(seq)
+    except TypeError:
+        raise ValidationError(f"a sequence is a tuple of letters, got {type(seq).__name__}") from None
+    return TaggedSeq(values)
 
 
 def _built(cls, values, base=None):
@@ -339,8 +344,15 @@ def compose_tagged(labels, a):
     return tuple(out)
 
 
+def _check_grading(g):
+    """`g` must be a `Grading`."""
+    if not isinstance(g, Grading):
+        raise ValidationError(f"expected a Grading, got {type(g).__name__}")
+
+
 def grade(a, g):
     """G[a] = alpha * #tagged entries + beta * #measure entries."""
+    _check_grading(g)
     a = as_tagged(a)
     zeros = a.zero_count
     return g.alpha * zeros + g.beta * (len(a) - zeros)
@@ -426,6 +438,7 @@ def families_of(a, g):
     shortest prefix whose grade falls in the inner band, so `a` has a strict
     prefix in plus iff some strict prefix has its grade in that band.
     """
+    _check_grading(g)
     a = as_tagged(a)
     inner = lambda total: g.gamma - max(g.alpha, g.beta) < total <= g.gamma - g.lo
     total = Fraction(0)
@@ -444,6 +457,7 @@ def families_of(a, g):
 
 def enum_graded(g):
     """Graded core and remainder families over tagged sequences."""
+    _check_grading(g)
     core, star, plus, cross = _graded_value_families(g.alpha, g.beta, g.gamma, 0, 0)
     # every boundary sequence is in the core too; build each one once
     seqs = {values: _built(TaggedSeq, values) for values in core}

@@ -41,6 +41,7 @@ from lionsjet.tagged import (
     _graded_value_families,
     _orbit_key,
     as_tagged,
+    enum_graded,
     grade,
 )
 
@@ -838,6 +839,42 @@ def test_a_study_refuses_scales_that_are_not_numbers_in_one_line():
         assert "\n" not in str(err.value)
 
 
+_MISSING_ARGUMENT_CALLS = {
+    "taylor_derivative-free-points": lambda f, fs, c, g, y: taylor_derivative(
+        fs, (1,), y, y, None, None, c, g
+    ),
+    "eval_derivative-free-points": lambda f, fs, c, g, y: eval_derivative(
+        lions_derivative(f, (1,)), None, c.left(), None
+    ),
+    "convergence_study-points": lambda f, fs, c, g, y: convergence_study(
+        f, None, None, 1, [1 / 2, 1 / 4]
+    ),
+    "pair_coupling-points": lambda f, fs, c, g, y: pair_coupling(None, None),
+    "lions_derivative-sequence": lambda f, fs, c, g, y: lions_derivative(f, None),
+    "taylor1-coupling": lambda f, fs, c, g, y: taylor1(f, None, None, 1),
+    "taylor2-coupling": lambda f, fs, c, g, y: taylor2(fs, y, y, None, g),
+    "eval_Da-coupling": lambda f, fs, c, g, y: eval_Da(f, (1,), None, None, None, None),
+    "remainder_bound1-coupling": lambda f, fs, c, g, y: remainder_bound1(f, None, 1, (-4, 4)),
+    "taylor1-coupling-before-marginal": lambda f, fs, c, g, y: taylor1(f, c.left(), None, 1),
+    "eval_Da-coupling-before-marginal": lambda f, fs, c, g, y: eval_Da(
+        f, (1,), None, None, c.left(), None
+    ),
+    "grade-grading": lambda f, fs, c, g, y: grade((0, 1), None),
+    "enum_graded-grading": lambda f, fs, c, g, y: enum_graded(None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISSING_ARGUMENT_CALLS))
+def test_a_missing_argument_is_refused_in_one_line(name):
+    # each of these used to end in a bare TypeError or AttributeError
+    rng = random.Random(32)
+    f, fs = random_functional(rng, 1, 1, False), random_functional(rng, 1, 1, True)
+    c, g = random_coupling(rng, 2, 1), Grading(1, 1, F(5, 2))
+    with pytest.raises(ValidationError) as err:
+        _MISSING_ARGUMENT_CALLS[name](f, fs, c, g, (F(1),))
+    assert str(err.value) and "\n" not in str(err.value)
+
+
 def test_bounds_reject_the_wrong_kind_of_functional():
     rng = random.Random(25)
     spatial = kernel_1d({(1, 1): F(1)}, arity=1, spatial=True)
@@ -1272,6 +1309,35 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
         tensors += list(res.remainder_terms.values())
         assert len({id(t.data) for t in tensors}) == len(tensors)
     assert vanishing > 0
+
+
+def test_the_plan_lists_each_live_orbit_once_and_each_member_its_index():
+    # the orbit table: `orbits` holds the canonical representatives in the
+    # order of their first live core member, `of` gives each core member the
+    # index of its orbit (None when its derivative vanishes), and each
+    # family's `of` is that of its members in the core
+    specs = [(False, n, None) for n in (1, 2, 3)]
+    specs += [(True, g, None) for g in (
+        Grading(F(1, 2), 1, F(9, 4)), Grading(1, 1, F(5, 2)), Grading(1, F(1, 2), F(9, 4))
+    )]
+    specs += [(True, Grading(F(1, 2), 1, 3), TaggedSeq(v)) for v in ((0,), (1,), (1, 2))]
+    live = vanishing = 0
+    for seed in range(4):
+        rng = random.Random(f"orbit-table:{seed}")
+        for spatial, spec, base in specs:
+            f = random_functional(rng, rng.choice([1, 2]), 2, spatial, degree=rng.randint(1, 5))
+            plan = expansion._plan(f, spec, base)
+            m0, prefix = (base.m, base.values) if base else (0, ())
+            keys = [None if _vanishes(f.kernel, prefix + v) else _orbit_key(v, m0) for v in plan.core]
+            assert plan.orbits == list(dict.fromkeys(k for k in keys if k is not None))
+            assert all(_orbit_key(rep, m0) == rep for rep in plan.orbits)
+            assert plan.of == [None if k is None else plan.orbits.index(k) for k in keys]
+            of = dict(zip(plan.core, plan.of))
+            for *_, family_of, members in plan.families:
+                assert family_of == [of[values] for values in members]
+            live += len(keys) - keys.count(None)
+            vanishing += keys.count(None)
+    assert live > 0 and vanishing > 0
 
 
 def test_each_orbit_remainder_is_integrated_once(monkeypatch):
