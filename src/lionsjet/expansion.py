@@ -12,7 +12,10 @@ path and target views, which share their gap tables, with their sums,
 so every expansion, bound and evaluation on one coupling reads the
 same ones; the start of each tagged slot is a one-atom view, and its path
 point that view with its displacement on the path (`MomentView.on_path`),
-each built once per call. Every contraction returns a `poly.RationalTensor`
+each built once per call. The engine contracts on at most four sides (the
+starts, and the moving and frozen sides of the families), each one
+`functional._Side` that it builds once per call and that keeps what every
+contraction on it reads. Every contraction returns a `poly.RationalTensor`
 and the engine keeps that type up to the output: the jet's 1/k!, the
 remainder's path integral and 1/r!, the prediction sums, actual - predicted
 and a study's value at h and h^k. With rational data they stay integer
@@ -104,14 +107,16 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .functional import (
+    _VECTOR,
     MomentView,
     _certified_sup,
+    _Side,
     _vanishes,
     contract_derivative,
     lions_derivative,
     normalize_box,
 )
-from .measures import Coupling, _as_point, _point_count, coupling_moment, float_moment
+from .measures import Coupling, _as_point, _point_count, _point_dim, coupling_moment, float_moment
 from .measures import pair_coupling
 from .partitions import PartitionSeq
 from .poly import RationalTensor, Tensor, format_rational
@@ -224,7 +229,7 @@ def _check_dimension(f, c, points):
     """`c` is a coupling whose atoms, and every given point, have the kernel's e coordinates."""
     _check_coupling(c)
     e = f.kernel.e
-    if c.dim != e or any(len(p) != e for p in points):
+    if c.dim != e or any(_point_dim(p) != e for p in points):
         raise ValidationError(f"points must have e = {e} coordinates, as the kernel does")
 
 
@@ -265,8 +270,9 @@ def eval_Da(f, a, x0, displacement, mu, c):
         raise ValidationError("spatial argument and displacement required")
     if not f.has_spatial and (x0 is not None or displacement is not None):
         raise ValidationError("functional has no spatial argument")
-    dirvecs = [tuple(displacement) if v == 0 else v - 1 for v in a.values]
-    return contract_derivative(lions_derivative(f, a), x0, c.base_view(), [], dirvecs).tensor()
+    pattern = tuple(_VECTOR if v == 0 else v - 1 for v in a.values)
+    side = _Side([x0], c.base_view(), [displacement]) if f.has_spatial else _Side([], c.base_view())
+    return contract_derivative(lions_derivative(f, a), side, pattern, (0,) * a.values.count(0)).tensor()
 
 
 def _family_sides(alpha, beta):
@@ -295,31 +301,39 @@ def _orbit_cache(f, base, tagged_pairs, c):
     tagged group and/or the measure group on the interpolation path:
     computed once per orbit and sides (the star and cross families' frozen
     side is the jet's), and the same tensor on every later request, so
-    callers copy what they hand out.
+    callers copy what they hand out. Each of the at most four sides is one
+    kept `functional._Side`, built on its first request: the tagged starts'
+    one-atom views or their path views, the coupling's base or path view,
+    and the tagged displacements, scaled once. A representative gives its
+    direction pattern (the base's directions free, a tagged letter v its
+    displacement, a fresh letter the gap of its averaged variable) and its
+    vector letters, the tagged letters in order.
     """
     _check_pairs(f, c, tagged_pairs)
     m0, n0 = base.m, len(base)
-    # one-atom views, so that every contraction reads the same power tables;
-    # a path view from its start and displacement rows
-    tagged_base = [MomentView([x], c.dim) for x, _ in tagged_pairs]
-    tagged_disp = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
-    tagged_path = [
-        MomentView([x], c.dim, [gap]).on_path() for (x, _), gap in zip(tagged_pairs, tagged_disp)
-    ]
-    contractions = {}  # by (representative, sides)
+    # one-atom views, so that every side reads the same power tables; a path
+    # view from its start and displacement rows
+    disps = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
+    starts = [MomentView([x], c.dim) for x, _ in tagged_pairs]
+    paths = [MomentView([x], c.dim, [gap]).on_path() for (x, _), gap in zip(tagged_pairs, disps)]
+    sides, derivs, contractions = {}, {}, {}  # by sides; by representative; by both
 
     def evaluate(rep, tagged_at_xi, measure_at_xi):
-        sides = (rep, tagged_at_xi, measure_at_xi)
-        done = contractions.get(sides)
+        key = (rep, tagged_at_xi, measure_at_xi)
+        done = contractions.get(key)
         if done is None:
-            ts = lions_derivative(f, _built(TaggedSeq, base.values + rep))
-            tagged = tagged_path if tagged_at_xi else tagged_base
-            view = c.path_view() if measure_at_xi else c.base_view()
-            dirvecs = [None] * n0 + [
-                tagged_disp[v] if v <= m0 else v - m0 - 1 for v in rep
-            ]
-            x0 = tagged[0] if tagged else None
-            done = contractions[sides] = contract_derivative(ts, x0, view, tagged[1:], dirvecs)
+            side = sides.get(key[1:])
+            if side is None:
+                view = c.path_view() if measure_at_xi else c.base_view()
+                side = sides[key[1:]] = _Side(paths if tagged_at_xi else starts, view, disps, kept=True)
+            deriv = derivs.get(rep)
+            if deriv is None:  # its derivative, direction pattern and vector letters
+                deriv = derivs[rep] = (
+                    lions_derivative(f, _built(TaggedSeq, base.values + rep)),
+                    (None,) * n0 + tuple(_VECTOR if v <= m0 else v - m0 - 1 for v in rep),
+                    tuple(v for v in rep if v <= m0),
+                )
+            done = contractions[key] = contract_derivative(deriv[0], side, *deriv[1:])
         return done
 
     return evaluate
@@ -447,14 +461,8 @@ def _graded_engine(f, base, tagged_pairs, c, plan, box=None):
                 term = integrated[k, moving, frozen] = acc.taylor_integral(len(rep) - 1).tensor()
             remainder_terms[(family, values)] = Tensor(term.shape, term.data)
 
-    targets = [tuple(y) for _, y in tagged_pairs]
-    actual = contract_derivative(  # `eval_derivative` at the targets, kept in integers
-        lions_derivative(f, base),
-        targets[0] if f.has_spatial else None,
-        c.target_view(),
-        targets[1:],
-        [None] * len(base),
-    )
+    side = _Side([y for _, y in tagged_pairs], c.target_view())  # `eval_derivative` at the targets
+    actual = contract_derivative(lions_derivative(f, base), side, (None,) * len(base), ())
     predicted = RationalTensor(shape, [0] * math.prod(shape), 1)  # an exact zero
     for k in plan.of:
         if k is not None:
@@ -793,10 +801,10 @@ def convergence_study(
     if not all(0 < h < math.inf for h in hs) or len(set(hs)) < 2:
         raise ValidationError("h_list needs at least two distinct scales h, all positive and finite")
     if _point_count(directions, "directions") != _point_count(points, "points") or any(
-        len(v) != len(p) for p, v in zip(points, directions)
+        _point_dim(v) != _point_dim(p) for p, v in zip(points, directions)
     ):
         raise ValidationError("need one direction per point, of as many coordinates as the point")
-    if graded and len(x0_direction) != len(x0):
+    if graded and _point_dim(x0_direction) != _point_dim(x0):
         raise ValidationError("x0_direction needs as many coordinates as x0")
     plan = _plan(f, order_or_grading)
 

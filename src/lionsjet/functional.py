@@ -29,12 +29,15 @@ sequence. The contraction, the certified sup and the grid report all read
 these cells; only the reference evaluator `eval_derivative_brute` walks the
 terms, and it differentiates the kernel on its own. Beside the cells the
 functional keeps one layout per derivative, direction pattern and number of
-given points (`_layout`): where each cell lands in the flat output, which
-vector coordinates weigh it and which gap exponents each group reads. The
-contraction reads each slot's sums from the power tables of its
-`measures.MomentView`s, runs one monomial loop over the layout for every
-number type (two on the path: in integers and on the values as given) and
-returns one `poly.RationalTensor` type: integer numerators over one
+given points (`_layout`): the output shape, where each cell lands in the
+flat output, which vector coordinates weigh it and which gap exponents each
+group reads. A contraction runs on one side (`_Side`): the views of the
+given points and of the measure and the vectors, read once per side, which
+the expansion engine keeps for every contraction on that side. It reads
+each slot's sums from the power tables of those `measures.MomentView`s,
+runs one monomial loop over the layout for every number type (two on the
+path: in integers and on the values as given) and returns one
+`poly.RationalTensor` type: integer numerators over one
 denominator when every input is rational, for the expansion to keep in
 integers, and the values as given over 1 (floats, symbolic or mixed data)
 otherwise; on the path each entry is a list of xi-coefficients. `eval_derivative` divides each entry once. A derivative
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .measures import MomentView, _point_count  # MomentView re-exported
+from .measures import MomentView, _point_count, _point_dim  # MomentView re-exported
 from .poly import ZERO, MPoly, RationalTensor, Tensor, format_rational, parse_rational
 from .tagged import TaggedSeq, as_tagged
 
@@ -451,12 +454,10 @@ def eval_derivative(ts, x0, mu, free):
     n_free = _point_count(free, "free")
     if n_free != ts.n_free:
         raise ValidationError(f"expected {ts.n_free} free points, got {n_free}")
-    if mu is None or mu.n_atoms < 1:
-        raise ValidationError("empirical measure required")
-    e = kernel.e
-    if mu.dim != e or any(len(p) != e for p in [x0, *free] if p is not None):
-        raise ValidationError(f"points and atoms must have e = {e} coordinates, as the kernel has")
-    return contract_derivative(ts, x0, mu, free, [None] * ts.order).tensor()
+    side = _Side(([x0] if kernel.has_spatial else []) + list(free), mu)
+    if mu.dim != kernel.e:
+        raise ValidationError(f"points and atoms must have e = {kernel.e} coordinates, as the kernel has")
+    return contract_derivative(ts, side, (None,) * ts.order, ()).tensor()
 
 
 def eval_derivative_brute(ts, x0, mu, free):
@@ -498,21 +499,28 @@ _VECTOR = "vector"  # a direction contracted against a given vector, in a direct
 def _layout(ts, pattern, n_given):
     """The layout of the derivative `ts` for the direction pattern `pattern`
     (per direction None to stay free, `_VECTOR`, or the averaged variable j
-    whose gap it takes) and `n_given` given points, kept on its functional.
+    whose gap it takes) and `n_given` given points, kept on its functional;
+    None, with nothing kept, for a derivative without cells.
 
-    (offsets, weights, slots, cells, gaps), the first four one entry per
-    cell in the cells' order: its flat output offset, the flat index of its
-    vector-direction coordinates in the table of vector weights, its slot
-    and the cell itself. A slot stands for one tuple of gap-direction
-    coordinates, in order of first use, and `gaps` holds per slot the gap
-    exponents of each argument group. Its tuples of integers are interned
-    with the cells' (`_tuples`)."""
+    (shape, size, degree, n_gaps, n_int, offsets, weights, slots, cells,
+    gaps): the output shape and its size, the kernel degree less the order,
+    the count of gap directions and of the argument groups past the given
+    points, then one entry per cell in the cells' order: its flat output
+    offset, the flat index of its vector-direction coordinates in the table
+    of vector weights, its slot and the cell itself. A slot stands for one
+    tuple of gap-direction coordinates, in order of first use, and `gaps`
+    holds per slot the gap exponents of each argument group past the given
+    points (theirs are all 0). Its tuples of integers are interned with the
+    cells' (`_tuples`)."""
     f, key = ts.functional, (ts.seq.values, pattern, n_given)
     layout = f._layouts.get(key)
     if layout is not None:
         return layout
-    kernel, intern, joint = f.kernel, f._tuples.setdefault, _joint(f, key[0])
-    e, n_free = kernel.e, ts.n_free
+    joint = _joint(f, key[0])
+    if not joint:
+        return None
+    kernel, intern = f.kernel, f._tuples.setdefault
+    e, n_int = kernel.e, ts.n_groups - n_given
     free, vecs, gap_dirs = [], [], []  # the directions by kind: (direction, j) for a gap
     for p, v in enumerate(pattern):
         if v is None:
@@ -533,32 +541,131 @@ def _layout(ts, pattern, n_given):
         slots.append(firsts.setdefault(tuple([coords[p] for p, _ in gap_dirs]), len(firsts)))
     zero, gaps = intern((0,) * e, (0,) * e), []
     for gap_coords in firsts:
-        groups = [zero] * (kernel.n_slots + n_free)
+        groups = [zero] * n_int
         for (_, j), c in zip(gap_dirs, gap_coords):
-            row = list(groups[n_given + j])
+            row = list(groups[j])
             row[c] += 1
-            groups[n_given + j] = intern(tuple(row), tuple(row))
+            groups[j] = intern(tuple(row), tuple(row))
         groups = tuple(groups)
         gaps.append(intern(groups, groups))
+    shape = (kernel.d,) + (e,) * len(free)
     offsets, weights, slots, gaps = tuple(offsets), tuple(weights), tuple(slots), tuple(gaps)
     layout = f._layouts[key] = (
+        shape, math.prod(shape), kernel.degree - len(pattern), len(gap_dirs), n_int,
         intern(offsets, offsets), intern(weights, weights), intern(slots, slots),
         tuple(joint.values()), intern(gaps, gaps),
     )
     return layout
 
 
-def contract_derivative(ts, x0, mu, free, direction_vectors):
-    """Evaluate and contract tensor directions against given vectors.
+class _Side:
+    """One expansion side as its contractions read it: the views of the
+    given points (x0 of a spatial kernel, then the given free points), the
+    view `mu` of every other argument group, and the vectors, each named by
+    its letter (its index). A point given as coordinates becomes its
+    one-atom view here, and what every contraction on the side reads is
+    taken once: `exact` (every view exact and every vector rational), each
+    vector's integer numerators at the lcm of its denominators, and N, the
+    table scale and the path flag of each view. The engine builds one side
+    per expansion side and `kept`: it keeps the denominators and vector
+    weights (`setup`) and the sums (`readers`) its contractions read. Any
+    other call builds a one-use side, which keeps neither.
+    """
 
-    direction_vectors has one entry per direction: a length-e vector, None to
-    leave that direction uncontracted, or an int j for the gap of averaged
-    coupling variable j. Free variables beyond len(free) are the averaged
-    coupling variables 0, 1, ...: each is drawn uniformly from the atoms of
-    `mu` (a `MomentView` with gaps) and the result is the average over all
-    such draws. Returns a tensor of shape (d, e, ..., e) with one axis per
-    uncontracted direction. x0 and each given point may be passed as its
-    one-atom `MomentView`, whose power tables a caller then builds once.
+    __slots__ = ("given", "mu", "vectors", "scaled", "exact", "n", "scale", "scales", "paths",
+                 "mu_path", "_setups", "_sums")
+
+    def __init__(self, points, mu, vectors=(), kept=False):
+        if not isinstance(mu, MomentView):
+            raise ValidationError(f"empirical measure required, got {type(mu).__name__}")
+        e = mu.dim
+        for p in [*points, *vectors]:
+            if not isinstance(p, MomentView) and _point_dim(p) != e:
+                raise ValidationError(f"points must have e = {e} coordinates, as the measure's atoms do")
+        self.given = [p if isinstance(p, MomentView) else MomentView([p], e) for p in points]
+        self.mu, self.vectors = mu, [tuple(v) for v in vectors]
+        rational = all(type(c) in (int, Fraction) for vec in self.vectors for c in vec)
+        self.exact = rational and mu.exact and all(view.exact for view in self.given)
+        self.scaled = []  # per vector of a rational side: (integer numerators, lcm)
+        for vec in self.vectors if rational else ():
+            lcm = math.lcm(*(c.denominator for c in vec))
+            self.scaled.append(([c.numerator * (lcm // c.denominator) for c in vec], lcm))
+        self.n, self.scale, self.mu_path = mu.table_scales()
+        self.scales = [view.table_scales() for view in self.given]  # (N, scale, path) each
+        self.paths = [listed for *_, listed in self.scales]
+        self._setups, self._sums = ({}, {}) if kept else (None, None)
+
+    def setup(self, degree, n_gaps, letters, n_int):
+        """(den, table, flags, path) of a contraction with `n_gaps` gap
+        directions, the vectors of `letters` and `n_int` groups that read
+        `mu`, exact at `degree` (None: the values as given): the denominator
+        but the kernel's (1 when not exact), the weight of each tuple of
+        vector coordinates by flat index, and the path flag of each group
+        and whether any is set. Kept by all four: at one degree, the number
+        of groups still varies with the free count of the derivative."""
+        memo, key = self._setups, (degree, n_gaps, letters, n_int)
+        got = memo.get(key) if memo is not None else None
+        if got is None:
+            if degree is None:
+                vecs, den = [self.vectors[v] for v in letters], 1
+            else:
+                vecs, den = [], (self.n * self.scale**degree) ** n_int * self.scale**n_gaps
+                den *= math.prod(k * s**degree for k, s, _ in self.scales)  # the given points
+                for v in letters:
+                    nums, lcm = self.scaled[v]
+                    vecs.append(nums)
+                    den *= lcm
+            table = [1]  # the weight of each tuple of vector coordinates, by flat index
+            for vec in vecs:
+                table = [w * c for w in table for c in vec]
+            flags = self.paths + [self.mu_path] * n_int
+            got = (den, table, flags, any(flags))
+            if memo is not None:
+                memo[key] = got
+        return got
+
+    def readers(self, slot_gaps, degree):
+        """Per slot of a layout, the sums (`MomentView.sums`) each group
+        reads at `degree`: the given views' without gap, then `mu`'s at the
+        slot's gap exponents `slot_gaps`, each read once per kept side."""
+        memo = self._sums
+        got = memo.get(degree) if memo is not None else None
+        if got is None:
+            zero = (0,) * self.mu.dim
+            got = ([view.sums(zero, degree) for view in self.given], _SumsByGap(self.mu, degree))
+            if memo is not None:
+                memo[degree] = got
+        given, by_gap = got
+        return [given + [by_gap[gap] for gap in gaps] for gaps in slot_gaps]
+
+
+class _SumsByGap(dict):
+    """The sums of one view at one degree, by gap exponents, each read from
+    the view on first use."""
+
+    __slots__ = ("view", "degree")
+
+    def __init__(self, view, degree):
+        self.view, self.degree = view, degree
+
+    def __missing__(self, gap):
+        sums = self[gap] = self.view.sums(gap, self.degree)
+        return sums
+
+
+def contract_derivative(ts, side, pattern, letters):
+    """Evaluate and contract tensor directions on one expansion side.
+
+    `side` (`_Side`) holds the given points (x0 of a spatial kernel, then
+    the given free points), the view `mu` of the other argument groups and
+    the vectors. `pattern` has one entry per direction: None to leave it
+    uncontracted, `_VECTOR` to contract it against a vector, or an int j for
+    the gap of averaged coupling variable j; `letters` names, per vector
+    direction in order, its vector on the side. Free variables beyond the
+    given points are the averaged coupling variables 0, 1, ...: each is
+    drawn uniformly from the atoms of `mu` (a `MomentView` with gaps) and
+    the result is the average over all such draws. Returns a tensor of
+    shape (d, e, ..., e) with one axis per uncontracted direction.
 
     Each cell of the derivative (`DerivTermSum.joint`) is evaluated group by
     group: x0 and the given free points contribute the sums of their
@@ -566,68 +673,47 @@ def contract_derivative(ts, x0, mu, free, direction_vectors):
     `mu` with the gap exponents of its directions, and an integrated slot
     the moment sums of `mu`. Per monomial the average over the atoms
     factorizes into those moments, so the cost is linear in the atom count
-    rather than a sum over configurations. Where each cell lands, which
-    vector coordinates weigh it and which gap exponents each group reads
-    depend only on the derivative and the direction pattern, so they are
-    laid out once per functional (`_layout`). A call reads each slot's sums,
-    forms the vector weights, runs the monomial loop and writes one flat
-    list.
+    rather than a sum over configurations. What depends only on the
+    derivative and the pattern (the output shape, where each cell lands,
+    which vector coordinates weigh it and which gap exponents each group
+    reads) is laid out once per functional (`_layout`), and what depends
+    only on the side, the degree and the letters (the denominator, the
+    vector weights and the sums each group reads) once per kept side. A
+    call reads both, runs the monomial loop and writes one flat list.
 
-    The contraction is exact when every view is, the kernel coefficients
-    and the vectors are rational. It then runs on integers: a monomial has
-    degree at most D = kernel degree - order, so each group reads its
-    integer sums lifted to degree D (`MomentView.sums`), the cells hold
-    numerators over the kernel's common denominator and vectors are scaled
-    by the lcm of their denominators. All monomials then share one
-    denominator: those scales, N * scale^D per group, and mu's scale to the
-    number of gap directions. Each output entry sums plain ints
-    (xi-coefficient lists on the path), and the result is a
-    `RationalTensor` of those numerators over that denominator, whose
-    `tensor()` divides each entry once. Otherwise (float, symbolic or mixed
-    data) the same loop reads each group's moments (`MomentView.sums` under
-    degree None, lists on a path view), takes the coefficients' values and
-    the vectors as given and returns a `RationalTensor` of those values
-    over 1, not `exact`. Off the path every number type multiplies the
-    groups in order; on the path exact data multiply the scalar groups
-    first, and values as given keep the group order, or their float bits
-    would move. A derivative without cells contracts to an exact zero.
+    The contraction is exact when the side is and the kernel coefficients
+    are rational. It then runs on integers: a monomial has degree at most
+    D = kernel degree - order, so each group reads its integer sums lifted
+    to degree D (`MomentView.sums`), the cells hold numerators over the
+    kernel's common denominator and vectors are scaled by the lcm of their
+    denominators. All monomials then share one denominator: those scales,
+    N * scale^D per group, and mu's scale to the number of gap directions.
+    Each output entry sums plain ints (xi-coefficient lists on the path),
+    and the result is a `RationalTensor` of those numerators over that
+    denominator, whose `tensor()` divides each entry once. Otherwise
+    (float, symbolic or mixed data) the same loop reads each group's
+    moments (`MomentView.sums` under degree None, lists on a path view),
+    takes the coefficients' values and the vectors as given and returns a
+    `RationalTensor` of those values over 1, not `exact`. Off the path
+    every number type multiplies the groups in order; on the path exact
+    data multiply the scalar groups first, and values as given keep the
+    group order, or their float bits would move. A derivative without
+    cells contracts to an exact zero.
     """
-    kernel = ts.kernel
-    e = kernel.e
-    pattern = tuple(v if v is None or isinstance(v, int) else _VECTOR for v in direction_vectors)
-    vecs = [v for v, p in zip(direction_vectors, pattern) if p is _VECTOR]
-    n_left = pattern.count(None)  # the directions left free
-    shape, n_gaps = (kernel.d,) + (e,) * n_left, len(pattern) - n_left - len(vecs)
-    size = math.prod(shape)
-    if not ts.joint():  # an exact zero, whatever the data
-        return RationalTensor(shape, [0] * size, 1)
-    points = ([x0] if kernel.has_spatial else []) + list(free)
-    given = [p if isinstance(p, MomentView) else MomentView([p], e) for p in points]
-    offsets, weight_at, slots, cells, slot_gaps = _layout(ts, pattern, len(given))
-    views = given + [mu] * (ts.n_groups - len(given))
-    unit, den, weights, degree = kernel.denominator, 1, vecs, None
-    exact = (
-        unit is not None
-        and mu.exact
-        and all(view.exact for view in given)
-        and all(type(c) in (int, Fraction) for vec in vecs for c in vec)
-    )
-    scales = [view.table_scales() for view in given]
-    n, mu_scale, mu_path = mu.table_scales()
-    on_path = [listed for *_, listed in scales] + [mu_path] * (len(views) - len(given))
-    path = any(on_path)
+    n_given = len(side.given)
+    layout = _layout(ts, pattern, n_given)
+    if layout is None:  # no cells: an exact zero, whatever the data
+        shape = (ts.kernel.d,) + (ts.kernel.e,) * pattern.count(None)
+        return RationalTensor(shape, [0] * math.prod(shape), 1)
+    shape, size, degree, n_gaps, n_int, offsets, weight_at, slots, cells, slot_gaps = layout
+    unit = ts.kernel.denominator
+    exact = side.exact and unit is not None
+    if not exact:
+        degree = None
+    den, table, on_path, path = side.setup(degree, n_gaps, letters, n_int)
     if exact:
-        den, weights, degree = unit, [], kernel.degree - ts.order
-        for vec in vecs:
-            scale = math.lcm(*(c.denominator for c in vec))
-            weights.append([c.numerator * (scale // c.denominator) for c in vec])
-            den *= scale
-        den *= (n * mu_scale**degree) ** (len(views) - len(given)) * mu_scale**n_gaps
-        den *= math.prod(k * s**degree for k, s, *_ in scales)  # the given points
-    table = [1]  # the weight of each tuple of vector coordinates, by flat index
-    for vec in weights:
-        table = [w * c for w in table for c in vec]
-    readers = [[view.sums(gap, degree) for view, gap in zip(views, gaps)] for gaps in slot_gaps]
+        den *= unit
+    readers = side.readers(slot_gaps, degree)
     out = [0 if exact else ZERO] * size
     for offset, weight, groups, cell in zip(
         offsets, map(table.__getitem__, weight_at), map(readers.__getitem__, slots), cells

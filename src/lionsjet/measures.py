@@ -28,9 +28,11 @@ from .poly import XiPoly, format_rational, json_int, parse_rational
 
 
 def _as_point(coords):
-    point = tuple(
-        c if isinstance(c, (Fraction, float)) else parse_rational(c) for c in coords
-    )
+    try:
+        coords = tuple(coords)
+    except TypeError:
+        raise ValidationError(f"points must be sequences of coordinates, got {coords!r}") from None
+    point = tuple(c if isinstance(c, (Fraction, float)) else parse_rational(c) for c in coords)
     for c in point:
         if isinstance(c, float) and not math.isfinite(c):
             raise ValidationError(f"point coordinates must be finite, got {c}")
@@ -44,6 +46,15 @@ def _point_count(points, name):
         return len(points)
     except TypeError:
         raise ValidationError(f"{name} must be a list of points, got {type(points).__name__}") from None
+
+
+def _point_dim(point):
+    """len(point), the coordinates of one point; a value with no length,
+    such as an int, is a ValidationError."""
+    try:
+        return len(point)
+    except TypeError:
+        raise ValidationError(f"points must be sequences of coordinates, got {point!r}") from None
 
 
 def _coordinate_text(c):

@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from lionsjet.functional import MomentView, contract_derivative, lions_derivative
+from lionsjet.functional import _VECTOR, MomentView, _Side, contract_derivative, lions_derivative
 from lionsjet.partitions import enum_A
 from lionsjet.poly import XiPoly
 from lionsjet.tagged import TaggedSeq, as_tagged, graded_families_ext
@@ -21,6 +21,17 @@ from lionsjet.tagged import TaggedSeq, as_tagged, graded_families_ext
 def path_point(x, y):
     """Point whose coordinates follow the straight path x + xi * (y - x)."""
     return tuple(XiPoly.affine(a, b - a) for a, b in zip(x, y))
+
+
+def contract_once(ts, x0, mu, free, direction_vectors):
+    """`contract_derivative` on a one-use side: x0 (spatial kernels only)
+    and the `free` points given, the view `mu`, and one entry per direction,
+    a vector, None to leave the direction free, or the int j of averaged
+    variable j's gap; each vector is its own letter."""
+    vectors = [v for v in direction_vectors if v is not None and not isinstance(v, int)]
+    pattern = tuple(v if v is None or isinstance(v, int) else _VECTOR for v in direction_vectors)
+    side = _Side(([x0] if ts.kernel.has_spatial else []) + list(free), mu, vectors)
+    return contract_derivative(ts, side, pattern, tuple(range(len(vectors))))
 
 
 def config_average(ts, x0, view, fixed, directions, n_avg, gaps):
@@ -32,7 +43,7 @@ def config_average(ts, x0, view, fixed, directions, n_avg, gaps):
     for idx in itertools.product(range(n), repeat=n_avg):
         free = list(fixed) + [view.atoms[i] for i in idx]
         dirvecs = [gaps[idx[v]] if isinstance(v, int) else v for v in directions]
-        term = contract_derivative(ts, x0, view, free, dirvecs).tensor()
+        term = contract_once(ts, x0, view, free, dirvecs).tensor()
         total = term if total is None else total + term
     return total.scale(Fraction(1, n**n_avg))
 

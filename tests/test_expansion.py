@@ -45,7 +45,7 @@ from lionsjet.tagged import (
     grade,
 )
 
-from config_loop_reference import integrated
+from config_loop_reference import contract_once, integrated
 from test_functional import kernel_1d, random_functional, random_point
 
 F = Fraction
@@ -875,6 +875,32 @@ def test_a_missing_argument_is_refused_in_one_line(name):
     assert str(err.value) and "\n" not in str(err.value)
 
 
+_NOT_A_POINT_CALLS = {
+    "pair_coupling": lambda f, fs, c, g: pair_coupling([None], [None]),
+    "convergence_study-points": lambda f, fs, c, g: convergence_study(
+        f, [1], [1], 1, [F(1, 2), F(1, 4)]
+    ),
+    "convergence_study-x0": lambda f, fs, c, g: convergence_study(
+        fs, [(F(0),)], [(F(1),)], g, [F(1, 2), F(1, 4)], x0=3, x0_direction=3
+    ),
+    "eval_Da": lambda f, fs, c, g: eval_Da(fs, (0,), 3, 3, c.left(), c),
+    "eval_derivative-measure": lambda f, fs, c, g: eval_derivative(
+        lions_derivative(f, ()), None, [1], []
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_A_POINT_CALLS))
+def test_a_point_or_measure_of_the_wrong_kind_is_refused_in_one_line(name):
+    # each of these used to end in a bare TypeError or AttributeError
+    rng = random.Random(33)
+    f, fs = random_functional(rng, 1, 1, False), random_functional(rng, 1, 1, True)
+    c, g = random_coupling(rng, 2, 1), Grading(1, 1, F(5, 2))
+    with pytest.raises(ValidationError) as err:
+        _NOT_A_POINT_CALLS[name](f, fs, c, g)
+    assert str(err.value) and "\n" not in str(err.value)
+
+
 def test_bounds_reject_the_wrong_kind_of_functional():
     rng = random.Random(25)
     spatial = kernel_1d({(1, 1): F(1)}, arity=1, spatial=True)
@@ -1137,7 +1163,7 @@ def _per_sequence_terms(f, base, pairs, c, alpha, beta, eta):
     def contract(values, tagged_at_xi, measure_at_xi):
         tagged = paths if tagged_at_xi else starts
         dirvecs = [None] * n0 + [disps[v] if v <= m0 else v - m0 - 1 for v in values]
-        return contract_derivative(
+        return contract_once(
             lions_derivative(f, TaggedSeq(base.values + values)),
             tagged[0] if tagged else None,
             path_view if measure_at_xi else base_view,
@@ -1309,6 +1335,63 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
         tensors += list(res.remainder_terms.values())
         assert len({id(t.data) for t in tensors}) == len(tensors)
     assert vanishing > 0
+
+
+def test_each_engine_run_sets_up_each_side_once(monkeypatch):
+    # the set-up work of a run, pinned by counts: one kept side per
+    # expansion side it contracts on and one one-use side for the value at
+    # the targets (a study: the side of its jet and that of f on the path);
+    # no view built inside a contraction; and no side reading one sum table
+    # (view, gap exponents, degree) twice
+    sides, reads, built, inside = [], [], [], []
+    init, read, fill = functional._Side.__init__, MomentView.sums, MomentView._set
+
+    def build(self, points, mu, vectors=(), kept=False):
+        sides.append((self, kept))
+        init(self, points, mu, vectors, kept)
+
+    def counting(ts, side, *args):
+        inside.append(side)
+        try:
+            return contract_derivative(ts, side, *args)
+        finally:
+            inside.pop()
+
+    def sums(view, gap, degree=None):
+        if inside:
+            reads.append((id(inside[-1]), id(view), gap, degree))
+        return read(view, gap, degree)
+
+    def view(self, *args):
+        built.append(bool(inside))
+        return fill(self, *args)
+
+    monkeypatch.setattr(functional._Side, "__init__", build)
+    monkeypatch.setattr(MomentView, "sums", sums)
+    monkeypatch.setattr(MomentView, "_set", view)
+    for module in (expansion, functional):
+        monkeypatch.setattr(module, "contract_derivative", counting)
+
+    def run_counts(run):
+        sides.clear()
+        reads.clear()
+        run()
+        assert reads and len(set(reads)) == len(reads)
+        return sum(kept for _, kept in sides), sum(not kept for _, kept in sides)
+
+    for _, run, f, base, pairs, c, alpha, beta, eta in _orbit_cases():
+        m0 = TaggedSeq(base).m
+        core, *families = _graded_value_families(alpha, beta, eta, m0, 0 if f.has_spatial else 1)
+        requests = [(values, (False, False)) for values in core]
+        for (_, moving, frozen), members in zip(_family_sides(alpha, beta), families):
+            requests += [(values, at) for values in members for at in (moving, frozen)]
+        at = {at for values, at in requests if not _vanishes(f.kernel, base + values)}
+        assert run_counts(run) == (len(at), 1)
+    for spec in (2, Grading(1, 1, F(5, 2))):
+        f, pts, dirs, spatial = _study_instance(spec, 0)
+        hs = [F(1, 2), F(1, 4)]
+        assert run_counts(lambda: convergence_study(f, pts, dirs, spec, hs, **spatial)) == (2, 0)
+    assert built and not any(built)  # the one-atom views, built before any contraction
 
 
 def test_the_plan_lists_each_live_orbit_once_and_each_member_its_index():
@@ -1645,9 +1728,9 @@ def test_convergence_study_contracts_each_core_orbit_once(monkeypatch):
     calls = []
     real = functional.contract_derivative
 
-    def counting(ts, x0, mu, *args):
-        calls.append((ts.seq.values, mu.table_scales()[-1]))
-        return real(ts, x0, mu, *args)
+    def counting(ts, side, *args):
+        calls.append((ts.seq.values, side.mu_path))
+        return real(ts, side, *args)
 
     monkeypatch.setattr(expansion, "contract_derivative", counting)
     monkeypatch.setattr(functional, "contract_derivative", counting)

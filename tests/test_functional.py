@@ -23,8 +23,9 @@ from lionsjet.functional import (
     PolyKernel,
     _cell_poly,
     _certified_sup,
+    _VECTOR,
+    _Side,
     _vanishes,
-    contract_derivative,
     eval_derivative,
     eval_derivative_brute,
     lions_derivative,
@@ -35,6 +36,8 @@ from lionsjet.measures import EmpiricalMeasure, pair_coupling
 from lionsjet.partitions import enum_A
 from lionsjet.poly import MPoly, XiPoly
 from lionsjet.tagged import Grading, TaggedSeq, enum_A0
+
+from config_loop_reference import contract_once
 
 F = Fraction
 
@@ -289,7 +292,7 @@ def test_contraction_is_multilinear():
     full = eval_derivative(d, None, mu, free)
 
     def contract(u1, u2):
-        return contract_derivative(d, None, mu, free, [u1, u2]).tensor()[(0,)]
+        return contract_once(d, None, mu, free, [u1, u2]).tensor()[(0,)]
 
     expected = sum(
         full[(0, c1, c2)] * v1[c1] * v2[c2] for c1 in range(2) for c2 in range(2)
@@ -436,8 +439,8 @@ def test_contraction_through_cached_joint_equals_fresh_derivative():
         a = TaggedSeq(values)
         dirvecs = [v - 1 for v in values]
         lions_derivative(f, a).joint()  # fill the cache of f
-        shared = contract_derivative(lions_derivative(f, a), None, view, [], dirvecs)
-        fresh = contract_derivative(
+        shared = contract_once(lions_derivative(f, a), None, view, [], dirvecs)
+        fresh = contract_once(
             lions_derivative(PolyFunctional(f.kernel), a), None, view, [], dirvecs
         )
         assert shared.tensor() == fresh.tensor()
@@ -646,6 +649,70 @@ def test_cells_keep_the_letter_by_letter_monomial_order():
                 assert got == _slot_assignment_joint(ts)
 
 
+def _dense_functional(rng, e, arity, degree, n_terms):
+    """A spatial functional whose one component has `n_terms` random
+    monomials of degree `degree` - 2 to `degree`."""
+    nv = (arity + 1) * e
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * nv
+        for _ in range(rng.randint(degree - 2, degree)):
+            exps[rng.randrange(nv)] += 1
+        terms[tuple(exps)] = F(rng.randint(-3, 3), rng.randint(1, 4))
+    return PolyFunctional(PolyKernel(e, 1, arity, True, [MPoly(nv, terms)]))
+
+
+def test_a_kept_side_contracts_as_a_one_use_side_per_call():
+    # eleven derivatives of the base (0, 1), in fourteen direction patterns,
+    # through one kept side in mixed order and twice, equal a one-use side
+    # per call byte for byte, for
+    # exact, float and path data. Its kept denominators and weight tables
+    # are keyed by degree, gap directions, letters and integrated groups:
+    # (2, 2) and (2, 3), (0, 2, 2) and (0, 2, 3) differ only in their free
+    # count, (0, 2) and (1, 2) only in their letters, and each of the
+    # last three only in its gap directions from its pattern with the last
+    # direction left free
+    rng = random.Random("kept-side")
+    f = _dense_functional(rng, 2, 3, 6, 40)
+    base, m0 = (0, 1), 1
+    cases = []  # (representative, direction pattern, vector letters), as the engine makes them
+    for rep in [(0,), (1,), (2,), (0, 1), (2, 2), (2, 3), (0, 2), (1, 2), (0, 2, 2), (0, 2, 3), (1, 2, 3)]:
+        pattern = (None,) * len(base) + tuple(_VECTOR if v <= m0 else v - m0 - 1 for v in rep)
+        cases.append((rep, pattern, tuple(v for v in rep if v <= m0)))
+    cases += [(rep, pattern[:-1] + (None,), letters) for rep, pattern, letters in cases[-3:]]
+    starts, disps = [random_point(rng, 2) for _ in range(2)], [random_point(rng, 2) for _ in range(2)]
+    atoms, gaps = [random_point(rng, 2) for _ in range(3)], [random_point(rng, 2) for _ in range(3)]
+    as_float = lambda points: [tuple(map(float, p)) for p in points]
+    data = {
+        "exact": ([MomentView([x], 2) for x in starts], MomentView(atoms, 2, gaps), disps),
+        "float": (
+            [MomentView([x], 2) for x in as_float(starts)],
+            MomentView(as_float(atoms), 2, as_float(gaps)),
+            as_float(disps),
+        ),
+        "path": (
+            [MomentView([x], 2, [d]).on_path() for x, d in zip(starts, disps)],
+            MomentView(atoms, 2, gaps).on_path(),
+            disps,
+        ),
+    }
+    checked = 0
+    for label, (given, mu, vectors) in data.items():
+        kept = _Side(given, mu, vectors, kept=True)
+        order = cases * 2
+        rng.shuffle(order)
+        for rep, pattern, letters in order:
+            ts = lions_derivative(f, TaggedSeq(base + rep))
+            got = functional.contract_derivative(ts, kept, pattern, letters)
+            want = functional.contract_derivative(ts, _Side(given, mu, vectors), pattern, letters)
+            assert (got.shape, repr(got.data), got.den, got.exact) == (
+                want.shape, repr(want.data), want.den, want.exact
+            ), (label, rep)
+            assert got.exact == (label != "float")
+            checked += any(got.data)
+    assert checked == 3 * len(cases) * 2
+
+
 def test_a_repeated_contraction_builds_no_layout(monkeypatch):
     # one layout per direction pattern and number of given points, kept on
     # the functional: the base and the path view share it, and a repeated
@@ -660,7 +727,7 @@ def test_a_repeated_contraction_builds_no_layout(monkeypatch):
 
     def contract(vector):
         return [
-            contract_derivative(ts, x0, view, [], [vector if type(v) is tuple else v for v in dirs])
+            contract_once(ts, x0, view, [], [vector if type(v) is tuple else v for v in dirs])
             for view in (base, base.on_path())
             for dirs in patterns
         ]
@@ -675,7 +742,7 @@ def test_a_repeated_contraction_builds_no_layout(monkeypatch):
     assert f._layouts.keys() == kept.keys()
     assert all(f._layouts[key] is layout for key, layout in kept.items())
     # a given free point makes another layout
-    contract_derivative(ts, x0, base, [atoms[0]], [vec, None, 0])
+    contract_once(ts, x0, base, [atoms[0]], [vec, None, 0])
     assert len(f._layouts) == len(patterns) + 1
 
 
@@ -697,7 +764,7 @@ def test_an_exact_contraction_on_a_kept_layout_makes_no_fraction_and_slices_noth
     vec = random_point(rng, 2)
     views, seq = (base, base.on_path()), TaggedSeq((0, 1, 2))
     fresh = lions_derivative(PolyFunctional(kernel), seq)
-    want = [contract_derivative(fresh, x0, view, [], [vec, 0, None]).tensor() for view in views]
+    want = [contract_once(fresh, x0, view, [], [vec, 0, None]).tensor() for view in views]
     f = PolyFunctional(kernel)
     ts = lions_derivative(f, seq)
     cells = ts.joint()
@@ -705,7 +772,7 @@ def test_an_exact_contraction_on_a_kept_layout_makes_no_fraction_and_slices_noth
         cols = [_Unsliced(_Unsliced(g) for g in col) for col in cell[:-1]]
         cells[key] = _Unsliced(cols + [_Unsliced(cell[-1])])
     for view in views:  # lay out and fill the sums
-        contract_derivative(ts, x0, view, [], [vec, 0, None])
+        contract_once(ts, x0, view, [], [vec, 0, None])
     made, new = [], Fraction.__new__.__code__
 
     def profile(frame, event, arg):
@@ -714,7 +781,7 @@ def test_an_exact_contraction_on_a_kept_layout_makes_no_fraction_and_slices_noth
 
     sys.setprofile(profile)
     try:
-        got = [contract_derivative(ts, x0, view, [], [vec, 0, None]) for view in views]
+        got = [contract_once(ts, x0, view, [], [vec, 0, None]) for view in views]
     finally:
         sys.setprofile(None)
     assert not made and all(t.exact for t in got)
@@ -736,7 +803,7 @@ def test_a_float_coefficient_kernel_contracts_as_before():
             ((1, 2), [0, 1]), ((0, 1, 2), [(F(1, 2),), 0, None]),
         ]:
             ts = lions_derivative(f, TaggedSeq(values))
-            out = contract_derivative(ts, (F(1, 4),), view, [], dirs).tensor()
+            out = contract_once(ts, (F(1, 4),), view, [], dirs).tensor()
             got.append((values, [repr(v) for v in out.data]))
     assert got == _FLOAT_KERNEL_VALUES
 
@@ -796,7 +863,7 @@ def test_values_as_given_contract_as_before():
             ((), []), ((0,), [(0.5, -1.25)]), ((0,), [None]), ((1,), [0]), ((0, 1), [None, 0]),
             ((1, 1), [0, (0.5, -1.25)]), ((1, 2), [0, 1]), ((1, 1, 2), [(F(1, 2), 3), 0, None]),
         ]:
-            out = contract_derivative(lions_derivative(f, TaggedSeq(values)), x0, view, [], dirs)
+            out = contract_once(lions_derivative(f, TaggedSeq(values)), x0, view, [], dirs)
             got.append((label, values, [repr(v) for v in out.data]))
     assert got == _VALUES_AS_GIVEN
 
@@ -934,7 +1001,7 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     # laid out or kept
     past = TaggedSeq((0, 1, 1, 2))
     assert len(past) > f.kernel.degree
-    zeros = contract_derivative(lions_derivative(f, past), x0, base, [], [vec, None, 0, 1])
+    zeros = contract_once(lions_derivative(f, past), x0, base, [], [vec, None, 0, 1])
     assert zeros.shape == (1, 2) and not any(zeros.data)
     assert _certified_sup(f, past, normalize_box((-1, 1), 2)) == 0.0
     assert not diffs and not cells and not poly_diffs
@@ -942,9 +1009,9 @@ def test_joint_form_is_built_once_and_is_the_only_past_degree_shortcut(monkeypat
     # the base and the path contraction of one derivative share one build:
     # its cells and its one layout for that direction pattern
     ts = lions_derivative(f, TaggedSeq((0, 1)))
-    contract_derivative(ts, x0, base, [], [vec, 0])
+    contract_once(ts, x0, base, [], [vec, 0])
     built, layouts = len(diffs), dict(f._layouts)
-    contract_derivative(ts, x0, path, [], [vec, 0])
+    contract_once(ts, x0, path, [], [vec, 0])
     assert built > 0 and len(diffs) == built and not poly_diffs
     assert len(layouts) == 1 and f._layouts == layouts
     # expansions, their bounds, a norm report and a study differentiate no

@@ -17,7 +17,6 @@ from lionsjet.functional import (
     MomentView,
     PolyFunctional,
     PolyKernel,
-    contract_derivative,
     eval_derivative,
     eval_derivative_brute,
     lions_derivative,
@@ -27,7 +26,7 @@ from lionsjet.partitions import enum_A
 from lionsjet.poly import MPoly, RationalTensor, Tensor, XiPoly
 from lionsjet.tagged import Grading, TaggedSeq, enum_A0, grade
 
-from config_loop_reference import graded_reference, taylor1_reference
+from config_loop_reference import contract_once, graded_reference, taylor1_reference
 from test_expansion import random_coupling
 from test_functional import kernel_1d, random_functional, random_point
 from test_measures import _xi_points
@@ -132,7 +131,7 @@ def test_int_direction_on_path_view():
     xs, gs = [F(1), F(-2)], [F(1, 2), F(3)]
     path = MomentView([(x,) for x in xs], dim=1, gaps=[(g,) for g in gs]).on_path()
     ts = lions_derivative(f, TaggedSeq((1,)))
-    got = contract_derivative(ts, None, path, [], [0]).tensor()[(0,)]
+    got = contract_once(ts, None, path, [], [0]).tensor()[(0,)]
     want = XiPoly(
         (sum(2 * x * g for x, g in zip(xs, gs)) / 2, sum(2 * g * g for g in gs) / 2)
     )
@@ -215,7 +214,7 @@ def test_contraction_past_kernel_degree_matches_brute(past, directions, spatial,
         n_fixed = ts.n_free
         dirvecs = [vec[v] if directions == "vector" else None for v in values]
     fixed = [view.atoms[i % view.n_atoms] for i in range(n_fixed)]
-    got = contract_derivative(ts, x0, view, fixed, dirvecs).tensor()
+    got = contract_once(ts, x0, view, fixed, dirvecs).tensor()
     want = _brute_contraction(ts, x0, view, fixed, dirvecs)
     assert got.shape == want.shape == (1,) + (e,) * dirvecs.count(None)
     if past:
@@ -294,7 +293,7 @@ def test_integer_contraction_equals_brute(
             dirvecs.append(point())
         else:
             dirvecs.append(v - n_fixed - 1)
-    got = contract_derivative(ts, x0, view, fixed, dirvecs).tensor()
+    got = contract_once(ts, x0, view, fixed, dirvecs).tensor()
     brute = _brute_contraction(ts, brute_x0, brute_view, brute_fixed, dirvecs)
     assert got.shape == brute.shape
     for g, b in zip(got.data, brute.data):
@@ -367,7 +366,7 @@ def test_inexact_contraction_values(kind, monkeypatch):
         return sums(view, gap_exps, degree)
 
     monkeypatch.setattr(MomentView, "sums", recorded)
-    got = contract_derivative(ts, x0, view, fixed, dirvecs).tensor()
+    got = contract_once(ts, x0, view, fixed, dirvecs).tensor()
     assert degrees and set(degrees) == {None}
     want = _brute_contraction(ts, x0, view, fixed, dirvecs)
     if tol:
@@ -393,7 +392,7 @@ def test_every_contraction_is_a_rational_tensor(kind):
     fixed = [view.atoms[0]]
     exact = kind == "rational"
     for v, brute in ((view, view), (path, on_xi)):
-        got = contract_derivative(ts, x0, v, fixed, dirvecs)
+        got = contract_once(ts, x0, v, fixed, dirvecs)
         assert isinstance(got, RationalTensor) and got.exact == exact
         if exact:
             entries = [t for u in got.data for t in (u if type(u) is list else [u])]
@@ -404,7 +403,7 @@ def test_every_contraction_is_a_rational_tensor(kind):
         reached = [type(u) is list for u in got.data if u != 0]
         assert reached and set(reached) == {v is path}
     vanishing = lions_derivative(ts.functional, TaggedSeq((0,) * (ts.kernel.degree + 1)))
-    zero = contract_derivative(vanishing, x0, path, [], [None] * len(vanishing.seq))
+    zero = contract_once(vanishing, x0, path, [], [None] * len(vanishing.seq))
     assert isinstance(zero, RationalTensor) and zero.exact and not any(zero.data)
 
 
@@ -445,4 +444,4 @@ def test_gap_directions_need_a_view_with_gaps():
     ts = lions_derivative(f, TaggedSeq((1,)))
     for atoms in ([(F(1),), (F(-2),)], [(1.0,), (-2.0,)]):
         with pytest.raises(ValidationError, match="view with gaps"):
-            contract_derivative(ts, None, MomentView(atoms, dim=1), [], [0])
+            contract_once(ts, None, MomentView(atoms, dim=1), [], [0])
