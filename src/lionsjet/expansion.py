@@ -302,7 +302,8 @@ def _orbit_cache(f, base, tagged_pairs, c):
     computed once per orbit and sides (the star and cross families' frozen
     side is the jet's), and the same tensor on every later request, so
     callers copy what they hand out. Each of the at most four sides is one
-    kept `functional._Side`, built on its first request: the tagged starts'
+    `functional._Side`, built on its first request and kept for the call:
+    the tagged starts'
     one-atom views or their path views, the coupling's base or path view,
     and the tagged displacements, scaled once. A representative gives its
     direction pattern (the base's directions free, a tagged letter v its
@@ -316,7 +317,7 @@ def _orbit_cache(f, base, tagged_pairs, c):
     disps = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
     starts = [MomentView([x], c.dim) for x, _ in tagged_pairs]
     paths = [MomentView([x], c.dim, [gap]).on_path() for (x, _), gap in zip(tagged_pairs, disps)]
-    sides, derivs, contractions = {}, {}, {}  # by sides; by representative; by both
+    sides, contractions = {}, {}  # by sides; by representative and sides
 
     def evaluate(rep, tagged_at_xi, measure_at_xi):
         key = (rep, tagged_at_xi, measure_at_xi)
@@ -325,15 +326,13 @@ def _orbit_cache(f, base, tagged_pairs, c):
             side = sides.get(key[1:])
             if side is None:
                 view = c.path_view() if measure_at_xi else c.base_view()
-                side = sides[key[1:]] = _Side(paths if tagged_at_xi else starts, view, disps, kept=True)
-            deriv = derivs.get(rep)
-            if deriv is None:  # its derivative, direction pattern and vector letters
-                deriv = derivs[rep] = (
-                    lions_derivative(f, _built(TaggedSeq, base.values + rep)),
-                    (None,) * n0 + tuple(_VECTOR if v <= m0 else v - m0 - 1 for v in rep),
-                    tuple(v for v in rep if v <= m0),
-                )
-            done = contractions[key] = contract_derivative(deriv[0], side, *deriv[1:])
+                side = sides[key[1:]] = _Side(paths if tagged_at_xi else starts, view, disps)
+            done = contractions[key] = contract_derivative(
+                lions_derivative(f, _built(TaggedSeq, base.values + rep)),
+                side,
+                (None,) * n0 + tuple(_VECTOR if v <= m0 else v - m0 - 1 for v in rep),
+                tuple(v for v in rep if v <= m0),
+            )
         return done
 
     return evaluate

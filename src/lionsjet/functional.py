@@ -454,10 +454,14 @@ def eval_derivative(ts, x0, mu, free):
     n_free = _point_count(free, "free")
     if n_free != ts.n_free:
         raise ValidationError(f"expected {ts.n_free} free points, got {n_free}")
-    side = _Side(([x0] if kernel.has_spatial else []) + list(free), mu)
-    if mu.dim != kernel.e:
-        raise ValidationError(f"points and atoms must have e = {kernel.e} coordinates, as the kernel has")
-    return contract_derivative(ts, side, (None,) * ts.order, ()).tensor()
+    if not isinstance(mu, MomentView):
+        raise ValidationError(f"empirical measure required, got {type(mu).__name__}")
+    points, e = ([x0] if kernel.has_spatial else []) + list(free), kernel.e
+    if mu.dim != e or any(_point_dim(p) != e for p in points):
+        raise ValidationError(f"points and atoms must have e = {e} coordinates, as the kernel has")
+    if not ts.joint():  # no cells: an exact zero, with no point to wrap
+        return Tensor((kernel.d,) + (e,) * ts.order)
+    return contract_derivative(ts, _Side(points, mu), (None,) * ts.order, ()).tensor()
 
 
 def eval_derivative_brute(ts, x0, mu, free):
@@ -564,77 +568,67 @@ class _Side:
     view `mu` of every other argument group, and the vectors, each named by
     its letter (its index). A point given as coordinates becomes its
     one-atom view here, and what every contraction on the side reads is
-    taken once: `exact` (every view exact and every vector rational), each
-    vector's integer numerators at the lcm of its denominators, and N, the
-    table scale and the path flag of each view. The engine builds one side
-    per expansion side and `kept`: it keeps the denominators and vector
-    weights (`setup`) and the sums (`readers`) its contractions read. Any
-    other call builds a one-use side, which keeps neither.
+    taken once: `exact` (every view exact), each rational vector's integer
+    numerators at the lcm of its denominators (None for any other), N, the
+    table scale and the path flag of each view, and per degree the sums its
+    contractions read (`readers`). The engine builds one side per expansion
+    side and keeps it for the call; any other call builds a one-use side.
+    The caller checks the points and vectors.
     """
 
     __slots__ = ("given", "mu", "vectors", "scaled", "exact", "n", "scale", "scales", "paths",
-                 "mu_path", "_setups", "_sums")
+                 "mu_path", "_sums")
 
-    def __init__(self, points, mu, vectors=(), kept=False):
-        if not isinstance(mu, MomentView):
-            raise ValidationError(f"empirical measure required, got {type(mu).__name__}")
-        e = mu.dim
-        for p in [*points, *vectors]:
-            if not isinstance(p, MomentView) and _point_dim(p) != e:
-                raise ValidationError(f"points must have e = {e} coordinates, as the measure's atoms do")
-        self.given = [p if isinstance(p, MomentView) else MomentView([p], e) for p in points]
+    def __init__(self, points, mu, vectors=()):
+        self.given = [p if isinstance(p, MomentView) else MomentView([p], mu.dim) for p in points]
         self.mu, self.vectors = mu, [tuple(v) for v in vectors]
-        rational = all(type(c) in (int, Fraction) for vec in self.vectors for c in vec)
-        self.exact = rational and mu.exact and all(view.exact for view in self.given)
-        self.scaled = []  # per vector of a rational side: (integer numerators, lcm)
-        for vec in self.vectors if rational else ():
-            lcm = math.lcm(*(c.denominator for c in vec))
-            self.scaled.append(([c.numerator * (lcm // c.denominator) for c in vec], lcm))
+        self.exact = mu.exact and all(view.exact for view in self.given)
+        self.scaled = []  # per vector: (integer numerators, lcm), None unless rational
+        for vec in self.vectors:
+            if all(type(c) in (int, Fraction) for c in vec):
+                lcm = math.lcm(*(c.denominator for c in vec))
+                self.scaled.append(([c.numerator * (lcm // c.denominator) for c in vec], lcm))
+            else:
+                self.scaled.append(None)
         self.n, self.scale, self.mu_path = mu.table_scales()
         self.scales = [view.table_scales() for view in self.given]  # (N, scale, path) each
         self.paths = [listed for *_, listed in self.scales]
-        self._setups, self._sums = ({}, {}) if kept else (None, None)
+        self._sums = {}
 
-    def setup(self, degree, n_gaps, letters, n_int):
-        """(den, table, flags, path) of a contraction with `n_gaps` gap
+    def setup(self, unit, degree, n_gaps, letters, n_int):
+        """(degree, den, table, flags, path) of a contraction of a kernel
+        with common denominator `unit` (None: not rational), `n_gaps` gap
         directions, the vectors of `letters` and `n_int` groups that read
-        `mu`, exact at `degree` (None: the values as given): the denominator
-        but the kernel's (1 when not exact), the weight of each tuple of
+        `mu`. It is exact at `degree` when the kernel, the views and those
+        vectors are rational, and runs on the values as given (degree None,
+        den 1) otherwise. Then the denominator, the weight of each tuple of
         vector coordinates by flat index, and the path flag of each group
-        and whether any is set. Kept by all four: at one degree, the number
-        of groups still varies with the free count of the derivative."""
-        memo, key = self._setups, (degree, n_gaps, letters, n_int)
-        got = memo.get(key) if memo is not None else None
-        if got is None:
-            if degree is None:
-                vecs, den = [self.vectors[v] for v in letters], 1
-            else:
-                vecs, den = [], (self.n * self.scale**degree) ** n_int * self.scale**n_gaps
-                den *= math.prod(k * s**degree for k, s, _ in self.scales)  # the given points
-                for v in letters:
-                    nums, lcm = self.scaled[v]
-                    vecs.append(nums)
-                    den *= lcm
-            table = [1]  # the weight of each tuple of vector coordinates, by flat index
-            for vec in vecs:
-                table = [w * c for w in table for c in vec]
-            flags = self.paths + [self.mu_path] * n_int
-            got = (den, table, flags, any(flags))
-            if memo is not None:
-                memo[key] = got
-        return got
+        and whether any is set."""
+        if unit is None or not self.exact or any(self.scaled[v] is None for v in letters):
+            degree, vecs, den = None, [self.vectors[v] for v in letters], 1
+        else:
+            vecs, den = [], unit * (self.n * self.scale**degree) ** n_int * self.scale**n_gaps
+            den *= math.prod(k * s**degree for k, s, _ in self.scales)  # the given points
+            for v in letters:
+                nums, lcm = self.scaled[v]
+                vecs.append(nums)
+                den *= lcm
+        table = [1]  # the weight of each tuple of vector coordinates, by flat index
+        for vec in vecs:
+            table = [w * c for w in table for c in vec]
+        flags = self.paths + [self.mu_path] * n_int
+        return degree, den, table, flags, any(flags)
 
     def readers(self, slot_gaps, degree):
         """Per slot of a layout, the sums (`MomentView.sums`) each group
         reads at `degree`: the given views' without gap, then `mu`'s at the
-        slot's gap exponents `slot_gaps`, each read once per kept side."""
-        memo = self._sums
-        got = memo.get(degree) if memo is not None else None
+        slot's gap exponents `slot_gaps`, each read once per side."""
+        got = self._sums.get(degree)
         if got is None:
             zero = (0,) * self.mu.dim
-            got = ([view.sums(zero, degree) for view in self.given], _SumsByGap(self.mu, degree))
-            if memo is not None:
-                memo[degree] = got
+            got = self._sums[degree] = (
+                [view.sums(zero, degree) for view in self.given], _SumsByGap(self.mu, degree)
+            )
         given, by_gap = got
         return [given + [by_gap[gap] for gap in gaps] for gaps in slot_gaps]
 
@@ -676,13 +670,13 @@ def contract_derivative(ts, side, pattern, letters):
     rather than a sum over configurations. What depends only on the
     derivative and the pattern (the output shape, where each cell lands,
     which vector coordinates weigh it and which gap exponents each group
-    reads) is laid out once per functional (`_layout`), and what depends
-    only on the side, the degree and the letters (the denominator, the
-    vector weights and the sums each group reads) once per kept side. A
-    call reads both, runs the monomial loop and writes one flat list.
+    reads) is laid out once per functional (`_layout`), and the sums each
+    group reads once per side and degree (`_Side.readers`). A call reads
+    both, forms the denominator and the vector weights of its letters
+    (`_Side.setup`), runs the monomial loop and writes one flat list.
 
-    The contraction is exact when the side is and the kernel coefficients
-    are rational. It then runs on integers: a monomial has degree at most
+    The contraction is exact when the side's views, the vectors of its
+    letters and the kernel coefficients are rational. It then runs on integers: a monomial has degree at most
     D = kernel degree - order, so each group reads its integer sums lifted
     to degree D (`MomentView.sums`), the cells hold numerators over the
     kernel's common denominator and vectors are scaled by the lcm of their
@@ -707,12 +701,8 @@ def contract_derivative(ts, side, pattern, letters):
         return RationalTensor(shape, [0] * math.prod(shape), 1)
     shape, size, degree, n_gaps, n_int, offsets, weight_at, slots, cells, slot_gaps = layout
     unit = ts.kernel.denominator
-    exact = side.exact and unit is not None
-    if not exact:
-        degree = None
-    den, table, on_path, path = side.setup(degree, n_gaps, letters, n_int)
-    if exact:
-        den *= unit
+    degree, den, table, on_path, path = side.setup(unit, degree, n_gaps, letters, n_int)
+    exact = degree is not None
     readers = side.readers(slot_gaps, degree)
     out = [0 if exact else ZERO] * size
     for offset, weight, groups, cell in zip(

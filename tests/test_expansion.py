@@ -68,6 +68,37 @@ def test_eval_Da_empty_sequence_is_function_value():
     assert [val[(0,)], val[(1,)]] == f.eval(x0, c.left())
 
 
+def test_a_contraction_stays_exact_when_only_a_vector_it_never_reads_is_float(monkeypatch):
+    # exactness follows the vectors a contraction reads: the empty sequence
+    # reads no displacement, so a float one leaves f(x0, mu) exact, and the
+    # contractions of taylor2 on the starts' side without a spatial letter
+    # read no y0 - x0, so a float y0 leaves them exact while the spatial
+    # ones run on floats
+    made = []
+
+    def recording(ts, side, pattern, letters):
+        got = contract_derivative(ts, side, pattern, letters)
+        if side.mu is c.base_view() and not any(side.paths) and any(got.data):
+            made.append((letters, got.exact))  # on the starts' side, past the exact zeros
+        return got
+
+    monkeypatch.setattr(expansion, "contract_derivative", recording)
+    rng = random.Random(0)
+    f = random_functional(rng, 2, 2, True, d=2)
+    c = random_coupling(rng, 3, 2)
+    x0 = random_point(rng, 2)
+    val = eval_Da(f, TaggedSeq(()), x0, (0.5, -0.25), c.left(), c)
+    assert val.data == f.eval(x0, c.left())
+    assert made == [((), True)]
+    made.clear()
+    res = taylor2(f, x0, (0.75, -1.5), c, Grading(1, 1, F(5, 2)))
+    assert {0 in letters for letters, _ in made} == {False, True}
+    assert all(exact == (0 not in letters) for letters, exact in made), made
+    for t in res.jet:
+        want = float if 0 in t.seq.values else Fraction
+        assert {type(v) for v in t.value.data if v} <= {want}, t.seq.values
+
+
 def test_eval_Da_first_order_matches_hand_loop():
     rng = random.Random(1)
     f = kernel_1d({(3,): F(1), (1,): F(-2)}, arity=1)
@@ -1338,17 +1369,17 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
 
 
 def test_each_engine_run_sets_up_each_side_once(monkeypatch):
-    # the set-up work of a run, pinned by counts: one kept side per
-    # expansion side it contracts on and one one-use side for the value at
-    # the targets (a study: the side of its jet and that of f on the path);
+    # the set-up work of a run, pinned by counts: one side per expansion
+    # side it contracts on and one for the value at the targets (a study:
+    # the side of its jet and that of f on the path);
     # no view built inside a contraction; and no side reading one sum table
     # (view, gap exponents, degree) twice
     sides, reads, built, inside = [], [], [], []
     init, read, fill = functional._Side.__init__, MomentView.sums, MomentView._set
 
-    def build(self, points, mu, vectors=(), kept=False):
-        sides.append((self, kept))
-        init(self, points, mu, vectors, kept)
+    def build(self, points, mu, vectors=()):
+        sides.append(self)
+        init(self, points, mu, vectors)
 
     def counting(ts, side, *args):
         inside.append(side)
@@ -1377,7 +1408,7 @@ def test_each_engine_run_sets_up_each_side_once(monkeypatch):
         reads.clear()
         run()
         assert reads and len(set(reads)) == len(reads)
-        return sum(kept for _, kept in sides), sum(not kept for _, kept in sides)
+        return len(sides)
 
     for _, run, f, base, pairs, c, alpha, beta, eta in _orbit_cases():
         m0 = TaggedSeq(base).m
@@ -1386,11 +1417,11 @@ def test_each_engine_run_sets_up_each_side_once(monkeypatch):
         for (_, moving, frozen), members in zip(_family_sides(alpha, beta), families):
             requests += [(values, at) for values in members for at in (moving, frozen)]
         at = {at for values, at in requests if not _vanishes(f.kernel, base + values)}
-        assert run_counts(run) == (len(at), 1)
+        assert run_counts(run) == len(at) + 1
     for spec in (2, Grading(1, 1, F(5, 2))):
         f, pts, dirs, spatial = _study_instance(spec, 0)
         hs = [F(1, 2), F(1, 4)]
-        assert run_counts(lambda: convergence_study(f, pts, dirs, spec, hs, **spatial)) == (2, 0)
+        assert run_counts(lambda: convergence_study(f, pts, dirs, spec, hs, **spatial)) == 2
     assert built and not any(built)  # the one-atom views, built before any contraction
 
 
