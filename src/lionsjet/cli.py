@@ -88,27 +88,19 @@ def make_instance(identity, seed, mode="rational"):
     rng = random.Random(seed)
     as_float = mode == "float"
     inst = {"identity": identity, "seed": seed, "mode": mode}
-    if identity == "empirical":
+    if identity in ("empirical", "fullsystem"):
+        spatial = identity == "fullsystem"  # a spatial slot, and the distinguished particle i
         e = rng.choice([1, 1, 2])
         n_particles = rng.randint(1, 5)
-        f = gen_kernel(rng, e, 1, rng.randint(1, 3), False, degree=3)
+        f = gen_kernel(rng, e, 1, rng.randint(1, 2 if spatial else 3), spatial, degree=3)
         idx = tuple(rng.randint(1, n_particles) for _ in range(rng.randint(1, 3)))
         inst.update(
             kernel=f.to_json(),
             points=_points_json(gen_points(rng, n_particles, e, as_float)),
             idx=list(idx),
         )
-    elif identity == "fullsystem":
-        e = rng.choice([1, 1, 2])
-        n_particles = rng.randint(1, 5)
-        f = gen_kernel(rng, e, 1, rng.randint(1, 2), True, degree=3)
-        idx = tuple(rng.randint(1, n_particles) for _ in range(rng.randint(1, 3)))
-        inst.update(
-            kernel=f.to_json(),
-            points=_points_json(gen_points(rng, n_particles, e, as_float)),
-            idx=list(idx),
-            i=rng.randint(1, n_particles),
-        )
+        if spatial:
+            inst["i"] = rng.randint(1, n_particles)
     elif identity == "expansion":
         e = rng.choice([1, 1, 1, 2])
         n_particles = rng.randint(1, 3)

@@ -6,96 +6,43 @@ derivative. Per monomial of the derivative's cells that m-fold
 average factorizes into a product of mixed coupling moments
 (1/N) sum_i x_i^alpha (y_i - x_i)^beta, one per coupling variable, so the
 operator costs time linear in the atom count N (see
-`functional.contract_derivative`). Every argument group reads the power
-tables of a view (`measures.MomentView`). The coupling keeps its base,
-path and target views, which share their gap tables, with their sums,
-so every expansion, bound and evaluation on one coupling reads the
-same ones; the start of each tagged slot is a one-atom view, and its path
-point that view with its displacement on the path (`MomentView.on_path`),
-each built once per call. The engine contracts on at most four sides (the
-starts, and the moving and frozen sides of the families), each one
-`functional._Side` that it builds once per call and that keeps what every
-contraction on it reads. Every contraction returns a `poly.RationalTensor`
-and the engine keeps that type up to the output: the jet's 1/k!, the
-remainder's path integral and 1/r!, the prediction sums, actual - predicted
-and a study's value at h and h^k. With rational data they stay integer
-numerators over one denominator, each output entry divided once, into a
-reduced Fraction, when the result is built; other data keeps its values as
-given, and an exact tensor that meets a float is divided first. Each
-derivative compiles its cells, and a layout per direction pattern, once
-per functional and keeps them on it, so every later expansion, bound or
-study of that functional, and both the base and the path contraction, read
-the same cells and layouts.
-Truncating the expansion at an order (or at a grading level) leaves
-remainder terms indexed by the
-boundary families; on the interpolation path the atoms have coordinates
-polynomial in the path parameter, so the same moments are polynomials and
-the integrals are taken in closed form, and
+`functional.contract_derivative`, which reads the views a
+`measures.Coupling` keeps). Truncating the expansion at an order (or at a
+grading level) leaves remainder terms indexed by the boundary families; on
+the interpolation path the atoms have coordinates polynomial in the path
+parameter, so the same moments are polynomials and the integrals are taken
+in closed form, and
 
     predicted + sum of remainder terms == value at the target
 
 holds as exact rational arithmetic. That identity is asserted by the tests.
+Every contraction returns a `poly.RationalTensor`, and the engine keeps that
+type up to the output: with rational data, integer numerators over one
+denominator, each output entry divided once when the result is built.
 
 A contracted jet term or remainder integrand depends only on the symmetry
-orbit of its sequence, together with which argument groups sit on the
-interpolation path. Permuting the positions of a sequence permutes the
-directions of its mixed derivative (Schwarz symmetry, checked on its own
-route by `oracle.schwarz_check`), and the contraction sums over every
-direction; relabelling its fresh letters permutes the averaged coupling
-variables, which are exchangeable. So the orbit is fixed by the tagged
-letters, the sorted block sizes of the fresh letters and the sides, and
-`tagged._orbit_key` names it by a canonical representative. The plan keys
-each live member's orbit once per functional into its orbit table: the
-live orbits' representatives (`orbits`) and per core member the index of
-its orbit (`of`). The engine contracts each representative once per sides
-(`_orbit_jets` lists the jet's raw and 1/k! terms by orbit), copies them to
-every member by index, the remainder loop integrates each orbit's term once
-per sides, and the bound computes each constant once per orbit.
-In rational mode the contractions are equal, not merely close. A float
-sum (a float-mode contraction, or a constant, which sums float terms) may
-change by rounding with the order of its terms; on the benchmark and test
-instances every constant was bit-equal to that of its own sequence.
+orbit of its sequence (`tagged._orbit_key`), together with which argument
+groups sit on the interpolation path: permuting the positions of a sequence
+permutes the directions of its mixed derivative (Schwarz symmetry, checked
+on its own route by `oracle.schwarz_check`), and the contraction sums over
+every direction; relabelling its fresh letters permutes the averaged
+coupling variables, which are exchangeable. In rational mode the
+contractions are equal, not merely close; a float sum may change by
+rounding with the order of its terms.
 
-Each truncation is planned once per functional (`_plan`): the order or
-grading, the level, one search for the graded core and its boundary
-families, and each member's orbit, kept on the functional (`_plans`) by
-the spec and the base sequence, so every later call with that spec reads
-the same plan. The spec is checked on every call, and a spec that fails
-its checks plans nothing. One graded engine computes every expansion from
-that plan; each result gets its own `meta`, formatted only by the calls
-that return one. `taylor2` and
-`taylor_derivative` run it over tagged sequences; `taylor1` is the same
-engine at alpha = beta = 1, gamma = n over partition sequences (there is no
-spatial letter), whose core is every sequence of length at most n and whose
-star family is the length-n sequences. `convergence_study` reads the
-plan and builds one coupling, at h = 1: it sums the engine's jet by
-sequence length once, contracts f once on that coupling's path, whose
-point at xi = h is the target of scale h, and reads its bound plan once.
-
-One bound engine, over the plan's families, turns the remainder into a
-certified upper bound: per family member, the box Lipschitz constants of
-the moving groups times displacement and coupling-moment factors, with
-every factor reported. It runs in two steps: the plan (`_bound_plan`)
-looks up each member's vanishing rule, orbit and constants, which depend
-on f, the truncation and the box alone, once per functional, truncation
-plan and normalized box, kept beside the truncation plan; the price
-(`_bound_price`) multiplies them by one coupling's moments and one
-displacement, each block-moment product once. `remainder_bound1` is it at
-alpha = beta = 1, gamma = n; `remainder_bound2` with the spatial pair
-(x0, y0); the engine with a box prices once, and a convergence study
-prices one plan at every scale. Each constant
-is `functional._certified_sup` of the next derivative: the coefficient-wise
-sup bound alone, with no sample grid (the grid and its slack are reported
-only by `norms_on_box`, whose `.value`s equal these constants bit for bit).
-A derivative vanishes identically when its sequence is longer than the
-kernel degree or has more free variables than the kernel arity
-(`functional._vanishes`); with a low-degree kernel most family members are
-such zeros. The engine, the study and the bound read that rule first: a
-vanishing member gets fresh zero tensors as its jet and remainder terms and
-a constant of 0.0, and nothing is keyed, built, contracted, scaled,
-integrated or added into the prediction for it. Skipping an add of an
-exact zero leaves every sum as it was, floats included, since the
-prediction starts from an exact zero and so never holds -0.0.
+Each truncation is planned once per functional (`_plan`). One graded engine
+(`_graded_engine`) computes every expansion from that plan, one contraction
+per orbit and sides (`_orbit_cache`): `taylor2` and `taylor_derivative` over
+tagged sequences, `taylor1` at alpha = beta = 1, gamma = n over partition
+sequences, and `convergence_study` on one coupling for every scale h. One
+bound engine turns the remainder into a certified upper bound over the
+plan's families: planned once per plan and box (`_bound_plan`), priced with
+one coupling's moments (`_bound_price`). A member whose derivative vanishes
+identically (`functional._vanishes`) gets zero terms and a constant of 0.0,
+and nothing is keyed, built, contracted or added into the prediction for
+it. Skipping an add of an exact zero leaves every sum as it was, floats
+included, since the prediction starts from an exact zero and so never holds
+-0.0.
 """
 
 from __future__ import annotations
@@ -172,7 +119,7 @@ class ExpansionResult:
         return (self.actual - total).max_abs()
 
     def remainder_norm(self):
-        return _norm(self.remainder_exact.data)
+        return self.remainder_exact.frobenius()
 
     def to_json(self, floats=False):
         """The result as JSON data. Rational entries print as "p/q"; with
@@ -194,6 +141,9 @@ class ExpansionResult:
 
             return walk(t.to_nested())
 
+        remainder = {}  # by family, then sequence, both sorted
+        for (family, values), t in sorted(self.remainder_terms.items()):
+            remainder.setdefault(family, {})[",".join(map(str, values))] = tensor(t)
         return {
             "jet": {
                 ",".join(map(str, term.seq_values())): {
@@ -205,14 +155,7 @@ class ExpansionResult:
             "predicted": tensor(self.predicted),
             "actual": tensor(self.actual),
             "remainder_exact": tensor(self.remainder_exact),
-            "remainder_terms": {
-                family: {
-                    ",".join(map(str, values)): tensor(t)
-                    for (fam, values), t in sorted(self.remainder_terms.items())
-                    if fam == family
-                }
-                for family in sorted({fam for fam, _ in self.remainder_terms})
-            },
+            "remainder_terms": remainder,
             "remainder_bound": self.remainder_bound,
             "bound_terms": self.bound_terms,
             "meta": self.meta,
@@ -250,21 +193,21 @@ def _as_pair(x, y):
 
 
 def _check_marginal(coupling, mu):
-    """`mu` must be the coupling's left marginal: `c.left()`, which the
-    coupling keeps, passes at once; any other measure is compared as a
-    multiset. The coupling is checked first."""
+    """`mu`, the measure `taylor1` expands about, must be the coupling's
+    left marginal: `c.left()`, which the coupling keeps, passes at once; any
+    other measure is compared as a multiset. The coupling is checked first."""
     _check_coupling(coupling)
     if mu is not None and mu is not coupling.left() and coupling.left() != mu:
         raise ValidationError("coupling left marginal differs from the measure")
 
 
-def eval_Da(f, a, x0, displacement, mu, c):
-    """The jet operator: the m[a]-fold coupling average of the derivative
-    indexed by `a`, contracted with one displacement per letter (the spatial
-    displacement for letter 0, the atom gap of coupling variable j for
-    letter j). For the empty sequence this is f(x0, mu)."""
+def eval_Da(f, a, x0, displacement, c):
+    """The jet operator on the coupling `c`: the m[a]-fold coupling average
+    of the derivative indexed by `a`, at its left marginal, contracted with
+    one displacement per letter (the spatial displacement for letter 0, the
+    atom gap of coupling variable j for letter j). For the empty sequence
+    this is f(x0, c.left())."""
     a = as_tagged(a)
-    _check_marginal(c, mu)
     _check_dimension(f, c, [p for p in (x0, displacement) if p is not None])
     if f.has_spatial and (x0 is None or displacement is None):
         raise ValidationError("spatial argument and displacement required")
@@ -358,12 +301,15 @@ class _Plan:
     families: (family, moving, frozen, of, members) per boundary family,
           zipped with `_family_sides`, `of` that of its members.
     level: the truncation level, lowered by the grade of the base.
+    bounds: the bound plans over its families (`_bound_plan`), by
+          normalized box, filled on first use.
     """
 
-    __slots__ = ("core", "orbits", "of", "families", "level")
+    __slots__ = ("core", "orbits", "of", "families", "level", "bounds")
 
     def __init__(self, core, orbits, of, families, level):
         self.core, self.orbits, self.of, self.families, self.level = core, orbits, of, families, level
+        self.bounds = {}
 
 
 def _plan(f, spec, base=None):
@@ -460,7 +406,7 @@ def _graded_engine(f, base, tagged_pairs, c, plan, box=None):
                 term = integrated[k, moving, frozen] = acc.taylor_integral(len(rep) - 1).tensor()
             remainder_terms[(family, values)] = Tensor(term.shape, term.data)
 
-    side = _Side([y for _, y in tagged_pairs], c.target_view())  # `eval_derivative` at the targets
+    side = _Side([y for _, y in tagged_pairs], c.right())  # `eval_derivative` at the targets
     actual = contract_derivative(lions_derivative(f, base), side, (None,) * len(base), ())
     predicted = RationalTensor(shape, [0] * math.prod(shape), 1)  # an exact zero
     for k in plan.of:
@@ -580,12 +526,11 @@ def _bound_plan(f, plan, box):
     depends only on the orbit of that derivative's sequence, so it is
     computed once per orbit; a constant whose next derivative vanishes
     (`_vanishes`) is 0.0, with no orbit keyed and nothing compiled. The
-    result is kept in `f._plans` under (plan, box), so every later bound
-    over that plan and box, and every scale of a convergence study, reads
-    it.
+    result is kept in `plan.bounds` by box, so every later bound over that
+    plan and box, and every scale of a convergence study, reads it.
     """
-    key = (plan, tuple(box))
-    bound = f._plans.get(key)
+    key = tuple(box)
+    bound = plan.bounds.get(key)
     if bound is not None:
         return bound
     lips, entries = {}, {}  # by orbit representative; each entry once
@@ -614,7 +559,7 @@ def _bound_plan(f, plan, box):
             entry = (values.count(0), ks, spatial, measure, free, 1.0 / math.factorial(len(values)))
             family.append(entries.setdefault(entry, entry))
         bound.append(family)
-    return f._plans.setdefault(key, bound)
+    return plan.bounds.setdefault(key, bound)
 
 
 def _bound_price(plan, bound, disp_norm, moment):
@@ -679,17 +624,6 @@ def remainder_bound1(f, c, n, box):
 def remainder_bound2(f, x0, y0, c, g, box):
     """Certified upper bound for the norm of the graded remainder."""
     return _bound_terms(f, [_as_pair(x0, y0)], c, _plan(f, g), box)[0]
-
-
-def _norm(values):
-    """The Euclidean norm of the values as floats, inf past the float range."""
-    try:
-        return math.sqrt(sum(float(v) ** 2 for v in values))
-    except OverflowError:  # a square past the float range, or a value
-        try:
-            return math.hypot(*map(float, values))
-        except OverflowError:
-            return math.inf
 
 
 SLOPE_FLOOR = 1e-14  # remainders at or below this are float rounding, left out of fits
@@ -843,7 +777,7 @@ def convergence_study(
         p, q = (h, 1) if type(h) is float else (h.numerator, h.denominator)
         for k, jet in jets.items():
             rem = rem - jet.scale(p**k, q**k)  # h^k, for a rational h as a pair of ints
-        norm = _norm(rem.tensor().data)
+        norm = rem.tensor().frobenius()
         bound = None
         if box is not None:
             spatial = [(tuple(x0), moved(x0, x0_direction, h))] if graded else []

@@ -124,18 +124,13 @@ def _scaled(n, *ratios):
     ]
 
 
-def _as_given(vectors):
-    """Power tables of the vectors, their entries as given, at scale 1."""
-    return _PowerTables(len(vectors), [[list(col)] for col in zip(*vectors)], 1, False)
-
-
 def _tables(*groups):
     """The power tables of each group of N vectors (None stays None): exact
     at one scale when every entry is an int or a Fraction (`_scaled`), else
-    as given at scale 1."""
+    their entries as given at scale 1."""
     ratios = [_ratios(g) for g in groups if g]
     if None in ratios:
-        return [g and _as_given(g) for g in groups]
+        return [g and _PowerTables(len(g), [[list(col)] for col in zip(*g)], 1, False) for g in groups]
     tables = iter(_scaled(len(next(g for g in groups if g)), *ratios))
     return [g and next(tables) for g in groups]
 
@@ -193,13 +188,17 @@ class MomentView:
     coordinates among them are symbolic data) and a moment is their sum
     times 1/N, of whatever type the products are.
 
+    The constructor builds the tables with `_tables`; a coupling builds its
+    marginals and, when a coordinate is a float, its base view the same way,
+    and only a rational coupling scales its two columns together.
+
     One cache, keyed by (gap_exps, degree), holds the sums `sums` returns;
     under degree None they are the moments themselves, which an inexact
     contraction reads: on a path view, lists of xi-coefficients, which
     `moment` hands out as an `XiPoly` when an exponent is nonzero.
     """
 
-    __slots__ = ("atoms", "dim", "gaps", "_no_gaps", "_sums", "_atom_tables", "_gap_tables")
+    __slots__ = ("atoms", "dim", "gaps", "_sums", "_atom_tables", "_gap_tables")
 
     def __init__(self, atoms, dim, gaps=None):
         atoms = tuple(tuple(a) for a in atoms)
@@ -213,7 +212,7 @@ class MomentView:
 
     def _set(self, atoms, dim, gaps, atom_tables, gap_tables):
         """Fill this view from power tables built already, which it shares."""
-        self.atoms, self.dim, self.gaps, self._no_gaps = atoms, dim, gaps, (0,) * dim
+        self.atoms, self.dim, self.gaps = atoms, dim, gaps
         self._sums, self._atom_tables, self._gap_tables = {}, atom_tables, gap_tables
         return self
 
@@ -266,7 +265,7 @@ class MomentView:
         return table
 
     def moment(self, exps, gap_exps=None):
-        exps, gap_exps = tuple(exps), tuple(gap_exps or self._no_gaps)
+        exps, gap_exps = tuple(exps), tuple(gap_exps or (0,) * self.dim)
         if not len(exps) == len(gap_exps) == self.dim:
             raise ValidationError(f"moment exponents must have {self.dim} entries each")
         value = self.sums(gap_exps)[exps]
@@ -337,9 +336,10 @@ class Coupling:
     The marginals are the empirical measures of the two columns. Every term
     of an expansion integrates against the same coupling, so the coupling
     keeps what it derives from its pairs, each built on first use: its
-    marginals, the gaps y_i - x_i and their squares, the base, path and
-    target views with their sums, the float moments and the bounding box of
-    its atoms. The pairs and the dimension are read-only, so that this
+    marginals `left()` and `right()` (the right one is the view of the
+    targets), the gaps y_i - x_i and their squares, the base and path views,
+    all with their sums, the float moments and the bounding box of its
+    atoms. Each view has that one name. The pairs and the dimension are read-only, so that this
     state never goes stale, and it dies with the coupling.
     Threads that race on a first use each build an equal value, and one of
     them is kept.
@@ -375,8 +375,9 @@ class Coupling:
         """(left, right, base): the marginals and `base_view`, kept. A rational
         coupling is scaled once, by one lcm over every start and target
         coordinate: the three share its rows of ints (the base `gaps` is None).
-        Otherwise each marginal is scaled on its own, and the base view keeps
-        its starts and gaps as given."""
+        Otherwise each is built as a standalone view builds its tables
+        (`_tables`): a marginal is scaled on its own, and the base view, whose
+        gaps are float, keeps its starts and gaps as given."""
         if self._rows is None:
             n, xs, ys = self.n_atoms, *(tuple(col) for col in zip(*self.pairs))
             rx, ry = _ratios(xs), _ratios(ys)
@@ -386,11 +387,8 @@ class Coupling:
                 gaps = _PowerTables(n, units, starts.scale, True)
                 base = MomentView.__new__(MomentView)._set(xs, self.dim, None, starts, gaps)
             else:  # a float coordinate, so a float gap: the base view keeps its values as given
-                starts = _as_given(xs) if rx is None else _scaled(n, rx)[0]
-                targets = _as_given(ys) if ry is None else _scaled(n, ry)[0]
-                gaps = list(self.gaps())
-                atoms = _as_given(xs) if starts.exact else starts
-                base = MomentView.__new__(MomentView)._set(xs, self.dim, gaps, atoms, _as_given(gaps))
+                (starts,), (targets,) = _tables(xs), _tables(ys)
+                base = MomentView(xs, self.dim, self.gaps())
             self._rows = (
                 EmpiricalMeasure.__new__(EmpiricalMeasure)._set(xs, self.dim, None, starts, None),
                 EmpiricalMeasure.__new__(EmpiricalMeasure)._set(ys, self.dim, None, targets, None),
@@ -447,10 +445,6 @@ class Coupling:
         if self._path is None:
             self._path = self.base_view().on_path()
         return self._path
-
-    def target_view(self):
-        """The view of the right marginal, without gaps: `right()`, kept."""
-        return self.right()
 
     def to_json(self):
         return [[list(map(_coordinate_text, x)), list(map(_coordinate_text, y))] for x, y in self.pairs]

@@ -380,7 +380,14 @@ class Tensor:
         return max((abs(v) for v in self.data), default=ZERO)
 
     def frobenius(self):
-        return math.sqrt(sum(float(v) * float(v) for v in self.data))
+        """The Euclidean norm of the entries as floats, inf past the float range."""
+        try:
+            return math.sqrt(sum(float(v) ** 2 for v in self.data))
+        except OverflowError:  # a square past the float range, or an entry
+            try:
+                return math.hypot(*map(float, self.data))
+            except OverflowError:
+                return math.inf
 
     def map(self, fn):
         return Tensor(self.shape, [fn(v) for v in self.data])

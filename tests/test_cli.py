@@ -111,6 +111,21 @@ def test_instance_generation_is_deterministic():
     assert rep1.max_abs_difference == rep2.max_abs_difference
 
 
+# sha256 of json.dumps of the 1,600 payloads the benchmark's `verify` batches
+# run: four identities, two modes, seeds 1000-1199
+VERIFY_BATCHES_SHA256 = "1019d9224a023e737c82b5cbdd37769c546ec4cf6bdbb4464ef9ba2f8476c297"
+
+
+def test_the_verify_batches_draw_the_pinned_instances():
+    payloads = [
+        make_instance(identity, seed, mode)
+        for identity in ("empirical", "fullsystem", "expansion", "schwarz")
+        for mode in ("rational", "float")
+        for seed in range(1000, 1200)
+    ]
+    assert hashlib.sha256(json.dumps(payloads).encode()).hexdigest() == VERIFY_BATCHES_SHA256
+
+
 def test_bad_file_gives_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -455,6 +470,12 @@ def test_expand_graded_rejects_free_points_without_seq(tmp_path, capsys):
             "--grading", "3", "1/2", "1", "--x0=0", "--y0=1"]
     assert run_cli(args)[0] == 0
     assert_one_line_exit_two(args + ["--free-x", "0", "--free-y", "1"], capsys)
+
+
+def test_replay_of_an_unknown_identity_exits_two(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(make_instance("empirical", 1), identity="bogus")))
+    assert_one_line_exit_two(["verify", "--replay", str(path)], capsys)
 
 
 @pytest.mark.parametrize("identity", ["fullsystem", "empirical"])

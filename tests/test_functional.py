@@ -982,7 +982,7 @@ def test_threads_sharing_a_fresh_functional_and_coupling_agree_with_a_serial_run
             # lost a race to be kept holds what its own thread asked for
             assert f._joints == serial_f._joints
             assert c._moments == serial_c._moments
-            for view in ("base_view", "path_view", "target_view"):
+            for view in ("base_view", "path_view", "right"):
                 kept, want = (_kept_sums(getattr(d, view)()) for d in (c, serial_c))
                 assert kept.keys() <= want.keys()
                 for key, sums in kept.items():

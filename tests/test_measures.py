@@ -154,7 +154,7 @@ def test_a_rational_coupling_is_scaled_once_and_its_views_share_its_rows():
     ys = [(Fraction(1, 2), Fraction(0)), (Fraction(-3, 2), Fraction(5, 2))]
     c = pair_coupling(xs, ys)
     left, right = c.left(), c.right()
-    base, path, target = c.base_view(), c.path_view(), c.target_view()
+    base, path, target = c.base_view(), c.path_view(), c.right()
     assert [view.table_scales() for view in (left, right, base, target)] == [(2, 6, False)] * 4
     assert path.table_scales() == (2, 6, True)
 
@@ -189,7 +189,7 @@ def test_a_rational_coupling_validates_each_point_once(monkeypatch):
     monkeypatch.setattr(measures, "_as_point", lambda coords: calls.append(coords) or as_point(coords))
     n = 5
     c = pair_coupling([(Fraction(k, 3), k) for k in range(n)], [(Fraction(1, k + 2), -k) for k in range(n)])
-    c.left(), c.right(), c.base_view(), c.path_view(), c.target_view()
+    c.left(), c.right(), c.base_view(), c.path_view()
     assert len(calls) == 2 * n
 
 
