@@ -30,19 +30,22 @@ coupling variables, which are exchangeable. In rational mode the
 contractions are equal, not merely close; a float sum may change by
 rounding with the order of its terms.
 
-Each truncation is planned once per functional (`_plan`). One graded engine
-(`_graded_engine`) computes every expansion from that plan, one contraction
-per orbit and sides (`_orbit_cache`): `taylor2` and `taylor_derivative` over
-tagged sequences, `taylor1` at alpha = beta = 1, gamma = n over partition
-sequences, and `convergence_study` on one coupling for every scale h. One
-bound engine turns the remainder into a certified upper bound over the
-plan's families: planned once per plan and box (`_bound_plan`), priced with
-one coupling's moments (`_bound_price`). A member whose derivative vanishes
-identically (`functional._vanishes`) gets zero terms and a constant of 0.0,
-and nothing is keyed, built, contracted or added into the prediction for
-it. Skipping an add of an exact zero leaves every sum as it was, floats
-included, since the prediction starts from an exact zero and so never holds
--0.0.
+Each truncation is planned once per functional (`_plan`), down to the
+derivative, direction pattern and vector letters of each live orbit. One
+graded engine (`_graded_engine`) computes every expansion from that plan,
+one contraction per orbit and sides (`_orbit_cache`): `taylor2` and
+`taylor_derivative` over tagged sequences, `taylor1` at alpha = beta = 1,
+gamma = n over partition sequences, and `convergence_study` on one coupling
+for every scale h. One bound engine turns the remainder into a certified
+upper bound over the plan's families: planned once per plan and box
+(`_bound_plan`), priced with one coupling's moments (`_bound_price`). So a
+call costs its live orbits, not the members: a live member's terms are its
+orbit's tensors, as they are, and a member whose derivative vanishes
+identically (`functional._vanishes`) gets the result's one zero and a
+constant of 0.0, with nothing keyed, built, contracted or added into the
+prediction for it. Skipping an add of an exact zero leaves every sum as it
+was, floats included, since the prediction starts from an exact zero and so
+never holds -0.0.
 """
 
 from __future__ import annotations
@@ -81,17 +84,39 @@ from .tagged import (
 _EMPTY = TaggedSeq(())
 
 
-@dataclass(frozen=True)
 class JetTerm:
     """One jet term: the contracted operator value and the same value before
-    division by the factorial of the sequence length."""
+    division by the factorial of the sequence length.
 
-    seq: object
-    value: Tensor
-    raw: Tensor
+    A term keeps its member's value tuple, which `seq_values()` returns, and
+    `kind`: the sequence class and the base (None but for an `ExtendedSeq`).
+    `seq` builds the indexing sequence from the two on each read: a
+    `PartitionSeq` (an order expansion), a `TaggedSeq` (a graded one) or an
+    `ExtendedSeq` over the base of an expanded derivative. The tensors are
+    read-only: the terms of one orbit share theirs, and every vanishing
+    term of a result holds its one zero.
+    """
+
+    __slots__ = ("values", "value", "raw", "kind")
+
+    def __init__(self, values, value, raw, kind):
+        self.values, self.value, self.raw, self.kind = values, value, raw, kind
+
+    @property
+    def seq(self):
+        cls, base = self.kind
+        return _built(cls, self.values, base)
 
     def seq_values(self):
-        return self.seq.values
+        return self.values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.seq, self.value, self.raw) == (other.seq, other.value, other.raw)
+
+    def __repr__(self):
+        return f"JetTerm(seq={self.seq!r}, value={self.value!r}, raw={self.raw!r})"
 
 
 @dataclass
@@ -233,49 +258,39 @@ def _family_sides(alpha, beta):
     return (("star", (True, True), (False, False)), ("plus", *plus), ("cross", *cross))
 
 
-def _orbit_cache(f, base, tagged_pairs, c):
+def _orbit_cache(f, plan, tagged_pairs, c):
     """The engine's contractions over the coupling `c` and the (start,
     target) pairs of the tagged slots 0..m[base] (slot 0 is the spatial
-    point), one per orbit and sides.
+    point), one per call of its `_plan` and sides.
 
-    Returns evaluate(rep, tagged_at_xi, measure_at_xi): the derivative for
-    base+rep, `rep` one of the `orbits` of its `_plan`, contracted with one
-    displacement per letter of `rep`, averaged over the coupling, with the
-    tagged group and/or the measure group on the interpolation path:
-    computed once per orbit and sides (the star and cross families' frozen
-    side is the jet's), and the same tensor on every later request, so
-    callers copy what they hand out. Each of the at most four sides is one
-    `functional._Side`, built on its first request and kept for the call:
-    the tagged starts'
+    Returns evaluate(k, tagged_at_xi, measure_at_xi): the call
+    `plan.calls[k]` (live orbit k, or -1 for the base itself) contracted on
+    the side with the tagged group and/or the measure group on the
+    interpolation path: computed once per call and sides (the star and
+    cross families' frozen side is the jet's), and the same tensor on every
+    later request. Each of the at most four sides is one `functional._Side`,
+    built on its first request and kept for the call: the tagged starts'
     one-atom views or their path views, the coupling's base or path view,
-    and the tagged displacements, scaled once. A representative gives its
-    direction pattern (the base's directions free, a tagged letter v its
-    displacement, a fresh letter the gap of its averaged variable) and its
-    vector letters, the tagged letters in order.
+    and the tagged displacements, scaled once.
     """
     _check_pairs(f, c, tagged_pairs)
-    m0, n0 = base.m, len(base)
     # one-atom views, so that every side reads the same power tables; a path
     # view from its start and displacement rows
     disps = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
     starts = [MomentView([x], c.dim) for x, _ in tagged_pairs]
     paths = [MomentView([x], c.dim, [gap]).on_path() for (x, _), gap in zip(tagged_pairs, disps)]
-    sides, contractions = {}, {}  # by sides; by representative and sides
+    calls, sides, contractions = plan.calls, {}, {}  # by sides; by call and sides
 
-    def evaluate(rep, tagged_at_xi, measure_at_xi):
-        key = (rep, tagged_at_xi, measure_at_xi)
+    def evaluate(k, tagged_at_xi, measure_at_xi):
+        key = (k, tagged_at_xi, measure_at_xi)
         done = contractions.get(key)
         if done is None:
             side = sides.get(key[1:])
             if side is None:
                 view = c.path_view() if measure_at_xi else c.base_view()
                 side = sides[key[1:]] = _Side(paths if tagged_at_xi else starts, view, disps)
-            done = contractions[key] = contract_derivative(
-                lions_derivative(f, _built(TaggedSeq, base.values + rep)),
-                side,
-                (None,) * n0 + tuple(_VECTOR if v <= m0 else v - m0 - 1 for v in rep),
-                tuple(v for v in rep if v <= m0),
-            )
+            ts, pattern, letters = calls[k]
+            done = contractions[key] = contract_derivative(ts, side, pattern, letters)
         return done
 
     return evaluate
@@ -285,12 +300,13 @@ def _orbit_jets(plan, evaluate):
     """Each orbit's raw contraction at the starts, and that raw divided by
     the factorial of its length, as two lists in `plan.orbits` order: a live
     core member's jet term is the entry its `plan.of` names."""
-    raws = [evaluate(rep, False, False) for rep in plan.orbits]
+    raws = [evaluate(k, False, False) for k in range(len(plan.orbits))]
     return raws, [raw.scale(1, math.factorial(len(rep))) for rep, raw in zip(plan.orbits, raws)]
 
 
 class _Plan:
-    """A truncation resolved once per functional (`_plan`): its orbit table.
+    """A truncation resolved once per functional (`_plan`): its orbit table
+    and the call of each live orbit.
 
     core: the member value tuples of the graded core, in the order the jet
           lists them (by length for a functional without a spatial slot).
@@ -298,18 +314,28 @@ class _Plan:
           the order of its first core member.
     of: per core member the index of its orbit in `orbits`, or None when its
           derivative vanishes identically (`_vanishes`).
+    calls: per live orbit in `orbits` order, then last for the base itself,
+          (derivative, pattern, letters): the derivative of base +
+          representative (`lions_derivative`), its direction pattern (the
+          base's directions free, a tagged letter v its displacement, a
+          fresh letter the gap of its averaged variable) and its vector
+          letters, the tagged letters in order. The base's own call (that
+          of the empty extension, orbit 0 when it is live) gives the value
+          at the targets and a study's path.
     families: (family, moving, frozen, of, members) per boundary family,
           zipped with `_family_sides`, `of` that of its members.
     level: the truncation level, lowered by the grade of the base.
     bounds: the bound plans over its families (`_bound_plan`), by
           normalized box, filled on first use.
+
+    A plan holds no tensor: every result builds its own.
     """
 
-    __slots__ = ("core", "orbits", "of", "families", "level", "bounds")
+    __slots__ = ("core", "orbits", "of", "calls", "families", "level", "bounds")
 
-    def __init__(self, core, orbits, of, families, level):
-        self.core, self.orbits, self.of, self.families, self.level = core, orbits, of, families, level
-        self.bounds = {}
+    def __init__(self, core, orbits, of, calls, families, level):
+        self.core, self.orbits, self.of, self.calls = core, orbits, of, calls
+        self.families, self.level, self.bounds = families, level, {}
 
 
 def _plan(f, spec, base=None):
@@ -320,7 +346,8 @@ def _plan(f, spec, base=None):
     call, before the lookup (True == 1 and hash(2.0) == hash(2)); a spec and
     base that pass are planned once (`_Plan`) and kept in `f._plans`, so the
     engine, the bound and the convergence study of every later call read
-    one search, one orbit key per member and one bound plan per box."""
+    one search, one orbit key per member, one derivative per live orbit and
+    one bound plan per box."""
     if isinstance(spec, Grading) != f.has_spatial:
         raise ValidationError(
             "grading required: an order expands only a functional without a spatial slot"
@@ -361,7 +388,16 @@ def _plan(f, spec, base=None):
         (*sides, [of[values] for values in members], members)
         for sides, members in zip(_family_sides(alpha, beta), families)
     ]
-    plan = _Plan(core, list(orbits), list(of.values()), families, level)
+
+    def call(rep):  # its tuples interned with the functional's cells (`_tuples`)
+        pattern = (None,) * len(prefix) + tuple(_VECTOR if v <= m0 else v - m0 - 1 for v in rep)
+        letters = tuple(v for v in rep if v <= m0)
+        ts = lions_derivative(f, _built(TaggedSeq, prefix + rep))
+        return ts, f._tuples.setdefault(pattern, pattern), f._tuples.setdefault(letters, letters)
+
+    calls = [call(rep) for rep in orbits]
+    calls.append(calls[0] if of[()] == 0 else call(()))  # the base: the empty extension's call
+    plan = _Plan(core, list(orbits), list(of.values()), calls, families, level)
     return f._plans.setdefault((spec, prefix), plan)
 
 
@@ -379,35 +415,31 @@ def _graded_engine(f, base, tagged_pairs, c, plan, box=None):
     Returns the ExpansionResult, whose `meta` its caller fills; its tensors
     have one e-axis per letter of `base` after the leading output axis.
     """
-    evaluate = _orbit_cache(f, base, tagged_pairs, c)
+    evaluate = _orbit_cache(f, plan, tagged_pairs, c)
     raws, terms = _orbit_jets(plan, evaluate)
     shape = (f.kernel.d,) + (f.kernel.e,) * len(base)  # of every jet and remainder term
-    seq_type = TaggedSeq if f.has_spatial else PartitionSeq
+    zero = Tensor(shape)  # every vanishing term's
     tensors = [(term.tensor(), raw.tensor()) for term, raw in zip(terms, raws)]  # by orbit
-    jet_terms = []
-    for values, k in zip(plan.core, plan.of):
-        seq = _built(ExtendedSeq, values, base) if base else _built(seq_type, values)
-        if k is None:
-            jet_terms.append(JetTerm(seq, Tensor(shape), Tensor(shape)))
-            continue
-        value, raw = tensors[k]
-        jet_terms.append(JetTerm(seq, Tensor(shape, value.data), Tensor(shape, raw.data)))
+    kind = (ExtendedSeq, base) if base else (TaggedSeq if f.has_spatial else PartitionSeq, None)
+    jet_terms = [
+        JetTerm(values, zero, zero, kind) if k is None else JetTerm(values, *tensors[k], kind)
+        for values, k in zip(plan.core, plan.of)
+    ]
 
     remainder_terms, integrated = {}, {}  # integrated: one term per orbit and sides
     for family, moving, frozen, of, members in plan.families:
         for values, k in zip(members, of):
             if k is None:
-                remainder_terms[(family, values)] = Tensor(shape)
+                remainder_terms[(family, values)] = zero
                 continue
             term = integrated.get((k, moving, frozen))
             if term is None:
-                rep = plan.orbits[k]
-                acc = evaluate(rep, *moving) - evaluate(rep, *frozen)
-                term = integrated[k, moving, frozen] = acc.taylor_integral(len(rep) - 1).tensor()
-            remainder_terms[(family, values)] = Tensor(term.shape, term.data)
+                acc = evaluate(k, *moving) - evaluate(k, *frozen)
+                term = integrated[k, moving, frozen] = acc.taylor_integral(len(plan.orbits[k]) - 1).tensor()
+            remainder_terms[(family, values)] = term
 
-    side = _Side([y for _, y in tagged_pairs], c.right())  # `eval_derivative` at the targets
-    actual = contract_derivative(lions_derivative(f, base), side, (None,) * len(base), ())
+    ts, pattern, letters = plan.calls[-1]  # the base's own derivative: its value at the targets
+    actual = contract_derivative(ts, _Side([y for _, y in tagged_pairs], c.right()), pattern, letters)
     predicted = RationalTensor(shape, [0] * math.prod(shape), 1)  # an exact zero
     for k in plan.of:
         if k is not None:
@@ -751,14 +783,14 @@ def convergence_study(
 
     c = pair_coupling(points, [moved(p, v, 1) for p, v in zip(points, directions)])
     pairs = [(tuple(x0), moved(x0, x0_direction, 1))] if graded else []
-    evaluate = _orbit_cache(f, _EMPTY, pairs, c)
+    evaluate = _orbit_cache(f, plan, pairs, c)
     _, terms = _orbit_jets(plan, evaluate)
     jets = {}  # J_k: the live jet terms at h = 1 summed by sequence length k
     for values, i in zip(plan.core, plan.of):
         if i is not None:
             k = len(values)
             jets[k] = jets[k] + terms[i] if k in jets else terms[i]
-    along = evaluate((), True, True)  # f on the path of the h = 1 coupling
+    along = evaluate(-1, True, True)  # f on the path of the h = 1 coupling
     exact = c.base_view().exact
     reach = math.inf  # with rational data every target lies in the box up to this h
     if box is not None:

@@ -205,8 +205,9 @@ class PolyFunctional:
     number of given points (`_layout`). `_plans` holds the truncation plans
     of the expansions, bounds and studies of it (`expansion._plan`), keyed
     by (order or grading, base sequence values): the graded core, its
-    boundary families and each member's orbit; each plan keeps its own bound
-    plans by normalized box (`expansion._Plan.bounds`). Only a spec
+    boundary families, each member's orbit and each live orbit's derivative;
+    each plan keeps its own bound plans by normalized box
+    (`expansion._Plan.bounds`). Only a spec
     that passed its checks is planned. All start empty and die with the
     functional. A write stores a finished, equal value under its key, so
     threads sharing a functional may race to fill them.

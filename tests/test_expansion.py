@@ -1358,11 +1358,36 @@ def test_engine_contracts_once_per_orbit_and_sides(monkeypatch):
         assert len(contracted) == len(orbits) + 1 < len(requests) + 1
         assert all(_orbit_key(s[n0:], m0) == s[n0:] for s in contracted[:-1])
         assert contracted[-1] == tuple(base)
-        tensors = [res.predicted, res.actual, res.remainder_exact]
-        tensors += [t for term in res.jet for t in (term.value, term.raw)]
-        tensors += list(res.remainder_terms.values())
-        assert len({id(t.data) for t in tensors}) == len(tensors)
+        # the terms of one orbit share their tensors, every vanishing term
+        # holds the result's one zero, and no other two tensors share a list
+        key = lambda v: None if _vanishes(f.kernel, base + v) else _orbit_key(v, m0)
+        labels = ["predicted", "actual", "remainder_exact"]
+        labels += [(part, key(term.seq_values())) for term in res.jet for part in ("value", "raw")]
+        sides = {family: (moving, frozen) for family, moving, frozen in _family_sides(alpha, beta)}
+        labels += [("remainder", key(v), sides[family]) for family, v in res.remainder_terms]
+        labels = ["zero" if type(t) is tuple and t[1] is None else t for t in labels]
+        ids = [id(t.data) for t in _result_tensors(res)]
+        assert len(set(labels)) == len(set(ids)) == len(set(zip(labels, ids)))
+        # a second call equals the first and shares no container with it
+        again = run()
+        assert again == res and not _containers(again) & _containers(res)
     assert vanishing > 0
+
+
+def _result_tensors(res):
+    """Every tensor of an expansion result: predicted, actual and the exact
+    remainder, each jet term's value and raw, then the remainder terms."""
+    tensors = [res.predicted, res.actual, res.remainder_exact]
+    tensors += [t for term in res.jet for t in (term.value, term.raw)]
+    return tensors + list(res.remainder_terms.values())
+
+
+def _containers(res):
+    """The ids of the containers of an expansion result: its tensors and
+    their lists, its jet list, its remainder dict and its meta."""
+    tensors = _result_tensors(res)
+    ids = {id(t) for t in tensors} | {id(t.data) for t in tensors}
+    return ids | {id(res.jet), id(res.remainder_terms), id(res.meta)}
 
 
 def test_each_engine_run_sets_up_each_side_once(monkeypatch):

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from lionsjet.expansion import SLOPE_FLOOR, _plan, convergence_study, ols_loglog
 from lionsjet.functional import MomentView, eval_derivative, lions_derivative
 from lionsjet.measures import EmpiricalMeasure
 from lionsjet.oracle import (
+    Report,
     classical_grad,
     fd_gradient,
     lift,
@@ -208,6 +210,16 @@ def test_expansion_match_cubic_remainders_agree_nonzero():
     assert rep.passed
     assert rep.details["remainder_norm"] > 0
     assert rep.details["bound"] >= rep.details["remainder_norm"]
+
+
+def test_expansion_match_with_a_box_past_the_float_range():
+    # u^62 at 400 moved by 1: the bound is inf and the remainder norm about
+    # 2.6e159, whose squares overflow a float; the oracle still reports
+    f = kernel_1d({(62,): F(1)}, arity=1)
+    rep = verify_expansion_match(f, [(F(400),)], [(F(401),)], 1, box=(-1000, 1000))
+    assert isinstance(rep, Report) and rep.passed
+    assert rep.details["bound"] == math.inf
+    assert 2.6e159 < rep.details["remainder_norm"] < 2.7e159
 
 
 def test_expansion_match_spatial():
