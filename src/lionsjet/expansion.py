@@ -17,8 +17,10 @@ in closed form, and
 
 holds as exact rational arithmetic. That identity is asserted by the tests.
 Every contraction returns a `poly.RationalTensor`, and the engine keeps that
-type up to the output: with rational data, integer numerators over one
-denominator, each output entry divided once when the result is built.
+type up to the output: integer numerators over one denominator, each output
+entry divided once when the result is built. A float is read exactly where it
+enters, as the dyadic rational it holds, so float data run the same integer
+path, and each output entry is rounded once, to the float nearest its value.
 
 A contracted jet term or remainder integrand depends only on the symmetry
 orbit of its sequence (`tagged._orbit_key`), together with which argument
@@ -26,9 +28,8 @@ groups sit on the interpolation path: permuting the positions of a sequence
 permutes the directions of its mixed derivative (Schwarz symmetry, checked
 on its own route by `oracle.schwarz_check`), and the contraction sums over
 every direction; relabelling its fresh letters permutes the averaged
-coupling variables, which are exchangeable. In rational mode the
-contractions are equal, not merely close; a float sum may change by
-rounding with the order of its terms.
+coupling variables, which are exchangeable. The contractions are equal,
+not merely close, for float data too.
 
 Each truncation is planned once per functional (`_plan`), down to the
 derivative, direction pattern and vector letters of each live orbit. One
@@ -43,9 +44,8 @@ call costs its live orbits, not the members: a live member's terms are its
 orbit's tensors, as they are, and a member whose derivative vanishes
 identically (`functional._vanishes`) gets the result's one zero and a
 constant of 0.0, with nothing keyed, built, contracted or added into the
-prediction for it. Skipping an add of an exact zero leaves every sum as it
-was, floats included, since the prediction starts from an exact zero and so
-never holds -0.0.
+prediction for it: skipping an add of an exact zero leaves every sum as it
+was.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from fractions import Fraction
 from .errors import ValidationError
 from .functional import (
     _VECTOR,
-    MomentView,
     _certified_sup,
     _Side,
     _vanishes,
@@ -66,8 +65,8 @@ from .functional import (
     lions_derivative,
     normalize_box,
 )
-from .measures import Coupling, _as_point, _point_count, _point_dim, coupling_moment, float_moment
-from .measures import pair_coupling
+from .measures import Coupling, _as_point, _exactly, _pair_views, _point_count, _point_dim, coupling_moment
+from .measures import float_moment, pair_coupling
 from .partitions import PartitionSeq
 from .poly import RationalTensor, Tensor, format_rational
 from .tagged import (
@@ -209,12 +208,9 @@ def _check_pairs(f, c, tagged_pairs):
 
 
 def _as_pair(x, y):
-    """A start and a target point as tuples; a point that is not a sequence
-    of coordinates is a ValidationError."""
-    try:
-        return tuple(x), tuple(y)
-    except TypeError:
-        raise ValidationError(f"points must be sequences of coordinates, got {x!r} and {y!r}") from None
+    """A start and a target point as tuples of finite numbers (`_as_point`);
+    a point that is not a sequence of coordinates is a ValidationError."""
+    return _as_point(x), _as_point(y)
 
 
 def _check_marginal(coupling, mu):
@@ -271,14 +267,17 @@ def _orbit_cache(f, plan, tagged_pairs, c):
     later request. Each of the at most four sides is one `functional._Side`,
     built on its first request and kept for the call: the tagged starts'
     one-atom views or their path views, the coupling's base or path view,
-    and the tagged displacements, scaled once.
+    and the tagged displacements, exact, each noting a float read in either
+    point of its pair.
     """
     _check_pairs(f, c, tagged_pairs)
-    # one-atom views, so that every side reads the same power tables; a path
-    # view from its start and displacement rows
-    disps = [tuple(b - a for a, b in zip(x, y)) for x, y in tagged_pairs]
-    starts = [MomentView([x], c.dim) for x, _ in tagged_pairs]
-    paths = [MomentView([x], c.dim, [gap]).on_path() for (x, _), gap in zip(tagged_pairs, disps)]
+    # each pair's views, scaled once, so that every side reads the same power
+    # tables: the start view notes a float in the start, the path view
+    # x + xi * (y - x) and the displacement one in either point
+    views = [_pair_views([pair], c.dim) for pair in tagged_pairs]  # (start, target, base) each
+    starts, paths = [start for start, _, _ in views], [base.on_path() for *_, base in views]
+    disps = [tuple(b - a for a, b in zip(_exactly(x), _exactly(y))) for x, y in tagged_pairs]
+    floats = [base.floats for *_, base in views]
     calls, sides, contractions = plan.calls, {}, {}  # by sides; by call and sides
 
     def evaluate(k, tagged_at_xi, measure_at_xi):
@@ -288,7 +287,7 @@ def _orbit_cache(f, plan, tagged_pairs, c):
             side = sides.get(key[1:])
             if side is None:
                 view = c.path_view() if measure_at_xi else c.base_view()
-                side = sides[key[1:]] = _Side(paths if tagged_at_xi else starts, view, disps)
+                side = sides[key[1:]] = _Side(paths if tagged_at_xi else starts, view, disps, floats)
             ts, pattern, letters = calls[k]
             done = contractions[key] = contract_derivative(ts, side, pattern, letters)
         return done
@@ -494,15 +493,13 @@ def taylor_derivative(f, a, x0, y0, free_x, free_y, c, g):
 
 def _outside_box(box):
     """The test of whether a point lies outside the normalized `box`,
-    compared exactly: a float coordinate with the float endpoints, any other
-    with the endpoints as Fractions (each float is one exactly)."""
+    compared exactly: every coordinate with the endpoints as Fractions (a
+    float endpoint is one exactly, and a Fraction compares with a float
+    exactly)."""
     exact = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
 
     def outside(p):
-        return any(
-            not (lo <= coord <= hi if type(coord) is float else q_lo <= coord <= q_hi)
-            for (lo, hi), (q_lo, q_hi), coord in zip(box, exact, p)
-        )
+        return any(not lo <= coord <= hi for (lo, hi), coord in zip(exact, p))
 
     return outside
 
@@ -722,10 +719,10 @@ def convergence_study(
     h = 1, and summed by length into J_k, and the prediction at h is the sum
     of h^k J_k. f is contracted once, on the path, into one polynomial in xi
     per entry, and the value at the targets of scale h is that polynomial at
-    xi = h. With rational points and scales, the polynomial's value, J_k,
-    h^k J_k and the remainder stay integer numerators over one denominator,
-    and the rows equal those of a full expansion at every h; a float h or
-    float points may move a remainder by rounding.
+    xi = h. Every point, direction and scale is read exactly (a float as
+    the dyadic rational it holds), so the polynomial's value, J_k, h^k J_k
+    and the remainder stay integer numerators over one denominator, and the
+    rows equal those of a full expansion at every h.
 
     The truncation plan (`_plan`, once per functional and spec) gives the
     jet its core and the bound its families. The bound plan
@@ -734,21 +731,20 @@ def convergence_study(
     sequence, not on h. Each scale prices that plan (`_bound_price`) with
     its own coupling moments and spatial step, computed from that scale's
     gaps by the arithmetic of a coupling built at h, so every bound equals
-    that of the coupling of scale h bit for bit; with rational points and a
-    rational h every gap is h times its gap at h = 1, and the squared gap
-    lengths are scaled in integers. The base points are checked to lie in
-    the box once and each scale's targets and spatial pair at that scale,
-    exactly: with rational data a target stays in the box up to a largest
-    scale, computed once, and the targets are built only to name the one
-    outside.
+    that of the coupling of scale h bit for bit: every gap is h times its
+    gap at h = 1, and the squared gap lengths are scaled in integers. The
+    base points are checked to lie in the box once and each scale's targets
+    and spatial pair at that scale, exactly: a target stays in the box up to
+    a largest scale, computed once, and the targets are built only to name
+    the one outside.
 
     Returns (rows, slope): rows are dicts with h, remainder norm, bound; the
     slope is the least-squares log-log fit, or None ("exact") when every
     member of every boundary family is at least as long as the kernel
     degree, or when every remainder is exactly zero. Under that rule each
-    remainder integrand is a constant, so the remainder is 0 at every h and
-    float rows hold only rounding. Raises ValidationError when some
-    remainder is nonzero but fewer than two clear `SLOPE_FLOOR`.
+    remainder integrand is a constant, so the remainder is 0 at every h.
+    Raises ValidationError when some remainder is nonzero but fewer than
+    two clear `SLOPE_FLOOR`.
 
     `x0` and `x0_direction` are the spatial base point and its direction:
     a grading needs both, an order takes neither. Every direction has as
@@ -765,6 +761,7 @@ def convergence_study(
         raise ValidationError(f"h_list must hold numbers, got {h_list!r}") from None
     if not all(0 < h < math.inf for h in hs) or len(set(hs)) < 2:
         raise ValidationError("h_list needs at least two distinct scales h, all positive and finite")
+    hs = list(map(Fraction, hs))  # a float h read exactly
     if _point_count(directions, "directions") != _point_count(points, "points") or any(
         _point_dim(v) != _point_dim(p) for p, v in zip(points, directions)
     ):
@@ -773,16 +770,18 @@ def convergence_study(
         raise ValidationError("x0_direction needs as many coordinates as x0")
     plan = _plan(f, order_or_grading)
 
+    def exact(point):  # a point's finite coordinates, each float read as the Fraction it holds
+        return _exactly(_as_point(point))
+
+    points, directions = list(map(exact, points)), list(map(exact, directions))
+    if graded:
+        x0, x0_direction = exact(x0), exact(x0_direction)
+
     def moved(point, direction, h):
         return tuple(p + h * d for p, d in zip(point, direction))
 
-    def targets(h):
-        """The targets of scale h as a coupling of them holds them (its
-        `_as_point` refuses a non-finite one)."""
-        return [_as_point(moved(p, v, h)) for p, v in zip(points, directions)]
-
     c = pair_coupling(points, [moved(p, v, 1) for p, v in zip(points, directions)])
-    pairs = [(tuple(x0), moved(x0, x0_direction, 1))] if graded else []
+    pairs = [(x0, moved(x0, x0_direction, 1))] if graded else []
     evaluate = _orbit_cache(f, plan, pairs, c)
     _, terms = _orbit_jets(plan, evaluate)
     jets = {}  # J_k: the live jet terms at h = 1 summed by sequence length k
@@ -791,34 +790,27 @@ def convergence_study(
             k = len(values)
             jets[k] = jets[k] + terms[i] if k in jets else terms[i]
     along = evaluate(-1, True, True)  # f on the path of the h = 1 coupling
-    exact = c.base_view().exact
-    reach = math.inf  # with rational data every target lies in the box up to this h
     if box is not None:
         box = normalize_box(box, f.kernel.e)
         outside = _outside_box(box)
         _refuse_outside(outside, [x for x, _ in c.pairs])
-        reach = _reach(box, c) if exact else reach
+        reach = _reach(box, c)  # every target lies in the box up to this h
         bound_plan = _bound_plan(f, plan, box)
     rows = []
     for h in hs:
-        # rational data within reach: every gap is h times its gap at h = 1,
-        # and no target is built (one outside the box is built, to name it)
-        scaled = exact and type(h) is Fraction and h <= reach
-        ys = [] if scaled else targets(h)
+        p, q = h.numerator, h.denominator
         rem = along.at(h)
-        p, q = (h, 1) if type(h) is float else (h.numerator, h.denominator)
         for k, jet in jets.items():
-            rem = rem - jet.scale(p**k, q**k)  # h^k, for a rational h as a pair of ints
+            rem = rem - jet.scale(p**k, q**k)  # h^k as a pair of ints
         norm = rem.tensor().frobenius()
         bound = None
         if box is not None:
-            spatial = [(tuple(x0), moved(x0, x0_direction, h))] if graded else []
-            _refuse_outside(outside, ys + [p for pair in spatial for p in pair])
-            if scaled:  # |h * gap|^2 in floats, as float(h^2 * |gap|^2) rounds it
-                p2, q2 = h.numerator**2, h.denominator**2
-                squares = [p2 * sq.numerator / (q2 * sq.denominator) for sq in c.gap_squares()]
-            else:
-                squares = [sum((b - a) ** 2 for a, b in zip(x, y)) for (x, _), y in zip(c.pairs, ys)]
+            spatial = [(x0, moved(x0, x0_direction, h))] if graded else []
+            # targets built past reach only, to name the one outside
+            ys = [moved(p, v, h) for p, v in zip(points, directions)] if h > reach else []
+            _refuse_outside(outside, ys + [point for pair in spatial for point in pair])
+            # every gap is h times its gap at h = 1: |h * gap|^2 in floats, as float(h^2 * |gap|^2) rounds it
+            squares = [p**2 * sq.numerator / (q**2 * sq.denominator) for sq in c.gap_squares()]
             moment = functools.partial(float_moment, squares)
             bound = _bound_price(plan, bound_plan, _displacement_norm(spatial), moment)[0]
         rows.append({"h": float(h), "remainder": norm, "bound": bound})

@@ -19,8 +19,8 @@ free variables and the integrated slots (`DerivTermSum.joint`), and kept on
 the functional, so every later expansion, bound or norm report of it reads
 the same cells. A cell holds its monomials split by argument group: per
 group a column of interned exponent tuples, and integer numerators over the
-kernel's common denominator (a kernel with a coefficient that is not
-rational keeps its values as given, over 1). It is compiled from its
+kernel's common denominator (a kernel with a coefficient that is not a
+number keeps its values as given, over 1). It is compiled from its
 prefix's cells, one letter at a time as the derivative is defined
 (`_joint`): one differentiation per cell and coordinate for a spatial or an
 already used letter, and one per cell, coordinate and slot for a fresh one.
@@ -35,12 +35,12 @@ group reads. A contraction runs on one side (`_Side`): the views of the
 given points and of the measure and the vectors, read once per side, which
 the expansion engine keeps for every contraction on that side. It reads
 each slot's sums from the power tables of those `measures.MomentView`s,
-runs one monomial loop over the layout for every number type (two on the
-path: in integers and on the values as given) and returns one
-`poly.RationalTensor` type: integer numerators over one
-denominator when every input is rational, for the expansion to keep in
-integers, and the values as given over 1 (floats, symbolic or mixed data)
-otherwise; on the path each entry is a list of xi-coefficients. `eval_derivative` divides each entry once. A derivative
+runs one monomial loop over the layout (one more on the path) and returns
+one `poly.RationalTensor` type: integer numerators over one denominator
+when every input is a number (a float read exactly), for the expansion to
+keep in integers, and the values as given over 1 for symbolic data; on the
+path each entry is a list of xi-coefficients. `eval_derivative` divides
+each entry once, and rounds it once when a float was read. A derivative
 longer than the kernel degree, or with more free variables than the kernel
 arity, vanishes identically (`_vanishes`): it has no cells, and the
 expansion engine skips it without building it.
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .measures import MomentView, _point_count, _point_dim  # MomentView re-exported
+from .measures import MomentView, _has_float, _point_count, _point_dim, _ratios  # MomentView re-exported
 from .poly import ZERO, MPoly, RationalTensor, Tensor, format_rational, parse_rational
 from .tagged import TaggedSeq, as_tagged
 
@@ -66,14 +66,15 @@ class PolyKernel:
     Scalar variables are laid out slot-major: the spatial slot first when
     present, then the integrated slots 1..arity, each contributing e
     coordinates. `degree` is the largest total degree of a component (0 for
-    a constant or zero kernel), and `denominator` the lcm of the coefficient
-    denominators when every coefficient is an int or a Fraction (else
-    None), both computed once here. Differentiating multiplies coefficients
+    a constant or zero kernel), `denominator` the lcm of the coefficient
+    denominators when every coefficient is a number, a float read as the
+    dyadic rational it holds (else None), and `floats` whether one is a
+    float, all computed once here. Differentiating multiplies coefficients
     by integers and compiling adds them, so `denominator` is a common
     denominator of every derivative's coefficients too.
     """
 
-    __slots__ = ("e", "d", "arity", "has_spatial", "components", "degree", "denominator")
+    __slots__ = ("e", "d", "arity", "has_spatial", "components", "degree", "denominator", "floats")
 
     def __init__(self, e, d, arity, has_spatial, components):
         self.e = e
@@ -90,11 +91,9 @@ class PolyKernel:
         self.components = components
         self.degree = max((c.degree() for c in components), default=0)
         coeffs = [q for c in components for q in c.terms.values()]
-        self.denominator = (
-            math.lcm(*(q.denominator for q in coeffs))
-            if all(type(q) in (int, Fraction) for q in coeffs)
-            else None
-        )
+        ratios = _ratios(coeffs)
+        self.denominator = None if ratios is None else math.lcm(*(d for _, d in ratios))
+        self.floats = _has_float([coeffs])
 
     @property
     def nvars(self):
@@ -364,7 +363,7 @@ def _joint(f, values):
             if poly:
                 joint[(comp, ())] = _cell(intern, exact, {
                     tuple(intern(exps[lo : lo + e], exps[lo : lo + e]) for lo in range(0, len(exps), e)):
-                    q.numerator * (den // q.denominator) if exact else q
+                    (r := q.as_integer_ratio())[0] * (den // r[1]) if exact else q
                     for exps, q in poly.terms.items()
                 })
     else:
@@ -569,56 +568,64 @@ class _Side:
     view `mu` of every other argument group, and the vectors, each named by
     its letter (its index). A point given as coordinates becomes its
     one-atom view here, and what every contraction on the side reads is
-    taken once: `exact` (every view exact), each rational vector's integer
-    numerators at the lcm of its denominators (None for any other), N, the
-    table scale and the path flag of each view, and per degree the sums its
-    contractions read (`readers`). The engine builds one side per expansion
-    side and keeps it for the call; any other call builds a one-use side.
-    The caller checks the points and vectors.
+    taken once: `exact` (every view exact), `floats` (a view read a float),
+    each numeric vector's integer numerators at the lcm of its denominators
+    and whether it read a float (`floats`, per vector, by default whether it
+    holds one; None for a symbolic vector), N, the table scale and the path
+    flag of each view, and per degree the sums its contractions read
+    (`readers`). The engine builds one side per expansion side and keeps it
+    for the call; any other call builds a one-use side. The caller checks
+    the points and vectors.
     """
 
-    __slots__ = ("given", "mu", "vectors", "scaled", "exact", "n", "scale", "scales", "paths",
-                 "mu_path", "_sums")
+    __slots__ = ("given", "mu", "vectors", "scaled", "exact", "floats", "n", "scale", "scales",
+                 "paths", "mu_path", "_sums")
 
-    def __init__(self, points, mu, vectors=()):
+    def __init__(self, points, mu, vectors=(), floats=None):
         self.given = [p if isinstance(p, MomentView) else MomentView([p], mu.dim) for p in points]
         self.mu, self.vectors = mu, [tuple(v) for v in vectors]
         self.exact = mu.exact and all(view.exact for view in self.given)
-        self.scaled = []  # per vector: (integer numerators, lcm), None unless rational
-        for vec in self.vectors:
-            if all(type(c) in (int, Fraction) for c in vec):
-                lcm = math.lcm(*(c.denominator for c in vec))
-                self.scaled.append(([c.numerator * (lcm // c.denominator) for c in vec], lcm))
-            else:
+        self.floats = mu.floats or any([view.floats for view in self.given])
+        self.scaled = []  # per vector: (integer numerators, lcm, a float read), None unless numeric
+        for k, vec in enumerate(self.vectors):
+            ratios = _ratios(vec)
+            if ratios is None:
                 self.scaled.append(None)
+            else:
+                lcm = math.lcm(*(d for _, d in ratios))
+                read = _has_float([vec]) if floats is None else floats[k]
+                self.scaled.append(([q * (lcm // d) for q, d in ratios], lcm, read))
         self.n, self.scale, self.mu_path = mu.table_scales()
         self.scales = [view.table_scales() for view in self.given]  # (N, scale, path) each
         self.paths = [listed for *_, listed in self.scales]
         self._sums = {}
 
     def setup(self, unit, degree, n_gaps, letters, n_int):
-        """(degree, den, table, flags, path) of a contraction of a kernel
-        with common denominator `unit` (None: not rational), `n_gaps` gap
-        directions, the vectors of `letters` and `n_int` groups that read
+        """(degree, den, table, flags, path, floats) of a contraction of a
+        kernel with common denominator `unit` (None: not numeric), `n_gaps`
+        gap directions, the vectors of `letters` and `n_int` groups that read
         `mu`. It is exact at `degree` when the kernel, the views and those
-        vectors are rational, and runs on the values as given (degree None,
-        den 1) otherwise. Then the denominator, the weight of each tuple of
-        vector coordinates by flat index, and the path flag of each group
-        and whether any is set."""
+        vectors are numbers, and runs on the values as given (degree None,
+        den 1) for symbolic data. Then the denominator, the weight of each
+        tuple of vector coordinates by flat index, the path flag of each
+        group, whether any is set, and whether a view or those vectors read
+        a float."""
+        floats = self.floats
         if unit is None or not self.exact or any(self.scaled[v] is None for v in letters):
             degree, vecs, den = None, [self.vectors[v] for v in letters], 1
         else:
             vecs, den = [], unit * (self.n * self.scale**degree) ** n_int * self.scale**n_gaps
             den *= math.prod(k * s**degree for k, s, _ in self.scales)  # the given points
             for v in letters:
-                nums, lcm = self.scaled[v]
+                nums, lcm, read = self.scaled[v]
                 vecs.append(nums)
                 den *= lcm
+                floats = floats or read
         table = [1]  # the weight of each tuple of vector coordinates, by flat index
         for vec in vecs:
             table = [w * c for w in table for c in vec]
         flags = self.paths + [self.mu_path] * n_int
-        return degree, den, table, flags, any(flags)
+        return degree, den, table, flags, any(flags), floats
 
     def readers(self, slot_gaps, degree):
         """Per slot of a layout, the sums (`MomentView.sums`) each group
@@ -677,23 +684,23 @@ def contract_derivative(ts, side, pattern, letters):
     (`_Side.setup`), runs the monomial loop and writes one flat list.
 
     The contraction is exact when the side's views, the vectors of its
-    letters and the kernel coefficients are rational. It then runs on integers: a monomial has degree at most
-    D = kernel degree - order, so each group reads its integer sums lifted
-    to degree D (`MomentView.sums`), the cells hold numerators over the
-    kernel's common denominator and vectors are scaled by the lcm of their
-    denominators. All monomials then share one denominator: those scales,
-    N * scale^D per group, and mu's scale to the number of gap directions.
-    Each output entry sums plain ints (xi-coefficient lists on the path),
-    and the result is a `RationalTensor` of those numerators over that
-    denominator, whose `tensor()` divides each entry once. Otherwise
-    (float, symbolic or mixed data) the same loop reads each group's
-    moments (`MomentView.sums` under degree None, lists on a path view),
-    takes the coefficients' values and the vectors as given and returns a
-    `RationalTensor` of those values over 1, not `exact`. Off the path
-    every number type multiplies the groups in order; on the path exact
-    data multiply the scalar groups first, and values as given keep the
-    group order, or their float bits would move. A derivative without
-    cells contracts to an exact zero.
+    letters and the kernel coefficients are numbers (a float is read as the
+    dyadic rational it holds). It then runs on integers: a monomial has
+    degree at most D = kernel degree - order, so each group reads its
+    integer sums lifted to degree D (`MomentView.sums`), the cells hold
+    numerators over the kernel's common denominator and vectors are scaled
+    by the lcm of their denominators. All monomials then share one
+    denominator: those scales, N * scale^D per group, and mu's scale to the
+    number of gap directions. Each output entry sums plain ints
+    (xi-coefficient lists on the path), and the result is a `RationalTensor`
+    of those numerators over that denominator, whose `tensor()` divides each
+    entry once, and rounds it once when any of that data read a float
+    (`floats`). Symbolic data run the same loops on each group's moments
+    (`MomentView.sums` under degree None, lists on a path view), take the
+    coefficients' values and the vectors as given and return a
+    `RationalTensor` of those values over 1, not `exact`. On the path the
+    scalar groups are multiplied first. A derivative without cells
+    contracts to an exact zero.
     """
     n_given = len(side.given)
     layout = _layout(ts, pattern, n_given)
@@ -701,8 +708,9 @@ def contract_derivative(ts, side, pattern, letters):
         shape = (ts.kernel.d,) + (ts.kernel.e,) * pattern.count(None)
         return RationalTensor(shape, [0] * math.prod(shape), 1)
     shape, size, degree, n_gaps, n_int, offsets, weight_at, slots, cells, slot_gaps = layout
-    unit = ts.kernel.denominator
-    degree, den, table, on_path, path = side.setup(unit, degree, n_gaps, letters, n_int)
+    kernel = ts.kernel
+    unit = kernel.denominator
+    degree, den, table, on_path, path, floats = side.setup(unit, degree, n_gaps, letters, n_int)
     exact = degree is not None
     readers = side.readers(slot_gaps, degree)
     out = [0 if exact else ZERO] * size
@@ -719,37 +727,29 @@ def contract_derivative(ts, side, pattern, letters):
                 terms = map(operator.mul, terms, map(sums.__getitem__, col))
             out[offset] += sum(terms) * weight
             continue
-        total = [0]
-        if exact:  # in integers, the scalar groups first: a list of one coefficient is a scalar
-            lists = []
-            for sums, col, listed in zip(groups, cell, on_path):
-                values = map(sums.__getitem__, col)
-                if listed:
-                    lists.append(values)
+        total, lists = [0], []  # the scalar groups first: a list of one coefficient is a scalar
+        for sums, col, listed in zip(groups, cell, on_path):
+            values = map(sums.__getitem__, col)
+            if listed:
+                lists.append(values)
+            else:
+                terms = map(operator.mul, terms, values)
+        for num, *factors in zip(terms, *lists):
+            poly = None
+            for v in factors:
+                if len(v) == 1:
+                    num *= v[0]
                 else:
-                    terms = map(operator.mul, terms, values)
-            for num, *factors in zip(terms, *lists):
-                poly = None
-                for v in factors:
-                    if len(v) == 1:
-                        num *= v[0]
-                    else:
-                        poly = v if poly is None else _xi_times(poly, v)
-                if poly is None:
-                    total[0] += num
-                else:
-                    _xi_add(total, _xi_times(poly, num))
-        else:  # the values as given, the groups in order
-            for term, *exps in zip(terms, *cell[:-1]):
-                term = [term]
-                for sums, g in zip(groups, exps):
-                    term = _xi_times(term, sums[g])
-                _xi_add(total, term)
+                    poly = v if poly is None else _xi_times(poly, v)
+            if poly is None:
+                total[0] += num
+            else:
+                _xi_add(total, _xi_times(poly, num))
         acc = out[offset]
         if type(acc) is not list:
             acc = out[offset] = [0]
         _xi_add(acc, [t * weight for t in total])
-    return RationalTensor(shape, out, den, exact)
+    return RationalTensor(shape, out, den, exact, floats or kernel.floats)
 
 
 def _xi_times(a, b):

@@ -8,16 +8,18 @@ finite sums.
 `EmpiricalMeasure` is a view whose atoms are validated rational or float
 points. Every moment of a view is a sum over its power tables, which hold
 each coordinate as one row, atoms and gaps scaled to integers by one lcm
-when rational and as given otherwise; on the path atom + xi * gap
-(`MomentView.on_path`), as its start and gap rows. A `Coupling` keeps its
-marginals and views (its left marginal with the gaps, on the path too, and
-its right marginal), all on one scaling of a rational coupling, and its
-bounding box, so that every call on one coupling reads the same sums and box.
+(a float read as the dyadic rational it holds; symbolic data as given); on
+the path atom + xi * gap (`MomentView.on_path`), as its start and gap rows.
+A `Coupling` keeps its marginals and views (its left marginal with the
+gaps, on the path too, and its right marginal), all on one scaling, and its
+bounding box, so that every call on one coupling reads the same sums and
+box.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -37,6 +39,11 @@ def _as_point(coords):
         if isinstance(c, float) and not math.isfinite(c):
             raise ValidationError(f"point coordinates must be finite, got {c}")
     return point
+
+
+def _exactly(point):
+    """A point's coordinates, each float read as the Fraction it holds."""
+    return tuple(Fraction(c) if type(c) is float else c for c in point)
 
 
 def _point_count(points, name):
@@ -64,12 +71,13 @@ def _coordinate_text(c):
 
 
 class _PowerTables:
-    """Power tables of N vectors, exact or as given.
+    """Power tables of N vectors, exact or, for symbolic ones, as given.
 
     `_units` holds each coordinate's table: one row, the coordinate in every
     vector or, on a path (`on_path`), the rows of its xi-coefficients. Exact
     tables hold every entry times `scale`, an integer that clears every
-    denominator; others keep the entries as given, at scale 1. `rows(exps)`
+    denominator, and `floats` says whether a float was read among them;
+    symbolic ones keep the entries as given, at scale 1. `rows(exps)`
     is the table of the monomial with exponents `exps`: row k lists, vector
     by vector, the coefficient of xi^k in scale^|exps| * prod_c v_c^exps_c.
     Only the coordinates' own tables are kept: a view keeps every sum it
@@ -77,61 +85,71 @@ class _PowerTables:
     one sum and dropped. Tables never change, so that views share them.
     """
 
-    __slots__ = ("n", "scale", "exact", "path", "_units")
+    __slots__ = ("n", "scale", "exact", "floats", "path", "_units")
 
-    def __init__(self, n, units, scale, exact, path=False):
-        self.n, self._units, self.scale, self.exact, self.path = n, units, scale, exact, path
+    def __init__(self, n, units, scale, exact, floats=False, path=False):
+        self.n, self._units, self.scale, self.exact, self.floats, self.path = n, units, scale, exact, floats, path
 
     def on_path(self, gaps):
         """The tables of vector + xi * gap, given the tables `gaps` of one
         gap per vector at this scale: per coordinate, its row here and,
         unless all are 0, its gap row, both as they are."""
         units = [unit + [g] if any(g) else unit for unit, (g,) in zip(self._units, gaps._units)]
-        return _PowerTables(self.n, units, self.scale, self.exact, True)
+        return _PowerTables(self.n, units, self.scale, self.exact, self.floats or gaps.floats, True)
 
     def rows(self, exps):
         """The table of `exps`: the coordinates' tables multiplied into it,
-        coordinate 0 first, one factor at a time, but an exact path
-        coordinate's power in closed form (`_binomial_power`: its int
-        C(p, k) would overflow a float row)."""
+        coordinate 0 first, one factor at a time, but a path coordinate's
+        power in closed form (`_binomial_power`)."""
         table = None
         for unit, p in zip(self._units, exps):
-            closed = p and len(unit) == 2 and self.exact
-            for factor in [_binomial_power(*unit, p)] if closed else [unit] * p:
+            for factor in [_binomial_power(*unit, p)] if p and len(unit) == 2 else [unit] * p:
                 table = factor if table is None else _times(table, factor)
         return [[1] * self.n] if table is None else table
 
 
-_RATIOS = {int: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio}
+_RATIOS = {int: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio, float: float.as_integer_ratio}
 
 
-def _ratios(vectors):
-    """Per coordinate of the vectors, each entry's (numerator, denominator),
-    read once; None at the first entry that is not an int or a Fraction."""
+def _ratios(values):
+    """Each value's exact (numerator, denominator), read once, a float as
+    the dyadic rational it holds; None at the first value that is not a
+    number (symbolic data). A float inf or nan is a ValidationError."""
     try:
-        return [[_RATIOS[type(q)](q) for q in col] for col in zip(*vectors)]
+        return [_RATIOS[type(q)](q) for q in values]
     except KeyError:
         return None
+    except (OverflowError, ValueError):
+        raise ValidationError("coordinates must be finite numbers") from None
 
 
-def _scaled(n, *ratios):
-    """Exact power tables of groups of n vectors, given by their `_ratios`,
-    at one scale: the lcm of every denominator."""
+def _has_float(vectors):
+    """Whether an entry of the vectors is a float."""
+    return float in map(type, itertools.chain.from_iterable(vectors))
+
+
+def _scaled(*groups):
+    """Exact power tables of groups of N vectors at one scale, the lcm of
+    every denominator, each noting whether its group holds a float; None
+    when an entry is not a number (symbolic data)."""
+    ratios = [[_ratios(col) for col in zip(*g)] for g in groups]  # per group, per coordinate
+    if any(None in cols for cols in ratios):
+        return None
     scale = math.lcm(*{d for cols in ratios for col in cols for _, d in col})
     return [
-        _PowerTables(n, [[[q * (scale // d) for q, d in col]] for col in cols], scale, True)
-        for cols in ratios
+        _PowerTables(len(g), [[[q * (scale // d) for q, d in col]] for col in cols], scale, True, _has_float(g))
+        for g, cols in zip(groups, ratios)
     ]
 
 
 def _tables(*groups):
     """The power tables of each group of N vectors (None stays None): exact
-    at one scale when every entry is an int or a Fraction (`_scaled`), else
-    their entries as given at scale 1."""
-    ratios = [_ratios(g) for g in groups if g]
-    if None in ratios:
+    at one scale when every entry is a number (`_scaled`), else, for
+    symbolic data, their entries as given at scale 1."""
+    tables = _scaled(*filter(None, groups))
+    if tables is None:
         return [g and _PowerTables(len(g), [[list(col)] for col in zip(*g)], 1, False) for g in groups]
-    tables = iter(_scaled(len(next(g for g in groups if g)), *ratios))
+    tables = iter(tables)
     return [g and next(tables) for g in groups]
 
 
@@ -167,7 +185,7 @@ def _times(a, b):
 
 class MomentView:
     """Duck-typed empirical measure over atoms with generic scalar
-    coordinates (Fractions, floats, symbolic polynomials).
+    coordinates (ints, Fractions, floats, symbolic polynomials).
 
     Provides the `moment` interface the evaluators integrate against. When
     `gaps` is given (one displacement vector per atom, e.g. the coupling gaps
@@ -180,25 +198,25 @@ class MomentView:
 
     Every moment is a sum over the power tables (`_PowerTables`) of the atoms
     and gaps. The view is `exact` when every atom coordinate and every gap
-    is an int or a Fraction: atoms and gaps are then scaled together, by one
-    lcm of all their denominators, and the sums are plain ints that the exact
-    contraction reads lifted to a common degree (`sums`). Scaling by a common
-    integer commutes with sums and products, so a moment is the exact value.
-    Otherwise atoms and gaps both keep their values as given (`XiPoly`
-    coordinates among them are symbolic data) and a moment is their sum
-    times 1/N, of whatever type the products are.
+    is a number (`floats` when one is a float, read as the dyadic rational
+    it holds): atoms and gaps are then scaled together, by one lcm of all
+    their denominators, and the sums are plain ints that the exact
+    contraction reads lifted to a common degree (`sums`). Scaling by a
+    common integer commutes with sums and products, so a moment is the
+    exact value. Symbolic data (`MPoly` or `XiPoly` coordinates) keep their
+    values as given, and a moment is their sum times 1/N, of whatever type
+    the products are.
 
-    The constructor builds the tables with `_tables`; a coupling builds its
-    marginals and, when a coordinate is a float, its base view the same way,
-    and only a rational coupling scales its two columns together.
+    The constructor builds the tables with `_tables`; a coupling scales its
+    two columns together.
 
     One cache, keyed by (gap_exps, degree), holds the sums `sums` returns;
-    under degree None they are the moments themselves, which an inexact
-    contraction reads: on a path view, lists of xi-coefficients, which
+    under degree None they are the moments themselves, which a contraction
+    of symbolic data reads: on a path view, lists of xi-coefficients, which
     `moment` hands out as an `XiPoly` when an exponent is nonzero.
     """
 
-    __slots__ = ("atoms", "dim", "gaps", "_sums", "_atom_tables", "_gap_tables")
+    __slots__ = ("atoms", "dim", "gaps", "floats", "_sums", "_atom_tables", "_gap_tables")
 
     def __init__(self, atoms, dim, gaps=None):
         atoms = tuple(tuple(a) for a in atoms)
@@ -211,8 +229,10 @@ class MomentView:
         self._set(atoms, dim, gaps, *_tables(atoms, gaps))
 
     def _set(self, atoms, dim, gaps, atom_tables, gap_tables):
-        """Fill this view from power tables built already, which it shares."""
+        """Fill this view from power tables built already, which it shares;
+        `floats`: whether a float was read among the atoms and gaps."""
         self.atoms, self.dim, self.gaps = atoms, dim, gaps
+        self.floats = atom_tables.floats or gap_tables is not None and gap_tables.floats
         self._sums, self._atom_tables, self._gap_tables = {}, atom_tables, gap_tables
         return self
 
@@ -253,7 +273,8 @@ class MomentView:
         which is N * scale^(degree + |gap_exps|) times the moment.
         At scale 1 every lift is by 1, so one dict serves every degree.
         Under degree None the empty monomial without gap is the int 1 (on a
-        path view too), by which a product keeps every value and type."""
+        path view, the list [1]), by which a product keeps every value and
+        type."""
         if degree is not None and self._atom_tables.scale == 1:
             degree = 0
         table = self._sums.get((gap_exps, degree))
@@ -270,15 +291,16 @@ class MomentView:
             raise ValidationError(f"moment exponents must have {self.dim} entries each")
         value = self.sums(gap_exps)[exps]
         if type(value) is list:  # on a path view
-            return XiPoly(value) if any(exps) else value[0]
+            value = XiPoly(value) if any(exps) else value[0]
         return Fraction(value) if type(value) is int else value  # the empty monomial's 1
 
 
 class _Lifted(dict):
     """`MomentView.sums`: filled by `__missing__` from the power tables and
     the gap weights of `gap`, built once (but for the moment of the empty
-    monomial without gap, the int 1). It holds the tables, not the view, so
-    that a view is freed with its last reference, not by the collector."""
+    monomial without gap, the int 1, or [1] on a path view). It holds the
+    tables, not the view, so that a view is freed with its last reference,
+    not by the collector."""
 
     __slots__ = ("atoms", "gap", "degree", "weights")
 
@@ -288,7 +310,7 @@ class _Lifted(dict):
 
     def __missing__(self, exps):
         if self.degree is None and self.weights is None and not any(exps):
-            return self.setdefault(exps, 1)  # a scalar on every view
+            return self.setdefault(exps, [1] if self.atoms.path else 1)
         atoms = self.atoms
         rows = atoms.rows(exps)
         if self.weights is not None:
@@ -328,6 +350,25 @@ class EmpiricalMeasure(MomentView):
 
     def __repr__(self):
         return f"EmpiricalMeasure({len(self.atoms)} atoms in R^{self.dim})"
+
+
+def _pair_views(pairs, dim):
+    """(left, right, base) of N (start, target) pairs: the views of the
+    starts and of the targets, and the view of the starts with the gaps.
+    The pairs are scaled once, by one lcm over every start and target
+    coordinate, each float read exactly: the three share those rows of ints
+    (the base `gaps` is None). Each marginal notes whether a float was read
+    in its column, and the gaps whether one was in either."""
+    n, xs, ys = len(pairs), *(tuple(col) for col in zip(*pairs))
+    starts, targets = _scaled(xs, ys)
+    # the gap rows: differences of the integer rows
+    units = [[list(map(operator.sub, y, x))] for (x,), (y,) in zip(starts._units, targets._units)]
+    gaps = _PowerTables(n, units, starts.scale, True, starts.floats or targets.floats)
+    return (
+        EmpiricalMeasure.__new__(EmpiricalMeasure)._set(xs, dim, None, starts, None),
+        EmpiricalMeasure.__new__(EmpiricalMeasure)._set(ys, dim, None, targets, None),
+        MomentView.__new__(MomentView)._set(xs, dim, None, starts, gaps),
+    )
 
 
 class Coupling:
@@ -372,32 +413,14 @@ class Coupling:
         return len(self.pairs)
 
     def _views(self):
-        """(left, right, base): the marginals and `base_view`, kept. A rational
-        coupling is scaled once, by one lcm over every start and target
-        coordinate: the three share its rows of ints (the base `gaps` is None).
-        Otherwise each is built as a standalone view builds its tables
-        (`_tables`): a marginal is scaled on its own, and the base view, whose
-        gaps are float, keeps its starts and gaps as given."""
+        """(left, right, base): the marginals and `base_view`
+        (`_pair_views`), kept."""
         if self._rows is None:
-            n, xs, ys = self.n_atoms, *(tuple(col) for col in zip(*self.pairs))
-            rx, ry = _ratios(xs), _ratios(ys)
-            if rx is not None and ry is not None:  # the gap rows: differences of the integer rows
-                starts, targets = _scaled(n, rx, ry)
-                units = [[list(map(operator.sub, y, x))] for (x,), (y,) in zip(starts._units, targets._units)]
-                gaps = _PowerTables(n, units, starts.scale, True)
-                base = MomentView.__new__(MomentView)._set(xs, self.dim, None, starts, gaps)
-            else:  # a float coordinate, so a float gap: the base view keeps its values as given
-                (starts,), (targets,) = _tables(xs), _tables(ys)
-                base = MomentView(xs, self.dim, self.gaps())
-            self._rows = (
-                EmpiricalMeasure.__new__(EmpiricalMeasure)._set(xs, self.dim, None, starts, None),
-                EmpiricalMeasure.__new__(EmpiricalMeasure)._set(ys, self.dim, None, targets, None),
-                base,
-            )
+            self._rows = _pair_views(self.pairs, self.dim)
         return self._rows
 
     def scaled_rows(self):
-        """(scale, starts, gaps) of a rational coupling: per coordinate the
+        """(scale, starts, gaps) of the coupling: per coordinate the
         row of its start coordinates and the row of its gaps, each times the
         coupling's one scale, as ints."""
         base = self.base_view()
@@ -417,13 +440,13 @@ class Coupling:
         return self._gaps
 
     def gap_squares(self):
-        """|y_i - x_i|^2 per pair, exact for rational points (an int per
-        pair over scale^2, from the base view's gap rows), kept."""
+        """|y_i - x_i|^2 per pair, exact (an int per pair over scale^2, from
+        the base view's gap rows), kept."""
         if self._gap_squares is None:
             gaps, squares = self.base_view()._gap_tables, [0] * self.n_atoms
             for (g,) in gaps._units:
                 squares = [s + q**2 for s, q in zip(squares, g)]
-            self._gap_squares = [Fraction(s, gaps.scale**2) for s in squares] if gaps.exact else squares
+            self._gap_squares = [Fraction(s, gaps.scale**2) for s in squares]
         return self._gap_squares
 
     def bounding_box(self):

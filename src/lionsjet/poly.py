@@ -3,11 +3,11 @@ polynomials, and small dense tensors.
 
 Coefficients default to `fractions.Fraction` so that identities can be checked
 for exact zero; every operation is generic in the scalar type, so the same
-code paths run with floats (fast mode) or with `MPoly` coordinates (symbolic
-evaluation). A contraction's result, for every number type, is a
-`RationalTensor`: int numerators over one denominator for rational data,
-the values as given over 1 otherwise, a path value as its list of
-xi-coefficients.
+code paths run with `MPoly` coordinates (symbolic evaluation). A
+contraction's result is a `RationalTensor`: int numerators over one
+denominator for numeric data, floats read exactly and each entry rounded
+once when it leaves, and the values as given over 1 for symbolic data; a
+path value is its list of xi-coefficients.
 """
 
 from __future__ import annotations
@@ -410,56 +410,49 @@ class Tensor:
         return f"Tensor(shape={self.shape}, data={self.data})"
 
 
-
-
 class RationalTensor:
     """What every contraction returns: entries that are scalars or, for a
     polynomial in the interpolation parameter xi, lists of xi-coefficients,
     over one positive denominator `den`.
 
-    An `exact` tensor (rational data) holds int numerators: sums, rational
-    scales, the remainder's path integral (`taylor_integral`) and values at
-    a rational xi (`at`) stay in integers. Any other holds the values as
-    given (float, symbolic or mixed data), over 1. An exact tensor that
-    meets a float scale or xi, or a tensor that is not exact, is first
-    divided into Fractions (`_values`): a lifted integer never meets a
-    float. Immutable by convention: results may share `data`.
+    An `exact` tensor (numeric data: ints, Fractions and floats, each float
+    read as the dyadic rational it holds) holds int numerators: sums,
+    rational scales, the remainder's path integral (`taylor_integral`) and
+    values at a rational xi (`at`) stay in integers. `floats` says that a
+    float was read on the way (each of those steps carries it), and makes
+    `tensor()` round each entry once. A tensor that is not exact holds
+    symbolic values as given, over 1, which only `tensor()` reads. Immutable
+    by convention: results may share `data`.
     """
 
-    __slots__ = ("shape", "data", "den", "exact")
+    __slots__ = ("shape", "data", "den", "exact", "floats")
 
-    def __init__(self, shape, data, den=1, exact=True):
-        self.shape, self.data, self.den, self.exact = tuple(shape), data, den, exact
+    def __init__(self, shape, data, den=1, exact=True, floats=False):
+        self.shape, self.data, self.den, self.exact, self.floats = tuple(shape), data, den, exact, floats
 
     def tensor(self):
         """A `Tensor` of the values, each exact entry divided once: a reduced
-        Fraction, or an `XiPoly` of them for a polynomial in xi."""
+        Fraction or, for a tensor with `floats`, the float nearest it (±inf
+        past the float range); an `XiPoly` of them for a polynomial in xi.
+        Symbolic values stay as given."""
         den, exact, data = self.den, self.exact, []
+        divide, zero = (_nearest_float, 0.0) if self.floats else (Fraction, ZERO)
         for v in self.data:
             if type(v) is list:
                 if any(v[1:]):
-                    data.append(XiPoly([Fraction(t, den) for t in v] if exact else v))
+                    data.append(XiPoly([divide(t, den) for t in v] if exact else v))
                     continue
                 v = v[0]
-            data.append((Fraction(v, den) if v else ZERO) if exact else v)
+            data.append((divide(v, den) if v else zero) if exact else v)
         return Tensor(self.shape, data)
-
-    def _values(self):
-        """The tensor as values over 1: an exact one divided into Fractions."""
-        if not self.exact:
-            return self
-        den = self.den
-        data = [[Fraction(t, den) for t in v] if type(v) is list else Fraction(v, den) for v in self.data]
-        return RationalTensor(self.shape, data, 1, False)
 
     def _combine(self, other, sign):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        exact = self.exact and other.exact
-        x, y = (self, other) if exact else (self._values(), other._values())
-        den = math.lcm(x.den, y.den)
-        a, b = den // x.den, sign * (den // y.den)
-        return RationalTensor(self.shape, [_lin(u, a, v, b) for u, v in zip(x.data, y.data)], den, exact)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        data = [_lin(u, a, v, b) for u, v in zip(self.data, other.data)]
+        return RationalTensor(self.shape, data, den, True, self.floats or other.floats)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -468,20 +461,13 @@ class RationalTensor:
         return self._combine(other, -1)
 
     def scale(self, num, den=1):
-        """The tensor times num/den, `den` a positive int: in integers for an
-        exact tensor and an int or a Fraction `num`, so that a caller with
-        an integer pair builds no Fraction."""
-        if not (self.exact and type(num) in (int, Fraction)):
-            factor = num / den if type(num) is float else Fraction(num, den)
-            data = [
-                [t * factor for t in v] if type(v) is list else v * factor
-                for v in self._values().data
-            ]
-            return RationalTensor(self.shape, data, 1, False)
+        """The tensor times num/den, in integers: `num` an int or a
+        Fraction and `den` a positive int, so that a caller with an integer
+        pair builds no Fraction."""
         if type(num) is Fraction:
             num, den = num.numerator, num.denominator * den
         data = self.data if num == 1 else [_lin(x, num, 0, 0) for x in self.data]
-        return RationalTensor(self.shape, data, self.den * den)
+        return RationalTensor(self.shape, data, self.den * den, True, self.floats)
 
     def taylor_integral(self, r):
         """Entry by entry, the integral over [0, 1] of v(xi) (1 - xi)^r / r!
@@ -489,38 +475,34 @@ class RationalTensor:
 
         The Beta integral gives xi^k the weight k! / (k + r + 1)!, so over
         the denominator top! = (K + r)!, for entries of at most K
-        coefficients, xi^k weighs `_beta_weights(top, r)[k]` in an exact
-        tensor. Values that are not exact take those weights over top! times
-        r!, that is k! r! / (k + r + 1)!, and then 1/r!, one Fraction each,
-        as `XiPoly.integrate_weighted` does."""
+        coefficients, xi^k weighs `_beta_weights(top, r)[k]`."""
         if r < 0:
             return self.at(1)
         data = self.data
         top = max([len(v) for v in data if type(v) is list] or [1]) + r
         weights = _beta_weights(top, r)
         full = weights[0] * math.factorial(r + 1)  # top!
-        if not self.exact:
-            fr = math.factorial(r)
-            beta = [Fraction(w * fr, full) for w in weights]
-            inverse = Fraction(1, fr)
-            data = [sum(c * w for c, w in zip(v if type(v) is list else [v], beta) if c) * inverse for v in data]
-            return RationalTensor(self.shape, data, 1, False)
         data = [v * weights[0] if type(v) is int else sum(c * w for c, w in zip(v, weights)) for v in data]
-        return RationalTensor(self.shape, data, self.den * full)
+        return RationalTensor(self.shape, data, self.den * full, True, self.floats)
 
     def at(self, xi):
-        """Entry by entry the value at the interpolation parameter `xi`: in
-        integers for an exact tensor and an int or a Fraction p/q, where over
-        the denominator q^K, for entries of at most K + 1 coefficients, xi^k
-        weighs p^k * q^(K - k). Otherwise by Horner's rule on the values."""
-        if not (self.exact and type(xi) in (int, Fraction)):
-            data = [XiPoly(v).eval(xi) if type(v) is list else v for v in self._values().data]
-            return RationalTensor(self.shape, data, 1, False)
+        """Entry by entry the value at the interpolation parameter `xi`, an
+        int or a Fraction p/q, in integers: over the denominator q^K, for
+        entries of at most K + 1 coefficients, xi^k weighs p^k * q^(K - k)."""
         p, q = xi.numerator, xi.denominator
         top = max([len(v) for v in self.data if type(v) is not int] or [1]) - 1
         weights = [p**k * q ** (top - k) for k in range(top + 1)]
         data = [v * weights[0] if type(v) is int else sum(c * w for c, w in zip(v, weights)) for v in self.data]
-        return RationalTensor(self.shape, data, self.den * q**top)
+        return RationalTensor(self.shape, data, self.den * q**top, True, self.floats)
+
+
+def _nearest_float(num, den):
+    """num / den as the float nearest it (int true division rounds
+    correctly), and ±inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _beta_weights(top, r):

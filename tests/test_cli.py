@@ -947,9 +947,9 @@ def test_converge_on_a_high_degree_kernel(tmp_path, capsys):
 def test_float_expand_on_a_kernel_past_the_float_binomials(tmp_path, capsys):
     # u^1100 on float points: C(1100, 550) is past the float range, so a
     # path power that multiplied a float row by the int C(p, k) ended in
-    # "int too large to convert to float" and exit 2; float paths keep the
-    # one-factor-at-a-time product, and the output is the bytes recorded
-    # before the closed form existed
+    # "int too large to convert to float" and exit 2; a float is read
+    # exactly, so the path power takes the closed form in integers, and
+    # each entry is the float nearest its exact value
     kpath = tmp_path / "high.json"
     kpath.write_text(json.dumps({
         "e": 1, "d": 1, "arity": 1, "spatial": False,
@@ -961,7 +961,7 @@ def test_float_expand_on_a_kernel_past_the_float_binomials(tmp_path, capsys):
                           "--points2", str(tmp_path / "y.csv"), "--order", "1", "--mode", "float"])
     assert code == 0 and capsys.readouterr().err == ""
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "11beedcac225d8486a2dfd6a21df67e85e6d62e4938bfa9ca40088e99500fd15"
+        "1273a11abf3c1cc2143414def07e864b2f16e420a9645e21b30705d25b911c94"
     )
 
 

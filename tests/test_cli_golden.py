@@ -88,14 +88,14 @@ GOLDEN = {
     "enum-zero-tagged": (0, "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b"),
     "expand-box": (0, "e9016d49d97fa91ce73430cf549bdb36ec8042df1f713d2077391f4e2a6127a7"),
     "expand-graded": (0, "50e974f46d4ce15a2f06f3c10eef099a39de0415bb93cdc9cb5d7e74b1bde193"),
-    "expand-float": (0, "62210bee24957ca7f5e97f528ad540b449190aa73b2be8d46f488df8677f31c0"),
-    "expand-graded-box-float": (0, "98140c8c70a642203bfc7dfd5fb5d611d6fc0bb7bbeb21b4a41bf2b6c181c7fc"),
+    "expand-float": (0, "676f22d5c6f6dc7e1b5c489c9ac359ceba67657b8c6aec5bdf243f8343f8aec1"),
+    "expand-graded-box-float": (0, "c4d34ff5c090ff3ea412ea7d2c862d1fbb11c06b1da5ed91f53036deb8d33aa2"),
     "expand-graded-box": (0, "9f4df174e24d8f818f13d962b9b8a8e43a3fb392069b40fd5caf427651cd7c15"),
     "expand-order": (0, "04726b0f71dbc016a0afacb39b328378788beb23f092fcb3cb198a492391d5de"),
     "expand-seq": (0, "df667393a3a9d4ba516cbd3cb7dc02ffa91921a282c6b87fc34688108f9c40ce"),
     "grade-families": (0, "2afe51baf4344e0ad49f49a57d6f377d67cc2d7e44a4840d0a2ecd1f08aa6ef0"),
     "verify-expansion": (0, "5fd77539456db8ffbb4bd8f4a9d975e3c5eb3f0626dc7bf5dfa280555c493b48"),
-    "verify-expansion-float": (0, "c50484498002d34fc933fce1051b52e9b69798ae8b14ef079f0891ea3b01be7e"),
+    "verify-expansion-float": (0, "24f8139bca00933d43b4f9333ca6ad0ff8acec7d459e9047685b64a1c0a2af18"),
 }
 
 

@@ -46,7 +46,7 @@ from lionsjet.tagged import (
 )
 
 from config_loop_reference import contract_once, integrated
-from test_functional import kernel_1d, random_functional, random_point
+from test_functional import _rounded, kernel_1d, random_functional, random_point
 
 F = Fraction
 
@@ -69,17 +69,17 @@ def test_eval_Da_empty_sequence_is_function_value():
 
 
 def test_a_contraction_stays_exact_when_only_a_vector_it_never_reads_is_float(monkeypatch):
-    # exactness follows the vectors a contraction reads: the empty sequence
+    # rounding follows the vectors a contraction reads: the empty sequence
     # reads no displacement, so a float one leaves f(x0, mu) exact, and the
     # contractions of taylor2 on the starts' side without a spatial letter
     # read no y0 - x0, so a float y0 leaves them exact while the spatial
-    # ones run on floats
+    # ones are rounded to floats
     made = []
 
     def recording(ts, side, pattern, letters):
         got = contract_derivative(ts, side, pattern, letters)
         if side.mu is c.base_view() and not any(side.paths) and any(got.data):
-            made.append((letters, got.exact))  # on the starts' side, past the exact zeros
+            made.append((letters, not got.floats))  # on the starts' side, past the exact zeros
         return got
 
     monkeypatch.setattr(expansion, "contract_derivative", recording)
@@ -259,19 +259,15 @@ def test_integer_numerators_compute_what_their_fractions_do():
         for xi in (q, 2):
             assert values(a.at(xi)) == [XiPoly([horner(cs, xi)]) for cs in ca]
         for t in (a + b, a.scale(q), a.taylor_integral(r), a.at(q)):
-            assert t.exact
-        # a float xi, a float scale or a tensor that is not exact meets the
-        # Fractions: the exact tensor is divided first, bit for bit
-        floats = RationalTensor((2, 3), [rng.uniform(-1, 1) for _ in range(6)], 1, exact=False)
-        met = [a.at(0.25), a.scale(0.5), a - floats, floats + a]
-        assert not any(t.exact for t in met) and {t.den for t in met} == {1}
-        assert met[0].data == [horner(cs, 0.25) if type(v) is list else cs[0] for v, cs in zip(a.data, ca)]
-        assert met[1].data == [[c * 0.5 for c in cs] if type(v) is list else cs[0] * 0.5 for v, cs in zip(a.data, ca)]
-        for t, step in ((met[2], lambda c, y: c - y), (met[3], lambda c, y: y + c)):
-            assert t.data == [
-                [step(cs[0], y)] + cs[1:] if type(v) is list else step(cs[0], y)
-                for v, cs, y in zip(a.data, ca, floats.data)
-            ]
+            assert t.exact and not t.floats
+        # a float read on the way is carried by every step, and `tensor()`
+        # then rounds each entry of the same numerators once
+        read = RationalTensor(a.shape, a.data, a.den, floats=True)
+        for step in (lambda t: t + b, lambda t: b - t, lambda t: t.scale(q), lambda t: t.taylor_integral(r),
+                     lambda t: t.at(q)):
+            got, want = step(read), step(a)
+            assert got.floats and (got.data, got.den) == (want.data, want.den)
+            assert got.tensor().data == [_rounded(v) for v in want.tensor().data]
 
 
 def test_beta_weights_follow_the_factorial_formula():
@@ -1217,8 +1213,9 @@ def test_every_term_equals_the_contraction_of_its_own_sequence():
 @pytest.mark.parametrize("as_float", [False, True, "targets"])
 def test_integer_bookkeeping_changes_no_output_byte(monkeypatch, as_float):
     # the engine and the study on integer numerators, against the same code
-    # handed every contraction as Fractions, so that each later step runs on
-    # Fractions: rational, float and mixed data print the same bytes
+    # handed every contraction with its numerators and denominator times 7,
+    # so that each later step runs on other integers for the same values:
+    # rational, float and mixed data print the same bytes
     def outputs():
         out = [json.dumps(run().to_json()) for _, run, *_ in _orbit_cases(as_float)]
         f = random_functional(random.Random(5), 2, 2, False, degree=4)
@@ -1228,16 +1225,13 @@ def test_integer_bookkeeping_changes_no_output_byte(monkeypatch, as_float):
             out.append(repr(convergence_study(f, points, directions, 2, hs, box=(-9, 9))))
         return out
 
-    def as_fractions(t):  # an exact contraction divided here, entry by entry, over 1
-        if t.exact:
-            t = RationalTensor(t.shape, [
-                [F(c, t.den) for c in v] if type(v) is list else F(v, t.den) for v in t.data
-            ], 1, exact=False)
-        return t
+    def times_seven(t):
+        data = [[7 * c for c in v] if type(v) is list else 7 * v for v in t.data]
+        return RationalTensor(t.shape, data, 7 * t.den, t.exact, t.floats)
 
     kept = outputs()
     real = functional.contract_derivative
-    monkeypatch.setattr(expansion, "contract_derivative", lambda *args: as_fractions(real(*args)))
+    monkeypatch.setattr(expansion, "contract_derivative", lambda *args: times_seven(real(*args)))
     assert outputs() == kept
 
 
@@ -1274,11 +1268,11 @@ def _huge_point(rng, e):
 
 
 HUGE_DENOMINATOR_DIGESTS = [
-    "8b020b0716ba037d017b5641e0f6d269e67e04eb7d20ff195338ce7447e6853e",
-    "bc56666a500db6c7d335362fc1a2d6b928a592c38e177ed68d42c4be0215afca",
-    "d2306d00e3b5bbf58f75887c93b5ee605ff75812052b4850d099236b49b67b12",
-    "a230730670d1fa3b2382f2883cd37b72937724b8d46c3782d07d6e91e2407df6",
-    "786677fe58343fb2ee751bdc80e626ce4ef6f39ad38192fe4834b6361ec80f97",
+    "e2132deb944221b979b04a4e97b313394e89d8f31f1a53d60fdc0d2dff6da5bf",
+    "493339a3a83c7a774fc04733e6939ab85d22cb01042b650a5e56bed6518bf0f1",
+    "87feef77b575b5a6a95aa1c19c4bb1cc4932c34f18adac5ec7023b5f864a78fa",
+    "c4528d1f8596df2dc0d7c147a519935d9a0917677b39b028df391783267e43ed",
+    "094b4fb712bda3ed9e2f6d479c39d42f36658604a9181d2f2b506cd350eb5bb4",
 ]
 
 
@@ -1294,13 +1288,14 @@ def test_a_norm_past_the_float_range_is_inf():
         assert Tensor((8,), data).frobenius() == math.sqrt(sum(float(v) ** 2 for v in data))
 
 
-def test_exact_tensors_are_divided_before_they_meet_a_float():
+def test_float_data_over_huge_denominators_round_each_entry_once():
     # float starts and rational targets with denominators of 3^200: the
-    # target value is an exact tensor over a huge denominator, the
-    # prediction is not exact, and a study at a float h on such rational
-    # points meets its exact jets and path value with float scales. Each
-    # exact tensor is divided into Fractions first (a lifted integer that
-    # met a float would overflow it), so the bytes are those pinned here
+    # target value is exact over a huge denominator, the prediction reads
+    # the floats, and a study at a float h on such rational points reads
+    # h exactly. Every float is read as the Fraction it holds and each
+    # entry is rounded once where it leaves, from its integer numerator and
+    # denominator (their quotient, not either, fits a float), so the bytes
+    # are those pinned here
     rng = random.Random("huge-denominators")
     e = 2
     f1 = random_functional(rng, e, 2, False, degree=4)
@@ -1399,9 +1394,9 @@ def test_each_engine_run_sets_up_each_side_once(monkeypatch):
     sides, reads, built, inside = [], [], [], []
     init, read, fill = functional._Side.__init__, MomentView.sums, MomentView._set
 
-    def build(self, points, mu, vectors=()):
+    def build(self, points, mu, vectors=(), floats=None):
         sides.append(self)
-        init(self, points, mu, vectors)
+        init(self, points, mu, vectors, floats)
 
     def counting(ts, side, *args):
         inside.append(side)
@@ -1548,24 +1543,24 @@ def test_a_coupling_keeps_its_views_and_moments_for_itself(monkeypatch):
     assert all(a is not b for a, b in zip((twin.base_view(), twin.path_view(), twin.right()), views))
 
 
-# A coupling with a float coordinate builds each view from its points, as
-# before couplings were scaled once: per kind, the `exact` flags of left(),
-# right(), base_view(), path_view() and right() again (the view the engine
-# reads at the targets), and the sha256 of the taylor1 and taylor2 JSON, each
-# pinned from the per-view construction.
+# A coupling with a float coordinate reads it exactly and scales once: per
+# kind, the `floats` flags of left(), right(), base_view(), path_view() and
+# right() again (the view the engine reads at the targets): a marginal notes
+# a float in its own column, the base and path views one in either. Then the
+# sha256 of the taylor1 and taylor2 JSON, each entry rounded once.
 MIXED_COUPLINGS = {
     "rational starts, float targets": (
-        (True, False, False, False, False), ("7c6b73e4173408f4", "7bc89e96397d5f16")
+        (False, True, True, True, True), ("39e30d5faf171058", "f3848a62eba668ef")
     ),
     "float starts, rational targets": (
-        (False, True, False, False, True), ("3eafd881f957da7b", "a64c50225258cec7")
+        (True, False, True, True, False), ("d6f33373b0fe4f7f", "b9a84bdbe5ea7fab")
     ),
-    "all float": ((False,) * 5, ("fe05feab5da969e1", "c965d74779a872f5")),
+    "all float": ((True,) * 5, ("368e6b5bcb6b0f03", "1087ed4c4cc25971")),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(MIXED_COUPLINGS))
-def test_a_coupling_with_a_float_coordinate_keeps_each_views_exactness(kind):
+def test_a_coupling_with_a_float_coordinate_notes_it_per_view(kind):
     rng = random.Random(f"mixed:{kind}")
     f1 = random_functional(rng, 2, 2, False, degree=4)
     f2 = random_functional(rng, 2, 2, True, degree=4)
@@ -1583,7 +1578,7 @@ def test_a_coupling_with_a_float_coordinate_keeps_each_views_exactness(kind):
         taylor2(f2, x0, y0, c, BOUND_GRADINGS["a<b"], box=(-4, 4)).to_json(),
     ]
     flags, digests = MIXED_COUPLINGS[kind]
-    assert tuple(view.exact for view in views) == flags
+    assert all(view.exact for view in views) and tuple(view.floats for view in views) == flags
     assert tuple(hashlib.sha256(json.dumps(o).encode()).hexdigest()[:16] for o in out) == digests
 
 
@@ -1740,39 +1735,31 @@ def test_convergence_study_equals_an_expansion_per_scale(spec, box):
 @pytest.mark.parametrize("spec", STUDY_SPECS, ids=str)
 def test_convergence_study_bounds_equal_a_coupling_per_scale_bit_for_bit(spec):
     # scales whose squares round differently in floats than their products
-    # with the squared gaps do, on rational and on float points
+    # with the squared gaps do, on rational and on float points; float
+    # points are read exactly, so their rows are those of the couplings
+    # built from the exact targets x + h * gap
     hs = [F(1, 3), F(2, 7), F(5, 11), F(3, 13)]
     for seed in range(4):
         f, pts, dirs, spatial = _study_instance(spec, seed)
         for points in (pts, [tuple(map(float, p)) for p in pts]):
-            want = _per_scale_rows(f, points, dirs, spec, hs, spatial.get("x0"),
+            exact = [tuple(map(F, p)) for p in points]
+            want = _per_scale_rows(f, exact, dirs, spec, hs, spatial.get("x0"),
                                    spatial.get("x0_direction"), (-4, 4))
-            if points is not pts and max(ref["remainder"] for ref in want) < 1e-12:
-                continue  # rounding noise of a zero remainder: the study refuses to fit it
             rows, _ = convergence_study(f, points, dirs, spec, hs, box=(-4, 4), **spatial)
             assert [row["bound"] for row in rows] == [ref["bound"] for ref in want]
 
 
 @pytest.mark.parametrize("spec", [2, Grading(F(1, 2), 1, F(9, 4))], ids=str)
-def test_convergence_study_with_float_scales_is_close(spec):
-    # a float h makes the prediction a float sum of h^k J_k, which may round
-    # differently from the float expansion at that h
+def test_convergence_study_reads_a_float_scale_exactly(spec):
+    # a float h is the Fraction it holds: its row is the expansion at that
+    # Fraction (0.1 is not 1/10), row for row
     hs = [F(1, 2), 0.25, F(1, 8), 0.0625, 0.1]
-    checked = 0
     for seed in range(4):
         f, pts, dirs, spatial = _study_instance(spec, seed)
-        want = _per_scale_rows(f, pts, dirs, spec, hs, spatial.get("x0"),
+        want = _per_scale_rows(f, pts, dirs, spec, list(map(F, hs)), spatial.get("x0"),
                                spatial.get("x0_direction"), (-4, 4))
-        if max(ref["remainder"] for ref in want) < 1e-12:
-            continue  # an exact expansion, whose float rows are rounding noise
         rows, _ = convergence_study(f, pts, dirs, spec, hs, box=(-4, 4), **spatial)
-        for h, row, ref in zip(hs, rows, want):
-            if isinstance(h, Fraction):
-                assert row == ref
-            assert row["h"] == ref["h"] and row["bound"] == ref["bound"]
-            assert row["remainder"] == pytest.approx(ref["remainder"], rel=1e-9)
-        checked += 1
-    assert checked >= 2
+        assert rows == want and [row["h"] for row in rows] == hs
 
 
 def test_convergence_study_contracts_each_core_orbit_once(monkeypatch):
@@ -1848,9 +1835,10 @@ def test_reach_reads_the_integer_rows_and_equals_the_fraction_formula(monkeypatc
 def _box_study_cases():
     """Studies on e = 1 data whose box check fails in one place: a base
     point, only a target of the largest h, or only the spatial target y0 of
-    the largest h, for rational and for mixed scales; a rational target
-    just past the edge; and a rational target just past the edge at a
-    rational h, while the larger float h rounds its target onto the edge."""
+    the largest h, for rational and for mixed scales (a float h read
+    exactly, so the mixed ones name the same exact points); a rational
+    target just past the edge; and a rational target just past the edge at
+    a rational h, named before that of the larger float h."""
     f = kernel_1d({(2, 1): F(1)}, arity=2)
     g = kernel_1d({(1, 1, 1): F(1)}, arity=2, spatial=True)
     grading = Grading(1, 1, F(3, 2))
@@ -1887,9 +1875,9 @@ BOX_STUDY_MESSAGES = {
     "graded largest h rational": "point (Fraction(4, 1),) outside box",
     "y0 rational": "point (Fraction(11, 2),) outside box",
     "base point mixed": "point (Fraction(-1, 2),) outside box",
-    "largest h mixed": "point (4.0,) outside box",
-    "graded largest h mixed": "point (4.0,) outside box",
-    "y0 mixed": "point (5.5,) outside box",
+    "largest h mixed": "point (Fraction(4, 1),) outside box",
+    "graded largest h mixed": "point (Fraction(4, 1),) outside box",
+    "y0 mixed": "point (Fraction(11, 2),) outside box",
     "just past": "point (Fraction(1750001, 500000),) outside box",
     "rounded extreme": "point (Fraction(343597383680000019107846066493, "
     "3435973836800000000000000000000),) outside box",
@@ -2142,7 +2130,7 @@ def test_threads_sharing_a_fresh_functional_get_the_serial_results():
 
 def _study(*args, **kwargs):
     """A convergence study's rows and slope, or the message of its
-    ValidationError: float rows of an exact expansion hold only rounding."""
+    ValidationError."""
     try:
         return convergence_study(*args, **kwargs)
     except ValidationError as exc:
@@ -2202,13 +2190,12 @@ def _digest(outputs):
 # the outputs of an engine that contracts every member, vanishing or not, by
 # mode. The rational ones were pinned before float results printed exact
 # zeros as 0.0 and before float data ran the integer contraction's loop, and
-# no change may move them; the float ones move by rounding, and were last
-# re-pinned when a study came to read f on its path at xi = h rather than at
-# float targets p + h * d (four float study rows of remainders, each by at
-# most 4.5e-16, and their slopes)
+# no change may move them; the float ones were last re-pinned when floats
+# came to be read exactly, each entry the float nearest the output of the
+# same data as Fractions
 VANISHING_DIGESTS = {
     "rational": "a6a7fc303537955f65c676a8538de1804c2e1dcd9dd017adf46121bd122d6d76",
-    "float": "ebf549baf8f4da41d4fbeef684e5165043f1de51564dfa133edf72f59b62d8d2",
+    "float": "3379665092ba989d89c4525881cf0a0c211a0d72117ff04e648e2fa77591c7cc",
 }
 
 

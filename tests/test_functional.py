@@ -623,30 +623,29 @@ def _letterwise_polynomial_joint(f, values):
 def test_cells_keep_the_letter_by_letter_monomial_order():
     # on seeded kernels, rational and float, every cell converted back is
     # the letter-by-letter polynomial compile monomial by monomial, in its
-    # order (which fixes the float summation order of a contraction and of
-    # a certified sup), and the slot-assignment compile as a polynomial:
-    # that compile sums its terms pin map by pin map, so its monomials may
-    # come in another order
+    # order (which fixes the summation order of a certified sup), and the
+    # slot-assignment compile as a polynomial: that compile sums its terms
+    # pin map by pin map, so its monomials may come in another order. A
+    # float coefficient is read exactly: its cells are those of the kernel
+    # with each coefficient as the Fraction it holds
     for seed in range(12):
         rng = random.Random(seed)
         spatial, e, arity = seed % 2 == 0, 1 + seed % 2, 1 + seed % 3
-        f = random_functional(rng, e, arity, spatial, degree=4, d=2)
-        floats = seed % 3 == 0
-        if floats:
-            f = PolyFunctional(PolyKernel(e, 2, arity, spatial, [
-                MPoly(p.nvars, {exps: rng.uniform(-3, 3) for exps in p.terms})
-                for p in f.kernel.components
-            ]))
+        f = exact = random_functional(rng, e, arity, spatial, degree=4, d=2)
+        if seed % 3 == 0:
+            components = [{exps: rng.uniform(-3, 3) for exps in p.terms} for p in f.kernel.components]
+            f, exact = (PolyFunctional(PolyKernel(e, 2, arity, spatial, [
+                MPoly(f.kernel.nvars, {exps: num(q) for exps, q in terms.items()}) for terms in components
+            ])) for num in (float, F))
         for a in [a for n in range(5) for a in (enum_A0 if spatial else enum_A)(n)]:
             if _vanishes(f.kernel, a.values):
                 continue
             ts = lions_derivative(f, a)
-            got, want = _joint_polys(ts), _letterwise_polynomial_joint(f, a.values)
+            got, want = _joint_polys(ts), _letterwise_polynomial_joint(exact, a.values)
             assert list(got) == list(want)
             for key, poly in got.items():
                 assert list(poly.terms.items()) == list(want[key].terms.items())
-            if not floats:
-                assert got == _slot_assignment_joint(ts)
+            assert got == _slot_assignment_joint(lions_derivative(exact, a))
 
 
 def _dense_functional(rng, e, arity, degree, n_terms):
@@ -666,8 +665,8 @@ def test_a_kept_side_contracts_as_a_one_use_side_per_call():
     # eleven derivatives of the base (0, 1), in fourteen direction patterns,
     # through one kept side in mixed order and twice, equal a one-use side
     # per call byte for byte, for exact, float and path data and for exact
-    # views with one float vector, where a contraction is exact iff its
-    # letters are rational. The side keeps its sums by degree; (2, 2) and
+    # views with one float vector, where every contraction is exact and
+    # notes a float iff its letters read the float vector. The side keeps its sums by degree; (2, 2) and
     # (2, 3), (0, 2, 2) and (0, 2, 3) differ only in their free count,
     # (0, 2) and (1, 2) only in their letters, and each of the last three
     # only in its gap directions from its pattern with the last direction
@@ -710,10 +709,10 @@ def test_a_kept_side_contracts_as_a_one_use_side_per_call():
             ts = lions_derivative(f, TaggedSeq(base + rep))
             got = functional.contract_derivative(ts, kept, pattern, letters)
             want = functional.contract_derivative(ts, _Side(given, mu, vectors), pattern, letters)
-            assert (got.shape, repr(got.data), got.den, got.exact) == (
-                want.shape, repr(want.data), want.den, want.exact
+            assert (got.shape, repr(got.data), got.den, got.exact, got.floats) == (
+                want.shape, repr(want.data), want.den, want.exact, want.floats
             ), (label, rep)
-            assert got.exact == (label != "float" and (label != "float vector 1" or 1 not in letters))
+            assert got.exact and got.floats == (label == "float" or label == "float vector 1" and 1 in letters)
             checked += any(got.data)
     assert checked == len(data) * len(cases) * 2
 
@@ -793,111 +792,154 @@ def test_an_exact_contraction_on_a_kept_layout_makes_no_fraction_and_slices_noth
     assert [t.tensor() for t in got] == want
 
 
+def _read_exactly(value):
+    """`value` with every float in it, through tuples, lists and dict
+    values, replaced by the Fraction it holds."""
+    if isinstance(value, float):
+        return F(value)
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_read_exactly, value))
+    if isinstance(value, dict):
+        return {key: _read_exactly(v) for key, v in value.items()}
+    return value
+
+
+def _rounded(value):
+    """An exact entry as the float nearest it, ±inf past the float range;
+    the `XiPoly` of a path entry coefficient by coefficient."""
+    if isinstance(value, XiPoly):
+        return XiPoly([_rounded(c) for c in value.coeffs])
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def test_a_float_coefficient_kernel_contracts_as_before():
-    # the values, types and float bits that the polynomial cells gave, on
-    # rational and float views, off and on the path
-    f = PolyFunctional(PolyKernel(1, 1, 2, True, [MPoly(3, {
-        (1, 1, 1): 0.1, (2, 0, 1): -2.5, (0, 2, 1): F(1, 3), (1, 2, 0): 0.75,
-    })]))
-    base = MomentView([(F(1, 3),), (F(-2, 5),), (F(3, 2),)], 1, [(F(1, 2),), (F(1, 7),), (F(-1, 3),)])
-    floats = MomentView([(0.3,), (-0.7,)], 1, [(0.25,), (-0.5,)])
-    got = []
-    for view in (base, base.on_path(), floats, floats.on_path()):
-        for values, dirs in [
-            ((), []), ((0,), [(F(2, 3),)]), ((0, 1), [None, 0]), ((1, 1), [0, None]),
-            ((1, 2), [0, 1]), ((0, 1, 2), [(F(1, 2),), 0, None]),
-        ]:
-            ts = lions_derivative(f, TaggedSeq(values))
-            out = contract_once(ts, (F(1, 4),), view, [], dirs).tensor()
-            got.append((values, [repr(v) for v in out.data]))
-    assert got == _FLOAT_KERNEL_VALUES
+    # the values of a kernel with float coefficients, on rational and float
+    # views, off and on the path: each float read exactly, so each entry is
+    # the float nearest the value of the kernel with Fraction coefficients
+    def contractions(num):
+        f = PolyFunctional(PolyKernel(1, 1, 2, True, [MPoly(3, {
+            (1, 1, 1): num(0.1), (2, 0, 1): num(-2.5), (0, 2, 1): F(1, 3), (1, 2, 0): num(0.75),
+        })]))
+        base = MomentView([(F(1, 3),), (F(-2, 5),), (F(3, 2),)], 1, [(F(1, 2),), (F(1, 7),), (F(-1, 3),)])
+        floats = MomentView(num([(0.3,), (-0.7,)]), 1, num([(0.25,), (-0.5,)]))
+        out = []
+        for view in (base, base.on_path(), floats, floats.on_path()):
+            for values, dirs in [
+                ((), []), ((0,), [(F(2, 3),)]), ((0, 1), [None, 0]), ((1, 1), [0, None]),
+                ((1, 2), [0, 1]), ((0, 1, 2), [(F(1, 2),), 0, None]),
+            ]:
+                ts = lions_derivative(f, TaggedSeq(values))
+                out.append((values, contract_once(ts, (F(1, 4),), view, [], dirs).tensor()))
+        return out
+
+    got = contractions(lambda x: x)
+    assert [(values, [repr(v) for v in t.data]) for values, t in got] == _FLOAT_KERNEL_VALUES
+    for (_, t), (_, exact) in zip(got, contractions(_read_exactly)):
+        assert t.data == [_rounded(v) for v in exact.data]
 
 
 _FLOAT_KERNEL_VALUES = [  # per view: base, its path, float atoms, their path
     ((), ['0.222460219478738']),
-    ((0,), ['0.03725514403292177']),
+    ((0,), ['0.03725514403292181']),
     ((0, 1), ['-0.314347442680776']),
     ((1, 1), ['0.07155349794238683']),
     ((1, 2), ['-0.01737318384143781']),
     ((0, 1, 2), ['0.010317460317460317']),
-    ((), ['XiPoly([0.222460219478738, -0.07502216833235352, 0.035411855071246605, Fraction(8749, 2000376)])']),
-    ((0,), ['XiPoly([0.03725514403292177, -0.209564961787184, 0.06429621231208532])']),
-    ((0, 1), ['XiPoly([-0.314347442680776, 0.19288863693625596])']),
-    ((1, 1), ['XiPoly([0.07155349794238683, Fraction(169, 23814)])']),
-    ((1, 2), ['XiPoly([-0.01737318384143781, Fraction(8749, 500094)])']),
+    ((), ['XiPoly([0.222460219478738, -0.07502216833235352, 0.035411855071246605, 0.004373677748583266])']),
+    ((0,), ['XiPoly([0.03725514403292181, -0.209564961787184, 0.06429621231208532])']),
+    ((0, 1), ['XiPoly([-0.314347442680776, 0.192888636936256])']),
+    ((1, 1), ['XiPoly([0.07155349794238683, 0.007096665826824557])']),
+    ((1, 2), ['XiPoly([-0.01737318384143781, 0.017494710994333064])']),
     ((0, 1, 2), ['0.010317460317460317']),
     ((), ['0.06729166666666667']),
-    ((0,), ['0.31433333333333324']),
+    ((0,), ['0.3143333333333333']),
     ((0, 1), ['0.48']),
-    ((1, 1), ['-0.030208333333333337']),
-    ((1, 2), ['-0.03463541666666667']),
+    ((1, 1), ['-0.030208333333333334']),
+    ((1, 2), ['-0.03463541666666666']),
     ((0, 1, 2), ['-0.0125']),
-    ((), ['XiPoly([0.06729166666666667, 0.06005208333333333, 0.0015625000000000014, -0.006510416666666666])']),
-    ((0,), ['XiPoly([0.31433333333333324, 0.31999999999999995, 0.07916666666666666])']),
+    ((), ['XiPoly([0.06729166666666667, 0.06005208333333333, 0.0015625000000000018, -0.006510416666666667])']),
+    ((0,), ['XiPoly([0.3143333333333333, 0.32, 0.07916666666666666])']),
     ((0, 1), ['XiPoly([0.48, 0.2375])']),
-    ((1, 1), ['XiPoly([-0.030208333333333337, 0.010416666666666666])']),
-    ((1, 2), ['XiPoly([-0.03463541666666667, -0.026041666666666664])']),
+    ((1, 1), ['XiPoly([-0.030208333333333334, 0.010416666666666666])']),
+    ((1, 2), ['XiPoly([-0.03463541666666666, -0.026041666666666668])']),
     ((0, 1, 2), ['-0.0125']),
 ]
 
 
 def test_values_as_given_contract_as_before():
-    # the repr of every raw entry of contractions of float, symbolic and
-    # mixed data, with a rational kernel: float atoms with a float vector
-    # and a gap direction, off and on the path; a float x0 over the path of a
-    # rational coupling whose first coordinate's gaps sum to 0, so that a
-    # sum has an exact-zero xi-coefficient and a zero keeps its type; and
-    # symbolic `MPoly` atoms, off and on the path
+    # contractions of float, symbolic and mixed data, with a rational
+    # kernel: float atoms with a float vector and a gap direction, off and
+    # on the path; a float x0 over the path of a rational coupling whose
+    # first coordinate's gaps sum to 0, so that a sum has an exact-zero
+    # xi-coefficient; and symbolic `MPoly` atoms, off and on the path, whose
+    # raw entries are the values as given. Float data are read exactly: each
+    # entry is the float nearest the value of the same data as Fractions
     f = PolyFunctional(PolyKernel(2, 2, 2, True, [MPoly(6, {(1, 0, 1, 0, 0, 0): F(3, 2)}), MPoly(6, {
         (1, 0, 1, 0, 1, 0): F(1, 3), (0, 1, 2, 0, 0, 0): F(-5, 2), (0, 0, 1, 1, 0, 1): F(3, 4),
         (2, 0, 0, 0, 0, 1): F(7), (0, 0, 0, 0, 0, 0): F(-1, 6), (0, 0, 1, 0, 0, 0): F(2, 9),
     })]))
-    floats = MomentView([(0.3, -1.5), (-0.7, 0.0), (1.25, 2.0)], 2, [(0.5, -0.125), (-0.25, 0.0), (0.75, -1.0)])
     rational = MomentView([(F(1, 3), F(1, 2)), (F(-2, 5), 0)], 2, [(1, F(1, 3)), (-1, F(-1, 2))])
     x, y = MPoly(2, {(1, 0): F(1)}), MPoly(2, {(0, 1): F(1, 2), (0, 0): F(-1)})
     symbolic = MomentView([(x, y), (y, F(2))], 2, [(F(1, 2), 0), (x, F(-1, 3))])
+    dirs_list = [
+        ((), []), ((0,), [(0.5, -1.25)]), ((0,), [None]), ((1,), [0]), ((0, 1), [None, 0]),
+        ((1, 1), [0, (0.5, -1.25)]), ((1, 2), [0, 1]), ((1, 1, 2), [(F(1, 2), 3), 0, None]),
+    ]
+
+    def cases(num):
+        floats = MomentView(num([(0.3, -1.5), (-0.7, 0.0), (1.25, 2.0)]), 2,
+                            num([(0.5, -0.125), (-0.25, 0.0), (0.75, -1.0)]))
+        return [
+            ("float atoms", num((0.5, -0.25)), floats),
+            ("float path", num((0.5, -0.25)), floats.on_path()),
+            ("float x0, rational path", num((0.5, -0.0)), rational.on_path()),
+            ("symbolic", (F(1, 4), 1), symbolic),
+            ("symbolic path", (F(1, 4), 1), symbolic.on_path()),
+        ]
+
     got = []
-    for label, x0, view in [
-        ("float atoms", (0.5, -0.25), floats),
-        ("float path", (0.5, -0.25), floats.on_path()),
-        ("float x0, rational path", (0.5, -0.0), rational.on_path()),
-        ("symbolic", (F(1, 4), 1), symbolic),
-        ("symbolic path", (F(1, 4), 1), symbolic.on_path()),
-    ]:
-        for values, dirs in [
-            ((), []), ((0,), [(0.5, -1.25)]), ((0,), [None]), ((1,), [0]), ((0, 1), [None, 0]),
-            ((1, 1), [0, (0.5, -1.25)]), ((1, 2), [0, 1]), ((1, 1, 2), [(F(1, 2), 3), 0, None]),
-        ]:
-            out = contract_once(lions_derivative(f, TaggedSeq(values)), x0, view, [], dirs)
+    for (label, x0, view), (_, exact_x0, exact_view) in zip(cases(lambda v: v), cases(_read_exactly)):
+        for values, dirs in dirs_list:
+            ts = lions_derivative(f, TaggedSeq(values))
+            out = contract_once(ts, x0, view, [], dirs)
+            if not out.exact:  # symbolic: the raw values as given
+                got.append((label, values, [repr(v) for v in out.data]))
+                continue
+            out = out.tensor()
             got.append((label, values, [repr(v) for v in out.data]))
+            exact = contract_once(ts, exact_x0, exact_view, [], _read_exactly(dirs)).tensor()
+            assert out.data == [_rounded(v) for v in exact.data], (label, values)
     assert got == _VALUES_AS_GIVEN
 
 
 _VALUES_AS_GIVEN = [
-    ('float atoms', (), ['0.2125', '0.7331134259259259']),
-    ('float atoms', (0,), ['0.2125', '2.828483796296296']),
-    ('float atoms', (0,), ['0.425', 'Fraction(0, 1)', '1.1934259259259257', '-1.7854166666666664']),
-    ('float atoms', (1,), ['0.25', '-0.2392361111111112']),
-    ('float atoms', (0, 1), ['0.5', 'Fraction(0, 1)', '-2.562037037037037', '-2.1041666666666665']),
-    ('float atoms', (1, 1), ['Fraction(0, 1)', '0.1328125']),
-    ('float atoms', (1, 2), ['Fraction(0, 1)', '0.13781828703703705']),
-    ('float atoms', (1, 1, 2), ['Fraction(0, 1)', 'Fraction(0, 1)', 'Fraction(0, 1)', '0.609375']),
-    ('float path', (), ['[0.2125, 0.25]', '[0.7331134259259259, -0.2392361111111112, 0.21734664351851846, 0.076171875]']),
-    ('float path', (0,), ['[0.2125, 0.25]', '[2.828483796296296, 1.3491898148148145, 0.9299768518518516]']),
-    ('float path', (0,), ['[0.425, 0.5]', 'Fraction(0, 1)', '[1.1934259259259257, -2.562037037037037, 0.037037037037037035]', '[-1.7854166666666664, -2.1041666666666665, -0.7291666666666665]']),
-    ('float path', (1,), ['[0.25]', '[-0.2392361111111112, 0.4346932870370369, 0.228515625]']),
-    ('float path', (0, 1), ['[0.5]', 'Fraction(0, 1)', '[-2.562037037037037, 0.07407407407407407]', '[-2.1041666666666665, -1.458333333333333]']),
-    ('float path', (1, 1), ['Fraction(0, 1)', '[0.1328125, 0.169921875]']),
-    ('float path', (1, 2), ['Fraction(0, 1)', '[0.13781828703703705, 0.3046875]']),
-    ('float path', (1, 1, 2), ['Fraction(0, 1)', 'Fraction(0, 1)', 'Fraction(0, 1)', '[0.609375]']),
-    ('float x0, rational path', (), ['[-0.025, 0.0]', '[0.27923611111111113, -0.07499999999999998, 0.05277777777777778, Fraction(-5, 192)]']),
-    ('float x0, rational path', (0,), ['[-0.025, 0.0]', '[1.2987962962962962, 2.0, 3.125]']),
-    ('float x0, rational path', (0,), ['[Fraction(-1, 20), Fraction(0, 1)]', 'Fraction(0, 1)', '[1.7503703703703704, -0.5833333333333333, 0]', '[Fraction(-61, 180), Fraction(-11, 6), Fraction(-5, 2)]']),
-    ('float x0, rational path', (1,), ['[0.0]', '[-0.07499999999999998, 0.10555555555555556, Fraction(-5, 64)]']),
-    ('float x0, rational path', (0, 1), ['[Fraction(0, 1)]', 'Fraction(0, 1)', '[-0.5833333333333333, Fraction(0, 1)]', '[Fraction(-11, 6), Fraction(-5, 1)]']),
-    ('float x0, rational path', (1, 1), ['Fraction(0, 1)', '[-0.0078125, 0.0026041666666666665]']),
-    ('float x0, rational path', (1, 2), ['Fraction(0, 1)', '[-0.050694444444444445, Fraction(-5, 48)]']),
-    ('float x0, rational path', (1, 1, 2), ['Fraction(0, 1)', 'Fraction(0, 1)', 'Fraction(0, 1)', '[Fraction(-1, 32)]']),
+    ('float atoms', (), ['0.21250000000000002', '0.7331134259259259']),
+    ('float atoms', (0,), ['0.21250000000000002', '2.8284837962962963']),
+    ('float atoms', (0,), ['0.42500000000000004', '0.0', '1.193425925925926', '-1.7854166666666667']),
+    ('float atoms', (1,), ['0.25', '-0.23923611111111112']),
+    ('float atoms', (0, 1), ['0.5', '0.0', '-2.562037037037037', '-2.1041666666666665']),
+    ('float atoms', (1, 1), ['0.0', '0.1328125']),
+    ('float atoms', (1, 2), ['0.0', '0.13781828703703702']),
+    ('float atoms', (1, 1, 2), ['0.0', '0.0', '0.0', '0.609375']),
+    ('float path', (), ['XiPoly([0.21250000000000002, 0.25])', 'XiPoly([0.7331134259259259, -0.23923611111111112, 0.2173466435185185, 0.076171875])']),
+    ('float path', (0,), ['XiPoly([0.21250000000000002, 0.25])', 'XiPoly([2.8284837962962963, 1.3491898148148147, 0.9299768518518519])']),
+    ('float path', (0,), ['XiPoly([0.42500000000000004, 0.5])', '0.0', 'XiPoly([1.193425925925926, -2.562037037037037, 0.037037037037037035])', 'XiPoly([-1.7854166666666667, -2.1041666666666665, -0.7291666666666666])']),
+    ('float path', (1,), ['0.25', 'XiPoly([-0.23923611111111112, 0.434693287037037, 0.228515625])']),
+    ('float path', (0, 1), ['0.5', '0.0', 'XiPoly([-2.562037037037037, 0.07407407407407407])', 'XiPoly([-2.1041666666666665, -1.4583333333333333])']),
+    ('float path', (1, 1), ['0.0', 'XiPoly([0.1328125, 0.169921875])']),
+    ('float path', (1, 2), ['0.0', 'XiPoly([0.13781828703703702, 0.3046875])']),
+    ('float path', (1, 1, 2), ['0.0', '0.0', '0.0', '0.609375']),
+    ('float x0, rational path', (), ['-0.025', 'XiPoly([0.27923611111111113, -0.075, 0.05277777777777778, -0.026041666666666668])']),
+    ('float x0, rational path', (0,), ['-0.025', 'XiPoly([1.2987962962962962, 2.0, 3.125])']),
+    ('float x0, rational path', (0,), ['-0.05', '0.0', 'XiPoly([1.7503703703703704, -0.5833333333333334])', 'XiPoly([-0.3388888888888889, -1.8333333333333333, -2.5])']),
+    ('float x0, rational path', (1,), ['0.0', 'XiPoly([-0.075, 0.10555555555555556, -0.078125])']),
+    ('float x0, rational path', (0, 1), ['0.0', '0.0', '-0.5833333333333334', 'XiPoly([-1.8333333333333333, -5.0])']),
+    ('float x0, rational path', (1, 1), ['0.0', 'XiPoly([-0.0078125, 0.0026041666666666665])']),
+    ('float x0, rational path', (1, 2), ['0.0', 'XiPoly([-0.050694444444444445, -0.10416666666666667])']),
+    ('float x0, rational path', (1, 1, 2), ['0.0', '0.0', '0.0', '-0.03125']),
     ('symbolic', (), ['MPoly(-3/16 + 3/32*x1 + 3/16*x0)', 'MPoly(-479/288 + 803/576*x1 + -41/192*x1^2 + -17/144*x0 + 1/48*x0*x1 + 3/64*x0*x1^2 + -59/48*x0^2)']),
     ('symbolic', (0,), ['MPoly(-0.375 + 0.1875*x1 + 0.375*x0)', 'MPoly(2.4791666666666665 + -1.1666666666666667*x1 + 0.4010416666666667*x1^2 + -0.08333333333333333*x0 + 0.041666666666666664*x0*x1 + 1.6041666666666667*x0^2)']),
     ('symbolic', (0,), ['MPoly(-3/4 + 3/8*x1 + 3/4*x0)', 'Fraction(0, 1)', 'MPoly(11/6 + 19/24*x1 + 1/48*x1^2 + -1/6*x0 + 1/12*x0*x1 + 1/12*x0^2)', 'MPoly(-5/4 + 5/4*x1 + -5/16*x1^2 + -5/4*x0^2)']),

@@ -302,15 +302,15 @@ def test_integer_moments_equal_the_literal_sum(n, e, with_gaps):
                 assert on_path.eval(xi) == _literal(moved, gs, exps, gap_exps)
     if with_gaps:
         assert path._gap_tables is base._gap_tables
-    # the empty monomial without gap: as a moment the int 1, a scalar on
-    # every view, which a product by it leaves as it is; lifted to a degree,
-    # N * scale^degree
+    # the empty monomial without gap: as a moment the int 1 (the list [1]
+    # on a path view), which a product by it leaves as it is; lifted to a
+    # degree, N * scale^degree
     zero = (0,) * e
     floats = MomentView([tuple(map(float, x)) for x in xs], dim=e, gaps=[tuple(map(float, g)) for g in gs])
     for view in (base, path, target, floats, floats.on_path()):
         _, scale, on_path = view.table_scales()
         got = view.sums(zero)[zero]
-        assert type(got) is int and got == 1
+        assert got == ([1] if on_path else 1) and type(got[0] if on_path else got) is int
         assert type(view.moment(zero)) is Fraction and view.moment(zero) == 1
         lifted = view.sums(zero, 3)[zero]
         assert lifted == ([n * scale**3] if on_path else n * scale**3)
@@ -419,7 +419,10 @@ def test_a_path_coordinate_that_does_not_move_is_one_row():
 
 
 @pytest.mark.parametrize("kind", ["float", "mixed"])
-def test_float_and_mixed_atoms_read_tables_as_given(kind):
+def test_float_and_mixed_atoms_are_read_exactly(kind):
+    # a float is the dyadic rational it holds: the tables scale it to an
+    # integer with the rest, note that a float was read, and every moment
+    # is the exact sum of the atoms as Fractions
     rng = random.Random(kind)
     xs = _rational_points(rng, 3, 2)
     gs = _rational_points(rng, 3, 2)
@@ -429,27 +432,24 @@ def test_float_and_mixed_atoms_read_tables_as_given(kind):
     else:
         xs = [(float(x[0]), x[1]) for x in xs]
     view = MomentView(xs, dim=2, gaps=gs)
-    assert not view.exact and view.table_scales() == (3, 1, False)
+    assert view.exact and view.floats and view.table_scales()[0] == 3
+    exact = [tuple(map(Fraction, x)) for x in xs], [tuple(map(Fraction, g)) for g in gs]
     for exps, gap_exps in [((1, 0), (0, 0)), ((2, 1), (0, 1)), ((0, 0), (2, 0))]:
         got = view.moment(exps, gap_exps)
-        # a float factor makes the sum a float; mixed atoms with no weight
-        # on their float coordinate sum to a Fraction
-        assert type(got) is (float if kind == "float" or exps[0] else Fraction)
-        assert math.isclose(got, float(_literal(xs, gs, exps, gap_exps)), rel_tol=1e-12)
+        assert type(got) is Fraction and got == _literal(*exact, exps, gap_exps)
+    assert not MomentView(exact[0], dim=2, gaps=exact[1]).floats
 
 
 def test_float_gaps_with_rational_atoms():
-    # a view is exact only when its atoms and its gaps both are: here both
-    # tables keep their values, and a moment of the rational atoms alone
-    # is still their exact Fraction
+    # float gaps make the view note a float, and its path view too; it stays
+    # exact, and a moment of the atoms alone is their exact Fraction
     xs = [(Fraction(1, 3),), (Fraction(-2, 7),)]
     view = MomentView(xs, dim=1, gaps=[(0.5,), (-1.25,)])
-    assert not view.exact and not view._gap_tables.exact
+    assert view.exact and view.floats and view._gap_tables.floats
     assert view.moment((2,)) == _literal(xs, None, (2,), ()) and type(view.moment((2,))) is Fraction
-    assert isinstance(view.moment((1,), (1,)), float)
-    # the path view of exact atoms over these gaps is not exact either
+    assert view.moment((1,), (1,)) == _literal(xs, [(Fraction(1, 2),), (Fraction(-5, 4),)], (1,), (1,))
     path = view.on_path()
-    assert not path.exact and path._gap_tables is view._gap_tables
+    assert path.exact and path.floats and path._gap_tables is view._gap_tables
 
 
 def test_a_view_checks_its_atoms_and_gaps():

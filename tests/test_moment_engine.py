@@ -28,7 +28,7 @@ from lionsjet.tagged import Grading, TaggedSeq, enum_A0, grade
 
 from config_loop_reference import contract_once, graded_reference, taylor1_reference
 from test_expansion import random_coupling
-from test_functional import kernel_1d, random_functional, random_point
+from test_functional import _rounded, kernel_1d, random_functional, random_point
 from test_measures import _xi_points
 
 F = Fraction
@@ -327,9 +327,10 @@ def test_rational_contractions_run_on_integers(monkeypatch):
     assert res.identity_gap() == 0
 
 
-def _inexact_case(kind):
+def _inexact_case(kind, exact=False):
     """A contraction whose data is not all rational, with the tolerance its
-    entries must meet against the brute evaluation."""
+    entries must meet against the brute evaluation; with `exact`, each float
+    of it as the Fraction it holds."""
     rng = random.Random(f"fallback:{kind}")
     # variables x0 (0, 1), slot 1 (2, 3), slot 2 (4, 5)
     terms = {(1, 0, 1, 0, 0, 1): F(1), (0, 2, 0, 1, 2, 0): F(1, 2), (2, 0, 1, 1, 1, 0): F(-3)}
@@ -347,15 +348,20 @@ def _inexact_case(kind):
         tol = _tolerance("float")
     else:  # symbolic atoms: one MPoly variable per coordinate
         atoms = [tuple(MPoly.var(4, 2 * i + c) for c in range(2)) for i in range(2)]
+    if exact:
+        read = lambda p: tuple(F(c) if isinstance(c, float) else c for c in p)  # noqa: E731
+        atoms, gaps, x0 = list(map(read, atoms)), list(map(read, gaps)), read(x0)
     view = MomentView(atoms, dim=2, gaps=gaps)
     return lions_derivative(f, TaggedSeq((0, 1, 2))), x0, view, [vec, None, 0], tol
 
 
 @pytest.mark.parametrize("kind", ["float atoms", "float x0", "symbolic"])
-def test_inexact_contraction_values(kind, monkeypatch):
-    # the one contraction loop reads each group's moments (the sums under
-    # degree None) and matches the brute evaluation: within tolerance for
-    # floats, exactly for symbolic atoms
+def test_float_and_symbolic_contraction_values(kind, monkeypatch):
+    # float data are read exactly: the contraction reads integer sums lifted
+    # to a degree, and each entry is the float nearest the brute evaluation
+    # of the data as Fractions (and within tolerance of the brute evaluation
+    # in floats). Symbolic atoms: the contraction reads each group's moments
+    # (the sums under degree None) and matches the brute evaluation exactly
     ts, x0, view, dirvecs, tol = _inexact_case(kind)
     fixed = [view.atoms[0]]
     assert ts.joint()
@@ -367,37 +373,44 @@ def test_inexact_contraction_values(kind, monkeypatch):
 
     monkeypatch.setattr(MomentView, "sums", recorded)
     got = contract_once(ts, x0, view, fixed, dirvecs).tensor()
-    assert degrees and set(degrees) == {None}
+    monkeypatch.undo()
     want = _brute_contraction(ts, x0, view, fixed, dirvecs)
     if tol:
+        assert degrees and None not in degrees
         assert all(isinstance(v, float) for v in got.data)
         assert float((got - want).max_abs()) <= tol * (1 + float(want.max_abs()))
+        _, x0, view, _, _ = _inexact_case(kind, exact=True)
+        assert got.data == [float(v) for v in _brute_contraction(ts, x0, view, [view.atoms[0]], dirvecs).data]
     else:
+        assert degrees and set(degrees) == {None}
         assert got == want
 
 
 @pytest.mark.parametrize("kind", ["rational", "float atoms", "float x0", "symbolic"])
 def test_every_contraction_is_a_rational_tensor(kind):
     # one result type for every number type: int numerators over their
-    # denominator for rational data, the values as given over 1 otherwise,
-    # an exact zero for a derivative without cells; on the path every entry
-    # that a cell reaches is a list of xi-coefficients
-    if kind == "rational":
-        ts, x0, view, dirvecs, _ = _inexact_case("float x0")
-        x0 = tuple(map(F, x0))
-    else:
-        ts, x0, view, dirvecs, _ = _inexact_case(kind)
+    # denominator for numeric data (noting a float read, so that `tensor()`
+    # rounds each entry to the float nearest the value of the data as
+    # Fractions), the values as given over 1 for symbolic data, an exact
+    # zero for a derivative without cells; on the path every entry that a
+    # cell reaches is a list of xi-coefficients
+    case = "float x0" if kind == "rational" else kind
+    ts, x0, view, dirvecs, _ = _inexact_case(case, exact=kind == "rational")
+    _, exact_x0, exact_view, _, _ = _inexact_case(case, exact=True)
     path = view.on_path()
-    on_xi = MomentView(_xi_points(view.atoms, view.gaps), dim=view.dim, gaps=view.gaps)
+    on_xi = MomentView(_xi_points(exact_view.atoms, exact_view.gaps), dim=view.dim, gaps=exact_view.gaps)
     fixed = [view.atoms[0]]
-    exact = kind == "rational"
-    for v, brute in ((view, view), (path, on_xi)):
+    exact = kind != "symbolic"
+    for v, brute in ((view, exact_view), (path, on_xi)):
         got = contract_once(ts, x0, v, fixed, dirvecs)
         assert isinstance(got, RationalTensor) and got.exact == exact
         if exact:
             entries = [t for u in got.data for t in (u if type(u) is list else [u])]
-            assert all(type(t) is int for t in entries)
-            assert got.tensor() == _brute_contraction(ts, x0, brute, fixed, dirvecs)
+            assert all(type(t) is int for t in entries) and got.floats == kind.startswith("float")
+            want = _brute_contraction(ts, exact_x0, brute, [exact_view.atoms[0]], dirvecs)
+            if got.floats:
+                want = want.map(_rounded)
+            assert got.tensor() == want
         else:
             assert got.den == 1
         reached = [type(u) is list for u in got.data if u != 0]
