@@ -417,10 +417,6 @@ def _cmd_converge(args, out):
     f = _read(_load_functional, args.kernel, "kernel")
     pts = _read(load_points, args.points, "point")
     dirs = _read(load_points, args.directions, "point")
-    if len(dirs) != len(pts):
-        raise ValidationError(
-            f"{len(dirs)} direction rows for {len(pts)} points; need one per point"
-        )
     hs = [parse_rational(h) for h in args.h_list.split(",")]
     if args.order is not None:
         spec = args.order
@@ -430,17 +426,18 @@ def _cmd_converge(args, out):
         x0 = tuple(parse_rational(v) for v in args.x0.split(","))
         dx0 = tuple(parse_rational(v) for v in args.x0_direction.split(","))
     box = tuple(float(v) for v in args.box) if args.box else None
-    rows, slope = convergence_study(
+    rows, order = convergence_study(
         f, pts, dirs, spec, hs, x0=x0, x0_direction=dx0, box=box
     )
+    order = "exact" if order is None else order
     if args.output == "json":
-        _print_json({"rows": rows, "slope": "exact" if slope is None else slope}, out, indent=2)
+        _print_json({"rows": rows, "order": order}, out, indent=2)
         return 0
     print("h,remainder,bound", file=out)
     for row in rows:
         bound = "" if row["bound"] is None else row["bound"]
         print(f"{row['h']},{row['remainder']},{bound}", file=out)
-    print(f"# slope: {'exact' if slope is None else slope}", file=out)
+    print(f"# order: {order}", file=out)
     return 0
 
 

@@ -37,15 +37,16 @@ graded engine (`_graded_engine`) computes every expansion from that plan,
 one contraction per orbit and sides (`_orbit_cache`): `taylor2` and
 `taylor_derivative` over tagged sequences, `taylor1` at alpha = beta = 1,
 gamma = n over partition sequences, and `convergence_study` on one coupling
-for every scale h. One bound engine turns the remainder into a certified
-upper bound over the plan's families: planned once per plan and box
-(`_bound_plan`), priced with one coupling's moments (`_bound_price`). So a
-call costs its live orbits, not the members: a live member's terms are its
-orbit's tensors, as they are, and a member whose derivative vanishes
-identically (`functional._vanishes`) gets the result's one zero and a
-constant of 0.0, with nothing keyed, built, contracted or added into the
-prediction for it: skipping an add of an exact zero leaves every sum as it
-was.
+for every scale h, its remainder one polynomial in h whose lowest nonzero
+power is the remainder's exact order. One bound engine turns the remainder
+into a certified upper bound over the plan's families: planned once per
+plan and box (`_bound_plan`), priced with one coupling's moments
+(`_bound_price`). So a call costs its live orbits, not the members: a live
+member's terms are its orbit's tensors, as they are, and a member whose
+derivative vanishes identically (`functional._vanishes`) gets the result's
+one zero and a constant of 0.0, with nothing keyed, built, contracted or
+added into the prediction for it: skipping an add of an exact zero leaves
+every sum as it was.
 """
 
 from __future__ import annotations
@@ -655,31 +656,6 @@ def remainder_bound2(f, x0, y0, c, g, box):
     return _bound_terms(f, [_as_pair(x0, y0)], c, _plan(f, g), box)[0]
 
 
-SLOPE_FLOOR = 1e-14  # remainders at or below this are float rounding, left out of fits
-
-
-def ols_loglog_slope(h_values, values):
-    """Least-squares slope of log2(values) against log2(h) over the finite
-    rows above SLOPE_FLOOR. Returns None when every value is exactly zero;
-    raises ValidationError when some value is nonzero but fewer than two
-    distinct scales have a finite one above the floor: no fit, nor exact."""
-    xs, ys = [], []
-    for h, v in zip(h_values, values):
-        if v is not None and SLOPE_FLOOR < v < math.inf:
-            xs.append(math.log2(float(h)))
-            ys.append(math.log2(v))
-    if len(set(xs)) < 2:
-        if any(values):
-            raise ValidationError(
-                f"fewer than two scales h have a remainder above the fit floor {SLOPE_FLOOR:g}"
-            )
-        return None
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    denom = sum((x - mx) ** 2 for x in xs)
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
-
-
 def _reach(box, c):
     """The largest h at which every target x + h * (y - x) of the rational
     coupling `c`, whose base points x lie in the box, does too: coordinate
@@ -707,22 +683,24 @@ def convergence_study(
 ):
     """Scale the target configuration toward the base along fixed directions
     and record the exact remainder (and, when a box is given, its certified
-    bound) at each scale h. `h_list` needs at least two distinct scales, all
-    positive and finite, for the slope to be a fit.
+    bound) at each scale h of `h_list`, and the remainder's exact order in h.
+    Every scale is a positive number that a float can hold.
 
     At scale h every coupling gap is h times a direction and the spatial
     step h times `x0_direction`, while the base points stay put: the targets
     of scale h are the points at xi = h on the straight path of the h = 1
     coupling, the only coupling the study builds. A jet term indexed by a
     sequence of length k contracts one of these displacements per letter,
-    so it is homogeneous of degree k in h: the jet is computed once, at
-    h = 1, and summed by length into J_k, and the prediction at h is the sum
-    of h^k J_k. f is contracted once, on the path, into one polynomial in xi
-    per entry, and the value at the targets of scale h is that polynomial at
-    xi = h. Every point, direction and scale is read exactly (a float as
-    the dyadic rational it holds), so the polynomial's value, J_k, h^k J_k
-    and the remainder stay integer numerators over one denominator, and the
-    rows equal those of a full expansion at every h.
+    so it is homogeneous of degree k in h: it is computed once, at h = 1,
+    and its value at scale h is h^k times that. f is contracted once, on
+    the path, into one polynomial in xi per entry, and its value at the
+    targets of scale h is that polynomial at xi = h. So the remainder is
+    one polynomial in h per entry: f on the path less xi^k times each live
+    jet term of length k, built once, and each row is its value at h. Every
+    point, direction and scale is read exactly (a float as the dyadic
+    rational it holds), so the coefficients stay integer numerators over
+    one denominator, and the rows equal those of a full expansion at every
+    h.
 
     The truncation plan (`_plan`, once per functional and spec) gives the
     jet its core and the bound its families. The bound plan
@@ -738,13 +716,11 @@ def convergence_study(
     a largest scale, computed once, and the targets are built only to name
     the one outside.
 
-    Returns (rows, slope): rows are dicts with h, remainder norm, bound; the
-    slope is the least-squares log-log fit, or None ("exact") when every
-    member of every boundary family is at least as long as the kernel
-    degree, or when every remainder is exactly zero. Under that rule each
-    remainder integrand is a constant, so the remainder is 0 at every h.
-    Raises ValidationError when some remainder is nonzero but fewer than
-    two clear `SLOPE_FLOOR`.
+    Returns (rows, order): rows are dicts with h, remainder norm, bound; the
+    order is the lowest power of h with a nonzero coefficient in the
+    remainder, at least the length of the shortest boundary-family member
+    plus one (n + 1 for an order n), or None ("exact") when the remainder
+    is identically zero.
 
     `x0` and `x0_direction` are the spatial base point and its direction:
     a grading needs both, an order takes neither. Every direction has as
@@ -755,13 +731,13 @@ def convergence_study(
         raise ValidationError("a grading needs x0 and x0_direction")
     if not graded and (x0 is not None or x0_direction is not None):
         raise ValidationError("x0 and x0_direction need a grading, not an order")
-    try:
-        hs = [Fraction(h) if not isinstance(h, float) else h for h in h_list]
-    except (TypeError, ValueError):
-        raise ValidationError(f"h_list must hold numbers, got {h_list!r}") from None
-    if not all(0 < h < math.inf for h in hs) or len(set(hs)) < 2:
-        raise ValidationError("h_list needs at least two distinct scales h, all positive and finite")
-    hs = list(map(Fraction, hs))  # a float h read exactly
+    try:  # each scale read once, a float exactly; float(h) overflows past the float range
+        hs = [Fraction(h) for h in h_list]
+        scales = all(h > 0 and math.isfinite(h) for h in hs)
+    except (ArithmeticError, TypeError, ValueError):  # not a number, inf, nan or past the float range
+        scales = False
+    if not scales:
+        raise ValidationError(f"h_list must hold numbers, all positive and finite, got {h_list!r}")
     if _point_count(directions, "directions") != _point_count(points, "points") or any(
         _point_dim(v) != _point_dim(p) for p, v in zip(points, directions)
     ):
@@ -784,12 +760,10 @@ def convergence_study(
     pairs = [(x0, moved(x0, x0_direction, 1))] if graded else []
     evaluate = _orbit_cache(f, plan, pairs, c)
     _, terms = _orbit_jets(plan, evaluate)
-    jets = {}  # J_k: the live jet terms at h = 1 summed by sequence length k
+    rem = evaluate(-1, True, True)  # f on the path of the h = 1 coupling, less each live jet term
     for values, i in zip(plan.core, plan.of):
         if i is not None:
-            k = len(values)
-            jets[k] = jets[k] + terms[i] if k in jets else terms[i]
-    along = evaluate(-1, True, True)  # f on the path of the h = 1 coupling
+            rem = rem - terms[i].times_xi(len(values))
     if box is not None:
         box = normalize_box(box, f.kernel.e)
         outside = _outside_box(box)
@@ -798,11 +772,6 @@ def convergence_study(
         bound_plan = _bound_plan(f, plan, box)
     rows = []
     for h in hs:
-        p, q = h.numerator, h.denominator
-        rem = along.at(h)
-        for k, jet in jets.items():
-            rem = rem - jet.scale(p**k, q**k)  # h^k as a pair of ints
-        norm = rem.tensor().frobenius()
         bound = None
         if box is not None:
             spatial = [(x0, moved(x0, x0_direction, h))] if graded else []
@@ -810,12 +779,10 @@ def convergence_study(
             ys = [moved(p, v, h) for p, v in zip(points, directions)] if h > reach else []
             _refuse_outside(outside, ys + [point for pair in spatial for point in pair])
             # every gap is h times its gap at h = 1: |h * gap|^2 in floats, as float(h^2 * |gap|^2) rounds it
+            p, q = h.numerator, h.denominator
             squares = [p**2 * sq.numerator / (q**2 * sq.denominator) for sq in c.gap_squares()]
             moment = functools.partial(float_moment, squares)
             bound = _bound_price(plan, bound_plan, _displacement_norm(spatial), moment)[0]
-        rows.append({"h": float(h), "remainder": norm, "bound": bound})
-    degree = f.kernel.degree
-    if all(len(values) >= degree for *_, members in plan.families for values in members):
-        return rows, None  # every remainder integrand is constant: exact
-    return rows, ols_loglog_slope([r["h"] for r in rows], [r["remainder"] for r in rows])
-
+        rows.append({"h": float(h), "remainder": rem.at(h).tensor().frobenius(), "bound": bound})
+    powers = [k for v in rem.data for k, a in enumerate(v if type(v) is list else [v]) if a]
+    return rows, min(powers, default=None)

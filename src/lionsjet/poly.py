@@ -469,6 +469,11 @@ class RationalTensor:
         data = self.data if num == 1 else [_lin(x, num, 0, 0) for x in self.data]
         return RationalTensor(self.shape, data, self.den * den, True, self.floats)
 
+    def times_xi(self, k):
+        """The tensor times xi^k: each entry's xi-coefficients moved up k places."""
+        data = [[0] * k + (v if type(v) is list else [v]) for v in self.data]
+        return RationalTensor(self.shape, data, self.den, True, self.floats)
+
     def taylor_integral(self, r):
         """Entry by entry, the integral over [0, 1] of v(xi) (1 - xi)^r / r!
         (the value at xi = 1 when r < 0).

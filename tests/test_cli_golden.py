@@ -74,9 +74,9 @@ INVOCATIONS = {
 }
 
 GOLDEN = {
-    "converge-csv": (0, "65beabae1d15abb733fbc060b85cee658b7f1bfea9267dd42f33c55787781a29"),
-    "converge-json": (0, "c40351bc63d2d5ee7db3711ae6a8628eed42512bd539b7cc12b7ac16b460cd62"),
-    "converge-graded": (0, "3e9dec77ee683efef2adbc284f91926f1fcc3937f181649e7939c538e399bd3c"),
+    "converge-csv": (0, "feb73ec83421c7df6b3eb687a449690bd4ccb888af112a5e68bb8fa4b0a53877"),
+    "converge-json": (0, "381a77d6510f1059eb9217cebfdbfd2e1e9209671efa9479f7241033f0399e4c"),
+    "converge-graded": (0, "34d0e55d4bd92bda256d322d0f843cd2ac8dd0a8587165c6ad03d98c586b7268"),
     "enum": (0, "08d4f6e3bd4a589f8c381987372bfc88e9739cb6cad6af0686efb5ad88c9be5f"),
     "enum-graded": (0, "b56cfadc59dc2e3d91674b0e55d663e057f16c8cdc39ca41bd55461daf5880c4"),
     "enum-graded-equal": (0, "2777f6361ff42a2cc2f63f2b417258b5b43dee05e8c685a623a66d3dbb7335d9"),
@@ -123,3 +123,26 @@ def test_cli_output_is_byte_identical(name, inputs):
     code = main(argv, out=out)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert (code, digest) == GOLDEN[name]
+
+
+# the study rows alone, as a slope fit printed them before the exact order
+# replaced its trailing line: the CSV lines of the two CSV `converge`
+# goldens above their last line, the rows of the JSON one, and the rows of
+# each study of the vanishing-members outputs in `tests/test_expansion.py`
+STUDY_ROWS_DIGEST = "d45be5ba5ff021670f03a561a8df508d9792b20b2c4002da8cb5b6082872cbd5"
+
+
+def test_study_rows_are_those_the_slope_fit_printed(inputs):
+    from test_expansion import _vanishing_outputs
+
+    rows = {}
+    for name in ("converge-csv", "converge-graded", "converge-json"):
+        out = io.StringIO()
+        assert main([arg.format(**inputs) for arg in INVOCATIONS[name]], out=out) == 0
+        text = out.getvalue()
+        rows[name] = json.loads(text)["rows"] if name.endswith("json") else text.splitlines()[:-1]
+    for key, output in _vanishing_outputs().items():
+        if key[1] == "study":
+            rows[repr(key)] = output[0]
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == STUDY_ROWS_DIGEST

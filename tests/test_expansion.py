@@ -1272,7 +1272,7 @@ HUGE_DENOMINATOR_DIGESTS = [
     "493339a3a83c7a774fc04733e6939ab85d22cb01042b650a5e56bed6518bf0f1",
     "87feef77b575b5a6a95aa1c19c4bb1cc4932c34f18adac5ec7023b5f864a78fa",
     "c4528d1f8596df2dc0d7c147a519935d9a0917677b39b028df391783267e43ed",
-    "094b4fb712bda3ed9e2f6d479c39d42f36658604a9181d2f2b506cd350eb5bb4",
+    "8f524cb918ebbf8801033b9f3013e0f8ba1c8b9d8fd8a107ba65e3a5f71784e7",
 ]
 
 
@@ -1687,17 +1687,17 @@ def _per_scale_rows(f, pts, dirs, spec, hs, x0=None, dx0=None, box=None):
 def test_a_study_of_remainders_whose_float_squares_overflow():
     # k(u) = u^62 at 400 moved by 1, order 2: each remainder, about 1e155,
     # fits a float while its square does not; one past the float range has
-    # norm inf, which the fit leaves out
+    # norm inf, and the order is read off the remainder, not the norms
     f = kernel_1d({(62,): F(1)}, arity=1)
     pts, dirs, hs = [(F(400),)], [(F(1),)], [F(1, 2), F(1, 4), F(1, 8)]
-    rows, slope = convergence_study(f, pts, dirs, 2, hs + [10**6])
+    rows, order = convergence_study(f, pts, dirs, 2, hs + [10**6])
     want = _per_scale_rows(f, pts, dirs, 2, hs)  # by `remainder_norm`
     assert rows == want + [{"h": 1e6, "remainder": math.inf, "bound": None}]
     for row, h in zip(rows, hs):
         c = pair_coupling(pts, [(400 + h,)])
         (rem,) = taylor1(f, c.left(), c, 2).remainder_exact.data
         assert row["remainder"] == abs(float(rem)) and 1e150 < row["remainder"] < 1e160
-    assert slope == expansion.ols_loglog_slope(hs, [row["remainder"] for row in want])
+    assert order == 3
 
 
 STUDY_SPECS = [1, 2, 3, Grading(F(1, 2), 1, F(9, 4)), Grading(1, 1, F(5, 2)),
@@ -1904,6 +1904,58 @@ def test_a_study_refuses_a_non_finite_scale(spec, box, h):
     f, pts, dirs, spatial = _study_instance(spec, 0)
     with pytest.raises(ValidationError, match="all positive and finite"):
         convergence_study(f, pts, dirs, spec, [F(1, 2), h], box=box, **spatial)
+
+
+def test_a_study_refuses_a_scale_past_the_float_range_in_one_line():
+    # F(10**400) has no float for its row, and used to end in a bare
+    # OverflowError from float(h)
+    f, pts, dirs, spatial = _study_instance(2, 0)
+    with pytest.raises(ValidationError, match="all positive and finite") as err:
+        convergence_study(f, pts, dirs, 2, [F(1, 2), F(10**400)], **spatial)
+    assert "\n" not in str(err.value)
+
+
+def test_a_study_reads_the_exact_order_where_a_slope_fit_misread_it():
+    # order 2 on this kernel: the remainder is O(h^3), while a least-squares
+    # log-log slope over h = 1/2 ... 1/16 read 4.1127
+    f = PolyFunctional.from_json({
+        "e": 2, "d": 1, "arity": 2, "spatial": False,
+        "terms": [{"out": 0, "coeff": "3/2", "exps": [[1, 0], [0, 0]]},
+                  {"out": 0, "coeff": "-1", "exps": [[1, 2], [0, 1]]},
+                  {"out": 0, "coeff": "-3", "exps": [[2, 1], [0, 1]]}],
+    })
+    pts = [(F(0), F(1, 3)), (F(0), F(-1)), (F(2), F(-1, 3))]
+    dirs = [(F(-1, 3), F(1)), (F(-1, 2), F(-3)), (F(-1), F(-2, 3))]
+    hs = [F(1, 2**k) for k in range(1, 5)]
+    rows, order = convergence_study(f, pts, dirs, 2, hs)
+    assert order == 3 and all(row["remainder"] > 0 for row in rows)
+
+
+def test_a_study_of_tiny_remainders_reads_their_order():
+    # u^3 at order 1 with h = 1e-6, 1e-7, 1e-8: exact remainders of about
+    # 1e-13 to 1e-17, which a slope fit's float floor of 1e-14 refused
+    f = kernel_1d({(3,): F(1)}, arity=1)
+    pts, dirs = [(F(1),), (F(-1, 2),)], [(F(1, 3),), (F(1, 5),)]
+    rows, order = convergence_study(f, pts, dirs, 1, [1e-6, 1e-7, 1e-8])
+    assert order == 2 and all(0 < row["remainder"] < 1e-12 for row in rows)
+
+
+@pytest.mark.parametrize("spec", STUDY_SPECS, ids=str)
+def test_a_study_order_is_past_its_shortest_boundary_member(spec):
+    # no order means a remainder of 0 at every h; an order is at least one
+    # past the shortest member of a boundary family, so n + 1 for an order n
+    hs = [F(1, 2), F(1, 3), F(1, 8)]
+    for seed in range(8):
+        f, pts, dirs, spatial = _study_instance(spec, seed)
+        rows, order = convergence_study(f, pts, dirs, spec, hs, **spatial)
+        if order is None:
+            assert all(row["remainder"] == 0 for row in rows)
+            continue
+        families = expansion._plan(f, spec).families
+        shortest = min(len(values) for *_, members in families for values in members)
+        assert order >= shortest + 1
+        if not isinstance(spec, Grading):
+            assert shortest >= spec
 
 
 def test_each_call_searches_the_families_once(monkeypatch):
@@ -2129,7 +2181,7 @@ def test_threads_sharing_a_fresh_functional_get_the_serial_results():
 
 
 def _study(*args, **kwargs):
-    """A convergence study's rows and slope, or the message of its
+    """A convergence study's rows and order, or the message of its
     ValidationError."""
     try:
         return convergence_study(*args, **kwargs)
@@ -2188,14 +2240,14 @@ def _digest(outputs):
 
 
 # the outputs of an engine that contracts every member, vanishing or not, by
-# mode. The rational ones were pinned before float results printed exact
-# zeros as 0.0 and before float data ran the integer contraction's loop, and
-# no change may move them; the float ones were last re-pinned when floats
-# came to be read exactly, each entry the float nearest the output of the
-# same data as Fractions
+# mode. Both were last re-pinned when a study came to return its exact
+# order in place of a fitted slope, with every other byte as before (the
+# study rows alone are pinned in `tests/test_cli_golden.py`); the float
+# ones, each entry the float nearest the output of the same data as
+# Fractions, were re-pinned before that when floats came to be read exactly
 VANISHING_DIGESTS = {
-    "rational": "a6a7fc303537955f65c676a8538de1804c2e1dcd9dd017adf46121bd122d6d76",
-    "float": "3379665092ba989d89c4525881cf0a0c211a0d72117ff04e648e2fa77591c7cc",
+    "rational": "15acf2dd8503f371daae4fea5720e08771c5ef3502ef2e21dfe3230fdeae3742",
+    "float": "d4499a0a46435fe7af9a890bf80203872f36384aaf00167573f49d6154fce284",
 }
 
 

@@ -121,10 +121,10 @@ def test_a_zero_kernel_expands_and_converges_to_exact_zeros():
         tensors += [t for term in res.jet for t in (term.value, term.raw)]
         assert all(v == 0 and type(v) is Fraction for t in tensors for v in t.data)
         assert res.identity_gap() == 0 and res.remainder_norm() == 0
-    rows, slope = convergence_study(f1, points, moved, 2, [F(1, 2), F(1, 4)], box=(-4, 4))
+    rows, order = convergence_study(f1, points, moved, 2, [F(1, 2), F(1, 4)], box=(-4, 4))
     assert [(r["remainder"], r["bound"]) for r in rows] == [(0.0, 0.0), (0.0, 0.0)]
-    assert slope is None
-    rows, slope = convergence_study(
+    assert order is None
+    rows, order = convergence_study(
         f2, points, moved, g, [F(1, 2), F(1, 4)], x0=points[0], x0_direction=moved[0]
     )
-    assert [r["remainder"] for r in rows] == [0.0, 0.0] and slope is None
+    assert [r["remainder"] for r in rows] == [0.0, 0.0] and order is None

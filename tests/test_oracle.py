@@ -11,7 +11,7 @@ import pytest
 
 from lionsjet import expansion, oracle
 from lionsjet.errors import ValidationError
-from lionsjet.expansion import SLOPE_FLOOR, _plan, convergence_study, ols_loglog_slope
+from lionsjet.expansion import _plan, convergence_study
 from lionsjet.functional import MomentView, eval_derivative, lions_derivative
 from lionsjet.measures import EmpiricalMeasure
 from lionsjet.oracle import (
@@ -367,7 +367,7 @@ def test_finite_difference_sanity_tier():
     assert fd[0] == pytest.approx(float(exact), abs=1e-6)
 
 
-def test_convergence_slopes():
+def test_convergence_orders():
     rng = random.Random(15)
     for n in (1, 2, 3):
         deg = n + 2
@@ -376,63 +376,53 @@ def test_convergence_slopes():
         pts = [(F(rng.randint(2, 4), 4),) for _ in range(2)]
         dirs = [(F(1),) for _ in range(2)]
         hs = [F(1, 2) ** k for k in range(1, 7)]
-        rows, slope = convergence_study(f, pts, dirs, n, hs, box=(-3, 3))
-        assert slope == pytest.approx(n + 1, abs=0.2)
+        rows, order = convergence_study(f, pts, dirs, n, hs, box=(-3, 3))
+        assert order == n + 1
         for row in rows:
             assert row["bound"] >= row["remainder"] * (1 - 1e-9) - 1e-12
 
 
 def test_convergence_exact_below_degree():
     f = kernel_1d({(1,): F(2)}, arity=1)
-    rows, slope = convergence_study(
+    rows, order = convergence_study(
         f, [(F(1),)], [(F(1),)], 2, [F(1, 2), F(1, 4)]
     )
-    assert slope is None
+    assert order is None
     assert all(r["remainder"] == 0 for r in rows)
 
 
-def test_ols_slope_helper():
-    hs = [0.5, 0.25, 0.125]
-    vals = [h**3 for h in hs]
-    assert ols_loglog_slope(hs, vals) == pytest.approx(3.0)
-    assert ols_loglog_slope(hs, [0.0, 0.0, 0.0]) is None
-
-
-def test_convergence_study_without_a_fit_is_an_error_not_exact():
-    # k(u) = u^4 + u^2: the remainder at h = 1e-8 is nonzero but under the
-    # fit floor, so one row is left to fit; that used to return slope None,
-    # which reads as "exact"
+def test_a_tiny_nonzero_remainder_has_an_order_not_exact():
+    # k(u) = u^4 + u^2: the remainder at h = 1e-8 is nonzero but tiny; a
+    # slope fit once left it out and read "exact", then refused the study
     f = kernel_1d({(4,): F(1), (2,): F(1)}, arity=1)
     pts, dirs = [(F(1, 2),), (F(3, 4),)], [(F(1),), (F(-1),)]
-    with pytest.raises(ValidationError, match="fit floor"):
-        convergence_study(f, pts, dirs, 1, [F(1, 2), 1e-8])
-    with pytest.raises(ValidationError, match="fit floor"):
-        ols_loglog_slope([0.5, 0.25], [0.0, 1e-16])
-    rows, slope = convergence_study(f, pts, dirs, 1, [F(1, 2), F(1, 4)])
-    assert slope is not None and all(r["remainder"] > 0 for r in rows)
+    rows, order = convergence_study(f, pts, dirs, 1, [F(1, 2), 1e-8])
+    assert order == 2 and all(r["remainder"] > 0 for r in rows)
+    rows, order = convergence_study(f, pts, dirs, 1, [F(1, 2), F(1, 4)])
+    assert order == 2 and all(r["remainder"] > 0 for r in rows)
 
 
 def test_convergence_study_of_an_exact_expansion_is_exact_in_float():
     # k(u1, u2) = u1 u2 + u1/3 at order 2: every boundary sequence is as long
-    # as the kernel degree, so the remainder is 0; float rows carry rounding
-    # noise under the fit floor, which used to raise "fewer than two scales"
+    # as the kernel degree, so the remainder is 0; float data are read
+    # exactly, so their rows are exactly 0 too
     f = kernel_1d({(1, 1): F(1), (1, 0): F(1, 3)}, arity=2)
     pts, dirs = [(F(1, 3),), (F(2, 7),)], [(F(1, 5),), (F(-2, 3),)]
     float_pts = [tuple(map(float, p)) for p in pts]
     rational_hs = [F(1, 2), F(1, 10)]
     for points, hs in ((pts, [0.5, 0.1]), (float_pts, rational_hs), (pts, rational_hs)):
-        rows, slope = convergence_study(f, points, dirs, 2, hs)
-        assert slope is None and len(rows) == 2
-        assert all(row["remainder"] < SLOPE_FLOOR for row in rows)
-    # one order lower the remainder is not 0, and the study fits a slope
-    rows, slope = convergence_study(f, pts, dirs, 1, [0.5, 0.1])
-    assert slope == pytest.approx(2)
+        rows, order = convergence_study(f, points, dirs, 2, hs)
+        assert order is None and len(rows) == 2
+        assert all(row["remainder"] == 0 for row in rows)
+    # one order lower the remainder is not 0, and its order is 2
+    rows, order = convergence_study(f, pts, dirs, 1, [0.5, 0.1])
+    assert order == 2
 
 
 def test_a_study_called_exact_has_remainder_zero():
     # the rule: every boundary sequence at least as long as the kernel
     # degree makes every remainder integrand constant, so with rational
-    # inputs each row is exactly 0, and the slope is None in float too
+    # inputs each row is exactly 0, and the order is None in float too
     hs = [F(1, 2), F(1, 4), F(1, 8)]
     exact = 0
     for seed in range(60):
@@ -452,22 +442,26 @@ def test_a_study_called_exact_has_remainder_zero():
         if not all(len(v) >= f.kernel.degree for *_, members in families for v in members):
             continue
         exact += 1
-        rows, slope = convergence_study(f, pts, dirs, spec, hs, **spatial)
-        assert slope is None and all(row["remainder"] == 0 for row in rows)
+        rows, order = convergence_study(f, pts, dirs, spec, hs, **spatial)
+        assert order is None and all(row["remainder"] == 0 for row in rows)
         float_dirs = [tuple(map(float, v)) for v in dirs]
         assert convergence_study(f, pts, float_dirs, spec, [0.5, 0.1], **spatial)[1] is None
     assert exact >= 30
 
 
-def test_convergence_study_needs_two_distinct_positive_scales():
+def test_convergence_study_needs_positive_scales():
     f = kernel_1d({(3,): F(1), (2,): F(1)}, arity=1)
     pts, dirs = [(F(1, 2),)], [(F(1),)]
-    for hs in ([F(1, 2)], [F(1, 2), F(1, 2)], [0.5, F(1, 2)], [F(1, 2), F(0)],
-               [F(-1, 2), F(1, 4)], []):
-        with pytest.raises(ValidationError, match="two distinct scales"):
+    for hs in ([F(1, 2), F(0)], [F(-1, 2), F(1, 4)], [0.0]):
+        with pytest.raises(ValidationError, match="all positive and finite"):
             convergence_study(f, pts, dirs, 1, hs, box=(-3, 3))
-    rows, slope = convergence_study(f, pts, dirs, 1, [F(1, 2), 0.25])
-    assert len(rows) == 2 and slope is not None
+    rows, order = convergence_study(f, pts, dirs, 1, [F(1, 2), 0.25])
+    assert len(rows) == 2 and order == 2
+    # the order is read off the remainder, not fitted: one scale, a scale
+    # twice, or none at all give the same order
+    for hs in ([F(1, 2)], [F(1, 2), F(1, 2)], [0.5, F(1, 2)], []):
+        rows, order = convergence_study(f, pts, dirs, 1, hs, box=(-3, 3))
+        assert len(rows) == len(hs) and order == 2
 
 
 def test_convergence_study_checks_its_spatial_arguments():
